@@ -3,8 +3,9 @@ second-order metric and first-order metric-affine gravity models.
 
 The package evaluates Lagrangians, momenta, Hamiltonians, Poincare-Cartan
 forms, and constraint families at jets of exact spacetimes, certifying
-every identity with independent computation routes (closed forms against
-tangent propagation, series arithmetic against finite differences).
+every identity with independent computation routes: closed forms against
+array-valued forward-mode differentiation of the Lagrangians through
+einsum curvature kernels, series arithmetic against finite differences.
 """
 
 from .version import VERSION as __version__

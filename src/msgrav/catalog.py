@@ -17,10 +17,11 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .exprparse import (FUNCTIONS, VARIABLES, evaluate, free_names,
                         parse_expression)
-from .fieldspace import EHJetPoint, EPJetPoint, prolong
-from .geometry import christoffel, dg_matrices, metric_inverse_density
-from .indexing import DIM, PAIRS, pair_index
+from .fieldspace import EHJetPoint, EPJetPoint, derivatives, prolong
+from .geometry import christoffel, metric_inverse_density
+from .indexing import DIM, PAIR_FULL, PAIR_ROWS, PAIRS, TRIPLE_FULL, pair_index
 from .series import JetScalar
+from .tangents import Jet2
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,15 @@ class MetricSpec:
         return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.domain))
 
 
+def _evaluate(tree, env):
+    """Evaluate an expression; float domain failures become DomainError."""
+    try:
+        return evaluate(tree, env)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise DomainError(f"cannot evaluate an expression at this point: "
+                          f"{e}") from None
+
+
 def _env_at(spec: MetricSpec, x, order: int) -> dict:
     env = {f"x{i}": JetScalar.variable(i, tuple(x), order=order)
            for i in range(DIM)}
@@ -72,7 +82,7 @@ def metric_jet_at(spec: MetricSpec, x, order: int = 4):
     const = JetScalar.constant(0.0, tuple(x), order=order)
     out = []
     for c in spec.components:
-        v = evaluate(c, env)
+        v = _evaluate(c, env)
         out.append(v if isinstance(v, JetScalar) else const + v)
     return out
 
@@ -84,39 +94,33 @@ def eh_point_at(spec: MetricSpec, x, order: int = 4) -> EHJetPoint:
 def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     """First-order metric-affine point over x: the metric jet with its
     Levi-Civita connection (or file overrides), extended with the second
-    derivatives needed for tangent lifts."""
-    series = metric_jet_at(spec, x, order=4)
-    ks = series[0].order - 1
-    g_tr = [s.truncate(ks) for s in series]
-    dg_tr = [[s.partial(mu) for mu in range(DIM)] for s in series]
-    ginv, _ = metric_inverse_density(g_tr)
-    gam = christoffel(ginv, dg_matrices(dg_tr))
+    derivatives needed for tangent lifts.
+
+    The Levi-Civita Gamma and its first two x-derivatives come from one
+    Jet2 pass of the connection kernel on the prolonged jet: the
+    first-order shifts seed both derivative blocks and the second-order
+    shift the mixed block, so `a` is dGamma and `m` is d2Gamma. Overridden
+    components keep their series route.
+    """
+    p = prolong(metric_jet_at(spec, x, order=4), order=3)
+    d2 = p.d2g[:, PAIR_FULL]
+    g = Jet2(p.g, p.dg, p.dg, d2)
+    dg = Jet2(p.dg, d2, d2, p.d3g[:, TRIPLE_FULL])
+    ginv, _ = metric_inverse_density(g[PAIR_FULL])
+    gam = christoffel(ginv, dg[PAIR_FULL])
+    Gamma, dGamma = gam.v.copy(), gam.a.copy()
+    d2Gamma = gam.m[..., PAIR_ROWS[0], PAIR_ROWS[1]]
     if spec.connection:
-        env = _env_at(spec, x, ks)
-        const = JetScalar.constant(0.0, tuple(x), order=ks)
-        for (l, m, n), tree in spec.connection.items():
-            v = evaluate(tree, env)
-            gam[l][m][n] = v if isinstance(v, JetScalar) else const + v
-
-    def deriv(s, idx):
-        mlt = [0] * DIM
-        for mu in idx:
-            mlt[mu] += 1
-        return s.derivative(mlt)
-
-    Gamma = np.array([[[gam[a][b][c].value() for c in range(DIM)]
-                       for b in range(DIM)] for a in range(DIM)])
-    dGamma = np.array([[[[deriv(gam[a][b][c], (r,)) for r in range(DIM)]
-                         for c in range(DIM)]
-                        for b in range(DIM)] for a in range(DIM)])
-    d2Gamma = np.array([[[[deriv(gam[a][b][c], pr) for pr in PAIRS]
-                          for c in range(DIM)]
-                         for b in range(DIM)] for a in range(DIM)])
-    g = np.array([s.value() for s in series])
-    dg = np.array([[deriv(s, (mu,)) for mu in range(DIM)] for s in series])
-    d2g = np.array([[deriv(s, pr) for pr in PAIRS] for s in series])
-    return EPJetPoint(x=np.asarray(x, dtype=float), g=g, Gamma=Gamma, dg=dg,
-                      dGamma=dGamma, d2g=d2g, d2Gamma=d2Gamma)
+        env = _env_at(spec, x, 2)
+        const = JetScalar.constant(0.0, tuple(x), order=2)
+        for lmn, tree in spec.connection.items():
+            v = _evaluate(tree, env)
+            s = v if isinstance(v, JetScalar) else const + v
+            Gamma[lmn] = s.value()
+            dGamma[lmn] = derivatives([s], [(r,) for r in range(DIM)])[0]
+            d2Gamma[lmn] = derivatives([s], PAIRS)[0]
+    return EPJetPoint(x=np.asarray(x, dtype=float), g=p.g, Gamma=Gamma,
+                      dg=p.dg, dGamma=dGamma, d2g=p.d2g, d2Gamma=d2Gamma)
 
 
 def _validate(spec: MetricSpec) -> MetricSpec:
@@ -125,15 +129,14 @@ def _validate(spec: MetricSpec) -> MetricSpec:
     for x in itertools.product(*axes):
         env = {f"x{i}": float(x[i]) for i in range(DIM)}
         env.update(spec.params)
-        m = np.zeros((DIM, DIM))
-        for i, (a, b) in enumerate(PAIRS):
-            m[a, b] = m[b, a] = evaluate(spec.components[i], env)
-        det = np.linalg.det(m)
+        m = np.array([_evaluate(c, env) for c in spec.components],
+                     dtype=float)[PAIR_FULL]
+        where = f"metric {spec.name!r} at grid point {tuple(map(float, x))}"
+        if not np.isfinite(m).all():
+            raise DomainError(f"{where} is not finite")
         ev = np.linalg.eigvalsh(m)
-        if abs(det) < 1e-14 or ev[0] >= 0 or ev[1] <= 0:
-            raise DomainError(
-                f"metric {spec.name!r} is not Lorentzian at grid point "
-                f"{tuple(float(v) for v in x)}")
+        if abs(np.linalg.det(m)) < 1e-14 or ev[0] >= 0 or ev[1] <= 0:
+            raise DomainError(f"{where} is not Lorentzian")
     return spec
 
 

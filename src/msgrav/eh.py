@@ -2,108 +2,82 @@
 Poincare-Cartan 5-form, constraints, holonomy residuals, field-equation
 contraction, and projectability checks.
 
-Momenta are computed twice on purpose: once by tangent propagation through
-the Lagrangian and once from the closed forms; the two routes referee the
-ordered-index multiplicity conventions against each other. The closed-form
-Hamiltonian sums over full index ranges, the sum form over ordered ones.
+Momenta are computed twice on purpose: once by differentiating the
+Lagrangian (tangent passes through the array kernels) and once from the
+closed forms, written as einsums; the two routes referee the
+ordered-index multiplicity conventions against each other. The
+closed-form Hamiltonian sums over full index ranges, the sum form over
+ordered ones. Fiber functions read a point's ordered blocks, as arrays,
+Tan or Jet2, and expand them through `indexing.PAIR_FULL`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError
-from .exterior import (DenseCovector, FormTerm, contract_terms,
-                       volume_factors)
-from .fieldspace import (EH_DIM_J3, EHJetPoint, PointView, fiber_gradient,
-                         fiber_jacobian, flat_index, total_derivatives_vec)
-from .geometry import curvature_bundle, dg_matrices, metric_inverse_density
-from .indexing import DIM, PAIRS, mult, pair_index
-from .tangents import Jet2
+from .exterior import (CoordDifferential, DenseCovector, FormTerm,
+                       contract_terms, volume_factors)
+from .fieldspace import (EH_DIM_J3, EH_OFF, EHJetPoint, derivatives,
+                         fiber_gradient, fiber_hessian, fiber_jacobian,
+                         tangent_lifts, total_derivatives_vec)
+from .geometry import curvature_bundle, metric_inverse_density
+from .indexing import DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
+from .tangents import Jet2, einsum
 
 NPAIR = len(PAIRS)
 
 
-# -- generic fiber functions ------------------------------------------------
+# -- fiber functions --------------------------------------------------------
 
 def lagrangian_fn(pt):
     """rho * g^{ab} R_ab; reaches the second-order coordinates only."""
-    _, rho, _, _, _, scal = curvature_bundle(pt.g, pt.dg, pt.d2g)
+    _, rho, _, _, scal = curvature_bundle(pt.g, pt.dg, pt.d2g)
     return rho * scal
 
 
 def momenta2_closed_fn(pt):
-    """Closed-form second-order momenta, flat list over (pair, pair).
-
-    Component (ab, mn): (n(ab)/2) rho (g^{am} g^{bn} + g^{an} g^{bm}
-    - 2 g^{ab} g^{mn}).
-    """
-    ginv, rho = metric_inverse_density(pt.g)
-    out = []
-    for (a, b) in PAIRS:
-        na = mult(a, b)
-        for (m, n) in PAIRS:
-            out.append(0.5 * na * rho * (ginv[a][m] * ginv[b][n]
-                                         + ginv[a][n] * ginv[b][m]
-                                         - 2.0 * ginv[a][b] * ginv[m][n]))
-    return out
+    """Closed-form second-order momenta over (ordered pair, ordered pair):
+    (n(ab)/2) rho (g^{am} g^{bn} + g^{an} g^{bm} - 2 g^{ab} g^{mn})."""
+    ginv, rho = metric_inverse_density(pt.g[PAIR_FULL])
+    full = (einsum("am,bn->abmn", ginv, ginv)
+            + einsum("an,bm->abmn", ginv, ginv)
+            - 2.0 * einsum("ab,mn->abmn", ginv, ginv))
+    a, b = PAIR_ROWS
+    return 0.5 * rho * full[a, b][:, a, b] * MULT[:, None]
 
 
 def hamiltonian_closed_fn(pt):
-    """rho g_{ab,m} g_{kl,n} H^{abklmn}, all six indices over full ranges."""
-    ginv, rho = metric_inverse_density(pt.g)
-    dgm = dg_matrices(pt.dg)
-    # C_m = ginv . dgm_m ; E_m = ginv . dgm_m . ginv
-    C, E, P = [], [], []
-    for m in range(DIM):
-        cm = [[sum(ginv[i][k] * dgm[m][k][j] for k in range(DIM))
-               for j in range(DIM)] for i in range(DIM)]
-        em = [[sum(cm[i][k] * ginv[k][j] for k in range(DIM))
-               for j in range(DIM)] for i in range(DIM)]
-        C.append(cm)
-        E.append(em)
-        P.append(sum(cm[i][i] for i in range(DIM)))
-    h = 0.0
-    for m in range(DIM):
-        for n in range(DIM):
-            tr_cc = sum(C[m][i][k] * C[n][k][i]
-                        for i in range(DIM) for k in range(DIM))
-            t3 = sum(E[m][k][n] * C[n][m][k] for k in range(DIM))
-            h = h + 0.25 * ginv[m][n] * (P[m] * P[n] - tr_cc) \
-                + 0.5 * t3 - 0.5 * P[m] * E[n][m][n]
+    """rho g_{ab,m} g_{kl,n} H^{abklmn}, all six indices over full ranges,
+    through C_m = g^-1 dg_m, E_m = C_m g^-1 and P_m = tr C_m."""
+    ginv, rho = metric_inverse_density(pt.g[PAIR_FULL])
+    c = einsum("ik,kjm->ijm", ginv, pt.dg[PAIR_FULL])
+    e = einsum("ijm,jl->ilm", c, ginv)
+    p = einsum("iim->m", c)
+    h = (0.25 * (einsum("mn,m,n->", ginv, p, p)
+                 - einsum("mn,ikm,kin->", ginv, c, c))
+         + 0.5 * einsum("knm,mkn->", e, c) - 0.5 * einsum("m,mnn->", p, e))
     return rho * h
 
 
 def hamiltonian_coefficient(pt, a, b, k, l, m, n):
     """H^{abklmn} evaluated on demand (full-range indices)."""
-    ginv, _ = metric_inverse_density(pt.g)
-    return (0.25 * ginv[a][b] * ginv[k][l] * ginv[m][n]
-            - 0.25 * ginv[a][k] * ginv[b][l] * ginv[m][n]
-            + 0.5 * ginv[a][k] * ginv[l][m] * ginv[b][n]
-            - 0.5 * ginv[a][b] * ginv[l][n] * ginv[k][m])
+    ginv, _ = metric_inverse_density(pt.g[PAIR_FULL])
+    return (0.25 * ginv[a, b] * ginv[k, l] * ginv[m, n]
+            - 0.25 * ginv[a, k] * ginv[b, l] * ginv[m, n]
+            + 0.5 * ginv[a, k] * ginv[l, m] * ginv[b, n]
+            - 0.5 * ginv[a, b] * ginv[l, n] * ginv[k, m])
 
 
-def einstein_constraint_fn(pt):
-    """-rho n(ab) (R^{ab} - g^{ab} R / 2), flat list over ordered pairs."""
-    ginv, rho, _, _, ric, scal = curvature_bundle(pt.g, pt.dg, pt.d2g)
-    out = []
-    for (a, b) in PAIRS:
-        r_up = 0.0
-        for i in range(DIM):
-            for j in range(DIM):
-                r_up = r_up + ginv[a][i] * ginv[b][j] * ric[i][j]
-        out.append(-rho * mult(a, b) * (r_up - 0.5 * ginv[a][b] * scal))
-    return out
-
-
-# -- coordinate id helpers --------------------------------------------------
-
-_G_COORDS = [("g", a) for a in range(NPAIR)]
-_DG_COORDS = [("dg", a, mu) for a in range(NPAIR) for mu in range(DIM)]
-_D2G_COORDS = [("d2g", a, m) for a in range(NPAIR) for m in range(NPAIR)]
-_GDG_COORDS = _G_COORDS + _DG_COORDS
+def constraint_einstein(pt):
+    """The Einstein-equation constraints over ordered pairs,
+    -rho n(ab) (R^{ab} - g^{ab} R / 2); also a fiber function."""
+    ginv, rho, _, ric, scal = curvature_bundle(pt.g, pt.dg, pt.d2g)
+    e_up = einsum("ai,bj,ij->ab", ginv, ginv, ric) - 0.5 * ginv * scal
+    return -rho * e_up[PAIR_ROWS] * MULT
 
 
 # -- public operations ------------------------------------------------------
@@ -123,11 +97,8 @@ class EHMomenta:
 
 def momenta2_ad(p: EHJetPoint) -> np.ndarray:
     """Second-order momenta by tangent propagation, with 1/n(mn) applied."""
-    grad = fiber_gradient(lagrangian_fn, p, _D2G_COORDS).g
-    out = grad.reshape(NPAIR, NPAIR).copy()
-    for m, (mu, nu) in enumerate(PAIRS):
-        out[:, m] /= mult(mu, nu)
-    return out
+    grad = fiber_gradient(lagrangian_fn, p, ["d2g"]).g
+    return grad.reshape(NPAIR, NPAIR) / MULT
 
 
 def momenta1(p: EHJetPoint, l2_jac=None) -> np.ndarray:
@@ -136,80 +107,45 @@ def momenta1(p: EHJetPoint, l2_jac=None) -> np.ndarray:
     The total derivative only reaches the metric block because the closed
     second-order momenta depend on g alone.
     """
-    dldv = fiber_gradient(lagrangian_fn, p, _DG_COORDS).g.reshape(NPAIR, DIM)
+    dldv = fiber_gradient(lagrangian_fn, p, ["dg"]).g.reshape(NPAIR, DIM)
     if l2_jac is None:
-        _, l2_jac = fiber_jacobian(momenta2_closed_fn, p, _G_COORDS)
-    # D_n L2[c] = sum_b dL2[c]/dg_b * g_{b,n}
-    dl2 = l2_jac @ p.dg  # (100, 4)
-    out = dldv.copy()
-    for a in range(NPAIR):
-        for mu in range(DIM):
-            out[a, mu] -= sum(dl2[a * NPAIR + pair_index(mu, nu), nu]
-                              for nu in range(DIM))
-    return out
+        _, l2_jac = fiber_jacobian(momenta2_closed_fn, p, ["g"])
+    # D_n L2[a, (mu nu)] = sum_b dL2/dg_b g_{b,n}, taken at n = nu
+    dl2 = np.einsum("amb,bn->amn", l2_jac, p.dg)[:, PAIR_FULL]
+    return dldv - np.einsum("amnn->am", dl2)
 
 
 def momenta_and_hamiltonian(p: EHJetPoint) -> EHMomenta:
     l2_ad = momenta2_ad(p)
-    l2_vals, l2_jac = fiber_jacobian(momenta2_closed_fn, p, _G_COORDS)
-    l2_closed = l2_vals.reshape(NPAIR, NPAIR)
+    l2_closed, l2_jac = fiber_jacobian(momenta2_closed_fn, p, ["g"])
     l1 = momenta1(p, l2_jac)
     # The second-order sum runs over full derivative-index ranges, which in
     # ordered storage is a multiplicity weight per column.
-    nw = np.array([mult(m, n) for (m, n) in PAIRS], dtype=float)
-    h_sum = (float(np.sum(l2_ad * p.d2g * nw[None, :]))
+    h_sum = (float(np.sum(l2_ad * p.d2g * MULT))
              + float(np.sum(l1 * p.dg)) - lagrangian_eh(p))
     return EHMomenta(L2_ad=l2_ad, L2_closed=l2_closed, L1=l1,
                      H_sum=h_sum, H_closed=float(hamiltonian_closed_fn(p)))
-
-
-def constraint_einstein(p: EHJetPoint) -> np.ndarray:
-    """The Einstein-equation constraints over ordered pairs."""
-    return np.array(einstein_constraint_fn(p))
 
 
 def constraint_einstein_derivative(p: EHJetPoint) -> np.ndarray:
     """Total derivatives of the Einstein constraints, (10, 4)."""
     if p.d4g is None:
         raise ConfigError("constraint derivative needs the order-4 block")
-    return total_derivatives_vec(einstein_constraint_fn, p)
+    return total_derivatives_vec(constraint_einstein, p)
 
 
 def holonomy_residuals(p: EHJetPoint, metric_series):
     """Residuals of the two holonomy equations against a section.
 
-    The second equation's symmetrization is normalized per distinct
-    ordering of the derivative pair, so prolongations are exact zeros.
+    The second equation's symmetrization, normalized per distinct ordering
+    of the derivative pair, is the section's second derivative itself, so
+    prolongations are exact zeros.
     """
-    def deriv(s, idx):
-        m = [0] * DIM
-        for mu in idx:
-            m[mu] += 1
-        return s.derivative(m)
-
-    h1 = np.array([[p.dg[a, mu] - deriv(metric_series[a], (mu,))
-                    for mu in range(DIM)] for a in range(NPAIR)])
-    h2 = np.empty((NPAIR, NPAIR))
-    for a in range(NPAIR):
-        # x-derivatives of the section's first-order coordinate functions
-        ddg = [[deriv(metric_series[a], (mu, nu)) for nu in range(DIM)]
-               for mu in range(DIM)]
-        for m, (mu, nu) in enumerate(PAIRS):
-            sym = (ddg[mu][nu] + ddg[nu][mu]) / mult(mu, nu)
-            if mu == nu:
-                sym = ddg[mu][mu]
-            h2[a, m] = p.d2g[a, m] - sym
-    return h1, h2
+    return (p.dg - derivatives(metric_series, [(mu,) for mu in range(DIM)]),
+            p.d2g - derivatives(metric_series, PAIRS))
 
 
 # -- Poincare-Cartan form and field equations -------------------------------
-
-def _dense(cids, values) -> np.ndarray:
-    out = np.zeros(EH_DIM_J3)
-    for cid, v in zip(cids, values):
-        out[flat_index(cid)] = v
-    return out
-
 
 def _momenta1_differentials(p: EHJetPoint) -> np.ndarray:
     """Dense differentials of the 40 first-order momenta, (40, 354).
@@ -218,92 +154,52 @@ def _momenta1_differentials(p: EHJetPoint) -> np.ndarray:
     the projectability of the form, which projectability_check verifies
     independently.
     """
-    n1, n2 = len(_DG_COORDS), len(_GDG_COORDS)
-    view = PointView(p)
-    outer_pos = {cid: j for j, cid in enumerate(_GDG_COORDS)}
-    for i, cid in enumerate(_DG_COORDS):
-        j = outer_pos.get(cid)
-        view.set(cid, Jet2.seed(view.get(cid), n1, n2, i1=i, i2=j))
-    for cid in _G_COORDS:
-        view.set(cid, Jet2.seed(view.get(cid), n1, n2, i2=outer_pos[cid]))
-    mixed = lagrangian_fn(view).m  # (40, 50): d2 L / d dg d(g,dg)
-
-    # d(D_n L2)/du: Hessian-times-dg part on g slots, Jacobian part on dg.
-    n_in = len(_G_COORDS)
-    view2 = PointView(p)
-    for i, cid in enumerate(_G_COORDS):
-        a = cid[1]
-        view2.set(cid, Jet2(view2.get(cid),
-                            np.eye(n_in)[i], p.dg[a], np.zeros((n_in, DIM))))
-    l2_out = momenta2_closed_fn(view2)
-    l2_jac = np.array([o.a for o in l2_out])        # (100, 10)
-    l2_hdg = np.array([o.m for o in l2_out])        # (100, 10, 4)
-
-    rows = np.zeros((n1, EH_DIM_J3))
-    gdg_slots = np.array([flat_index(c) for c in _GDG_COORDS])
-    g_slots = np.array([flat_index(c) for c in _G_COORDS])
-    for k, (_, a, mu) in enumerate(_DG_COORDS):
-        rows[k, gdg_slots] = mixed[k]
-        for nu in range(DIM):
-            c = a * NPAIR + pair_index(mu, nu)
-            rows[k, g_slots] -= l2_hdg[c, :, nu]
-            for b in range(NPAIR):
-                rows[k, flat_index(("dg", b, nu))] -= l2_jac[c, b]
+    g0, dg0, d2g0 = EH_OFF["g"], EH_OFF["dg"], EH_OFF["d2g"]
+    rows = np.zeros((NPAIR * DIM, EH_DIM_J3))
+    rows[:, g0:d2g0] = fiber_hessian(lagrangian_fn, p, ["dg"], ["g", "dg"])
+    # d(D_n L2)/du: the closed momenta with g seeded in `a` and shifted
+    # along each direction n in `b`, so `m` is the Hessian applied to dg
+    l2 = momenta2_closed_fn(SimpleNamespace(
+        g=Jet2(p.g, np.eye(NPAIR), p.dg, None)))
+    rows[:, g0:dg0] -= np.einsum("amnbn->amb",
+                                 l2.m[:, PAIR_FULL]).reshape(-1, NPAIR)
+    rows[:, dg0:d2g0] -= np.einsum("amnb->ambn",
+                                   l2.a[:, PAIR_FULL]).reshape(-1, d2g0 - dg0)
     return rows
 
 
 def cartan_form_eh(p: EHJetPoint):
     """The 5-form as a term list: dH ^ d4x minus the two momenta blocks."""
-    if p.d3g is None:
-        raise ConfigError("the form lives on the order-3 jet space")
-    terms = []
-    dh = fiber_gradient(hamiltonian_closed_fn, p, _GDG_COORDS).g
+    g0, dg0, d2g0 = EH_OFF["g"], EH_OFF["dg"], EH_OFF["d2g"]
+    dh = np.zeros(EH_DIM_J3)
+    dh[g0:d2g0] = fiber_gradient(hamiltonian_closed_fn, p, ["g", "dg"]).g
     vol, _ = volume_factors()
-    terms.append(FormTerm(1.0, tuple([DenseCovector(_dense(_GDG_COORDS, dh))]
-                                     + vol)))
+    terms = [FormTerm(1.0, tuple([DenseCovector(dh)] + vol))]
 
     dl1 = _momenta1_differentials(p)
-    for k, (_, a, mu) in enumerate(_DG_COORDS):
+    for k, row in enumerate(dl1):
+        a, mu = divmod(k, DIM)
         facs, sign = volume_factors(exclude=mu)
         terms.append(FormTerm(-sign, tuple(
-            [DenseCovector(dl1[k]),
-             DenseCovector(_dense([("g", a)], [1.0]))] + facs)))
+            [DenseCovector(row), CoordDifferential(g0 + a)] + facs)))
 
-    _, l2_jac = fiber_jacobian(momenta2_closed_fn, p, _G_COORDS)
-    dl2 = np.zeros((NPAIR * NPAIR, EH_DIM_J3))
-    g_slots = np.array([flat_index(c) for c in _G_COORDS])
-    dl2[:, g_slots] = l2_jac
+    _, l2_jac = fiber_jacobian(momenta2_closed_fn, p, ["g"])
+    dl2 = np.zeros((NPAIR, NPAIR, EH_DIM_J3))
+    dl2[..., g0:dg0] = l2_jac
     for a in range(NPAIR):
         for mu in range(DIM):
             for nu in range(DIM):
-                c = a * NPAIR + pair_index(mu, nu)
                 facs, sign = volume_factors(exclude=nu)
                 terms.append(FormTerm(-sign, tuple(
-                    [DenseCovector(dl2[c]),
-                     DenseCovector(_dense([("dg", a, mu)], [1.0]))] + facs)))
+                    [DenseCovector(dl2[a, PAIR_FULL[mu, nu]]),
+                     CoordDifferential(dg0 + a * DIM + mu)] + facs)))
     return terms
-
-
-def tangent_lifts(p: EHJetPoint) -> np.ndarray:
-    """The four tangent lifts of the prolonged section, (4, 354)."""
-    if p.d4g is None:
-        raise ConfigError("tangent lifts of an order-3 point need the "
-                          "order-4 block")
-    from .fieldspace import _eh_shift_seeds
-    seeds, _ = _eh_shift_seeds(p, list(range(DIM)), 3)
-    lifts = np.zeros((DIM, EH_DIM_J3))
-    for cid, vals in seeds.items():
-        j = flat_index(cid)
-        for tau in range(DIM):
-            lifts[tau, j] = vals[tau]
-    return lifts
 
 
 def field_equation_covector(p: EHJetPoint) -> np.ndarray:
     """i(X0)...i(X3) of the 5-form, X_tau the section's tangent lifts."""
-    terms = cartan_form_eh(p)
     lifts = tangent_lifts(p)
-    return contract_terms(terms, list(lifts), EH_DIM_J3)
+    return contract_terms(cartan_form_eh(p), list(lifts), EH_DIM_J3)
 
 
 def verify_field_equation(p: EHJetPoint) -> float:

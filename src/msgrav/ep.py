@@ -3,8 +3,10 @@ Poincare-Cartan 5-form, the five constraint families, the projective gauge
 shift, and projectability checks.
 
 The connection is an independent field with no symmetry assumed; curvature
-comes from the same generic Ricci polynomial as the metric model, which is
-what makes the torsionless-metric gauge comparison a genuine cross-check.
+comes from the same Ricci kernel as the metric model, which is what makes
+the torsionless-metric gauge comparison a genuine cross-check. Fiber
+functions read a point's blocks, as arrays, Tan or Jet2; the closed forms
+are einsums.
 """
 
 from __future__ import annotations
@@ -13,72 +15,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .exterior import (CoordDifferential, DenseCovector, FormTerm,
                        contract_terms, volume_factors)
-from .fieldspace import (EP_DIM_J1, EPJetPoint, PointView, _ep_shift_seeds,
-                         ep_flat_index, fiber_gradient, fiber_jacobian)
-from .geometry import (metric_inverse_density, metric_matrix,
-                       ricci_from_connection_generic, scalar_curvature)
-from .indexing import APAIRS, DIM, PAIRS
-from .tangents import Jet2
+from .fieldspace import (EP_DIM_J1, EP_OFF, EPJetPoint, fiber_gradient,
+                         fiber_jacobian, tangent_lifts)
+from .geometry import (metric_inverse_density, ricci_from_connection,
+                       scalar_curvature)
+from .indexing import APAIRS, DIM, PAIR_FULL, PAIRS
+from .tangents import einsum
 
 NPAIR = len(PAIRS)
 
 
-# -- generic fiber functions ------------------------------------------------
+# -- fiber functions --------------------------------------------------------
 
 def lagrangian_fn(pt):
     """rho g^{ab} R_ab(Gamma, dGamma); never reads dg."""
-    ginv, rho = metric_inverse_density(pt.g)
-    ric = ricci_from_connection_generic(pt.Gamma, pt.dGamma)
-    return rho * scalar_curvature(ginv, ric)
+    ginv, rho = metric_inverse_density(pt.g[PAIR_FULL])
+    return rho * scalar_curvature(ginv, ricci_from_connection(pt.Gamma,
+                                                              pt.dGamma))
 
 
 def momenta_closed_fn(pt):
-    """Closed-form momenta rho (g^{cb} d^s_a - g^{cs} d^b_a), flat 256 list.
-
-    Component order matches the (a, b, c, s) layout of the derivative
-    coordinates Gamma^a_{bc,s}.
-    """
-    ginv, rho = metric_inverse_density(pt.g)
-    out = []
-    for a in range(DIM):
-        for b in range(DIM):
-            for c in range(DIM):
-                for s in range(DIM):
-                    v = 0.0
-                    if s == a:
-                        v = v + ginv[c][b]
-                    if b == a:
-                        v = v - ginv[c][s]
-                    out.append(rho * v)
-    return out
+    """Closed-form momenta rho (g^{cb} d^s_a - g^{cs} d^b_a), (4, 4, 4, 4)
+    in the (a, b, c, s) layout of the derivative coordinates
+    Gamma^a_{bc,s}."""
+    ginv, rho = metric_inverse_density(pt.g[PAIR_FULL])
+    delta = np.eye(DIM)
+    return rho * (einsum("cb,sa->abcs", ginv, delta)
+                  - einsum("cs,ba->abcs", ginv, delta))
 
 
 def hamiltonian_fn(pt):
     """Legendre combination; linearity of L in dGamma kills all dGamma terms,
     so the result depends on (g, Gamma) alone."""
-    lmom = momenta_closed_fn(pt)
-    h = 0.0
-    i = 0
-    for a in range(DIM):
-        for b in range(DIM):
-            for c in range(DIM):
-                for s in range(DIM):
-                    h = h + lmom[i] * pt.dGamma[a][b][c][s]
-                    i += 1
-    return h - lagrangian_fn(pt)
-
-
-# -- coordinate id helpers --------------------------------------------------
-
-_G_COORDS = [("g", a) for a in range(NPAIR)]
-_GAMMA_COORDS = [("Gamma", a, b, c) for a in range(DIM)
-                 for b in range(DIM) for c in range(DIM)]
-_DGAMMA_COORDS = [("dGamma", a, b, c, s) for a in range(DIM)
-                  for b in range(DIM) for c in range(DIM) for s in range(DIM)]
-_GGAMMA_COORDS = _G_COORDS + _GAMMA_COORDS
+    return (einsum("abcs,abcs->", momenta_closed_fn(pt), pt.dGamma)
+            - lagrangian_fn(pt))
 
 
 # -- momenta and Hamiltonian ------------------------------------------------
@@ -95,34 +67,20 @@ def lagrangian_ep(p: EPJetPoint) -> float:
 
 
 def momenta_ep(p: EPJetPoint) -> EPMomenta:
-    ad = fiber_gradient(lagrangian_fn, p, _DGAMMA_COORDS).g.reshape(
+    ad = fiber_gradient(lagrangian_fn, p, ["dGamma"]).g.reshape(
         DIM, DIM, DIM, DIM)
-    closed = np.array(momenta_closed_fn(PointView(p))).reshape(
-        DIM, DIM, DIM, DIM)
-    return EPMomenta(Lmom_ad=ad, Lmom_closed=closed,
-                     H=float(hamiltonian_fn(PointView(p))))
+    return EPMomenta(Lmom_ad=ad, Lmom_closed=momenta_closed_fn(p),
+                     H=float(hamiltonian_fn(p)))
 
 
 # -- constraint families ----------------------------------------------------
 
 def constraint_c0(p: EPJetPoint) -> np.ndarray:
-    """dH/dg minus the momenta-variation term, over ordered metric pairs.
-
-    One mixed-second-order pass: the inner tangent is the single direction
-    along the point's own dGamma values, the outer seeds are the 10 metric
-    coordinates, so the mixed block is exactly d(Lmom . dGamma)/dg.
-    """
-    view = PointView(p)
-    for cid in _DGAMMA_COORDS:
-        val = view.get(cid)
-        view.set(cid, Jet2(val, np.array([val]), np.zeros(NPAIR),
-                           np.zeros((1, NPAIR))))
-    for j, cid in enumerate(_G_COORDS):
-        view.set(cid, Jet2.seed(view.get(cid), 1, NPAIR, i2=j))
-    out = lagrangian_fn(view)
-    dmom_dot = out.m[0]            # d(Lmom . dGamma)/dg
-    dh_dg = dmom_dot - out.b       # H = Lmom . dGamma - L
-    return dh_dg - dmom_dot
+    """The metric equation -dL/dg at fixed (Gamma, dGamma), over ordered
+    metric pairs: dH/dg minus the variation of Lmom . dGamma, which is
+    what the Legendre form H = Lmom . dGamma - L leaves. One tangent pass
+    over the 10 metric seeds."""
+    return -fiber_gradient(lagrangian_fn, p, ["g"]).g
 
 
 def trace_removal(T: np.ndarray) -> np.ndarray:
@@ -142,7 +100,7 @@ def _apairs_of(T3: np.ndarray) -> np.ndarray:
 def constraint_premetricity(p: EPJetPoint) -> np.ndarray:
     """Compatibility of the metric derivative with the connection up to the
     projective trace part, (10, 4) over (ordered pair, direction)."""
-    gm = np.array(metric_matrix(p.g))
+    gm = p.g[PAIR_FULL]
     gam = p.Gamma
     ttr = np.einsum("llm->m", gam) - np.einsum("lml->m", gam)
     out = np.empty((NPAIR, DIM))
@@ -174,7 +132,7 @@ def constraint_integrability(p: EPJetPoint) -> np.ndarray:
     """Antisymmetrized closure conditions, (10, 6) over (ordered metric
     pair, antisymmetric direction pair); each bracket is (f(mu,nu) -
     f(nu,mu))/2 on the two direction slots."""
-    gm = np.array(metric_matrix(p.g))
+    gm = p.g[PAIR_FULL]
     gam = p.Gamma
     dgam = p.dGamma
     dttr = (np.einsum("llmn->mn", dgam) - np.einsum("lmln->mn", dgam))
@@ -243,13 +201,6 @@ def projectability_check_ep(p: EPJetPoint, trials: int, seed: int):
 
 # -- Poincare-Cartan form and field equations -------------------------------
 
-def _dense(cids, values) -> np.ndarray:
-    out = np.zeros(EP_DIM_J1)
-    for cid, v in zip(cids, values):
-        out[ep_flat_index(cid)] = v
-    return out
-
-
 def cartan_form_ep(p: EPJetPoint):
     """dH ^ d4x minus one momenta block per connection coordinate.
 
@@ -257,47 +208,26 @@ def cartan_form_ep(p: EPJetPoint):
     which projectability_check_ep verifies independently; for the momenta
     the closed form shows the support is the metric block alone.
     """
-    terms = []
-    dh = fiber_gradient(hamiltonian_fn, p, _GGAMMA_COORDS).g
+    g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
+    dh = np.zeros(EP_DIM_J1)
+    dh[g0:dg0] = fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]).g
     vol, _ = volume_factors()
-    terms.append(FormTerm(1.0, tuple(
-        [DenseCovector(_dense(_GGAMMA_COORDS, dh))] + vol)))
+    terms = [FormTerm(1.0, tuple([DenseCovector(dh)] + vol))]
 
-    _, lmom_jac = fiber_jacobian(momenta_closed_fn, p, _G_COORDS)  # (256,10)
-    g_slots = np.array([ep_flat_index(c) for c in _G_COORDS])
-    k = 0
-    for a in range(DIM):
-        for b in range(DIM):
-            for c in range(DIM):
-                for mu in range(DIM):
-                    facs, sign = volume_factors(exclude=mu)
-                    cov = np.zeros(EP_DIM_J1)
-                    cov[g_slots] = lmom_jac[k]
-                    terms.append(FormTerm(-sign, tuple(
-                        [DenseCovector(cov),
-                         CoordDifferential(
-                             ep_flat_index(("Gamma", a, b, c)))] + facs)))
-                    k += 1
+    _, lmom_jac = fiber_jacobian(momenta_closed_fn, p, ["g"])
+    covs = np.zeros((DIM ** 4, EP_DIM_J1))
+    covs[:, g0:gam0] = lmom_jac.reshape(DIM ** 4, NPAIR)
+    for k, cov in enumerate(covs):
+        abc, mu = divmod(k, DIM)
+        facs, sign = volume_factors(exclude=mu)
+        terms.append(FormTerm(-sign, tuple(
+            [DenseCovector(cov), CoordDifferential(gam0 + abc)] + facs)))
     return terms
 
 
-def tangent_lifts_ep(p: EPJetPoint) -> np.ndarray:
-    """The four tangent lifts of the prolonged section, (4, 374)."""
-    if p.d2g is None or p.d2Gamma is None:
-        raise ConfigError("tangent lifts need the section's "
-                          "second-derivative extensions")
-    seeds = _ep_shift_seeds(p, list(range(DIM)), True)
-    lifts = np.zeros((DIM, EP_DIM_J1))
-    for cid, vals in seeds.items():
-        j = ep_flat_index(cid)
-        for tau in range(DIM):
-            lifts[tau, j] = vals[tau]
-    return lifts
-
-
 def field_equation_covector_ep(p: EPJetPoint) -> np.ndarray:
-    terms = cartan_form_ep(p)
-    return contract_terms(terms, list(tangent_lifts_ep(p)), EP_DIM_J1)
+    lifts = tangent_lifts(p)
+    return contract_terms(cartan_form_ep(p), list(lifts), EP_DIM_J1)
 
 
 def verify_field_equation_ep(p: EPJetPoint) -> float:

@@ -1,23 +1,24 @@
 """Jet coordinates for the second-order metric bundle and the first-order
 metric-affine bundle, plus fiber differentiation and total derivatives.
 
-Fiber functions are plain callables evaluated on a point view whose entries
-may be floats, Tan/Jet2 tangents, or JetScalar series; differentiation is
-tangent propagation through that generic arithmetic, never finite
-differences.
+Fiber functions are plain callables on a namespace of a point's blocks in
+their ordered storage. Differentiation seeds whole blocks at once: a
+block becomes a Tan (or Jet2) whose seed axis runs over its ordered
+coordinates, or over the total-derivative shifts, and the array kernels
+carry the derivatives through. Never finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError
-from .indexing import (DIM, PAIRS, QUADS, TRIPLES, pair_index, quad_index,
-                       triple_index)
-from .series import JetScalar
-from .tangents import Tan
+from .indexing import (DIM, PAIR_FULL, PAIR_UP, PAIRS, QUADS, TRIPLE_UP,
+                       TRIPLES)
+from .tangents import Jet2, Tan
 
 # Flat coordinate layout of the order-3 metric jet space:
 # x(4), g(10), dg(10x4), d2g(10x10), d3g(10x20) -> 354 coordinates.
@@ -43,9 +44,7 @@ EP_DIM_E = EH_NX + EH_NG + EP_NGAMMA
 
 
 def _check_lorentzian(g10):
-    m = np.zeros((DIM, DIM))
-    for i, (a, b) in enumerate(PAIRS):
-        m[a, b] = m[b, a] = g10[i]
+    m = g10[PAIR_FULL]
     det = np.linalg.det(m)
     if abs(det) < 1e-14:
         raise DegenerateMetricError(f"metric determinant {det} is degenerate")
@@ -129,10 +128,11 @@ class EPJetPoint:
 
 # -- prolongation -----------------------------------------------------------
 
-def _unit(mu):
-    e = [0] * DIM
-    e[mu] += 1
-    return e
+def derivatives(series, combos) -> np.ndarray:
+    """Partial derivatives of each series at its base point, one column per
+    index tuple of `combos`: m! times the Taylor coefficients."""
+    return np.array([[s.derivative([c.count(mu) for mu in range(DIM)])
+                      for c in combos] for s in series])
 
 
 def prolong(metric_series, order: int = 3) -> EHJetPoint:
@@ -151,87 +151,60 @@ def prolong(metric_series, order: int = 3) -> EHJetPoint:
             raise ConfigError("metric series have mixed base points or orders")
         if s.order < order:
             raise ConfigError("metric series truncated below prolongation order")
-
-    def deriv(s, idx):
-        m = [0] * DIM
-        for mu in idx:
-            m[mu] += 1
-        return s.derivative(m)
-
-    g = np.array([s.derivative((0, 0, 0, 0)) for s in metric_series])
-    dg = np.array([[deriv(s, (mu,)) for mu in range(DIM)] for s in metric_series])
-    d2g = np.array([[deriv(s, p) for p in PAIRS] for s in metric_series])
-    d3g = np.array([[deriv(s, t) for t in TRIPLES] for s in metric_series])
-    d4g = None
-    if order == 4:
-        d4g = np.array([[deriv(s, q) for q in QUADS] for s in metric_series])
-    return EHJetPoint(x=np.array(s0.base), g=g, dg=dg, d2g=d2g, d3g=d3g, d4g=d4g)
+    combos = ([()], [(mu,) for mu in range(DIM)], PAIRS, TRIPLES, QUADS)
+    g, dg, d2g, d3g, *d4g = [derivatives(metric_series, c)
+                             for c in combos[:order + 1]]
+    return EHJetPoint(x=np.array(s0.base), g=g[:, 0], dg=dg, d2g=d2g,
+                      d3g=d3g, d4g=d4g[0] if d4g else None)
 
 
-# -- lifted views and fiber differentiation ---------------------------------
+# -- fiber differentiation --------------------------------------------------
 
-class PointView:
-    """Mutable nested-list copy of a jet point, entries of any scalar type."""
-
-    __slots__ = ("x", "g", "dg", "d2g", "d3g", "d4g",
-                 "Gamma", "dGamma", "d2Gamma")
-
-    def __init__(self, p):
-        for name in self.__slots__:
-            arr = getattr(p, name, None)
-            setattr(self, name, arr.tolist() if arr is not None else None)
-
-    def set(self, cid, val):
-        block, idx = cid[0], cid[1:]
-        target = getattr(self, block)
-        if target is None:
-            raise ConfigError(f"point carries no {block} block")
-        for i in idx[:-1]:
-            target = target[i]
-        target[idx[-1]] = val
-
-    def get(self, cid):
-        block, idx = cid[0], cid[1:]
-        target = getattr(self, block)
-        for i in idx:
-            target = target[i]
-        return target
+def _view(p, duals):
+    """The blocks of p as a namespace, with `duals` in place of some."""
+    return SimpleNamespace(**{**vars(p), **duals})
 
 
-def lift(p, seeds: dict) -> PointView:
-    view = PointView(p)
-    for cid, val in seeds.items():
-        view.set(cid, val)
-    return view
+def _identity_seeds(p, blocks):
+    """One seed per ordered coordinate of `blocks`, in flat layout order,
+    shaped block shape + (n,)."""
+    sizes = [getattr(p, b).size for b in blocks]
+    eye = np.eye(sum(sizes))
+    ends = np.cumsum(sizes)
+    return {b: eye[e - n:e].reshape(getattr(p, b).shape + (-1,))
+            for b, n, e in zip(blocks, sizes, ends)}
 
 
-def fiber_gradient(f, p, coords) -> Tan:
-    """Evaluate f with all listed fiber coordinates seeded at once."""
-    n = len(coords)
-    view = PointView(p)
-    for i, cid in enumerate(coords):
-        view.set(cid, Tan.seed(view.get(cid), n, i))
-    out = f(view)
+def fiber_gradient(f, p, blocks) -> Tan:
+    """Evaluate f with every coordinate of the named blocks seeded at once."""
+    seeds = _identity_seeds(p, blocks)
+    out = f(_view(p, {b: Tan(getattr(p, b), s) for b, s in seeds.items()}))
     if not isinstance(out, Tan):
-        out = Tan(out, np.zeros(n))
+        n = next(iter(seeds.values())).shape[-1]
+        out = Tan(out, np.zeros(np.shape(out) + (n,)))
     return out
 
 
-def fiber_jacobian(f, p, coords):
-    """Values and Jacobian of a fiber function returning a flat list."""
-    n = len(coords)
-    view = PointView(p)
-    for i, cid in enumerate(coords):
-        view.set(cid, Tan.seed(view.get(cid), n, i))
-    out = f(view)
-    vals = np.array([o.v if isinstance(o, Tan) else float(o) for o in out])
-    jac = np.array([o.g if isinstance(o, Tan) else np.zeros(n) for o in out])
-    return vals, jac
+def fiber_jacobian(f, p, blocks):
+    """Values and Jacobian of an array-valued fiber function; the Jacobian
+    trails the value axes with one axis over the seeded coordinates."""
+    out = fiber_gradient(f, p, blocks)
+    return out.v, out.g
+
+
+def fiber_hessian(f, p, inner, outer) -> np.ndarray:
+    """Mixed second derivatives of a scalar f, (inner coords, outer coords):
+    one Jet2 pass, inner blocks seeded in `a` and outer ones in `b`."""
+    a, b = _identity_seeds(p, inner), _identity_seeds(p, outer)
+    return f(_view(p, {k: Jet2(getattr(p, k), a.get(k), b.get(k), None)
+                       for k in dict.fromkeys((*inner, *outer))})).m
 
 
 def fiber_partial(f, cid, p) -> float:
     """Exact partial of f with respect to one ordered fiber coordinate."""
-    return float(fiber_gradient(f, p, [cid]).g[0])
+    block, idx = cid[0], cid[1:]
+    g = fiber_gradient(f, p, [block]).g
+    return float(g[np.ravel_multi_index(idx, getattr(p, block).shape)])
 
 
 def eh_coords(p, *, max_order=3, include_x=True):
@@ -297,103 +270,69 @@ def ep_flat_index(cid) -> int:
 
 # -- total derivatives ------------------------------------------------------
 
-def _eh_shift_seeds(p: EHJetPoint, taus, max_order):
-    """Seed values implementing the total-derivative coordinate shifts."""
-    nt = len(taus)
-    seeds = {}
+def _shift_seeds(p, taus, max_order=3, with_first_order=True):
+    """Total-derivative coordinate shifts by block, shaped block + (n,).
 
-    def put(cid, vals):
-        seeds[cid] = vals
-
-    for sigma in range(DIM):
-        put(("x", sigma), [1.0 if sigma == t else 0.0 for t in taus])
-    for a in range(EH_NG):
-        put(("g", a), [p.dg[a, t] for t in taus])
-        if max_order >= 1:
-            for mu in range(DIM):
-                put(("dg", a, mu), [p.d2g[a, pair_index(mu, t)] for t in taus])
-        if max_order >= 2:
-            for m, (mu, nu) in enumerate(PAIRS):
-                put(("d2g", a, m), [p.d3g[a, triple_index(mu, nu, t)] for t in taus])
-        if max_order >= 3:
-            if p.d4g is None:
+    The shift of a jet block along x^tau is the next block with tau added
+    to its ordered derivative tuple. On an EH point `max_order` names the
+    highest block shifted; on an EP point `with_first_order` adds the
+    first-order blocks, read from the section's second derivatives.
+    """
+    t = list(taus)
+    seeds = {"x": np.eye(DIM)[:, t], "g": p.dg[:, t]}
+    if isinstance(p, EPJetPoint):
+        seeds["Gamma"] = p.dGamma[..., t]
+        if with_first_order:
+            if p.d2g is None or p.d2Gamma is None:
                 raise ConfigError(
-                    "total derivative of an order-3 coordinate needs the "
-                    "order-4 block")
-            for m, (mu, nu, lam) in enumerate(TRIPLES):
-                put(("d3g", a, m),
-                    [p.d4g[a, quad_index(mu, nu, lam, t)] for t in taus])
-    return seeds, nt
-
-
-def _ep_shift_seeds(p: EPJetPoint, taus, with_first_order):
-    seeds = {}
-    for sigma in range(DIM):
-        seeds[("x", sigma)] = [1.0 if sigma == t else 0.0 for t in taus]
-    for a in range(EH_NG):
-        seeds[("g", a)] = [p.dg[a, t] for t in taus]
-    for l in range(DIM):
-        for m in range(DIM):
-            for n in range(DIM):
-                seeds[("Gamma", l, m, n)] = [p.dGamma[l, m, n, t] for t in taus]
-    if with_first_order:
-        if p.d2g is None or p.d2Gamma is None:
-            raise ConfigError(
-                "total derivative of first-order coordinates needs the "
-                "section's second-derivative extension")
-        for a in range(EH_NG):
-            for mu in range(DIM):
-                seeds[("dg", a, mu)] = [p.d2g[a, pair_index(mu, t)] for t in taus]
-        for l in range(DIM):
-            for m in range(DIM):
-                for n in range(DIM):
-                    for r in range(DIM):
-                        seeds[("dGamma", l, m, n, r)] = [
-                            p.d2Gamma[l, m, n, pair_index(r, t)] for t in taus]
+                    "total derivative of first-order coordinates needs the "
+                    "section's second-derivative extension")
+            seeds["dg"] = p.d2g[:, PAIR_FULL][..., t]
+            seeds["dGamma"] = p.d2Gamma[..., PAIR_FULL][..., t]
+        return seeds
+    if max_order >= 1:
+        seeds["dg"] = p.d2g[:, PAIR_FULL][..., t]
+    if max_order >= 2:
+        seeds["d2g"] = p.d3g[:, PAIR_UP][..., t]
+    if max_order >= 3:
+        if p.d4g is None:
+            raise ConfigError("total derivative of an order-3 coordinate "
+                              "needs the order-4 block")
+        seeds["d3g"] = p.d4g[:, TRIPLE_UP][..., t]
     return seeds
 
 
-def total_derivatives(f, p, taus=range(DIM), *, max_order=None,
+def total_derivatives(f, p, taus=range(DIM), *, max_order=3,
                       with_first_order=True):
-    """All requested total derivatives of f in one tangent pass.
+    """All requested total derivatives of f in one tangent pass, as the
+    seed axis trailing f's value axes.
 
-    For an order-3 point the default seeds every coordinate, so the point
+    For an order-3 point the default shifts every coordinate, so the point
     must carry the order-4 block; pass max_order=2 when f only reaches the
     second-order coordinates.
     """
-    taus = list(taus)
-    if isinstance(p, EHJetPoint):
-        if max_order is None:
-            max_order = 3
-        seeds, _ = _eh_shift_seeds(p, taus, max_order)
-    else:
-        seeds = _ep_shift_seeds(p, taus, with_first_order)
-    n = len(taus)
-    view = PointView(p)
-    for cid, vals in seeds.items():
-        view.set(cid, Tan(view.get(cid), vals))
-    out = f(view)
+    seeds = _shift_seeds(p, taus, max_order, with_first_order)
+    out = f(_view(p, {b: Tan(getattr(p, b), s) for b, s in seeds.items()}))
     if not isinstance(out, Tan):
-        return np.zeros(n)
+        return np.zeros(np.shape(out) + (seeds["x"].shape[-1],))
     return out.g
 
 
-def total_derivatives_vec(f, p, taus=range(DIM), *, max_order=None,
-                          with_first_order=True):
-    """total_derivatives for a fiber function returning a flat list."""
-    taus = list(taus)
-    if isinstance(p, EHJetPoint):
-        seeds, _ = _eh_shift_seeds(p, taus, 3 if max_order is None else max_order)
-    else:
-        seeds = _ep_shift_seeds(p, taus, with_first_order)
-    view = PointView(p)
-    for cid, vals in seeds.items():
-        view.set(cid, Tan(view.get(cid), vals))
-    out = f(view)
-    return np.array([o.g if isinstance(o, Tan) else np.zeros(len(taus))
-                     for o in out])
+def total_derivatives_vec(f, p, taus=range(DIM), **kw):
+    """total_derivatives for an array-valued f; total_derivatives handles
+    any value shape, and this name stays because msbench times it."""
+    return total_derivatives(f, p, taus, **kw)
 
 
 def total_derivative(f, tau: int, p, **kw) -> float:
     """D_tau f: the base derivative plus the jet-coordinate shift terms."""
     return float(total_derivatives(f, p, [tau], **kw)[0])
+
+
+def tangent_lifts(p) -> np.ndarray:
+    """The four tangent lifts of the prolonged section, (4, flat dim)."""
+    if isinstance(p, EHJetPoint) and p.d4g is None:
+        raise ConfigError("tangent lifts of an order-3 point need the "
+                          "order-4 block")
+    seeds = _shift_seeds(p, range(DIM))
+    return np.concatenate([s.reshape(-1, DIM) for s in seeds.values()]).T

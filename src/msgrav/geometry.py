@@ -1,8 +1,12 @@
-"""Curvature and connection computations.
+"""Curvature and connection kernels over full 4x4 index arrays.
 
-All kernels are written over generic scalar arithmetic, so the same code
-runs on plain floats, on Tan/Jet2 tangents (fiber differentiation), and on
-JetScalar series (base-space differentiation along a section).
+Each quantity is one kernel of tensor contractions: the inverse metric and
+density, the Levi-Civita connection, the derivative terms of its Ricci
+tensor, the Ricci tensor of any connection, and the scalar curvature. The
+kernels are written with `tangents.einsum`, `inv` and `sqrt`, so the same
+code runs on plain arrays and on Tan/Jet2 duals (fiber and total
+derivatives). Ordered symmetric storage is expanded on entry through
+`indexing.PAIR_FULL`.
 
 The Ricci convention is fixed by the first-order Lagrangian display:
 R_ab = G^c_{ba,c} - G^c_{ca,b} + G^c_{ba} G^s_{sc} - G^c_{bs} G^s_{ca},
@@ -16,150 +20,70 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .indexing import APAIRS, DIM, PAIRS, full_to_sym10, pair_index
-from .tangents import sabs, ssqrt, value_of
+from .indexing import APAIRS, PAIR_FULL, PAIR_ROWS
+from .tangents import einsum, inv, sqrt
 
 
-# -- generic kernels --------------------------------------------------------
+# -- kernels: arrays, Tan or Jet2 -------------------------------------------
 
-def metric_matrix(g10):
-    """Ordered-pair storage -> symmetric 4x4 nested list."""
-    m = [[None] * DIM for _ in range(DIM)]
-    for i, (a, b) in enumerate(PAIRS):
-        m[a][b] = g10[i]
-        m[b][a] = g10[i]
-    return m
-
-
-def det4(m):
-    """Laplace expansion along the first row."""
-    total = 0.0
-    for j in range(DIM):
-        cols = [c for c in range(DIM) if c != j]
-        r1, r2, r3 = m[1], m[2], m[3]
-        minor = (r1[cols[0]] * (r2[cols[1]] * r3[cols[2]] - r2[cols[2]] * r3[cols[1]])
-                 - r1[cols[1]] * (r2[cols[0]] * r3[cols[2]] - r2[cols[2]] * r3[cols[0]])
-                 + r1[cols[2]] * (r2[cols[0]] * r3[cols[1]] - r2[cols[1]] * r3[cols[0]]))
-        total = total + ((-1) ** j) * m[0][j] * minor
-    return total
-
-
-def inverse4(m, det=None):
-    """Exact inverse by cofactors."""
-    if det is None:
-        det = det4(m)
-    inv = [[None] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        rows = [r for r in range(DIM) if r != i]
-        for j in range(DIM):
-            cols = [c for c in range(DIM) if c != j]
-            a, b, c = (m[rows[0]], m[rows[1]], m[rows[2]])
-            minor = (a[cols[0]] * (b[cols[1]] * c[cols[2]] - b[cols[2]] * c[cols[1]])
-                     - a[cols[1]] * (b[cols[0]] * c[cols[2]] - b[cols[2]] * c[cols[0]])
-                     + a[cols[2]] * (b[cols[0]] * c[cols[1]] - b[cols[1]] * c[cols[0]]))
-            inv[j][i] = ((-1) ** (i + j)) * minor / det
-    return inv
-
-
-def metric_inverse_density(g10):
-    """(inverse matrix, rho = sqrt(|det g|)) from ordered storage."""
-    m = metric_matrix(g10)
-    det = det4(m)
-    if abs(value_of(det)) < 1e-14:
+def metric_inverse_density(gm):
+    """(g^{ab}, rho = sqrt(|det g|)) of a full 4x4 metric."""
+    if abs(np.linalg.det(getattr(gm, "v", gm))) < 1e-14:
         raise DegenerateMetricError("metric is degenerate at this point")
-    return inverse4(m, det), ssqrt(sabs(det))
-
-
-def dg_matrices(dg):
-    """Per-direction symmetric matrices of the first-order coordinates."""
-    return [metric_matrix([dg[a][mu] for a in range(len(PAIRS))])
-            for mu in range(DIM)]
+    ginv, det = inv(gm)
+    return ginv, sqrt(abs(det))
 
 
 def christoffel(ginv, dgm):
-    """Levi-Civita coefficients from the inverse metric and dg matrices."""
-    gam = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
-    for mu in range(DIM):
-        for nu in range(mu, DIM):
-            for rho in range(DIM):
-                s = 0.0
-                for sig in range(DIM):
-                    s = s + ginv[rho][sig] * (dgm[mu][sig][nu] + dgm[nu][sig][mu]
-                                              - dgm[sig][mu][nu])
-                val = 0.5 * s
-                gam[rho][mu][nu] = val
-                gam[rho][nu][mu] = val
-    return gam
+    """G^r_{mn} = g^{rs} (g_{sn,m} + g_{sm,n} - g_{mn,s}) / 2, with
+    dgm[a, b, m] = g_{ab,m}."""
+    bracket = einsum("snm->smn", dgm) + dgm - einsum("mns->smn", dgm)
+    return 0.5 * einsum("rs,smn->rmn", ginv, bracket)
 
 
-def dchristoffel(ginv, dgm, d2g):
-    """x-derivatives of the Levi-Civita coefficients via the chain rule.
+def ricci_derivative_terms(ginv, dgm, d2gm, gam):
+    """G^c_{ba,c} - G^c_{ca,b} of the Levi-Civita connection, (4, 4).
 
-    d2g is ordered second-order storage; returns dGam[rho][mu][nu][sig].
+    The two traces of dGamma that the Ricci tensor reads are contracted
+    directly from d(g^-1) = -g^-1 dg g^-1 and the second metric
+    derivatives d2gm[a, b, m, n] = g_{ab,mn}, so the full dGamma never
+    forms (in a mixed second-order pass it would carry 256 x n1 x n2
+    entries).
     """
-    npair = len(PAIRS)
-    # d(ginv)/dx^sig = -ginv . dg_sig . ginv
-    dginv = []
-    for sig in range(DIM):
-        t = [[sum(ginv[i][k] * dgm[sig][k][l] for k in range(DIM))
-              for l in range(DIM)] for i in range(DIM)]
-        dginv.append([[-sum(t[i][l] * ginv[l][j] for l in range(DIM))
-                       for j in range(DIM)] for i in range(DIM)])
-
-    _pi = pair_index
-    dgam = [[[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
-            for _ in range(DIM)]
-    for mu in range(DIM):
-        for nu in range(mu, DIM):
-            for rho in range(DIM):
-                for sig in range(DIM):
-                    s = 0.0
-                    for lam in range(DIM):
-                        bracket = (dgm[mu][lam][nu] + dgm[nu][lam][mu]
-                                   - dgm[lam][mu][nu])
-                        dbracket = (d2g[_pi(lam, nu)][_pi(mu, sig)]
-                                    + d2g[_pi(lam, mu)][_pi(nu, sig)]
-                                    - d2g[_pi(mu, nu)][_pi(lam, sig)])
-                        s = s + dginv[sig][rho][lam] * bracket \
-                            + ginv[rho][lam] * dbracket
-                    val = 0.5 * s
-                    dgam[rho][mu][nu][sig] = val
-                    dgam[rho][nu][mu][sig] = val
-    return dgam
+    h = (einsum("sabr->rsab", d2gm) + einsum("sbar->rsab", d2gm)
+         - einsum("absr->rsab", d2gm) - d2gm)
+    return (0.5 * einsum("rs,rsab->ab", ginv, h)
+            - einsum("rk,klr,lba->ab", ginv, dgm, gam)
+            + 0.5 * einsum("rk,klb,ls,rsa->ab", ginv, dgm, ginv, dgm))
 
 
-def ricci_from_connection_generic(gam, dgam):
-    """The Lagrangian-display Ricci polynomial in Gamma and its derivatives."""
-    trace = [sum(gam[s][s][g] for s in range(DIM)) for g in range(DIM)]
-    ric = [[None] * DIM for _ in range(DIM)]
-    for a in range(DIM):
-        for b in range(DIM):
-            s = 0.0
-            for c in range(DIM):
-                s = s + dgam[c][b][a][c] - dgam[c][c][a][b]
-                s = s + gam[c][b][a] * trace[c]
-                for sig in range(DIM):
-                    s = s - gam[c][b][sig] * gam[sig][c][a]
-            ric[a][b] = s
-    return ric
+def ricci(gam, dterms):
+    """The Ricci polynomial from Gamma and its derivative terms."""
+    trace = einsum("ssc->c", gam)
+    return (dterms + einsum("cba,c->ab", gam, trace)
+            - einsum("cbs,sca->ab", gam, gam))
+
+
+def ricci_from_connection(Gamma, dGamma):
+    """Ricci of an arbitrary connection; Gamma (4,4,4), dGamma (4,4,4,4)
+    with the derivative direction last."""
+    return ricci(Gamma, einsum("cbac->ab", dGamma)
+                 - einsum("ccab->ab", dGamma))
 
 
 def scalar_curvature(ginv, ric):
-    s = 0.0
-    for a in range(DIM):
-        for b in range(DIM):
-            s = s + ginv[a][b] * ric[a][b]
-    return s
+    return einsum("ab,ab->", ginv, ric)
 
 
 def curvature_bundle(g10, dg, d2g):
-    """ginv, rho, Gamma, dGamma, Ricci, R for the Levi-Civita connection."""
-    ginv, rho = metric_inverse_density(g10)
-    dgm = dg_matrices(dg)
+    """ginv, rho, Gamma, Ricci, R of the Levi-Civita connection, from the
+    ordered metric 2-jet; all results over full index ranges."""
+    gm, dgm = g10[PAIR_FULL], dg[PAIR_FULL]
+    d2gm = d2g[PAIR_FULL][:, :, PAIR_FULL]
+    ginv, rho = metric_inverse_density(gm)
     gam = christoffel(ginv, dgm)
-    dgam = dchristoffel(ginv, dgm, d2g)
-    ric = ricci_from_connection_generic(gam, dgam)
-    return ginv, rho, gam, dgam, ric, scalar_curvature(ginv, ric)
+    ric = ricci(gam, ricci_derivative_terms(ginv, dgm, d2gm, gam))
+    return ginv, rho, gam, ric, scalar_curvature(ginv, ric)
 
 
 # -- public float-level operations -----------------------------------------
@@ -177,61 +101,29 @@ class CurvatureSuite:
     einstein_upper: np.ndarray  # 10 ordered
 
 
-def inverse_and_density(g10):
-    """Exact inverse metric (ordered storage) and metric density."""
-    ginv, rho = metric_inverse_density(np.asarray(g10, dtype=float))
-    return full_to_sym10(ginv).astype(float), float(rho)
-
-
-def christoffel_lc(g10, dg):
-    """Levi-Civita coefficients, (4, 10) over the symmetric lower pair."""
-    ginv, _ = metric_inverse_density(np.asarray(g10, dtype=float))
-    gam = christoffel(ginv, dg_matrices(np.asarray(dg, dtype=float)))
-    return np.array([[gam[rho][m][n] for (m, n) in PAIRS] for rho in range(DIM)])
-
-
 def gamma_full(gamma_sym):
     """(4, 10) symmetric storage -> full (4, 4, 4) array."""
-    out = np.empty((DIM, DIM, DIM))
-    for rho in range(DIM):
-        for i, (m, n) in enumerate(PAIRS):
-            out[rho, m, n] = gamma_sym[rho, i]
-            out[rho, n, m] = gamma_sym[rho, i]
-    return out
-
-
-def ricci_from_connection(Gamma, dGamma):
-    """Ricci of an arbitrary connection; Gamma (4,4,4), dGamma (4,4,4,4)."""
-    gam = np.asarray(Gamma, dtype=float)
-    dgam = np.asarray(dGamma, dtype=float)
-    ric = ricci_from_connection_generic(gam.tolist(), dgam.tolist())
-    return np.array(ric)
+    return np.asarray(gamma_sym)[:, PAIR_FULL]
 
 
 def einstein_suite(g10, dg, d2g) -> CurvatureSuite:
     """Full Levi-Civita curvature suite from a metric 2-jet."""
     g10 = np.asarray(g10, dtype=float)
-    ginv, rho, gam, _, ric, scal = curvature_bundle(
+    ginv, rho, gam, ric, scal = curvature_bundle(
         g10, np.asarray(dg, dtype=float), np.asarray(d2g, dtype=float))
-    ginv = np.array(ginv)
-    ric = np.array(ric)
-    gmat = np.array(metric_matrix(g10))
-    e_low = ric - 0.5 * gmat * scal
+    e_low = ric - 0.5 * g10[PAIR_FULL] * scal
     e_up = ginv @ e_low @ ginv
-    gamma_sym = np.array([[gam[rho][m][n] for (m, n) in PAIRS]
-                          for rho in range(DIM)])
     return CurvatureSuite(
-        ginv=full_to_sym10(ginv).astype(float), rho=float(rho),
-        gamma=gamma_sym, ricci=ric, scalar=float(scal),
-        einstein_lower=full_to_sym10(e_low).astype(float),
-        einstein_upper=full_to_sym10(e_up).astype(float))
+        ginv=ginv[PAIR_ROWS], rho=float(rho),
+        gamma=gam[:, PAIR_ROWS[0], PAIR_ROWS[1]], ricci=ric,
+        scalar=float(scal), einstein_lower=e_low[PAIR_ROWS],
+        einstein_upper=e_up[PAIR_ROWS])
 
 
 def torsion(Gamma):
     """T^a_{bc} = G^a_{bc} - G^a_{cb}, stored over the 6 pairs b < c."""
-    gam = np.asarray(Gamma, dtype=float)
-    return np.array([[gam[a, b, c] - gam[a, c, b] for (b, c) in APAIRS]
-                     for a in range(DIM)])
+    b, c = np.array(APAIRS).T
+    return torsion_full(np.asarray(Gamma, dtype=float))[:, b, c]
 
 
 def torsion_full(Gamma):

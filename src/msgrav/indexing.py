@@ -2,15 +2,17 @@
 
 Symmetric coordinate blocks are stored over ordered index tuples
 (alpha <= beta, mu <= nu <= ...). The multiplicity n(mu,nu) is 1 on the
-diagonal and 2 off it; formulas that sum over full index ranges go through
-the full<->ordered converters here so the multiplicity factors live in one
-place.
+diagonal and 2 off it. Kernels work on full index arrays; `PAIR_FULL` is
+the one ordered->full expansion: `v[PAIR_FULL]` turns an ordered-pair axis
+into two full axes. Its triple and quadruple counterparts expand the
+higher jet blocks, and the `*_UP` tables add one derivative direction to
+an ordered tuple, which is how total-derivative shifts are read off the
+next jet block.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -22,42 +24,41 @@ PAIRS: tuple[tuple[int, int], ...] = tuple(
 )
 # Ordered triples mu <= nu <= lam: 20 entries.
 TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
-    t for t in itertools.combinations_with_replacement(range(DIM), 3)
-)
+    itertools.combinations_with_replacement(range(DIM), 3))
 # Ordered quadruples: 35 entries (order-4 jet extension).
 QUADS: tuple[tuple[int, int, int, int], ...] = tuple(
-    q for q in itertools.combinations_with_replacement(range(DIM), 4)
-)
-
-_PAIR_IDX = {p: i for i, p in enumerate(PAIRS)}
-_TRIPLE_IDX = {t: i for i, t in enumerate(TRIPLES)}
-_QUAD_IDX = {q: i for i, q in enumerate(QUADS)}
+    itertools.combinations_with_replacement(range(DIM), 4))
 
 # Antisymmetric pairs beta < gamma: 6 entries (torsion storage).
 APAIRS: tuple[tuple[int, int], ...] = tuple(
     (b, c) for b in range(DIM) for c in range(b + 1, DIM)
 )
-_APAIR_IDX = {p: i for i, p in enumerate(APAIRS)}
+
+
+def _full(combos) -> np.ndarray:
+    """Position in `combos` of the sorted form of every full index tuple."""
+    pos = {c: i for i, c in enumerate(combos)}
+    k = len(combos[0])
+    return np.array([pos[tuple(sorted(t))] for t in
+                     itertools.product(range(DIM), repeat=k)]).reshape(
+                         (DIM,) * k)
+
+
+PAIR_FULL = _full(PAIRS)
+TRIPLE_FULL = _full(TRIPLES)
+QUAD_FULL = _full(QUADS)
+# ordered tuple + one direction -> ordered tuple of one order more, (n, 4)
+PAIR_UP = TRIPLE_FULL[tuple(np.array(PAIRS).T)]
+TRIPLE_UP = QUAD_FULL[tuple(np.array(TRIPLES).T)]
+# full[PAIR_ROWS] reads the ordered representatives of a symmetric pair
+PAIR_ROWS = tuple(np.array(PAIRS).T)
+# n(mu nu) per ordered pair
+MULT = np.array([1.0 if a == b else 2.0 for a, b in PAIRS])
 
 
 def pair_index(a: int, b: int) -> int:
     """Index of the unordered pair {a,b} in PAIRS."""
-    return _PAIR_IDX[(a, b) if a <= b else (b, a)]
-
-
-def triple_index(a: int, b: int, c: int) -> int:
-    return _TRIPLE_IDX[tuple(sorted((a, b, c)))]
-
-
-def quad_index(a: int, b: int, c: int, d: int) -> int:
-    return _QUAD_IDX[tuple(sorted((a, b, c, d)))]
-
-
-def apair_index(b: int, c: int) -> tuple[int, int]:
-    """(index, sign) of the ordered antisymmetric pair (b,c), b != c."""
-    if b < c:
-        return _APAIR_IDX[(b, c)], 1
-    return _APAIR_IDX[(c, b)], -1
+    return int(PAIR_FULL[a, b])
 
 
 def mult(mu: int, nu: int) -> int:
@@ -65,24 +66,11 @@ def mult(mu: int, nu: int) -> int:
     return 1 if mu == nu else 2
 
 
-def tuple_multiplicity(idx: tuple[int, ...]) -> int:
-    """Number of distinct orderings of a sorted index tuple."""
-    counts = [idx.count(v) for v in set(idx)]
-    d = 1
-    for c in counts:
-        d *= math.factorial(c)
-    return math.factorial(len(idx)) // d
-
-
 def sym10_to_full(v) -> np.ndarray:
     """Expand an ordered-pair 10-vector into a symmetric 4x4 matrix."""
-    m = np.empty((DIM, DIM), dtype=object if np.asarray(v).dtype == object else float)
-    for i, (a, b) in enumerate(PAIRS):
-        m[a, b] = v[i]
-        m[b, a] = v[i]
-    return m
+    return np.asarray(v, dtype=float)[PAIR_FULL]
 
 
 def full_to_sym10(m) -> np.ndarray:
     """Collapse a symmetric 4x4 matrix to ordered-pair storage."""
-    return np.array([m[a][b] for a, b in PAIRS])
+    return np.asarray(m)[PAIR_ROWS]

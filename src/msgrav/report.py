@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -166,16 +167,20 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
     names = list(next(r for r in results if r is not None))
     for fam in names:
         tol = cfg.tolerance(fam)
-        vals = [(r[fam], x) for r, x in zip(results, points) if r is not None]
-        worst_val, worst_x = max(vals, key=lambda t: t[0])
+        vals = [(float(r[fam]), x) for r, x in zip(results, points)
+                if r is not None]
+        # a non-finite residual is worse than any number, so it is the worst
+        # point and fails its family
+        worst_val, worst_x = max(
+            vals, key=lambda t: (not math.isfinite(t[0]), t[0]))
         mean = sum(v for v, _ in vals) / len(vals)
         families.append({
             "family": fam,
             "points": len(vals),
-            "max_resid": float(worst_val),
-            "mean_resid": float(mean),
+            "max_resid": worst_val,
+            "mean_resid": mean,
             "tol": float(tol),
-            "pass": bool(worst_val <= tol),
+            "pass": math.isfinite(worst_val) and worst_val <= tol,
             "worst_point": [float(v) for v in worst_x],
         })
     verdict = "pass" if all(f["pass"] for f in families) else "fail"
@@ -192,7 +197,8 @@ def _jnum(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    return f"{v:.17g}"
+    # JSON has no NaN or infinity
+    return f"{v:.17g}" if math.isfinite(v) else "null"
 
 
 def _jstr(s) -> str:

@@ -1,210 +1,266 @@
-"""Forward-mode tangent scalars for fiber-coordinate differentiation.
+"""Array-valued forward-mode differentiation for fiber and total derivatives.
 
-Tan carries a value and a dense gradient over a chosen seed set (vector
-forward mode: one evaluation yields all seeded partials). Jet2 adds a
-second, independent seed set and the mixed second-derivative block, which
-is the depth-2 nesting needed for momenta-of-momenta expressions.
+A `Tan` holds a value of any tensor shape and its derivatives along n seed
+directions on one trailing axis, `g.shape == v.shape + (n,)`: one evaluation
+yields every seeded partial (vector forward mode; Griewank & Walther,
+*Evaluating Derivatives*, SIAM 2008). A `Jet2` holds two independent seed
+sets and the mixed second-derivative block between them, a vector
+hyper-dual number (Fike & Alonso, AIAA 2011): `a` trails the value with
+the n1 inner seeds, `b` with the n2 outer seeds and
+`m[..., i, j] = d^2 / (d inner_i d outer_j)`. A Jet2 block that is
+identically zero may be None, so directions that are never seeded cost
+nothing. Scalars are the shape-() case.
+
+Arithmetic is elementwise, with numpy broadcasting over the value axes.
+Tensor algebra goes through three entry points that take plain arrays,
+`Tan` or `Jet2` alike: `einsum` (one contraction with the product rule),
+`inv` (4x4 inverse and determinant) and `sqrt`.
 
 Finite differences are deliberately absent here; they live only in the
-test oracles.
+tests.
 """
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 
 import numpy as np
 
 
-class Tan:
-    """First-order tangent: value + gradient over n seed directions."""
+def _scale(d, c, k):
+    """Derivative block d (k trailing seed axes) times a value-shaped c."""
+    if d is None:
+        return None
+    return d * np.asarray(c, dtype=float)[(...,) + (None,) * k]
 
-    __slots__ = ("v", "g")
 
-    def __init__(self, v, g):
-        self.v = float(v)
-        self.g = np.asarray(g, dtype=float)
+def _outer(a, b):
+    if a is None or b is None:
+        return None
+    return a[..., :, None] * b[..., None, :]
 
-    @classmethod
-    def seed(cls, value, n, i=None):
-        g = np.zeros(n)
-        if i is not None:
-            g[i] = 1.0
-        return cls(value, g)
 
-    def _lift(self, other):
-        if isinstance(other, Tan):
-            return other
-        return Tan(other, np.zeros_like(self.g))
+def _sum(*blocks):
+    total = None
+    for d in blocks:
+        if d is not None:
+            total = d if total is None else total + d
+    return total
+
+
+def _widen(d, shape, k):
+    """Broadcast block d to value shape `shape`; constants share storage,
+    which is safe because no operation here writes into a block."""
+    if d is None:
+        return None
+    full = shape + d.shape[d.ndim - k:]
+    return d if d.shape == full else np.broadcast_to(d, full)
+
+
+class _Dual:
+    """Arithmetic shared by Tan and Jet2; blocks a, b, m may be None."""
+
+    __slots__ = ("v", "a", "b", "m")
+    # numpy defers binary operators to the dual instead of looping over it
+    __array_ufunc__ = None
+
+    def _make(self, v, a, b, m):
+        raise NotImplementedError
+
+    def _new(self, v, a, b, m):
+        shape = np.shape(v)
+        return self._make(v, _widen(a, shape, 1), _widen(b, shape, 1),
+                          _widen(m, shape, 2))
+
+    def _same(self, o):
+        if type(o) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with "
+                            f"{type(o).__name__}")
+        return o
 
     def __add__(self, o):
-        # constants share the gradient array; nothing mutates it
-        if not isinstance(o, Tan):
-            return Tan(self.v + o, self.g)
-        return Tan(self.v + o.v, self.g + o.g)
+        if not isinstance(o, _Dual):
+            return self._new(self.v + o, self.a, self.b, self.m)
+        o = self._same(o)
+        return self._new(self.v + o.v, _sum(self.a, o.a), _sum(self.b, o.b),
+                         _sum(self.m, o.m))
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return self * -1.0
+
     def __sub__(self, o):
-        if not isinstance(o, Tan):
-            return Tan(self.v - o, self.g)
-        return Tan(self.v - o.v, self.g - o.g)
+        return self + (-o)
 
     def __rsub__(self, o):
-        return Tan(o - self.v, -self.g)
-
-    def __neg__(self):
-        return Tan(-self.v, -self.g)
+        return (-self) + o
 
     def __mul__(self, o):
-        if not isinstance(o, Tan):
-            return Tan(self.v * o, self.g * o)
-        return Tan(self.v * o.v, self.g * o.v + self.v * o.g)
+        if not isinstance(o, _Dual):
+            c = np.asarray(o, dtype=float)
+            return self._new(self.v * c, _scale(self.a, c, 1),
+                             _scale(self.b, c, 1), _scale(self.m, c, 2))
+        o = self._same(o)
+        return self._new(
+            self.v * o.v,
+            _sum(_scale(self.a, o.v, 1), _scale(o.a, self.v, 1)),
+            _sum(_scale(self.b, o.v, 1), _scale(o.b, self.v, 1)),
+            _sum(_scale(self.m, o.v, 2), _scale(o.m, self.v, 2),
+                 _outer(self.a, o.b), _outer(o.a, self.b)))
 
     __rmul__ = __mul__
 
+    def _chain(self, f0, f1, f2):
+        """f(self) from the value f0 and the derivatives f1, f2 of f."""
+        return self._new(f0, _scale(self.a, f1, 1), _scale(self.b, f1, 1),
+                         _sum(_scale(self.m, f1, 2),
+                              _scale(_outer(self.a, self.b), f2, 2)))
+
+    def reciprocal(self):
+        r = 1.0 / self.v
+        return self._chain(r, -r * r, 2.0 * r * r * r)
+
     def __truediv__(self, o):
-        if not isinstance(o, Tan):
-            inv = 1.0 / o
-            return Tan(self.v * inv, self.g * inv)
-        inv = 1.0 / o.v
-        return Tan(self.v * inv, (self.g * o.v - self.v * o.g) * inv * inv)
+        if isinstance(o, _Dual):
+            return self * self._same(o).reciprocal()
+        return self * (1.0 / np.asarray(o, dtype=float))
 
     def __rtruediv__(self, o):
-        return self._lift(o) / self
+        return self.reciprocal() * o
 
     def sqrt(self):
-        s = math.sqrt(self.v)
-        return Tan(s, self.g / (2.0 * s))
+        s = np.sqrt(self.v)
+        return self._chain(s, 0.5 / s, -0.25 / (s * self.v))
 
     def __abs__(self):
-        return self if self.v >= 0 else -self
+        return self * np.where(self.v < 0, -1.0, 1.0)
 
-    def __lt__(self, o):
-        return self.v < (o.v if isinstance(o, Tan) else o)
+    def __getitem__(self, idx):
+        """Index the value axes; the seed axes ride along (no Ellipsis)."""
+        return self._make(self.v[idx], *(None if d is None else d[idx]
+                                         for d in (self.a, self.b, self.m)))
 
-    def __gt__(self, o):
-        return self.v > (o.v if isinstance(o, Tan) else o)
+
+class Tan(_Dual):
+    """First-order dual: value v and gradient g over n seed directions."""
+
+    __slots__ = ()
+
+    def __init__(self, v, g):
+        self.v = np.asarray(v, dtype=float)
+        self.a = np.asarray(g, dtype=float)
+        self.b = self.m = None
+
+    @property
+    def g(self):
+        return self.a
+
+    @classmethod
+    def seed(cls, value, n, i=None):
+        g = np.zeros(np.shape(value) + (n,))
+        if i is not None:
+            g[..., i] = 1.0
+        return cls(value, g)
+
+    def _make(self, v, a, b, m):
+        return Tan(v, a)
 
     def __repr__(self):
         return f"Tan({self.v}, {self.g})"
 
 
-class Jet2:
-    """Second-order node: value, two gradient blocks, mixed Hessian block.
+class Jet2(_Dual):
+    """Second-order dual: value, inner block a, outer block b, mixed m."""
 
-    a: gradient over the n1 inner seeds; b: over the n2 outer seeds;
-    m[i, j] = d^2 / (d inner_i d outer_j).
-    """
-
-    __slots__ = ("v", "a", "b", "m")
+    __slots__ = ()
 
     def __init__(self, v, a, b, m):
-        self.v = float(v)
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.m = np.asarray(m, dtype=float)
+        self.v = np.asarray(v, dtype=float)
+        self.a = None if a is None else np.asarray(a, dtype=float)
+        self.b = None if b is None else np.asarray(b, dtype=float)
+        self.m = None if m is None else np.asarray(m, dtype=float)
 
-    @classmethod
-    def seed(cls, value, n1, n2, i1=None, i2=None, a=None):
-        av = np.zeros(n1) if a is None else np.asarray(a, dtype=float)
-        bv = np.zeros(n2)
-        if i1 is not None:
-            av = av.copy()
-            av[i1] = 1.0
-        if i2 is not None:
-            bv[i2] = 1.0
-        return cls(value, av, bv, np.zeros((n1, n2)))
-
-    def _lift(self, other):
-        if isinstance(other, Jet2):
-            return other
-        return Jet2(other, np.zeros_like(self.a), np.zeros_like(self.b),
-                    np.zeros_like(self.m))
-
-    def __add__(self, o):
-        # constants share the derivative arrays; nothing mutates them
-        if not isinstance(o, Jet2):
-            return Jet2(self.v + o, self.a, self.b, self.m)
-        return Jet2(self.v + o.v, self.a + o.a, self.b + o.b, self.m + o.m)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if not isinstance(o, Jet2):
-            return Jet2(self.v - o, self.a, self.b, self.m)
-        return Jet2(self.v - o.v, self.a - o.a, self.b - o.b, self.m - o.m)
-
-    def __rsub__(self, o):
-        return Jet2(o - self.v, -self.a, -self.b, -self.m)
-
-    def __neg__(self):
-        return Jet2(-self.v, -self.a, -self.b, -self.m)
-
-    def __mul__(self, o):
-        if not isinstance(o, Jet2):
-            return Jet2(self.v * o, self.a * o, self.b * o, self.m * o)
-        m = (self.m * o.v + self.v * o.m
-             + self.a[:, None] * o.b[None, :]
-             + o.a[:, None] * self.b[None, :])
-        return Jet2(self.v * o.v, self.a * o.v + self.v * o.a,
-                    self.b * o.v + self.v * o.b, m)
-
-    __rmul__ = __mul__
-
-    def _reciprocal(self):
-        iv = 1.0 / self.v
-        iv2 = iv * iv
-        m = (-self.m * iv2
-             + 2.0 * iv2 * iv * self.a[:, None] * self.b[None, :])
-        return Jet2(iv, -self.a * iv2, -self.b * iv2, m)
-
-    def __truediv__(self, o):
-        if not isinstance(o, Jet2):
-            return self * (1.0 / o)
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, o):
-        return self._reciprocal() * o
-
-    def sqrt(self):
-        s = math.sqrt(self.v)
-        h = 0.5 / s
-        m = self.m * h - (0.25 / (s * self.v)) * self.a[:, None] * self.b[None, :]
-        return Jet2(s, self.a * h, self.b * h, m)
-
-    def __abs__(self):
-        return self if self.v >= 0 else -self
-
-    def __lt__(self, o):
-        return self.v < (o.v if isinstance(o, Jet2) else o)
-
-    def __gt__(self, o):
-        return self.v > (o.v if isinstance(o, Jet2) else o)
+    def _make(self, v, a, b, m):
+        return Jet2(v, a, b, m)
 
     def __repr__(self):
         return f"Jet2({self.v}, a={self.a}, b={self.b})"
 
 
-# -- generic scalar helpers (float / Tan / Jet2 / JetScalar) ----------------
+# -- entry points over plain arrays, Tan and Jet2 ---------------------------
 
-def ssqrt(x):
-    if isinstance(x, (int, float)):
-        return math.sqrt(x)
-    return x.sqrt()
-
-
-def sabs(x):
-    if isinstance(x, (int, float)):
-        return abs(x)
-    return abs(x)
+@lru_cache(maxsize=1024)
+def _path(subscripts, shapes):
+    return np.einsum_path(subscripts, *(np.empty(s) for s in shapes),
+                          optimize="greedy")[0]
 
 
-def value_of(x):
-    """Underlying float value of any generic scalar."""
-    while not isinstance(x, (int, float)):
-        if hasattr(x, "v"):
-            x = x.v
-        else:
-            x = x.value()
-    return float(x)
+def _contract(subscripts, ops):
+    if len(ops) < 3:
+        return np.einsum(subscripts, *ops)
+    return np.einsum(subscripts, *ops, optimize=_path(
+        subscripts, tuple(np.shape(o) for o in ops)))
+
+
+def einsum(subscripts, *ops):
+    """np.einsum with the product rule over every dual operand.
+
+    Subscripts are explicit (`->` present) and use lowercase letters; the
+    seed axes of the result trail its value axes.
+    """
+    ins, out = subscripts.split("->")
+    ins = ins.split(",")
+    vals = [getattr(o, "v", o) for o in ops]
+    v = _contract(subscripts, vals)
+    duals = [i for i, o in enumerate(ops) if isinstance(o, _Dual)]
+    if not duals:
+        return v
+    first = ops[duals[0]]
+    for i in duals[1:]:
+        first._same(ops[i])
+
+    def term(blocks, seeds):
+        # blocks: operand index -> (derivative block, its seed letters)
+        spec = [ins[i] + blocks[i][1] if i in blocks else ins[i]
+                for i in range(len(ops))]
+        args = [blocks[i][0] if i in blocks else vals[i]
+                for i in range(len(ops))]
+        return _contract(",".join(spec) + "->" + out + seeds, args)
+
+    def block(name, seeds):
+        return _sum(*(term({i: (getattr(ops[i], name), seeds)}, seeds)
+                      for i in duals if getattr(ops[i], name) is not None))
+
+    m = block("m", "YZ")
+    cross = [term({i: (ops[i].a, "Y"), j: (ops[j].b, "Z")}, "YZ")
+             for i in duals for j in duals
+             if i != j and ops[i].a is not None and ops[j].b is not None]
+    return first._new(v, block("a", "Y"), block("b", "Z"), _sum(m, *cross))
+
+
+def inv(m):
+    """Inverse and determinant of a 4x4 matrix value.
+
+    For a dual, Newton steps N <- 2N - N M N from the exact inverse of the
+    value carry the derivatives: each step doubles the order reached, so
+    one step is exact for Tan and two for Jet2. The determinant comes from
+    det(M0 + dM) = det M0 (1 + tr E + ((tr E)^2 - tr E^2) / 2),
+    E = M0^-1 dM, exact through second order.
+    """
+    m0 = getattr(m, "v", m)
+    n = np.linalg.inv(m0)
+    det = np.linalg.det(m0)
+    if not isinstance(m, _Dual):
+        return n, det
+    e = einsum("ij,jk->ik", n, m - m0)
+    tr = einsum("ii->", e)
+    det = (1.0 + tr + 0.5 * (tr * tr - einsum("ij,ji->", e, e))) * det
+    for _ in range(1 if isinstance(m, Tan) else 2):
+        n = 2.0 * n - einsum("ij,jk,kl->il", n, m, n)
+    return n, det
+
+
+def sqrt(x):
+    """Elementwise square root of an array or dual."""
+    return x.sqrt() if isinstance(x, _Dual) else np.sqrt(x)

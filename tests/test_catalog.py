@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from msgrav import catalog
 from msgrav.errors import ConfigError, DomainError, SingularPointError
@@ -141,3 +143,42 @@ def test_ep_point_extensions_present(all_specs):
     assert p.d2g is not None and p.d2Gamma is not None
     # the connection block really is Levi-Civita: check one known value
     assert p.Gamma[1, 0, 0] == pytest.approx((5.0 - 2.0) / 5.0 ** 3)
+
+
+_ATOMS = st.sampled_from(["x0", "x1", "x2", "x3", "0", "1", "2.5", "1e308",
+                          "0.1"])
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "ln"]),
+                  children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(children, st.integers(-3, 400)).map(
+            lambda t: f"{t[0]}^{t[1]}"))
+
+
+_EXPRS = st.recursive(_ATOMS, _compound, max_leaves=6)
+_JUNK = st.one_of(st.just(""), st.just(""), st.just(""),
+                  st.text(alphabet="x0123+-*/^(). lnsqrt", max_size=16))
+
+
+@given(comps=st.lists(_EXPRS, min_size=4, max_size=4), junk=_JUNK,
+       lo=st.sampled_from(["-1", "0", "0.5"]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_metric_files_fail_only_with_package_errors(tmp_path, comps, junk,
+                                                    lo):
+    # any file either loads or raises ConfigError / DomainError, which the
+    # CLI maps to exit 2 / 3; never a bare numeric exception
+    text = "[metric]\n" + "".join(
+        f"g {mu} {mu} = {c}\n" for mu, c in enumerate(comps))
+    if junk:
+        text += f"g 0 1 = {junk}\n"
+    path = tmp_path / "fuzz.metric"
+    path.write_text(text + f"[domain]\nx1 = {lo}..1\n", encoding="utf-8")
+    try:
+        catalog.load_metric_file(str(path))
+    except (ConfigError, DomainError):
+        pass

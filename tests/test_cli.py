@@ -122,3 +122,18 @@ def test_jets_malformed_point(capsys):
     code, _, _ = run(["jets", "--metric", "minkowski", "--at", "a,b,c,d"],
                      capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", [
+    "g 1 1 = 1 + ln(x1)\n",
+    "g 1 1 = 1 + 0.1/x1\n[domain]\nx1 = 0..1\n",
+])
+def test_numeric_failure_in_metric_file_exits_three(tmp_path, capsys, extra):
+    path = tmp_path / "bad.ini"
+    path.write_text("[metric]\ng 0 0 = -1\ng 2 2 = 1\ng 3 3 = 1\n" + extra,
+                    encoding="utf-8")
+    code, _, err = run(
+        ["check", "--model", "eh", "--metric", str(path), "--points", "1"],
+        capsys)
+    assert code == 3
+    assert "domain error" in err

@@ -105,3 +105,27 @@ def test_emit_report_writes_file(tmp_path):
     assert path.read_text(encoding="utf-8") == text
     with pytest.raises(MsgravError):
         emit_report(r, fmt="json", path=str(tmp_path / "no" / "dir.json"))
+
+
+def test_nonfinite_residual_fails_and_serializes_as_null(monkeypatch):
+    from msgrav import report
+
+    real = report._ep_point_checks
+    seen = []
+
+    def checks(spec, x, seed):
+        out = real(spec, x, seed)
+        seen.append(x)
+        if len(seen) == 2:
+            out["torsion"] = float("nan")
+        return out
+
+    monkeypatch.setattr(report, "_ep_point_checks", checks)
+    r = run_check(cfg(model="ep", points=3, threads=1))
+    fam = {f["family"]: f for f in r.families}["torsion"]
+    assert r.verdict == "fail" and fam["pass"] is False
+    assert fam["worst_point"] == [float(v) for v in seen[1]]
+    obj = json.loads(report_json(r))
+    parsed = {f["family"]: f for f in obj["families"]}["torsion"]
+    assert parsed["max_resid"] is None and parsed["mean_resid"] is None
+    assert parsed["pass"] is False

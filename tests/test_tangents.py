@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msgrav.tangents import Jet2, Tan, sabs, ssqrt, value_of
+from msgrav.tangents import Jet2, Tan, einsum, inv, sqrt
 
 
 def rational(x, y):
@@ -13,7 +13,7 @@ def rational(x, y):
 
 
 def with_sqrt(x, y):
-    return ssqrt(x * x + y * y) / (1.0 + sabs(x * y))
+    return sqrt(x * x + y * y) / (1.0 + abs(x * y))
 
 
 def fd_grad(f, x0, y0, h=1e-6):
@@ -96,13 +96,6 @@ def test_jet2_reciprocal_second_derivative():
     assert out.m[0, 0] == pytest.approx(2.0 / x0 ** 3)
 
 
-def test_value_of_unwraps():
-    assert value_of(3.5) == 3.5
-    assert value_of(Tan(2.0, np.zeros(1))) == 2.0
-    assert value_of(Jet2(1.5, np.zeros(1), np.zeros(1),
-                         np.zeros((1, 1)))) == 1.5
-
-
 @given(st.floats(min_value=0.3, max_value=3.0),
        st.floats(min_value=0.3, max_value=3.0))
 @settings(max_examples=30, deadline=None)
@@ -112,3 +105,50 @@ def test_jet2_matches_tan_on_first_order(x0, y0):
     out1 = rational(Tan.seed(x0, 2, 0), Tan.seed(y0, 2, 1))
     assert out2.a[0] == pytest.approx(out1.g[0], rel=1e-12)
     assert out2.b[0] == pytest.approx(out1.g[1], rel=1e-12)
+
+
+# -- tensor-valued duals through the entry points ---------------------------
+
+_RNG = np.random.default_rng(7)
+M0 = np.diag([-1.0, 1.5, 2.0, 0.7]) + 0.1 * _RNG.normal(size=(4, 4))
+DA, DB, DC, P = (0.3 * _RNG.normal(size=(4, 4)) for _ in range(4))
+
+
+def inverse(m):
+    return inv(m)[0]
+
+
+def density(m):
+    return sqrt(abs(inv(m)[1]))
+
+
+def product(m):
+    # a plain operand between two duals, then a scalar-times-tensor product
+    return einsum("ij,jk,kl->il", m, P, m) + einsum("ij,ji->", m, m) * m
+
+
+@pytest.mark.parametrize("f", [inverse, density, product])
+def test_tensor_tan_matches_finite_differences(f):
+    out = f(Tan(M0, np.stack([DA, DB], axis=-1)))
+    assert np.allclose(out.v, f(M0), rtol=1e-13, atol=1e-14)
+    h = 1e-6
+    for k, d in enumerate((DA, DB)):
+        fd = (f(M0 + h * d) - f(M0 - h * d)) / (2 * h)
+        assert np.allclose(out.g[..., k], fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("f", [inverse, density, product])
+def test_tensor_jet2_mixed_second_order(f):
+    # M(s, t) = M0 + s DA + t DB + s t DC: inner seed s, outer seed t
+    out = f(Jet2(M0, DA[..., None], DB[..., None], DC[..., None, None]))
+
+    def at(s, t):
+        return f(M0 + s * DA + t * DB + s * t * DC)
+
+    h = 1e-4
+    assert np.allclose(out.a[..., 0], (at(h, 0) - at(-h, 0)) / (2 * h),
+                       rtol=1e-6, atol=1e-7)
+    assert np.allclose(out.b[..., 0], (at(0, h) - at(0, -h)) / (2 * h),
+                       rtol=1e-6, atol=1e-7)
+    mixed = (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4 * h * h)
+    assert np.allclose(out.m[..., 0, 0], mixed, rtol=1e-5, atol=1e-6)
