@@ -91,10 +91,20 @@ def eh_point_at(spec: MetricSpec, x, order: int = 4) -> EHJetPoint:
     return prolong(metric_jet_at(spec, x, order=order), order=order)
 
 
-def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
+def metric_point_at(spec: MetricSpec, x) -> EHJetPoint:
+    """The order-3 prolongation of the order-4 metric series at x: the
+    metric data of an EP point."""
+    return prolong(metric_jet_at(spec, x, order=4), order=3)
+
+
+def ep_point_at(spec: MetricSpec, x, metric: EHJetPoint | None = None
+                ) -> EPJetPoint:
     """First-order metric-affine point over x: the metric jet with its
     Levi-Civita connection (or file overrides), extended with the second
     derivatives needed for tangent lifts.
+
+    `metric` is `metric_point_at(spec, x)`, built here unless a caller
+    that needs it too passes it in, so the series are evaluated once.
 
     The Levi-Civita Gamma and its first two x-derivatives come from one
     Jet2 pass of the connection kernel on the prolonged jet: the
@@ -102,7 +112,7 @@ def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     shift the mixed block, so `a` is dGamma and `m` is d2Gamma. Overridden
     components keep their series route.
     """
-    p = prolong(metric_jet_at(spec, x, order=4), order=3)
+    p = metric if metric is not None else metric_point_at(spec, x)
     d2 = p.d2g[:, PAIR_FULL]
     g = Jet2(p.g, p.dg, p.dg, d2)
     dg = Jet2(p.dg, d2, d2, p.d3g[:, TRIPLE_FULL])
@@ -134,8 +144,12 @@ def _validate(spec: MetricSpec) -> MetricSpec:
         where = f"metric {spec.name!r} at grid point {tuple(map(float, x))}"
         if not np.isfinite(m).all():
             raise DomainError(f"{where} is not finite")
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(m)
+        if not np.isfinite(det):
+            raise DomainError(f"{where} has a determinant beyond float range")
         ev = np.linalg.eigvalsh(m)
-        if abs(np.linalg.det(m)) < 1e-14 or ev[0] >= 0 or ev[1] <= 0:
+        if abs(det) < 1e-14 or ev[0] >= 0 or ev[1] <= 0:
             raise DomainError(f"{where} is not Lorentzian")
     return spec
 

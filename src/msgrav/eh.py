@@ -19,8 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError
-from .exterior import (CoordDifferential, DenseCovector, FormTerm,
-                       contract_terms, volume_factors)
+from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EH_DIM_J3, EH_OFF, EHJetPoint, derivatives,
                          fiber_gradient, fiber_hessian, fiber_jacobian,
                          tangent_lifts, total_derivatives_vec)
@@ -168,38 +167,29 @@ def _momenta1_differentials(p: EHJetPoint) -> np.ndarray:
     return rows
 
 
-def cartan_form_eh(p: EHJetPoint):
-    """The 5-form as a term list: dH ^ d4x minus the two momenta blocks."""
+def cartan_form_eh(p: EHJetPoint) -> Form:
+    """The 5-form dH ^ d4x minus the two momenta blocks: the 40 first-order
+    momenta L^{a mu}, wedged with the differential of g_a and
+    i(d/dx^mu) d4x, then the 160 second-order ones L^{a, mu nu}, wedged
+    with the differential of g_{a,mu} and i(d/dx^nu) d4x."""
     g0, dg0, d2g0 = EH_OFF["g"], EH_OFF["dg"], EH_OFF["d2g"]
-    dh = np.zeros(EH_DIM_J3)
-    dh[g0:d2g0] = fiber_gradient(hamiltonian_closed_fn, p, ["g", "dg"]).g
-    vol, _ = volume_factors()
-    terms = [FormTerm(1.0, tuple([DenseCovector(dh)] + vol))]
-
+    dh = fiber_gradient(hamiltonian_closed_fn, p, ["g", "dg"]).g
     dl1 = _momenta1_differentials(p)
-    for k, row in enumerate(dl1):
-        a, mu = divmod(k, DIM)
-        facs, sign = volume_factors(exclude=mu)
-        terms.append(FormTerm(-sign, tuple(
-            [DenseCovector(row), CoordDifferential(g0 + a)] + facs)))
-
     _, l2_jac = fiber_jacobian(momenta2_closed_fn, p, ["g"])
-    dl2 = np.zeros((NPAIR, NPAIR, EH_DIM_J3))
-    dl2[..., g0:dg0] = l2_jac
-    for a in range(NPAIR):
-        for mu in range(DIM):
-            for nu in range(DIM):
-                facs, sign = volume_factors(exclude=nu)
-                terms.append(FormTerm(-sign, tuple(
-                    [DenseCovector(dl2[a, PAIR_FULL[mu, nu]]),
-                     CoordDifferential(dg0 + a * DIM + mu)] + facs)))
-    return terms
+    # allocated after the AD passes so their temporaries are already freed
+    n1 = len(dl1)
+    dense = np.zeros((1 + n1 * (1 + DIM), EH_DIM_J3))
+    dense[0, g0:d2g0] = dh
+    dense[1:1 + n1] = dl1
+    dense[1 + n1:].reshape(NPAIR, DIM, DIM, -1)[..., g0:dg0] = \
+        l2_jac[:, PAIR_FULL]
+    return cartan_form(dense, g0)
 
 
 def field_equation_covector(p: EHJetPoint) -> np.ndarray:
     """i(X0)...i(X3) of the 5-form, X_tau the section's tangent lifts."""
     lifts = tangent_lifts(p)
-    return contract_terms(cartan_form_eh(p), list(lifts), EH_DIM_J3)
+    return contract_terms(cartan_form_eh(p), lifts, EH_DIM_J3)
 
 
 def verify_field_equation(p: EHJetPoint) -> float:

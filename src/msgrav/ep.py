@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import (CoordDifferential, DenseCovector, FormTerm,
-                       contract_terms, volume_factors)
+from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EP_DIM_J1, EP_OFF, EPJetPoint, fiber_gradient,
                          fiber_jacobian, tangent_lifts)
 from .geometry import (metric_inverse_density, ricci_from_connection,
                        scalar_curvature)
-from .indexing import APAIRS, DIM, PAIR_FULL, PAIRS
+from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import einsum
 
 NPAIR = len(PAIRS)
@@ -84,33 +83,29 @@ def constraint_c0(p: EPJetPoint) -> np.ndarray:
 
 
 def trace_removal(T: np.ndarray) -> np.ndarray:
-    """Remove the delta-trace part of a (1,2) tensor antisymmetric below."""
-    tr = np.einsum("mmg->g", T)
-    out = T.copy()
-    for a in range(DIM):
-        out[a, a, :] -= tr / 3.0
-        out[a, :, a] += tr / 3.0
-    return out
+    """Remove the delta-trace part of a (1,2) tensor antisymmetric below;
+    any trailing axes are batch axes."""
+    tr = np.einsum("mmg...->g...", T) / 3.0
+    delta = np.eye(DIM)
+    return (T - np.einsum("ab,c...->abc...", delta, tr)
+            + np.einsum("ac,b...->abc...", delta, tr))
 
 
 def _apairs_of(T3: np.ndarray) -> np.ndarray:
-    return np.array([[T3[a, b, c] for (b, c) in APAIRS] for a in range(DIM)])
+    """The antisymmetric lower pair (axes 1, 2) over APAIRS."""
+    return T3[:, APAIR_ROWS[0], APAIR_ROWS[1]]
 
 
 def constraint_premetricity(p: EPJetPoint) -> np.ndarray:
     """Compatibility of the metric derivative with the connection up to the
     projective trace part, (10, 4) over (ordered pair, direction)."""
     gm = p.g[PAIR_FULL]
-    gam = p.Gamma
-    ttr = np.einsum("llm->m", gam) - np.einsum("lml->m", gam)
-    out = np.empty((NPAIR, DIM))
-    for i, (r, s) in enumerate(PAIRS):
-        for mu in range(DIM):
-            out[i, mu] = (p.dg[i, mu]
-                          - float(gm[s] @ gam[:, mu, r])
-                          - float(gm[r] @ gam[:, mu, s])
-                          - (2.0 / 3.0) * gm[r, s] * ttr[mu])
-    return out
+    ttr = np.einsum("llm->m", p.Gamma) - np.einsum("lml->m", p.Gamma)
+    # gg[r, s, mu] = g_{s l} Gamma^l_{mu r}
+    gg = np.einsum("sl,lmr->rsm", gm, p.Gamma)
+    full = (p.dg[PAIR_FULL] - gg - gg.transpose(1, 0, 2)
+            - (2.0 / 3.0) * gm[:, :, None] * ttr)
+    return full[PAIR_ROWS]
 
 
 def constraint_torsion(p: EPJetPoint) -> np.ndarray:
@@ -122,34 +117,25 @@ def constraint_torsion(p: EPJetPoint) -> np.ndarray:
 def constraint_torsion_deriv(p: EPJetPoint) -> np.ndarray:
     """Trace-removed torsion derivative, (4, 6, 4)."""
     dT = p.dGamma - np.transpose(p.dGamma, (0, 2, 1, 3))
-    out = np.empty((DIM, len(APAIRS), DIM))
-    for nu in range(DIM):
-        out[:, :, nu] = _apairs_of(trace_removal(dT[:, :, :, nu]))
-    return out
+    return _apairs_of(trace_removal(dT))
 
 
 def constraint_integrability(p: EPJetPoint) -> np.ndarray:
     """Antisymmetrized closure conditions, (10, 6) over (ordered metric
     pair, antisymmetric direction pair); each bracket is (f(mu,nu) -
-    f(nu,mu))/2 on the two direction slots."""
+    f(nu,mu))/2 on the two direction slots, and the r <-> s partner of
+    each bracket is its transpose in the metric slots."""
     gm = p.g[PAIR_FULL]
-    gam = p.Gamma
-    dgam = p.dGamma
-    dttr = (np.einsum("llmn->mn", dgam) - np.einsum("lmln->mn", dgam))
-
-    def expr(r, s, mu, nu):
-        # orientation of each bracket follows its displayed slot order
-        t1 = 0.5 * (np.einsum("g,gl,l->", gm[r], gam[:, nu, :], gam[:, mu, s])
-                    - np.einsum("g,gl,l->", gm[r], gam[:, mu, :], gam[:, nu, s]))
-        t2 = 0.5 * (np.einsum("g,gl,l->", gm[s], gam[:, nu, :], gam[:, mu, r])
-                    - np.einsum("g,gl,l->", gm[s], gam[:, mu, :], gam[:, nu, r]))
-        t3 = 0.5 * float(gm[r] @ (dgam[:, mu, s, nu] - dgam[:, nu, s, mu]))
-        t4 = 0.5 * float(gm[s] @ (dgam[:, mu, r, nu] - dgam[:, nu, r, mu]))
-        t5 = (1.0 / 3.0) * gm[r, s] * (dttr[mu, nu] - dttr[nu, mu])
-        return t1 + t2 + t3 + t4 + t5
-
-    return np.array([[expr(r, s, mu, nu) for (mu, nu) in APAIRS]
-                     for (r, s) in PAIRS])
+    dttr = (np.einsum("llmn->mn", p.dGamma)
+            - np.einsum("lmln->mn", p.dGamma))
+    # f[r, s, mu, nu] = g_{r g} (Gamma^g_{nu l} Gamma^l_{mu s}
+    #                            + dGamma^g_{mu s, nu})
+    f = (np.einsum("rg,gnl,lms->rsmn", gm, p.Gamma, p.Gamma)
+         + np.einsum("rg,gmsn->rsmn", gm, p.dGamma))
+    f = 0.5 * (f - f.transpose(0, 1, 3, 2))
+    full = (f + f.transpose(1, 0, 2, 3)
+            + (1.0 / 3.0) * gm[:, :, None, None] * (dttr - dttr.T))
+    return full[PAIR_ROWS][:, APAIR_ROWS[0], APAIR_ROWS[1]]
 
 
 # -- gauge and projectability -----------------------------------------------
@@ -201,7 +187,7 @@ def projectability_check_ep(p: EPJetPoint, trials: int, seed: int):
 
 # -- Poincare-Cartan form and field equations -------------------------------
 
-def cartan_form_ep(p: EPJetPoint):
+def cartan_form_ep(p: EPJetPoint) -> Form:
     """dH ^ d4x minus one momenta block per connection coordinate.
 
     Both dH and the momenta differentials are supported on (g, Gamma),
@@ -209,25 +195,18 @@ def cartan_form_ep(p: EPJetPoint):
     the closed form shows the support is the metric block alone.
     """
     g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
-    dh = np.zeros(EP_DIM_J1)
-    dh[g0:dg0] = fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]).g
-    vol, _ = volume_factors()
-    terms = [FormTerm(1.0, tuple([DenseCovector(dh)] + vol))]
-
+    dh = fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]).g
     _, lmom_jac = fiber_jacobian(momenta_closed_fn, p, ["g"])
-    covs = np.zeros((DIM ** 4, EP_DIM_J1))
-    covs[:, g0:gam0] = lmom_jac.reshape(DIM ** 4, NPAIR)
-    for k, cov in enumerate(covs):
-        abc, mu = divmod(k, DIM)
-        facs, sign = volume_factors(exclude=mu)
-        terms.append(FormTerm(-sign, tuple(
-            [DenseCovector(cov), CoordDifferential(gam0 + abc)] + facs)))
-    return terms
+    # allocated after the AD passes so their temporaries are already freed
+    dense = np.zeros((1 + DIM ** 4, EP_DIM_J1))
+    dense[0, g0:dg0] = dh
+    dense[1:, g0:gam0] = lmom_jac.reshape(DIM ** 4, NPAIR)
+    return cartan_form(dense, gam0)
 
 
 def field_equation_covector_ep(p: EPJetPoint) -> np.ndarray:
     lifts = tangent_lifts(p)
-    return contract_terms(cartan_form_ep(p), list(lifts), EP_DIM_J1)
+    return contract_terms(cartan_form_ep(p), lifts, EP_DIM_J1)
 
 
 def verify_field_equation_ep(p: EPJetPoint) -> float:

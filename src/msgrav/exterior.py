@@ -1,9 +1,12 @@
-"""Pointwise exterior algebra for the 5-forms on jet space.
+"""Pointwise exterior algebra for the Poincare-Cartan 5-forms on jet space.
 
-Forms are short lists of FormTerm, each an oriented wedge of exactly five
-covector factors: coordinate differentials or dense differentials of fiber
-functions. Contraction with four tangent vectors is a Laplace expansion of
-the 5x5 pairing matrix with one symbolic row, yielding a covector.
+A Form is a stack of T terms of one shape,
+coef * alpha ^ dx^{i1} ^ dx^{i2} ^ dx^{i3} ^ dx^{i4}: alpha is a dense
+covector over all coordinates (the differential of a fiber function) and
+the i's are coordinate indices. It is held as three arrays, `coef` (T,),
+`dense` (T, dim) and `coords` (T, 4). Contraction with four tangent
+vectors Laplace-expands each term's 5x4 pairing matrix along the missing
+fifth column; all terms and all five minors go through one batched pass.
 """
 
 from __future__ import annotations
@@ -13,57 +16,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .indexing import DIM
+
+# i(d/dx^mu) d4x = VOL_SIGN[mu] * the wedge of dx^VOL_SLOTS[mu] in order
+VOL_SLOTS = np.array([[j for j in range(DIM) if j != mu] for mu in range(DIM)])
+VOL_SIGN = (-1.0) ** np.arange(DIM)
+
+# rows of the 5x4 pairing matrix left in each minor, and the cofactor signs
+_MINORS = np.array([[r for r in range(5) if r != f] for f in range(5)])
+_COF_SIGN = (-1.0) ** np.arange(5)
 
 
 @dataclass(frozen=True)
-class CoordDifferential:
-    """dx^i in the flat coordinate layout of the ambient jet space."""
+class Form:
+    """sum_t coef[t] * dense[t] ^ dx^coords[t, 0] ^ ... ^ dx^coords[t, 3]."""
 
-    index: int
-
-    def pair(self, vec: np.ndarray) -> float:
-        return float(vec[self.index])
-
-    def dense(self, dim: int) -> np.ndarray:
-        out = np.zeros(dim)
-        out[self.index] = 1.0
-        return out
-
-
-@dataclass(frozen=True)
-class DenseCovector:
-    """The differential of a fiber function, stored over all coordinates."""
-
-    components: np.ndarray
-
-    def pair(self, vec: np.ndarray) -> float:
-        return float(self.components @ vec)
-
-    def dense(self, dim: int) -> np.ndarray:
-        if len(self.components) != dim:
-            raise ConfigError("covector dimension mismatch")
-        return self.components
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Dense tangent vector over all coordinates of the ambient space."""
-
-    components: np.ndarray
-
-
-@dataclass(frozen=True)
-class FormTerm:
-    coefficient: float
-    factors: tuple  # exactly 5 CoordDifferential / DenseCovector entries
+    coef: np.ndarray
+    dense: np.ndarray
+    coords: np.ndarray
 
     def __post_init__(self):
-        if len(self.factors) != 5:
-            raise ConfigError("form terms are wedges of exactly 5 factors")
+        coef = np.asarray(self.coef, dtype=float)
+        dense = np.asarray(self.dense, dtype=float)
+        coords = np.asarray(self.coords, dtype=np.intp)
+        t = len(coef)
+        if (coef.shape != (t,) or dense.ndim != 2 or len(dense) != t
+                or coords.shape != (t, DIM)):
+            raise ConfigError("form terms are wedges of one dense covector "
+                              "and exactly 4 coordinate differentials")
+        if coords.size and not (0 <= coords.min()
+                                and coords.max() < dense.shape[1]):
+            raise ConfigError("coordinate differential out of range")
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "dense", dense)
+        object.__setattr__(self, "coords", coords)
+
+    def __len__(self) -> int:
+        return len(self.coef)
+
+
+def cartan_form(dense: np.ndarray, first: int) -> Form:
+    """dense[0] ^ d4x - sum_k dense[k + 1] ^ dy_k ^ i(d/dx^mu_k) d4x.
+
+    Row 0 is dH; row k + 1 is the differential of the momentum conjugate
+    to the derivative coordinate y_k = first + k // 4 in direction
+    mu_k = k % 4, which is how both models lay out their momenta.
+    """
+    k = np.arange(len(dense) - 1)
+    mu = k % DIM
+    return Form(
+        np.concatenate([[1.0], -VOL_SIGN[mu]]), dense,
+        np.concatenate([np.arange(DIM)[None],
+                        np.column_stack([first + k // DIM, VOL_SLOTS[mu]])]))
 
 
 def _det4(m):
-    # explicit expansion: far cheaper than linalg dispatch at this size
+    # explicit expansion over the two leading axes: far cheaper than linalg
+    # dispatch at this size, and elementwise over any trailing batch axes
     (a, b, c, d), (e, f, g, h), (i, j, k, l), (p, q, r, s) = m
     kl_rs = k * s - l * r
     jl_qs = j * s - l * q
@@ -77,44 +86,19 @@ def _det4(m):
             - d * (e * jk_qr - f * ik_pr + g * ij_pq))
 
 
-def contract_term(term: FormTerm, vectors, dim: int) -> np.ndarray:
-    """t(v1, v2, v3, v4, .) as a dense covector of length dim."""
-    if len(vectors) != 4:
+def contract_terms(form: Form, vectors, dim: int) -> np.ndarray:
+    """i(v1) i(v2) i(v3) i(v4) of the form, as a dense covector of length
+    dim: per term, the cofactors of the pairing matrix weight its five
+    factors."""
+    x = np.asarray(vectors, dtype=float)
+    if x.ndim != 2 or len(x) != 4:
         raise ConfigError("contraction takes exactly 4 tangent vectors")
-    comps = [v.components if isinstance(v, TangentVector) else np.asarray(v)
-             for v in vectors]
-    for c in comps:
-        if len(c) != dim:
-            raise ConfigError("tangent vector dimension mismatch")
-    pairing = np.array([[f.pair(c) for c in comps] for f in term.factors])
-    out = np.zeros(dim)
-    rows = np.arange(5)
-    for f in range(5):
-        minor = pairing[rows != f]
-        cof = ((-1.0) ** f) * _det4(minor)
-        if cof != 0.0:
-            fac = term.factors[f]
-            if isinstance(fac, CoordDifferential):
-                out[fac.index] += term.coefficient * cof
-            else:
-                out += term.coefficient * cof * fac.dense(dim)
-    return out
-
-
-def contract_terms(terms, vectors, dim: int) -> np.ndarray:
-    """Contraction distributes over the sum of terms."""
-    out = np.zeros(dim)
-    for t in terms:
-        out += contract_term(t, vectors, dim)
-    return out
-
-
-def volume_factors(exclude=None):
-    """dx^0..dx^3 factors; with `exclude`, the 3 factors of i(d/dx^mu) d4x.
-
-    The sign (-1)^mu of that contraction is returned alongside.
-    """
-    if exclude is None:
-        return [CoordDifferential(i) for i in range(4)], 1.0
-    facs = [CoordDifferential(i) for i in range(4) if i != exclude]
-    return facs, (-1.0) ** exclude
+    if x.shape[1] != dim or form.dense.shape[1] != dim:
+        raise ConfigError("tangent vector dimension mismatch")
+    # pairing[f, v, t]: factor f of term t on vector v
+    pairing = np.concatenate([(form.dense @ x.T).T[None],
+                              x[:, form.coords].transpose(2, 0, 1)])
+    cof = form.coef * _COF_SIGN[:, None] * _det4(
+        pairing[_MINORS].transpose(1, 2, 0, 3))
+    return cof[0] @ form.dense + np.bincount(
+        form.coords.ravel(), weights=cof[1:].T.ravel(), minlength=dim)

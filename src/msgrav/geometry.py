@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .indexing import APAIRS, PAIR_FULL, PAIR_ROWS
+from .indexing import APAIR_ROWS, PAIR_FULL, PAIR_ROWS
 from .tangents import einsum, inv, sqrt
 
 
@@ -122,8 +122,8 @@ def einstein_suite(g10, dg, d2g) -> CurvatureSuite:
 
 def torsion(Gamma):
     """T^a_{bc} = G^a_{bc} - G^a_{cb}, stored over the 6 pairs b < c."""
-    b, c = np.array(APAIRS).T
-    return torsion_full(np.asarray(Gamma, dtype=float))[:, b, c]
+    t = torsion_full(np.asarray(Gamma, dtype=float))
+    return t[:, APAIR_ROWS[0], APAIR_ROWS[1]]
 
 
 def torsion_full(Gamma):

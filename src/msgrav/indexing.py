@@ -52,6 +52,8 @@ PAIR_UP = TRIPLE_FULL[tuple(np.array(PAIRS).T)]
 TRIPLE_UP = QUAD_FULL[tuple(np.array(TRIPLES).T)]
 # full[PAIR_ROWS] reads the ordered representatives of a symmetric pair
 PAIR_ROWS = tuple(np.array(PAIRS).T)
+# full[APAIR_ROWS] reads an antisymmetric pair over APAIRS
+APAIR_ROWS = tuple(np.array(APAIRS).T)
 # n(mu nu) per ordered pair
 MULT = np.array([1.0 if a == b else 2.0 for a, b in PAIRS])
 

@@ -111,14 +111,15 @@ def _eh_point_checks(spec, x, seed):
 
 
 def _ep_point_checks(spec, x, seed):
-    p = catalog.ep_point_at(spec, x)
+    metric = catalog.metric_point_at(spec, x)
+    p = catalog.ep_point_at(spec, x, metric)
     out = {}
     m = ep.momenta_ep(p)
     out["momenta-identity"] = _rel(np.abs(m.Lmom_ad - m.Lmom_closed).max(),
                                    np.abs(m.Lmom_closed).max())
     dev, _, _ = ep.projectability_check_ep(p, trials=2, seed=seed)
     out["projectability"] = dev
-    l_eh = eh.lagrangian_eh(prolong(catalog.metric_jet_at(spec, x, order=4)))
+    l_eh = eh.lagrangian_eh(metric)
     out["eh-equivalence"] = _rel(abs(ep.lagrangian_ep(p) - l_eh), l_eh)
     out["metric-equation"] = float(np.abs(ep.constraint_c0(p)).max())
     out["pre-metricity"] = float(np.abs(ep.constraint_premetricity(p)).max())

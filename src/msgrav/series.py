@@ -248,13 +248,18 @@ class JetScalar:
         )
 
     def powi(self, n: int) -> "JetScalar":
+        """Integer power by repeated squaring: O(log |n|) products."""
         if n == 0:
             return JetScalar.constant(1.0, self.base, self.order)
         if n < 0:
             return self.reciprocal().powi(-n)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
+        out, sq = None, self
+        while n:
+            if n & 1:
+                out = sq if out is None else sq * out
+            n >>= 1
+            if n:
+                sq = sq * sq
         return out
 
     def __abs__(self) -> "JetScalar":

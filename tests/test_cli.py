@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 
-from msgrav import cli
+from msgrav import catalog, cli
+from msgrav.errors import DomainError
 
 
 def run(argv, capsys):
@@ -135,5 +137,20 @@ def test_numeric_failure_in_metric_file_exits_three(tmp_path, capsys, extra):
     code, _, err = run(
         ["check", "--model", "eh", "--metric", str(path), "--points", "1"],
         capsys)
+    assert code == 3
+    assert "domain error" in err
+
+
+def test_huge_metric_values_are_a_domain_error(tmp_path, capsys):
+    # finite components whose determinant overflows: rejected quietly
+    path = tmp_path / "huge.ini"
+    path.write_text("[metric]\ng 0 0 = -1e308\ng 1 1 = 1e308\n"
+                    "g 2 2 = 1e308\ng 3 3 = 1e308\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            catalog.load_metric_file(str(path))
+        code, _, err = run(["check", "--model", "eh", "--metric", str(path),
+                            "--points", "1"], capsys)
     assert code == 3
     assert "domain error" in err

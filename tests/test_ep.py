@@ -118,6 +118,54 @@ def test_trace_removal_idempotent():
     assert np.allclose(ep.trace_removal(once), once, atol=1e-13)
 
 
+def _ladder_by_index_loops(p):
+    """Premetricity, trace-removed torsion derivative and integrability
+    written out index by index, as the reference for the einsum forms."""
+    gm = p.g[[[pair_index(a, b) for b in range(DIM)] for a in range(DIM)]]
+    gam, dgam = p.Gamma, p.dGamma
+    ttr = np.einsum("llm->m", gam) - np.einsum("lml->m", gam)
+    pre = np.array([[p.dg[i, mu] - gm[s] @ gam[:, mu, r]
+                     - gm[r] @ gam[:, mu, s]
+                     - (2.0 / 3.0) * gm[r, s] * ttr[mu]
+                     for mu in range(DIM)] for i, (r, s) in enumerate(PAIRS)])
+
+    def removed(T):
+        tr = np.einsum("mmg->g", T)
+        out = T.copy()
+        for a in range(DIM):
+            out[a, a, :] -= tr / 3.0
+            out[a, :, a] += tr / 3.0
+        return np.array([[out[a, b, c] for (b, c) in APAIRS]
+                         for a in range(DIM)])
+
+    dT = dgam - np.transpose(dgam, (0, 2, 1, 3))
+    tder = np.stack([removed(dT[..., nu]) for nu in range(DIM)], axis=-1)
+    dttr = np.einsum("llmn->mn", dgam) - np.einsum("lmln->mn", dgam)
+
+    def bracket(r, s, mu, nu):
+        return 0.5 * (gm[r] @ gam[:, nu, :] @ gam[:, mu, s]
+                      - gm[r] @ gam[:, mu, :] @ gam[:, nu, s]
+                      + gm[r] @ (dgam[:, mu, s, nu] - dgam[:, nu, s, mu]))
+
+    integ = np.array([[bracket(r, s, mu, nu) + bracket(s, r, mu, nu)
+                       + gm[r, s] * (dttr[mu, nu] - dttr[nu, mu]) / 3.0
+                       for (mu, nu) in APAIRS] for (r, s) in PAIRS])
+    return pre, tder, integ
+
+
+def test_constraint_ladder_matches_index_loops():
+    rng = np.random.default_rng(7)
+    p = flat_point(Gamma=rng.normal(size=(4, 4, 4)),
+                   dGamma=rng.normal(size=(4, 4, 4, 4)),
+                   g=ETA + 0.1 * rng.normal(size=10),
+                   dg=rng.normal(size=(10, 4)))
+    got = (ep.constraint_premetricity(p), ep.constraint_torsion_deriv(p),
+           ep.constraint_integrability(p))
+    for g, w in zip(got, _ladder_by_index_loops(p)):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-14 * (1.0 + np.abs(w).max())
+
+
 def test_integrability_trivial_cases():
     assert np.abs(ep.constraint_integrability(flat_point())).max() == 0.0
     # one constant component cannot close an index chain

@@ -1,33 +1,60 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msgrav import catalog, eh, ep
 from msgrav.errors import ConfigError
-from msgrav.exterior import (CoordDifferential, DenseCovector, FormTerm,
-                             TangentVector, contract_term, contract_terms,
-                             volume_factors)
+from msgrav.exterior import (VOL_SIGN, VOL_SLOTS, Form, cartan_form,
+                             contract_terms)
+from msgrav.fieldspace import EH_DIM_J3, EP_DIM_J1, tangent_lifts
 
 DIMN = 8
+# schwarzschild with one torsionful connection component
+TORSION = Path(__file__).resolve().parents[1] / "msbench" / "inputs" \
+    / "torsion.metric"
 
 
-def _term(rng, coeff=1.0):
-    facs = []
-    for _ in range(5):
-        if rng.uniform() < 0.5:
-            facs.append(CoordDifferential(int(rng.integers(DIMN))))
-        else:
-            facs.append(DenseCovector(rng.normal(size=DIMN)))
-    return FormTerm(coeff, tuple(facs))
+def _form(rng, terms=3):
+    return Form(rng.normal(size=terms), rng.normal(size=(terms, DIMN)),
+                rng.integers(DIMN, size=(terms, 4)))
 
 
 def _vectors(rng, n=4):
     return [rng.normal(size=DIMN) for _ in range(n)]
 
 
+def _factors(form):
+    """Each term's five factors as dense covectors, (T, 5, dim)."""
+    unit = np.eye(form.dense.shape[1])
+    return np.concatenate([form.dense[:, None], unit[form.coords]], axis=1)
+
+
+def _laplace_reference(form, vectors):
+    """Per term and per output component j, the 5x5 determinant of the
+    factor pairings with vectors + [e_j], summed over terms."""
+    dim = form.dense.shape[1]
+    vecs = np.asarray(vectors)
+    out = np.zeros(dim)
+    for coef, facs in zip(form.coef, _factors(form)):
+        pair = np.empty((dim, 5, 5))
+        pair[:, :, :4] = facs @ vecs.T
+        pair[:, :, 4] = facs.T
+        out += coef * np.linalg.det(pair)
+    return out
+
+
 def test_form_term_requires_five_factors():
+    # one dense covector wedged with exactly 4 coordinate differentials
     with pytest.raises(ConfigError):
-        FormTerm(1.0, tuple(CoordDifferential(i) for i in range(4)))
+        Form(np.ones(1), np.zeros((1, DIMN)), [[0, 1, 2]])
+    with pytest.raises(ConfigError):
+        Form(np.ones(2), np.zeros((1, DIMN)), [[0, 1, 2, 3]])
+    with pytest.raises(ConfigError):
+        Form(np.ones(1), np.zeros((1, DIMN)), [[0, 1, 2, DIMN]])
 
 
 def test_contraction_is_the_partial_pairing_determinant():
@@ -35,92 +62,146 @@ def test_contraction_is_the_partial_pairing_determinant():
     # determinant of factor/vector pairings
     rng = np.random.default_rng(0)
     for trial in range(5):
-        t = _term(rng, coeff=rng.normal())
+        form = _form(rng, terms=1)
         vecs = _vectors(rng)
         w = rng.normal(size=DIMN)
-        cov = contract_term(t, vecs, DIMN)
-        full = np.array([[f.pair(v) for v in vecs + [w]]
-                         for f in t.factors])
+        cov = contract_terms(form, vecs, DIMN)
+        full = _factors(form)[0] @ np.array(vecs + [w]).T
         assert cov @ w == pytest.approx(
-            t.coefficient * np.linalg.det(full), rel=1e-10, abs=1e-10)
+            form.coef[0] * np.linalg.det(full), rel=1e-10, abs=1e-10)
 
 
 def test_contraction_antisymmetry_under_vector_swap():
     rng = np.random.default_rng(1)
-    t = _term(rng)
+    form = _form(rng)
     v = _vectors(rng)
-    a = contract_term(t, v, DIMN)
-    b = contract_term(t, [v[1], v[0], v[2], v[3]], DIMN)
+    a = contract_terms(form, v, DIMN)
+    b = contract_terms(form, [v[1], v[0], v[2], v[3]], DIMN)
     assert np.allclose(a, -b, atol=1e-12)
 
 
 def test_contraction_multilinearity():
     rng = np.random.default_rng(2)
-    t = _term(rng)
+    form = _form(rng)
     v = _vectors(rng)
     u = rng.normal(size=DIMN)
-    lhs = contract_term(t, [v[0], 2.0 * v[1] + 3.0 * u, v[2], v[3]], DIMN)
-    rhs = (2.0 * contract_term(t, v, DIMN)
-           + 3.0 * contract_term(t, [v[0], u, v[2], v[3]], DIMN))
+    lhs = contract_terms(form, [v[0], 2.0 * v[1] + 3.0 * u, v[2], v[3]],
+                         DIMN)
+    rhs = (2.0 * contract_terms(form, v, DIMN)
+           + 3.0 * contract_terms(form, [v[0], u, v[2], v[3]], DIMN))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_repeated_vector_annihilates():
     rng = np.random.default_rng(3)
-    t = _term(rng)
+    form = _form(rng)
     v = _vectors(rng)
-    out = contract_term(t, [v[0], v[1], v[0], v[2]], DIMN)
+    out = contract_terms(form, [v[0], v[1], v[0], v[2]], DIMN)
     assert np.abs(out).max() < 1e-12
 
 
 def test_volume_contraction_example():
     # dx0^dx1^dx2^dx3^dx4 contracted with e1..e4 leaves dx0
-    t = FormTerm(1.0, tuple(CoordDifferential(i) for i in range(5)))
     basis = np.eye(DIMN)
-    out = contract_term(t, [basis[1], basis[2], basis[3], basis[4]], DIMN)
-    want = np.zeros(DIMN)
-    want[0] = 1.0
-    assert np.allclose(out, want)
+    form = Form(np.ones(1), basis[:1], [[1, 2, 3, 4]])
+    out = contract_terms(form, basis[1:5], DIMN)
+    assert np.allclose(out, basis[0])
 
 
-def test_tangent_vector_wrapper_and_dimension_check():
-    t = FormTerm(1.0, tuple(CoordDifferential(i) for i in range(5)))
-    vecs = [TangentVector(np.eye(DIMN)[i]) for i in (1, 2, 3, 4)]
-    out = contract_term(t, vecs, DIMN)
-    assert out[0] == pytest.approx(1.0)
+def test_vector_count_and_dimension_check():
+    form = Form(np.ones(1), np.eye(DIMN)[:1], [[1, 2, 3, 4]])
     with pytest.raises(ConfigError):
-        contract_term(t, [np.zeros(3)] * 4, DIMN)
+        contract_terms(form, [np.zeros(3)] * 4, DIMN)
     with pytest.raises(ConfigError):
-        contract_term(t, [np.zeros(DIMN)] * 3, DIMN)
+        contract_terms(form, [np.zeros(DIMN)] * 3, DIMN)
+    with pytest.raises(ConfigError):
+        contract_terms(form, [np.zeros(DIMN + 1)] * 4, DIMN + 1)
 
 
 def test_contract_terms_distributes():
+    # a form is the sum of its terms: contracting the concatenation of two
+    # forms adds their contractions, and so does contracting term by term
     rng = np.random.default_rng(4)
-    ts = [_term(rng, coeff=rng.normal()) for _ in range(4)]
+    a, b = _form(rng), _form(rng, terms=5)
     v = _vectors(rng)
-    total = contract_terms(ts, v, DIMN)
-    assert np.allclose(total, sum(contract_term(t, v, DIMN) for t in ts))
+    both = Form(np.concatenate([a.coef, b.coef]),
+                np.concatenate([a.dense, b.dense]),
+                np.concatenate([a.coords, b.coords]))
+    total = contract_terms(both, v, DIMN)
+    assert np.allclose(total, contract_terms(a, v, DIMN)
+                       + contract_terms(b, v, DIMN), atol=1e-12)
+    single = [contract_terms(Form(both.coef[t:t + 1], both.dense[t:t + 1],
+                                  both.coords[t:t + 1]), v, DIMN)
+              for t in range(len(both))]
+    assert np.allclose(total, sum(single), atol=1e-12)
 
 
-def test_volume_factors_signs():
-    full, sign = volume_factors()
-    assert [f.index for f in full] == [0, 1, 2, 3] and sign == 1.0
+def test_volume_slot_signs():
+    # i(d/dx^mu) dx0^dx1^dx2^dx3 = VOL_SIGN[mu] dx^VOL_SLOTS[mu]: so
+    # dx4 ^ d4x on (e_mu, e_VOL_SLOTS[mu]) leaves VOL_SIGN[mu] dx4
+    basis = np.eye(DIMN)
+    form = Form(np.ones(1), basis[4:5], [[0, 1, 2, 3]])
     for mu in range(4):
-        facs, sign = volume_factors(exclude=mu)
-        assert [f.index for f in facs] == [i for i in range(4) if i != mu]
-        assert sign == (-1.0) ** mu
+        assert list(VOL_SLOTS[mu]) == [i for i in range(4) if i != mu]
+        assert VOL_SIGN[mu] == (-1.0) ** mu
+        vecs = basis[[mu, *VOL_SLOTS[mu]]]
+        assert np.allclose(contract_terms(form, vecs, DIMN),
+                           VOL_SIGN[mu] * basis[4])
+
+
+def test_cartan_form_layout():
+    # one volume term, then row k of the momenta paired with coordinate
+    # first + k // 4 and the slots of i(d/dx^(k % 4)) d4x, signed negative
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(9, DIMN))
+    form = cartan_form(dense, 2)
+    assert len(form) == 9
+    assert form.coef[0] == 1.0 and list(form.coords[0]) == [0, 1, 2, 3]
+    for k in range(8):
+        mu = k % 4
+        assert form.coef[k + 1] == -(-1.0) ** mu
+        assert list(form.coords[k + 1]) == [2 + k // 4] + [
+            i for i in range(4) if i != mu]
+    assert np.array_equal(form.dense, dense)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_wedge_shuffle_of_dense_factors(seed):
-    # swapping two adjacent factors flips the sign of the contraction
+def test_coordinate_slot_permutation_parity(seed):
+    # permuting the four coordinate differentials of every term multiplies
+    # the contraction by the permutation's parity
     rng = np.random.default_rng(seed)
-    facs = [DenseCovector(rng.normal(size=DIMN)) for _ in range(5)]
-    i = int(rng.integers(4))
-    swapped = list(facs)
-    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    form = _form(rng)
     v = _vectors(rng)
-    a = contract_term(FormTerm(1.0, tuple(facs)), v, DIMN)
-    b = contract_term(FormTerm(1.0, tuple(swapped)), v, DIMN)
-    assert np.allclose(a, -b, atol=1e-9)
+    base = contract_terms(form, v, DIMN)
+    for perm in itertools.permutations(range(4)):
+        parity = np.linalg.det(np.eye(4)[list(perm)])
+        moved = Form(form.coef, form.dense, form.coords[:, perm])
+        assert np.allclose(contract_terms(moved, v, DIMN), parity * base,
+                           atol=1e-9)
+
+
+@pytest.mark.parametrize("model, metric, x", [
+    ("eh", "flrw", (0.7, 0.2, -0.1, 0.3)),
+    ("ep", "desitter", (0.4, 0.2, -0.1, 0.3)),
+    ("ep", "torsion", (0.1, 5.0, 1.2, 3.0)),
+])
+def test_cartan_contraction_matches_laplace_reference(model, metric, x):
+    # the model forms through the batched contraction against a per-term
+    # 5x5 Laplace expansion, on points where the covector is nonzero
+    if metric == "torsion":
+        spec = catalog.load_metric_file(str(TORSION))
+    else:
+        spec = catalog.builtin(metric)
+    if model == "eh":
+        p = catalog.eh_point_at(spec, x, order=4)
+        form, dim = eh.cartan_form_eh(p), EH_DIM_J3
+    else:
+        p = catalog.ep_point_at(spec, x)
+        form, dim = ep.cartan_form_ep(p), EP_DIM_J1
+    lifts = tangent_lifts(p)
+    got = contract_terms(form, lifts, dim)
+    want = _laplace_reference(form, lifts)
+    scale = np.abs(want).max()
+    assert scale > 1e-3
+    assert np.abs(got - want).max() <= 1e-12 * scale

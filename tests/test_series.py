@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -143,6 +144,31 @@ def test_powi_negative_matches_reciprocal():
     b = 1.0 / (s * s * s)
     for m in multi_indices(s.order):
         assert a.coeff(m) == pytest.approx(b.coeff(m), rel=1e-12, abs=1e-12)
+
+
+def test_powi_matches_repeated_multiplication():
+    base = (0.8, 0.0, 0.3, 0.0)
+    x = var(0, base=base)
+    s = 1.0 + x - 0.5 * var(2, base=base) * x
+    for n in range(10):
+        want = const(1.0, base=base)
+        for _ in range(n):
+            want = want * s
+        for sign in (1, -1):
+            got = s.powi(sign * n)
+            ref = want if sign > 0 else want.reciprocal()
+            assert np.allclose(got.coeffs, ref.coeffs, rtol=1e-12,
+                               atol=1e-12), (n, sign)
+    # squaring keeps a huge exponent cheap: (1 + v)^n has coefficients
+    # C(n, k), all finite for n = 10^9 at degree 4
+    one = var(1, base=(0.0, 1.0, 0.0, 0.0))
+    t0 = time.perf_counter()
+    big = one.powi(10 ** 9)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.isfinite(big.coeffs).all()
+    assert big.coeff((0, 1, 0, 0)) == pytest.approx(1e9)
+    assert big.coeff((0, 4, 0, 0)) == pytest.approx(math.comb(10 ** 9, 4),
+                                                     rel=1e-6)
 
 
 def test_finite_difference_oracle_on_composite():
