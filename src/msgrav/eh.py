@@ -5,10 +5,13 @@ contraction, and projectability checks.
 Momenta are computed twice on purpose: once by differentiating the
 Lagrangian (tangent passes through the array kernels) and once from the
 closed forms, written as einsums; the two routes referee the
-ordered-index multiplicity conventions against each other. The
-closed-form Hamiltonian sums over full index ranges, the sum form over
-ordered ones. Fiber functions read a point's ordered blocks, as arrays,
-Tan or Jet2, and expand them through `indexing.PAIR_FULL`.
+ordered-index multiplicity conventions against each other. One gradient
+pass per evaluation point, dg and d2g seeded together, gives L and both
+AD momenta; the closed forms read (g, dg) only, so they are computed once
+per (g, dg) and shared by the projectability trials. The closed-form
+Hamiltonian sums over full index ranges, the sum form over ordered ones.
+Fiber functions read a point's ordered blocks, as arrays, Tan or Jet2,
+and expand them through `indexing.PAIR_FULL`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import ConfigError
 from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EH_DIM_J3, EH_OFF, EHJetPoint, derivatives,
                          fiber_gradient, fiber_hessian, fiber_jacobian,
-                         tangent_lifts, total_derivatives_vec)
+                         perturbed, tangent_lifts, total_derivatives_vec)
 from .geometry import curvature_bundle, metric_inverse_density
 from .indexing import DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import Jet2, einsum
@@ -87,43 +90,39 @@ def lagrangian_eh(p: EHJetPoint) -> float:
 
 @dataclass(frozen=True)
 class EHMomenta:
+    L: float
     L2_ad: np.ndarray       # (10, 10): (1/n(mn)) dL/d g_{ab,mn}
     L2_closed: np.ndarray   # (10, 10): closed form
+    L2_jac: np.ndarray      # (10, 10, 10): closed form by g
     L1: np.ndarray          # (10, 4)
     H_sum: float
     H_closed: float
 
 
-def momenta2_ad(p: EHJetPoint) -> np.ndarray:
-    """Second-order momenta by tangent propagation, with 1/n(mn) applied."""
-    grad = fiber_gradient(lagrangian_fn, p, ["d2g"]).g
-    return grad.reshape(NPAIR, NPAIR) / MULT
-
-
-def momenta1(p: EHJetPoint, l2_jac=None) -> np.ndarray:
-    """First-order momenta: dL/d g_{ab,m} - sum_n D_n L^{ab,mn}.
-
-    The total derivative only reaches the metric block because the closed
-    second-order momenta depend on g alone.
-    """
-    dldv = fiber_gradient(lagrangian_fn, p, ["dg"]).g.reshape(NPAIR, DIM)
-    if l2_jac is None:
-        _, l2_jac = fiber_jacobian(momenta2_closed_fn, p, ["g"])
+def _momenta_ad(p: EHJetPoint, l2_closed, l2_jac, h_closed) -> EHMomenta:
+    """The AD momenta at p from one gradient pass of L over (dg, d2g),
+    completed by the closed forms of p's (g, dg). L1 is dL/d g_{ab,m} -
+    sum_n D_n L^{ab,mn}; the total derivative only reaches the metric
+    block because the closed second-order momenta depend on g alone."""
+    grad = fiber_gradient(lagrangian_fn, p, ["dg", "d2g"])
+    dldv = grad.g[:NPAIR * DIM].reshape(NPAIR, DIM)
+    l2_ad = grad.g[NPAIR * DIM:].reshape(NPAIR, NPAIR) / MULT
     # D_n L2[a, (mu nu)] = sum_b dL2/dg_b g_{b,n}, taken at n = nu
     dl2 = np.einsum("amb,bn->amn", l2_jac, p.dg)[:, PAIR_FULL]
-    return dldv - np.einsum("amnn->am", dl2)
-
-
-def momenta_and_hamiltonian(p: EHJetPoint) -> EHMomenta:
-    l2_ad = momenta2_ad(p)
-    l2_closed, l2_jac = fiber_jacobian(momenta2_closed_fn, p, ["g"])
-    l1 = momenta1(p, l2_jac)
+    l1 = dldv - np.einsum("amnn->am", dl2)
+    lag = float(grad.v)
     # The second-order sum runs over full derivative-index ranges, which in
     # ordered storage is a multiplicity weight per column.
     h_sum = (float(np.sum(l2_ad * p.d2g * MULT))
-             + float(np.sum(l1 * p.dg)) - lagrangian_eh(p))
-    return EHMomenta(L2_ad=l2_ad, L2_closed=l2_closed, L1=l1,
-                     H_sum=h_sum, H_closed=float(hamiltonian_closed_fn(p)))
+             + float(np.sum(l1 * p.dg)) - lag)
+    return EHMomenta(L=lag, L2_ad=l2_ad, L2_closed=l2_closed, L2_jac=l2_jac,
+                     L1=l1, H_sum=h_sum, H_closed=h_closed)
+
+
+def momenta_and_hamiltonian(p: EHJetPoint) -> EHMomenta:
+    l2_closed, l2_jac = fiber_jacobian(momenta2_closed_fn, p, ["g"])
+    return _momenta_ad(p, l2_closed, l2_jac,
+                       float(hamiltonian_closed_fn(p)))
 
 
 def constraint_einstein_derivative(p: EHJetPoint) -> np.ndarray:
@@ -146,8 +145,9 @@ def holonomy_residuals(p: EHJetPoint, metric_series):
 
 # -- Poincare-Cartan form and field equations -------------------------------
 
-def _momenta1_differentials(p: EHJetPoint) -> np.ndarray:
-    """Dense differentials of the 40 first-order momenta, (40, 354).
+def _momenta1_differentials(p: EHJetPoint):
+    """Dense differentials of the 40 first-order momenta, (40, 354), and
+    the g-Jacobian of the closed second-order momenta, (10, 10, 10).
 
     Support is on the (g, dg) block: the remaining components vanish by
     the projectability of the form, which projectability_check verifies
@@ -164,7 +164,7 @@ def _momenta1_differentials(p: EHJetPoint) -> np.ndarray:
                                  l2.m[:, PAIR_FULL]).reshape(-1, NPAIR)
     rows[:, dg0:d2g0] -= np.einsum("amnb->ambn",
                                    l2.a[:, PAIR_FULL]).reshape(-1, d2g0 - dg0)
-    return rows
+    return rows, l2.a
 
 
 def cartan_form_eh(p: EHJetPoint) -> Form:
@@ -174,8 +174,7 @@ def cartan_form_eh(p: EHJetPoint) -> Form:
     with the differential of g_{a,mu} and i(d/dx^nu) d4x."""
     g0, dg0, d2g0 = EH_OFF["g"], EH_OFF["dg"], EH_OFF["d2g"]
     dh = fiber_gradient(hamiltonian_closed_fn, p, ["g", "dg"]).g
-    dl1 = _momenta1_differentials(p)
-    _, l2_jac = fiber_jacobian(momenta2_closed_fn, p, ["g"])
+    dl1, l2_jac = _momenta1_differentials(p)
     # allocated after the AD passes so their temporaries are already freed
     n1 = len(dl1)
     dense = np.zeros((1 + n1 * (1 + DIM), EH_DIM_J3))
@@ -198,31 +197,24 @@ def verify_field_equation(p: EHJetPoint) -> float:
 
 # -- projectability ---------------------------------------------------------
 
-def _perturbed(rng, arr):
-    u = rng.uniform(-0.1, 0.1, size=arr.shape)
-    return arr + u * (1.0 + np.abs(arr))
-
-
-def projectability_check(p: EHJetPoint, trials: int, seed: int):
+def projectability_check(p: EHJetPoint, base: EHMomenta, trials: int,
+                         seed: int):
     """Randomize the order-2/3 blocks; the projectable data must not move.
-
-    Returns (max deviation of H/L2/L1, max deviation of L itself); the
-    second entry is the control showing L is genuinely second order.
+    `base` is momenta_and_hamiltonian(p). L2_closed and H_closed read only
+    (g, dg), which the trials keep: they are projectable by construction,
+    so the trials reuse them and compare the AD momenta and H_sum.
+    Returns (max deviation of H_sum/L2_ad/L1, max deviation of L itself);
+    the second entry is the control showing L is genuinely second order.
     """
     rng = np.random.default_rng(seed)
-    base = momenta_and_hamiltonian(p)
-    base_l = lagrangian_eh(p)
     dev, control = 0.0, 0.0
     for _ in range(trials):
         q = EHJetPoint(x=p.x, g=p.g, dg=p.dg,
-                       d2g=_perturbed(rng, p.d2g), d3g=_perturbed(rng, p.d3g),
+                       d2g=perturbed(rng, p.d2g), d3g=perturbed(rng, p.d3g),
                        d4g=p.d4g)
-        m = momenta_and_hamiltonian(q)
-        dev = max(dev,
-                  abs(m.H_closed - base.H_closed),
-                  abs(m.H_sum - base.H_sum),
-                  float(np.abs(m.L2_closed - base.L2_closed).max()),
+        m = _momenta_ad(q, base.L2_closed, base.L2_jac, base.H_closed)
+        dev = max(dev, abs(m.H_sum - base.H_sum),
                   float(np.abs(m.L2_ad - base.L2_ad).max()),
                   float(np.abs(m.L1 - base.L1).max()))
-        control = max(control, abs(lagrangian_eh(q) - base_l))
+        control = max(control, abs(m.L - base.L))
     return dev, control

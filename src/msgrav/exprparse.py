@@ -262,15 +262,6 @@ def evaluate(node, env: dict):
 
 def pretty(node) -> str:
     """Minimal-parenthesis rendering; re-parsing it reproduces the tree."""
-    def prec(n):
-        if isinstance(n, BinOp):
-            return 1 if n.op in "+-" else 2
-        if isinstance(n, Neg):
-            return 3
-        if isinstance(n, Pow):
-            return 4
-        return 5
-
     def render(n, ctx):
         if isinstance(n, Num):
             s = repr(n.value)

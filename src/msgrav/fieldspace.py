@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateMetricError
 from .indexing import (DIM, PAIR_FULL, PAIR_UP, PAIRS, QUADS, TRIPLE_UP,
                        TRIPLES)
+from .series import derivative_table
 from .tangents import Jet2, Tan
 
 # Flat coordinate layout of the order-3 metric jet space:
@@ -131,8 +132,11 @@ class EPJetPoint:
 def derivatives(series, combos) -> np.ndarray:
     """Partial derivatives of each series at its base point, one column per
     index tuple of `combos`: m! times the Taylor coefficients."""
-    return np.array([[s.derivative([c.count(mu) for mu in range(DIM)])
-                      for c in combos] for s in series])
+    orders = {s.order for s in series}
+    if len(orders) != 1:
+        raise ConfigError("series have mixed truncation orders")
+    pos, weights = derivative_table(orders.pop(), tuple(combos))
+    return np.stack([s.coeffs for s in series])[:, pos] * weights
 
 
 def prolong(metric_series, order: int = 3) -> EHJetPoint:
@@ -146,16 +150,22 @@ def prolong(metric_series, order: int = 3) -> EHJetPoint:
     s0 = metric_series[0]
     if len(metric_series) != EH_NG:
         raise ConfigError("need the 10 ordered metric component series")
-    for s in metric_series:
-        if s.base != s0.base or s.order != s0.order:
-            raise ConfigError("metric series have mixed base points or orders")
-        if s.order < order:
-            raise ConfigError("metric series truncated below prolongation order")
+    if any(s.base != s0.base for s in metric_series):
+        raise ConfigError("metric series have mixed base points")
+    # mixed truncation orders are rejected by `derivatives`
+    if min(s.order for s in metric_series) < order:
+        raise ConfigError("metric series truncated below prolongation order")
     combos = ([()], [(mu,) for mu in range(DIM)], PAIRS, TRIPLES, QUADS)
     g, dg, d2g, d3g, *d4g = [derivatives(metric_series, c)
                              for c in combos[:order + 1]]
     return EHJetPoint(x=np.array(s0.base), g=g[:, 0], dg=dg, d2g=d2g,
                       d3g=d3g, d4g=d4g[0] if d4g else None)
+
+
+def perturbed(rng, arr):
+    """A random jet block near arr, for projectability trials."""
+    u = rng.uniform(-0.1, 0.1, size=arr.shape)
+    return arr + u * (1.0 + np.abs(arr))
 
 
 # -- fiber differentiation --------------------------------------------------

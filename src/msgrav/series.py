@@ -86,6 +86,15 @@ def _factorial_weight(m: tuple[int, ...]) -> float:
     return float(w)
 
 
+@lru_cache(maxsize=None)
+def derivative_table(order: int, combos: tuple):
+    """(positions, weights): coeffs[positions] * weights are the partials
+    at the base point named by the index tuples of `combos`."""
+    ms = [tuple(c.count(v) for v in range(NVARS)) for c in combos]
+    return (np.array([_index_map(order)[m] for m in ms], dtype=np.intp),
+            np.array([_factorial_weight(m) for m in ms]))
+
+
 class JetScalar:
     """Immutable truncated Taylor series; all operations are pure."""
 

@@ -100,10 +100,12 @@ def test_acceptance_5_nonvacuum_control():
 def test_acceptance_6_projectability():
     p_eh = catalog.eh_point_at(catalog.builtin("schwarzschild"),
                                (0.0, 5.0, 1.2, 3.0))
-    dev_eh, ctrl_eh = eh.projectability_check(p_eh, trials=10, seed=3)
+    dev_eh, ctrl_eh = eh.projectability_check(
+        p_eh, eh.momenta_and_hamiltonian(p_eh), trials=10, seed=3)
     p_ep = catalog.ep_point_at(catalog.builtin("flrw"),
                                (0.3, 0.1, 0.2, -0.4))
-    dev_ep, ctrl_ep, _ = ep.projectability_check_ep(p_ep, trials=10, seed=3)
+    dev_ep, ctrl_ep, _ = ep.projectability_check_ep(
+        p_ep, ep.momenta_ep(p_ep), trials=10, seed=3)
     ok = (dev_eh <= 1e-10 and dev_ep <= 1e-10
           and ctrl_eh > 1e-3 and ctrl_ep > 1e-3)
     _verdict(6, f"projectability, dev {max(dev_eh, dev_ep):.2e} "

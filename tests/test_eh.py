@@ -4,13 +4,16 @@ import pytest
 from conftest import interior_points
 from msgrav import catalog, eh
 from msgrav.errors import ConfigError
-from msgrav.fieldspace import EHJetPoint, flat_index, prolong
+from msgrav.fieldspace import (EHJetPoint, fiber_gradient, fiber_jacobian,
+                               flat_index, prolong)
 from msgrav.geometry import einstein_suite
-from msgrav.indexing import DIM, PAIRS, mult, pair_index
+from msgrav.indexing import DIM, MULT, PAIRS, mult, pair_index
+from msgrav.tangents import einsum, sqrt
 
 MID = {
     "minkowski": (0.0, 0.0, 0.0, 0.0),
     "schwarzschild": (0.0, 5.0, 1.2, 3.0),
+    "kasner": (1.5, 0.2, -0.3, 0.4),
     "flrw": (0.0, 0.2, -0.1, 0.3),
 }
 
@@ -77,7 +80,6 @@ def test_first_order_momenta_base_space_oracle():
         y[nu] += s
         return eh.momenta2_closed_fn(catalog.eh_point_at(spec, y, order=3))
 
-    from msgrav.fieldspace import fiber_gradient
     dldv = fiber_gradient(eh.lagrangian_fn, p, ["dg"]).g.reshape(10, DIM)
     want = dldv.copy()
     for nu in range(DIM):
@@ -85,8 +87,95 @@ def test_first_order_momenta_base_space_oracle():
         for a in range(10):
             for mu in range(DIM):
                 want[a, mu] -= dl2[a, pair_index(mu, nu)]
-    got = eh.momenta1(p)
+    got = eh.momenta_and_hamiltonian(p).L1
     assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
+
+
+def _close(got, want, rel):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def _total_derivative_term(jac, dg):
+    """sum_nu D_nu L2[a, (mu nu)] by index loops, from the closed g-Jacobian."""
+    out = np.zeros((10, DIM))
+    for a in range(10):
+        for mu in range(DIM):
+            for nu in range(DIM):
+                out[a, mu] += jac[a, pair_index(mu, nu)] @ dg[:, nu]
+    return out
+
+
+@pytest.mark.parametrize("name", ["schwarzschild", "kasner", "flrw"])
+def test_fused_pass_matches_single_block_passes(name):
+    p = point(name)
+    m = eh.momenta_and_hamiltonian(p)
+    l2 = fiber_gradient(eh.lagrangian_fn, p, ["d2g"]).g.reshape(10, 10)
+    assert _close(m.L2_ad, l2 / MULT, 1e-14)
+    l2_closed, jac = fiber_jacobian(eh.momenta2_closed_fn, p, ["g"])
+    assert _close(m.L2_closed, l2_closed, 1e-14)
+    assert _close(m.L2_jac, jac, 1e-14)
+    dldv = fiber_gradient(eh.lagrangian_fn, p, ["dg"]).g.reshape(10, DIM)
+    assert _close(m.L1 + _total_derivative_term(jac, p.dg), dldv, 1e-14)
+    lag = eh.lagrangian_eh(p)
+    assert abs(m.L - lag) <= 1e-14 * abs(lag)
+
+
+def _reference_projectability(p, trials, seed):
+    """Every trial recomputed in full from single-block passes and the
+    closed forms at the trial point."""
+    def momenta(q):
+        l2 = fiber_gradient(eh.lagrangian_fn, q, ["d2g"]).g.reshape(10, 10)
+        l2 = l2 / MULT
+        _, jac = fiber_jacobian(eh.momenta2_closed_fn, q, ["g"])
+        dldv = fiber_gradient(eh.lagrangian_fn, q, ["dg"]).g.reshape(10, DIM)
+        l1 = dldv - _total_derivative_term(jac, q.dg)
+        lag = eh.lagrangian_eh(q)
+        h = np.sum(l2 * q.d2g * MULT) + np.sum(l1 * q.dg) - lag
+        return lag, l2, l1, h
+
+    def perturbed(arr):
+        return arr + rng.uniform(-0.1, 0.1, size=arr.shape) * (
+            1.0 + np.abs(arr))
+
+    rng = np.random.default_rng(seed)
+    lag0, l20, l10, h0 = momenta(p)
+    dev, control = 0.0, 0.0
+    for _ in range(trials):
+        q = EHJetPoint(x=p.x, g=p.g, dg=p.dg, d2g=perturbed(p.d2g),
+                       d3g=perturbed(p.d3g), d4g=p.d4g)
+        lag, l2, l1, h = momenta(q)
+        dev = max(dev, abs(h - h0), np.abs(l2 - l20).max(),
+                  np.abs(l1 - l10).max())
+        control = max(control, abs(lag - lag0))
+    return dev, control
+
+
+def _check_against_reference(p, trials, seed):
+    base = eh.momenta_and_hamiltonian(p)
+    got = eh.projectability_check(p, base, trials=trials, seed=seed)
+    return got, _reference_projectability(p, trials, seed)
+
+
+def test_projectability_matches_reference_loop():
+    (dev, control), (dev_ref, control_ref) = _check_against_reference(
+        point("schwarzschild"), trials=3, seed=4)
+    assert dev < 1e-10 and dev_ref < 1e-10
+    assert control == pytest.approx(control_ref, rel=1e-12)
+    assert control > 1e-3
+
+
+def test_projectability_fails_a_lagrangian_not_affine_in_d2g(monkeypatch):
+    # the added term is homogeneous of degree one in d2g, so it leaves the
+    # Hamiltonian alone while its momenta move with d2g: the check must
+    # fail through the momenta, by exactly the reference loop's deviation
+    lagrangian = eh.lagrangian_fn
+    monkeypatch.setattr(eh, "lagrangian_fn", lambda pt: lagrangian(pt)
+                        + 0.1 * sqrt(einsum("am,am->", pt.d2g, pt.d2g)))
+    (dev, control), (dev_ref, control_ref) = _check_against_reference(
+        point("flrw"), trials=3, seed=4)
+    assert dev > 1e-3
+    assert dev == pytest.approx(dev_ref, rel=1e-12)
+    assert control == pytest.approx(control_ref, rel=1e-12)
 
 
 def test_einstein_constraint_matches_curvature_suite():
@@ -174,7 +263,8 @@ def test_field_equation_covector_reproduces_constraints_off_shell():
 
 def test_projectability_and_control():
     p = point("schwarzschild")
-    dev, control = eh.projectability_check(p, trials=5, seed=0)
+    dev, control = eh.projectability_check(
+        p, eh.momenta_and_hamiltonian(p), trials=5, seed=0)
     assert dev < 1e-10
     assert control > 1e-3  # the Lagrangian genuinely reaches order two
 

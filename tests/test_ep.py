@@ -224,7 +224,8 @@ def test_projective_shift_moves_ricci_but_not_lagrangian():
 def test_projectability_and_controls():
     spec = catalog.builtin("schwarzschild")
     p = catalog.ep_point_at(spec, (0.0, 5.0, 1.2, 3.0))
-    dev, control, h_dgamma = ep.projectability_check_ep(p, trials=5, seed=0)
+    dev, control, h_dgamma = ep.projectability_check_ep(
+        p, ep.momenta_ep(p), trials=5, seed=0)
     assert dev < 1e-10
     assert control > 1e-3
     assert h_dgamma < 1e-12

@@ -5,11 +5,12 @@ from msgrav import catalog
 from msgrav.errors import ConfigError, DegenerateMetricError
 from msgrav.eh import lagrangian_fn
 from msgrav.fieldspace import (EH_DIM_E, EH_DIM_J3, EH_OFF, EP_DIM_E,
-                               EP_DIM_J1, EHJetPoint, EPJetPoint, eh_coords,
-                               ep_coords, ep_flat_index, fiber_gradient,
-                               fiber_partial, flat_index, prolong,
-                               total_derivative, total_derivatives)
-from msgrav.indexing import PAIRS
+                               EP_DIM_J1, EHJetPoint, EPJetPoint, derivatives,
+                               eh_coords, ep_coords, ep_flat_index,
+                               fiber_gradient, fiber_partial, flat_index,
+                               prolong, total_derivative, total_derivatives)
+from msgrav.indexing import DIM, PAIRS, QUADS, TRIPLES
+from msgrav.series import JetScalar, multi_indices
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
 
@@ -70,6 +71,24 @@ def test_prolongation_is_holonomic():
     g11 = series[4]
     m = [0, 1, 1, 0]
     assert p.d2g[4, PAIRS.index((1, 2))] == g11.derivative(m)
+
+
+def test_derivatives_gather_equals_per_entry_derivative():
+    rng = np.random.default_rng(3)
+    combo_lists = ([()], [(mu,) for mu in range(DIM)], PAIRS, TRIPLES, QUADS)
+    for order in (2, 3, 4):
+        series = [JetScalar(order, (0.1, 0.2, 0.3, 0.4),
+                            rng.normal(size=len(multi_indices(order))))
+                  for _ in range(10)]
+        for combos in combo_lists[:order + 1]:
+            want = np.array([[s.derivative([c.count(mu) for mu in range(DIM)])
+                              for c in combos] for s in series])
+            got = derivatives(series, combos)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+    mixed = [JetScalar.constant(1.0, (0, 0, 0, 0), order=k) for k in (3, 4)]
+    with pytest.raises(ConfigError):
+        derivatives(mixed, PAIRS)
 
 
 def test_fiber_gradient_matches_rebuilt_points():

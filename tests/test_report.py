@@ -71,6 +71,51 @@ def test_ep_families_on_levi_civita():
         "torsion-derivative", "integrability", "field-equation"}
 
 
+MINKOWSKI = """[metric]
+g 0 0 = -1
+g 1 1 = 1
+g 2 2 = 1
+g 3 3 = 1
+[connection]
+"""
+SCHWARZSCHILD = """[metric]
+g 0 0 = -(1 - 2*m/x1)
+g 1 1 = 1/(1 - 2*m/x1)
+g 2 2 = x1^2
+g 3 3 = x1^2*sin(x2)^2
+[params]
+m = 1
+[domain]
+x1 = 3..10
+x2 = 0.3..2.8
+x3 = 0..6
+[connection]
+"""
+LADDER = ("pre-metricity", "torsion", "torsion-derivative", "integrability")
+
+
+@pytest.mark.parametrize("text, failing", [
+    # a projective shift of Levi-Civita: the ladder is blind to it
+    (MINKOWSKI + "".join(f"Gamma {c} 1 {c} = 0.1*x0\n" for c in range(4)),
+     set()),
+    # symmetric but not metric-compatible
+    (MINKOWSKI + "Gamma 1 1 2 = 0.1*x0\nGamma 1 2 1 = 0.1*x0\n",
+     {"pre-metricity", "integrability", "metric-equation"}),
+    # torsionful
+    (SCHWARZSCHILD + "Gamma 1 0 2 = 0.1*x1\n",
+     {*LADDER, "metric-equation"}),
+])
+def test_ep_constraint_ladder_negative_controls(tmp_path, text, failing):
+    path = tmp_path / "spec.metric"
+    path.write_text(text, encoding="utf-8")
+    spec = catalog.load_metric_file(str(path))
+    r = run_check(CheckConfig(model="ep", spec=spec, points=4, seed=0))
+    flags = {f["family"]: f["pass"] for f in r.families}
+    for fam in (*LADDER, "metric-equation"):
+        assert flags[fam] == (fam not in failing), fam
+    assert (r.verdict == "pass") == (not failing)
+
+
 def test_json_report_is_valid_and_full_precision():
     r = run_check(cfg(metric="flrw", points=3))
     text = report_json(r)
