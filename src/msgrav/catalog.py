@@ -19,7 +19,8 @@ from .exprparse import (FUNCTIONS, VARIABLES, evaluate, free_names,
                         parse_expression)
 from .fieldspace import EHJetPoint, EPJetPoint, derivatives, prolong
 from .geometry import christoffel, metric_inverse_density
-from .indexing import DIM, PAIR_FULL, PAIR_ROWS, PAIRS, TRIPLE_FULL, pair_index
+from .indexing import (DERIVS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS, TRIPLE_FULL,
+                       pair_index)
 from .series import JetScalar
 from .tangents import Jet2
 
@@ -127,8 +128,8 @@ def ep_point_at(spec: MetricSpec, x, metric: EHJetPoint | None = None
             v = _evaluate(tree, env)
             s = v if isinstance(v, JetScalar) else const + v
             Gamma[lmn] = s.value()
-            dGamma[lmn] = derivatives([s], [(r,) for r in range(DIM)])[0]
-            d2Gamma[lmn] = derivatives([s], PAIRS)[0]
+            dGamma[lmn] = derivatives([s], DERIVS[1])[0]
+            d2Gamma[lmn] = derivatives([s], DERIVS[2])[0]
     return EPJetPoint(x=np.asarray(x, dtype=float), g=p.g, Gamma=Gamma,
                       dg=p.dg, dGamma=dGamma, d2g=p.d2g, d2Gamma=d2Gamma)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import catalog
 from .errors import ConfigError, DomainError, MsgravError
 from .fieldspace import prolong
-from .indexing import DIM, PAIRS, TRIPLES
+from .indexing import DERIVS, DIM, PAIRS
 from .report import CheckConfig, ConstraintReport, emit_report, run_check
 from .version import VERSION
 
@@ -94,25 +94,15 @@ def _cmd_jets(args) -> int:
     print(f"metric {spec.name!r} at x = {x}")
     for i, (a, b) in enumerate(PAIRS):
         print(f"g[{a}{b}] = {p.g[i]:.12g}")
-    for i, (a, b) in enumerate(PAIRS):
-        nz = {f"d{mu}": p.dg[i, mu] for mu in range(DIM)
-              if abs(p.dg[i, mu]) > 1e-15}
-        if nz:
-            print(f"dg[{a}{b}] = " + ", ".join(
-                f"{k}:{v:.12g}" for k, v in nz.items()))
-    for i, (a, b) in enumerate(PAIRS):
-        nz = {f"d{m}{n}": p.d2g[i, j] for j, (m, n) in enumerate(PAIRS)
-              if abs(p.d2g[i, j]) > 1e-15}
-        if nz:
-            print(f"d2g[{a}{b}] = " + ", ".join(
-                f"{k}:{v:.12g}" for k, v in nz.items()))
-    for i, (a, b) in enumerate(PAIRS):
-        nz = {f"d{m}{n}{r}": p.d3g[i, j]
-              for j, (m, n, r) in enumerate(TRIPLES)
-              if abs(p.d3g[i, j]) > 1e-15}
-        if nz:
-            print(f"d3g[{a}{b}] = " + ", ".join(
-                f"{k}:{v:.12g}" for k, v in nz.items()))
+    for order, name in enumerate(("dg", "d2g", "d3g"), start=1):
+        block = getattr(p, name)
+        for i, (a, b) in enumerate(PAIRS):
+            nz = {"d" + "".join(map(str, c)): block[i, j]
+                  for j, c in enumerate(DERIVS[order])
+                  if abs(block[i, j]) > 1e-15}
+            if nz:
+                print(f"{name}[{a}{b}] = " + ", ".join(
+                    f"{k}:{v:.12g}" for k, v in nz.items()))
     return 0
 
 

@@ -27,7 +27,7 @@ from .fieldspace import (EH_DIM_J3, EH_OFF, EHJetPoint, derivatives,
                          fiber_gradient, fiber_hessian, fiber_jacobian,
                          perturbed, tangent_lifts, total_derivatives_vec)
 from .geometry import curvature_bundle, metric_inverse_density
-from .indexing import DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
+from .indexing import DERIVS, DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import Jet2, einsum
 
 NPAIR = len(PAIRS)
@@ -139,8 +139,8 @@ def holonomy_residuals(p: EHJetPoint, metric_series):
     of the derivative pair, is the section's second derivative itself, so
     prolongations are exact zeros.
     """
-    return (p.dg - derivatives(metric_series, [(mu,) for mu in range(DIM)]),
-            p.d2g - derivatives(metric_series, PAIRS))
+    return (p.dg - derivatives(metric_series, DERIVS[1]),
+            p.d2g - derivatives(metric_series, DERIVS[2]))
 
 
 # -- Poincare-Cartan form and field equations -------------------------------
@@ -188,7 +188,7 @@ def cartan_form_eh(p: EHJetPoint) -> Form:
 def field_equation_covector(p: EHJetPoint) -> np.ndarray:
     """i(X0)...i(X3) of the 5-form, X_tau the section's tangent lifts."""
     lifts = tangent_lifts(p)
-    return contract_terms(cartan_form_eh(p), lifts, EH_DIM_J3)
+    return contract_terms(cartan_form_eh(p), lifts)
 
 
 def verify_field_equation(p: EHJetPoint) -> float:

@@ -19,7 +19,7 @@ from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EP_DIM_J1, EP_OFF, EPJetPoint, fiber_gradient,
                          fiber_jacobian, perturbed, tangent_lifts)
 from .geometry import (metric_inverse_density, ricci_from_connection,
-                       scalar_curvature)
+                       scalar_curvature, torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import einsum
 
@@ -111,14 +111,12 @@ def constraint_premetricity(p: EPJetPoint) -> np.ndarray:
 
 def constraint_torsion(p: EPJetPoint) -> np.ndarray:
     """Trace-removed torsion, (4, 6) over the antisymmetric lower pair."""
-    T = p.Gamma - np.transpose(p.Gamma, (0, 2, 1))
-    return _apairs_of(trace_removal(T))
+    return _apairs_of(trace_removal(torsion_full(p.Gamma)))
 
 
 def constraint_torsion_deriv(p: EPJetPoint) -> np.ndarray:
     """Trace-removed torsion derivative, (4, 6, 4)."""
-    dT = p.dGamma - np.transpose(p.dGamma, (0, 2, 1, 3))
-    return _apairs_of(trace_removal(dT))
+    return _apairs_of(trace_removal(torsion_full(p.dGamma)))
 
 
 def constraint_integrability(p: EPJetPoint) -> np.ndarray:
@@ -203,7 +201,7 @@ def cartan_form_ep(p: EPJetPoint) -> Form:
 
 def field_equation_covector_ep(p: EPJetPoint) -> np.ndarray:
     lifts = tangent_lifts(p)
-    return contract_terms(cartan_form_ep(p), lifts, EP_DIM_J1)
+    return contract_terms(cartan_form_ep(p), lifts)
 
 
 def verify_field_equation_ep(p: EPJetPoint) -> float:

@@ -86,14 +86,15 @@ def _det4(m):
             - d * (e * jk_qr - f * ik_pr + g * ij_pq))
 
 
-def contract_terms(form: Form, vectors, dim: int) -> np.ndarray:
-    """i(v1) i(v2) i(v3) i(v4) of the form, as a dense covector of length
-    dim: per term, the cofactors of the pairing matrix weight its five
-    factors."""
+def contract_terms(form: Form, vectors) -> np.ndarray:
+    """i(v1) i(v2) i(v3) i(v4) of the form, as a dense covector over the
+    form's coordinates: per term, the cofactors of the pairing matrix
+    weight its five factors."""
     x = np.asarray(vectors, dtype=float)
+    dim = form.dense.shape[1]
     if x.ndim != 2 or len(x) != 4:
         raise ConfigError("contraction takes exactly 4 tangent vectors")
-    if x.shape[1] != dim or form.dense.shape[1] != dim:
+    if x.shape[1] != dim:
         raise ConfigError("tangent vector dimension mismatch")
     # pairing[f, v, t]: factor f of term t on vector v
     pairing = np.concatenate([(form.dense @ x.T).T[None],

@@ -1,6 +1,13 @@
 """Jet coordinates for the second-order metric bundle and the first-order
 metric-affine bundle, plus fiber differentiation and total derivatives.
 
+The block tables `EH_BLOCKS` and `EP_BLOCKS` are the one source of each
+jet space's coordinate layout: its blocks in flat order, with the shape
+of each block's ordered storage. The offsets and dimensions, the shape
+checks of the point classes, `flat_index` and the tangent lifts are all
+read off them; `EH_EXTENSIONS` and `EP_EXTENSIONS` declare the optional
+higher blocks a point may carry for total derivatives.
+
 Fiber functions are plain callables on a namespace of a point's blocks in
 their ordered storage. Differentiation seeds whole blocks at once: a
 block becomes a Tan (or Jet2) whose seed axis runs over its ordered
@@ -10,38 +17,59 @@ carry the derivatives through. Never finite differences.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError
-from .indexing import (DIM, PAIR_FULL, PAIR_UP, PAIRS, QUADS, TRIPLE_UP,
-                       TRIPLES)
+from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, QUADS, TRIPLES, UP
 from .series import derivative_table
 from .tangents import Jet2, Tan
 
-# Flat coordinate layout of the order-3 metric jet space:
-# x(4), g(10), dg(10x4), d2g(10x10), d3g(10x20) -> 354 coordinates.
-EH_NX = DIM
-EH_NG = len(PAIRS)
-EH_NDG = EH_NG * DIM
-EH_ND2G = EH_NG * len(PAIRS)
-EH_ND3G = EH_NG * len(TRIPLES)
-EH_OFF = {"x": 0, "g": EH_NX, "dg": EH_NX + EH_NG,
-          "d2g": EH_NX + EH_NG + EH_NDG,
-          "d3g": EH_NX + EH_NG + EH_NDG + EH_ND2G}
-EH_DIM_J3 = EH_NX + EH_NG + EH_NDG + EH_ND2G + EH_ND3G
-EH_DIM_E = EH_NX + EH_NG
+# Order-3 metric jets: x(4), g(10), dg(10x4), d2g(10x10), d3g(10x20),
+# 354 coordinates over a 14-dimensional bundle.
+EH_BLOCKS = {"x": (DIM,), "g": (len(PAIRS),), "dg": (len(PAIRS), DIM),
+             "d2g": (len(PAIRS), len(PAIRS)),
+             "d3g": (len(PAIRS), len(TRIPLES))}
+EH_EXTENSIONS = {"d4g": (len(PAIRS), len(QUADS))}
+# Metric-affine 1-jets: x(4), g(10), Gamma(64), dg(40), dGamma(256),
+# 374 coordinates over a 78-dimensional bundle.
+EP_BLOCKS = {"x": (DIM,), "g": (len(PAIRS),), "Gamma": (DIM,) * 3,
+             "dg": (len(PAIRS), DIM), "dGamma": (DIM,) * 4}
+EP_EXTENSIONS = {"d2g": (len(PAIRS), len(PAIRS)),
+                 "d2Gamma": (DIM,) * 3 + (len(PAIRS),)}
 
-# First-order metric-affine bundle: x(4), g(10), Gamma(64), dg(40),
-# dGamma(256) -> 374 coordinates; the underlying bundle has 78.
-EP_NGAMMA = DIM ** 3
-EP_OFF = {"x": 0, "g": EH_NX, "Gamma": EH_NX + EH_NG,
-          "dg": EH_NX + EH_NG + EP_NGAMMA,
-          "dGamma": EH_NX + EH_NG + EP_NGAMMA + EH_NDG}
-EP_DIM_J1 = EH_NX + EH_NG + EP_NGAMMA + EH_NDG + EP_NGAMMA * DIM
-EP_DIM_E = EH_NX + EH_NG + EP_NGAMMA
+# Each chain lists one field's blocks by derivative order; a block's
+# total-derivative shift is read off the next block of its chain.
+_CHAINS = (("g", "dg", "d2g", "d3g", "d4g"), ("Gamma", "dGamma", "d2Gamma"))
+_NEXT = {b: (c[k + 1], k) for c in _CHAINS for k, b in enumerate(c[:-1])}
+
+
+def _offsets(blocks):
+    """(flat offset of each block, total dimension) of a block table."""
+    ends = list(itertools.accumulate(math.prod(s) for s in blocks.values()))
+    return dict(zip(blocks, [0] + ends[:-1])), ends[-1]
+
+
+EH_OFF, EH_DIM_J3 = _offsets(EH_BLOCKS)
+EP_OFF, EP_DIM_J1 = _offsets(EP_BLOCKS)
+# the bundle coordinates are the blocks before the first derivatives
+EH_DIM_E = EH_OFF["dg"]
+EP_DIM_E = EP_OFF["dg"]
+
+
+def flat_index(blocks, cid) -> int:
+    """Position of a coordinate id (block, *index) in the flat layout of
+    the block table `blocks`."""
+    block, idx = cid[0], cid[1:]
+    try:
+        return _offsets(blocks)[0][block] + int(
+            np.ravel_multi_index(idx, blocks[block]))
+    except (KeyError, ValueError):
+        raise ConfigError(f"no flat slot for coordinate {cid}") from None
 
 
 def _check_lorentzian(g10):
@@ -54,20 +82,40 @@ def _check_lorentzian(g10):
         raise DegenerateMetricError(f"metric signature is not (-,+,+,+): {ev}")
 
 
-def _frozen(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
+def _shape_checks(blocks, extensions):
+    """(name, shape, optional) of every block a point may carry."""
+    return (tuple((n, s, False) for n, s in blocks.items())
+            + tuple((n, s, True) for n, s in extensions.items()))
+
+
+class _JetPoint:
+    """Validates a point's blocks against its tables and freezes them."""
+
+    def __post_init__(self):
+        for name, shape, optional in self._checks:
+            arr = getattr(self, name)
+            if optional and arr is None:
+                continue
+            arr = np.asarray(arr, dtype=float)
+            if arr.shape != shape:
+                raise ConfigError(
+                    f"{name} block has shape {arr.shape}, want {shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        _check_lorentzian(self.g)
 
 
 @dataclass(frozen=True)
-class EHJetPoint:
+class EHJetPoint(_JetPoint):
     """A point of the order-3 metric jet space, optionally extended to order 4.
 
     Symmetric blocks are stored over ordered index tuples; `dg[a, mu]` is the
     first-order coordinate for metric pair `PAIRS[a]`, `d2g[a, m]` the
     second-order one for derivative pair `PAIRS[m]`, and so on.
     """
+
+    blocks = EH_BLOCKS
+    _checks = _shape_checks(EH_BLOCKS, EH_EXTENSIONS)
 
     x: np.ndarray
     g: np.ndarray
@@ -76,29 +124,17 @@ class EHJetPoint:
     d3g: np.ndarray
     d4g: np.ndarray | None = field(default=None)
 
-    def __post_init__(self):
-        shapes = {"x": (DIM,), "g": (EH_NG,), "dg": (EH_NG, DIM),
-                  "d2g": (EH_NG, len(PAIRS)), "d3g": (EH_NG, len(TRIPLES))}
-        for name, shape in shapes.items():
-            arr = _frozen(getattr(self, name))
-            if arr.shape != shape:
-                raise ConfigError(f"{name} block has shape {arr.shape}, want {shape}")
-            object.__setattr__(self, name, arr)
-        if self.d4g is not None:
-            arr = _frozen(self.d4g)
-            if arr.shape != (EH_NG, len(QUADS)):
-                raise ConfigError("order-4 block has wrong shape")
-            object.__setattr__(self, "d4g", arr)
-        _check_lorentzian(self.g)
-
 
 @dataclass(frozen=True)
-class EPJetPoint:
+class EPJetPoint(_JetPoint):
     """A point of the first-order metric-affine jet space.
 
     The connection carries no symmetry: all 64 components are independent.
     The optional second-derivative blocks extend a section for tangent lifts.
     """
+
+    blocks = EP_BLOCKS
+    _checks = _shape_checks(EP_BLOCKS, EP_EXTENSIONS)
 
     x: np.ndarray
     g: np.ndarray
@@ -107,24 +143,6 @@ class EPJetPoint:
     dGamma: np.ndarray
     d2g: np.ndarray | None = field(default=None)
     d2Gamma: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        shapes = {"x": (DIM,), "g": (EH_NG,), "Gamma": (DIM, DIM, DIM),
-                  "dg": (EH_NG, DIM), "dGamma": (DIM, DIM, DIM, DIM)}
-        for name, shape in shapes.items():
-            arr = _frozen(getattr(self, name))
-            if arr.shape != shape:
-                raise ConfigError(f"{name} block has shape {arr.shape}, want {shape}")
-            object.__setattr__(self, name, arr)
-        for name, shape in (("d2g", (EH_NG, len(PAIRS))),
-                            ("d2Gamma", (DIM, DIM, DIM, len(PAIRS)))):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = _frozen(arr)
-                if arr.shape != shape:
-                    raise ConfigError(f"{name} extension has wrong shape")
-                object.__setattr__(self, name, arr)
-        _check_lorentzian(self.g)
 
 
 # -- prolongation -----------------------------------------------------------
@@ -148,16 +166,15 @@ def prolong(metric_series, order: int = 3) -> EHJetPoint:
     if order not in (3, 4):
         raise ConfigError("prolongation order must be 3 or 4")
     s0 = metric_series[0]
-    if len(metric_series) != EH_NG:
+    if len(metric_series) != len(PAIRS):
         raise ConfigError("need the 10 ordered metric component series")
     if any(s.base != s0.base for s in metric_series):
         raise ConfigError("metric series have mixed base points")
     # mixed truncation orders are rejected by `derivatives`
     if min(s.order for s in metric_series) < order:
         raise ConfigError("metric series truncated below prolongation order")
-    combos = ([()], [(mu,) for mu in range(DIM)], PAIRS, TRIPLES, QUADS)
     g, dg, d2g, d3g, *d4g = [derivatives(metric_series, c)
-                             for c in combos[:order + 1]]
+                             for c in DERIVS[:order + 1]]
     return EHJetPoint(x=np.array(s0.base), g=g[:, 0], dg=dg, d2g=d2g,
                       d3g=d3g, d4g=d4g[0] if d4g else None)
 
@@ -217,98 +234,29 @@ def fiber_partial(f, cid, p) -> float:
     return float(g[np.ravel_multi_index(idx, getattr(p, block).shape)])
 
 
-def eh_coords(p, *, max_order=3, include_x=True):
-    """Coordinate ids of the order-3 jet space, in flat layout order."""
-    out = []
-    if include_x:
-        out += [("x", mu) for mu in range(DIM)]
-    out += [("g", a) for a in range(EH_NG)]
-    if max_order >= 1:
-        out += [("dg", a, mu) for a in range(EH_NG) for mu in range(DIM)]
-    if max_order >= 2:
-        out += [("d2g", a, m) for a in range(EH_NG) for m in range(len(PAIRS))]
-    if max_order >= 3:
-        out += [("d3g", a, m) for a in range(EH_NG) for m in range(len(TRIPLES))]
-    return out
-
-
-def ep_coords(include_x=True):
-    out = []
-    if include_x:
-        out += [("x", mu) for mu in range(DIM)]
-    out += [("g", a) for a in range(EH_NG)]
-    out += [("Gamma", l, m, n) for l in range(DIM) for m in range(DIM)
-            for n in range(DIM)]
-    out += [("dg", a, mu) for a in range(EH_NG) for mu in range(DIM)]
-    out += [("dGamma", l, m, n, r) for l in range(DIM) for m in range(DIM)
-            for n in range(DIM) for r in range(DIM)]
-    return out
-
-
-def flat_index(cid) -> int:
-    """Position of a coordinate id in the flat layout of its jet space."""
-    block, idx = cid[0], cid[1:]
-    if block == "x":
-        return idx[0]
-    if block == "g":
-        return EH_OFF["g"] + idx[0]
-    if block == "dg":
-        return EH_OFF["dg"] + idx[0] * DIM + idx[1]
-    if block == "d2g":
-        return EH_OFF["d2g"] + idx[0] * len(PAIRS) + idx[1]
-    if block == "d3g":
-        return EH_OFF["d3g"] + idx[0] * len(TRIPLES) + idx[1]
-    raise ConfigError(f"no flat slot for coordinate {cid}")
-
-
-def ep_flat_index(cid) -> int:
-    block, idx = cid[0], cid[1:]
-    if block == "x":
-        return idx[0]
-    if block == "g":
-        return EP_OFF["g"] + idx[0]
-    if block == "Gamma":
-        l, m, n = idx
-        return EP_OFF["Gamma"] + (l * DIM + m) * DIM + n
-    if block == "dg":
-        return EP_OFF["dg"] + idx[0] * DIM + idx[1]
-    if block == "dGamma":
-        l, m, n, r = idx
-        return EP_OFF["dGamma"] + ((l * DIM + m) * DIM + n) * DIM + r
-    raise ConfigError(f"no flat slot for coordinate {cid}")
-
-
 # -- total derivatives ------------------------------------------------------
 
 def _shift_seeds(p, taus, max_order=3, with_first_order=True):
     """Total-derivative coordinate shifts by block, shaped block + (n,).
 
-    The shift of a jet block along x^tau is the next block with tau added
-    to its ordered derivative tuple. On an EH point `max_order` names the
-    highest block shifted; on an EP point `with_first_order` adds the
-    first-order blocks, read from the section's second derivatives.
+    The shift of a jet block along x^tau is the next block of its chain
+    with tau added to its ordered derivative tuple (`indexing.UP`). On an
+    EH point `max_order` names the highest derivative order shifted; on an
+    EP point `with_first_order` adds the first-order blocks, read from the
+    section's second-derivative extension.
     """
     t = list(taus)
-    seeds = {"x": np.eye(DIM)[:, t], "g": p.dg[:, t]}
-    if isinstance(p, EPJetPoint):
-        seeds["Gamma"] = p.dGamma[..., t]
-        if with_first_order:
-            if p.d2g is None or p.d2Gamma is None:
-                raise ConfigError(
-                    "total derivative of first-order coordinates needs the "
-                    "section's second-derivative extension")
-            seeds["dg"] = p.d2g[:, PAIR_FULL][..., t]
-            seeds["dGamma"] = p.d2Gamma[..., PAIR_FULL][..., t]
-        return seeds
-    if max_order >= 1:
-        seeds["dg"] = p.d2g[:, PAIR_FULL][..., t]
-    if max_order >= 2:
-        seeds["d2g"] = p.d3g[:, PAIR_UP][..., t]
-    if max_order >= 3:
-        if p.d4g is None:
-            raise ConfigError("total derivative of an order-3 coordinate "
-                              "needs the order-4 block")
-        seeds["d3g"] = p.d4g[:, TRIPLE_UP][..., t]
+    top = max_order if isinstance(p, EHJetPoint) else int(with_first_order)
+    seeds = {"x": np.eye(DIM)[:, t]}
+    for name, shape in p.blocks.items():
+        if name == "x" or _NEXT[name][1] > top:
+            continue
+        nxt, k = _NEXT[name]
+        arr = getattr(p, nxt)
+        if arr is None:
+            raise ConfigError(f"total derivative of the {name} block needs "
+                              f"the {nxt} extension")
+        seeds[name] = arr[..., UP[k][:, t]].reshape(shape + (len(t),))
     return seeds
 
 
@@ -340,9 +288,7 @@ def total_derivative(f, tau: int, p, **kw) -> float:
 
 
 def tangent_lifts(p) -> np.ndarray:
-    """The four tangent lifts of the prolonged section, (4, flat dim)."""
-    if isinstance(p, EHJetPoint) and p.d4g is None:
-        raise ConfigError("tangent lifts of an order-3 point need the "
-                          "order-4 block")
+    """The four tangent lifts of the prolonged section, (4, flat dim): the
+    shifts of each block of p's table, at that block's offset."""
     seeds = _shift_seeds(p, range(DIM))
-    return np.concatenate([s.reshape(-1, DIM) for s in seeds.values()]).T
+    return np.concatenate([seeds[b].reshape(-1, DIM) for b in p.blocks]).T

@@ -127,5 +127,7 @@ def torsion(Gamma):
 
 
 def torsion_full(Gamma):
+    """T^a_{bc} = G^a_{bc} - G^a_{cb} over full index ranges; any trailing
+    axes (say a derivative direction) are batch axes."""
     gam = np.asarray(Gamma)
-    return gam - np.transpose(gam, (0, 2, 1))
+    return gam - np.swapaxes(gam, 1, 2)

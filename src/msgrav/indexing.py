@@ -4,10 +4,10 @@ Symmetric coordinate blocks are stored over ordered index tuples
 (alpha <= beta, mu <= nu <= ...). The multiplicity n(mu,nu) is 1 on the
 diagonal and 2 off it. Kernels work on full index arrays; `PAIR_FULL` is
 the one ordered->full expansion: `v[PAIR_FULL]` turns an ordered-pair axis
-into two full axes. Its triple and quadruple counterparts expand the
-higher jet blocks, and the `*_UP` tables add one derivative direction to
-an ordered tuple, which is how total-derivative shifts are read off the
-next jet block.
+into two full axes, and `TRIPLE_FULL` does the same for triples. `DERIVS`
+lists the ordered derivative tuples of each order, and `UP` adds one
+derivative direction to an ordered tuple, which is how total-derivative
+shifts are read off the next jet block.
 """
 
 from __future__ import annotations
@@ -18,16 +18,13 @@ import numpy as np
 
 DIM = 4
 
-# Ordered pairs alpha <= beta, lexicographic: 10 entries.
-PAIRS: tuple[tuple[int, int], ...] = tuple(
-    (a, b) for a in range(DIM) for b in range(a, DIM)
-)
-# Ordered triples mu <= nu <= lam: 20 entries.
-TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
-    itertools.combinations_with_replacement(range(DIM), 3))
-# Ordered quadruples: 35 entries (order-4 jet extension).
-QUADS: tuple[tuple[int, int, int, int], ...] = tuple(
-    itertools.combinations_with_replacement(range(DIM), 4))
+# Ordered derivative-index tuples of each order 0..4, lexicographic:
+# 1, 4, 10, 20 and 35 entries. Order k indexes the last axis of the jet
+# block of k-th derivatives; order 4 is the order-4 jet extension.
+DERIVS: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
+    tuple(itertools.combinations_with_replacement(range(DIM), k))
+    for k in range(5))
+PAIRS, TRIPLES, QUADS = DERIVS[2:]
 
 # Antisymmetric pairs beta < gamma: 6 entries (torsion storage).
 APAIRS: tuple[tuple[int, int], ...] = tuple(
@@ -35,21 +32,19 @@ APAIRS: tuple[tuple[int, int], ...] = tuple(
 )
 
 
-def _full(combos) -> np.ndarray:
-    """Position in `combos` of the sorted form of every full index tuple."""
-    pos = {c: i for i, c in enumerate(combos)}
-    k = len(combos[0])
-    return np.array([pos[tuple(sorted(t))] for t in
-                     itertools.product(range(DIM), repeat=k)]).reshape(
-                         (DIM,) * k)
+def _up(k: int) -> np.ndarray:
+    """Position in DERIVS[k + 1] of each order-k tuple with one direction
+    added, (len(DERIVS[k]), DIM)."""
+    pos = {c: i for i, c in enumerate(DERIVS[k + 1])}
+    return np.array([[pos[tuple(sorted(c + (t,)))] for t in range(DIM)]
+                     for c in DERIVS[k]])
 
 
-PAIR_FULL = _full(PAIRS)
-TRIPLE_FULL = _full(TRIPLES)
-QUAD_FULL = _full(QUADS)
-# ordered tuple + one direction -> ordered tuple of one order more, (n, 4)
-PAIR_UP = TRIPLE_FULL[tuple(np.array(PAIRS).T)]
-TRIPLE_UP = QUAD_FULL[tuple(np.array(TRIPLES).T)]
+# UP[k]: ordered tuple of order k + one direction -> ordered tuple of
+# order k + 1; total-derivative shifts read the next jet block through it
+UP = tuple(_up(k) for k in range(len(DERIVS) - 1))
+PAIR_FULL = UP[1]
+TRIPLE_FULL = UP[2][PAIR_FULL]
 # full[PAIR_ROWS] reads the ordered representatives of a symmetric pair
 PAIR_ROWS = tuple(np.array(PAIRS).T)
 # full[APAIR_ROWS] reads an antisymmetric pair over APAIRS

@@ -62,23 +62,6 @@ def _mul_table(order: int):
     return np.array(ii), np.array(jj), np.array(kk)
 
 
-@lru_cache(maxsize=None)
-def _partial_table(order: int, direction: int):
-    """(src, dst, factor): d/dx_dir maps coeff[src] -> factor * coeff'[dst]."""
-    if order == 0:
-        raise ConfigError("cannot differentiate a series of truncation order 0")
-    exps_lo = multi_indices(order - 1)
-    imap_hi = _index_map(order)
-    src, dst, fac = [], [], []
-    for k, m in enumerate(exps_lo):
-        mh = list(m)
-        mh[direction] += 1
-        src.append(imap_hi[tuple(mh)])
-        dst.append(k)
-        fac.append(m[direction] + 1)
-    return np.array(src), np.array(dst), np.array(fac, dtype=float)
-
-
 def _factorial_weight(m: tuple[int, ...]) -> float:
     w = 1
     for e in m:
@@ -270,25 +253,6 @@ class JetScalar:
             if n:
                 sq = sq * sq
         return out
-
-    def __abs__(self) -> "JetScalar":
-        return self if self.coeffs[0] >= 0 else -self
-
-    # -- calculus -----------------------------------------------------------
-
-    def partial(self, direction: int) -> "JetScalar":
-        """d/dx^direction; result has truncation order K - 1."""
-        src, dst, fac = _partial_table(self.order, direction)
-        c = np.zeros(len(multi_indices(self.order - 1)))
-        c[dst] = fac * self.coeffs[src]
-        return JetScalar(self.order - 1, self.base, c)
-
-    def truncate(self, order: int) -> "JetScalar":
-        if order > self.order:
-            raise ConfigError("cannot extend a truncated series")
-        keep = _index_map(self.order)
-        c = np.array([self.coeffs[keep[m]] for m in multi_indices(order)])
-        return JetScalar(order, self.base, c)
 
     def __repr__(self):
         nz = {

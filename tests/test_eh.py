@@ -4,8 +4,8 @@ import pytest
 from conftest import interior_points
 from msgrav import catalog, eh
 from msgrav.errors import ConfigError
-from msgrav.fieldspace import (EHJetPoint, fiber_gradient, fiber_jacobian,
-                               flat_index, prolong)
+from msgrav.fieldspace import (EH_BLOCKS, EHJetPoint, fiber_gradient,
+                               fiber_jacobian, flat_index, prolong)
 from msgrav.geometry import einstein_suite
 from msgrav.indexing import DIM, MULT, PAIRS, mult, pair_index
 from msgrav.tangents import einsum, sqrt
@@ -253,12 +253,13 @@ def test_field_equation_covector_reproduces_constraints_off_shell():
     cov = eh.field_equation_covector(p)
     c = eh.constraint_einstein(p)
     for a in range(10):
-        assert cov[flat_index(("g", a))] == pytest.approx(-c[a], abs=1e-12)
+        assert cov[flat_index(EH_BLOCKS, ("g", a))] == pytest.approx(
+            -c[a], abs=1e-12)
     for a in range(10):
         for mu in range(DIM):
-            assert abs(cov[flat_index(("dg", a, mu))]) < 1e-12
+            assert abs(cov[flat_index(EH_BLOCKS, ("dg", a, mu))]) < 1e-12
         for m in range(10):
-            assert abs(cov[flat_index(("d2g", a, m))]) < 1e-12
+            assert abs(cov[flat_index(EH_BLOCKS, ("d2g", a, m))]) < 1e-12
 
 
 def test_projectability_and_control():

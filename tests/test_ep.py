@@ -3,7 +3,7 @@ import pytest
 
 from conftest import interior_points
 from msgrav import catalog, eh, ep
-from msgrav.fieldspace import EPJetPoint, ep_flat_index, prolong
+from msgrav.fieldspace import EP_BLOCKS, EPJetPoint, flat_index, prolong
 from msgrav.indexing import APAIRS, DIM, PAIRS, pair_index
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
@@ -247,5 +247,5 @@ def test_field_equation_on_and_off_shell(vacuum_specs):
     cov = ep.field_equation_covector_ep(p)
     c0 = ep.constraint_c0(p)
     for a in range(10):
-        assert cov[ep_flat_index(("g", a))] == pytest.approx(
+        assert cov[flat_index(EP_BLOCKS, ("g", a))] == pytest.approx(
             c0[a], abs=1e-10)

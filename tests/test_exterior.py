@@ -10,7 +10,7 @@ from msgrav import catalog, eh, ep
 from msgrav.errors import ConfigError
 from msgrav.exterior import (VOL_SIGN, VOL_SLOTS, Form, cartan_form,
                              contract_terms)
-from msgrav.fieldspace import EH_DIM_J3, EP_DIM_J1, tangent_lifts
+from msgrav.fieldspace import tangent_lifts
 
 DIMN = 8
 # schwarzschild with one torsionful connection component
@@ -65,7 +65,7 @@ def test_contraction_is_the_partial_pairing_determinant():
         form = _form(rng, terms=1)
         vecs = _vectors(rng)
         w = rng.normal(size=DIMN)
-        cov = contract_terms(form, vecs, DIMN)
+        cov = contract_terms(form, vecs)
         full = _factors(form)[0] @ np.array(vecs + [w]).T
         assert cov @ w == pytest.approx(
             form.coef[0] * np.linalg.det(full), rel=1e-10, abs=1e-10)
@@ -75,8 +75,8 @@ def test_contraction_antisymmetry_under_vector_swap():
     rng = np.random.default_rng(1)
     form = _form(rng)
     v = _vectors(rng)
-    a = contract_terms(form, v, DIMN)
-    b = contract_terms(form, [v[1], v[0], v[2], v[3]], DIMN)
+    a = contract_terms(form, v)
+    b = contract_terms(form, [v[1], v[0], v[2], v[3]])
     assert np.allclose(a, -b, atol=1e-12)
 
 
@@ -85,10 +85,9 @@ def test_contraction_multilinearity():
     form = _form(rng)
     v = _vectors(rng)
     u = rng.normal(size=DIMN)
-    lhs = contract_terms(form, [v[0], 2.0 * v[1] + 3.0 * u, v[2], v[3]],
-                         DIMN)
-    rhs = (2.0 * contract_terms(form, v, DIMN)
-           + 3.0 * contract_terms(form, [v[0], u, v[2], v[3]], DIMN))
+    lhs = contract_terms(form, [v[0], 2.0 * v[1] + 3.0 * u, v[2], v[3]])
+    rhs = (2.0 * contract_terms(form, v)
+           + 3.0 * contract_terms(form, [v[0], u, v[2], v[3]]))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -96,7 +95,7 @@ def test_repeated_vector_annihilates():
     rng = np.random.default_rng(3)
     form = _form(rng)
     v = _vectors(rng)
-    out = contract_terms(form, [v[0], v[1], v[0], v[2]], DIMN)
+    out = contract_terms(form, [v[0], v[1], v[0], v[2]])
     assert np.abs(out).max() < 1e-12
 
 
@@ -104,18 +103,18 @@ def test_volume_contraction_example():
     # dx0^dx1^dx2^dx3^dx4 contracted with e1..e4 leaves dx0
     basis = np.eye(DIMN)
     form = Form(np.ones(1), basis[:1], [[1, 2, 3, 4]])
-    out = contract_terms(form, basis[1:5], DIMN)
+    out = contract_terms(form, basis[1:5])
     assert np.allclose(out, basis[0])
 
 
 def test_vector_count_and_dimension_check():
     form = Form(np.ones(1), np.eye(DIMN)[:1], [[1, 2, 3, 4]])
     with pytest.raises(ConfigError):
-        contract_terms(form, [np.zeros(3)] * 4, DIMN)
+        contract_terms(form, [np.zeros(3)] * 4)
     with pytest.raises(ConfigError):
-        contract_terms(form, [np.zeros(DIMN)] * 3, DIMN)
+        contract_terms(form, [np.zeros(DIMN)] * 3)
     with pytest.raises(ConfigError):
-        contract_terms(form, [np.zeros(DIMN + 1)] * 4, DIMN + 1)
+        contract_terms(form, [np.zeros(DIMN + 1)] * 4)
 
 
 def test_contract_terms_distributes():
@@ -127,11 +126,11 @@ def test_contract_terms_distributes():
     both = Form(np.concatenate([a.coef, b.coef]),
                 np.concatenate([a.dense, b.dense]),
                 np.concatenate([a.coords, b.coords]))
-    total = contract_terms(both, v, DIMN)
-    assert np.allclose(total, contract_terms(a, v, DIMN)
-                       + contract_terms(b, v, DIMN), atol=1e-12)
+    total = contract_terms(both, v)
+    assert np.allclose(total, contract_terms(a, v)
+                       + contract_terms(b, v), atol=1e-12)
     single = [contract_terms(Form(both.coef[t:t + 1], both.dense[t:t + 1],
-                                  both.coords[t:t + 1]), v, DIMN)
+                                  both.coords[t:t + 1]), v)
               for t in range(len(both))]
     assert np.allclose(total, sum(single), atol=1e-12)
 
@@ -145,7 +144,7 @@ def test_volume_slot_signs():
         assert list(VOL_SLOTS[mu]) == [i for i in range(4) if i != mu]
         assert VOL_SIGN[mu] == (-1.0) ** mu
         vecs = basis[[mu, *VOL_SLOTS[mu]]]
-        assert np.allclose(contract_terms(form, vecs, DIMN),
+        assert np.allclose(contract_terms(form, vecs),
                            VOL_SIGN[mu] * basis[4])
 
 
@@ -173,11 +172,11 @@ def test_coordinate_slot_permutation_parity(seed):
     rng = np.random.default_rng(seed)
     form = _form(rng)
     v = _vectors(rng)
-    base = contract_terms(form, v, DIMN)
+    base = contract_terms(form, v)
     for perm in itertools.permutations(range(4)):
         parity = np.linalg.det(np.eye(4)[list(perm)])
         moved = Form(form.coef, form.dense, form.coords[:, perm])
-        assert np.allclose(contract_terms(moved, v, DIMN), parity * base,
+        assert np.allclose(contract_terms(moved, v), parity * base,
                            atol=1e-9)
 
 
@@ -195,12 +194,12 @@ def test_cartan_contraction_matches_laplace_reference(model, metric, x):
         spec = catalog.builtin(metric)
     if model == "eh":
         p = catalog.eh_point_at(spec, x, order=4)
-        form, dim = eh.cartan_form_eh(p), EH_DIM_J3
+        form = eh.cartan_form_eh(p)
     else:
         p = catalog.ep_point_at(spec, x)
-        form, dim = ep.cartan_form_ep(p), EP_DIM_J1
+        form = ep.cartan_form_ep(p)
     lifts = tangent_lifts(p)
-    got = contract_terms(form, lifts, dim)
+    got = contract_terms(form, lifts)
     want = _laplace_reference(form, lifts)
     scale = np.abs(want).max()
     assert scale > 1e-3

@@ -4,12 +4,13 @@ import pytest
 from msgrav import catalog
 from msgrav.errors import ConfigError, DegenerateMetricError
 from msgrav.eh import lagrangian_fn
-from msgrav.fieldspace import (EH_DIM_E, EH_DIM_J3, EH_OFF, EP_DIM_E,
-                               EP_DIM_J1, EHJetPoint, EPJetPoint, derivatives,
-                               eh_coords, ep_coords, ep_flat_index,
-                               fiber_gradient, fiber_partial, flat_index,
-                               prolong, total_derivative, total_derivatives)
-from msgrav.indexing import DIM, PAIRS, QUADS, TRIPLES
+from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_E, EH_DIM_J3, EH_OFF,
+                               EP_BLOCKS, EP_DIM_E, EP_DIM_J1, EHJetPoint,
+                               EPJetPoint, derivatives, fiber_gradient,
+                               fiber_partial, flat_index, prolong,
+                               tangent_lifts, total_derivative,
+                               total_derivatives)
+from msgrav.indexing import DERIVS, DIM, PAIRS
 from msgrav.series import JetScalar, multi_indices
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
@@ -28,17 +29,66 @@ def test_dimension_counts():
 
 
 def test_flat_layout_is_a_bijection():
-    coords = eh_coords(None, max_order=3, include_x=True)
-    idx = [flat_index(c) for c in coords]
-    assert sorted(idx) == list(range(EH_DIM_J3))
-    ep = ep_coords(include_x=True)
-    assert sorted(ep_flat_index(c) for c in ep) == list(range(EP_DIM_J1))
+    for blocks, dim in ((EH_BLOCKS, EH_DIM_J3), (EP_BLOCKS, EP_DIM_J1)):
+        idx = [flat_index(blocks, (name, *i))
+               for name, shape in blocks.items() for i in np.ndindex(shape)]
+        assert sorted(idx) == list(range(dim))
+    with pytest.raises(ConfigError):
+        flat_index(EH_BLOCKS, ("Gamma", 0, 0, 0))
+    with pytest.raises(ConfigError):
+        flat_index(EP_BLOCKS, ("dg", 10, 0))
+
+
+# The coordinate order of each jet space, (block, flat offset), written
+# out independently of the block tables.
+EH_ORDER = (("x", 0), ("g", 4), ("dg", 14), ("d2g", 54), ("d3g", 154))
+EP_ORDER = (("x", 0), ("g", 4), ("Gamma", 14), ("dg", 78), ("dGamma", 118))
+# block -> (the block its total-derivative shift is read from, its order)
+SHIFTED_FROM = {"g": ("dg", 0), "dg": ("d2g", 1), "d2g": ("d3g", 2),
+                "d3g": ("d4g", 3), "Gamma": ("dGamma", 0),
+                "dGamma": ("d2Gamma", 1)}
+
+
+def _shift(p, name, tau):
+    """D_tau of every coordinate of a block, in its storage order: the
+    entry of the next block at the coordinate's derivative tuple plus tau."""
+    if name == "x":
+        return np.eye(DIM)[tau]
+    nxt, k = SHIFTED_FROM[name]
+    rows = getattr(p, nxt).reshape(-1, len(DERIVS[k + 1]))
+    return np.array([[row[DERIVS[k + 1].index(tuple(sorted(c + (tau,))))]
+                      for c in DERIVS[k]] for row in rows]).ravel()
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_tangent_lifts_follow_the_layout(model):
+    spec = catalog.builtin("schwarzschild")
+    x = (0.0, 5.0, 1.2, 3.0)
+    if model == "eh":
+        p, order, dim = catalog.eh_point_at(spec, x, order=4), EH_ORDER, 354
+    else:
+        p, order, dim = catalog.ep_point_at(spec, x), EP_ORDER, 374
+    lifts = tangent_lifts(p)
+    assert lifts.shape == (DIM, dim)
+    ends = [off for _, off in order[1:]] + [dim]
+    for (name, off), end in zip(order, ends):
+        for tau in range(DIM):
+            assert np.array_equal(lifts[tau, off:end], _shift(p, name, tau))
 
 
 def test_point_shape_validation():
     with pytest.raises(ConfigError):
         EHJetPoint(x=np.zeros(4), g=ETA, dg=np.zeros((10, 3)),
                    d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)))
+    # the optional extension blocks are checked through the same tables
+    with pytest.raises(ConfigError):
+        EHJetPoint(x=np.zeros(4), g=ETA, dg=np.zeros((10, 4)),
+                   d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)),
+                   d4g=np.zeros((10, 20)))
+    with pytest.raises(ConfigError):
+        EPJetPoint(x=np.zeros(4), g=ETA, Gamma=np.zeros((4, 4, 4)),
+                   dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
+                   d2Gamma=np.zeros((4, 4, 4, 4)))
 
 
 def test_degenerate_metric_rejected():
@@ -75,12 +125,11 @@ def test_prolongation_is_holonomic():
 
 def test_derivatives_gather_equals_per_entry_derivative():
     rng = np.random.default_rng(3)
-    combo_lists = ([()], [(mu,) for mu in range(DIM)], PAIRS, TRIPLES, QUADS)
     for order in (2, 3, 4):
         series = [JetScalar(order, (0.1, 0.2, 0.3, 0.4),
                             rng.normal(size=len(multi_indices(order))))
                   for _ in range(10)]
-        for combos in combo_lists[:order + 1]:
+        for combos in DERIVS[:order + 1]:
             want = np.array([[s.derivative([c.count(mu) for mu in range(DIM)])
                               for c in combos] for s in series])
             got = derivatives(series, combos)
@@ -110,7 +159,8 @@ def test_fiber_gradient_batched_equals_single():
     coords = [("g", 4), ("dg", 4, 1), ("d2g", 4, 4)]
     batched = fiber_gradient(lagrangian_fn, p, ["g", "dg", "d2g"]).g
     singles = [fiber_partial(lagrangian_fn, c, p) for c in coords]
-    picked = batched[[flat_index(c) - EH_OFF["g"] for c in coords]]
+    picked = batched[[flat_index(EH_BLOCKS, c) - EH_OFF["g"]
+                      for c in coords]]
     assert np.allclose(picked, singles, rtol=1e-12)
 
 

@@ -112,31 +112,6 @@ def test_sin_cos_derivative_chain():
     assert x.cos().derivative((1, 0, 0, 0)) == pytest.approx(-math.sin(0.4))
 
 
-def test_partial_lowers_order():
-    x, y = var(0), var(1)
-    s = x * x * y
-    p = s.partial(0)  # d/dx -> 2xy
-    assert p.order == s.order - 1
-    assert p.coeff((1, 1, 0, 0)) == pytest.approx(2.0)
-
-
-def test_partial_matches_derivative_extraction():
-    x = var(0, base=(1.2, 0, 0, 0))
-    s = (1.0 + x).ln() * x
-    p = s.partial(0)
-    assert p.value() == pytest.approx(s.derivative((1, 0, 0, 0)))
-    assert p.derivative((1, 0, 0, 0)) == pytest.approx(
-        s.derivative((2, 0, 0, 0)))
-
-
-def test_truncate():
-    x = var(0)
-    s = (1.0 + x).powi(4)
-    t = s.truncate(2)
-    assert t.order == 2
-    assert t.coeff((2, 0, 0, 0)) == pytest.approx(6.0)
-
-
 def test_powi_negative_matches_reciprocal():
     x = var(0, base=(1.7, 0, 0, 0))
     s = 1.0 + x * x
