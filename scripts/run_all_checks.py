@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run both models' full check suites over every builtin metric.
 
-Prints one summary row per (model, metric) pair and exits nonzero if any
-constraint family fails anywhere.
+Prints one summary row per (model, metric) pair, then whether every
+verdict is as expected, and on its last line the total wall time of all
+the checks. Exits nonzero on an unexpected verdict.
+
+    PYTHONPATH=src python3 scripts/run_all_checks.py --points 20
 """
 
 import argparse
@@ -20,19 +23,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     rows = []
-    failed = False
+    start = time.perf_counter()
     for model in ("eh", "ep"):
         for name in catalog.list_builtins():
             spec = catalog.builtin(name)
-            t0 = time.monotonic()
+            t0 = time.perf_counter()
             report = run_check(CheckConfig(
                 model=model, spec=spec, points=args.points, seed=args.seed))
-            dt = time.monotonic() - t0
+            dt = time.perf_counter() - t0
             worst = max(f["max_resid"] for f in report.families)
             bad = [f["family"] for f in report.families if not f["pass"]]
             rows.append((model, name, report.verdict, worst, dt,
                          ", ".join(bad) or "-"))
-            failed = failed or report.verdict != "pass"
+    total = time.perf_counter() - start
 
     print(f"{'model':5s} {'metric':16s} {'verdict':7s} "
           f"{'max resid':>10s} {'time':>6s}  failing families")
@@ -47,10 +50,12 @@ def main(argv=None) -> int:
                   if (v != "pass") != (n in expected_fail)]
     if unexpected:
         print("unexpected verdicts:", unexpected)
-        return 1
-    print("all verdicts as expected "
-          "(vacuum metrics pass, sourced metrics fail)")
-    return 0
+    else:
+        print("all verdicts as expected "
+              "(vacuum metrics pass, sourced metrics fail)")
+    print(f"total wall time {total:.2f}s for {len(rows)} checks of "
+          f"{args.points} points")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exprparse import (FUNCTIONS, VARIABLES, evaluate, free_names,
-                        parse_expression)
+from .exprparse import VARIABLES, evaluate, free_names, parse_expression
 from .fieldspace import EHJetPoint, EPJetPoint, derivatives, prolong
 from .geometry import christoffel, metric_inverse_density
 from .indexing import (DERIVS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS, TRIPLE_FULL,
@@ -98,14 +97,34 @@ def metric_point_at(spec: MetricSpec, x) -> EHJetPoint:
     return prolong(metric_jet_at(spec, x, order=4), order=3)
 
 
-def ep_point_at(spec: MetricSpec, x, metric: EHJetPoint | None = None
-                ) -> EPJetPoint:
+def connection_jets(spec: MetricSpec, x):
+    """The overridden connection components at one point x, in the order
+    of `spec.connection`: values (K,), first derivatives (K, 4) and second
+    derivatives (K, 10), from their series. Raises DomainError where an
+    override cannot be evaluated."""
+    env = _env_at(spec, x, 2)
+    const = JetScalar.constant(0.0, tuple(x), order=2)
+    series = []
+    for tree in spec.connection.values():
+        v = _evaluate(tree, env)
+        series.append(v if isinstance(v, JetScalar) else const + v)
+    if not series:
+        return np.zeros(0), np.zeros((0, DIM)), np.zeros((0, len(PAIRS)))
+    return (derivatives(series, DERIVS[0])[:, 0],
+            derivatives(series, DERIVS[1]), derivatives(series, DERIVS[2]))
+
+
+def ep_point_at(spec: MetricSpec, x, metric: EHJetPoint | None = None,
+                overrides=None) -> EPJetPoint:
     """First-order metric-affine point over x: the metric jet with its
     Levi-Civita connection (or file overrides), extended with the second
     derivatives needed for tangent lifts.
 
     `metric` is `metric_point_at(spec, x)`, built here unless a caller
-    that needs it too passes it in, so the series are evaluated once.
+    that needs it too passes it in, so the series are evaluated once;
+    `overrides` is `connection_jets(spec, x)`, likewise. A caller may pass
+    a stack of points: x of shape (n, 4), the stacked metric points and
+    the overrides stacked on a leading axis.
 
     The Levi-Civita Gamma and its first two x-derivatives come from one
     Jet2 pass of the connection kernel on the prolonged jet: the
@@ -114,22 +133,20 @@ def ep_point_at(spec: MetricSpec, x, metric: EHJetPoint | None = None
     components keep their series route.
     """
     p = metric if metric is not None else metric_point_at(spec, x)
-    d2 = p.d2g[:, PAIR_FULL]
+    d2 = p.d2g[..., PAIR_FULL]
     g = Jet2(p.g, p.dg, p.dg, d2)
-    dg = Jet2(p.dg, d2, d2, p.d3g[:, TRIPLE_FULL])
-    ginv, _ = metric_inverse_density(g[PAIR_FULL])
-    gam = christoffel(ginv, dg[PAIR_FULL])
+    dg = Jet2(p.dg, d2, d2, p.d3g[..., TRIPLE_FULL])
+    ginv, _ = metric_inverse_density(g[..., PAIR_FULL])
+    gam = christoffel(ginv, dg[..., PAIR_FULL, :])
     Gamma, dGamma = gam.v.copy(), gam.a.copy()
     d2Gamma = gam.m[..., PAIR_ROWS[0], PAIR_ROWS[1]]
     if spec.connection:
-        env = _env_at(spec, x, 2)
-        const = JetScalar.constant(0.0, tuple(x), order=2)
-        for lmn, tree in spec.connection.items():
-            v = _evaluate(tree, env)
-            s = v if isinstance(v, JetScalar) else const + v
-            Gamma[lmn] = s.value()
-            dGamma[lmn] = derivatives([s], DERIVS[1])[0]
-            d2Gamma[lmn] = derivatives([s], DERIVS[2])[0]
+        val, dval, d2val = (overrides if overrides is not None
+                            else connection_jets(spec, x))
+        lmn = tuple(np.array(list(spec.connection)).T)
+        Gamma[(..., *lmn)] = val
+        dGamma[(..., *lmn, slice(None))] = dval
+        d2Gamma[(..., *lmn, slice(None))] = d2val
     return EPJetPoint(x=np.asarray(x, dtype=float), g=p.g, Gamma=Gamma,
                       dg=p.dg, dGamma=dGamma, d2g=p.d2g, d2Gamma=d2Gamma)
 

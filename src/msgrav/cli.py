@@ -15,13 +15,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import catalog
 from .errors import ConfigError, DomainError, MsgravError
 from .fieldspace import prolong
 from .indexing import DERIVS, DIM, PAIRS
-from .report import CheckConfig, ConstraintReport, emit_report, run_check
+from .report import CheckConfig, emit_report, run_check
 from .version import VERSION
 
 
@@ -90,7 +88,6 @@ def _cmd_jets(args) -> int:
         raise ConfigError("the point needs exactly 4 coordinates")
     spec = _load_spec(args.metric, _parse_params(args.param))
     p = prolong(catalog.metric_jet_at(spec, x, order=4), order=4)
-    np.set_printoptions(precision=12, suppress=False)
     print(f"metric {spec.name!r} at x = {x}")
     for i, (a, b) in enumerate(PAIRS):
         print(f"g[{a}{b}] = {p.g[i]:.12g}")

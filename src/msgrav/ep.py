@@ -6,7 +6,9 @@ The connection is an independent field with no symmetry assumed; curvature
 comes from the same Ricci kernel as the metric model, which is what makes
 the torsionless-metric gauge comparison a genuine cross-check. Fiber
 functions read a point's blocks, as arrays, Tan or Jet2; the closed forms
-are einsums.
+are einsums. Every operation takes one point or a stack of points on
+leading axes; per-point results are arrays of the leading shape, 0-d for
+one point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EP_DIM_J1, EP_OFF, EPJetPoint, fiber_gradient,
-                         fiber_jacobian, perturbed, tangent_lifts)
+                         fiber_jacobian, perturbed, tangent_lifts, trial_rngs)
 from .geometry import (metric_inverse_density, ricci_from_connection,
                        scalar_curvature, torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -28,49 +30,60 @@ NPAIR = len(PAIRS)
 
 # -- fiber functions --------------------------------------------------------
 
-def lagrangian_fn(pt):
-    """rho g^{ab} R_ab(Gamma, dGamma); never reads dg."""
-    ginv, rho = metric_inverse_density(pt.g[PAIR_FULL])
+def _lagrangian(pt, ginv, rho):
     return rho * scalar_curvature(ginv, ricci_from_connection(pt.Gamma,
                                                               pt.dGamma))
+
+
+def lagrangian_fn(pt):
+    """rho g^{ab} R_ab(Gamma, dGamma); never reads dg."""
+    return _lagrangian(pt, *metric_inverse_density(pt.g[..., PAIR_FULL]))
 
 
 def momenta_closed_fn(pt):
     """Closed-form momenta rho (g^{cb} d^s_a - g^{cs} d^b_a), (4, 4, 4, 4)
     in the (a, b, c, s) layout of the derivative coordinates
     Gamma^a_{bc,s}."""
-    ginv, rho = metric_inverse_density(pt.g[PAIR_FULL])
+    ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
     delta = np.eye(DIM)
-    return rho * (einsum("cb,sa->abcs", ginv, delta)
+    return einsum(",abcs->abcs", rho, einsum("cb,sa->abcs", ginv, delta)
                   - einsum("cs,ba->abcs", ginv, delta))
 
 
 def hamiltonian_fn(pt):
-    """Legendre combination; linearity of L in dGamma kills all dGamma terms,
-    so the result depends on (g, Gamma) alone."""
-    return (einsum("abcs,abcs->", momenta_closed_fn(pt), pt.dGamma)
-            - lagrangian_fn(pt))
+    """Legendre combination Lmom . dGamma - L, with the closed momenta
+    contracted as the two traces rho (g^{cb} dGamma^a_{bca} -
+    g^{cs} dGamma^a_{acs}), so the rank-4 momenta never form. Linearity
+    of L in dGamma kills all dGamma terms, so the result depends on
+    (g, Gamma) alone."""
+    ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
+    # the traces over a come first, so each row reduces alike whatever the
+    # leading shape
+    traces = (einsum("abca->cb", pt.dGamma) - einsum("aacs->cs", pt.dGamma))
+    return rho * einsum("cb,cb->", ginv, traces) - _lagrangian(pt, ginv, rho)
 
 
 # -- momenta and Hamiltonian ------------------------------------------------
 
 @dataclass(frozen=True)
 class EPMomenta:
-    L: float
+    """Each field has the point's leading shape in front."""
+
+    L: np.ndarray
     Lmom_ad: np.ndarray      # (4, 4, 4, 4): d L / d Gamma^a_{bc,s}
     Lmom_closed: np.ndarray
-    H: float
+    H: np.ndarray
 
 
-def lagrangian_ep(p: EPJetPoint) -> float:
-    return float(lagrangian_fn(p))
+def lagrangian_ep(p: EPJetPoint) -> np.ndarray:
+    return np.asarray(lagrangian_fn(p))
 
 
 def momenta_ep(p: EPJetPoint) -> EPMomenta:
     grad = fiber_gradient(lagrangian_fn, p, ["dGamma"])
-    return EPMomenta(L=float(grad.v), Lmom_ad=grad.g.reshape((DIM,) * 4),
+    return EPMomenta(L=grad.v, Lmom_ad=grad.g.reshape(p.lead + (DIM,) * 4),
                      Lmom_closed=momenta_closed_fn(p),
-                     H=float(hamiltonian_fn(p)))
+                     H=np.asarray(hamiltonian_fn(p)))
 
 
 # -- constraint families ----------------------------------------------------
@@ -85,28 +98,29 @@ def constraint_c0(p: EPJetPoint) -> np.ndarray:
 
 def trace_removal(T: np.ndarray) -> np.ndarray:
     """Remove the delta-trace part of a (1,2) tensor antisymmetric below;
-    any trailing axes are batch axes."""
-    tr = np.einsum("mmg...->g...", T) / 3.0
+    any leading axes are batch axes."""
+    tr = np.einsum("...mmg->...g", T) / 3.0
     delta = np.eye(DIM)
-    return (T - np.einsum("ab,c...->abc...", delta, tr)
-            + np.einsum("ac,b...->abc...", delta, tr))
+    return (T - np.einsum("ab,...c->...abc", delta, tr)
+            + np.einsum("ac,...b->...abc", delta, tr))
 
 
 def _apairs_of(T3: np.ndarray) -> np.ndarray:
-    """The antisymmetric lower pair (axes 1, 2) over APAIRS."""
-    return T3[:, APAIR_ROWS[0], APAIR_ROWS[1]]
+    """The antisymmetric lower pair (the last two axes) over APAIRS."""
+    return T3[..., APAIR_ROWS[0], APAIR_ROWS[1]]
 
 
 def constraint_premetricity(p: EPJetPoint) -> np.ndarray:
     """Compatibility of the metric derivative with the connection up to the
     projective trace part, (10, 4) over (ordered pair, direction)."""
-    gm = p.g[PAIR_FULL]
-    ttr = np.einsum("llm->m", p.Gamma) - np.einsum("lml->m", p.Gamma)
+    gm = p.g[..., PAIR_FULL]
+    ttr = (np.einsum("...llm->...m", p.Gamma)
+           - np.einsum("...lml->...m", p.Gamma))
     # gg[r, s, mu] = g_{s l} Gamma^l_{mu r}
-    gg = np.einsum("sl,lmr->rsm", gm, p.Gamma)
-    full = (p.dg[PAIR_FULL] - gg - gg.transpose(1, 0, 2)
-            - (2.0 / 3.0) * gm[:, :, None] * ttr)
-    return full[PAIR_ROWS]
+    gg = np.einsum("...sl,...lmr->...rsm", gm, p.Gamma)
+    full = (p.dg[..., PAIR_FULL, :] - gg - np.swapaxes(gg, -3, -2)
+            - (2.0 / 3.0) * gm[..., None] * ttr[..., None, None, :])
+    return full[..., PAIR_ROWS[0], PAIR_ROWS[1], :]
 
 
 def constraint_torsion(p: EPJetPoint) -> np.ndarray:
@@ -116,7 +130,9 @@ def constraint_torsion(p: EPJetPoint) -> np.ndarray:
 
 def constraint_torsion_deriv(p: EPJetPoint) -> np.ndarray:
     """Trace-removed torsion derivative, (4, 6, 4)."""
-    return _apairs_of(trace_removal(torsion_full(p.dGamma)))
+    # the derivative direction leads while the torsion is formed
+    dgam = np.moveaxis(p.dGamma, -1, -4)
+    return np.moveaxis(_apairs_of(trace_removal(torsion_full(dgam))), -3, -1)
 
 
 def constraint_integrability(p: EPJetPoint) -> np.ndarray:
@@ -124,17 +140,18 @@ def constraint_integrability(p: EPJetPoint) -> np.ndarray:
     pair, antisymmetric direction pair); each bracket is (f(mu,nu) -
     f(nu,mu))/2 on the two direction slots, and the r <-> s partner of
     each bracket is its transpose in the metric slots."""
-    gm = p.g[PAIR_FULL]
-    dttr = (np.einsum("llmn->mn", p.dGamma)
-            - np.einsum("lmln->mn", p.dGamma))
+    gm = p.g[..., PAIR_FULL]
+    dttr = (np.einsum("...llmn->...mn", p.dGamma)
+            - np.einsum("...lmln->...mn", p.dGamma))
     # f[r, s, mu, nu] = g_{r g} (Gamma^g_{nu l} Gamma^l_{mu s}
     #                            + dGamma^g_{mu s, nu})
-    f = (np.einsum("rg,gnl,lms->rsmn", gm, p.Gamma, p.Gamma)
-         + np.einsum("rg,gmsn->rsmn", gm, p.dGamma))
-    f = 0.5 * (f - f.transpose(0, 1, 3, 2))
-    full = (f + f.transpose(1, 0, 2, 3)
-            + (1.0 / 3.0) * gm[:, :, None, None] * (dttr - dttr.T))
-    return full[PAIR_ROWS][:, APAIR_ROWS[0], APAIR_ROWS[1]]
+    f = (np.einsum("...rg,...gnl,...lms->...rsmn", gm, p.Gamma, p.Gamma)
+         + np.einsum("...rg,...gmsn->...rsmn", gm, p.dGamma))
+    f = 0.5 * (f - np.swapaxes(f, -1, -2))
+    full = (f + np.swapaxes(f, -4, -3) + (1.0 / 3.0) * gm[..., None, None]
+            * (dttr - np.swapaxes(dttr, -1, -2))[..., None, None, :, :])
+    return full[..., PAIR_ROWS[0], PAIR_ROWS[1], :, :][
+        ..., APAIR_ROWS[0], APAIR_ROWS[1]]
 
 
 # -- gauge and projectability -----------------------------------------------
@@ -150,8 +167,8 @@ def projective_shift(p: EPJetPoint, A, dA=None) -> EPJetPoint:
     gam = p.Gamma.copy()
     dgam = p.dGamma.copy()
     for c in range(DIM):
-        gam[c, :, c] += A
-        dgam[c, :, c, :] += dA
+        gam[..., c, :, c] += A
+        dgam[..., c, :, c, :] += dA
     return EPJetPoint(x=p.x, g=p.g, Gamma=gam, dg=p.dg, dGamma=dgam,
                       d2g=p.d2g, d2Gamma=None)
 
@@ -161,22 +178,25 @@ def projectability_check_ep(p: EPJetPoint, base: EPMomenta, trials: int,
     """Randomize the first-order blocks; momenta and Hamiltonian must hold
     still. `base` is momenta_ep(p). Lmom_closed reads g only, which the
     trials keep, so it is projectable by construction and not compared.
-    Returns (max deviation, max Lagrangian deviation as control, max H
-    deviation under dGamma-only randomization)."""
-    rng = np.random.default_rng(seed)
-    dev, control, h_dgamma = 0.0, 0.0, 0.0
+    `seed` seeds each point's trials: an int, or an array of p's leading
+    shape. Returns (max deviation, max Lagrangian deviation as control,
+    max H deviation under dGamma-only randomization), each of p's leading
+    shape."""
+    rngs = trial_rngs(seed, p.lead)
+    dev = control = h_dgamma = np.zeros(p.lead)
     for _ in range(trials):
         q = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma,
-                       dg=perturbed(rng, p.dg),
-                       dGamma=perturbed(rng, p.dGamma))
+                       dg=perturbed(rngs, p.dg),
+                       dGamma=perturbed(rngs, p.dGamma))
         grad = fiber_gradient(lagrangian_fn, q, ["dGamma"])
-        dev = max(dev, abs(float(hamiltonian_fn(q)) - base.H),
-                  float(np.abs(grad.g.reshape((DIM,) * 4)
-                               - base.Lmom_ad).max()))
-        control = max(control, abs(float(grad.v) - base.L))
+        dev = np.maximum.reduce([
+            dev, np.abs(hamiltonian_fn(q) - base.H),
+            np.abs(grad.g.reshape(p.lead + (DIM,) * 4)
+                   - base.Lmom_ad).max(axis=(-4, -3, -2, -1))])
+        control = np.maximum(control, np.abs(grad.v - base.L))
         q2 = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma, dg=p.dg,
-                        dGamma=perturbed(rng, p.dGamma))
-        h_dgamma = max(h_dgamma, abs(float(hamiltonian_fn(q2)) - base.H))
+                        dGamma=perturbed(rngs, p.dGamma))
+        h_dgamma = np.maximum(h_dgamma, np.abs(hamiltonian_fn(q2) - base.H))
     return dev, control, h_dgamma
 
 
@@ -192,11 +212,12 @@ def cartan_form_ep(p: EPJetPoint) -> Form:
     g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
     dh = fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]).g
     _, lmom_jac = fiber_jacobian(momenta_closed_fn, p, ["g"])
-    # allocated after the AD passes so their temporaries are already freed
-    dense = np.zeros((1 + DIM ** 4, EP_DIM_J1))
-    dense[0, g0:dg0] = dh
-    dense[1:, g0:gam0] = lmom_jac.reshape(DIM ** 4, NPAIR)
-    return cartan_form(dense, gam0)
+    # allocated after the AD passes so their temporaries are already freed;
+    # only the (x, g, Gamma) columns are stored
+    dense = np.zeros(p.lead + (1 + DIM ** 4, dg0))
+    dense[..., 0, g0:] = dh
+    dense[..., 1:, g0:gam0] = lmom_jac.reshape(p.lead + (DIM ** 4, NPAIR))
+    return cartan_form(dense, gam0, EP_DIM_J1)
 
 
 def field_equation_covector_ep(p: EPJetPoint) -> np.ndarray:
@@ -204,5 +225,5 @@ def field_equation_covector_ep(p: EPJetPoint) -> np.ndarray:
     return contract_terms(cartan_form_ep(p), lifts)
 
 
-def verify_field_equation_ep(p: EPJetPoint) -> float:
-    return float(np.abs(field_equation_covector_ep(p)).max())
+def verify_field_equation_ep(p: EPJetPoint) -> np.ndarray:
+    return np.abs(field_equation_covector_ep(p)).max(axis=-1)

@@ -2,15 +2,20 @@
 
 A Form is a stack of T terms of one shape,
 coef * alpha ^ dx^{i1} ^ dx^{i2} ^ dx^{i3} ^ dx^{i4}: alpha is a dense
-covector over all coordinates (the differential of a fiber function) and
-the i's are coordinate indices. It is held as three arrays, `coef` (T,),
-`dense` (T, dim) and `coords` (T, 4). Contraction with four tangent
-vectors Laplace-expands each term's 5x4 pairing matrix along the missing
-fifth column; all terms and all five minors go through one batched pass.
+covector (the differential of a fiber function) and the i's are coordinate
+indices. It is held as three arrays, `coef` (T,), `dense` (..., T, w) and
+`coords` (T, 4), over `dim` coordinates. The dense covectors store only
+their first w <= dim columns, because every later column is zero: the
+model forms are supported on the leading jet coordinates. Leading axes of
+`dense` run over stacked points, which share the coefficients and the
+coordinate differentials. Contraction with four tangent vectors
+Laplace-expands each term's 5x4 pairing matrix along the missing fifth
+column; all points and terms go through one batched pass per minor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,45 +34,53 @@ _COF_SIGN = (-1.0) ** np.arange(5)
 
 @dataclass(frozen=True)
 class Form:
-    """sum_t coef[t] * dense[t] ^ dx^coords[t, 0] ^ ... ^ dx^coords[t, 3]."""
+    """sum_t coef[t] * dense[..., t, :] ^ dx^coords[t, 0] ^ ... ^
+    dx^coords[t, 3], over `dim` coordinates (default: dense's width)."""
 
     coef: np.ndarray
     dense: np.ndarray
     coords: np.ndarray
+    dim: int | None = None
 
     def __post_init__(self):
         coef = np.asarray(self.coef, dtype=float)
         dense = np.asarray(self.dense, dtype=float)
         coords = np.asarray(self.coords, dtype=np.intp)
+        dim = dense.shape[-1] if self.dim is None else int(self.dim)
         t = len(coef)
-        if (coef.shape != (t,) or dense.ndim != 2 or len(dense) != t
+        if (coef.shape != (t,) or dense.ndim < 2 or dense.shape[-2] != t
                 or coords.shape != (t, DIM)):
             raise ConfigError("form terms are wedges of one dense covector "
                               "and exactly 4 coordinate differentials")
-        if coords.size and not (0 <= coords.min()
-                                and coords.max() < dense.shape[1]):
+        if dense.shape[-1] > dim or (coords.size and not (
+                0 <= coords.min() and coords.max() < dim)):
             raise ConfigError("coordinate differential out of range")
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "dense", dense)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "dim", dim)
 
     def __len__(self) -> int:
-        return len(self.coef)
+        """The number of terms held, over all stacked points."""
+        return len(self.coef) * math.prod(self.dense.shape[:-2])
 
 
-def cartan_form(dense: np.ndarray, first: int) -> Form:
+def cartan_form(dense: np.ndarray, first: int, dim: int | None = None
+                ) -> Form:
     """dense[0] ^ d4x - sum_k dense[k + 1] ^ dy_k ^ i(d/dx^mu_k) d4x.
 
     Row 0 is dH; row k + 1 is the differential of the momentum conjugate
     to the derivative coordinate y_k = first + k // 4 in direction
-    mu_k = k % 4, which is how both models lay out their momenta.
+    mu_k = k % 4, which is how both models lay out their momenta. Rows
+    index the second-to-last axis of `dense`.
     """
-    k = np.arange(len(dense) - 1)
+    k = np.arange(dense.shape[-2] - 1)
     mu = k % DIM
     return Form(
         np.concatenate([[1.0], -VOL_SIGN[mu]]), dense,
         np.concatenate([np.arange(DIM)[None],
-                        np.column_stack([first + k // DIM, VOL_SLOTS[mu]])]))
+                        np.column_stack([first + k // DIM, VOL_SLOTS[mu]])]),
+        dim)
 
 
 def _det4(m):
@@ -89,17 +102,28 @@ def _det4(m):
 def contract_terms(form: Form, vectors) -> np.ndarray:
     """i(v1) i(v2) i(v3) i(v4) of the form, as a dense covector over the
     form's coordinates: per term, the cofactors of the pairing matrix
-    weight its five factors."""
+    weight its five factors. `vectors` is (..., 4, dim), with the leading
+    shape of the form's dense covectors."""
     x = np.asarray(vectors, dtype=float)
-    dim = form.dense.shape[1]
-    if x.ndim != 2 or len(x) != 4:
+    dim, width = form.dim, form.dense.shape[-1]
+    if x.ndim < 2 or x.shape[-2] != 4:
         raise ConfigError("contraction takes exactly 4 tangent vectors")
-    if x.shape[1] != dim:
+    if x.shape[-1] != dim:
         raise ConfigError("tangent vector dimension mismatch")
-    # pairing[f, v, t]: factor f of term t on vector v
-    pairing = np.concatenate([(form.dense @ x.T).T[None],
-                              x[:, form.coords].transpose(2, 0, 1)])
-    cof = form.coef * _COF_SIGN[:, None] * _det4(
-        pairing[_MINORS].transpose(1, 2, 0, 3))
-    return cof[0] @ form.dense + np.bincount(
-        form.coords.ravel(), weights=cof[1:].T.ravel(), minlength=dim)
+    lead = x.shape[:-2]
+    # pairing[f, v, ..., t]: factor f of term t on vector v
+    pairing = np.concatenate([
+        np.moveaxis(form.dense @ np.swapaxes(x[..., :width], -1, -2),
+                    -1, 0)[None],
+        np.moveaxis(x[..., form.coords], (-1, -3), (0, 1))])
+    # one minor at a time: gathering all five at once would hold five
+    # copies of the pairing matrices
+    det = np.stack([_det4(pairing[rows]) for rows in _MINORS])
+    cof = form.coef * _COF_SIGN.reshape((5,) + (1,) * (det.ndim - 1)) * det
+    # the coordinate factors scatter by bincount, one dim-wide run per point
+    points = math.prod(lead)
+    idx = form.coords.ravel() + dim * np.arange(points)[:, None]
+    out = np.bincount(idx.ravel(), weights=np.moveaxis(cof[1:], 0, -1).ravel(),
+                      minlength=points * dim).reshape(lead + (dim,))
+    out[..., :width] += (cof[0][..., None, :] @ form.dense)[..., 0, :]
+    return out

@@ -8,6 +8,10 @@ checks of the point classes, `flat_index` and the tangent lifts are all
 read off them; `EH_EXTENSIONS` and `EP_EXTENSIONS` declare the optional
 higher blocks a point may carry for total derivatives.
 
+A point may carry leading batch axes, one per stacked sample point: every
+block then has the same leading shape in front of its table shape, and
+`stack_points` builds such a point from single ones.
+
 Fiber functions are plain callables on a namespace of a point's blocks in
 their ordered storage. Differentiation seeds whole blocks at once: a
 block becomes a Tan (or Jet2) whose seed axis runs over its ordered
@@ -73,12 +77,12 @@ def flat_index(blocks, cid) -> int:
 
 
 def _check_lorentzian(g10):
-    m = g10[PAIR_FULL]
+    m = g10[..., PAIR_FULL]
     det = np.linalg.det(m)
-    if abs(det) < 1e-14:
+    if np.any(np.abs(det) < 1e-14):
         raise DegenerateMetricError(f"metric determinant {det} is degenerate")
     ev = np.linalg.eigvalsh(m)
-    if not (ev[0] < 0 and ev[1] > 0):
+    if not np.all((ev[..., 0] < 0) & (ev[..., 1] > 0)):
         raise DegenerateMetricError(f"metric signature is not (-,+,+,+): {ev}")
 
 
@@ -89,20 +93,38 @@ def _shape_checks(blocks, extensions):
 
 
 class _JetPoint:
-    """Validates a point's blocks against its tables and freezes them."""
+    """Validates a point's blocks against its tables and freezes them; the
+    blocks of a stack of points share one leading shape."""
 
     def __post_init__(self):
+        lead = np.shape(self.x)[:-1]
         for name, shape, optional in self._checks:
             arr = getattr(self, name)
             if optional and arr is None:
                 continue
             arr = np.asarray(arr, dtype=float)
-            if arr.shape != shape:
+            if arr.shape != lead + shape:
                 raise ConfigError(
-                    f"{name} block has shape {arr.shape}, want {shape}")
+                    f"{name} block has shape {arr.shape}, want {lead + shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         _check_lorentzian(self.g)
+
+    @property
+    def lead(self) -> tuple:
+        """The leading shape: () for one point, (n,) for a stack of n."""
+        return self.x.shape[:-1]
+
+
+def stack_points(points):
+    """One point whose leading axis runs over `points`, all of one class;
+    an optional block is kept only if every point carries it."""
+    blocks = {}
+    for name, _, optional in points[0]._checks:
+        arrs = [getattr(p, name) for p in points]
+        if not (optional and any(a is None for a in arrs)):
+            blocks[name] = np.stack(arrs)
+    return type(points[0])(**blocks)
 
 
 @dataclass(frozen=True)
@@ -179,10 +201,20 @@ def prolong(metric_series, order: int = 3) -> EHJetPoint:
                       d3g=d3g, d4g=d4g[0] if d4g else None)
 
 
-def perturbed(rng, arr):
-    """A random jet block near arr, for projectability trials."""
-    u = rng.uniform(-0.1, 0.1, size=arr.shape)
-    return arr + u * (1.0 + np.abs(arr))
+def perturbed(rngs, arr):
+    """A random jet block near arr, for projectability trials: each point
+    of arr's leading shape draws its block from its own generator in
+    `rngs`, in the points' order."""
+    n = arr.size // len(rngs)
+    u = np.concatenate([rng.uniform(-0.1, 0.1, size=n) for rng in rngs])
+    return arr + u.reshape(arr.shape) * (1.0 + np.abs(arr))
+
+
+def trial_rngs(seed, lead):
+    """One generator per point of the leading shape; `seed` is an int for
+    one point or an array of the leading shape."""
+    return [np.random.default_rng(s)
+            for s in np.broadcast_to(seed, lead).ravel().tolist()]
 
 
 # -- fiber differentiation --------------------------------------------------
@@ -194,12 +226,15 @@ def _view(p, duals):
 
 def _identity_seeds(p, blocks):
     """One seed per ordered coordinate of `blocks`, in flat layout order,
-    shaped block shape + (n,)."""
-    sizes = [getattr(p, b).size for b in blocks]
+    shaped leading shape + block shape + (n,). The seeds do not depend on
+    the point, so a stack shares one copy through broadcasting."""
+    shapes = [getattr(p, b).shape[len(p.lead):] for b in blocks]
+    sizes = [math.prod(s) for s in shapes]
     eye = np.eye(sum(sizes))
     ends = np.cumsum(sizes)
-    return {b: eye[e - n:e].reshape(getattr(p, b).shape + (-1,))
-            for b, n, e in zip(blocks, sizes, ends)}
+    return {b: np.broadcast_to(eye[e - n:e].reshape(s + (-1,)),
+                               p.lead + s + (len(eye),))
+            for b, s, n, e in zip(blocks, shapes, sizes, ends)}
 
 
 def fiber_gradient(f, p, blocks) -> Tan:
@@ -227,11 +262,12 @@ def fiber_hessian(f, p, inner, outer) -> np.ndarray:
                        for k in dict.fromkeys((*inner, *outer))})).m
 
 
-def fiber_partial(f, cid, p) -> float:
+def fiber_partial(f, cid, p):
     """Exact partial of f with respect to one ordered fiber coordinate."""
     block, idx = cid[0], cid[1:]
     g = fiber_gradient(f, p, [block]).g
-    return float(g[np.ravel_multi_index(idx, getattr(p, block).shape)])
+    return g[..., np.ravel_multi_index(
+        idx, getattr(p, block).shape[len(p.lead):])]
 
 
 # -- total derivatives ------------------------------------------------------
@@ -247,7 +283,7 @@ def _shift_seeds(p, taus, max_order=3, with_first_order=True):
     """
     t = list(taus)
     top = max_order if isinstance(p, EHJetPoint) else int(with_first_order)
-    seeds = {"x": np.eye(DIM)[:, t]}
+    seeds = {"x": np.broadcast_to(np.eye(DIM)[:, t], p.lead + (DIM, len(t)))}
     for name, shape in p.blocks.items():
         if name == "x" or _NEXT[name][1] > top:
             continue
@@ -256,7 +292,8 @@ def _shift_seeds(p, taus, max_order=3, with_first_order=True):
         if arr is None:
             raise ConfigError(f"total derivative of the {name} block needs "
                               f"the {nxt} extension")
-        seeds[name] = arr[..., UP[k][:, t]].reshape(shape + (len(t),))
+        seeds[name] = arr[..., UP[k][:, t]].reshape(
+            p.lead + shape + (len(t),))
     return seeds
 
 
@@ -282,13 +319,16 @@ def total_derivatives_vec(f, p, taus=range(DIM), **kw):
     return total_derivatives(f, p, taus, **kw)
 
 
-def total_derivative(f, tau: int, p, **kw) -> float:
+def total_derivative(f, tau: int, p, **kw):
     """D_tau f: the base derivative plus the jet-coordinate shift terms."""
-    return float(total_derivatives(f, p, [tau], **kw)[0])
+    return total_derivatives(f, p, [tau], **kw)[..., 0]
 
 
 def tangent_lifts(p) -> np.ndarray:
-    """The four tangent lifts of the prolonged section, (4, flat dim): the
-    shifts of each block of p's table, at that block's offset."""
+    """The four tangent lifts of the prolonged section, leading shape +
+    (4, flat dim): the shifts of each block of p's table, at that block's
+    offset."""
     seeds = _shift_seeds(p, range(DIM))
-    return np.concatenate([seeds[b].reshape(-1, DIM) for b in p.blocks]).T
+    return np.swapaxes(np.concatenate(
+        [seeds[b].reshape(p.lead + (-1, DIM)) for b in p.blocks], axis=-2),
+        -1, -2)

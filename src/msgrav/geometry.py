@@ -5,8 +5,9 @@ density, the Levi-Civita connection, the derivative terms of its Ricci
 tensor, the Ricci tensor of any connection, and the scalar curvature. The
 kernels are written with `tangents.einsum`, `inv` and `sqrt`, so the same
 code runs on plain arrays and on Tan/Jet2 duals (fiber and total
-derivatives). Ordered symmetric storage is expanded on entry through
-`indexing.PAIR_FULL`.
+derivatives), for one point or a stack of points on leading axes (the
+leading-axis rule of `tangents`). Ordered symmetric storage is expanded on
+entry through `indexing.PAIR_FULL`.
 
 The Ricci convention is fixed by the first-order Lagrangian display:
 R_ab = G^c_{ba,c} - G^c_{ca,b} + G^c_{ba} G^s_{sc} - G^c_{bs} G^s_{ca},
@@ -28,7 +29,7 @@ from .tangents import einsum, inv, sqrt
 
 def metric_inverse_density(gm):
     """(g^{ab}, rho = sqrt(|det g|)) of a full 4x4 metric."""
-    if abs(np.linalg.det(getattr(gm, "v", gm))) < 1e-14:
+    if np.any(np.abs(np.linalg.det(getattr(gm, "v", gm))) < 1e-14):
         raise DegenerateMetricError("metric is degenerate at this point")
     ginv, det = inv(gm)
     return ginv, sqrt(abs(det))
@@ -78,8 +79,8 @@ def scalar_curvature(ginv, ric):
 def curvature_bundle(g10, dg, d2g):
     """ginv, rho, Gamma, Ricci, R of the Levi-Civita connection, from the
     ordered metric 2-jet; all results over full index ranges."""
-    gm, dgm = g10[PAIR_FULL], dg[PAIR_FULL]
-    d2gm = d2g[PAIR_FULL][:, :, PAIR_FULL]
+    gm, dgm = g10[..., PAIR_FULL], dg[..., PAIR_FULL, :]
+    d2gm = d2g[..., PAIR_FULL, :][..., PAIR_FULL]
     ginv, rho = metric_inverse_density(gm)
     gam = christoffel(ginv, dgm)
     ric = ricci(gam, ricci_derivative_terms(ginv, dgm, d2gm, gam))
@@ -123,11 +124,11 @@ def einstein_suite(g10, dg, d2g) -> CurvatureSuite:
 def torsion(Gamma):
     """T^a_{bc} = G^a_{bc} - G^a_{cb}, stored over the 6 pairs b < c."""
     t = torsion_full(np.asarray(Gamma, dtype=float))
-    return t[:, APAIR_ROWS[0], APAIR_ROWS[1]]
+    return t[..., APAIR_ROWS[0], APAIR_ROWS[1]]
 
 
 def torsion_full(Gamma):
-    """T^a_{bc} = G^a_{bc} - G^a_{cb} over full index ranges; any trailing
-    axes (say a derivative direction) are batch axes."""
+    """T^a_{bc} = G^a_{bc} - G^a_{cb} over full index ranges; any leading
+    axes are batch axes."""
     gam = np.asarray(Gamma)
-    return gam - np.swapaxes(gam, 1, 2)
+    return gam - np.swapaxes(gam, -1, -2)

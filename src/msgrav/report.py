@@ -1,9 +1,24 @@
 """Batch check runner and report emitter.
 
 Samples points in a metric's domain box, runs the full per-model check
-list at each, and aggregates per-family statistics. Sampling is seeded
-and the reduce is ordered, so a given configuration always produces a
-byte-identical JSON report, threaded or not.
+list on them, and aggregates per-family statistics. The points go through
+the checks in chunks of up to CHUNK_POINTS: each point of a chunk is built
+and validated alone, and a DomainError there skips that point; the
+surviving points are stacked on a leading axis (the leading-axis rule of
+`tangents`) and every check runs once on the stack. A batched pass costs
+far less per point than a loop over points, because Python overhead, not
+arithmetic, dominates a single point. The chunk limit bounds memory: the
+transients of a pass grow with the points in it, by about 2.7 MiB per
+point for the second-order model's mixed Jet2 pass and 0.3 MiB per point
+for the first-order model. Eight points already amortize most of the
+overhead (an ep point costs about 10 ms alone, about 3 ms in a chunk of 8
+and barely less in a chunk of 16), while an eh chunk of 8 holds about
+22 MiB.
+
+Sampling is seeded, each point's projectability trials draw from a
+generator seeded by the point's index, and the reduce is ordered, so a
+given configuration always produces a byte-identical JSON report,
+threaded or not, and whatever the chunking.
 """
 
 from __future__ import annotations
@@ -19,8 +34,11 @@ import numpy as np
 
 from . import catalog, eh, ep
 from .errors import DomainError, MsgravError
-from .fieldspace import prolong
+from .fieldspace import prolong, stack_points
 from .version import VERSION
+
+# points per batched pass; see the module docstring
+CHUNK_POINTS = 8
 
 # identity families are relative (residual / (1 + |reference|)); the
 # residual families are absolute vacuum thresholds
@@ -88,47 +106,85 @@ class ConstraintReport:
 
 
 def _rel(delta, ref):
-    return float(delta) / (1.0 + abs(float(ref)))
+    return delta / (1.0 + np.abs(ref))
 
 
-def _eh_point_checks(spec, x, seed):
+def _amax(a):
+    """Max |a| over all but the leading axis, one value per point."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+
+def _built(xs, build):
+    """(positions in xs of the points that were built, their builds):
+    each point is built alone, and a DomainError skips it."""
+    kept, built = [], []
+    for k, x in enumerate(xs):
+        try:
+            built.append(build(x))
+        except DomainError:
+            continue
+        kept.append(k)
+    return kept, built
+
+
+def _eh_point(spec, x):
     series = catalog.metric_jet_at(spec, x, order=4)
     p = prolong(series, order=4)
-    out = {}
     h1, h2 = eh.holonomy_residuals(p, series)
-    out["holonomy"] = max(np.abs(h1).max(), np.abs(h2).max())
+    return p, max(np.abs(h1).max(), np.abs(h2).max())
+
+
+def _eh_point_checks(spec, xs, seeds):
+    """The eh checks on one chunk of points: (positions in xs of the
+    points that were built, {family: residual per built point})."""
+    kept, built = _built(xs, lambda x: _eh_point(spec, x))
+    if not kept:
+        return kept, {}
+    points, holonomy = zip(*built)
+    p = stack_points(points)
+    out = {"holonomy": np.array(holonomy)}
     m = eh.momenta_and_hamiltonian(p)
-    out["momenta-identity"] = _rel(np.abs(m.L2_ad - m.L2_closed).max(),
-                                   np.abs(m.L2_closed).max())
-    out["hamiltonian-dual-form"] = _rel(abs(m.H_sum - m.H_closed), m.H_closed)
-    dev, _ = eh.projectability_check(p, m, trials=2, seed=seed)
+    out["momenta-identity"] = _rel(_amax(m.L2_ad - m.L2_closed),
+                                   _amax(m.L2_closed))
+    out["hamiltonian-dual-form"] = _rel(np.abs(m.H_sum - m.H_closed),
+                                        m.H_closed)
+    dev, _ = eh.projectability_check(p, m, trials=2,
+                                     seed=np.array(seeds)[kept])
     out["projectability"] = dev
-    out["einstein-constraint"] = float(np.abs(eh.constraint_einstein(p)).max())
-    out["einstein-constraint-derivative"] = float(
-        np.abs(eh.constraint_einstein_derivative(p)).max())
+    out["einstein-constraint"] = _amax(eh.constraint_einstein(p))
+    out["einstein-constraint-derivative"] = _amax(
+        eh.constraint_einstein_derivative(p))
     out["field-equation"] = eh.verify_field_equation(p)
-    return out
+    return kept, out
 
 
-def _ep_point_checks(spec, x, seed):
-    metric = catalog.metric_point_at(spec, x)
-    p = catalog.ep_point_at(spec, x, metric)
+def _ep_point_checks(spec, xs, seeds):
+    """The ep checks on one chunk of points, returned as by
+    `_eh_point_checks`."""
+    kept, built = _built(xs, lambda x: (catalog.metric_point_at(spec, x),
+                                        catalog.connection_jets(spec, x)))
+    if not kept:
+        return kept, {}
+    metrics, overrides = zip(*built)
+    metric = stack_points(metrics)
+    p = catalog.ep_point_at(spec, np.array(xs)[kept], metric,
+                            tuple(np.stack(o) for o in zip(*overrides)))
     out = {}
     m = ep.momenta_ep(p)
-    out["momenta-identity"] = _rel(np.abs(m.Lmom_ad - m.Lmom_closed).max(),
-                                   np.abs(m.Lmom_closed).max())
-    dev, _, _ = ep.projectability_check_ep(p, m, trials=2, seed=seed)
+    out["momenta-identity"] = _rel(_amax(m.Lmom_ad - m.Lmom_closed),
+                                   _amax(m.Lmom_closed))
+    dev, _, _ = ep.projectability_check_ep(p, m, trials=2,
+                                           seed=np.array(seeds)[kept])
     out["projectability"] = dev
     l_eh = eh.lagrangian_eh(metric)
-    out["eh-equivalence"] = _rel(abs(m.L - l_eh), l_eh)
-    out["metric-equation"] = float(np.abs(ep.constraint_c0(p)).max())
-    out["pre-metricity"] = float(np.abs(ep.constraint_premetricity(p)).max())
-    out["torsion"] = float(np.abs(ep.constraint_torsion(p)).max())
-    out["torsion-derivative"] = float(
-        np.abs(ep.constraint_torsion_deriv(p)).max())
-    out["integrability"] = float(np.abs(ep.constraint_integrability(p)).max())
+    out["eh-equivalence"] = _rel(np.abs(m.L - l_eh), l_eh)
+    out["metric-equation"] = _amax(ep.constraint_c0(p))
+    out["pre-metricity"] = _amax(ep.constraint_premetricity(p))
+    out["torsion"] = _amax(ep.constraint_torsion(p))
+    out["torsion-derivative"] = _amax(ep.constraint_torsion_deriv(p))
+    out["integrability"] = _amax(ep.constraint_integrability(p))
     out["field-equation"] = ep.verify_field_equation_ep(p)
-    return out
+    return kept, out
 
 
 def sample_points(spec, n, seed):
@@ -142,22 +198,27 @@ def sample_points(spec, n, seed):
 def run_check(cfg: CheckConfig) -> ConstraintReport:
     points = sample_points(cfg.spec, cfg.points, cfg.seed)
     checks = _eh_point_checks if cfg.model == "eh" else _ep_point_checks
+    chunks = [range(i, min(i + CHUNK_POINTS, len(points)))
+              for i in range(0, len(points), CHUNK_POINTS)]
 
-    def at_point(ix):
-        i, x = ix
-        try:
-            return checks(cfg.spec, x, seed=cfg.seed + i)
-        except DomainError:
-            return None
+    def at_chunk(chunk):
+        # point i's projectability trials are seeded by cfg.seed + i
+        return checks(cfg.spec, [points[i] for i in chunk],
+                      [cfg.seed + i for i in chunk])
 
     threads = cfg.threads
     if threads is None:
         threads = int(os.environ.get("MSGR_THREADS", "0")) or None
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(at_point, enumerate(points)))
+            outs = list(pool.map(at_chunk, chunks))
     else:
-        results = [at_point(ix) for ix in enumerate(points)]
+        outs = [at_chunk(c) for c in chunks]
+    # one dict of residuals per point, None where the point was skipped
+    results = [None] * len(points)
+    for chunk, (kept, out) in zip(chunks, outs):
+        for row, k in enumerate(kept):
+            results[chunk[k]] = {fam: float(v[row]) for fam, v in out.items()}
 
     skipped = sum(1 for r in results if r is None)
     if skipped > 0.2 * len(points):

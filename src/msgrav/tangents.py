@@ -16,12 +16,22 @@ Tensor algebra goes through three entry points that take plain arrays,
 `Tan` or `Jet2` alike: `einsum` (one contraction with the product rule),
 `inv` (4x4 inverse and determinant) and `sqrt`.
 
+Leading-axis rule: any value may carry leading batch axes, one per stacked
+sample point, so one pass evaluates a whole stack of points. `einsum`
+prefixes `...` to every operand and to its output, so the subscripts name
+only the trailing value axes, and the seed axes still trail everything.
+Index the value axes from the right with a leading Ellipsis, `t[..., i]`.
+Elementwise products broadcast from the right, so a per-point scalar
+times a tensor is written `einsum(",ab->ab", s, t)`, never `s * t`. A
+single point is the case with no batch axis.
+
 Finite differences are deliberately absent here; they live only in the
 tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -41,10 +51,24 @@ def _outer(a, b):
 
 
 def _sum(*blocks):
-    total = None
+    return _total(blocks)
+
+
+def _total(blocks):
+    """Sum of the blocks that are not None, drawn one at a time from an
+    iterable; after the first addition the sum is a fresh array, so later
+    terms add in place and each term is freed before the next forms."""
+    total, fresh = None, False
     for d in blocks:
-        if d is not None:
-            total = d if total is None else total + d
+        if d is None:
+            continue
+        if total is None:
+            total = d
+        elif fresh and np.broadcast_shapes(total.shape, d.shape) == \
+                total.shape:
+            total += d
+        else:
+            total, fresh = total + d, True
     return total
 
 
@@ -137,9 +161,12 @@ class _Dual:
         return self * np.where(self.v < 0, -1.0, 1.0)
 
     def __getitem__(self, idx):
-        """Index the value axes; the seed axes ride along (no Ellipsis)."""
-        return self._make(self.v[idx], *(None if d is None else d[idx]
-                                         for d in (self.a, self.b, self.m)))
+        """Index the value axes; the seed axes ride along, so a leading
+        Ellipsis indexes the trailing value axes."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        return self._make(self.v[idx], *(
+            None if d is None else d[idx + (slice(None),) * k]
+            for d, k in ((self.a, 1), (self.b, 1), (self.m, 2))))
 
 
 class Tan(_Dual):
@@ -192,6 +219,8 @@ class Jet2(_Dual):
 
 @lru_cache(maxsize=1024)
 def _path(subscripts, shapes):
+    """The greedy contraction order, chosen on the named (trailing) axes
+    alone: it is the same for one point and for any stack of points."""
     return np.einsum_path(subscripts, *(np.empty(s) for s in shapes),
                           optimize="greedy")[0]
 
@@ -199,20 +228,24 @@ def _path(subscripts, shapes):
 def _contract(subscripts, ops):
     if len(ops) < 3:
         return np.einsum(subscripts, *ops)
-    return np.einsum(subscripts, *ops, optimize=_path(
-        subscripts, tuple(np.shape(o) for o in ops)))
+    named = subscripts.replace("...", "")
+    shapes = tuple(np.shape(o)[np.ndim(o) - len(t):]
+                   for o, t in zip(ops, named.split("->")[0].split(",")))
+    return np.einsum(subscripts, *ops, optimize=_path(named, shapes))
 
 
 def einsum(subscripts, *ops):
     """np.einsum with the product rule over every dual operand.
 
-    Subscripts are explicit (`->` present) and use lowercase letters; the
-    seed axes of the result trail its value axes.
+    Subscripts are explicit (`->` present), use lowercase letters and name
+    the trailing value axes only: leading batch axes broadcast through
+    `...`. The seed axes of the result trail its value axes.
     """
     ins, out = subscripts.split("->")
-    ins = ins.split(",")
+    ins = ["..." + i for i in ins.split(",")]
+    out = "..." + out
     vals = [getattr(o, "v", o) for o in ops]
-    v = _contract(subscripts, vals)
+    v = _contract(",".join(ins) + "->" + out, vals)
     duals = [i for i, o in enumerate(ops) if isinstance(o, _Dual)]
     if not duals:
         return v
@@ -229,14 +262,14 @@ def einsum(subscripts, *ops):
         return _contract(",".join(spec) + "->" + out + seeds, args)
 
     def block(name, seeds):
-        return _sum(*(term({i: (getattr(ops[i], name), seeds)}, seeds)
-                      for i in duals if getattr(ops[i], name) is not None))
+        return _total(term({i: (getattr(ops[i], name), seeds)}, seeds)
+                      for i in duals if getattr(ops[i], name) is not None)
 
-    m = block("m", "YZ")
-    cross = [term({i: (ops[i].a, "Y"), j: (ops[j].b, "Z")}, "YZ")
+    cross = (term({i: (ops[i].a, "Y"), j: (ops[j].b, "Z")}, "YZ")
              for i in duals for j in duals
-             if i != j and ops[i].a is not None and ops[j].b is not None]
-    return first._new(v, block("a", "Y"), block("b", "Z"), _sum(m, *cross))
+             if i != j and ops[i].a is not None and ops[j].b is not None)
+    return first._new(v, block("a", "Y"), block("b", "Z"),
+                      _total(itertools.chain([block("m", "YZ")], cross)))
 
 
 def inv(m):

@@ -178,14 +178,18 @@ def test_acceptance_9_oracle_agreement():
              worst <= 1e-5)
 
 
-def test_acceptance_10_report_determinism():
+def test_acceptance_10_report_determinism(monkeypatch):
+    from msgrav import report
     texts = set()
-    for model, metric in (("eh", "flrw"), ("ep", "kasner")):
-        spec = catalog.builtin(metric)
-        for threads in (1, 4):
-            texts.add(report_json(run_check(CheckConfig(
-                model=model, spec=spec, points=8, seed=5,
-                threads=threads))))
-    # one byte string per (model, metric), regardless of thread count
-    _verdict(10, "byte-identical serial vs parallel reports",
+    for chunk in (report.CHUNK_POINTS, 1):
+        monkeypatch.setattr(report, "CHUNK_POINTS", chunk)
+        for model, metric in (("eh", "flrw"), ("ep", "kasner")):
+            spec = catalog.builtin(metric)
+            for threads in (1, 4):
+                texts.add(report_json(run_check(CheckConfig(
+                    model=model, spec=spec, points=8, seed=5,
+                    threads=threads))))
+    # one byte string per (model, metric), regardless of thread count and
+    # of chunking
+    _verdict(10, "byte-identical reports across threads and chunkings",
              len(texts) == 2)

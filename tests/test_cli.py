@@ -110,6 +110,15 @@ def test_jets_dump(capsys):
     assert "g[00] = -0.333333" in out
 
 
+def test_jets_leaves_numpy_print_options_alone(capsys):
+    import numpy as np
+    before = np.get_printoptions()
+    code, _, _ = run(
+        ["jets", "--metric", "kasner", "--at", "1.5,0.2,-0.3,0.4"], capsys)
+    assert code == 0
+    assert np.get_printoptions() == before
+
+
 def test_jets_out_of_domain_exits_three(capsys):
     code, _, err = run(
         ["jets", "--metric", "schwarzschild", "--at", "0,2,1,0"], capsys)

@@ -274,3 +274,20 @@ def test_tangent_lifts_need_order_four():
     p = point("schwarzschild", order=3)
     with pytest.raises(ConfigError):
         eh.verify_field_equation(p)
+
+
+def test_batched_cartan_contraction_rows_equal_unbatched():
+    from msgrav.exterior import contract_terms
+    from msgrav.fieldspace import stack_points, tangent_lifts
+    spec = catalog.builtin("flrw")
+    pts = [catalog.eh_point_at(spec, x, order=4)
+           for x in interior_points(spec, 3, seed=37)]
+    stack = stack_points(pts)
+    form = eh.cartan_form_eh(stack)
+    assert len(form) == 3 * (1 + 40 + 160)
+    cov = contract_terms(form, tangent_lifts(stack))
+    assert cov.shape == (3, 354)
+    for i, p in enumerate(pts):
+        one = eh.cartan_form_eh(p)
+        assert np.array_equal(form.dense[i], one.dense)
+        assert np.array_equal(cov[i], contract_terms(one, tangent_lifts(p)))

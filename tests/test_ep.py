@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,37 @@ def test_field_equation_on_and_off_shell(vacuum_specs):
     for a in range(10):
         assert cov[flat_index(EP_BLOCKS, ("g", a))] == pytest.approx(
             c0[a], abs=1e-10)
+
+
+def test_batched_momenta_rows_equal_unbatched():
+    from msgrav.fieldspace import stack_points
+    spec = catalog.builtin("kasner")
+    pts = [catalog.ep_point_at(spec, x)
+           for x in interior_points(spec, 5, seed=61)]
+    stacked = ep.momenta_ep(stack_points(pts))
+    assert stacked.L.shape == stacked.H.shape == (5,)
+    for i, p in enumerate(pts):
+        one = ep.momenta_ep(p)
+        assert np.shape(one.L) == np.shape(one.H) == ()
+        for name in ("L", "Lmom_ad", "Lmom_closed", "H"):
+            assert np.array_equal(getattr(stacked, name)[i],
+                                  getattr(one, name)), name
+
+
+def test_stacked_ep_point_equals_single_points():
+    # the Levi-Civita pass and the connection overrides on a stack
+    from msgrav.fieldspace import stack_points
+    spec = catalog.load_metric_file(str(
+        Path(__file__).resolve().parents[1] / "msbench" / "inputs"
+        / "bumpy.metric"))
+    xs = interior_points(spec, 4, seed=67)
+    pts = [catalog.ep_point_at(spec, x) for x in xs]
+    over = [catalog.connection_jets(spec, x) for x in xs]
+    stack = catalog.ep_point_at(
+        spec, np.array(xs), stack_points([catalog.metric_point_at(spec, x)
+                                          for x in xs]),
+        tuple(np.stack(o) for o in zip(*over)))
+    for i, p in enumerate(pts):
+        for name in ("x", "g", "dg", "d2g", "Gamma", "dGamma", "d2Gamma"):
+            assert np.array_equal(getattr(stack, name)[i],
+                                  getattr(p, name)), name

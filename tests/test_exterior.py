@@ -28,15 +28,18 @@ def _vectors(rng, n=4):
 
 
 def _factors(form):
-    """Each term's five factors as dense covectors, (T, 5, dim)."""
-    unit = np.eye(form.dense.shape[1])
-    return np.concatenate([form.dense[:, None], unit[form.coords]], axis=1)
+    """Each term's five factors as dense covectors over all `form.dim`
+    coordinates, (T, 5, dim); a form stores only its leading columns."""
+    unit = np.eye(form.dim)
+    dense = np.zeros((len(form.coef), form.dim))
+    dense[:, :form.dense.shape[-1]] = form.dense
+    return np.concatenate([dense[:, None], unit[form.coords]], axis=1)
 
 
 def _laplace_reference(form, vectors):
     """Per term and per output component j, the 5x5 determinant of the
     factor pairings with vectors + [e_j], summed over terms."""
-    dim = form.dense.shape[1]
+    dim = form.dim
     vecs = np.asarray(vectors)
     out = np.zeros(dim)
     for coef, facs in zip(form.coef, _factors(form)):

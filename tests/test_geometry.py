@@ -134,3 +134,28 @@ def test_sym10_roundtrip():
     rng = np.random.default_rng(2)
     v = rng.normal(size=10)
     assert np.allclose(full_to_sym10(sym10_to_full(v)), v)
+
+
+def test_batched_curvature_bundle_rows_equal_unbatched():
+    # row i of a stacked call equals the unstacked call bit for bit, on
+    # plain arrays and with the second-order block seeded
+    from msgrav.fieldspace import stack_points
+    from msgrav.tangents import Tan
+    spec = catalog.builtin("schwarzschild")
+    pts = [catalog.eh_point_at(spec, x, order=3)
+           for x in interior_points(spec, 5, seed=29)]
+    stack = stack_points(pts)
+    seeds = np.eye(100).reshape(10, 10, 100)
+    plain = curvature_bundle(stack.g, stack.dg, stack.d2g)
+    dual = curvature_bundle(stack.g, stack.dg, Tan(
+        stack.d2g, np.broadcast_to(seeds, (5, 10, 10, 100))))
+    for i, p in enumerate(pts):
+        one = curvature_bundle(p.g, p.dg, p.d2g)
+        one_dual = curvature_bundle(p.g, p.dg, Tan(p.d2g, seeds))
+        for k in range(5):
+            assert np.array_equal(plain[k][i], one[k])
+            got, want = dual[k], one_dual[k]
+            assert np.array_equal(getattr(got, "v", got)[i],
+                                  getattr(want, "v", want))
+            if hasattr(want, "g"):
+                assert np.array_equal(got.g[i], want.g)

@@ -128,11 +128,83 @@ def test_json_report_is_valid_and_full_precision():
         assert parsed["worst_point"] == fam["worst_point"]
 
 
-def test_serial_and_threaded_reports_are_byte_identical():
-    base = dict(model="ep", spec=catalog.builtin("kasner"), points=6, seed=9)
-    serial = report_json(run_check(CheckConfig(**base, threads=1)))
-    threaded = report_json(run_check(CheckConfig(**base, threads=4)))
-    assert serial == threaded
+BUMPY = """[metric]
+name = bumpy
+g 0 0 = -1 - k*x1^2
+g 1 1 = 1
+g 2 2 = 1 + x1^2
+g 3 3 = 1
+[params]
+k = 0.5
+[domain]
+x1 = -0.8..0.8
+[connection]
+Gamma 1 0 0 = k*x1
+"""
+
+
+def _spec(tmp_path, source):
+    if source in catalog.list_builtins():
+        return catalog.builtin(source)
+    path = tmp_path / "spec.metric"
+    path.write_text(source, encoding="utf-8")
+    return catalog.load_metric_file(str(path))
+
+
+def _reports_by_layout(monkeypatch, spec, model, points, seed):
+    """The JSON report under each (chunk limit, threads) layout: the
+    default chunk limit and one point per chunk, serial and threaded."""
+    from msgrav import report
+    out = {}
+    for chunk in (report.CHUNK_POINTS, 1):
+        monkeypatch.setattr(report, "CHUNK_POINTS", chunk)
+        for threads in (1, 4):
+            out[chunk, threads] = report_json(run_check(CheckConfig(
+                model=model, spec=spec, points=points, seed=seed,
+                threads=threads)))
+    return out
+
+
+def test_serial_and_threaded_reports_are_byte_identical(monkeypatch,
+                                                        tmp_path):
+    # neither the worker count nor the chunking may change a report, on a
+    # builtin or on a file with a connection override, in either model
+    for source in ("kasner", BUMPY):
+        spec = _spec(tmp_path, source)
+        for model in ("eh", "ep"):
+            texts = _reports_by_layout(monkeypatch, spec, model, points=10,
+                                       seed=9)
+            assert len(set(texts.values())) == 1, (spec.name, model)
+
+
+# ln of a negative number wherever |x1| < 0.1; no point of the 3^4
+# validation grid (x1 = -1, 0.2, 1.4) reaches it
+LOG_WALL = """[metric]
+name = log-wall
+g 0 0 = -1
+g 1 1 = 1
+g 2 2 = 3 + 0.1*ln(x1^2 - 0.01)
+g 3 3 = 1
+[domain]
+x1 = -1..1.4
+"""
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_singular_points_are_skipped_alike_in_every_chunking(
+        monkeypatch, tmp_path, model):
+    spec = _spec(tmp_path, LOG_WALL)
+    # seed 1 puts points 1, 4 and 18 of 20 inside the wall, so the
+    # default chunks hold skipped and kept points together
+    singular = [i for i, x in enumerate(sample_points(spec, 20, seed=1))
+                if abs(x[1]) < 0.1]
+    assert singular == [1, 4, 18]
+    texts = _reports_by_layout(monkeypatch, spec, model, points=20, seed=1)
+    assert len(set(texts.values())) == 1
+    r = json.loads(next(iter(texts.values())))
+    assert r["points"] == 20 and r["skipped"] == len(singular)
+    assert 1 <= r["skipped"] <= 0.2 * r["points"]
+    assert all(f["points"] == 20 - r["skipped"] for f in r["families"])
 
 
 def test_csv_report_shape():
@@ -158,12 +230,12 @@ def test_nonfinite_residual_fails_and_serializes_as_null(monkeypatch):
     real = report._ep_point_checks
     seen = []
 
-    def checks(spec, x, seed):
-        out = real(spec, x, seed)
-        seen.append(x)
-        if len(seen) == 2:
-            out["torsion"] = float("nan")
-        return out
+    def checks(spec, xs, seeds):
+        kept, out = real(spec, xs, seeds)
+        seen.extend(xs[k] for k in kept)
+        # a NaN in the second row of the chunk
+        out["torsion"][1] = float("nan")
+        return kept, out
 
     monkeypatch.setattr(report, "_ep_point_checks", checks)
     r = run_check(cfg(model="ep", points=3, threads=1))

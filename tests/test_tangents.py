@@ -152,3 +152,74 @@ def test_tensor_jet2_mixed_second_order(f):
                        rtol=1e-6, atol=1e-7)
     mixed = (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4 * h * h)
     assert np.allclose(out.m[..., 0, 0], mixed, rtol=1e-5, atol=1e-6)
+
+
+# -- the leading-axis rule: row i of a stack equals the unstacked call -------
+
+def _stack_rows(f, rows):
+    """f on the stacked rows, and f on each row alone."""
+    stacked = f(*(np.stack(r) for r in zip(*rows)))
+    return stacked, [f(*r) for r in rows]
+
+
+def _same_dual(stacked, i, single):
+    return all(
+        (a is None and b is None) or np.array_equal(a[i], b)
+        for a, b in zip((stacked.v, stacked.a, stacked.b, stacked.m),
+                        (single.v, single.a, single.b, single.m)))
+
+
+def test_batched_einsum_tan_rows_equal_unbatched():
+    rng = np.random.default_rng(11)
+    rows = [(rng.normal(size=(4, 4)), rng.normal(size=(4, 4, 3)),
+             rng.normal(size=(4, 4, 4)), rng.normal(size=(4, 4, 4, 3)))
+            for _ in range(5)]
+
+    def f(v, g, w, h):
+        t, u = Tan(v, g), Tan(w, h)
+        return (einsum("ij,jkl,lm->ikm", t, u, P)
+                + einsum(",ij->ij", einsum("ii->", t), t)[..., None])
+
+    stacked, singles = _stack_rows(f, rows)
+    assert stacked.v.shape == (5, 4, 4, 4) and stacked.g.shape[-1] == 3
+    for i, single in enumerate(singles):
+        assert _same_dual(stacked, i, single)
+
+
+def test_batched_einsum_jet2_cross_terms_rows_equal_unbatched():
+    rng = np.random.default_rng(12)
+    rows = [(rng.normal(size=(4, 4)), rng.normal(size=(4, 4, 2)),
+             rng.normal(size=(4, 4)), rng.normal(size=(4, 4, 3)))
+            for _ in range(4)]
+
+    def f(v, a, w, b):
+        # one operand seeded inner, the other outer: the mixed block is all
+        # cross terms
+        x, y = Jet2(v, a, None, None), Jet2(w, None, b, None)
+        return einsum("ij,jk,ki->", x, y, x) * einsum("ij,ij->", y, y)
+
+    stacked, singles = _stack_rows(f, rows)
+    assert stacked.m.shape == (4, 2, 3)
+    for i, single in enumerate(singles):
+        assert _same_dual(stacked, i, single)
+
+
+def test_batched_inv_rows_equal_unbatched():
+    rng = np.random.default_rng(13)
+    rows = [(M0 + 0.05 * rng.normal(size=(4, 4)),
+             rng.normal(size=(4, 4, 2)), rng.normal(size=(4, 4, 3)),
+             rng.normal(size=(4, 4, 2, 3))) for _ in range(4)]
+    for kind in ("array", "tan", "jet2"):
+        def f(v, a, b, m):
+            if kind == "array":
+                return inv(v)
+            return inv(Tan(v, a) if kind == "tan" else Jet2(v, a, b, m))
+
+        stacked, singles = _stack_rows(f, rows)
+        for i, (n, det) in enumerate(singles):
+            if kind == "array":
+                assert np.array_equal(stacked[0][i], n)
+                assert np.array_equal(stacked[1][i], det)
+            else:
+                assert _same_dual(stacked[0], i, n)
+                assert _same_dual(stacked[1], i, det)
