@@ -2,9 +2,11 @@
 
 Every metric — built in or user supplied — is ten component expressions in
 the coordinates x0..x3 plus parameters; evaluation on truncated-series
-coordinates produces the jets that feed the two models. Connections for
-the metric-affine model default to Levi-Civita and can be overridden
-componentwise from a file.
+coordinates produces the jets that feed the two models. The points may be
+a stack (..., 4): each expression tree is then walked once for the whole
+stack, on stacked series, and a row's jets are bit-identical to those of
+the point built alone. Connections for the metric-affine model default to
+Levi-Civita and can be overridden componentwise from a file.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ class MetricSpec:
                     f"unknown identifier {sorted(unknown)[0]!r} in metric "
                     f"{self.name!r}")
 
-    def contains(self, x) -> bool:
-        return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.domain))
+    def contains(self, x):
+        """Whether each point of x (..., 4) lies in the sample box."""
+        lo, hi = np.array(self.domain).T
+        return np.all((lo <= x) & (x <= hi), axis=-1)
 
 
 def _evaluate(tree, env):
@@ -66,73 +70,49 @@ def _evaluate(tree, env):
                           f"{e}") from None
 
 
-def _env_at(spec: MetricSpec, x, order: int) -> dict:
-    env = {f"x{i}": JetScalar.variable(i, tuple(x), order=order)
+def _series_at(spec: MetricSpec, trees, x, order: int) -> list:
+    """The series of each expression tree about the points x (..., 4), one
+    pass over each tree for the whole stack."""
+    env = {f"x{i}": JetScalar.variable(i, x, order=order)
            for i in range(DIM)}
     env.update(spec.params)
-    return env
+    out = []
+    for tree in trees:
+        v = _evaluate(tree, env)
+        out.append(v if isinstance(v, JetScalar)
+                   else JetScalar.constant(v, x, order=order))
+    return out
 
 
 def metric_jet_at(spec: MetricSpec, x, order: int = 4):
-    """The ten component series centered at x, ready for prolongation."""
-    if not spec.contains(x):
-        raise DomainError(f"point {tuple(x)} outside the sample box of "
-                          f"{spec.name!r}")
-    env = _env_at(spec, x, order)
-    const = JetScalar.constant(0.0, tuple(x), order=order)
-    out = []
-    for c in spec.components:
-        v = _evaluate(c, env)
-        out.append(v if isinstance(v, JetScalar) else const + v)
-    return out
+    """The ten component series centered at the points x (..., 4), ready
+    for prolongation. Raises DomainError if any point is outside the box
+    or any series cannot be evaluated there."""
+    x = np.asarray(x, dtype=float)
+    inside = spec.contains(x)
+    if not np.all(inside):
+        raise DomainError(f"point {tuple(x[~inside][0].tolist())} outside "
+                          f"the sample box of {spec.name!r}")
+    return _series_at(spec, spec.components, x, order)
 
 
 def eh_point_at(spec: MetricSpec, x, order: int = 4) -> EHJetPoint:
     return prolong(metric_jet_at(spec, x, order=order), order=order)
 
 
-def metric_point_at(spec: MetricSpec, x) -> EHJetPoint:
-    """The order-3 prolongation of the order-4 metric series at x: the
-    metric data of an EP point."""
-    return prolong(metric_jet_at(spec, x, order=4), order=3)
+def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
+    """First-order metric-affine point over the points x (..., 4): the
+    metric jet with its Levi-Civita connection (or file overrides),
+    extended with the second derivatives needed for tangent lifts.
 
-
-def connection_jets(spec: MetricSpec, x):
-    """The overridden connection components at one point x, in the order
-    of `spec.connection`: values (K,), first derivatives (K, 4) and second
-    derivatives (K, 10), from their series. Raises DomainError where an
-    override cannot be evaluated."""
-    env = _env_at(spec, x, 2)
-    const = JetScalar.constant(0.0, tuple(x), order=2)
-    series = []
-    for tree in spec.connection.values():
-        v = _evaluate(tree, env)
-        series.append(v if isinstance(v, JetScalar) else const + v)
-    if not series:
-        return np.zeros(0), np.zeros((0, DIM)), np.zeros((0, len(PAIRS)))
-    return (derivatives(series, DERIVS[0])[:, 0],
-            derivatives(series, DERIVS[1]), derivatives(series, DERIVS[2]))
-
-
-def ep_point_at(spec: MetricSpec, x, metric: EHJetPoint | None = None,
-                overrides=None) -> EPJetPoint:
-    """First-order metric-affine point over x: the metric jet with its
-    Levi-Civita connection (or file overrides), extended with the second
-    derivatives needed for tangent lifts.
-
-    `metric` is `metric_point_at(spec, x)`, built here unless a caller
-    that needs it too passes it in, so the series are evaluated once;
-    `overrides` is `connection_jets(spec, x)`, likewise. A caller may pass
-    a stack of points: x of shape (n, 4), the stacked metric points and
-    the overrides stacked on a leading axis.
-
+    The metric is the order-3 prolongation of the order-4 metric series.
     The Levi-Civita Gamma and its first two x-derivatives come from one
     Jet2 pass of the connection kernel on the prolonged jet: the
     first-order shifts seed both derivative blocks and the second-order
     shift the mixed block, so `a` is dGamma and `m` is d2Gamma. Overridden
-    components keep their series route.
+    components keep their series route, evaluated at order 2.
     """
-    p = metric if metric is not None else metric_point_at(spec, x)
+    p = prolong(metric_jet_at(spec, x, order=4), order=3)
     d2 = p.d2g[..., PAIR_FULL]
     g = Jet2(p.g, p.dg, p.dg, d2)
     dg = Jet2(p.dg, d2, d2, p.d3g[..., TRIPLE_FULL])
@@ -141,14 +121,14 @@ def ep_point_at(spec: MetricSpec, x, metric: EHJetPoint | None = None,
     Gamma, dGamma = gam.v.copy(), gam.a.copy()
     d2Gamma = gam.m[..., PAIR_ROWS[0], PAIR_ROWS[1]]
     if spec.connection:
-        val, dval, d2val = (overrides if overrides is not None
-                            else connection_jets(spec, x))
+        series = _series_at(spec, spec.connection.values(), p.x, 2)
+        val, dval, d2val = (derivatives(series, d) for d in DERIVS[:3])
         lmn = tuple(np.array(list(spec.connection)).T)
-        Gamma[(..., *lmn)] = val
+        Gamma[(..., *lmn)] = val[..., 0]
         dGamma[(..., *lmn, slice(None))] = dval
         d2Gamma[(..., *lmn, slice(None))] = d2val
-    return EPJetPoint(x=np.asarray(x, dtype=float), g=p.g, Gamma=Gamma,
-                      dg=p.dg, dGamma=dGamma, d2g=p.d2g, d2Gamma=d2Gamma)
+    return EPJetPoint(x=p.x, g=p.g, Gamma=Gamma, dg=p.dg, dGamma=dGamma,
+                      d2g=p.d2g, d2Gamma=d2Gamma)
 
 
 def _validate(spec: MetricSpec) -> MetricSpec:

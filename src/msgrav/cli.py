@@ -17,7 +17,6 @@ import sys
 
 from . import catalog
 from .errors import ConfigError, DomainError, MsgravError
-from .fieldspace import prolong
 from .indexing import DERIVS, DIM, PAIRS
 from .report import CheckConfig, emit_report, run_check
 from .version import VERSION
@@ -87,7 +86,7 @@ def _cmd_jets(args) -> int:
     if len(x) != DIM:
         raise ConfigError("the point needs exactly 4 coordinates")
     spec = _load_spec(args.metric, _parse_params(args.param))
-    p = prolong(catalog.metric_jet_at(spec, x, order=4), order=4)
+    p = catalog.eh_point_at(spec, x, order=4)
     print(f"metric {spec.name!r} at x = {x}")
     for i, (a, b) in enumerate(PAIRS):
         print(f"g[{a}{b}] = {p.g[i]:.12g}")

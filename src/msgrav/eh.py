@@ -69,15 +69,6 @@ def hamiltonian_closed_fn(pt):
     return rho * h
 
 
-def hamiltonian_coefficient(pt, a, b, k, l, m, n):
-    """H^{abklmn} evaluated on demand (full-range indices)."""
-    ginv, _ = metric_inverse_density(pt.g[PAIR_FULL])
-    return (0.25 * ginv[a, b] * ginv[k, l] * ginv[m, n]
-            - 0.25 * ginv[a, k] * ginv[b, l] * ginv[m, n]
-            + 0.5 * ginv[a, k] * ginv[l, m] * ginv[b, n]
-            - 0.5 * ginv[a, b] * ginv[l, n] * ginv[k, m])
-
-
 def constraint_einstein(pt):
     """The Einstein-equation constraints over ordered pairs,
     -rho n(ab) (R^{ab} - g^{ab} R / 2); also a fiber function."""
@@ -89,7 +80,8 @@ def constraint_einstein(pt):
 
 # -- public operations ------------------------------------------------------
 
-def lagrangian_eh(p: EHJetPoint) -> np.ndarray:
+def lagrangian_eh(p) -> np.ndarray:
+    """L on any point that carries the g, dg and d2g blocks."""
     return np.asarray(lagrangian_fn(p))
 
 

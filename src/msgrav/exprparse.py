@@ -167,11 +167,12 @@ class _Parser:
         base = self._atom()
         if not self._eat_punct("^"):
             return base
-        tok = self._peek()
         neg = self._eat_punct("-")
         tok = self._peek()
         if tok is None or tok[0] != "num":
             self._fail("exponent must be an integer literal")
+        if not math.isfinite(tok[1]):
+            raise ExprSyntaxError("exponent is not finite", offset=tok[2])
         if tok[1] != int(tok[1]):
             raise ExprSyntaxError("exponent must be an integer", offset=tok[2])
         self.pos += 1

@@ -9,8 +9,8 @@ read off them; `EH_EXTENSIONS` and `EP_EXTENSIONS` declare the optional
 higher blocks a point may carry for total derivatives.
 
 A point may carry leading batch axes, one per stacked sample point: every
-block then has the same leading shape in front of its table shape, and
-`stack_points` builds such a point from single ones.
+block then has the same leading shape in front of its table shape. A
+stack of points comes from prolonging a stack of series.
 
 Fiber functions are plain callables on a namespace of a point's blocks in
 their ordered storage. Differentiation seeds whole blocks at once: a
@@ -116,17 +116,6 @@ class _JetPoint:
         return self.x.shape[:-1]
 
 
-def stack_points(points):
-    """One point whose leading axis runs over `points`, all of one class;
-    an optional block is kept only if every point carries it."""
-    blocks = {}
-    for name, _, optional in points[0]._checks:
-        arrs = [getattr(p, name) for p in points]
-        if not (optional and any(a is None for a in arrs)):
-            blocks[name] = np.stack(arrs)
-    return type(points[0])(**blocks)
-
-
 @dataclass(frozen=True)
 class EHJetPoint(_JetPoint):
     """A point of the order-3 metric jet space, optionally extended to order 4.
@@ -170,34 +159,35 @@ class EPJetPoint(_JetPoint):
 # -- prolongation -----------------------------------------------------------
 
 def derivatives(series, combos) -> np.ndarray:
-    """Partial derivatives of each series at its base point, one column per
-    index tuple of `combos`: m! times the Taylor coefficients."""
+    """Partial derivatives of each series at its base points, one column
+    per index tuple of `combos`: m! times the Taylor coefficients, shaped
+    the series' leading shape + (len(series), len(combos))."""
     orders = {s.order for s in series}
     if len(orders) != 1:
         raise ConfigError("series have mixed truncation orders")
     pos, weights = derivative_table(orders.pop(), tuple(combos))
-    return np.stack([s.coeffs for s in series])[:, pos] * weights
+    return np.stack([s.coeffs for s in series], axis=-2)[..., pos] * weights
 
 
 def prolong(metric_series, order: int = 3) -> EHJetPoint:
     """Lift 10 metric component series to a holonomic order-3 (or 4) point.
 
     Jet coordinates are m! times the Taylor coefficients, so the holonomy
-    relations hold by construction.
+    relations hold by construction. Stacked series give a stacked point.
     """
     if order not in (3, 4):
         raise ConfigError("prolongation order must be 3 or 4")
     s0 = metric_series[0]
     if len(metric_series) != len(PAIRS):
         raise ConfigError("need the 10 ordered metric component series")
-    if any(s.base != s0.base for s in metric_series):
+    if any(not np.array_equal(s.base, s0.base) for s in metric_series):
         raise ConfigError("metric series have mixed base points")
     # mixed truncation orders are rejected by `derivatives`
     if min(s.order for s in metric_series) < order:
         raise ConfigError("metric series truncated below prolongation order")
     g, dg, d2g, d3g, *d4g = [derivatives(metric_series, c)
                              for c in DERIVS[:order + 1]]
-    return EHJetPoint(x=np.array(s0.base), g=g[:, 0], dg=dg, d2g=d2g,
+    return EHJetPoint(x=np.array(s0.base), g=g[..., 0], dg=dg, d2g=d2g,
                       d3g=d3g, d4g=d4g[0] if d4g else None)
 
 
@@ -260,14 +250,6 @@ def fiber_hessian(f, p, inner, outer) -> np.ndarray:
     a, b = _identity_seeds(p, inner), _identity_seeds(p, outer)
     return f(_view(p, {k: Jet2(getattr(p, k), a.get(k), b.get(k), None)
                        for k in dict.fromkeys((*inner, *outer))})).m
-
-
-def fiber_partial(f, cid, p):
-    """Exact partial of f with respect to one ordered fiber coordinate."""
-    block, idx = cid[0], cid[1:]
-    g = fiber_gradient(f, p, [block]).g
-    return g[..., np.ravel_multi_index(
-        idx, getattr(p, block).shape[len(p.lead):])]
 
 
 # -- total derivatives ------------------------------------------------------

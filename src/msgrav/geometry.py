@@ -102,11 +102,6 @@ class CurvatureSuite:
     einstein_upper: np.ndarray  # 10 ordered
 
 
-def gamma_full(gamma_sym):
-    """(4, 10) symmetric storage -> full (4, 4, 4) array."""
-    return np.asarray(gamma_sym)[:, PAIR_FULL]
-
-
 def einstein_suite(g10, dg, d2g) -> CurvatureSuite:
     """Full Levi-Civita curvature suite from a metric 2-jet."""
     g10 = np.asarray(g10, dtype=float)

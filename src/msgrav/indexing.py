@@ -56,18 +56,3 @@ MULT = np.array([1.0 if a == b else 2.0 for a, b in PAIRS])
 def pair_index(a: int, b: int) -> int:
     """Index of the unordered pair {a,b} in PAIRS."""
     return int(PAIR_FULL[a, b])
-
-
-def mult(mu: int, nu: int) -> int:
-    """n(mu nu): 1 if mu == nu, else 2."""
-    return 1 if mu == nu else 2
-
-
-def sym10_to_full(v) -> np.ndarray:
-    """Expand an ordered-pair 10-vector into a symmetric 4x4 matrix."""
-    return np.asarray(v, dtype=float)[PAIR_FULL]
-
-
-def full_to_sym10(m) -> np.ndarray:
-    """Collapse a symmetric 4x4 matrix to ordered-pair storage."""
-    return np.asarray(m)[PAIR_ROWS]

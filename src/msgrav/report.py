@@ -2,18 +2,18 @@
 
 Samples points in a metric's domain box, runs the full per-model check
 list on them, and aggregates per-family statistics. The points go through
-the checks in chunks of up to CHUNK_POINTS: each point of a chunk is built
-and validated alone, and a DomainError there skips that point; the
-surviving points are stacked on a leading axis (the leading-axis rule of
-`tangents`) and every check runs once on the stack. A batched pass costs
-far less per point than a loop over points, because Python overhead, not
-arithmetic, dominates a single point. The chunk limit bounds memory: the
-transients of a pass grow with the points in it, by about 2.7 MiB per
-point for the second-order model's mixed Jet2 pass and 0.3 MiB per point
-for the first-order model. Eight points already amortize most of the
-overhead (an ep point costs about 10 ms alone, about 3 ms in a chunk of 8
-and barely less in a chunk of 16), while an eh chunk of 8 holds about
-22 MiB.
+the checks in chunks of up to CHUNK_POINTS, and each chunk is built as one
+stack: its series are evaluated once on stacked base points and prolonged
+on a leading axis (the leading-axis rule of `tangents`), and every check
+runs once on the stack. If the stack raises DomainError, each point is
+built alone and the survivors are built again as one stack, so a point is
+skipped exactly when it fails alone. A batched pass costs far less per
+point than a loop over points, because Python overhead, not arithmetic,
+dominates a single point. The chunk limit bounds memory: the transients of
+a pass grow with the points in it, by about 2.7 MiB per point for the
+second-order model's mixed Jet2 pass and 0.3 MiB per point for the
+first-order model. Eight points already amortize most of the overhead,
+while an eh chunk of 8 holds about 22 MiB.
 
 Sampling is seeded, each point's projectability trials draw from a
 generator seeded by the point's index, and the reduce is ordered, so a
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog, eh, ep
-from .errors import DomainError, MsgravError
-from .fieldspace import prolong, stack_points
+from .errors import ConfigError, DomainError, MsgravError
+from .fieldspace import prolong
 from .version import VERSION
 
 # points per batched pass; see the module docstring
@@ -115,23 +115,31 @@ def _amax(a):
 
 
 def _built(xs, build):
-    """(positions in xs of the points that were built, their builds):
-    each point is built alone, and a DomainError skips it."""
-    kept, built = [], []
-    for k, x in enumerate(xs):
+    """(positions in xs of the points that were built, their build as one
+    stack, or None). The chunk is built as one stack; if that raises
+    DomainError, each point is built alone, as a stack of one, and the
+    points that build are built again as one stack. So a point is skipped
+    exactly when building it alone raises DomainError."""
+    xs = np.array(xs, dtype=float)
+    try:
+        return list(range(len(xs))), build(xs)
+    except DomainError:
+        pass
+    kept = []
+    for k in range(len(xs)):
         try:
-            built.append(build(x))
+            build(xs[k:k + 1])
         except DomainError:
             continue
         kept.append(k)
-    return kept, built
+    return kept, build(xs[kept]) if kept else None
 
 
-def _eh_point(spec, x):
-    series = catalog.metric_jet_at(spec, x, order=4)
+def _eh_point(spec, xs):
+    series = catalog.metric_jet_at(spec, xs, order=4)
     p = prolong(series, order=4)
     h1, h2 = eh.holonomy_residuals(p, series)
-    return p, max(np.abs(h1).max(), np.abs(h2).max())
+    return p, np.maximum(_amax(h1), _amax(h2))
 
 
 def _eh_point_checks(spec, xs, seeds):
@@ -140,9 +148,8 @@ def _eh_point_checks(spec, xs, seeds):
     kept, built = _built(xs, lambda x: _eh_point(spec, x))
     if not kept:
         return kept, {}
-    points, holonomy = zip(*built)
-    p = stack_points(points)
-    out = {"holonomy": np.array(holonomy)}
+    p, holonomy = built
+    out = {"holonomy": holonomy}
     m = eh.momenta_and_hamiltonian(p)
     out["momenta-identity"] = _rel(_amax(m.L2_ad - m.L2_closed),
                                    _amax(m.L2_closed))
@@ -161,14 +168,9 @@ def _eh_point_checks(spec, xs, seeds):
 def _ep_point_checks(spec, xs, seeds):
     """The ep checks on one chunk of points, returned as by
     `_eh_point_checks`."""
-    kept, built = _built(xs, lambda x: (catalog.metric_point_at(spec, x),
-                                        catalog.connection_jets(spec, x)))
+    kept, p = _built(xs, lambda x: catalog.ep_point_at(spec, x))
     if not kept:
         return kept, {}
-    metrics, overrides = zip(*built)
-    metric = stack_points(metrics)
-    p = catalog.ep_point_at(spec, np.array(xs)[kept], metric,
-                            tuple(np.stack(o) for o in zip(*overrides)))
     out = {}
     m = ep.momenta_ep(p)
     out["momenta-identity"] = _rel(_amax(m.Lmom_ad - m.Lmom_closed),
@@ -176,7 +178,8 @@ def _ep_point_checks(spec, xs, seeds):
     dev, _, _ = ep.projectability_check_ep(p, m, trials=2,
                                            seed=np.array(seeds)[kept])
     out["projectability"] = dev
-    l_eh = eh.lagrangian_eh(metric)
+    # the ep point carries the metric jet's g, dg and d2g blocks
+    l_eh = eh.lagrangian_eh(p)
     out["eh-equivalence"] = _rel(np.abs(m.L - l_eh), l_eh)
     out["metric-equation"] = _amax(ep.constraint_c0(p))
     out["pre-metricity"] = _amax(ep.constraint_premetricity(p))
@@ -208,7 +211,12 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
 
     threads = cfg.threads
     if threads is None:
-        threads = int(os.environ.get("MSGR_THREADS", "0")) or None
+        env = os.environ.get("MSGR_THREADS", "0")
+        try:
+            threads = int(env) or None
+        except ValueError:
+            raise ConfigError(f"MSGR_THREADS must be an integer, got "
+                              f"{env!r}") from None
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outs = list(pool.map(at_chunk, chunks))

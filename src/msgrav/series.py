@@ -8,6 +8,13 @@ extraction multiplies back by m!.
 Storage is dense over all multi-indices of degree <= K; for K = 4 in 4
 variables that is C(8,4) = 70 coefficients, where dense beats any sparse
 scheme and multiplication is a fixed precomputed index loop.
+
+A JetScalar may stack series about several base points on leading axes,
+the rule `tangents` uses for sample points: `base` is (..., 4) and
+`coeffs` (..., 70). The check runner builds each chunk of sample points
+this way, walking every expression tree once per chunk, and each row
+keeps the exact arithmetic of a series built alone (Taylor propagation:
+Griewank, Utke & Walther, Math. Comp. 69, 2000).
 """
 
 from __future__ import annotations
@@ -78,19 +85,36 @@ def derivative_table(order: int, combos: tuple):
             np.array([_factorial_weight(m) for m in ms]))
 
 
+def _rowwise(fn, a):
+    """fn applied to each entry of a, with the math module's errors and
+    rounding, so a row's value does not depend on its stack."""
+    return np.vectorize(fn, otypes=[float])(a)
+
+
 class JetScalar:
-    """Immutable truncated Taylor series; all operations are pure."""
+    """Immutable truncated Taylor series; all operations are pure.
+
+    `base` has shape (..., 4) and `coeffs` (..., n): leading axes stack
+    series about several base points, as in `tangents`, and a single
+    series has none. Every operation treats each row alone, in the same
+    arithmetic order as a single series, so a row's coefficients are
+    bit-identical whatever stack it rides in. An elementary function
+    raises SingularPointError if any row is outside its domain.
+    """
 
     __slots__ = ("order", "base", "coeffs")
 
     def __init__(self, order: int, base, coeffs):
         if not 0 <= order <= MAX_ORDER:
             raise ConfigError(f"truncation order {order} outside supported range")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "base", tuple(float(v) for v in base))
+        base = np.asarray(base, dtype=float)
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (len(multi_indices(order)),):
-            raise ConfigError("coefficient vector length does not match order")
+        if (base.shape[-1:] != (NVARS,)
+                or c.shape != base.shape[:-1] + (len(multi_indices(order)),)):
+            raise ConfigError("coefficient array shape does not match the "
+                              "order and the base points")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "coeffs", c)
 
     def __setattr__(self, *_):
@@ -100,109 +124,130 @@ class JetScalar:
 
     @classmethod
     def constant(cls, value, base, order: int = DEFAULT_ORDER) -> "JetScalar":
-        c = np.zeros(len(multi_indices(order)))
-        c[0] = value
+        """A constant series; value is a scalar or one per row."""
+        base = np.asarray(base, dtype=float)
+        c = np.zeros(base.shape[:-1] + (len(multi_indices(order)),))
+        c[..., 0] = value
         return cls(order, base, c)
 
     @classmethod
     def variable(cls, i: int, base, order: int = DEFAULT_ORDER) -> "JetScalar":
-        """The coordinate function x^i expanded around the base point."""
-        c = np.zeros(len(multi_indices(order)))
-        c[0] = base[i]
+        """The coordinate function x^i expanded around the base points."""
+        base = np.asarray(base, dtype=float)
+        c = np.zeros(base.shape[:-1] + (len(multi_indices(order)),))
+        c[..., 0] = base[..., i]
         e = [0] * NVARS
         e[i] = 1
-        c[_index_map(order)[tuple(e)]] = 1.0
+        c[..., _index_map(order)[tuple(e)]] = 1.0
         return cls(order, base, c)
 
     # -- access -------------------------------------------------------------
 
-    def coeff(self, m) -> float:
-        """Taylor coefficient at multi-index m."""
-        return float(self.coeffs[_index_map(self.order)[tuple(m)]])
+    def coeff(self, m):
+        """Taylor coefficient at multi-index m, one per row."""
+        return self.coeffs[..., _index_map(self.order)[tuple(m)]][()]
 
-    def derivative(self, m) -> float:
-        """The m-th partial derivative at the base point: coeff * m!."""
+    def derivative(self, m):
+        """The m-th partial derivative at the base points: coeff * m!."""
         m = tuple(m)
         return self.coeff(m) * _factorial_weight(m)
 
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        return self.coeffs[..., 0][()]
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other) -> "JetScalar":
-        if isinstance(other, JetScalar):
-            if other.order != self.order or other.base != self.base:
-                raise ConfigError(
-                    "mixed truncation orders or base points in series arithmetic"
-                )
-            return other
-        return JetScalar.constant(float(other), self.base, self.order)
+    def _series(self, coeffs) -> "JetScalar":
+        return JetScalar(self.order, self.base, coeffs)
+
+    def _check(self, other: "JetScalar") -> "JetScalar":
+        if other.order != self.order or not (
+                other.base is self.base
+                or np.array_equal(other.base, self.base)):
+            raise ConfigError(
+                "mixed truncation orders or base points in series arithmetic"
+            )
+        return other
+
+    def _shifted(self, value) -> "JetScalar":
+        """self plus a scalar, or one per row: only the constant term moves."""
+        c = self.coeffs.copy()
+        c[..., 0] += value
+        return self._series(c)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return JetScalar(self.order, self.base, self.coeffs + o.coeffs)
+        if isinstance(other, JetScalar):
+            return self._series(self.coeffs + self._check(other).coeffs)
+        return self._shifted(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return JetScalar(self.order, self.base, self.coeffs - o.coeffs)
+        if isinstance(other, JetScalar):
+            return self._series(self.coeffs - self._check(other).coeffs)
+        return self._shifted(-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self._series(-self.coeffs)._shifted(other)
 
     def __neg__(self):
-        return JetScalar(self.order, self.base, -self.coeffs)
+        return self._series(-self.coeffs)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        if not isinstance(other, JetScalar):
+            return self._series(self.coeffs * np.expand_dims(other, -1))
         ii, jj, kk = _mul_table(self.order)
         c = np.zeros_like(self.coeffs)
-        np.add.at(c, kk, self.coeffs[ii] * o.coeffs[jj])
-        return JetScalar(self.order, self.base, c)
+        np.add.at(c, (..., kk),
+                  self.coeffs[..., ii] * self._check(other).coeffs[..., jj])
+        return self._series(c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self._coerce(other).reciprocal()
+        if isinstance(other, JetScalar):
+            return self * other.reciprocal()
+        if np.any(np.asarray(other) == 0.0):
+            raise SingularPointError("division of a series by zero")
+        return self * (1.0 / other)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.reciprocal()
+        return self.reciprocal() * other
 
     def reciprocal(self) -> "JetScalar":
-        c0 = self.coeffs[0]
-        if c0 == 0.0:
+        c0 = self.coeffs[..., 0]
+        if np.any(c0 == 0.0):
             raise SingularPointError("division by a series with zero constant term")
         # 1/(c0 (1+v)) with v nilpotent: geometric series.
         return self._apply_univariate(
             [(-1.0) ** n / c0 for n in range(self.order + 1)], scale=1.0 / c0
         )
 
-    def _nilpotent(self) -> "JetScalar":
-        c = self.coeffs.copy()
-        c[0] = 0.0
-        return JetScalar(self.order, self.base, c)
-
     def _apply_univariate(self, taylor, scale=1.0) -> "JetScalar":
-        """sum_n taylor[n] * (scale * (self - const))^n, Horner-free powers."""
-        u = self._nilpotent() * scale
-        out = JetScalar.constant(taylor[0], self.base, self.order)
-        p = JetScalar.constant(1.0, self.base, self.order)
+        """sum_n taylor[n] * (scale * (self - const))^n, Horner-free powers;
+        each taylor[n] and scale is a scalar or one per row."""
+        c = self.coeffs.copy()
+        c[..., 0] = 0.0
+        u = self._series(c) * scale
+        out, p = JetScalar.constant(taylor[0], self.base, self.order), None
         for n in range(1, self.order + 1):
-            p = p * u
-            out = out + taylor[n] * p
+            p = u if p is None else p * u
+            out = out + p * taylor[n]
         return out
 
     # -- analytic functions -------------------------------------------------
 
-    def sqrt(self) -> "JetScalar":
-        c0 = self.coeffs[0]
-        if c0 <= 0.0:
+    def _positive_c0(self, name):
+        c0 = self.coeffs[..., 0]
+        if np.any(c0 <= 0.0):
             raise SingularPointError(
-                f"series sqrt needs positive constant term, got {c0}"
-            )
-        r = math.sqrt(c0)
+                f"series {name} needs a positive constant term, got "
+                f"{np.min(c0)}")
+        return c0
+
+    def sqrt(self) -> "JetScalar":
+        c0 = self._positive_c0("sqrt")
+        r = np.sqrt(c0)
         # binomial series (1+v)^(1/2), v = (self - c0)/c0
         coefs, b = [], 1.0
         for n in range(self.order + 1):
@@ -211,33 +256,33 @@ class JetScalar:
         return self._apply_univariate(coefs, scale=1.0 / c0)
 
     def exp(self) -> "JetScalar":
-        e0 = math.exp(self.coeffs[0])
+        e0 = _rowwise(math.exp, self.coeffs[..., 0])
         return self._apply_univariate(
             [e0 / math.factorial(n) for n in range(self.order + 1)]
         )
 
     def ln(self) -> "JetScalar":
-        c0 = self.coeffs[0]
-        if c0 <= 0.0:
-            raise SingularPointError(f"series ln needs positive constant term, got {c0}")
-        coefs = [math.log(c0)] + [
+        c0 = self._positive_c0("ln")
+        coefs = [_rowwise(math.log, c0)] + [
             (-1.0) ** (n + 1) / n for n in range(1, self.order + 1)
         ]
         return self._apply_univariate(coefs, scale=1.0 / c0)
 
-    def sin(self) -> "JetScalar":
-        s0, c0 = math.sin(self.coeffs[0]), math.cos(self.coeffs[0])
+    def _trig(self, phase) -> "JetScalar":
+        """sin (phase 0) or cos (phase 1) through the cycle of derivatives."""
+        s0 = _rowwise(math.sin, self.coeffs[..., 0])
+        c0 = _rowwise(math.cos, self.coeffs[..., 0])
         cyc = [s0, c0, -s0, -c0]
         return self._apply_univariate(
-            [cyc[n % 4] / math.factorial(n) for n in range(self.order + 1)]
+            [cyc[(n + phase) % 4] / math.factorial(n)
+             for n in range(self.order + 1)]
         )
 
+    def sin(self) -> "JetScalar":
+        return self._trig(0)
+
     def cos(self) -> "JetScalar":
-        s0, c0 = math.sin(self.coeffs[0]), math.cos(self.coeffs[0])
-        cyc = [c0, -s0, -c0, s0]
-        return self._apply_univariate(
-            [cyc[n % 4] / math.factorial(n) for n in range(self.order + 1)]
-        )
+        return self._trig(1)
 
     def powi(self, n: int) -> "JetScalar":
         """Integer power by repeated squaring: O(log |n|) products."""
@@ -255,9 +300,10 @@ class JetScalar:
         return out
 
     def __repr__(self):
-        nz = {
-            m: self.coeffs[i]
-            for i, m in enumerate(multi_indices(self.order))
-            if self.coeffs[i] != 0.0
-        }
-        return f"JetScalar(order={self.order}, base={self.base}, coeffs={nz})"
+        rows = [{m: float(r[i])
+                 for i, m in enumerate(multi_indices(self.order))
+                 if r[i] != 0.0}
+                for r in self.coeffs.reshape(-1, self.coeffs.shape[-1])]
+        coeffs = rows[0] if self.coeffs.ndim == 1 else rows
+        return (f"JetScalar(order={self.order}, base={self.base.tolist()}, "
+                f"coeffs={coeffs})")

@@ -154,8 +154,8 @@ def test_acceptance_8_projective_gauge_invariance():
 
 
 def test_acceptance_9_oracle_agreement():
-    from msgrav.geometry import einstein_suite, gamma_full
-    from msgrav.indexing import sym10_to_full
+    from msgrav.geometry import einstein_suite
+    from msgrav.indexing import PAIR_FULL
     worst = 0.0
     for name in ALL_METRICS:
         spec = catalog.builtin(name)
@@ -165,10 +165,10 @@ def test_acceptance_9_oracle_agreement():
             ginv_o, rho_o, gam_o, ric_o, scal_o, ein_o = \
                 oracle.curvature_oracle(spec, x)
             for got, want in (
-                    (sym10_to_full(suite.ginv), ginv_o),
-                    (gamma_full(suite.gamma), gam_o),
+                    (suite.ginv[PAIR_FULL], ginv_o),
+                    (suite.gamma[:, PAIR_FULL], gam_o),
                     (suite.ricci, ric_o),
-                    (sym10_to_full(suite.einstein_lower), ein_o)):
+                    (suite.einstein_lower[PAIR_FULL], ein_o)):
                 scale = 1.0 + np.abs(want).max()
                 worst = max(worst, np.abs(got - want).max() / scale)
             worst = max(worst, abs(suite.rho - rho_o) / (1 + rho_o))

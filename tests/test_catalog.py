@@ -137,18 +137,6 @@ def test_unknown_identifier_in_component():
                               "0", "1"]))
 
 
-def test_ep_point_reuses_metric_point(all_specs):
-    # a caller's metric point gives the same EP point, bit for bit
-    spec = all_specs["schwarzschild"]
-    x = (0.0, 5.0, 1.2, 3.0)
-    metric = catalog.metric_point_at(spec, x)
-    a = catalog.ep_point_at(spec, x, metric)
-    b = catalog.ep_point_at(spec, x)
-    for name in ("g", "dg", "d2g", "Gamma", "dGamma", "d2Gamma"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(metric.d2g, b.d2g)
-
-
 def test_ep_point_extensions_present(all_specs):
     spec = all_specs["schwarzschild"]
     p = catalog.ep_point_at(spec, (0.0, 5.0, 1.2, 3.0))

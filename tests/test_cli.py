@@ -163,3 +163,14 @@ def test_huge_metric_values_are_a_domain_error(tmp_path, capsys):
                             "--points", "1"], capsys)
     assert code == 3
     assert "domain error" in err
+
+
+def test_infinite_exponent_in_metric_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "inf.ini"
+    path.write_text("[metric]\ng 0 0 = -1\ng 1 1 = 1 + 0*x1^1e999\n"
+                    "g 2 2 = 1\ng 3 3 = 1\n", encoding="utf-8")
+    code, _, err = run(
+        ["check", "--model", "eh", "--metric", str(path), "--points", "1"],
+        capsys)
+    assert code == 2
+    assert "exponent" in err

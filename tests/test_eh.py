@@ -6,8 +6,8 @@ from msgrav import catalog, eh
 from msgrav.errors import ConfigError
 from msgrav.fieldspace import (EH_BLOCKS, EHJetPoint, fiber_gradient,
                                fiber_jacobian, flat_index, prolong)
-from msgrav.geometry import einstein_suite
-from msgrav.indexing import DIM, MULT, PAIRS, mult, pair_index
+from msgrav.geometry import einstein_suite, metric_inverse_density
+from msgrav.indexing import DIM, MULT, PAIR_FULL, PAIRS, pair_index
 from msgrav.tangents import einsum, sqrt
 
 MID = {
@@ -43,6 +43,15 @@ def test_momenta_routes_agree_everywhere(all_specs):
                 1.0 + abs(m.H_closed)), name
 
 
+def hamiltonian_coefficient(pt, a, b, k, l, m, n):
+    """The literal coefficient H^{abklmn} (full-range indices)."""
+    ginv, _ = metric_inverse_density(pt.g[PAIR_FULL])
+    return (0.25 * ginv[a, b] * ginv[k, l] * ginv[m, n]
+            - 0.25 * ginv[a, k] * ginv[b, l] * ginv[m, n]
+            + 0.5 * ginv[a, k] * ginv[l, m] * ginv[b, n]
+            - 0.5 * ginv[a, b] * ginv[l, n] * ginv[k, m])
+
+
 def test_hamiltonian_closed_matches_literal_coefficient_sum():
     # the optimized evaluation against the naive six-index contraction
     p = point("flrw")
@@ -50,9 +59,7 @@ def test_hamiltonian_closed_matches_literal_coefficient_sum():
     for i, (a, b) in enumerate(PAIRS):
         for mu in range(DIM):
             dgm[mu][a, b] = dgm[mu][b, a] = p.dg[i, mu]
-    from msgrav.geometry import metric_inverse_density
-    from msgrav.indexing import sym10_to_full
-    _, rho = metric_inverse_density(sym10_to_full(p.g))
+    _, rho = metric_inverse_density(p.g[PAIR_FULL])
     total = 0.0
     for a in range(DIM):
         for b in range(DIM):
@@ -61,7 +68,7 @@ def test_hamiltonian_closed_matches_literal_coefficient_sum():
                     for m in range(DIM):
                         for n in range(DIM):
                             total += (dgm[m][a, b] * dgm[n][k, l]
-                                      * eh.hamiltonian_coefficient(
+                                      * hamiltonian_coefficient(
                                           p, a, b, k, l, m, n))
     total *= rho
     assert eh.hamiltonian_closed_fn(p) == pytest.approx(total, rel=1e-12)
@@ -183,8 +190,7 @@ def test_einstein_constraint_matches_curvature_suite():
         p = point(name)
         c = eh.constraint_einstein(p)
         suite = einstein_suite(p.g, p.dg, p.d2g)
-        want = np.array([-suite.rho * mult(a, b) * suite.einstein_upper[i]
-                         for i, (a, b) in enumerate(PAIRS)])
+        want = -suite.rho * MULT * suite.einstein_upper
         assert np.allclose(c, want, rtol=1e-12, atol=1e-14)
 
 
@@ -278,11 +284,11 @@ def test_tangent_lifts_need_order_four():
 
 def test_batched_cartan_contraction_rows_equal_unbatched():
     from msgrav.exterior import contract_terms
-    from msgrav.fieldspace import stack_points, tangent_lifts
+    from msgrav.fieldspace import tangent_lifts
     spec = catalog.builtin("flrw")
-    pts = [catalog.eh_point_at(spec, x, order=4)
-           for x in interior_points(spec, 3, seed=37)]
-    stack = stack_points(pts)
+    xs = interior_points(spec, 3, seed=37)
+    pts = [catalog.eh_point_at(spec, x, order=4) for x in xs]
+    stack = catalog.eh_point_at(spec, np.array(xs), order=4)
     form = eh.cartan_form_eh(stack)
     assert len(form) == 3 * (1 + 40 + 160)
     cov = contract_terms(form, tangent_lifts(stack))

@@ -5,9 +5,9 @@ from conftest import interior_points
 from msgrav import catalog, oracle
 from msgrav.errors import DegenerateMetricError
 from msgrav.fieldspace import total_derivatives
-from msgrav.geometry import (curvature_bundle, einstein_suite, gamma_full,
+from msgrav.geometry import (curvature_bundle, einstein_suite,
                              metric_inverse_density, torsion, torsion_full)
-from msgrav.indexing import DIM, PAIRS, full_to_sym10, sym10_to_full
+from msgrav.indexing import DIM, PAIR_FULL, PAIRS
 from msgrav.tangents import einsum
 
 
@@ -19,8 +19,8 @@ def suite_at(name, x, **params):
 
 def test_inverse_metric_roundtrip():
     suite, p = suite_at("schwarzschild", (0.0, 5.0, 1.2, 3.0))
-    g = sym10_to_full(p.g)
-    ginv = sym10_to_full(suite.ginv)
+    g = p.g[PAIR_FULL]
+    ginv = suite.ginv[PAIR_FULL]
     assert np.allclose(ginv @ g, np.eye(DIM), atol=1e-13)
 
 
@@ -65,9 +65,9 @@ def test_desitter_scalar_curvature():
 
 def test_einstein_upper_is_raised_lower():
     suite, _ = suite_at("flrw", (0.4, 0.1, 0.2, -0.3))
-    ginv = sym10_to_full(suite.ginv)
-    up = ginv @ sym10_to_full(suite.einstein_lower) @ ginv
-    assert np.allclose(sym10_to_full(suite.einstein_upper), up, atol=1e-13)
+    ginv = suite.ginv[PAIR_FULL]
+    up = ginv @ suite.einstein_lower[PAIR_FULL] @ ginv
+    assert np.allclose(suite.einstein_upper[PAIR_FULL], up, atol=1e-13)
 
 
 def test_oracle_pipeline_agreement(all_specs):
@@ -78,14 +78,14 @@ def test_oracle_pipeline_agreement(all_specs):
             ginv_o, rho_o, gam_o, ric_o, scal_o, ein_o = \
                 oracle.curvature_oracle(spec, x)
             scale = 1.0 + np.abs(ric_o).max()
-            assert np.allclose(sym10_to_full(suite.ginv), ginv_o,
+            assert np.allclose(suite.ginv[PAIR_FULL], ginv_o,
                                rtol=1e-6, atol=1e-8), name
             assert suite.rho == pytest.approx(rho_o, rel=1e-6)
-            assert np.abs(gamma_full(suite.gamma) - gam_o).max() < 1e-5 * (
+            assert np.abs(suite.gamma[:, PAIR_FULL] - gam_o).max() < 1e-5 * (
                 1.0 + np.abs(gam_o).max()), name
             assert np.abs(suite.ricci - ric_o).max() < 1e-5 * scale, name
             assert abs(suite.scalar - scal_o) < 1e-5 * (1 + abs(scal_o))
-            assert np.abs(sym10_to_full(suite.einstein_lower)
+            assert np.abs(suite.einstein_lower[PAIR_FULL]
                           - ein_o).max() < 1e-5 * scale, name
 
 
@@ -130,21 +130,14 @@ def test_symmetric_connection_has_no_torsion():
     assert np.abs(torsion(sym)).max() == 0.0
 
 
-def test_sym10_roundtrip():
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=10)
-    assert np.allclose(full_to_sym10(sym10_to_full(v)), v)
-
-
 def test_batched_curvature_bundle_rows_equal_unbatched():
     # row i of a stacked call equals the unstacked call bit for bit, on
     # plain arrays and with the second-order block seeded
-    from msgrav.fieldspace import stack_points
     from msgrav.tangents import Tan
     spec = catalog.builtin("schwarzschild")
-    pts = [catalog.eh_point_at(spec, x, order=3)
-           for x in interior_points(spec, 5, seed=29)]
-    stack = stack_points(pts)
+    xs = interior_points(spec, 5, seed=29)
+    pts = [catalog.eh_point_at(spec, x, order=3) for x in xs]
+    stack = catalog.eh_point_at(spec, np.array(xs), order=3)
     seeds = np.eye(100).reshape(10, 10, 100)
     plain = curvature_bundle(stack.g, stack.dg, stack.d2g)
     dual = curvature_bundle(stack.g, stack.dg, Tan(

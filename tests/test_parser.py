@@ -64,6 +64,15 @@ def test_non_integer_exponent_rejected():
         parse_expression("x1^x2")
 
 
+def test_infinite_exponent_rejected():
+    # 1e999 reads as inf, which has no integer value
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expression("1 + 0*x1^1e999")
+    assert e.value.offset == 9
+    with pytest.raises(ExprSyntaxError):
+        parse_expression("x1^-1e999")
+
+
 def test_unknown_function_and_identifier():
     with pytest.raises(ExprSyntaxError):
         parse_expression("foo(2)")

@@ -246,3 +246,41 @@ def test_nonfinite_residual_fails_and_serializes_as_null(monkeypatch):
     parsed = {f["family"]: f for f in obj["families"]}["torsion"]
     assert parsed["max_resid"] is None and parsed["mean_resid"] is None
     assert parsed["pass"] is False
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_one_series_pass_per_chunk(monkeypatch, tmp_path, model):
+    # a chunk is built as one stack; a singular point costs a retry of
+    # each point alone and one more stack of the survivors
+    from msgrav import report
+    real, calls = catalog.metric_jet_at, []
+
+    def counted(spec, x, order=4):
+        calls.append(len(x))
+        return real(spec, x, order=order)
+
+    monkeypatch.setattr(catalog, "metric_jet_at", counted)
+    checks = report._eh_point_checks if model == "eh" else \
+        report._ep_point_checks
+    spec = catalog.builtin("schwarzschild")
+    xs = sample_points(spec, 8, seed=3)
+    kept, _ = checks(spec, xs, list(range(8)))
+    assert kept == list(range(8)) and calls == [8]
+    calls.clear()
+    wall = _spec(tmp_path, LOG_WALL)
+    xs = sample_points(wall, 8, seed=1)
+    kept, out = checks(wall, xs, list(range(8)))
+    assert kept == [0, 2, 3, 5, 6, 7]
+    assert calls == [8] + [1] * 8 + [6]
+    assert all(len(v) == 6 for v in out.values())
+
+
+def test_bad_thread_count_in_environment_is_a_config_error(monkeypatch,
+                                                           capsys):
+    from msgrav import cli
+    monkeypatch.setenv("MSGR_THREADS", "abc")
+    code = cli.main(["check", "--model", "ep", "--metric", "minkowski",
+                     "--points", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "MSGR_THREADS" in err and "Traceback" not in err

@@ -1,12 +1,16 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interior_points
+from msgrav import catalog
 from msgrav.errors import SingularPointError
+from msgrav.exprparse import evaluate
 from msgrav.series import DEFAULT_ORDER, JetScalar, multi_indices
 
 
@@ -179,3 +183,63 @@ def test_ring_laws(ca, cb, cc):
     assert np.allclose((a * b).coeffs, (b * a).coeffs, atol=1e-12)
     assert np.allclose((a * (b + c)).coeffs, (a * b + a * c).coeffs,
                        atol=1e-9)
+
+
+# -- stacked series ---------------------------------------------------------
+
+INPUTS = Path(__file__).resolve().parents[1] / "msbench" / "inputs"
+
+
+def _stack_specs():
+    specs = [catalog.builtin(n) for n in catalog.list_builtins()]
+    return specs + [catalog.load_metric_file(str(INPUTS / f"{n}.metric"))
+                    for n in ("bumpy", "torsion")]
+
+
+def _trees_at(spec, x, order):
+    env = {f"x{i}": JetScalar.variable(i, x, order=order) for i in range(4)}
+    env.update(spec.params)
+    trees = tuple(spec.components) + tuple(spec.connection.values())
+    return [evaluate(t, env) for t in trees]
+
+
+@pytest.mark.parametrize("spec", _stack_specs(), ids=lambda s: s.name)
+def test_stacked_rows_equal_single_point_series(spec):
+    xs = np.array(interior_points(spec, 5, seed=71))
+    for order in (2, 4):
+        stacked = _trees_at(spec, xs, order)
+        for k, x in enumerate(xs):
+            for s, one in zip(stacked, _trees_at(spec, x, order)):
+                if not isinstance(one, JetScalar):
+                    assert s == one
+                    continue
+                assert s.coeffs.shape == (5, len(multi_indices(order)))
+                assert np.array_equal(s.coeffs[k], one.coeffs)
+                assert np.array_equal(s.base[k], one.base)
+
+
+@pytest.mark.parametrize("op", [lambda s: 1.0 / s, JetScalar.sqrt,
+                                JetScalar.ln])
+def test_one_singular_row_fails_the_stack(op):
+    # the constant term x1 is 0 in row 1 only
+    xs = np.array([[0.0, 0.5, 0, 0], [0.0, 0.0, 0, 0], [0.0, 2.0, 0, 0]])
+    with pytest.raises(SingularPointError):
+        op(JetScalar.variable(1, xs))
+    for k in (0, 2):
+        one = op(JetScalar.variable(1, xs[k]))
+        assert np.array_equal(op(JetScalar.variable(1, xs[[k]])).coeffs[0],
+                              one.coeffs)
+
+
+def test_scalar_operands_act_per_row():
+    xs = np.array([[0.3, 1.0, 0, 0], [0.7, -2.0, 0, 0]])
+    s = var(0, base=xs) * var(1, base=xs) + 1.0
+    per_row = np.array([2.0, -0.5])
+    for got, want in ((s * per_row, s * const(per_row, base=xs)),
+                      (s * 3.0, s * const(3.0, base=xs)),
+                      (s + per_row, s + const(per_row, base=xs)),
+                      (2.0 - s, const(2.0, base=xs) - s)):
+        assert np.array_equal(got.coeffs, want.coeffs)
+    assert "[[0.3, 1.0, 0.0, 0.0], [0.7, -2.0, 0.0, 0.0]]" in repr(s)
+    with pytest.raises(SingularPointError):
+        s / 0.0
