@@ -15,9 +15,7 @@ from .errors import (ConfigError, DegenerateMetricError, DomainError,
 from .series import JetScalar
 from .tangents import Jet2, Tan
 from .fieldspace import (EH_DIM_E, EH_DIM_J3, EP_DIM_E, EP_DIM_J1,
-                         EHJetPoint, EPJetPoint, prolong, total_derivative,
-                         total_derivatives)
-from .geometry import CurvatureSuite, einstein_suite, torsion
+                         EHJetPoint, EPJetPoint, prolong, total_derivatives)
 from .catalog import (MetricSpec, builtin, ep_point_at, eh_point_at,
                       list_builtins, load_metric_file, metric_jet_at)
 from .report import CheckConfig, ConstraintReport, emit_report, run_check
@@ -28,9 +26,8 @@ __all__ = [
     "SingularPointError", "DegenerateMetricError",
     "JetScalar", "Tan", "Jet2",
     "EHJetPoint", "EPJetPoint", "prolong",
-    "total_derivative", "total_derivatives",
+    "total_derivatives",
     "EH_DIM_E", "EH_DIM_J3", "EP_DIM_E", "EP_DIM_J1",
-    "CurvatureSuite", "einstein_suite", "torsion",
     "MetricSpec", "builtin", "list_builtins", "load_metric_file",
     "metric_jet_at", "eh_point_at", "ep_point_at",
     "CheckConfig", "ConstraintReport", "run_check", "emit_report",

@@ -68,8 +68,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if args.action != "list":
-        raise ConfigError(f"unknown catalog action {args.action!r}")
     for name in catalog.list_builtins():
         spec = catalog.builtin(name)
         box = ", ".join(f"x{i}:[{lo:g}, {hi:g}]"

@@ -29,7 +29,8 @@ from .fieldspace import (EH_DIM_J3, EH_OFF, EHJetPoint, derivatives,
                          fiber_gradient, fiber_hessian, fiber_jacobian,
                          perturbed, tangent_lifts, total_derivatives_vec,
                          trial_rngs)
-from .geometry import curvature_bundle, metric_inverse_density
+from .geometry import (curvature_bundle, metric_inverse_density,
+                       scalar_density)
 from .indexing import DERIVS, DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import Jet2, einsum
 
@@ -40,8 +41,7 @@ NPAIR = len(PAIRS)
 
 def lagrangian_fn(pt):
     """rho * g^{ab} R_ab; reaches the second-order coordinates only."""
-    _, rho, _, _, scal = curvature_bundle(pt.g, pt.dg, pt.d2g)
-    return rho * scal
+    return scalar_density(pt.g, pt.dg, pt.d2g)
 
 
 def momenta2_closed_fn(pt):

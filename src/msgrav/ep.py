@@ -21,7 +21,7 @@ from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EP_DIM_J1, EP_OFF, EPJetPoint, fiber_gradient,
                          fiber_jacobian, perturbed, tangent_lifts, trial_rngs)
 from .geometry import (metric_inverse_density, ricci_from_connection,
-                       scalar_curvature, torsion_full)
+                       torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import einsum
 
@@ -31,8 +31,8 @@ NPAIR = len(PAIRS)
 # -- fiber functions --------------------------------------------------------
 
 def _lagrangian(pt, ginv, rho):
-    return rho * scalar_curvature(ginv, ricci_from_connection(pt.Gamma,
-                                                              pt.dGamma))
+    return rho * einsum("ab,ab->", ginv,
+                        ricci_from_connection(pt.Gamma, pt.dGamma))
 
 
 def lagrangian_fn(pt):
@@ -73,10 +73,6 @@ class EPMomenta:
     Lmom_ad: np.ndarray      # (4, 4, 4, 4): d L / d Gamma^a_{bc,s}
     Lmom_closed: np.ndarray
     H: np.ndarray
-
-
-def lagrangian_ep(p: EPJetPoint) -> np.ndarray:
-    return np.asarray(lagrangian_fn(p))
 
 
 def momenta_ep(p: EPJetPoint) -> EPMomenta:

@@ -260,25 +260,3 @@ def evaluate(node, env: dict):
         return base.powi(node.exponent)
     return _apply(node.func, evaluate(node.arg, env))
 
-
-def pretty(node) -> str:
-    """Minimal-parenthesis rendering; re-parsing it reproduces the tree."""
-    def render(n, ctx):
-        if isinstance(n, Num):
-            s = repr(n.value)
-            return s[:-2] if s.endswith(".0") else s
-        if isinstance(n, Name):
-            return n.ident
-        if isinstance(n, Neg):
-            s = "-" + render(n.arg, 3)
-            return f"({s})" if ctx > 3 else s
-        if isinstance(n, Pow):
-            s = f"{render(n.base, 5)}^{n.exponent}"
-            return f"({s})" if ctx > 4 else s
-        if isinstance(n, Call):
-            return f"{n.func}({render(n.arg, 0)})"
-        lp, rp = (1, 2) if n.op in "+-" else (2, 3)
-        s = f"{render(n.left, lp)} {n.op} {render(n.right, rp)}"
-        return f"({s})" if ctx > lp else s
-
-    return render(node, 0)

@@ -93,8 +93,9 @@ def _shape_checks(blocks, extensions):
 
 
 class _JetPoint:
-    """Validates a point's blocks against its tables and freezes them; the
-    blocks of a stack of points share one leading shape."""
+    """Validates a point's blocks against its tables and keeps read-only
+    views of them, so the caller's arrays stay writeable; the blocks of a
+    stack of points share one leading shape."""
 
     def __post_init__(self):
         lead = np.shape(self.x)[:-1]
@@ -102,7 +103,7 @@ class _JetPoint:
             arr = getattr(self, name)
             if optional and arr is None:
                 continue
-            arr = np.asarray(arr, dtype=float)
+            arr = np.asarray(arr, dtype=float).view()
             if arr.shape != lead + shape:
                 raise ConfigError(
                     f"{name} block has shape {arr.shape}, want {lead + shape}")
@@ -299,11 +300,6 @@ def total_derivatives_vec(f, p, taus=range(DIM), **kw):
     """total_derivatives for an array-valued f; total_derivatives handles
     any value shape, and this name stays because msbench times it."""
     return total_derivatives(f, p, taus, **kw)
-
-
-def total_derivative(f, tau: int, p, **kw):
-    """D_tau f: the base derivative plus the jet-coordinate shift terms."""
-    return total_derivatives(f, p, [tau], **kw)[..., 0]
 
 
 def tangent_lifts(p) -> np.ndarray:

@@ -25,6 +25,13 @@ Elementwise products broadcast from the right, so a per-point scalar
 times a tensor is written `einsum(",ab->ab", s, t)`, never `s * t`. A
 single point is the case with no batch axis.
 
+Plan and dispatch: each (subscripts, operand shapes) signature is planned
+once, in a greedy pairwise order chosen on the named axes alone. A pair
+step is one np.matmul of C-contiguous (batch, M, K) and (batch, K, N)
+operands, the leading axes among the batch axes, so BLAS sums a stacked
+row exactly as the row alone; traces, index sums and permutations are
+single-operand np.einsum steps.
+
 Finite differences are deliberately absent here; they live only in the
 tests.
 """
@@ -32,6 +39,7 @@ tests.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -48,10 +56,6 @@ def _outer(a, b):
     if a is None or b is None:
         return None
     return a[..., :, None] * b[..., None, :]
-
-
-def _sum(*blocks):
-    return _total(blocks)
 
 
 def _total(blocks):
@@ -106,8 +110,8 @@ class _Dual:
         if not isinstance(o, _Dual):
             return self._new(self.v + o, self.a, self.b, self.m)
         o = self._same(o)
-        return self._new(self.v + o.v, _sum(self.a, o.a), _sum(self.b, o.b),
-                         _sum(self.m, o.m))
+        return self._new(self.v + o.v, _total((self.a, o.a)),
+                         _total((self.b, o.b)), _total((self.m, o.m)))
 
     __radd__ = __add__
 
@@ -128,18 +132,18 @@ class _Dual:
         o = self._same(o)
         return self._new(
             self.v * o.v,
-            _sum(_scale(self.a, o.v, 1), _scale(o.a, self.v, 1)),
-            _sum(_scale(self.b, o.v, 1), _scale(o.b, self.v, 1)),
-            _sum(_scale(self.m, o.v, 2), _scale(o.m, self.v, 2),
-                 _outer(self.a, o.b), _outer(o.a, self.b)))
+            _total((_scale(self.a, o.v, 1), _scale(o.a, self.v, 1))),
+            _total((_scale(self.b, o.v, 1), _scale(o.b, self.v, 1))),
+            _total((_scale(self.m, o.v, 2), _scale(o.m, self.v, 2),
+                    _outer(self.a, o.b), _outer(o.a, self.b))))
 
     __rmul__ = __mul__
 
     def _chain(self, f0, f1, f2):
         """f(self) from the value f0 and the derivatives f1, f2 of f."""
         return self._new(f0, _scale(self.a, f1, 1), _scale(self.b, f1, 1),
-                         _sum(_scale(self.m, f1, 2),
-                              _scale(_outer(self.a, self.b), f2, 2)))
+                         _total((_scale(self.m, f1, 2),
+                                 _scale(_outer(self.a, self.b), f2, 2))))
 
     def reciprocal(self):
         r = 1.0 / self.v
@@ -193,9 +197,6 @@ class Tan(_Dual):
     def _make(self, v, a, b, m):
         return Tan(v, a)
 
-    def __repr__(self):
-        return f"Tan({self.v}, {self.g})"
-
 
 class Jet2(_Dual):
     """Second-order dual: value, inner block a, outer block b, mixed m."""
@@ -211,27 +212,90 @@ class Jet2(_Dual):
     def _make(self, v, a, b, m):
         return Jet2(v, a, b, m)
 
-    def __repr__(self):
-        return f"Jet2({self.v}, a={self.a}, b={self.b})"
-
 
 # -- entry points over plain arrays, Tan and Jet2 ---------------------------
 
-@lru_cache(maxsize=1024)
-def _path(subscripts, shapes):
-    """The greedy contraction order, chosen on the named (trailing) axes
-    alone: it is the same for one point and for any stack of points."""
-    return np.einsum_path(subscripts, *(np.empty(s) for s in shapes),
-                          optimize="greedy")[0]
+def _kept(term, keep):
+    """term's distinct letters that are in keep, in order."""
+    return "".join(c for c in dict.fromkeys(term) if c in keep)
+
+
+def _prep(term, shape, groups, lead, size):
+    """(einsum summing the letters outside `groups`, broadcast shape, axis
+    permutation, matmul shape; None where not needed) for one operand."""
+    n, letters = len(lead), "".join(groups)
+    own = shape[:len(shape) - len(term)]
+    kept = _kept(term, letters)
+    axes = tuple(range(n)) + tuple(n + kept.index(c) for c in letters)
+    return (None if kept == term else f"...{term}->...{kept}",
+            None if own == lead else lead + tuple(size[c] for c in kept),
+            None if letters == kept else axes,
+            lead + tuple(math.prod(size[c] for c in g) for g in groups))
+
+
+@lru_cache(maxsize=4096)
+def _plan(subscripts, shapes):
+    """(steps, final einsum or None). Each step contracts the pair ranked
+    first by np.einsum_path's greedy key on the named letters alone (a
+    shared letter, most entries removed, fewest products) and appends it;
+    there is no memory limit, so no step takes three or more operands."""
+    ins, out = subscripts.replace("...", "").split("->")
+    ops = list(zip(ins.split(","), shapes))
+    size = {c: n for t, s in ops for c, n in zip(t, s[len(s) - len(t):])}
+    leads = {s[:len(s) - len(t)] for t, s in ops}
+    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
+
+    def n(letters):
+        return math.prod(map(size.__getitem__, letters))
+
+    def keep(idx):
+        return set(out).union(*(t for k, (t, _) in enumerate(ops)
+                                if k not in idx))
+
+    def rank(idx):
+        s, t = sets[idx[0]], sets[idx[1]]
+        return (s.isdisjoint(t), n((s | t) & keep(idx)) - n(s) - n(t),
+                n(s | t))
+
+    steps = []
+    while len(ops) > 1:
+        sets = [set(t) for t, _ in ops]
+        idx = min(itertools.combinations(range(len(ops)), 2), key=rank)
+        kept = keep(idx)
+        (s, sh), (t, th) = ops[idx[0]], ops[idx[1]]
+        s1, t1 = _kept(s, kept | set(t)), _kept(t, kept | set(s))
+        bat = "".join(c for c in s1 if c in t1 and c in kept)
+        con = "".join(c for c in s1 if c in t1 and c not in kept)
+        rows = "".join(c for c in s1 if c not in t1)
+        cols = "".join(c for c in t1 if c not in s1)
+        new = bat + rows + cols
+        shape = lead + tuple(size[c] for c in new)
+        steps.append((idx, (_prep(s, sh, (bat, rows, con), lead, size),
+                            _prep(t, th, (bat, con, cols), lead, size),
+                            not con, shape)))
+        ops = [o for k, o in enumerate(ops) if k not in idx] + [(new, shape)]
+    final = ops[0][0]
+    return tuple(steps), None if final == out else f"...{final}->...{out}"
+
+
+def _operand(x, reduce, shape, axes, mshape):
+    """x brought to a C-contiguous matmul operand as `_prep` says."""
+    x = x if reduce is None else np.einsum(reduce, x)
+    x = x if shape is None else np.broadcast_to(x, shape)
+    x = x if axes is None else x.transpose(axes)
+    return np.ascontiguousarray(x).reshape(mshape)
 
 
 def _contract(subscripts, ops):
-    if len(ops) < 3:
-        return np.einsum(subscripts, *ops)
-    named = subscripts.replace("...", "")
-    shapes = tuple(np.shape(o)[np.ndim(o) - len(t):]
-                   for o, t in zip(ops, named.split("->")[0].split(",")))
-    return np.einsum(subscripts, *ops, optimize=_path(named, shapes))
+    """np.einsum of `subscripts`, each term prefixed by `...`, by plan."""
+    ops = [np.asarray(o, dtype=float) for o in ops]
+    steps, final = _plan(subscripts, tuple(o.shape for o in ops))
+    for (i, j), (pa, pb, outer, shape) in steps:
+        a, b = _operand(ops[i], *pa), _operand(ops[j], *pb)
+        ops = [o for k, o in enumerate(ops) if k not in (i, j)]
+        # with nothing summed the product is exact, and cheaper than BLAS
+        ops.append((a * b if outer else np.matmul(a, b)).reshape(shape))
+    return ops[0] if final is None else np.einsum(final, ops[0])
 
 
 def einsum(subscripts, *ops):

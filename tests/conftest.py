@@ -1,7 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from msgrav import catalog
+from msgrav.geometry import curvature_bundle
+from msgrav.indexing import PAIR_FULL, PAIR_ROWS
 
 
 def interior_points(spec, n, seed, margin=0.05):
@@ -13,6 +17,34 @@ def interior_points(spec, n, seed, margin=0.05):
             lo + (margin + (1 - 2 * margin) * rng.uniform()) * (hi - lo)
             for lo, hi in spec.domain))
     return out
+
+
+@dataclass(frozen=True)
+class CurvatureSuite:
+    """Curvature data of a metric 2-jet with its Levi-Civita connection."""
+
+    ginv: np.ndarray        # 10 ordered components of the inverse metric
+    rho: float              # sqrt(|det g|)
+    gamma: np.ndarray       # (4, 10): symmetric lower pair
+    ricci: np.ndarray       # (4, 4)
+    scalar: float
+    einstein_lower: np.ndarray  # 10 ordered
+    einstein_upper: np.ndarray  # 10 ordered
+
+
+def einstein_suite(g10, dg, d2g) -> CurvatureSuite:
+    """Full Levi-Civita curvature suite of one point's metric 2-jet,
+    read off `geometry.curvature_bundle`."""
+    g10 = np.asarray(g10, dtype=float)
+    ginv, rho, gam, ric, scal = curvature_bundle(
+        g10, np.asarray(dg, dtype=float), np.asarray(d2g, dtype=float))
+    e_low = ric - 0.5 * g10[PAIR_FULL] * scal
+    e_up = ginv @ e_low @ ginv
+    return CurvatureSuite(
+        ginv=ginv[PAIR_ROWS], rho=float(rho),
+        gamma=gam[:, PAIR_ROWS[0], PAIR_ROWS[1]], ricci=ric,
+        scalar=float(scal), einstein_lower=e_low[PAIR_ROWS],
+        einstein_upper=e_up[PAIR_ROWS])
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import interior_points
+from conftest import einstein_suite, interior_points
 from msgrav import catalog, eh
 from msgrav.errors import ConfigError
 from msgrav.fieldspace import (EH_BLOCKS, EHJetPoint, fiber_gradient,
                                fiber_jacobian, flat_index, prolong)
-from msgrav.geometry import einstein_suite, metric_inverse_density
+from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import DIM, MULT, PAIR_FULL, PAIRS, pair_index
 from msgrav.tangents import einsum, sqrt
 

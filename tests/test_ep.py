@@ -27,16 +27,16 @@ def example_point():
 
 
 def test_lagrangian_trivial_and_example():
-    assert ep.lagrangian_ep(flat_point()) == 0.0
+    assert ep.lagrangian_fn(flat_point()) == 0.0
     # only the quadratic cross term survives for this connection
-    assert ep.lagrangian_ep(example_point()) == pytest.approx(6.0)
+    assert ep.lagrangian_fn(example_point()) == pytest.approx(6.0)
 
 
 def test_lagrangian_matches_metric_model_on_levi_civita(all_specs):
     for name, spec in all_specs.items():
         for x in interior_points(spec, 4, seed=41):
             pe = catalog.ep_point_at(spec, x)
-            le = ep.lagrangian_ep(pe)
+            le = ep.lagrangian_fn(pe)
             lh = eh.lagrangian_eh(prolong(catalog.metric_jet_at(spec, x)))
             assert abs(le - lh) <= 1e-10 * (1.0 + abs(lh)), name
 
@@ -216,7 +216,7 @@ def test_projective_shift_moves_ricci_but_not_lagrangian():
     dA = np.array([[0.1, -0.4, 0.0, 0.2], [0.3, 0.0, 0.1, 0.0],
                    [0.0, 0.2, -0.1, 0.0], [0.5, 0.0, 0.0, 0.3]])
     q = ep.projective_shift(p, A=A, dA=dA)
-    assert abs(ep.lagrangian_ep(q) - ep.lagrangian_ep(p)) < 1e-12
+    assert abs(ep.lagrangian_fn(q) - ep.lagrangian_fn(p)) < 1e-12
     delta = (ricci_from_connection(q.Gamma, q.dGamma)
              - ricci_from_connection(p.Gamma, p.dGamma))
     assert np.allclose(delta, dA.T - dA, atol=1e-12)

@@ -8,11 +8,17 @@ from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_E, EH_DIM_J3, EH_OFF,
                                EP_BLOCKS, EP_DIM_E, EP_DIM_J1, EHJetPoint,
                                EPJetPoint, derivatives, fiber_gradient,
                                flat_index, prolong, tangent_lifts,
-                               total_derivative, total_derivatives)
+                               total_derivatives)
 from msgrav.indexing import DERIVS, DIM, PAIRS
 from msgrav.series import JetScalar, multi_indices
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
+
+
+def total_derivative(f, tau, p, **kw):
+    """D_tau f alone: the base derivative plus the jet-coordinate shift
+    terms, from a total-derivative pass seeded along tau only."""
+    return total_derivatives(f, p, [tau], **kw)[..., 0]
 
 
 def schw_point(order=4):
@@ -88,6 +94,19 @@ def test_point_shape_validation():
         EPJetPoint(x=np.zeros(4), g=ETA, Gamma=np.zeros((4, 4, 4)),
                    dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
                    d2Gamma=np.zeros((4, 4, 4, 4)))
+
+
+def test_point_freezes_its_blocks_not_the_callers_arrays():
+    p = schw_point()
+    g, d2g = p.g.copy(), p.d2g.copy()
+    q = EHJetPoint(x=p.x, g=g, dg=p.dg, d2g=d2g, d3g=p.d3g, d4g=p.d4g)
+    assert g.flags.writeable and d2g.flags.writeable
+    g[0] = g[0]  # the caller's own array stays usable
+    for name in ("x", "g", "dg", "d2g", "d3g", "d4g"):
+        block = getattr(q, name)
+        assert not block.flags.writeable, name
+        with pytest.raises(ValueError):
+            block[...] = 0.0
 
 
 def test_degenerate_metric_rejected():

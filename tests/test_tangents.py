@@ -223,3 +223,62 @@ def test_batched_inv_rows_equal_unbatched():
             else:
                 assert _same_dual(stacked[0], i, n)
                 assert _same_dual(stacked[1], i, det)
+
+
+# -- the planned contraction executor ---------------------------------------
+
+# Signatures the kernels contract (named axes only; Y and Z are seed axes):
+# traces, permutations, index sums, pairs, 3-5 operands, the seed-carrying
+# product-rule terms, and a greedy fallback of three operands at once.
+PLANNED = ["ii->", "snm->smn", "abca->cb", "iim->m", ",ab->ab", "ij,jk->ik",
+           "ij,ji->", "cb,sa->abcs", "rs,smn->rmn", "cbs,sca->ab",
+           "ij,jk,kl->il", "ijY,jk,kl->ilY", "rk,klr,lba->ab",
+           "rk,klb,ls,rsa->ab", "rkY,klb,ls,rsa->abY", "ab,cs,sabc->",
+           "ab,cs,sabcY->Y", "ab,ck,ls,klc,sba->", "ab,ckZ,ls,klcY,sba->YZ",
+           "mn,ikm,kinYZ->YZ", "abYZ,ab->YZ"]
+SIZES = {"Y": 6, "Z": 5}
+
+
+def planned_operands(rng, subscripts, lead, bare=()):
+    """Random operands of a signature with the leading shape `lead`; the
+    operands numbered in `bare` carry no leading axes (constants)."""
+    terms = subscripts.split("->")[0].split(",")
+    return [rng.normal(size=(() if k in bare else lead)
+                       + tuple(SIZES.get(c, 4) for c in t))
+            for k, t in enumerate(terms)]
+
+
+def dotted(subscripts):
+    ins, out = subscripts.split("->")
+    return ",".join("..." + t for t in ins.split(",")) + "->..." + out
+
+
+@pytest.mark.parametrize("subscripts", PLANNED)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_planned_contraction_matches_einsum(subscripts, lead):
+    from msgrav.tangents import _contract
+    rng = np.random.default_rng(len(subscripts) + len(lead))
+    bare = {0} if lead and "," in subscripts else set()
+    for ops in (planned_operands(rng, subscripts, lead),
+                planned_operands(rng, subscripts, lead, bare)):
+        want = np.einsum(dotted(subscripts), *ops)
+        got = _contract(dotted(subscripts), ops)
+        # each entry within 1e-14 of the sum of its terms' magnitudes
+        scale = np.einsum(dotted(subscripts), *map(np.abs, ops))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), subscripts
+
+
+@pytest.mark.parametrize("subscripts", PLANNED)
+def test_planned_stack_rows_equal_rows_alone(subscripts):
+    from msgrav.tangents import _contract
+    rng = np.random.default_rng(7)
+    bare = {0} if "," in subscripts else set()
+    for n in (1, 2, 3, 8):
+        ops = planned_operands(rng, subscripts, (n,), bare)
+        stacked = _contract(dotted(subscripts), ops)
+        for i in range(n):
+            row = [o if k in bare else o[i] for k, o in enumerate(ops)]
+            assert np.array_equal(stacked[i],
+                                  _contract(dotted(subscripts), row)), \
+                (subscripts, n, i)
