@@ -203,19 +203,20 @@ def projectability_check(p: EHJetPoint, base: EHMomenta, trials: int,
     (g, dg), which the trials keep: they are projectable by construction,
     so the trials reuse them and compare the AD momenta and H_sum.
     `seed` seeds each point's trials: an int, or an array of p's leading
-    shape. Returns (max deviation of H_sum/L2_ad/L1, max deviation of L
-    itself), each of p's leading shape; the second is the control showing
-    L is genuinely second order.
+    shape. The trials (at least one) share one pass, stacked on a new
+    leading axis in front of p's. Returns (max deviation of H_sum/L2_ad/L1,
+    max deviation of L itself), each of p's leading shape; the second is
+    the control showing L is genuinely second order.
     """
     rngs = trial_rngs(seed, p.lead)
-    dev = control = np.zeros(p.lead)
-    for _ in range(trials):
-        q = EHJetPoint(x=p.x, g=p.g, dg=p.dg, d2g=perturbed(rngs, p.d2g),
-                       d3g=perturbed(rngs, p.d3g), d4g=p.d4g)
-        m = _momenta_ad(q, base.L2_closed, base.L2_jac, base.H_closed)
-        dev = np.maximum.reduce([
-            dev, np.abs(m.H_sum - base.H_sum),
-            np.abs(m.L2_ad - base.L2_ad).max(axis=(-2, -1)),
-            np.abs(m.L1 - base.L1).max(axis=(-2, -1))])
-        control = np.maximum(control, np.abs(m.L - base.L))
-    return dev, control
+    d2g, d3g = map(np.stack, zip(*[
+        (perturbed(rngs, p.d2g), perturbed(rngs, p.d3g))
+        for _ in range(trials)]))
+    x, g, dg = (np.broadcast_to(a, (trials,) + a.shape)
+                for a in (p.x, p.g, p.dg))
+    q = EHJetPoint(x=x, g=g, dg=dg, d2g=d2g, d3g=d3g)
+    m = _momenta_ad(q, base.L2_closed, base.L2_jac, base.H_closed)
+    dev = np.maximum.reduce([np.abs(m.H_sum - base.H_sum),
+                             np.abs(m.L2_ad - base.L2_ad).max(axis=(-2, -1)),
+                             np.abs(m.L1 - base.L1).max(axis=(-2, -1))])
+    return dev.max(axis=0), np.abs(m.L - base.L).max(axis=0)

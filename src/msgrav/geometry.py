@@ -7,7 +7,7 @@ kernels are written with `tangents.einsum`, `inv` and `sqrt`, so the same
 code runs on plain arrays and on Tan/Jet2 duals (fiber and total
 derivatives), for one point or a stack of points on leading axes (the
 leading-axis rule of `tangents`). Ordered symmetric storage is expanded on
-entry through `indexing.PAIR_FULL`.
+entry through `indexing.PAIR_FULL`, or contracted through its one-hot form.
 
 The Ricci convention is fixed by the first-order Lagrangian display:
 R_ab = G^c_{ba,c} - G^c_{ca,b} + G^c_{ba} G^s_{sc} - G^c_{bs} G^s_{ca},
@@ -21,6 +21,8 @@ import numpy as np
 from .errors import DegenerateMetricError
 from .indexing import PAIR_FULL
 from .tangents import einsum, inv, sqrt
+
+_EXPAND = (PAIR_FULL[..., None] == np.arange(PAIR_FULL.max() + 1)) * 1.0
 
 
 # -- kernels: arrays, Tan or Jet2 -------------------------------------------
@@ -79,13 +81,16 @@ def scalar_density(g10, dg, d2g):
     """rho g^{ab} R_ab of the Levi-Civita connection from the ordered
     metric 2-jet. With G^c_{ab} = g^{cs} B_sab / 2 and G^c_{ca} =
     g^{cs} g_{cs,a} / 2, each term of the Ricci polynomial is one einsum
-    ending in a scalar, so no block of a dual pass carries a tensor."""
+    ending in a scalar, so no block of a dual pass carries a tensor. The
+    d2g term is k_pq d2g_pq in ordered storage, with k_pq = g^{ab} g^{cs}
+    (E_sap E_bcq - E_csp E_abq) and E_abp = 1 iff PAIR_FULL[a, b] == p
+    (`_EXPAND`), so a d2g seed block meets k in one matmul, unexpanded."""
     gm, dgm = g10[..., PAIR_FULL], dg[..., PAIR_FULL, :]
-    d2gm = d2g[..., PAIR_FULL, :][..., PAIR_FULL]
     ginv, rho = metric_inverse_density(gm)
     b = _bracket(dgm)
-    r = (einsum("ab,cs,sabc->", ginv, ginv,
-                d2gm - einsum("csab->sabc", d2gm))
+    k = (einsum("ab,cs,sap,bcq->pq", ginv, ginv, _EXPAND, _EXPAND)
+         - einsum("ab,cs,csp,abq->pq", ginv, ginv, _EXPAND, _EXPAND))
+    r = (einsum("pq,pq->", k, d2g)
          - 0.5 * einsum("ab,ck,ls,klc,sba->", ginv, ginv, ginv, dgm, b)
          + 0.5 * einsum("ab,ck,ls,klb,csa->", ginv, ginv, ginv, dgm, dgm)
          + 0.25 * einsum("ab,ck,sl,kba,slc->", ginv, ginv, ginv, b, dgm)

@@ -53,20 +53,15 @@ def _index_map(order: int) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _mul_table(order: int):
-    """(i_idx, j_idx, k_idx) with coeffs[k] += a[i] * b[j] for the product."""
+    """(i_idx, j_idx, starts): coeffs[k] sums a[i] * b[j] over segment k
+    of the table sorted by k, from starts[k]; a[0] * b[k] is in each."""
     exps = multi_indices(order)
     imap = _index_map(order)
-    ii, jj, kk = [], [], []
-    for i, mi in enumerate(exps):
-        di = sum(mi)
-        for j, mj in enumerate(exps):
-            if di + sum(mj) > order:
-                continue
-            mk = tuple(a + b for a, b in zip(mi, mj))
-            ii.append(i)
-            jj.append(j)
-            kk.append(imap[mk])
-    return np.array(ii), np.array(jj), np.array(kk)
+    kk, ii, jj = np.array(sorted(
+        (imap[tuple(a + b for a, b in zip(mi, mj))], i, j)
+        for i, mi in enumerate(exps) for j, mj in enumerate(exps)
+        if sum(mi) + sum(mj) <= order)).T
+    return ii, jj, np.flatnonzero(np.diff(kk, prepend=-1))
 
 
 def _factorial_weight(m: tuple[int, ...]) -> float:
@@ -196,11 +191,10 @@ class JetScalar:
     def __mul__(self, other):
         if not isinstance(other, JetScalar):
             return self._series(self.coeffs * np.expand_dims(other, -1))
-        ii, jj, kk = _mul_table(self.order)
-        c = np.zeros_like(self.coeffs)
-        np.add.at(c, (..., kk),
-                  self.coeffs[..., ii] * self._check(other).coeffs[..., jj])
-        return self._series(c)
+        ii, jj, starts = _mul_table(self.order)
+        return self._series(np.add.reduceat(
+            self.coeffs[..., ii] * self._check(other).coeffs[..., jj],
+            starts, axis=-1))
 
     __rmul__ = __mul__
 

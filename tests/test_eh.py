@@ -185,6 +185,24 @@ def test_projectability_fails_a_lagrangian_not_affine_in_d2g(monkeypatch):
     assert control == pytest.approx(control_ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_stacked_projectability_rows_equal_single_point_calls(trials):
+    # the trials of a stack ride one pass over (trials, points) rows; each
+    # point's deviations are those of the point checked alone
+    spec = catalog.builtin("kasner")
+    xs = np.array(interior_points(spec, 3, seed=53))
+    seeds = np.array([7, 8, 9])
+    stack = catalog.eh_point_at(spec, xs)
+    dev, control = eh.projectability_check(
+        stack, eh.momenta_and_hamiltonian(stack), trials, seeds)
+    assert dev.shape == control.shape == (3,)
+    for x, s, d, c in zip(xs, seeds, dev, control):
+        p = catalog.eh_point_at(spec, x)
+        one = eh.projectability_check(p, eh.momenta_and_hamiltonian(p),
+                                      trials, int(s))
+        assert np.array_equal(one[0], d) and np.array_equal(one[1], c)
+
+
 def test_einstein_constraint_matches_curvature_suite():
     for name in ("flrw", "schwarzschild"):
         p = point(name)

@@ -6,7 +6,8 @@ from msgrav import catalog, oracle
 from msgrav.eh import lagrangian_fn
 from msgrav.ep import _apairs_of
 from msgrav.errors import DegenerateMetricError
-from msgrav.fieldspace import fiber_hessian, total_derivatives
+from msgrav.fieldspace import (EHJetPoint, fiber_gradient, fiber_hessian,
+                               total_derivatives)
 from msgrav.geometry import (curvature_bundle, metric_inverse_density,
                              scalar_density, torsion_full)
 from msgrav.indexing import DIM, PAIR_FULL, PAIRS
@@ -180,3 +181,24 @@ def test_scalar_density_mixed_hessian_matches_curvature_bundle(all_specs):
         assert got.shape == want.shape == (2, 40, 50)
         assert np.abs(got - want).max() <= 1e-12 * (
             1 + np.abs(want).max()), name
+
+
+def test_scalar_density_gradient_matches_curvature_bundle(all_specs):
+    # the (dg, d2g) gradient pass every eh point and trial runs, on each
+    # builtin's sections and off shell, with dg and d2g moved at random
+    rng = np.random.default_rng(43)
+    for name, spec in all_specs.items():
+        p = catalog.eh_point_at(spec, interior_points(spec, 2, seed=41))
+        q = EHJetPoint(
+            x=p.x, g=p.g, d3g=p.d3g,
+            dg=p.dg + rng.uniform(-0.1, 0.1, p.dg.shape) * (1 + abs(p.dg)),
+            d2g=p.d2g + rng.uniform(-0.1, 0.1, p.d2g.shape) * (
+                1 + abs(p.d2g)))
+        for pt in (p, q):
+            got = fiber_gradient(lagrangian_fn, pt, ["dg", "d2g"])
+            want = fiber_gradient(rho_scalar_via_bundle, pt, ["dg", "d2g"])
+            assert got.g.shape == want.g.shape == (2, 140)
+            assert np.abs(got.g - want.g).max() <= 1e-12 * (
+                np.abs(want.g).max()), name
+            assert np.abs(got.v - want.v).max() <= 1e-12 * (
+                1 + np.abs(want.v).max()), name

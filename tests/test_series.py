@@ -231,6 +231,30 @@ def test_one_singular_row_fails_the_stack(op):
                               one.coeffs)
 
 
+@pytest.mark.parametrize("order", [0, 2, 4, 6])
+def test_product_rows_equal_single_rows_and_the_convolution(order):
+    # products of dense stacked series: each row is the row multiplied
+    # alone, bit for bit, and the Cauchy product of its coefficients
+    exps = multi_indices(order)
+    pos = {m: i for i, m in enumerate(exps)}
+    rng = np.random.default_rng(order)
+    base = rng.normal(size=(16, 4))
+    a, b = (JetScalar(order, base, rng.normal(size=(16, len(exps))))
+            for _ in range(2))
+    prod = (a * b).coeffs
+    for k in range(16):
+        one = JetScalar(order, base[k], a.coeffs[k]) * JetScalar(
+            order, base[k], b.coeffs[k])
+        assert np.array_equal(prod[k], one.coeffs)
+    want = np.zeros_like(prod)
+    for i, mi in enumerate(exps):
+        for j, mj in enumerate(exps):
+            m = tuple(u + v for u, v in zip(mi, mj))
+            if m in pos:
+                want[:, pos[m]] += a.coeffs[:, i] * b.coeffs[:, j]
+    assert np.allclose(prod, want, rtol=0, atol=1e-13)
+
+
 def test_scalar_operands_act_per_row():
     xs = np.array([[0.3, 1.0, 0, 0], [0.7, -2.0, 0, 0]])
     s = var(0, base=xs) * var(1, base=xs) + 1.0
