@@ -228,14 +228,18 @@ def _identity_seeds(p, blocks):
             for b, s, n, e in zip(blocks, shapes, sizes, ends)}
 
 
-def fiber_gradient(f, p, blocks) -> Tan:
-    """Evaluate f with every coordinate of the named blocks seeded at once."""
-    seeds = _identity_seeds(p, blocks)
+def _tangent_pass(f, p, seeds) -> Tan:
+    """f at p with the blocks in `seeds` seeded, always as a Tan."""
     out = f(_view(p, {b: Tan(getattr(p, b), s) for b, s in seeds.items()}))
     if not isinstance(out, Tan):
         n = next(iter(seeds.values())).shape[-1]
         out = Tan(out, np.zeros(np.shape(out) + (n,)))
     return out
+
+
+def fiber_gradient(f, p, blocks) -> Tan:
+    """Evaluate f with every coordinate of the named blocks seeded at once."""
+    return _tangent_pass(f, p, _identity_seeds(p, blocks))
 
 
 def fiber_jacobian(f, p, blocks):
@@ -280,26 +284,23 @@ def _shift_seeds(p, taus, max_order=3, with_first_order=True):
     return seeds
 
 
-def total_derivatives(f, p, taus=range(DIM), *, max_order=3,
-                      with_first_order=True):
-    """All requested total derivatives of f in one tangent pass, as the
-    seed axis trailing f's value axes.
+def total_derivatives_vec(f, p, taus=range(DIM), *, max_order=3,
+                          with_first_order=True) -> Tan:
+    """f and all requested total derivatives of f from one tangent pass,
+    as a Tan: the value is f's plain value, the gradient the derivatives
+    on one seed axis trailing f's value axes.
 
     For an order-3 point the default shifts every coordinate, so the point
     must carry the order-4 block; pass max_order=2 when f only reaches the
     second-order coordinates.
     """
-    seeds = _shift_seeds(p, taus, max_order, with_first_order)
-    out = f(_view(p, {b: Tan(getattr(p, b), s) for b, s in seeds.items()}))
-    if not isinstance(out, Tan):
-        return np.zeros(np.shape(out) + (seeds["x"].shape[-1],))
-    return out.g
+    return _tangent_pass(f, p, _shift_seeds(p, taus, max_order,
+                                             with_first_order))
 
 
-def total_derivatives_vec(f, p, taus=range(DIM), **kw):
-    """total_derivatives for an array-valued f; total_derivatives handles
-    any value shape, and this name stays because msbench times it."""
-    return total_derivatives(f, p, taus, **kw)
+def total_derivatives(f, p, taus=range(DIM), **kw):
+    """The total derivatives alone: total_derivatives_vec's gradient."""
+    return total_derivatives_vec(f, p, taus, **kw).g
 
 
 def tangent_lifts(p) -> np.ndarray:

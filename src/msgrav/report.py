@@ -10,9 +10,9 @@ built alone and the survivors are built again as one stack, so a point is
 skipped exactly when it fails alone. A batched pass costs far less per
 point than a loop over points, because Python overhead, not arithmetic,
 dominates a single point. The chunk limit bounds memory: the transients of
-a pass grow by about 0.6 MiB per point for the second-order model and 0.28
+a pass grow by about 0.9 MiB per point for the second-order model and 0.22
 MiB for the first-order one (tracemalloc peaks), so an eh chunk of 8,
-which already amortizes most of the overhead, holds about 5 MiB.
+which already amortizes most of the overhead, holds about 7 MiB.
 
 Sampling is seeded, each point's projectability trials draw from a
 generator seeded by the point's index, and the reduce is ordered, so a
@@ -148,20 +148,21 @@ def _eh_point_checks(spec, xs, seeds):
     if not kept:
         return kept, {}
     p, holonomy = built
-    out = {"holonomy": holonomy}
-    m = eh.momenta_and_hamiltonian(p)
-    out["momenta-identity"] = _rel(_amax(m.L2_ad - m.L2_closed),
-                                   _amax(m.L2_closed))
-    out["hamiltonian-dual-form"] = _rel(np.abs(m.H_sum - m.H_closed),
-                                        m.H_closed)
-    dev, _ = eh.projectability_check(p, m, trials=2,
-                                     seed=np.array(seeds)[kept])
-    out["projectability"] = dev
-    out["einstein-constraint"] = _amax(eh.constraint_einstein(p))
-    out["einstein-constraint-derivative"] = _amax(
-        eh.constraint_einstein_derivative(p))
-    out["field-equation"] = eh.verify_field_equation(p)
-    return kept, out
+    # the closed forms serve the momenta, the trials and the Cartan form
+    closed = eh.closed_forms(p)
+    dev, _, m = eh.projectability_check(p, 2, np.array(seeds)[kept], closed)
+    c, dc = eh.constraint_einstein_derivative(p)
+    return kept, {
+        "holonomy": holonomy,
+        "momenta-identity": _rel(_amax(m.L2_ad - m.L2_closed),
+                                 _amax(m.L2_closed)),
+        "hamiltonian-dual-form": _rel(np.abs(m.H_sum - m.H_closed),
+                                      m.H_closed),
+        "projectability": dev,
+        "einstein-constraint": _amax(c),
+        "einstein-constraint-derivative": _amax(dc),
+        "field-equation": eh.verify_field_equation(p, closed),
+    }
 
 
 def _ep_point_checks(spec, xs, seeds):

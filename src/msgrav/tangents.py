@@ -14,7 +14,10 @@ nothing. Scalars are the shape-() case.
 Arithmetic is elementwise, with numpy broadcasting over the value axes.
 Tensor algebra goes through three entry points that take plain arrays,
 `Tan` or `Jet2` alike: `einsum` (one contraction with the product rule),
-`inv` (4x4 inverse and determinant) and `sqrt`.
+`inv` (4x4 inverse and determinant, by the matrix derivative rules) and
+`sqrt`. A dual's value is computed exactly as the plain call computes it,
+so a dual pass's value is bitwise the plain evaluation's and can stand in
+for it.
 
 Leading-axis rule: any value may carry leading batch axes, one per stacked
 sample point, so one pass evaluates a whole stack of points. `einsum`
@@ -337,25 +340,37 @@ def einsum(subscripts, *ops):
 
 
 def inv(m):
-    """Inverse and determinant of a 4x4 matrix value.
-
-    For a dual, Newton steps N <- 2N - N M N from the exact inverse of the
-    value carry the derivatives: each step doubles the order reached, so
-    one step is exact for Tan and two for Jet2. The determinant comes from
-    det(M0 + dM) = det M0 (1 + tr E + ((tr E)^2 - tr E^2) / 2),
-    E = M0^-1 dM, exact through second order.
-    """
+    """Inverse N and determinant of a 4x4 matrix value, exactly
+    np.linalg.inv and np.linalg.det of it, so a dual's value is bitwise the
+    plain call's. With E = N dM per seed block, dN = -E N and
+    d det = det tr E; the mixed blocks are d2N = N dMa N dMb N +
+    N dMb N dMa N - N d2M N and d2det = det (tr Ea tr Eb - tr(Ea Eb) +
+    tr(N d2M)) (Giles, "An extended collection of matrix derivative
+    results for forward and reverse mode AD", 2008)."""
     m0 = getattr(m, "v", m)
-    n = np.linalg.inv(m0)
-    det = np.linalg.det(m0)
+    n, det = np.linalg.inv(m0), np.linalg.det(m0)
     if not isinstance(m, _Dual):
         return n, det
-    e = einsum("ij,jk->ik", n, m - m0)
-    tr = einsum("ii->", e)
-    det = (1.0 + tr + 0.5 * (tr * tr - einsum("ij,ji->", e, e))) * det
-    for _ in range(1 if isinstance(m, Tan) else 2):
-        n = 2.0 * n - einsum("ij,jk,kl->il", n, m, n)
-    return n, det
+
+    def c(subscripts, *ops):
+        if any(o is None for o in ops):
+            return None
+        return _contract(subscripts, ops)
+
+    ea = c("...ij,...jkY->...ikY", n, m.a)
+    eb = c("...ij,...jkZ->...ikZ", n, m.b)
+    pa = c("...ijY,...jk->...ikY", ea, n)
+    pb = c("...ijZ,...jk->...ikZ", eb, n)
+    ta, tb = c("...iiY->...Y", ea), c("...iiZ->...Z", eb)
+    cross = c("...ijY,...jkZ->...ikYZ", ea, pb)
+    nm = _total((cross, c("...ijZ,...jkY->...ikYZ", eb, pa),
+                 c("...ij,...jkYZ,...kl->...ilYZ", -n, m.m, n)))
+    dm = _total((None if cross is None else
+                 _outer(ta, tb) - c("...ijY,...jiZ->...YZ", ea, eb),
+                 c("...ij,...jiYZ->...YZ", n, m.m)))
+    return (m._new(n, _scale(pa, -1.0, 1), _scale(pb, -1.0, 1), nm),
+            m._new(det, _scale(ta, det, 1), _scale(tb, det, 1),
+                   _scale(dm, det, 2)))
 
 
 def sqrt(x):

@@ -76,7 +76,7 @@ def test_acceptance_4_vacuum_certification():
             p = catalog.eh_point_at(spec, x, order=4)
             worst = max(worst,
                         np.abs(eh.constraint_einstein(p)).max(),
-                        np.abs(eh.constraint_einstein_derivative(p)).max(),
+                        np.abs(eh.constraint_einstein_derivative(p)[1]).max(),
                         eh.verify_field_equation(p))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed <= 30.0
@@ -100,8 +100,7 @@ def test_acceptance_5_nonvacuum_control():
 def test_acceptance_6_projectability():
     p_eh = catalog.eh_point_at(catalog.builtin("schwarzschild"),
                                (0.0, 5.0, 1.2, 3.0))
-    dev_eh, ctrl_eh = eh.projectability_check(
-        p_eh, eh.momenta_and_hamiltonian(p_eh), trials=10, seed=3)
+    dev_eh, ctrl_eh, _ = eh.projectability_check(p_eh, trials=10, seed=3)
     p_ep = catalog.ep_point_at(catalog.builtin("flrw"),
                                (0.3, 0.1, 0.2, -0.4))
     dev_ep, ctrl_ep, _ = ep.projectability_check_ep(

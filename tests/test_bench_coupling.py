@@ -8,17 +8,24 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACE = Path(__file__).resolve().parents[1] / "msbench" / "trace.py"
 
 
-def test_benchmark_names_resolve_in_msgrav(monkeypatch):
-    from msgrav import report
-    from msgrav.series import JetScalar
+def _load_trace(monkeypatch):
     spec = importlib.util.spec_from_file_location("msbench_trace", TRACE)
     trace = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the module executes
     monkeypatch.setitem(sys.modules, spec.name, trace)
     spec.loader.exec_module(trace)
+    return trace
+
+
+def test_benchmark_names_resolve_in_msgrav(monkeypatch):
+    from msgrav import report
+    from msgrav.series import JetScalar
+    trace = _load_trace(monkeypatch)
     missing = [f"{layer}.{name}" for layer, names in trace.TRACED.items()
                for name in names
                if not callable(getattr(importlib.import_module(
@@ -27,3 +34,21 @@ def test_benchmark_names_resolve_in_msgrav(monkeypatch):
     assert [op for op in trace.SERIES_OPS
             if op not in JetScalar.__dict__] == []
     assert hasattr(report, "ThreadPoolExecutor")
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_one_chunk_reaches_every_traced_model_name(monkeypatch, model):
+    # msbench's per-layer figures of a model are the spans of these names;
+    # a fused path that stopped calling one would read as zero time there
+    from msgrav import catalog, report
+    trace = _load_trace(monkeypatch)
+    spec = catalog.builtin("schwarzschild")
+    xs = report.sample_points(spec, 2, seed=1)
+    tracer = trace.Tracer()
+    with trace.traced(tracer):
+        checks = getattr(report, f"_{model}_point_checks")
+        kept, _ = checks(spec, xs, [0, 1])
+    assert kept == [0, 1]
+    called = {s.name for s in tracer.spans}
+    assert [n for n in trace.TRACED[model]
+            if f"{model}.{n}" not in called] == []

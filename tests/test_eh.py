@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from conftest import einstein_suite, interior_points
 from msgrav import catalog, eh
 from msgrav.errors import ConfigError
 from msgrav.fieldspace import (EH_BLOCKS, EHJetPoint, fiber_gradient,
-                               fiber_jacobian, flat_index, prolong)
+                               fiber_jacobian, flat_index, prolong,
+                               total_derivatives_vec)
 from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import DIM, MULT, PAIR_FULL, PAIRS, pair_index
-from msgrav.tangents import einsum, sqrt
+from msgrav.tangents import Jet2, einsum, sqrt
 
 MID = {
     "minkowski": (0.0, 0.0, 0.0, 0.0),
@@ -120,7 +123,7 @@ def test_fused_pass_matches_single_block_passes(name):
     assert _close(m.L2_ad, l2 / MULT, 1e-14)
     l2_closed, jac = fiber_jacobian(eh.momenta2_closed_fn, p, ["g"])
     assert _close(m.L2_closed, l2_closed, 1e-14)
-    assert _close(m.L2_jac, jac, 1e-14)
+    assert _close(eh.closed_forms(p).L2.a, jac, 1e-14)
     dldv = fiber_gradient(eh.lagrangian_fn, p, ["dg"]).g.reshape(10, DIM)
     assert _close(m.L1 + _total_derivative_term(jac, p.dg), dldv, 1e-14)
     lag = eh.lagrangian_eh(p)
@@ -158,8 +161,7 @@ def _reference_projectability(p, trials, seed):
 
 
 def _check_against_reference(p, trials, seed):
-    base = eh.momenta_and_hamiltonian(p)
-    got = eh.projectability_check(p, base, trials=trials, seed=seed)
+    got = eh.projectability_check(p, trials=trials, seed=seed)[:2]
     return got, _reference_projectability(p, trials, seed)
 
 
@@ -193,14 +195,15 @@ def test_stacked_projectability_rows_equal_single_point_calls(trials):
     xs = np.array(interior_points(spec, 3, seed=53))
     seeds = np.array([7, 8, 9])
     stack = catalog.eh_point_at(spec, xs)
-    dev, control = eh.projectability_check(
-        stack, eh.momenta_and_hamiltonian(stack), trials, seeds)
+    dev, control, base = eh.projectability_check(stack, trials, seeds)
     assert dev.shape == control.shape == (3,)
-    for x, s, d, c in zip(xs, seeds, dev, control):
+    for i, (x, s) in enumerate(zip(xs, seeds)):
         p = catalog.eh_point_at(spec, x)
-        one = eh.projectability_check(p, eh.momenta_and_hamiltonian(p),
-                                      trials, int(s))
-        assert np.array_equal(one[0], d) and np.array_equal(one[1], c)
+        one = eh.projectability_check(p, trials, int(s))
+        assert np.array_equal(one[0], dev[i])
+        assert np.array_equal(one[1], control[i])
+        assert np.array_equal(one[2].L2_ad, base.L2_ad[i])
+        assert np.array_equal(one[2].H_sum, base.H_sum[i])
 
 
 def test_einstein_constraint_matches_curvature_suite():
@@ -220,7 +223,7 @@ def test_flrw_nonvacuum_value():
 def test_constraint_derivative_matches_finite_differences():
     spec = catalog.builtin("schwarzschild")
     x = list(MID["schwarzschild"])
-    dc = eh.constraint_einstein_derivative(
+    _, dc = eh.constraint_einstein_derivative(
         catalog.eh_point_at(spec, x, order=4))
     h = 1e-5
     for tau in (1, 2):
@@ -286,10 +289,49 @@ def test_field_equation_covector_reproduces_constraints_off_shell():
             assert abs(cov[flat_index(EH_BLOCKS, ("d2g", a, m))]) < 1e-12
 
 
+@pytest.mark.parametrize("trials", [1, 2])
+def test_projectability_never_compares_the_point_with_itself(vacuum_specs,
+                                                             trials):
+    # the point rides as row 0 of the trials' stack: a trial row mistaken
+    # for row 0 would read a zero control, since L is second order
+    for name, spec in vacuum_specs.items():
+        xs = np.array(interior_points(spec, 4, seed=67))
+        p = catalog.eh_point_at(spec, xs)
+        _, control, base = eh.projectability_check(p, trials, np.arange(4))
+        assert control.shape == (4,) and np.all(control > 0), name
+        assert np.array_equal(base.L, eh.lagrangian_eh(p)), name
+
+
+@pytest.mark.parametrize("name", ["schwarzschild", "kasner", "ppwave",
+                                  "flrw"])
+def test_dual_pass_values_are_the_plain_calls(name):
+    # the checks read these values off the dual passes in place of the
+    # plain calls, so they must agree bit for bit, for Tan and Jet2 seeds
+    spec = catalog.builtin(name)
+    p = catalog.eh_point_at(spec, np.array(interior_points(spec, 2, seed=61)))
+    closed = eh.closed_forms(p)
+    assert np.array_equal(closed.L2.v, eh.momenta2_closed_fn(p))
+    assert np.array_equal(closed.H.v, eh.hamiltonian_closed_fn(p))
+    tan = fiber_gradient(eh.momenta2_closed_fn, p, ["g"])
+    assert np.array_equal(tan.v, eh.momenta2_closed_fn(p))
+    eye = np.broadcast_to(np.eye(10), p.g.shape + (10,))
+    jet = eh.hamiltonian_closed_fn(SimpleNamespace(
+        g=Jet2(p.g, eye, None, None),
+        dg=Jet2(p.dg, None, np.ones(p.dg.shape + (1,)), None)))
+    assert jet.m is not None
+    assert np.array_equal(jet.v, eh.hamiltonian_closed_fn(p))
+    c = eh.constraint_einstein(p)
+    assert np.array_equal(total_derivatives_vec(eh.constraint_einstein,
+                                                p).v, c)
+    assert np.array_equal(eh.constraint_einstein_derivative(p)[0], c)
+    jet = eh.constraint_einstein(SimpleNamespace(
+        g=Jet2(p.g, eye, p.dg, None), dg=p.dg, d2g=p.d2g))
+    assert np.array_equal(jet.v, c)
+
+
 def test_projectability_and_control():
     p = point("schwarzschild")
-    dev, control = eh.projectability_check(
-        p, eh.momenta_and_hamiltonian(p), trials=5, seed=0)
+    dev, control, _ = eh.projectability_check(p, trials=5, seed=0)
     assert dev < 1e-10
     assert control > 1e-3  # the Lagrangian genuinely reaches order two
 

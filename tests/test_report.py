@@ -284,3 +284,40 @@ def test_bad_thread_count_in_environment_is_a_config_error(monkeypatch,
     err = capsys.readouterr().err
     assert code == 2
     assert "MSGR_THREADS" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("metric", ["schwarzschild", "kasner", "ppwave",
+                                    "flrw"])
+def test_fused_eh_checks_equal_each_public_call(metric, n):
+    # the chunk shares its closed forms, takes the point's momenta from the
+    # trials' pass and the constraints from their derivative pass; each
+    # family must be bit for bit what its own public call gives
+    import numpy as np
+
+    from msgrav import eh, report
+    spec = catalog.builtin(metric)
+    xs = sample_points(spec, n, seed=3)
+    seeds = list(range(10, 10 + n))
+    kept, out = report._eh_point_checks(spec, xs, seeds)
+    assert kept == list(range(n))
+    series = catalog.metric_jet_at(spec, np.array(xs), order=4)
+    p = catalog.eh_point_at(spec, np.array(xs))
+    h1, h2 = eh.holonomy_residuals(p, series)
+    m = eh.momenta_and_hamiltonian(p)
+    amax, rel = report._amax, report._rel
+    want = {
+        "holonomy": np.maximum(amax(h1), amax(h2)),
+        "momenta-identity": rel(amax(m.L2_ad - m.L2_closed),
+                                amax(m.L2_closed)),
+        "hamiltonian-dual-form": rel(np.abs(m.H_sum - m.H_closed),
+                                     m.H_closed),
+        "projectability": eh.projectability_check(p, 2, np.array(seeds))[0],
+        "einstein-constraint": amax(eh.constraint_einstein(p)),
+        "einstein-constraint-derivative": amax(
+            eh.constraint_einstein_derivative(p)[1]),
+        "field-equation": eh.verify_field_equation(p),
+    }
+    assert list(out) == list(want)
+    for fam, v in want.items():
+        assert np.array_equal(out[fam], v), fam

@@ -225,6 +225,23 @@ def test_batched_inv_rows_equal_unbatched():
                 assert _same_dual(stacked[1], i, det)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_inverse_dual_values_are_the_plain_calls(lead):
+    # a dual pass's value stands in for the plain call, so it must be the
+    # plain call's bit for bit, for every seed layout
+    from msgrav.geometry import metric_inverse_density
+    rng = np.random.default_rng(14)
+    v = M0 + 0.05 * rng.normal(size=lead + (4, 4))
+    a, b = rng.normal(size=lead + (4, 4, 2)), rng.normal(size=lead + (4, 4, 3))
+    m = rng.normal(size=lead + (4, 4, 2, 3))
+    want = inv(v) + metric_inverse_density(v)
+    for dual in (Tan(v, a), Jet2(v, a, b, m), Jet2(v, None, b, None),
+                 Jet2(v, a, None, m)):
+        got = inv(dual) + metric_inverse_density(dual)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.v, w)
+
+
 # -- the planned contraction executor ---------------------------------------
 
 # Signatures the kernels contract (named axes only; Y and Z are seed axes):
