@@ -4,21 +4,22 @@ contraction, and projectability checks.
 
 Momenta are computed twice on purpose: by differentiating the Lagrangian
 and from the closed forms; the two routes referee the ordered-index
-multiplicity conventions against each other. A point's checks take five AD
+multiplicity conventions against each other. A point's checks take six AD
 passes, and no plain call repeats one, since a dual pass's value is bitwise
 the plain call's: `closed_forms` (a Jet2 pass of the closed momenta, g
 inner and its dg shift outer, and a gradient pass of the closed Hamiltonian
-over (g, dg)), `projectability_check` (one gradient pass of L over (dg,
-d2g) for the point and its trials stacked together),
-`constraint_einstein_derivative` (the Einstein constraints along the total
-derivatives) and `cartan_form_eh` (the mixed Jet2 pass of L over (dg; g,
-dg)). The closed forms read (g, dg) only; each operation that reads them
-takes them as `closed`, computed when None. The closed-form Hamiltonian
-sums over full index ranges, the sum form over ordered ones. Fiber
-functions read a point's ordered blocks, as arrays, Tan or Jet2, and expand
-them through `indexing.PAIR_FULL`. Every operation takes one point or a
-stack of points on leading axes; per-point results are arrays of the
-leading shape, 0-d for one point.
+over (g, dg)), `projectability_check` (two gradient passes of L, one over
+dg and one over d2g, each seeding only its own block, for the point and
+its trials stacked together), `constraint_einstein_derivative` (the
+Einstein constraints along the total derivatives) and `cartan_form_eh`
+(the mixed Jet2 pass of L over (dg; g, dg), which forms only the outer
+blocks that meet an inner one). The closed forms read (g, dg) only; each
+operation that reads them takes them as `closed`, computed when None. The
+closed-form Hamiltonian sums over full index ranges, the sum form over
+ordered ones. Fiber functions read a point's ordered blocks, as arrays,
+Tan or Jet2, and expand them through `indexing.PAIR_FULL`. Every operation
+takes one point or a stack of points on leading axes; per-point results
+are arrays of the leading shape, 0-d for one point.
 """
 
 from __future__ import annotations
@@ -124,17 +125,20 @@ class EHMomenta:
 
 def momenta_and_hamiltonian(p: EHJetPoint, closed: EHClosed | None = None
                             ) -> EHMomenta:
-    """The AD momenta at p from one gradient pass of L over (dg, d2g),
-    completed by the closed forms of p's (g, dg), which a stack that shares
-    them broadcasts. L1 is dL/d g_{ab,m} - sum_n D_n L^{ab,mn}: the closed
-    second-order momenta depend on g alone, so D_n reaches only g."""
+    """The AD momenta at p from two gradient passes of L, one per seeded
+    block, dg and d2g, so neither block carries the other's zero columns;
+    L is the dg pass's value. They are completed by the closed forms of
+    p's (g, dg), which a stack that shares them broadcasts. L1 is
+    dL/d g_{ab,m} - sum_n D_n L^{ab,mn}: the closed second-order momenta
+    depend on g alone, so D_n reaches only g."""
     closed = closed_forms(p) if closed is None else closed
-    grad = fiber_gradient(lagrangian_fn, p, ["dg", "d2g"])
-    dldv = grad.g[..., :NPAIR * DIM].reshape(p.lead + (NPAIR, DIM))
-    l2_ad = grad.g[..., NPAIR * DIM:].reshape(p.lead + (NPAIR, NPAIR)) / MULT
+    by_dg = fiber_gradient(lagrangian_fn, p, ["dg"])
+    dldv = by_dg.g.reshape(p.lead + (NPAIR, DIM))
+    l2_ad = fiber_gradient(lagrangian_fn, p, ["d2g"]).g.reshape(
+        p.lead + (NPAIR, NPAIR)) / MULT
     # D_n L2[a, (mu nu)], taken at n = nu
     l1 = dldv - np.einsum("...amnn->...am", closed.L2.b[..., PAIR_FULL, :])
-    lag = grad.v
+    lag = by_dg.v
     # The second-order sum runs over full derivative-index ranges, which in
     # ordered storage is a multiplicity weight per column.
     h_sum = (np.sum(l2_ad * p.d2g * MULT, axis=(-2, -1))

@@ -10,9 +10,9 @@ built alone and the survivors are built again as one stack, so a point is
 skipped exactly when it fails alone. A batched pass costs far less per
 point than a loop over points, because Python overhead, not arithmetic,
 dominates a single point. The chunk limit bounds memory: the transients of
-a pass grow by about 0.9 MiB per point for the second-order model and 0.22
+a pass grow by about 0.3 MiB per point for the second-order model and 0.25
 MiB for the first-order one (tracemalloc peaks), so an eh chunk of 8,
-which already amortizes most of the overhead, holds about 7 MiB.
+which already amortizes most of the overhead, holds about 2.5 MiB.
 
 Sampling is seeded, each point's projectability trials draw from a
 generator seeded by the point's index, and the reduce is ordered, so a

@@ -9,7 +9,11 @@ hyper-dual number (Fike & Alonso, AIAA 2011): `a` trails the value with
 the n1 inner seeds, `b` with the n2 outer seeds and
 `m[..., i, j] = d^2 / (d inner_i d outer_j)`. A Jet2 block that is
 identically zero may be None, so directions that are never seeded cost
-nothing. Scalars are the shape-() case.
+nothing. The outer block forms on first read: every operation stores `b`
+as a thunk that `.b` forces once and keeps, and a mixed term a (x) b
+forces b only where a is not None, so an outer block that meets no inner
+block, nor the caller, is never computed. Whether a block is None is
+known without forcing it. Scalars are the shape-() case.
 
 Arithmetic is elementwise, with numpy broadcasting over the value axes.
 Tensor algebra goes through three entry points that take plain arrays,
@@ -55,24 +59,68 @@ def _scale(d, c, k):
     return d * np.asarray(c, dtype=float)[(...,) + (None,) * k]
 
 
+class _Later:
+    """An outer block formed on its first call and kept: f of `deps`,
+    blocks that are arrays, None or `_Later`s, forced first. The pending
+    chain is walked with an explicit stack, so a long chain of operations
+    does not recurse; what the computation held is released once the
+    block exists."""
+
+    __slots__ = ("f", "deps", "d")
+
+    def __init__(self, f, deps=()):
+        self.f, self.deps = f, deps
+
+    def __call__(self):
+        stack = [self]
+        while stack:
+            top = stack[-1]
+            if top.f is None:
+                stack.pop()
+                continue
+            todo = [d for d in top.deps
+                    if isinstance(d, _Later) and d.f is not None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            top.d = top.f(*map(_force, top.deps))
+            top.f = top.deps = None
+        return self.d
+
+
+def _force(d):
+    """Block d, an array, a `_Later` or None, as an array or None."""
+    return d() if isinstance(d, _Later) else d
+
+
+def _lazy(f, *blocks):
+    """None if every block is None, else f of the blocks, deferred."""
+    if all(d is None for d in blocks):
+        return None
+    return _Later(f, blocks)
+
+
 def _outer(a, b):
+    """The mixed term of inner block a and outer block b; b is forced only
+    when a is not None."""
     if a is None or b is None:
         return None
-    return a[..., :, None] * b[..., None, :]
+    return a[..., :, None] * _force(b)[..., None, :]
 
 
 def _total(blocks):
     """Sum of the blocks that are not None, drawn one at a time from an
     iterable; after the first addition the sum is a fresh array, so later
-    terms add in place and each term is freed before the next forms."""
+    terms of its shape add in place and each term is freed before the next
+    forms."""
     total, fresh = None, False
     for d in blocks:
         if d is None:
             continue
         if total is None:
             total = d
-        elif fresh and np.broadcast_shapes(total.shape, d.shape) == \
-                total.shape:
+        elif fresh and d.shape == total.shape:
             total += d
         else:
             total, fresh = total + d, True
@@ -89,19 +137,30 @@ def _widen(d, shape, k):
 
 
 class _Dual:
-    """Arithmetic shared by Tan and Jet2; blocks a, b, m may be None."""
+    """Arithmetic shared by Tan and Jet2; blocks a, b, m may be None. The
+    outer block is stored in `_b`, an array, a `_Later` or None, and read
+    through `b`; operations pass it on deferred (`_lazy`)."""
 
-    __slots__ = ("v", "a", "b", "m")
+    __slots__ = ("v", "a", "_b", "m")
     # numpy defers binary operators to the dual instead of looping over it
     __array_ufunc__ = None
+
+    @property
+    def b(self):
+        if isinstance(self._b, _Later):
+            self._b = self._b()
+        return self._b
 
     def _make(self, v, a, b, m):
         raise NotImplementedError
 
     def _new(self, v, a, b, m):
+        """The dual of value v, each block widened to v's shape; b may be
+        a `_Later`, widened when it is forced."""
         shape = np.shape(v)
-        return self._make(v, _widen(a, shape, 1), _widen(b, shape, 1),
-                          _widen(m, shape, 2))
+        b = (_Later(lambda d: _widen(d, shape, 1), (b,))
+             if isinstance(b, _Later) else _widen(b, shape, 1))
+        return self._make(v, _widen(a, shape, 1), b, _widen(m, shape, 2))
 
     def _same(self, o):
         if type(o) is not type(self):
@@ -111,10 +170,11 @@ class _Dual:
 
     def __add__(self, o):
         if not isinstance(o, _Dual):
-            return self._new(self.v + o, self.a, self.b, self.m)
+            return self._new(self.v + o, self.a, self._b, self.m)
         o = self._same(o)
         return self._new(self.v + o.v, _total((self.a, o.a)),
-                         _total((self.b, o.b)), _total((self.m, o.m)))
+                         _lazy(lambda x, y: _total((x, y)), self._b, o._b),
+                         _total((self.m, o.m)))
 
     __radd__ = __add__
 
@@ -131,22 +191,26 @@ class _Dual:
         if not isinstance(o, _Dual):
             c = np.asarray(o, dtype=float)
             return self._new(self.v * c, _scale(self.a, c, 1),
-                             _scale(self.b, c, 1), _scale(self.m, c, 2))
+                             _lazy(lambda d: _scale(d, c, 1), self._b),
+                             _scale(self.m, c, 2))
         o = self._same(o)
+        sv, ov = self.v, o.v
         return self._new(
-            self.v * o.v,
-            _total((_scale(self.a, o.v, 1), _scale(o.a, self.v, 1))),
-            _total((_scale(self.b, o.v, 1), _scale(o.b, self.v, 1))),
-            _total((_scale(self.m, o.v, 2), _scale(o.m, self.v, 2),
-                    _outer(self.a, o.b), _outer(o.a, self.b))))
+            sv * ov,
+            _total((_scale(self.a, ov, 1), _scale(o.a, sv, 1))),
+            _lazy(lambda x, y: _total((_scale(x, ov, 1), _scale(y, sv, 1))),
+                  self._b, o._b),
+            _total((_scale(self.m, ov, 2), _scale(o.m, sv, 2),
+                    _outer(self.a, o._b), _outer(o.a, self._b))))
 
     __rmul__ = __mul__
 
     def _chain(self, f0, f1, f2):
         """f(self) from the value f0 and the derivatives f1, f2 of f."""
-        return self._new(f0, _scale(self.a, f1, 1), _scale(self.b, f1, 1),
+        return self._new(f0, _scale(self.a, f1, 1),
+                         _lazy(lambda d: _scale(d, f1, 1), self._b),
                          _total((_scale(self.m, f1, 2),
-                                 _scale(_outer(self.a, self.b), f2, 2))))
+                                 _scale(_outer(self.a, self._b), f2, 2))))
 
     def reciprocal(self):
         r = 1.0 / self.v
@@ -171,9 +235,12 @@ class _Dual:
         """Index the value axes; the seed axes ride along, so a leading
         Ellipsis indexes the trailing value axes."""
         idx = idx if isinstance(idx, tuple) else (idx,)
-        return self._make(self.v[idx], *(
-            None if d is None else d[idx + (slice(None),) * k]
-            for d, k in ((self.a, 1), (self.b, 1), (self.m, 2))))
+
+        def at(d, k):
+            return None if d is None else d[idx + (slice(None),) * k]
+
+        return self._make(self.v[idx], at(self.a, 1),
+                          _lazy(lambda d: at(d, 1), self._b), at(self.m, 2))
 
 
 class Tan(_Dual):
@@ -184,7 +251,7 @@ class Tan(_Dual):
     def __init__(self, v, g):
         self.v = np.asarray(v, dtype=float)
         self.a = np.asarray(g, dtype=float)
-        self.b = self.m = None
+        self._b = self.m = None
 
     @property
     def g(self):
@@ -202,14 +269,16 @@ class Tan(_Dual):
 
 
 class Jet2(_Dual):
-    """Second-order dual: value, inner block a, outer block b, mixed m."""
+    """Second-order dual: value, inner block a, outer block b, mixed m.
+    The outer block may be a `_Later`, which `b` forces on first read."""
 
     __slots__ = ()
 
     def __init__(self, v, a, b, m):
         self.v = np.asarray(v, dtype=float)
         self.a = None if a is None else np.asarray(a, dtype=float)
-        self.b = None if b is None else np.asarray(b, dtype=float)
+        self._b = (b if b is None or isinstance(b, _Later)
+                   else np.asarray(b, dtype=float))
         self.m = None if m is None else np.asarray(m, dtype=float)
 
     def _make(self, v, a, b, m):
@@ -323,19 +392,24 @@ def einsum(subscripts, *ops):
     def term(blocks, seeds):
         # blocks: operand index -> (derivative block, its seed letters)
         spec = [ins[i] + blocks[i][1] if i in blocks else ins[i]
-                for i in range(len(ops))]
+                for i in range(len(vals))]
         args = [blocks[i][0] if i in blocks else vals[i]
-                for i in range(len(ops))]
+                for i in range(len(vals))]
         return _contract(",".join(spec) + "->" + out + seeds, args)
 
     def block(name, seeds):
         return _total(term({i: (getattr(ops[i], name), seeds)}, seeds)
                       for i in duals if getattr(ops[i], name) is not None)
 
+    # the outer block holds the operands' outer blocks, not the operands
+    outer = {i: ops[i]._b for i in duals if ops[i]._b is not None}
+    b = _lazy(lambda *bs: _total(term({i: (d, "Z")}, "Z")
+                                 for i, d in zip(outer, bs)),
+              *outer.values())
     cross = (term({i: (ops[i].a, "Y"), j: (ops[j].b, "Z")}, "YZ")
              for i in duals for j in duals
-             if i != j and ops[i].a is not None and ops[j].b is not None)
-    return first._new(v, block("a", "Y"), block("b", "Z"),
+             if i != j and ops[i].a is not None and ops[j]._b is not None)
+    return first._new(v, block("a", "Y"), b,
                       _total(itertools.chain([block("m", "YZ")], cross)))
 
 

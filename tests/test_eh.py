@@ -206,6 +206,65 @@ def test_stacked_projectability_rows_equal_single_point_calls(trials):
         assert np.array_equal(one[2].H_sum, base.H_sum[i])
 
 
+@pytest.mark.parametrize("name", ["schwarzschild", "kasner", "ppwave",
+                                  "flrw"])
+def test_per_block_gradient_passes_equal_a_joint_pass(name):
+    # a 3 x 2 stack, as the projectability trials of a 2-point chunk: the
+    # dg and d2g passes reproduce one pass seeded over both blocks
+    spec = catalog.builtin(name)
+    p = catalog.eh_point_at(spec, np.array(interior_points(spec, 2, seed=71)))
+    rng = np.random.default_rng(72)
+    d2g = np.stack([p.d2g] + [p.d2g + rng.uniform(-0.1, 0.1, p.d2g.shape)
+                              for _ in range(2)])
+    x, g, dg, d3g = (np.broadcast_to(a, (3,) + a.shape)
+                     for a in (p.x, p.g, p.dg, p.d3g))
+    q = EHJetPoint(x=x, g=g, dg=dg, d2g=d2g, d3g=d3g)
+    closed = eh.closed_forms(p)
+    m = eh.momenta_and_hamiltonian(q, closed)
+    joint = fiber_gradient(eh.lagrangian_fn, q, ["dg", "d2g"])
+    n1 = 10 * DIM
+    l2 = joint.g[..., n1:].reshape(q.lead + (10, 10)) / MULT
+    l1 = joint.g[..., :n1].reshape(q.lead + (10, DIM)) - np.einsum(
+        "...amnn->...am", closed.L2.b[..., PAIR_FULL, :])
+    assert m.L2_ad.shape == l2.shape and m.L1.shape == l1.shape
+    assert _close(m.L2_ad, l2, 1e-13)
+    assert _close(m.L1, l1, 1e-13)
+    assert np.array_equal(m.L, joint.v)
+
+
+def test_hessian_pass_forms_no_unread_outer_block(monkeypatch):
+    # L's outer block meets no inner block (rho and the k coefficient of
+    # d2g depend on g alone), so the (dg; g, dg) pass must not form k's
+    # outer block nor the outer blocks of the four 5-operand Ricci terms
+    from msgrav import tangents
+    from msgrav.fieldspace import fiber_hessian
+    real, log = tangents._contract, []
+
+    def logged(subscripts, ops):
+        log.append(subscripts)
+        return real(subscripts, ops)
+
+    monkeypatch.setattr(tangents, "_contract", logged)
+    spec = catalog.builtin("schwarzschild")
+    p = catalog.eh_point_at(spec, np.array(interior_points(spec, 2, seed=73)))
+    hess = fiber_hessian(eh.lagrangian_fn, p, ["dg"], ["g", "dg"])
+    assert hess.shape == (2, 40, 50) and log
+    outs = [s.split("->") for s in log]
+    assert not [s for s in log if s.endswith("pqZ")]
+    assert not [s for s, (ins, out) in zip(log, outs)
+                if ins.count(",") == 4 and out == "...Z"]
+    # read on demand, an outer block is the eager one: L's equals the
+    # gradient of a pass over the outer blocks, bit for bit
+    eye = np.broadcast_to(np.eye(50), p.lead + (50, 50))
+    g = Jet2(p.g, None, eye[..., :10, :], None)
+    dg = Jet2(p.dg, np.ones(p.dg.shape + (1,)),
+              eye[..., 10:, :].reshape(p.dg.shape + (50,)), None)
+    lag = eh.lagrangian_fn(SimpleNamespace(g=g, dg=dg, d2g=p.d2g))
+    ref = fiber_gradient(eh.lagrangian_fn, p, ["g", "dg"])
+    assert np.array_equal(lag.b, ref.g)
+    assert np.array_equal(lag.v, ref.v)
+
+
 def test_einstein_constraint_matches_curvature_suite():
     for name in ("flrw", "schwarzschild"):
         p = point(name)

@@ -321,3 +321,23 @@ def test_fused_eh_checks_equal_each_public_call(metric, n):
     assert list(out) == list(want)
     for fam, v in want.items():
         assert np.array_equal(out[fam], v), fam
+
+
+def test_eh_chunk_of_eight_peaks_under_five_mib():
+    # the chunk limit bounds memory (see the report docstring): an 8-point
+    # eh chunk's transients peak at 5 MiB or less; a first call plans the
+    # chunk's contractions, so the second is measured
+    import tracemalloc
+
+    from msgrav import report
+    spec = catalog.builtin("schwarzschild")
+    xs = sample_points(spec, 8, seed=3)
+    report._eh_point_checks(spec, xs, list(range(8)))
+    tracemalloc.start()
+    try:
+        kept, _ = report._eh_point_checks(spec, xs, list(range(8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == list(range(8))
+    assert peak <= 5 * 2**20, peak / 2**20

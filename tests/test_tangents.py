@@ -186,22 +186,60 @@ def test_batched_einsum_tan_rows_equal_unbatched():
         assert _same_dual(stacked, i, single)
 
 
-def test_batched_einsum_jet2_cross_terms_rows_equal_unbatched():
-    rng = np.random.default_rng(12)
-    rows = [(rng.normal(size=(4, 4)), rng.normal(size=(4, 4, 2)),
+def _cross_terms(v, a, w, b):
+    # one operand seeded inner, the other outer: the mixed block is all
+    # cross terms
+    x, y = Jet2(v, a, None, None), Jet2(w, None, b, None)
+    return einsum("ij,jk,ki->", x, y, x) * einsum("ij,ij->", y, y)
+
+
+def _cross_rows(seed):
+    rng = np.random.default_rng(seed)
+    return [(rng.normal(size=(4, 4)), rng.normal(size=(4, 4, 2)),
              rng.normal(size=(4, 4)), rng.normal(size=(4, 4, 3)))
             for _ in range(4)]
 
-    def f(v, a, w, b):
-        # one operand seeded inner, the other outer: the mixed block is all
-        # cross terms
-        x, y = Jet2(v, a, None, None), Jet2(w, None, b, None)
-        return einsum("ij,jk,ki->", x, y, x) * einsum("ij,ij->", y, y)
 
-    stacked, singles = _stack_rows(f, rows)
+def test_batched_einsum_jet2_cross_terms_rows_equal_unbatched():
+    stacked, singles = _stack_rows(_cross_terms, _cross_rows(12))
     assert stacked.m.shape == (4, 2, 3)
     for i, single in enumerate(singles):
         assert _same_dual(stacked, i, single)
+
+
+def test_outer_block_forms_on_first_read(monkeypatch):
+    import msgrav.tangents as tangents
+    real, calls = tangents._contract, []
+
+    def counted(subscripts, ops):
+        calls.append(subscripts)
+        return real(subscripts, ops)
+
+    monkeypatch.setattr(tangents, "_contract", counted)
+    v, a, w, b = map(np.stack, zip(*_cross_rows(15)))
+    out = _cross_terms(v, a, w, b)
+    # the second factor's outer block meets the first's inner block; the
+    # first factor's outer block meets nothing until it is read
+    assert "...ij,...jkZ,...ki->...Z" not in calls
+    assert "...ijZ,...ij->...Z" in calls
+    calls.clear()
+    first = out.b
+    assert calls == ["...ij,...jkZ,...ki->...Z"]
+    calls.clear()
+    assert out.b is first and not calls
+    # bit for bit the block an eager pass over the outer seeds forms
+    monkeypatch.setattr(tangents, "_contract", real)
+    y = Tan(w, b)
+    eager = einsum("ij,jk,ki->", v, y, v) * einsum("ij,ij->", y, y)
+    assert np.array_equal(first, eager.g)
+
+
+def test_long_chain_of_deferred_outer_blocks_does_not_recurse():
+    x, y = Jet2(np.ones(3), None, np.ones((3, 2)), None), Tan(np.ones(3),
+                                                             np.ones((3, 2)))
+    for _ in range(5000):
+        x, y = x * 1.0001 + 1.0, y * 1.0001 + 1.0
+    assert np.array_equal(x.b, y.g)
 
 
 def test_batched_inv_rows_equal_unbatched():
