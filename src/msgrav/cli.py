@@ -134,10 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once: parsing leaves the parser unchanged, so every call shares it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

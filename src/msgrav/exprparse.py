@@ -12,12 +12,18 @@ Names are the coordinates x0..x3, parameters, or the functions sin, cos,
 exp, sqrt, ln. Exponents are restricted to integers so evaluation stays
 total on truncated-series inputs; fractional powers are written via
 exp/ln.
+
+A tree evaluates over floats (through `math`), numpy arrays (elementwise,
+through numpy's ufuncs, so one walk serves a whole stack of points) or
+truncated series; parameters stay floats in every case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ExprSyntaxError
 
@@ -227,14 +233,28 @@ def free_names(node) -> set:
     return free_names(node.arg)
 
 
+# an array function or power raises FloatingPointError exactly where the
+# float one raises: numpy flags a NaN from a non-NaN argument (invalid), an
+# infinity from a finite one (divide, overflow) and nothing else
+_RAISE = {"divide": "raise", "over": "raise", "invalid": "raise"}
+
+
 def _apply(func, x):
     if isinstance(x, (int, float)):
         return getattr(math, "log" if func == "ln" else func)(x)
+    if isinstance(x, np.ndarray):
+        with np.errstate(**_RAISE):
+            return getattr(np, "log" if func == "ln" else func)(x)
     return getattr(x, func)()
 
 
 def evaluate(node, env: dict):
-    """Evaluate over any scalar arithmetic; env maps names to scalars."""
+    """Evaluate over floats, numpy arrays (elementwise) or series; env maps
+    names to values of those kinds. Floats go through `math`. Arrays raise
+    where floats would: a function or power out of its domain or range
+    raises FloatingPointError, a division by zero ZeroDivisionError; a sum,
+    product or quotient that overflows gives inf or NaN, as a float's
+    does, and numpy's error state says whether it warns."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Name):
@@ -252,11 +272,19 @@ def evaluate(node, env: dict):
             return lhs - rhs
         if node.op == "*":
             return lhs * rhs
+        # numpy flags x / 0 only for finite nonzero x; a float division by
+        # zero raises whatever x is, and so does an array division
+        if ((isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray))
+                and np.any(np.equal(rhs, 0.0))):
+            raise ZeroDivisionError("division by zero")
         return lhs / rhs
     if isinstance(node, Pow):
         base = evaluate(node.base, env)
         if isinstance(base, (int, float)):
             return float(base) ** node.exponent
+        if isinstance(base, np.ndarray):
+            with np.errstate(**_RAISE):
+                return base ** node.exponent
         return base.powi(node.exponent)
     return _apply(node.func, evaluate(node.arg, env))
 

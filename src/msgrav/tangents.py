@@ -90,15 +90,11 @@ class _Later:
 
 
 def _force(d):
-    """Block d, an array, a `_Later` or None, as an array or None."""
-    return d() if isinstance(d, _Later) else d
-
-
-def _lazy(f, *blocks):
-    """None if every block is None, else f of the blocks, deferred."""
-    if all(d is None for d in blocks):
-        return None
-    return _Later(f, blocks)
+    """Block d, an array, a `_Later` or None, as an array or None; a
+    `_Later` already formed is read without walking its chain."""
+    if isinstance(d, _Later):
+        return d.d if d.f is None else d()
+    return d
 
 
 def _outer(a, b):
@@ -139,7 +135,9 @@ def _widen(d, shape, k):
 class _Dual:
     """Arithmetic shared by Tan and Jet2; blocks a, b, m may be None. The
     outer block is stored in `_b`, an array, a `_Later` or None, and read
-    through `b`; operations pass it on deferred (`_lazy`)."""
+    through `b`; operations pass it on deferred, as a `_Later`, or as None
+    without building one when every outer block they combine is None (as
+    in every Tan operation)."""
 
     __slots__ = ("v", "a", "_b", "m")
     # numpy defers binary operators to the dual instead of looping over it
@@ -147,8 +145,7 @@ class _Dual:
 
     @property
     def b(self):
-        if isinstance(self._b, _Later):
-            self._b = self._b()
+        self._b = _force(self._b)
         return self._b
 
     def _make(self, v, a, b, m):
@@ -172,8 +169,9 @@ class _Dual:
         if not isinstance(o, _Dual):
             return self._new(self.v + o, self.a, self._b, self.m)
         o = self._same(o)
-        return self._new(self.v + o.v, _total((self.a, o.a)),
-                         _lazy(lambda x, y: _total((x, y)), self._b, o._b),
+        b = (None if self._b is None and o._b is None else
+             _Later(lambda x, y: _total((x, y)), (self._b, o._b)))
+        return self._new(self.v + o.v, _total((self.a, o.a)), b,
                          _total((self.m, o.m)))
 
     __radd__ = __add__
@@ -190,16 +188,19 @@ class _Dual:
     def __mul__(self, o):
         if not isinstance(o, _Dual):
             c = np.asarray(o, dtype=float)
-            return self._new(self.v * c, _scale(self.a, c, 1),
-                             _lazy(lambda d: _scale(d, c, 1), self._b),
+            b = (None if self._b is None else
+                 _Later(lambda d: _scale(d, c, 1), (self._b,)))
+            return self._new(self.v * c, _scale(self.a, c, 1), b,
                              _scale(self.m, c, 2))
         o = self._same(o)
         sv, ov = self.v, o.v
+        b = (None if self._b is None and o._b is None else
+             _Later(lambda x, y: _total((_scale(x, ov, 1),
+                                         _scale(y, sv, 1))),
+                    (self._b, o._b)))
         return self._new(
             sv * ov,
-            _total((_scale(self.a, ov, 1), _scale(o.a, sv, 1))),
-            _lazy(lambda x, y: _total((_scale(x, ov, 1), _scale(y, sv, 1))),
-                  self._b, o._b),
+            _total((_scale(self.a, ov, 1), _scale(o.a, sv, 1))), b,
             _total((_scale(self.m, ov, 2), _scale(o.m, sv, 2),
                     _outer(self.a, o._b), _outer(o.a, self._b))))
 
@@ -207,8 +208,9 @@ class _Dual:
 
     def _chain(self, f0, f1, f2):
         """f(self) from the value f0 and the derivatives f1, f2 of f."""
-        return self._new(f0, _scale(self.a, f1, 1),
-                         _lazy(lambda d: _scale(d, f1, 1), self._b),
+        b = (None if self._b is None else
+             _Later(lambda d: _scale(d, f1, 1), (self._b,)))
+        return self._new(f0, _scale(self.a, f1, 1), b,
                          _total((_scale(self.m, f1, 2),
                                  _scale(_outer(self.a, self._b), f2, 2))))
 
@@ -239,8 +241,8 @@ class _Dual:
         def at(d, k):
             return None if d is None else d[idx + (slice(None),) * k]
 
-        return self._make(self.v[idx], at(self.a, 1),
-                          _lazy(lambda d: at(d, 1), self._b), at(self.m, 2))
+        b = None if self._b is None else _Later(lambda d: at(d, 1), (self._b,))
+        return self._make(self.v[idx], at(self.a, 1), b, at(self.m, 2))
 
 
 class Tan(_Dual):
@@ -401,11 +403,14 @@ def einsum(subscripts, *ops):
         return _total(term({i: (getattr(ops[i], name), seeds)}, seeds)
                       for i in duals if getattr(ops[i], name) is not None)
 
+    if isinstance(first, Tan):
+        return first._new(v, block("a", "Y"), None, None)
     # the outer block holds the operands' outer blocks, not the operands
     outer = {i: ops[i]._b for i in duals if ops[i]._b is not None}
-    b = _lazy(lambda *bs: _total(term({i: (d, "Z")}, "Z")
-                                 for i, d in zip(outer, bs)),
-              *outer.values())
+    b = None if not outer else _Later(
+        lambda *bs: _total(term({i: (d, "Z")}, "Z")
+                           for i, d in zip(outer, bs)),
+        tuple(outer.values()))
     cross = (term({i: (ops[i].a, "Y"), j: (ops[j].b, "Z")}, "YZ")
              for i in duals for j in duals
              if i != j and ops[i].a is not None and ops[j]._b is not None)

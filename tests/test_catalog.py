@@ -1,3 +1,7 @@
+import itertools
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +11,9 @@ from msgrav import catalog
 from msgrav.errors import ConfigError, DomainError, SingularPointError
 from msgrav.exprparse import parse_expression
 from msgrav.fieldspace import derivatives
-from msgrav.indexing import DERIVS, pair_index
+from msgrav.indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
+
+INPUTS = Path(__file__).resolve().parents[1] / "msbench" / "inputs"
 
 FILE_TEXT = """\
 # a static curved test metric with one connection override
@@ -178,7 +184,129 @@ def test_metric_files_fail_only_with_package_errors(tmp_path, comps, junk,
         text += f"g 0 1 = {junk}\n"
     path = tmp_path / "fuzz.metric"
     path.write_text(text + f"[domain]\nx1 = {lo}..1\n", encoding="utf-8")
+    # and no numpy warning escapes the stacked grid check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            catalog.load_metric_file(str(path))
+        except (ConfigError, DomainError):
+            pass
+
+
+def _validate_per_point(spec):
+    """The grid check one point at a time on Python floats, as it was before
+    the stacked pass: the reference the stacked pass must agree with."""
+    axes = [np.linspace(lo, hi, 3) for (lo, hi) in spec.domain]
+    for x in itertools.product(*axes):
+        env = {f"x{i}": float(x[i]) for i in range(DIM)}
+        env.update(spec.params)
+        m = np.array([catalog._evaluate(c, env) for c in spec.components],
+                     dtype=float)[PAIR_FULL]
+        where = f"metric {spec.name!r} at grid point {tuple(map(float, x))}"
+        if not np.isfinite(m).all():
+            raise DomainError(f"{where} is not finite")
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(m)
+        if not np.isfinite(det):
+            raise DomainError(f"{where} has a determinant beyond float range")
+        ev = np.linalg.eigvalsh(m)
+        if abs(det) < 1e-14 or ev[0] >= 0 or ev[1] <= 0:
+            raise DomainError(f"{where} is not Lorentzian")
+    return spec
+
+
+def _unchecked(diag, params=None, domain=None, entries=None):
+    """A spec built without the grid check."""
+    comps = ["0"] * len(PAIRS)
+    for mu, text in enumerate(diag):
+        comps[pair_index(mu, mu)] = text
+    for (a, b), text in (entries or {}).items():
+        comps[pair_index(a, b)] = text
+    return catalog.MetricSpec(
+        name="crafted", components=tuple(map(parse_expression, comps)),
+        params=params or {}, domain=tuple(domain or ((-1.0, 1.0),) * DIM))
+
+
+# edge cases of the grid check, with the first failing grid point (None
+# where the spec passes)
+_CRAFTED = {
+    "reciprocal": (_unchecked(["-1", "1", "1/(x1*x1)", "1"]),
+                   (-1.0, 0.0, -1.0, -1.0)),
+    "negative-power": (_unchecked(["-1", "x1^-2", "1", "1"]),
+                       (-1.0, 0.0, -1.0, -1.0)),
+    "log-of-negative": (_unchecked(["-1", "1", "1", "1 + 0*ln(x1)"]),
+                        (-1.0, -1.0, -1.0, -1.0)),
+    "sqrt-of-negative-parameter": (
+        _unchecked(["-1", "1", "1 + sqrt(-k)", "1"], params={"k": 0.5}),
+        (-1.0, -1.0, -1.0, -1.0)),
+    "euclidean": (_unchecked(["1", "1", "1", "1"]), (-1.0, -1.0, -1.0, -1.0)),
+    "degenerate": (_unchecked(["-x0^2", "1", "1", "1"]),
+                   (0.0, -1.0, -1.0, -1.0)),
+    "degenerate-later": (
+        _unchecked(["-1 + x3", "1", "1", "1"],
+                   domain=[(-1.0, 1.0)] * 3 + [(0.0, 2.0)]),
+        (-1.0, -1.0, -1.0, 1.0)),
+    # the reference stops at the degenerate point before x1 = 0 is reached
+    "degenerate-before-a-pole": (
+        _unchecked(["-1 + x3", "1", "1/(x1*x1)", "1"],
+                   domain=[(-1.0, 1.0)] * 3 + [(0.0, 2.0)]),
+        (-1.0, -1.0, -1.0, 1.0)),
+    "determinant-overflow": (
+        _unchecked(["-1e308", "1e308", "1e308", "1e308"]),
+        (-1.0, -1.0, -1.0, -1.0)),
+    "not-finite": (_unchecked(["-1", "1e308*10", "1", "1"]),
+                   (-1.0, -1.0, -1.0, -1.0)),
+    # floats divide inf by zero with an error, numpy without one
+    "inf-over-zero": (_unchecked(["-1", "1", "1", "1 + 1/(1e308*10/x1)"]),
+                      (-1.0, 0.0, -1.0, -1.0)),
+    # a product overflows to inf without an error, and 1/inf is 0
+    "overflow-absorbed": (
+        _unchecked(["-1", "1 + 1/(1e308*(x1 + 2)*10)", "1", "1"]), None),
+}
+
+
+def _outcome(validate, spec):
     try:
-        catalog.load_metric_file(str(path))
-    except (ConfigError, DomainError):
-        pass
+        validate(spec)
+    except DomainError as e:
+        return type(e), str(e)
+    return None, ""
+
+
+def _reference_spec(name):
+    if name in _CRAFTED:
+        return _CRAFTED[name][0]
+    if name in ("bumpy", "torsion"):
+        return catalog.load_metric_file(str(INPUTS / f"{name}.metric"))
+    return catalog.builtin(name)
+
+
+@pytest.mark.parametrize("name", catalog.list_builtins() +
+                         ["bumpy", "torsion"] + list(_CRAFTED))
+def test_stacked_grid_check_matches_per_point_reference(name):
+    spec = _reference_spec(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(catalog._validate, spec)
+    want = _outcome(_validate_per_point, spec)
+    assert got[0] is want[0]
+    if name in _CRAFTED and _CRAFTED[name][1] is not None:
+        assert f"at grid point {_CRAFTED[name][1]} " in got[1]
+    assert got[0] is None or " at grid point (" in got[1]
+    if want[1].endswith(("is not Lorentzian",
+                         "has a determinant beyond float range",
+                         "is not finite")):
+        assert got[1] == want[1]
+
+
+def test_grid_check_walks_each_component_once(monkeypatch):
+    calls = []
+    real = catalog.evaluate
+    monkeypatch.setattr(catalog, "evaluate",
+                        lambda tree, env: calls.append(tree) or
+                        real(tree, env))
+    catalog.builtin("schwarzschild")
+    assert len(calls) == len(PAIRS)
+    calls.clear()
+    catalog.load_metric_file(str(INPUTS / "bumpy.metric"))
+    assert len(calls) == len(PAIRS)

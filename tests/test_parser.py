@@ -1,12 +1,14 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msgrav.errors import ExprSyntaxError
-from msgrav.exprparse import (BinOp, Call, Name, Neg, Num, Pow, evaluate,
-                              free_names, parse_expression)
+from msgrav.exprparse import (FUNCTIONS, BinOp, Call, Name, Neg, Num, Pow,
+                              evaluate, free_names, parse_expression)
 from msgrav.series import JetScalar
 
 
@@ -122,10 +124,10 @@ nums_st = st.floats(min_value=0.1, max_value=9.0).map(
     lambda v: round(v, 3))
 
 
-def trees(depth):
+def trees(depth, funcs=("sin", "cos", "exp")):
     if depth == 0:
         return st.one_of(nums_st.map(Num), names_st.map(Name))
-    sub = trees(depth - 1)
+    sub = trees(depth - 1, funcs)
     return st.one_of(
         nums_st.map(Num), names_st.map(Name),
         sub.map(Neg),
@@ -133,8 +135,7 @@ def trees(depth):
             lambda t: BinOp(*t)),
         st.tuples(sub, st.integers(min_value=-3, max_value=3)).map(
             lambda t: Pow(*t)),
-        st.tuples(st.sampled_from(["sin", "cos", "exp"]), sub).map(
-            lambda t: Call(*t)))
+        st.tuples(st.sampled_from(funcs), sub).map(lambda t: Call(*t)))
 
 
 @given(trees(3))
@@ -154,3 +155,40 @@ def test_evaluation_deterministic(tree):
         return
     if math.isfinite(a):
         assert a == b
+
+
+_RAISES = (ZeroDivisionError, OverflowError, ValueError, FloatingPointError)
+# rows hold zeros, negatives and a large value, so some rows raise alone
+_ROWS = np.array([[0.7, 1.3, -0.4, 2.2], [0.0, -1.0, 0.5, 300.0],
+                  [-2.0, 0.0, 1e-3, -0.5]])
+
+
+def _float_rows(tree, params):
+    out = []
+    for row in _ROWS:
+        env = dict(params, **{f"x{i}": float(v) for i, v in enumerate(row)})
+        try:
+            out.append(evaluate(tree, env))
+        except _RAISES:
+            return None
+    return np.array(out)
+
+
+@given(trees(3, FUNCTIONS))
+@settings(max_examples=200, deadline=None)
+def test_array_evaluation_matches_floats_row_by_row(tree):
+    # one walk over a stack of rows gives each row's float value, and
+    # raises exactly when some row raises alone
+    params = {"m": 1.5, "k": 0.3}
+    want = _float_rows(tree, params)
+    env = dict(params, **{f"x{i}": _ROWS[:, i] for i in range(4)})
+    with warnings.catch_warnings(), np.errstate(over="ignore",
+                                                invalid="ignore"):
+        warnings.simplefilter("error")
+        try:
+            got = np.broadcast_to(evaluate(tree, env), len(_ROWS))
+        except _RAISES:
+            got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        np.testing.assert_allclose(got, want, rtol=1e-9)
