@@ -191,6 +191,8 @@ class _Parser:
             self._fail("unexpected end of expression")
         kind, val, off = tok
         if kind == "num":
+            if not math.isfinite(val):
+                raise ExprSyntaxError("number is not finite", offset=off)
             self.pos += 1
             return Num(val)
         if kind == "name":

@@ -33,11 +33,13 @@ times a tensor is written `einsum(",ab->ab", s, t)`, never `s * t`. A
 single point is the case with no batch axis.
 
 Plan and dispatch: each (subscripts, operand shapes) signature is planned
-once, in a greedy pairwise order chosen on the named axes alone. A pair
-step is one np.matmul of C-contiguous (batch, M, K) and (batch, K, N)
-operands, the leading axes among the batch axes, so BLAS sums a stacked
-row exactly as the row alone; traces, index sums and permutations are
-single-operand np.einsum steps.
+once, in a greedy pairwise order chosen on the named axes alone, and each
+`einsum` (subscripts, block pattern) compiles once to a program, the
+subscripts of its value and of every product-rule term. A pair step is
+one np.matmul of C-contiguous (batch, M, K) and (batch, K, N) operands,
+the leading axes among the batch axes, so BLAS sums a stacked row exactly
+as the row alone; traces and index sums are single-operand np.einsum
+steps, and a permutation left at the end is a transposed view.
 
 Finite differences are deliberately absent here; they live only in the
 tests.
@@ -309,10 +311,12 @@ def _prep(term, shape, groups, lead, size):
 
 @lru_cache(maxsize=4096)
 def _plan(subscripts, shapes):
-    """(steps, final einsum or None). Each step contracts the pair ranked
-    first by np.einsum_path's greedy key on the named letters alone (a
-    shared letter, most entries removed, fewest products) and appends it;
-    there is no memory limit, so no step takes three or more operands."""
+    """(steps, final). Each step (i, j, prep_a, prep_b, outer, shape)
+    contracts the pair ranked first by np.einsum_path's greedy key on the
+    named letters alone (a shared letter, most entries removed, fewest
+    products) and appends it; there is no memory limit, so no step takes
+    three or more operands. `final` is None, an axes tuple when only a
+    permutation is left, or an einsum for a sum or trace."""
     ins, out = subscripts.replace("...", "").split("->")
     ops = list(zip(ins.split(","), shapes))
     size = {c: n for t, s in ops for c, n in zip(t, s[len(s) - len(t):])}
@@ -344,32 +348,66 @@ def _plan(subscripts, shapes):
         cols = "".join(c for c in t1 if c not in s1)
         new = bat + rows + cols
         shape = lead + tuple(size[c] for c in new)
-        steps.append((idx, (_prep(s, sh, (bat, rows, con), lead, size),
+        steps.append(idx + (_prep(s, sh, (bat, rows, con), lead, size),
                             _prep(t, th, (bat, con, cols), lead, size),
-                            not con, shape)))
+                            not con, shape))
         ops = [o for k, o in enumerate(ops) if k not in idx] + [(new, shape)]
-    final = ops[0][0]
+    final, k = ops[0][0], len(lead)
+    if final != out and sorted(final) == sorted(out):
+        return tuple(steps), tuple(range(k)) + tuple(k + final.index(c)
+                                                     for c in out)
     return tuple(steps), None if final == out else f"...{final}->...{out}"
-
-
-def _operand(x, reduce, shape, axes, mshape):
-    """x brought to a C-contiguous matmul operand as `_prep` says."""
-    x = x if reduce is None else np.einsum(reduce, x)
-    x = x if shape is None else np.broadcast_to(x, shape)
-    x = x if axes is None else x.transpose(axes)
-    return np.ascontiguousarray(x).reshape(mshape)
 
 
 def _contract(subscripts, ops):
     """np.einsum of `subscripts`, each term prefixed by `...`, by plan."""
-    ops = [np.asarray(o, dtype=float) for o in ops]
+    ops = [o if type(o) is np.ndarray else np.asarray(o, dtype=float)
+           for o in ops]
     steps, final = _plan(subscripts, tuple(o.shape for o in ops))
-    for (i, j), (pa, pb, outer, shape) in steps:
-        a, b = _operand(ops[i], *pa), _operand(ops[j], *pb)
-        ops = [o for k, o in enumerate(ops) if k not in (i, j)]
+    for i, j, (ra, wa, xa, ma), (rb, wb, xb, mb), outer, shape in steps:
+        b, a = ops.pop(j), ops.pop(i)
+        a = a if ra is None else np.einsum(ra, a)
+        a = a if wa is None else np.broadcast_to(a, wa)
+        b = b if rb is None else np.einsum(rb, b)
+        b = b if wb is None else np.broadcast_to(b, wb)
+        a = np.ascontiguousarray(a if xa is None else a.transpose(xa))
+        b = np.ascontiguousarray(b if xb is None else b.transpose(xb))
+        a, b = a.reshape(ma), b.reshape(mb)
         # with nothing summed the product is exact, and cheaper than BLAS
         ops.append((a * b if outer else np.matmul(a, b)).reshape(shape))
+    if type(final) is tuple:
+        return ops[0].transpose(final)
     return ops[0] if final is None else np.einsum(final, ops[0])
+
+
+@lru_cache(maxsize=4096)
+def _program(subscripts, pattern):
+    """The product rule of `einsum` for one signature and block pattern:
+    (value, inner, outer, mixed, cross). `pattern` gives per operand None
+    (plain) or whether its a, b and m blocks are present; the inner, outer
+    and mixed terms are (operand, subscripts) pairs, the cross terms
+    (inner operand, outer operand, subscripts), all in contraction order."""
+    ins, out = subscripts.split("->")
+    ins = ["..." + t for t in ins.split(",")]
+
+    def term(seeds, *marks):
+        spec = list(ins)
+        for i, s in marks:
+            spec[i] += s
+        return ",".join(spec) + "->..." + out + seeds
+
+    has = [[i for i, p in enumerate(pattern) if p and p[k]] for k in range(3)]
+    return (term(""), *(tuple((i, term(s, (i, s))) for i in has[k])
+                        for k, s in enumerate(("Y", "Z", "YZ"))),
+            tuple((i, j, term("YZ", (i, "Y"), (j, "Z")))
+                  for i in has[0] for j in has[1] if i != j))
+
+
+def _swap(vals, i, d):
+    """vals with operand i replaced by block d."""
+    args = list(vals)
+    args[i] = d
+    return args
 
 
 def einsum(subscripts, *ops):
@@ -379,43 +417,29 @@ def einsum(subscripts, *ops):
     the trailing value axes only: leading batch axes broadcast through
     `...`. The seed axes of the result trail its value axes.
     """
-    ins, out = subscripts.split("->")
-    ins = ["..." + i for i in ins.split(",")]
-    out = "..." + out
-    vals = [getattr(o, "v", o) for o in ops]
-    v = _contract(",".join(ins) + "->" + out, vals)
-    duals = [i for i, o in enumerate(ops) if isinstance(o, _Dual)]
+    duals = [o for o in ops if isinstance(o, _Dual)]
+    value, inner, outer, mixed, cross = _program(subscripts, tuple(
+        (o.a is not None, o._b is not None, o.m is not None)
+        if isinstance(o, _Dual) else None for o in ops))
+    vals = [o.v if isinstance(o, _Dual) else o for o in ops]
+    v = _contract(value, vals)
     if not duals:
         return v
-    first = ops[duals[0]]
-    for i in duals[1:]:
-        first._same(ops[i])
-
-    def term(blocks, seeds):
-        # blocks: operand index -> (derivative block, its seed letters)
-        spec = [ins[i] + blocks[i][1] if i in blocks else ins[i]
-                for i in range(len(vals))]
-        args = [blocks[i][0] if i in blocks else vals[i]
-                for i in range(len(vals))]
-        return _contract(",".join(spec) + "->" + out + seeds, args)
-
-    def block(name, seeds):
-        return _total(term({i: (getattr(ops[i], name), seeds)}, seeds)
-                      for i in duals if getattr(ops[i], name) is not None)
-
-    if isinstance(first, Tan):
-        return first._new(v, block("a", "Y"), None, None)
+    for o in duals[1:]:
+        duals[0]._same(o)
+    a = _total(_contract(s, _swap(vals, i, ops[i].a)) for i, s in inner)
+    if isinstance(duals[0], Tan):
+        return duals[0]._new(v, a, None, None)
     # the outer block holds the operands' outer blocks, not the operands
-    outer = {i: ops[i]._b for i in duals if ops[i]._b is not None}
     b = None if not outer else _Later(
-        lambda *bs: _total(term({i: (d, "Z")}, "Z")
-                           for i, d in zip(outer, bs)),
-        tuple(outer.values()))
-    cross = (term({i: (ops[i].a, "Y"), j: (ops[j].b, "Z")}, "YZ")
-             for i in duals for j in duals
-             if i != j and ops[i].a is not None and ops[j]._b is not None)
-    return first._new(v, block("a", "Y"), b,
-                      _total(itertools.chain([block("m", "YZ")], cross)))
+        lambda *bs: _total(_contract(s, _swap(vals, i, d))
+                           for (i, s), d in zip(outer, bs)),
+        tuple(ops[i]._b for i, _ in outer))
+    m = _total(itertools.chain(
+        (_contract(s, _swap(vals, i, ops[i].m)) for i, s in mixed),
+        (_contract(s, _swap(_swap(vals, i, ops[i].a), j, ops[j].b))
+         for i, j, s in cross)))
+    return duals[0]._new(v, a, b, m)
 
 
 def inv(m):

@@ -174,3 +174,14 @@ def test_infinite_exponent_in_metric_file_exits_two(tmp_path, capsys):
         capsys)
     assert code == 2
     assert "exponent" in err
+
+
+def test_infinite_literal_in_metric_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "inf.ini"
+    path.write_text("[metric]\ng 0 0 = -1\ng 1 1 = 1 + 1/1e999\n"
+                    "g 2 2 = 1\ng 3 3 = 1\n", encoding="utf-8")
+    for model in ("eh", "ep"):
+        code, out, err = run(["check", "--model", model, "--metric",
+                              str(path), "--points", "1"], capsys)
+        assert code == 2 and not out
+        assert "not finite" in err

@@ -98,6 +98,15 @@ def test_infinite_exponent_rejected():
         parse_expression("x1^-1e999")
 
 
+def test_infinite_literal_rejected():
+    # a literal beyond float range is a syntax error, not inf (nor 0 once
+    # divided)
+    for text, offset in (("1 + 1/1e999", 6), ("1e999", 0), ("-2e400*x1", 1)):
+        with pytest.raises(ExprSyntaxError, match="not finite") as e:
+            parse_expression(text)
+        assert e.value.offset == offset
+
+
 def test_unknown_function_and_identifier():
     with pytest.raises(ExprSyntaxError):
         parse_expression("foo(2)")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msgrav.tangents import Jet2, Tan, einsum, inv, sqrt
+from msgrav import catalog, report, tangents
+from msgrav.tangents import (Jet2, Tan, _Dual, _Later, _total, einsum, inv,
+                             sqrt)
 
 
 def rational(x, y):
@@ -337,3 +340,181 @@ def test_planned_stack_rows_equal_rows_alone(subscripts):
             assert np.array_equal(stacked[i],
                                   _contract(dotted(subscripts), row)), \
                 (subscripts, n, i)
+
+
+# -- the compiled product rule against its term-by-term reference -----------
+
+def reference_einsum(subscripts, *ops):
+    """The product rule term by term, each term's subscripts spelled out on
+    every call: the programs `einsum` compiles must make the same
+    contractions, in the same order, with the same results bit for bit."""
+    ins, out = subscripts.split("->")
+    ins = ["..." + i for i in ins.split(",")]
+    out = "..." + out
+    vals = [getattr(o, "v", o) for o in ops]
+    v = tangents._contract(",".join(ins) + "->" + out, vals)
+    duals = [i for i, o in enumerate(ops) if isinstance(o, _Dual)]
+    if not duals:
+        return v
+    first = ops[duals[0]]
+    for i in duals[1:]:
+        first._same(ops[i])
+
+    def term(blocks, seeds):
+        # blocks: operand index -> (derivative block, its seed letters)
+        spec = [ins[i] + blocks[i][1] if i in blocks else ins[i]
+                for i in range(len(vals))]
+        args = [blocks[i][0] if i in blocks else vals[i]
+                for i in range(len(vals))]
+        return tangents._contract(",".join(spec) + "->" + out + seeds, args)
+
+    def block(name, seeds):
+        return _total(term({i: (getattr(ops[i], name), seeds)}, seeds)
+                      for i in duals if getattr(ops[i], name) is not None)
+
+    if isinstance(first, Tan):
+        return first._new(v, block("a", "Y"), None, None)
+    outer = {i: ops[i]._b for i in duals if ops[i]._b is not None}
+    b = None if not outer else _Later(
+        lambda *bs: _total(term({i: (d, "Z")}, "Z")
+                           for i, d in zip(outer, bs)),
+        tuple(outer.values()))
+    cross = (term({i: (ops[i].a, "Y"), j: (ops[j].b, "Z")}, "YZ")
+             for i in duals for j in duals
+             if i != j and ops[i].a is not None and ops[j]._b is not None)
+    return first._new(v, block("a", "Y"), b,
+                      _total(itertools.chain([block("m", "YZ")], cross)))
+
+
+# a Jet2 kind names its blocks present; "B" is an outer block deferred
+# behind a logged contraction, formed when first read
+JET_KINDS = ["", "a", "b", "m", "ab", "am", "bm", "abm", "B", "aB", "Bm",
+             "aBm"]
+KINDS = ["plain", "tan"] + JET_KINDS
+PRODUCT = ["ii->", "snm->smn", "ij,jk->ik", "ij,ji->", ",ab->ab",
+           "abc,cd->dba", "ij,jk,kl->il", "ij,jk,ki->"]
+
+
+def product_operand(rng, kind, term, lead):
+    """A random operand of one kind; a plain one is a constant, without
+    the leading axes."""
+    shape = (4,) * len(term)
+    if kind == "plain":
+        return rng.normal(size=shape)
+    full = lead + shape
+    if kind == "tan":
+        return Tan(rng.normal(size=full), rng.normal(size=full + (3,)))
+    a, b, m = (rng.normal(size=full + seeds) if c in kind.lower() else None
+               for c, seeds in (("a", (3,)), ("b", (2,)), ("m", (3, 2))))
+    if "B" in kind:
+        same = f"...{term}Z->...{term}Z"
+        b = _Later(lambda d: tangents._contract(same, [d]), (b,))
+    return Jet2(rng.normal(size=full), a, b, m)
+
+
+def product_cases(subscripts):
+    """Operand kinds to try: every combination for one or two operands,
+    a seeded sample of 60 for three, never a Tan beside a Jet2."""
+    n = subscripts.count(",") + 1
+    combos = [c for c in itertools.product(KINDS, repeat=n)
+              if not ("tan" in c and set(c) - {"tan", "plain"})]
+    if n > 2:
+        rng = np.random.default_rng(n)
+        combos = [combos[k] for k in rng.choice(len(combos), 60,
+                                                replace=False)]
+    return combos
+
+
+def _bits(x):
+    return None if x is None else (x.shape, x.dtype, x.tobytes())
+
+
+@pytest.mark.parametrize("subscripts", PRODUCT)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_einsum_programs_match_term_by_term_reference(monkeypatch,
+                                                      subscripts, lead):
+    real, log = tangents._contract, []
+
+    def logged(subscripts, ops):
+        log.append(subscripts)
+        return real(subscripts, ops)
+
+    monkeypatch.setattr(tangents, "_contract", logged)
+    terms = subscripts.split("->")[0].split(",")
+    repeat = subscripts == "ij,jk,ki->"
+    for k, kinds in enumerate(product_cases(subscripts)):
+        runs = []
+        for f in (reference_einsum, einsum):
+            rng = np.random.default_rng(k)
+            ops = [product_operand(rng, kind, t, lead)
+                   for kind, t in zip(kinds, terms)]
+            if repeat:
+                # one operand twice: its deferred outer block forms once
+                ops[2] = ops[0]
+            log.clear()
+            out = f(subscripts, *ops)
+            calls = list(log)
+            log.clear()
+            blocks = [out.v, out.a, out.m, out.b] if isinstance(
+                out, _Dual) else [np.asarray(out)]
+            runs.append((calls, list(log), [_bits(x) for x in blocks]))
+        assert runs[1] == runs[0], (subscripts, lead, kinds)
+
+
+# the last pair leaves the output letters permuted, or one operand is
+# permuted: no summed letter, so np.einsum's own result is exact
+PERMUTED = ["snm->smn", "ab->ba", "abc->cab", "ab,ab->ba", "cb,sa->abcs",
+            "abc,ad->dcba"]
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_a_final_permutation_is_a_transpose(monkeypatch, lead):
+    from msgrav.tangents import _contract, _plan, _program
+    rng = np.random.default_rng(16)
+    cases = [(s, planned_operands(rng, s, lead)) for s in PERMUTED]
+    want = [np.einsum(dotted(s), *ops) for s, ops in cases]
+    # with a sum in the last pair: the transpose of the unpermuted result
+    summed = [planned_operands(rng, "ij,jk->ik", lead),
+              planned_operands(rng, "rk,klb,ls->bsr", lead)]
+    natural = [_contract(dotted("ij,jk->ik"), summed[0]),
+               _contract(dotted("rk,klb,ls->rbs"), summed[1])]
+    calls = []
+    monkeypatch.setattr(np, "einsum", lambda *a: calls.append(a))
+    for (s, ops), w in zip(cases, want):
+        assert type(_plan(dotted(s), tuple(o.shape for o in ops))[1]) is tuple
+        got = _contract(dotted(s), ops)
+        assert got.shape == w.shape and np.array_equal(got, w), s
+    got = _contract(dotted("ij,jk->ki"), summed[0])
+    assert np.array_equal(got, np.swapaxes(natural[0], -1, -2))
+    got = _contract(dotted("rk,klb,ls->bsr"), summed[1])
+    assert np.array_equal(got, np.moveaxis(natural[1], -3, -1))
+    assert not calls
+    # a signature and block pattern seen before compiles nothing again
+    u, w = planned_operands(rng, "ab,ab->ba", lead)
+    x = Jet2(u, None, rng.normal(size=lead + (4, 4, 2)), None)
+
+    def misses():
+        return _program.cache_info().misses, _plan.cache_info().misses
+
+    einsum("ab,ab->ba", x, w).b
+    before = misses()
+    out = einsum("ab,ab->ba", x, w)
+    assert misses() == before
+    assert np.array_equal(out.b, np.swapaxes(x.b, -2, -3)
+                          * np.swapaxes(w, -1, -2)[..., None])
+    assert misses() == before and not calls
+
+
+def test_plan_and_program_caches_hold_every_chunk_size():
+    # every builtin, both models, one chunk of each size: no entry of
+    # either cache is evicted, so no chunk plans or compiles twice
+    from msgrav.tangents import _plan, _program
+    for name in catalog.list_builtins():
+        spec = catalog.builtin(name)
+        for model in ("eh", "ep"):
+            for n in (1, 2, 3, 8):
+                report.run_check(report.CheckConfig(
+                    model=model, spec=spec, points=n, seed=n, threads=1))
+    for cache in (_plan, _program):
+        info = cache.cache_info()
+        assert info.currsize < info.maxsize, (cache.__name__, info)
