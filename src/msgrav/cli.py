@@ -58,8 +58,7 @@ def _parse_tols(items):
 def _cmd_check(args) -> int:
     spec = _load_spec(args.metric, _parse_params(args.param))
     cfg = CheckConfig(model=args.model, spec=spec, points=args.points,
-                      seed=args.seed, tolerances=_parse_tols(args.tol),
-                      fmt=args.format)
+                      seed=args.seed, tolerances=_parse_tols(args.tol))
     report = run_check(cfg)
     text = emit_report(report, fmt=args.format, path=args.out)
     if args.out is None:

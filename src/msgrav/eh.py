@@ -14,12 +14,12 @@ its trials stacked together), `constraint_einstein_derivative` (the
 Einstein constraints along the total derivatives) and `cartan_form_eh`
 (the mixed Jet2 pass of L over (dg; g, dg), which forms only the outer
 blocks that meet an inner one). The closed forms read (g, dg) only; each
-operation that reads them takes them as `closed`, computed when None. The
-closed-form Hamiltonian sums over full index ranges, the sum form over
-ordered ones. Fiber functions read a point's ordered blocks, as arrays,
-Tan or Jet2, and expand them through `indexing.PAIR_FULL`. Every operation
-takes one point or a stack of points on leading axes; per-point results
-are arrays of the leading shape, 0-d for one point.
+operation that reads them takes them as `closed`, the `closed_forms` of
+its point. The closed-form Hamiltonian sums over full index ranges, the
+sum form over ordered ones. Fiber functions read a point's ordered blocks,
+as arrays, Tan or Jet2, and expand them through `indexing.PAIR_FULL`.
+Every operation takes one point or a stack of points on leading axes;
+per-point results are arrays of the leading shape, 0-d for one point.
 """
 
 from __future__ import annotations
@@ -123,15 +123,13 @@ class EHMomenta:
     H_closed: np.ndarray
 
 
-def momenta_and_hamiltonian(p: EHJetPoint, closed: EHClosed | None = None
-                            ) -> EHMomenta:
+def momenta_and_hamiltonian(p: EHJetPoint, closed: EHClosed) -> EHMomenta:
     """The AD momenta at p from two gradient passes of L, one per seeded
     block, dg and d2g, so neither block carries the other's zero columns;
     L is the dg pass's value. They are completed by the closed forms of
     p's (g, dg), which a stack that shares them broadcasts. L1 is
     dL/d g_{ab,m} - sum_n D_n L^{ab,mn}: the closed second-order momenta
     depend on g alone, so D_n reaches only g."""
-    closed = closed_forms(p) if closed is None else closed
     by_dg = fiber_gradient(lagrangian_fn, p, ["dg"])
     dldv = by_dg.g.reshape(p.lead + (NPAIR, DIM))
     l2_ad = fiber_gradient(lagrangian_fn, p, ["d2g"]).g.reshape(
@@ -170,7 +168,7 @@ def holonomy_residuals(p: EHJetPoint, metric_series):
 
 # -- Poincare-Cartan form and field equations -------------------------------
 
-def cartan_form_eh(p: EHJetPoint, closed: EHClosed | None = None) -> Form:
+def cartan_form_eh(p: EHJetPoint, closed: EHClosed) -> Form:
     """The 5-form dH ^ d4x minus the two momenta blocks: the 40 first-order
     momenta L^{a mu}, wedged with the differential of g_a and
     i(d/dx^mu) d4x, then the 160 second-order ones L^{a, mu nu}, wedged
@@ -179,7 +177,6 @@ def cartan_form_eh(p: EHJetPoint, closed: EHClosed | None = None) -> Form:
     stored. The first-order momenta are differentiated over (g, dg) only:
     the other components vanish by the projectability of the form, which
     projectability_check verifies independently."""
-    closed = closed_forms(p) if closed is None else closed
     g0, dg0, d2g0 = EH_OFF["g"], EH_OFF["dg"], EH_OFF["d2g"]
     # d(D_n L2)/du: the closed momenta's mixed block is their g-Jacobian
     # shifted along each direction n, so the Hessian applied to dg
@@ -199,29 +196,26 @@ def cartan_form_eh(p: EHJetPoint, closed: EHClosed | None = None) -> Form:
     return cartan_form(dense, g0, EH_DIM_J3)
 
 
-def field_equation_covector(p: EHJetPoint, closed: EHClosed | None = None
-                            ) -> np.ndarray:
+def field_equation_covector(p: EHJetPoint, closed: EHClosed) -> np.ndarray:
     """i(X0)...i(X3) of the 5-form, X_tau the section's tangent lifts."""
     return contract_terms(cartan_form_eh(p, closed), tangent_lifts(p))
 
 
-def verify_field_equation(p: EHJetPoint, closed: EHClosed | None = None
-                          ) -> np.ndarray:
+def verify_field_equation(p: EHJetPoint, closed: EHClosed) -> np.ndarray:
     return np.abs(field_equation_covector(p, closed)).max(axis=-1)
 
 
 # -- projectability ---------------------------------------------------------
 
-def projectability_check(p: EHJetPoint, trials: int, seed,
-                         closed: EHClosed | None = None):
+def projectability_check(p: EHJetPoint, closed: EHClosed, trials: int, seed):
     """Randomize the order-2/3 blocks; the projectable data must not move.
     p rides as row 0 in front of `trials` (at least one) randomized copies
     on a new leading axis, and one momenta_and_hamiltonian pass covers the
-    stack. Every row shares p's closed forms, which read only the (g, dg)
-    the trials keep, and each trial's AD momenta and H_sum are compared
-    with row 0's. `seed` seeds each point's trials: an int, or an array of
-    p's leading shape. Returns (max deviation of H_sum/L2_ad/L1, max
-    deviation of L itself, p's momenta), the first two of p's leading
+    stack. Every row shares `closed`, p's closed forms, which read only
+    the (g, dg) the trials keep, and each trial's AD momenta and H_sum are
+    compared with row 0's. `seed` seeds each point's trials: an int, or an
+    array of p's leading shape. Returns (max deviation of H_sum/L2_ad/L1,
+    max deviation of L itself, p's momenta), the first two of p's leading
     shape; the second is the control showing L is genuinely second order.
     """
     rngs = trial_rngs(seed, p.lead)
@@ -231,8 +225,7 @@ def projectability_check(p: EHJetPoint, trials: int, seed,
     x, g, dg = (np.broadcast_to(a, (1 + trials,) + a.shape)
                 for a in (p.x, p.g, p.dg))
     m = momenta_and_hamiltonian(
-        EHJetPoint(x=x, g=g, dg=dg, d2g=d2g, d3g=d3g),
-        closed_forms(p) if closed is None else closed)
+        EHJetPoint(x=x, g=g, dg=dg, d2g=d2g, d3g=d3g), closed)
     base = replace(m, L=m.L[0], L2_ad=m.L2_ad[0], L1=m.L1[0],
                    H_sum=m.H_sum[0])
     dev = np.maximum.reduce([

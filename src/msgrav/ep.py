@@ -4,11 +4,16 @@ shift, and projectability checks.
 
 The connection is an independent field with no symmetry assumed; curvature
 comes from the same Ricci kernel as the metric model, which is what makes
-the torsionless-metric gauge comparison a genuine cross-check. Fiber
-functions read a point's blocks, as arrays, Tan or Jet2; the closed forms
-are einsums. Every operation takes one point or a stack of points on
-leading axes; per-point results are arrays of the leading shape, 0-d for
-one point.
+the torsionless-metric gauge comparison a genuine cross-check. A point's
+checks take four AD passes, and no plain call repeats one, since a dual
+pass's value is bitwise the plain call's: `momenta_ep` (gradient passes
+of L over dGamma, of the closed momenta over g and of the Hamiltonian over
+(g, Gamma)), which each operation that reads them takes as `m`, and
+`constraint_c0` (L over g). Each projectability trial adds an L pass and
+a plain Hamiltonian call at its own point. Fiber functions read a point's
+blocks, as arrays, Tan or Jet2; the closed forms are einsums. Every
+operation takes one point or a stack of points on leading axes; per-point
+results are arrays of the leading shape, 0-d for one point.
 """
 
 from __future__ import annotations
@@ -19,11 +24,11 @@ import numpy as np
 
 from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EP_DIM_J1, EP_OFF, EPJetPoint, fiber_gradient,
-                         fiber_jacobian, perturbed, tangent_lifts, trial_rngs)
+                         perturbed, tangent_lifts, trial_rngs)
 from .geometry import (metric_inverse_density, ricci_from_connection,
                        torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
-from .tangents import einsum
+from .tangents import Tan, einsum
 
 NPAIR = len(PAIRS)
 
@@ -67,19 +72,21 @@ def hamiltonian_fn(pt):
 
 @dataclass(frozen=True)
 class EPMomenta:
-    """Each field has the point's leading shape in front."""
+    """The momenta's three passes at a point, with the derivatives the
+    checks read; each has the point's leading shape in front."""
 
     L: np.ndarray
     Lmom_ad: np.ndarray      # (4, 4, 4, 4): d L / d Gamma^a_{bc,s}
-    Lmom_closed: np.ndarray
-    H: np.ndarray
+    Lmom_closed: Tan         # momenta_closed_fn; g: by g
+    H: Tan                   # hamiltonian_fn; g: by (g, Gamma)
 
 
 def momenta_ep(p: EPJetPoint) -> EPMomenta:
+    """The three gradient passes; their values are the plain calls'."""
     grad = fiber_gradient(lagrangian_fn, p, ["dGamma"])
     return EPMomenta(L=grad.v, Lmom_ad=grad.g.reshape(p.lead + (DIM,) * 4),
-                     Lmom_closed=momenta_closed_fn(p),
-                     H=np.asarray(hamiltonian_fn(p)))
+                     Lmom_closed=fiber_gradient(momenta_closed_fn, p, ["g"]),
+                     H=fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]))
 
 
 # -- constraint families ----------------------------------------------------
@@ -169,57 +176,49 @@ def projective_shift(p: EPJetPoint, A, dA=None) -> EPJetPoint:
                       d2g=p.d2g, d2Gamma=None)
 
 
-def projectability_check_ep(p: EPJetPoint, base: EPMomenta, trials: int,
-                            seed: int):
+def projectability_check_ep(p: EPJetPoint, m: EPMomenta, trials: int, seed):
     """Randomize the first-order blocks; momenta and Hamiltonian must hold
-    still. `base` is momenta_ep(p). Lmom_closed reads g only, which the
+    still. `m` is momenta_ep(p). Lmom_closed reads g only, which the
     trials keep, so it is projectable by construction and not compared.
     `seed` seeds each point's trials: an int, or an array of p's leading
-    shape. Returns (max deviation, max Lagrangian deviation as control,
-    max H deviation under dGamma-only randomization), each of p's leading
-    shape."""
+    shape. Returns (max deviation, max Lagrangian deviation as control),
+    each of p's leading shape."""
     rngs = trial_rngs(seed, p.lead)
-    dev = control = h_dgamma = np.zeros(p.lead)
+    dev = control = np.zeros(p.lead)
     for _ in range(trials):
         q = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma,
                        dg=perturbed(rngs, p.dg),
                        dGamma=perturbed(rngs, p.dGamma))
         grad = fiber_gradient(lagrangian_fn, q, ["dGamma"])
         dev = np.maximum.reduce([
-            dev, np.abs(hamiltonian_fn(q) - base.H),
+            dev, np.abs(hamiltonian_fn(q) - m.H.v),
             np.abs(grad.g.reshape(p.lead + (DIM,) * 4)
-                   - base.Lmom_ad).max(axis=(-4, -3, -2, -1))])
-        control = np.maximum(control, np.abs(grad.v - base.L))
-        q2 = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma, dg=p.dg,
-                        dGamma=perturbed(rngs, p.dGamma))
-        h_dgamma = np.maximum(h_dgamma, np.abs(hamiltonian_fn(q2) - base.H))
-    return dev, control, h_dgamma
+                   - m.Lmom_ad).max(axis=(-4, -3, -2, -1))])
+        control = np.maximum(control, np.abs(grad.v - m.L))
+    return dev, control
 
 
 # -- Poincare-Cartan form and field equations -------------------------------
 
-def cartan_form_ep(p: EPJetPoint) -> Form:
-    """dH ^ d4x minus one momenta block per connection coordinate.
+def cartan_form_ep(p: EPJetPoint, m: EPMomenta) -> Form:
+    """dH ^ d4x minus one momenta block per connection coordinate, laid
+    out from `m`, the momenta_ep(p) passes.
 
     Both dH and the momenta differentials are supported on (g, Gamma),
     which projectability_check_ep verifies independently; for the momenta
     the closed form shows the support is the metric block alone.
     """
     g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
-    dh = fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]).g
-    _, lmom_jac = fiber_jacobian(momenta_closed_fn, p, ["g"])
-    # allocated after the AD passes so their temporaries are already freed;
     # only the (x, g, Gamma) columns are stored
     dense = np.zeros(p.lead + (1 + DIM ** 4, dg0))
-    dense[..., 0, g0:] = dh
-    dense[..., 1:, g0:gam0] = lmom_jac.reshape(p.lead + (DIM ** 4, NPAIR))
+    dense[..., 0, g0:] = m.H.g
+    dense[..., 1:, g0:gam0] = m.Lmom_closed.g.reshape(p.lead + (-1, NPAIR))
     return cartan_form(dense, gam0, EP_DIM_J1)
 
 
-def field_equation_covector_ep(p: EPJetPoint) -> np.ndarray:
-    lifts = tangent_lifts(p)
-    return contract_terms(cartan_form_ep(p), lifts)
+def field_equation_covector_ep(p: EPJetPoint, m: EPMomenta) -> np.ndarray:
+    return contract_terms(cartan_form_ep(p, m), tangent_lifts(p))
 
 
-def verify_field_equation_ep(p: EPJetPoint) -> np.ndarray:
-    return np.abs(field_equation_covector_ep(p)).max(axis=-1)
+def verify_field_equation_ep(p: EPJetPoint, m: EPMomenta) -> np.ndarray:
+    return np.abs(field_equation_covector_ep(p, m)).max(axis=-1)

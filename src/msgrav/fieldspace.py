@@ -259,17 +259,17 @@ def fiber_hessian(f, p, inner, outer) -> np.ndarray:
 
 # -- total derivatives ------------------------------------------------------
 
-def _shift_seeds(p, taus, max_order=3, with_first_order=True):
+def _shift_seeds(p, taus, max_order=3):
     """Total-derivative coordinate shifts by block, shaped block + (n,).
 
     The shift of a jet block along x^tau is the next block of its chain
     with tau added to its ordered derivative tuple (`indexing.UP`). On an
-    EH point `max_order` names the highest derivative order shifted; on an
-    EP point `with_first_order` adds the first-order blocks, read from the
-    section's second-derivative extension.
+    EH point `max_order` names the highest derivative order shifted; an
+    EP point shifts its first-order blocks too, read from the section's
+    second-derivative extension.
     """
     t = list(taus)
-    top = max_order if isinstance(p, EHJetPoint) else int(with_first_order)
+    top = max_order if isinstance(p, EHJetPoint) else 1
     seeds = {"x": np.broadcast_to(np.eye(DIM)[:, t], p.lead + (DIM, len(t)))}
     for name, shape in p.blocks.items():
         if name == "x" or _NEXT[name][1] > top:
@@ -284,8 +284,7 @@ def _shift_seeds(p, taus, max_order=3, with_first_order=True):
     return seeds
 
 
-def total_derivatives_vec(f, p, taus=range(DIM), *, max_order=3,
-                          with_first_order=True) -> Tan:
+def total_derivatives_vec(f, p, taus=range(DIM), *, max_order=3) -> Tan:
     """f and all requested total derivatives of f from one tangent pass,
     as a Tan: the value is f's plain value, the gradient the derivatives
     on one seed axis trailing f's value axes.
@@ -294,8 +293,7 @@ def total_derivatives_vec(f, p, taus=range(DIM), *, max_order=3,
     must carry the order-4 block; pass max_order=2 when f only reaches the
     second-order coordinates.
     """
-    return _tangent_pass(f, p, _shift_seeds(p, taus, max_order,
-                                             with_first_order))
+    return _tangent_pass(f, p, _shift_seeds(p, taus, max_order))
 
 
 def total_derivatives(f, p, taus=range(DIM), **kw):

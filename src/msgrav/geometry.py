@@ -29,9 +29,12 @@ _EXPAND = (PAIR_FULL[..., None] == np.arange(PAIR_FULL.max() + 1)) * 1.0
 
 def metric_inverse_density(gm):
     """(g^{ab}, rho = sqrt(|det g|)) of a full 4x4 metric."""
-    if np.any(np.abs(np.linalg.det(getattr(gm, "v", gm))) < 1e-14):
+    try:
+        ginv, det = inv(gm)
+    except np.linalg.LinAlgError:
+        raise DegenerateMetricError("metric is singular") from None
+    if np.any(np.abs(getattr(det, "v", det)) < 1e-14):
         raise DegenerateMetricError("metric is degenerate at this point")
-    ginv, det = inv(gm)
     return ginv, sqrt(abs(det))
 
 

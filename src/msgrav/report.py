@@ -72,7 +72,6 @@ class CheckConfig:
     points: int = 20
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
-    fmt: str = "json"                # "json" | "csv"
     threads: int | None = None
 
     def __post_init__(self):
@@ -80,16 +79,16 @@ class CheckConfig:
             raise MsgravError(f"unknown model {self.model!r}")
         if self.points < 1:
             raise MsgravError("need at least one sample point")
-        if self.fmt not in ("json", "csv"):
-            raise MsgravError(f"unknown report format {self.fmt!r}")
         for fam, tol in self.tolerances.items():
+            if fam not in DEFAULT_TOLERANCES[self.model]:
+                raise MsgravError(f"model {self.model!r} has no check "
+                                  f"family {fam!r}")
             if not tol > 0:
                 raise MsgravError(f"tolerance for {fam!r} must be positive")
 
     def tolerance(self, family: str) -> float:
-        if family in self.tolerances:
-            return float(self.tolerances[family])
-        return DEFAULT_TOLERANCES[self.model][family]
+        return float(self.tolerances.get(
+            family, DEFAULT_TOLERANCES[self.model][family]))
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def _eh_point_checks(spec, xs, seeds):
     p, holonomy = built
     # the closed forms serve the momenta, the trials and the Cartan form
     closed = eh.closed_forms(p)
-    dev, _, m = eh.projectability_check(p, 2, np.array(seeds)[kept], closed)
+    dev, _, m = eh.projectability_check(p, closed, 2, np.array(seeds)[kept])
     c, dc = eh.constraint_einstein_derivative(p)
     return kept, {
         "holonomy": holonomy,
@@ -172,11 +171,12 @@ def _ep_point_checks(spec, xs, seeds):
     if not kept:
         return kept, {}
     out = {}
+    # the momenta's passes serve the trials and the Cartan form
     m = ep.momenta_ep(p)
-    out["momenta-identity"] = _rel(_amax(m.Lmom_ad - m.Lmom_closed),
-                                   _amax(m.Lmom_closed))
-    dev, _, _ = ep.projectability_check_ep(p, m, trials=2,
-                                           seed=np.array(seeds)[kept])
+    out["momenta-identity"] = _rel(_amax(m.Lmom_ad - m.Lmom_closed.v),
+                                   _amax(m.Lmom_closed.v))
+    dev, _ = ep.projectability_check_ep(p, m, trials=2,
+                                        seed=np.array(seeds)[kept])
     out["projectability"] = dev
     # the ep point carries the metric jet's g, dg and d2g blocks
     l_eh = eh.lagrangian_eh(p)
@@ -186,7 +186,7 @@ def _ep_point_checks(spec, xs, seeds):
     out["torsion"] = _amax(ep.constraint_torsion(p))
     out["torsion-derivative"] = _amax(ep.constraint_torsion_deriv(p))
     out["integrability"] = _amax(ep.constraint_integrability(p))
-    out["field-equation"] = ep.verify_field_equation_ep(p)
+    out["field-equation"] = ep.verify_field_equation_ep(p, m)
     return kept, out
 
 
@@ -311,6 +311,8 @@ def report_csv(r: ConstraintReport) -> str:
 
 
 def emit_report(r: ConstraintReport, fmt: str = "json", path=None) -> str:
+    if fmt not in ("json", "csv"):
+        raise MsgravError(f"unknown report format {fmt!r}")
     text = report_json(r) if fmt == "json" else report_csv(r)
     if path is not None:
         try:

@@ -43,6 +43,16 @@ def test_check_tolerance_override(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("model,family", [
+    ("eh", "einstien-constraint"), ("eh", "torsion")])
+def test_check_unknown_tolerance_family_exits_two(capsys, model, family):
+    code, out, err = run(
+        ["check", "--model", model, "--metric", "flrw", "--points", "2",
+         "--tol", f"{family}=0.1"], capsys)
+    assert code == 2 and out == ""
+    assert family in err and "Traceback" not in err
+
+
 def test_check_csv_format(capsys):
     code, out, _ = run(
         ["check", "--model", "ep", "--metric", "minkowski",

@@ -27,7 +27,8 @@ def point(name, x=None, order=4, **params):
 
 
 def test_minkowski_second_order_momenta():
-    m = eh.momenta_and_hamiltonian(point("minkowski"))
+    p = point("minkowski")
+    m = eh.momenta_and_hamiltonian(p, eh.closed_forms(p))
     i00, i11 = pair_index(0, 0), pair_index(1, 1)
     assert m.L2_ad[i00, i11] == pytest.approx(1.0)
     assert m.L2_closed[i00, i11] == pytest.approx(1.0)
@@ -39,7 +40,8 @@ def test_minkowski_second_order_momenta():
 def test_momenta_routes_agree_everywhere(all_specs):
     for name, spec in all_specs.items():
         for x in interior_points(spec, 4, seed=21):
-            m = eh.momenta_and_hamiltonian(catalog.eh_point_at(spec, x))
+            p = catalog.eh_point_at(spec, x)
+            m = eh.momenta_and_hamiltonian(p, eh.closed_forms(p))
             scale = 1.0 + np.abs(m.L2_closed).max()
             assert np.abs(m.L2_ad - m.L2_closed).max() < 1e-10 * scale, name
             assert abs(m.H_sum - m.H_closed) < 1e-10 * (
@@ -97,7 +99,7 @@ def test_first_order_momenta_base_space_oracle():
         for a in range(10):
             for mu in range(DIM):
                 want[a, mu] -= dl2[a, pair_index(mu, nu)]
-    got = eh.momenta_and_hamiltonian(p).L1
+    got = eh.momenta_and_hamiltonian(p, eh.closed_forms(p)).L1
     assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
 
 
@@ -118,7 +120,7 @@ def _total_derivative_term(jac, dg):
 @pytest.mark.parametrize("name", ["schwarzschild", "kasner", "flrw"])
 def test_fused_pass_matches_single_block_passes(name):
     p = point(name)
-    m = eh.momenta_and_hamiltonian(p)
+    m = eh.momenta_and_hamiltonian(p, eh.closed_forms(p))
     l2 = fiber_gradient(eh.lagrangian_fn, p, ["d2g"]).g.reshape(10, 10)
     assert _close(m.L2_ad, l2 / MULT, 1e-14)
     l2_closed, jac = fiber_jacobian(eh.momenta2_closed_fn, p, ["g"])
@@ -161,7 +163,8 @@ def _reference_projectability(p, trials, seed):
 
 
 def _check_against_reference(p, trials, seed):
-    got = eh.projectability_check(p, trials=trials, seed=seed)[:2]
+    got = eh.projectability_check(p, eh.closed_forms(p), trials=trials,
+                                  seed=seed)[:2]
     return got, _reference_projectability(p, trials, seed)
 
 
@@ -195,11 +198,12 @@ def test_stacked_projectability_rows_equal_single_point_calls(trials):
     xs = np.array(interior_points(spec, 3, seed=53))
     seeds = np.array([7, 8, 9])
     stack = catalog.eh_point_at(spec, xs)
-    dev, control, base = eh.projectability_check(stack, trials, seeds)
+    dev, control, base = eh.projectability_check(
+        stack, eh.closed_forms(stack), trials, seeds)
     assert dev.shape == control.shape == (3,)
     for i, (x, s) in enumerate(zip(xs, seeds)):
         p = catalog.eh_point_at(spec, x)
-        one = eh.projectability_check(p, trials, int(s))
+        one = eh.projectability_check(p, eh.closed_forms(p), trials, int(s))
         assert np.array_equal(one[0], dev[i])
         assert np.array_equal(one[1], control[i])
         assert np.array_equal(one[2].L2_ad, base.L2_ad[i])
@@ -321,7 +325,8 @@ def test_holonomy_zero_on_prolongations_and_sensitive_to_perturbation():
 
 
 def test_cartan_form_term_count():
-    terms = eh.cartan_form_eh(point("schwarzschild"))
+    p = point("schwarzschild")
+    terms = eh.cartan_form_eh(p, eh.closed_forms(p))
     assert len(terms) == 1 + 40 + 160
 
 
@@ -329,14 +334,15 @@ def test_field_equation_vanishes_on_vacuum_sections(vacuum_specs):
     for name, spec in vacuum_specs.items():
         for x in interior_points(spec, 2, seed=31):
             p = catalog.eh_point_at(spec, x, order=4)
-            assert eh.verify_field_equation(p) < 1e-8, name
+            assert eh.verify_field_equation(p, eh.closed_forms(p)) < 1e-8, \
+                name
 
 
 def test_field_equation_covector_reproduces_constraints_off_shell():
     # on a non-vacuum section the metric-slot components are exactly the
     # negated Einstein constraints; all fiber-derivative slots stay clean
     p = point("flrw")
-    cov = eh.field_equation_covector(p)
+    cov = eh.field_equation_covector(p, eh.closed_forms(p))
     c = eh.constraint_einstein(p)
     for a in range(10):
         assert cov[flat_index(EH_BLOCKS, ("g", a))] == pytest.approx(
@@ -356,7 +362,8 @@ def test_projectability_never_compares_the_point_with_itself(vacuum_specs,
     for name, spec in vacuum_specs.items():
         xs = np.array(interior_points(spec, 4, seed=67))
         p = catalog.eh_point_at(spec, xs)
-        _, control, base = eh.projectability_check(p, trials, np.arange(4))
+        _, control, base = eh.projectability_check(
+            p, eh.closed_forms(p), trials, np.arange(4))
         assert control.shape == (4,) and np.all(control > 0), name
         assert np.array_equal(base.L, eh.lagrangian_eh(p)), name
 
@@ -390,7 +397,8 @@ def test_dual_pass_values_are_the_plain_calls(name):
 
 def test_projectability_and_control():
     p = point("schwarzschild")
-    dev, control, _ = eh.projectability_check(p, trials=5, seed=0)
+    dev, control, _ = eh.projectability_check(p, eh.closed_forms(p),
+                                              trials=5, seed=0)
     assert dev < 1e-10
     assert control > 1e-3  # the Lagrangian genuinely reaches order two
 
@@ -398,7 +406,7 @@ def test_projectability_and_control():
 def test_tangent_lifts_need_order_four():
     p = point("schwarzschild", order=3)
     with pytest.raises(ConfigError):
-        eh.verify_field_equation(p)
+        eh.verify_field_equation(p, eh.closed_forms(p))
 
 
 def test_batched_cartan_contraction_rows_equal_unbatched():
@@ -408,11 +416,11 @@ def test_batched_cartan_contraction_rows_equal_unbatched():
     xs = interior_points(spec, 3, seed=37)
     pts = [catalog.eh_point_at(spec, x, order=4) for x in xs]
     stack = catalog.eh_point_at(spec, np.array(xs), order=4)
-    form = eh.cartan_form_eh(stack)
+    form = eh.cartan_form_eh(stack, eh.closed_forms(stack))
     assert len(form) == 3 * (1 + 40 + 160)
     cov = contract_terms(form, tangent_lifts(stack))
     assert cov.shape == (3, 354)
     for i, p in enumerate(pts):
-        one = eh.cartan_form_eh(p)
+        one = eh.cartan_form_eh(p, eh.closed_forms(p))
         assert np.array_equal(form.dense[i], one.dense)
         assert np.array_equal(cov[i], contract_terms(one, tangent_lifts(p)))

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import interior_points
 from msgrav import catalog, eh, ep
-from msgrav.fieldspace import EP_BLOCKS, EPJetPoint, flat_index, prolong
+from msgrav.fieldspace import (EP_BLOCKS, EPJetPoint, flat_index, perturbed,
+                               prolong, trial_rngs)
 from msgrav.indexing import APAIRS, DIM, PAIRS, pair_index
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
@@ -46,7 +47,7 @@ def test_momenta_closed_form_and_antisymmetry():
     p = flat_point(Gamma=rng.normal(size=(4, 4, 4)),
                    dGamma=rng.normal(size=(4, 4, 4, 4)))
     m = ep.momenta_ep(p)
-    assert np.abs(m.Lmom_ad - m.Lmom_closed).max() < 1e-12
+    assert np.abs(m.Lmom_ad - m.Lmom_closed.v).max() < 1e-12
     anti = m.Lmom_ad + np.transpose(m.Lmom_ad, (0, 3, 2, 1))
     assert np.abs(anti).max() < 1e-12
     # flat metric: L_2^{11,2} = g^{11} = 1
@@ -57,9 +58,9 @@ def test_hamiltonian_trivial_and_legendre_cancellation():
     rng = np.random.default_rng(1)
     # Gamma = 0: L is purely linear in dGamma, so H vanishes identically
     p = flat_point(dGamma=rng.normal(size=(4, 4, 4, 4)))
-    assert abs(ep.momenta_ep(p).H) < 1e-12
+    assert abs(ep.momenta_ep(p).H.v) < 1e-12
     # the example connection: H = -(quadratic part) = -6
-    assert ep.momenta_ep(example_point()).H == pytest.approx(-6.0)
+    assert ep.momenta_ep(example_point()).H.v == pytest.approx(-6.0)
 
 
 def test_metric_equation_trivial_zero():
@@ -226,27 +227,33 @@ def test_projective_shift_moves_ricci_but_not_lagrangian():
 def test_projectability_and_controls():
     spec = catalog.builtin("schwarzschild")
     p = catalog.ep_point_at(spec, (0.0, 5.0, 1.2, 3.0))
-    dev, control, h_dgamma = ep.projectability_check_ep(
-        p, ep.momenta_ep(p), trials=5, seed=0)
+    m = ep.momenta_ep(p)
+    dev, control = ep.projectability_check_ep(p, m, trials=5, seed=0)
     assert dev < 1e-10
     assert control > 1e-3
-    assert h_dgamma < 1e-12
+    # H reads (g, Gamma) alone, so randomizing dGamma by itself must leave
+    # it still
+    rngs = trial_rngs(0, p.lead)
+    for _ in range(5):
+        q = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma, dg=p.dg,
+                       dGamma=perturbed(rngs, p.dGamma))
+        assert abs(ep.hamiltonian_fn(q) - m.H.v) < 1e-12
 
 
 def test_cartan_form_term_count():
     spec = catalog.builtin("minkowski")
     p = catalog.ep_point_at(spec, (0.0, 0.0, 0.0, 0.0))
-    assert len(ep.cartan_form_ep(p)) == 1 + 256
+    assert len(ep.cartan_form_ep(p, ep.momenta_ep(p))) == 1 + 256
 
 
 def test_field_equation_on_and_off_shell(vacuum_specs):
     for name, spec in vacuum_specs.items():
         x = interior_points(spec, 1, seed=59)[0]
         p = catalog.ep_point_at(spec, x)
-        assert ep.verify_field_equation_ep(p) < 1e-8, name
+        assert ep.verify_field_equation_ep(p, ep.momenta_ep(p)) < 1e-8, name
     spec = catalog.builtin("flrw")
     p = catalog.ep_point_at(spec, (0.0, 0.2, -0.1, 0.3))
-    cov = ep.field_equation_covector_ep(p)
+    cov = ep.field_equation_covector_ep(p, ep.momenta_ep(p))
     c0 = ep.constraint_c0(p)
     for a in range(10):
         assert cov[flat_index(EP_BLOCKS, ("g", a))] == pytest.approx(
@@ -258,13 +265,19 @@ def test_batched_momenta_rows_equal_unbatched():
     xs = interior_points(spec, 5, seed=61)
     pts = [catalog.ep_point_at(spec, x) for x in xs]
     stacked = ep.momenta_ep(catalog.ep_point_at(spec, np.array(xs)))
-    assert stacked.L.shape == stacked.H.shape == (5,)
+    assert stacked.L.shape == stacked.H.v.shape == (5,)
     for i, p in enumerate(pts):
         one = ep.momenta_ep(p)
-        assert np.shape(one.L) == np.shape(one.H) == ()
-        for name in ("L", "Lmom_ad", "Lmom_closed", "H"):
+        assert np.shape(one.L) == np.shape(one.H.v) == ()
+        for name in ("L", "Lmom_ad"):
             assert np.array_equal(getattr(stacked, name)[i],
                                   getattr(one, name)), name
+        # the passes' values and derivatives alike
+        for name in ("Lmom_closed", "H"):
+            for part in ("v", "g"):
+                assert np.array_equal(
+                    getattr(getattr(stacked, name), part)[i],
+                    getattr(getattr(one, name), part)), (name, part)
 
 
 def test_stacked_ep_point_equals_single_points():

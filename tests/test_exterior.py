@@ -197,10 +197,10 @@ def test_cartan_contraction_matches_laplace_reference(model, metric, x):
         spec = catalog.builtin(metric)
     if model == "eh":
         p = catalog.eh_point_at(spec, x, order=4)
-        form = eh.cartan_form_eh(p)
+        form = eh.cartan_form_eh(p, eh.closed_forms(p))
     else:
         p = catalog.ep_point_at(spec, x)
-        form = ep.cartan_form_ep(p)
+        form = ep.cartan_form_ep(p, ep.momenta_ep(p))
     lifts = tangent_lifts(p)
     got = contract_terms(form, lifts)
     want = _laplace_reference(form, lifts)

@@ -225,4 +225,4 @@ def test_ep_total_derivative_needs_extensions():
         return pt.dg[0][0]
 
     with pytest.raises(ConfigError):
-        total_derivative(f, 0, p, with_first_order=True)
+        total_derivative(f, 0, p)

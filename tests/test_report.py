@@ -19,8 +19,28 @@ def test_config_validation():
         cfg(points=0)
     with pytest.raises(MsgravError):
         cfg(tolerances={"holonomy": -1.0})
-    with pytest.raises(MsgravError):
-        cfg(fmt="xml")
+    # the report format belongs to emit_report, not to the check
+    with pytest.raises(TypeError):
+        cfg(fmt="csv")
+
+
+@pytest.mark.parametrize("model,family", [
+    ("eh", "einstien-constraint"), ("eh", "torsion"),
+    ("ep", "holonomy")])
+def test_config_rejects_a_family_the_model_lacks(model, family):
+    with pytest.raises(MsgravError, match=family):
+        cfg(model=model, tolerances={family: 1.0})
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_default_tolerances_name_the_chunk_families(model):
+    # every family a chunk reports has a default, and every default names
+    # a family the chunk reports
+    from msgrav import report
+    spec = catalog.builtin("schwarzschild")
+    checks = getattr(report, f"_{model}_point_checks")
+    _, out = checks(spec, sample_points(spec, 2, seed=1), [0, 1])
+    assert set(out) == set(report.DEFAULT_TOLERANCES[model])
 
 
 def test_sampling_is_seeded_and_inside_the_box():
@@ -208,7 +228,7 @@ def test_singular_points_are_skipped_alike_in_every_chunking(
 
 
 def test_csv_report_shape():
-    r = run_check(cfg(points=3, fmt="csv"))
+    r = run_check(cfg(points=3))
     lines = report_csv(r).strip().splitlines()
     assert lines[0] == "family,points,max_resid,mean_resid,tol,pass"
     assert len(lines) == 1 + len(r.families)
@@ -222,6 +242,8 @@ def test_emit_report_writes_file(tmp_path):
     assert path.read_text(encoding="utf-8") == text
     with pytest.raises(MsgravError):
         emit_report(r, fmt="json", path=str(tmp_path / "no" / "dir.json"))
+    with pytest.raises(MsgravError, match="xml"):
+        emit_report(r, fmt="xml")
 
 
 def test_nonfinite_residual_fails_and_serializes_as_null(monkeypatch):
@@ -275,6 +297,23 @@ def test_one_series_pass_per_chunk(monkeypatch, tmp_path, model):
     assert all(len(v) == 6 for v in out.values())
 
 
+def test_ep_chunk_runs_each_momenta_pass_once(monkeypatch):
+    # one (g, Gamma) pass of H plus one plain call per trial point, and one
+    # g pass of the closed momenta; their values stand in for plain calls
+    from msgrav import ep, report
+    calls = {"hamiltonian_fn": 0, "momenta_closed_fn": 0}
+    for name in calls:
+        def counted(pt, real=getattr(ep, name), name=name):
+            calls[name] += 1
+            return real(pt)
+        monkeypatch.setattr(ep, name, counted)
+    spec = catalog.builtin("schwarzschild")
+    kept, _ = report._ep_point_checks(spec, sample_points(spec, 8, seed=3),
+                                      list(range(8)))
+    assert kept == list(range(8))
+    assert calls == {"hamiltonian_fn": 3, "momenta_closed_fn": 1}
+
+
 def test_bad_thread_count_in_environment_is_a_config_error(monkeypatch,
                                                            capsys):
     from msgrav import cli
@@ -304,7 +343,8 @@ def test_fused_eh_checks_equal_each_public_call(metric, n):
     series = catalog.metric_jet_at(spec, np.array(xs), order=4)
     p = catalog.eh_point_at(spec, np.array(xs))
     h1, h2 = eh.holonomy_residuals(p, series)
-    m = eh.momenta_and_hamiltonian(p)
+    closed = eh.closed_forms(p)
+    m = eh.momenta_and_hamiltonian(p, closed)
     amax, rel = report._amax, report._rel
     want = {
         "holonomy": np.maximum(amax(h1), amax(h2)),
@@ -312,11 +352,12 @@ def test_fused_eh_checks_equal_each_public_call(metric, n):
                                 amax(m.L2_closed)),
         "hamiltonian-dual-form": rel(np.abs(m.H_sum - m.H_closed),
                                      m.H_closed),
-        "projectability": eh.projectability_check(p, 2, np.array(seeds))[0],
+        "projectability": eh.projectability_check(p, closed, 2,
+                                                  np.array(seeds))[0],
         "einstein-constraint": amax(eh.constraint_einstein(p)),
         "einstein-constraint-derivative": amax(
             eh.constraint_einstein_derivative(p)[1]),
-        "field-equation": eh.verify_field_equation(p),
+        "field-equation": eh.verify_field_equation(p, closed),
     }
     assert list(out) == list(want)
     for fam, v in want.items():
