@@ -1,8 +1,9 @@
 """Built-in exact spacetimes and the metric definition file loader.
 
 Every metric — built in or user supplied — is ten component expressions in
-the coordinates x0..x3 plus parameters; evaluation on truncated-series
-coordinates produces the jets that feed the two models. The points may be
+the coordinates x0..x3 plus parameters; evaluation on series coordinates
+truncated at the jet order `fieldspace.ORDER` produces the jets that feed
+the two models. The points may be
 a stack (..., 4): each expression tree is then walked once for the whole
 stack, on stacked series, and a row's jets are bit-identical to those of
 the point built alone. Connections for the metric-affine model default to
@@ -18,12 +19,11 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .exprparse import VARIABLES, evaluate, free_names, parse_expression
-from .fieldspace import EHJetPoint, EPJetPoint, derivatives, prolong
+from .fieldspace import ORDER, EHJetPoint, EPJetPoint, derivatives, prolong
 from .geometry import christoffel, metric_inverse_density
-from .indexing import (DERIVS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS, TRIPLE_FULL,
-                       pair_index)
+from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
 from .series import JetScalar
-from .tangents import Jet2
+from .tangents import Tan
 
 
 @dataclass(frozen=True)
@@ -89,51 +89,46 @@ def _series_at(spec: MetricSpec, trees, x, order: int) -> list:
     return out
 
 
-def metric_jet_at(spec: MetricSpec, x, order: int = 4):
-    """The ten component series centered at the points x (..., 4), ready
-    for prolongation. Raises DomainError if any point is outside the box
-    or any series cannot be evaluated there."""
+def metric_jet_at(spec: MetricSpec, x):
+    """The ten component series centered at the points x (..., 4), at the
+    jet order, ready for prolongation. Raises DomainError if any point is
+    outside the box or any series cannot be evaluated there."""
     x = np.asarray(x, dtype=float)
     inside = spec.contains(x)
     if not np.all(inside):
         raise DomainError(f"point {tuple(x[~inside][0].tolist())} outside "
                           f"the sample box of {spec.name!r}")
-    return _series_at(spec, spec.components, x, order)
+    return _series_at(spec, spec.components, x, ORDER)
 
 
-def eh_point_at(spec: MetricSpec, x, order: int = 4) -> EHJetPoint:
-    return prolong(metric_jet_at(spec, x, order=order), order=order)
+def eh_point_at(spec: MetricSpec, x) -> EHJetPoint:
+    return prolong(metric_jet_at(spec, x))
 
 
 def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     """First-order metric-affine point over the points x (..., 4): the
-    metric jet with its Levi-Civita connection (or file overrides),
-    extended with the second derivatives needed for tangent lifts.
+    metric jet with its Levi-Civita connection (or file overrides), and
+    the metric's second derivatives for the second-order Lagrangian.
 
-    The metric is the order-3 prolongation of the order-4 metric series.
-    The Levi-Civita Gamma and its first two x-derivatives come from one
-    Jet2 pass of the connection kernel on the prolonged jet: the
-    first-order shifts seed both derivative blocks and the second-order
-    shift the mixed block, so `a` is dGamma and `m` is d2Gamma. Overridden
-    components keep their series route, evaluated at order 2.
+    The Levi-Civita Gamma and its x-derivatives come from one Tan pass of
+    the connection kernel on the prolonged jet, with g and dg seeded by
+    their shifts along each x^n, so the gradient is dGamma. Overridden
+    components keep their series route, evaluated at order 1.
     """
-    p = prolong(metric_jet_at(spec, x, order=4), order=3)
-    d2 = p.d2g[..., PAIR_FULL]
-    g = Jet2(p.g, p.dg, p.dg, d2)
-    dg = Jet2(p.dg, d2, d2, p.d3g[..., TRIPLE_FULL])
+    p = prolong(metric_jet_at(spec, x))
+    g = Tan(p.g, p.dg)
+    dg = Tan(p.dg, p.d2g[..., PAIR_FULL])
     ginv, _ = metric_inverse_density(g[..., PAIR_FULL])
     gam = christoffel(ginv, dg[..., PAIR_FULL, :])
-    Gamma, dGamma = gam.v.copy(), gam.a.copy()
-    d2Gamma = gam.m[..., PAIR_ROWS[0], PAIR_ROWS[1]]
+    Gamma, dGamma = gam.v.copy(), gam.g.copy()
     if spec.connection:
-        series = _series_at(spec, spec.connection.values(), p.x, 2)
-        val, dval, d2val = (derivatives(series, d) for d in DERIVS[:3])
+        series = _series_at(spec, spec.connection.values(), p.x, 1)
+        val, dval = (derivatives(series, d) for d in DERIVS[:2])
         lmn = tuple(np.array(list(spec.connection)).T)
         Gamma[(..., *lmn)] = val[..., 0]
         dGamma[(..., *lmn, slice(None))] = dval
-        d2Gamma[(..., *lmn, slice(None))] = d2val
     return EPJetPoint(x=p.x, g=p.g, Gamma=Gamma, dg=p.dg, dGamma=dGamma,
-                      d2g=p.d2g, d2Gamma=d2Gamma)
+                      d2g=p.d2g)
 
 
 def _where(spec: MetricSpec, x) -> str:

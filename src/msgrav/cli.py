@@ -25,6 +25,9 @@ from .version import VERSION
 def _load_spec(source: str, params: dict) -> catalog.MetricSpec:
     if os.path.sep in source or source.endswith(".ini") or \
             os.path.exists(source):
+        if params:
+            raise ConfigError("--param applies to builtin metrics only; "
+                              "set parameters in the file's [params]")
         return catalog.load_metric_file(source)
     return catalog.builtin(source, **params)
 
@@ -83,7 +86,7 @@ def _cmd_jets(args) -> int:
     if len(x) != DIM:
         raise ConfigError("the point needs exactly 4 coordinates")
     spec = _load_spec(args.metric, _parse_params(args.param))
-    p = catalog.eh_point_at(spec, x, order=4)
+    p = catalog.eh_point_at(spec, x)
     print(f"metric {spec.name!r} at x = {x}")
     for i, (a, b) in enumerate(PAIRS):
         print(f"g[{a}{b}] = {p.g[i]:.12g}")

@@ -11,7 +11,8 @@ inner and its dg shift outer, and a gradient pass of the closed Hamiltonian
 over (g, dg)), `projectability_check` (two gradient passes of L, one over
 dg and one over d2g, each seeding only its own block, for the point and
 its trials stacked together), `constraint_einstein_derivative` (the
-Einstein constraints along the total derivatives) and `cartan_form_eh`
+Einstein constraints along the total derivatives, which reach the
+second-order coordinates of an order-3 point) and `cartan_form_eh`
 (the mixed Jet2 pass of L over (dg; g, dg), which forms only the outer
 blocks that meet an inner one). The closed forms read (g, dg) only; each
 operation that reads them takes them as `closed`, the `closed_forms` of
@@ -29,11 +30,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError
 from .exterior import Form, cartan_form, contract_terms
-from .fieldspace import (EH_DIM_J3, EH_OFF, EHJetPoint, derivatives,
-                         fiber_gradient, fiber_hessian, perturbed,
-                         tangent_lifts, total_derivatives_vec, trial_rngs)
+from .fieldspace import (EH_OFF, EHJetPoint, derivatives, fiber_gradient,
+                         fiber_hessian, perturbed, tangent_lifts,
+                         total_derivatives_vec, trial_rngs)
 from .geometry import (curvature_bundle, metric_inverse_density,
                        scalar_density)
 from .indexing import DERIVS, DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -149,8 +149,6 @@ def constraint_einstein_derivative(p: EHJetPoint):
     """(The Einstein constraints, (10,), their total derivatives, (10, 4))
     from one tangent pass; the constraints are the pass's value, bitwise
     constraint_einstein(p)."""
-    if p.d4g is None:
-        raise ConfigError("constraint derivative needs the order-4 block")
     d = total_derivatives_vec(constraint_einstein, p)
     return d.v, d.g
 
@@ -173,10 +171,10 @@ def cartan_form_eh(p: EHJetPoint, closed: EHClosed) -> Form:
     momenta L^{a mu}, wedged with the differential of g_a and
     i(d/dx^mu) d4x, then the 160 second-order ones L^{a, mu nu}, wedged
     with the differential of g_{a,mu} and i(d/dx^nu) d4x. Every dense
-    covector is supported on the (x, g, dg) columns, so only those are
-    stored. The first-order momenta are differentiated over (g, dg) only:
-    the other components vanish by the projectability of the form, which
-    projectability_check verifies independently."""
+    covector is supported on the (x, g, dg) columns, so the form lives on
+    those 54 coordinates. The first-order momenta are differentiated over
+    (g, dg) only: the other components vanish by the projectability of the
+    form, which projectability_check verifies independently."""
     g0, dg0, d2g0 = EH_OFF["g"], EH_OFF["dg"], EH_OFF["d2g"]
     # d(D_n L2)/du: the closed momenta's mixed block is their g-Jacobian
     # shifted along each direction n, so the Hessian applied to dg
@@ -193,12 +191,14 @@ def cartan_form_eh(p: EHJetPoint, closed: EHClosed) -> Form:
     dense[..., 1:1 + n1, g0:] = dl1
     dense[..., 1 + n1:, :].reshape(p.lead + (NPAIR, DIM, DIM, -1))[
         ..., g0:dg0] = closed.L2.a[..., PAIR_FULL, :]
-    return cartan_form(dense, g0, EH_DIM_J3)
+    return cartan_form(dense, g0)
 
 
 def field_equation_covector(p: EHJetPoint, closed: EHClosed) -> np.ndarray:
-    """i(X0)...i(X3) of the 5-form, X_tau the section's tangent lifts."""
-    return contract_terms(cartan_form_eh(p, closed), tangent_lifts(p))
+    """i(X0)...i(X3) of the 5-form, X_tau the section's tangent lifts, over
+    the form's (x, g, dg) coordinates."""
+    form = cartan_form_eh(p, closed)
+    return contract_terms(form, tangent_lifts(p, form.dense.shape[-1]))
 
 
 def verify_field_equation(p: EHJetPoint, closed: EHClosed) -> np.ndarray:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import Form, cartan_form, contract_terms
-from .fieldspace import (EP_DIM_J1, EP_OFF, EPJetPoint, fiber_gradient,
-                         perturbed, tangent_lifts, trial_rngs)
+from .fieldspace import (EP_OFF, EPJetPoint, fiber_gradient, perturbed,
+                         tangent_lifts, trial_rngs)
 from .geometry import (metric_inverse_density, ricci_from_connection,
                        torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -162,8 +162,7 @@ def constraint_integrability(p: EPJetPoint) -> np.ndarray:
 def projective_shift(p: EPJetPoint, A, dA=None) -> EPJetPoint:
     """Shift the connection along the projective gauge direction.
 
-    The second-derivative extensions are dropped: they would need the
-    second derivative of the gauge covector to stay consistent.
+    The metric's d2g block rides along unchanged.
     """
     A = np.asarray(A, dtype=float)
     dA = np.zeros((DIM, DIM)) if dA is None else np.asarray(dA, dtype=float)
@@ -173,7 +172,7 @@ def projective_shift(p: EPJetPoint, A, dA=None) -> EPJetPoint:
         gam[..., c, :, c] += A
         dgam[..., c, :, c, :] += dA
     return EPJetPoint(x=p.x, g=p.g, Gamma=gam, dg=p.dg, dGamma=dgam,
-                      d2g=p.d2g, d2Gamma=None)
+                      d2g=p.d2g)
 
 
 def projectability_check_ep(p: EPJetPoint, m: EPMomenta, trials: int, seed):
@@ -209,15 +208,17 @@ def cartan_form_ep(p: EPJetPoint, m: EPMomenta) -> Form:
     the closed form shows the support is the metric block alone.
     """
     g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
-    # only the (x, g, Gamma) columns are stored
+    # the form lives on the (x, g, Gamma) coordinates
     dense = np.zeros(p.lead + (1 + DIM ** 4, dg0))
     dense[..., 0, g0:] = m.H.g
     dense[..., 1:, g0:gam0] = m.Lmom_closed.g.reshape(p.lead + (-1, NPAIR))
-    return cartan_form(dense, gam0, EP_DIM_J1)
+    return cartan_form(dense, gam0)
 
 
 def field_equation_covector_ep(p: EPJetPoint, m: EPMomenta) -> np.ndarray:
-    return contract_terms(cartan_form_ep(p, m), tangent_lifts(p))
+    """i(X0)...i(X3) of the 5-form over its (x, g, Gamma) coordinates."""
+    form = cartan_form_ep(p, m)
+    return contract_terms(form, tangent_lifts(p, form.dense.shape[-1]))
 
 
 def verify_field_equation_ep(p: EPJetPoint, m: EPMomenta) -> np.ndarray:

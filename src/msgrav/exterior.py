@@ -4,13 +4,14 @@ A Form is a stack of T terms of one shape,
 coef * alpha ^ dx^{i1} ^ dx^{i2} ^ dx^{i3} ^ dx^{i4}: alpha is a dense
 covector (the differential of a fiber function) and the i's are coordinate
 indices. It is held as three arrays, `coef` (T,), `dense` (..., T, w) and
-`coords` (T, 4), over `dim` coordinates. The dense covectors store only
-their first w <= dim columns, because every later column is zero: the
-model forms are supported on the leading jet coordinates. Leading axes of
-`dense` run over stacked points, which share the coefficients and the
-coordinate differentials. Contraction with four tangent vectors
-Laplace-expands each term's 5x4 pairing matrix along the missing fifth
-column; all points and terms go through one batched pass per minor.
+`coords` (T, 4). A form lives on its dense width w: the model forms are
+supported on the leading jet coordinates, so every coordinate index lies
+below w, and a contraction reads its tangent vectors over those w columns
+only and returns a covector of width w. Leading axes of `dense` run over
+stacked points, which share the coefficients and the coordinate
+differentials. Contraction with four tangent vectors Laplace-expands each
+term's 5x4 pairing matrix along the missing fifth column; all points and
+terms go through one batched pass per minor.
 """
 
 from __future__ import annotations
@@ -35,38 +36,34 @@ _COF_SIGN = (-1.0) ** np.arange(5)
 @dataclass(frozen=True)
 class Form:
     """sum_t coef[t] * dense[..., t, :] ^ dx^coords[t, 0] ^ ... ^
-    dx^coords[t, 3], over `dim` coordinates (default: dense's width)."""
+    dx^coords[t, 3], over the dense covectors' width."""
 
     coef: np.ndarray
     dense: np.ndarray
     coords: np.ndarray
-    dim: int | None = None
 
     def __post_init__(self):
         coef = np.asarray(self.coef, dtype=float)
         dense = np.asarray(self.dense, dtype=float)
         coords = np.asarray(self.coords, dtype=np.intp)
-        dim = dense.shape[-1] if self.dim is None else int(self.dim)
         t = len(coef)
         if (coef.shape != (t,) or dense.ndim < 2 or dense.shape[-2] != t
                 or coords.shape != (t, DIM)):
             raise ConfigError("form terms are wedges of one dense covector "
                               "and exactly 4 coordinate differentials")
-        if dense.shape[-1] > dim or (coords.size and not (
-                0 <= coords.min() and coords.max() < dim)):
+        if coords.size and not (
+                0 <= coords.min() and coords.max() < dense.shape[-1]):
             raise ConfigError("coordinate differential out of range")
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "dense", dense)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "dim", dim)
 
     def __len__(self) -> int:
         """The number of terms held, over all stacked points."""
         return len(self.coef) * math.prod(self.dense.shape[:-2])
 
 
-def cartan_form(dense: np.ndarray, first: int, dim: int | None = None
-                ) -> Form:
+def cartan_form(dense: np.ndarray, first: int) -> Form:
     """dense[0] ^ d4x - sum_k dense[k + 1] ^ dy_k ^ i(d/dx^mu_k) d4x.
 
     Row 0 is dH; row k + 1 is the differential of the momentum conjugate
@@ -79,8 +76,7 @@ def cartan_form(dense: np.ndarray, first: int, dim: int | None = None
     return Form(
         np.concatenate([[1.0], -VOL_SIGN[mu]]), dense,
         np.concatenate([np.arange(DIM)[None],
-                        np.column_stack([first + k // DIM, VOL_SLOTS[mu]])]),
-        dim)
+                        np.column_stack([first + k // DIM, VOL_SLOTS[mu]])]))
 
 
 def _det4(m):
@@ -101,15 +97,16 @@ def _det4(m):
 
 def contract_terms(form: Form, vectors) -> np.ndarray:
     """i(v1) i(v2) i(v3) i(v4) of the form, as a dense covector over the
-    form's coordinates: per term, the cofactors of the pairing matrix
-    weight its five factors. `vectors` is (..., 4, dim), with the leading
-    shape of the form's dense covectors."""
+    form's width: per term, the cofactors of the pairing matrix weight its
+    five factors. `vectors` is (..., 4, n), n at least the form's width,
+    with the leading shape of the form's dense covectors; only their
+    first width columns are read."""
     x = np.asarray(vectors, dtype=float)
-    dim, width = form.dim, form.dense.shape[-1]
+    width = form.dense.shape[-1]
     if x.ndim < 2 or x.shape[-2] != 4:
         raise ConfigError("contraction takes exactly 4 tangent vectors")
-    if x.shape[-1] != dim:
-        raise ConfigError("tangent vector dimension mismatch")
+    if x.shape[-1] < width:
+        raise ConfigError("tangent vectors narrower than the form")
     lead = x.shape[:-2]
     # pairing[f, v, ..., t]: factor f of term t on vector v
     pairing = np.concatenate([
@@ -120,10 +117,10 @@ def contract_terms(form: Form, vectors) -> np.ndarray:
     # copies of the pairing matrices
     det = np.stack([_det4(pairing[rows]) for rows in _MINORS])
     cof = form.coef * _COF_SIGN.reshape((5,) + (1,) * (det.ndim - 1)) * det
-    # the coordinate factors scatter by bincount, one dim-wide run per point
+    # the coordinate factors scatter by bincount, one run per point
     points = math.prod(lead)
-    idx = form.coords.ravel() + dim * np.arange(points)[:, None]
+    idx = form.coords.ravel() + width * np.arange(points)[:, None]
     out = np.bincount(idx.ravel(), weights=np.moveaxis(cof[1:], 0, -1).ravel(),
-                      minlength=points * dim).reshape(lead + (dim,))
-    out[..., :width] += (cof[0][..., None, :] @ form.dense)[..., 0, :]
+                      minlength=points * width).reshape(lead + (width,))
+    out += (cof[0][..., None, :] @ form.dense)[..., 0, :]
     return out

@@ -5,8 +5,9 @@ The block tables `EH_BLOCKS` and `EP_BLOCKS` are the one source of each
 jet space's coordinate layout: its blocks in flat order, with the shape
 of each block's ordered storage. The offsets and dimensions, the shape
 checks of the point classes, `flat_index` and the tangent lifts are all
-read off them; `EH_EXTENSIONS` and `EP_EXTENSIONS` declare the optional
-higher blocks a point may carry for total derivatives.
+read off them. The metric chain fixes the jet order `ORDER`, 3, at which
+the series a metric jet is prolonged from are truncated. `EP_EXTENSIONS`
+names the metric block a metric-affine point may carry besides.
 
 A point may carry leading batch axes, one per stacked sample point: every
 block then has the same leading shape in front of its table shape. A
@@ -16,7 +17,9 @@ Fiber functions are plain callables on a namespace of a point's blocks in
 their ordered storage. Differentiation seeds whole blocks at once: a
 block becomes a Tan (or Jet2) whose seed axis runs over its ordered
 coordinates, or over the total-derivative shifts, and the array kernels
-carry the derivatives through. Never finite differences.
+carry the derivatives through. A total derivative shifts each block by the
+next block of its chain, so it reaches no top block. Never finite
+differences.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError
-from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, QUADS, TRIPLES, UP
+from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, TRIPLES, UP
 from .series import derivative_table
 from .tangents import Jet2, Tan
 
@@ -38,18 +41,18 @@ from .tangents import Jet2, Tan
 EH_BLOCKS = {"x": (DIM,), "g": (len(PAIRS),), "dg": (len(PAIRS), DIM),
              "d2g": (len(PAIRS), len(PAIRS)),
              "d3g": (len(PAIRS), len(TRIPLES))}
-EH_EXTENSIONS = {"d4g": (len(PAIRS), len(QUADS))}
 # Metric-affine 1-jets: x(4), g(10), Gamma(64), dg(40), dGamma(256),
 # 374 coordinates over a 78-dimensional bundle.
 EP_BLOCKS = {"x": (DIM,), "g": (len(PAIRS),), "Gamma": (DIM,) * 3,
              "dg": (len(PAIRS), DIM), "dGamma": (DIM,) * 4}
-EP_EXTENSIONS = {"d2g": (len(PAIRS), len(PAIRS)),
-                 "d2Gamma": (DIM,) * 3 + (len(PAIRS),)}
+EP_EXTENSIONS = {"d2g": EH_BLOCKS["d2g"]}
 
 # Each chain lists one field's blocks by derivative order; a block's
 # total-derivative shift is read off the next block of its chain.
-_CHAINS = (("g", "dg", "d2g", "d3g", "d4g"), ("Gamma", "dGamma", "d2Gamma"))
+_CHAINS = (("g", "dg", "d2g", "d3g"), ("Gamma", "dGamma"))
 _NEXT = {b: (c[k + 1], k) for c in _CHAINS for k, b in enumerate(c[:-1])}
+# the order of the metric jets: the top of the metric chain
+ORDER = len(_CHAINS[0]) - 1
 
 
 def _offsets(blocks):
@@ -119,7 +122,7 @@ class _JetPoint:
 
 @dataclass(frozen=True)
 class EHJetPoint(_JetPoint):
-    """A point of the order-3 metric jet space, optionally extended to order 4.
+    """A point of the order-3 metric jet space.
 
     Symmetric blocks are stored over ordered index tuples; `dg[a, mu]` is the
     first-order coordinate for metric pair `PAIRS[a]`, `d2g[a, m]` the
@@ -127,14 +130,13 @@ class EHJetPoint(_JetPoint):
     """
 
     blocks = EH_BLOCKS
-    _checks = _shape_checks(EH_BLOCKS, EH_EXTENSIONS)
+    _checks = _shape_checks(EH_BLOCKS, {})
 
     x: np.ndarray
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
     d3g: np.ndarray
-    d4g: np.ndarray | None = field(default=None)
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,8 @@ class EPJetPoint(_JetPoint):
     """A point of the first-order metric-affine jet space.
 
     The connection carries no symmetry: all 64 components are independent.
-    The optional second-derivative blocks extend a section for tangent lifts.
+    The optional d2g block carries the metric's second derivatives, which
+    the second-order Lagrangian reads.
     """
 
     blocks = EP_BLOCKS
@@ -154,7 +157,6 @@ class EPJetPoint(_JetPoint):
     dg: np.ndarray
     dGamma: np.ndarray
     d2g: np.ndarray | None = field(default=None)
-    d2Gamma: np.ndarray | None = field(default=None)
 
 
 # -- prolongation -----------------------------------------------------------
@@ -170,26 +172,24 @@ def derivatives(series, combos) -> np.ndarray:
     return np.stack([s.coeffs for s in series], axis=-2)[..., pos] * weights
 
 
-def prolong(metric_series, order: int = 3) -> EHJetPoint:
-    """Lift 10 metric component series to a holonomic order-3 (or 4) point.
+def prolong(metric_series) -> EHJetPoint:
+    """Lift 10 metric component series to a holonomic order-3 point.
 
     Jet coordinates are m! times the Taylor coefficients, so the holonomy
     relations hold by construction. Stacked series give a stacked point.
     """
-    if order not in (3, 4):
-        raise ConfigError("prolongation order must be 3 or 4")
     s0 = metric_series[0]
     if len(metric_series) != len(PAIRS):
         raise ConfigError("need the 10 ordered metric component series")
     if any(not np.array_equal(s.base, s0.base) for s in metric_series):
         raise ConfigError("metric series have mixed base points")
     # mixed truncation orders are rejected by `derivatives`
-    if min(s.order for s in metric_series) < order:
+    if min(s.order for s in metric_series) < ORDER:
         raise ConfigError("metric series truncated below prolongation order")
-    g, dg, d2g, d3g, *d4g = [derivatives(metric_series, c)
-                             for c in DERIVS[:order + 1]]
+    g, dg, d2g, d3g = [derivatives(metric_series, c)
+                       for c in DERIVS[:ORDER + 1]]
     return EHJetPoint(x=np.array(s0.base), g=g[..., 0], dg=dg, d2g=d2g,
-                      d3g=d3g, d4g=d4g[0] if d4g else None)
+                      d3g=d3g)
 
 
 def perturbed(rngs, arr):
@@ -228,9 +228,11 @@ def _identity_seeds(p, blocks):
             for b, s, n, e in zip(blocks, shapes, sizes, ends)}
 
 
-def _tangent_pass(f, p, seeds) -> Tan:
-    """f at p with the blocks in `seeds` seeded, always as a Tan."""
-    out = f(_view(p, {b: Tan(getattr(p, b), s) for b, s in seeds.items()}))
+def _tangent_pass(f, p, seeds, hidden=()) -> Tan:
+    """f at p with the blocks in `seeds` seeded, and those in `hidden`
+    None, always as a Tan."""
+    out = f(_view(p, dict.fromkeys(hidden) | {
+        b: Tan(getattr(p, b), s) for b, s in seeds.items()}))
     if not isinstance(out, Tan):
         n = next(iter(seeds.values())).shape[-1]
         out = Tan(out, np.zeros(np.shape(out) + (n,)))
@@ -259,53 +261,50 @@ def fiber_hessian(f, p, inner, outer) -> np.ndarray:
 
 # -- total derivatives ------------------------------------------------------
 
-def _shift_seeds(p, taus, max_order=3):
-    """Total-derivative coordinate shifts by block, shaped block + (n,).
-
-    The shift of a jet block along x^tau is the next block of its chain
-    with tau added to its ordered derivative tuple (`indexing.UP`). On an
-    EH point `max_order` names the highest derivative order shifted; an
-    EP point shifts its first-order blocks too, read from the section's
-    second-derivative extension.
-    """
+def _shift_seeds(p, taus, blocks):
+    """Total-derivative coordinate shifts of x and the named jet blocks,
+    shaped block + (n,). The shift of a jet block along x^tau is the next
+    block of its chain with tau added to its ordered derivative tuple
+    (`indexing.UP`)."""
     t = list(taus)
-    top = max_order if isinstance(p, EHJetPoint) else 1
     seeds = {"x": np.broadcast_to(np.eye(DIM)[:, t], p.lead + (DIM, len(t)))}
-    for name, shape in p.blocks.items():
-        if name == "x" or _NEXT[name][1] > top:
-            continue
+    for name in blocks:
+        if name not in _NEXT or getattr(p, _NEXT[name][0]) is None:
+            raise ConfigError(f"the point carries no total-derivative shift "
+                              f"of its {name} block")
         nxt, k = _NEXT[name]
-        arr = getattr(p, nxt)
-        if arr is None:
-            raise ConfigError(f"total derivative of the {name} block needs "
-                              f"the {nxt} extension")
-        seeds[name] = arr[..., UP[k][:, t]].reshape(
-            p.lead + shape + (len(t),))
+        seeds[name] = getattr(p, nxt)[..., UP[k][:, t]].reshape(
+            p.lead + p.blocks[name] + (len(t),))
     return seeds
 
 
-def total_derivatives_vec(f, p, taus=range(DIM), *, max_order=3) -> Tan:
+def total_derivatives_vec(f, p, taus=range(DIM)) -> Tan:
     """f and all requested total derivatives of f from one tangent pass,
     as a Tan: the value is f's plain value, the gradient the derivatives
     on one seed axis trailing f's value axes.
 
-    For an order-3 point the default shifts every coordinate, so the point
-    must carry the order-4 block; pass max_order=2 when f only reaches the
-    second-order coordinates.
+    Every block below the top of its chain is shifted, so a metric-affine
+    point must carry its d2g block. The blocks left unshifted (eh d3g; ep
+    dGamma and d2g) are None in f's view, so f cannot read them.
     """
-    return _tangent_pass(f, p, _shift_seeds(p, taus, max_order))
+    seeds = _shift_seeds(p, taus, [b for b in p.blocks if b in _NEXT])
+    return _tangent_pass(f, p, seeds, [b for b in vars(p) if b not in seeds])
 
 
-def total_derivatives(f, p, taus=range(DIM), **kw):
+def total_derivatives(f, p, taus=range(DIM)):
     """The total derivatives alone: total_derivatives_vec's gradient."""
-    return total_derivatives_vec(f, p, taus, **kw).g
+    return total_derivatives_vec(f, p, taus).g
 
 
-def tangent_lifts(p) -> np.ndarray:
-    """The four tangent lifts of the prolonged section, leading shape +
-    (4, flat dim): the shifts of each block of p's table, at that block's
-    offset."""
-    seeds = _shift_seeds(p, range(DIM))
+def tangent_lifts(p, width) -> np.ndarray:
+    """The four tangent lifts of the prolonged section over its first
+    `width` flat coordinates, a Cartan form's dense width, leading shape +
+    (4, width): the shifts of the blocks that fill those columns."""
+    off, _ = _offsets(p.blocks)
+    blocks = [b for b in p.blocks if off[b] < width]
+    if sum(math.prod(p.blocks[b]) for b in blocks) != width:
+        raise ConfigError(f"{width} columns do not end on a block boundary")
+    seeds = _shift_seeds(p, range(DIM), blocks[1:])  # x leads every table
     return np.swapaxes(np.concatenate(
-        [seeds[b].reshape(p.lead + (-1, DIM)) for b in p.blocks], axis=-2),
+        [seeds[b].reshape(p.lead + (-1, DIM)) for b in blocks], axis=-2),
         -1, -2)

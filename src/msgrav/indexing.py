@@ -4,10 +4,9 @@ Symmetric coordinate blocks are stored over ordered index tuples
 (alpha <= beta, mu <= nu <= ...). The multiplicity n(mu,nu) is 1 on the
 diagonal and 2 off it. Kernels work on full index arrays; `PAIR_FULL` is
 the one ordered->full expansion: `v[PAIR_FULL]` turns an ordered-pair axis
-into two full axes, and `TRIPLE_FULL` does the same for triples. `DERIVS`
-lists the ordered derivative tuples of each order, and `UP` adds one
-derivative direction to an ordered tuple, which is how total-derivative
-shifts are read off the next jet block.
+into two full axes. `DERIVS` lists the ordered derivative tuples of each
+order, and `UP` adds one derivative direction to an ordered tuple, which
+is how total-derivative shifts are read off the next jet block.
 """
 
 from __future__ import annotations
@@ -18,13 +17,13 @@ import numpy as np
 
 DIM = 4
 
-# Ordered derivative-index tuples of each order 0..4, lexicographic:
-# 1, 4, 10, 20 and 35 entries. Order k indexes the last axis of the jet
-# block of k-th derivatives; order 4 is the order-4 jet extension.
+# Ordered derivative-index tuples of each order 0..3, lexicographic:
+# 1, 4, 10 and 20 entries. Order k indexes the last axis of the jet
+# block of k-th derivatives.
 DERIVS: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
     tuple(itertools.combinations_with_replacement(range(DIM), k))
-    for k in range(5))
-PAIRS, TRIPLES, QUADS = DERIVS[2:]
+    for k in range(4))
+PAIRS, TRIPLES = DERIVS[2:]
 
 # Antisymmetric pairs beta < gamma: 6 entries (torsion storage).
 APAIRS: tuple[tuple[int, int], ...] = tuple(
@@ -44,7 +43,6 @@ def _up(k: int) -> np.ndarray:
 # order k + 1; total-derivative shifts read the next jet block through it
 UP = tuple(_up(k) for k in range(len(DERIVS) - 1))
 PAIR_FULL = UP[1]
-TRIPLE_FULL = UP[2][PAIR_FULL]
 # full[PAIR_ROWS] reads the ordered representatives of a symmetric pair
 PAIR_ROWS = tuple(np.array(PAIRS).T)
 # full[APAIR_ROWS] reads an antisymmetric pair over APAIRS

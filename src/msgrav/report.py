@@ -79,12 +79,15 @@ class CheckConfig:
             raise MsgravError(f"unknown model {self.model!r}")
         if self.points < 1:
             raise MsgravError("need at least one sample point")
+        if self.seed < 0:
+            raise MsgravError(f"seed {self.seed} is negative")
         for fam, tol in self.tolerances.items():
             if fam not in DEFAULT_TOLERANCES[self.model]:
                 raise MsgravError(f"model {self.model!r} has no check "
                                   f"family {fam!r}")
-            if not tol > 0:
-                raise MsgravError(f"tolerance for {fam!r} must be positive")
+            if not 0 < tol < math.inf:
+                raise MsgravError(f"tolerance for {fam!r} must be positive "
+                                  f"and finite")
 
     def tolerance(self, family: str) -> float:
         return float(self.tolerances.get(
@@ -134,8 +137,8 @@ def _built(xs, build):
 
 
 def _eh_point(spec, xs):
-    series = catalog.metric_jet_at(spec, xs, order=4)
-    p = prolong(series, order=4)
+    series = catalog.metric_jet_at(spec, xs)
+    p = prolong(series)
     h1, h2 = eh.holonomy_residuals(p, series)
     return p, np.maximum(_amax(h1), _amax(h2))
 

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import interior_points
 from msgrav import catalog
 from msgrav.errors import ConfigError, DomainError, SingularPointError
-from msgrav.exprparse import parse_expression
+from msgrav.exprparse import evaluate, parse_expression
 from msgrav.fieldspace import derivatives
+from msgrav.geometry import christoffel, metric_inverse_density
 from msgrav.indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
+from msgrav.series import JetScalar
+from msgrav.tangents import Jet2
 
 INPUTS = Path(__file__).resolve().parents[1] / "msbench" / "inputs"
 
@@ -146,7 +150,7 @@ def test_unknown_identifier_in_component():
 def test_ep_point_extensions_present(all_specs):
     spec = all_specs["schwarzschild"]
     p = catalog.ep_point_at(spec, (0.0, 5.0, 1.2, 3.0))
-    assert p.d2g is not None and p.d2Gamma is not None
+    assert p.d2g is not None
     # the connection block really is Levi-Civita: check one known value
     assert p.Gamma[1, 0, 0] == pytest.approx((5.0 - 2.0) / 5.0 ** 3)
 
@@ -310,3 +314,47 @@ def test_grid_check_walks_each_component_once(monkeypatch):
     calls.clear()
     catalog.load_metric_file(str(INPUTS / "bumpy.metric"))
     assert len(calls) == len(PAIRS)
+
+
+def _series(spec, trees, xs, order):
+    """Each tree's series about the points xs at a truncation order."""
+    env = {f"x{i}": JetScalar.variable(i, xs, order=order)
+           for i in range(DIM)}
+    env.update(spec.params)
+    vals = [evaluate(t, env) for t in trees]
+    return [v if isinstance(v, JetScalar)
+            else JetScalar.constant(v, xs, order=order) for v in vals]
+
+
+@pytest.mark.parametrize("name", catalog.list_builtins()
+                         + ["bumpy.metric", "torsion.metric"])
+def test_order_three_jets_equal_order_four_jets(name):
+    # truncating the series at the jet order changes no coefficient the
+    # jets read: each block equals the one an order-4 series gives, and
+    # the connection the inner block of a Jet2 pass on them gives (its
+    # overrides from order-2 series), bit for bit
+    if name.endswith(".metric"):
+        spec = catalog.load_metric_file(str(INPUTS / name))
+    else:
+        spec = catalog.builtin(name)
+    xs = np.array(interior_points(spec, 4, seed=83))
+    s4 = _series(spec, spec.components, xs, 4)
+    g, dg, d2g, d3g = (derivatives(s4, d) for d in DERIVS)
+    p = catalog.eh_point_at(spec, xs)
+    for block, want in zip((p.g, p.dg, p.d2g, p.d3g), (g[..., 0], dg, d2g,
+                                                       d3g)):
+        assert np.array_equal(block, want)
+    q = catalog.ep_point_at(spec, xs)
+    d2 = d2g[..., PAIR_FULL]
+    ginv, _ = metric_inverse_density(Jet2(g[..., 0], dg, dg, d2)[
+        ..., PAIR_FULL])
+    gam = christoffel(ginv, Jet2(dg, d2, d2, None)[..., PAIR_FULL, :])
+    gamma, dgamma = gam.v.copy(), gam.a.copy()
+    if spec.connection:
+        s2 = _series(spec, spec.connection.values(), xs, 2)
+        lmn = tuple(np.array(list(spec.connection)).T)
+        gamma[(..., *lmn)] = derivatives(s2, DERIVS[0])[..., 0]
+        dgamma[(..., *lmn, slice(None))] = derivatives(s2, DERIVS[1])
+    assert np.array_equal(q.Gamma, gamma)
+    assert np.array_equal(q.dGamma, dgamma)
+    assert np.array_equal(q.d2g, p.d2g)

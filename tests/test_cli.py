@@ -94,6 +94,37 @@ def test_bad_param_is_config_error(capsys):
     assert code == 2
 
 
+def test_check_negative_seed_exits_two(capsys):
+    code, out, err = run(
+        ["check", "--model", "eh", "--metric", "minkowski", "--seed", "-1",
+         "--points", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_check_infinite_tolerance_exits_two(capsys):
+    code, out, err = run(
+        ["check", "--model", "eh", "--metric", "flrw", "--points", "2",
+         "--tol", "einstein-constraint=inf"], capsys)
+    assert code == 2 and out == ""
+    assert "einstein-constraint" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "eh", "--points", "2"],
+    ["jets", "--at", "0,0,0,0"]])
+def test_param_with_a_metric_file_is_config_error(tmp_path, capsys, argv):
+    # a file sets its parameters in [params]; --param would be ignored
+    path = tmp_path / "flat.ini"
+    path.write_text("[metric]\ng 0 0 = -1\ng 1 1 = 1\ng 2 2 = 1\n"
+                    "g 3 3 = 1\n", encoding="utf-8")
+    code, out, err = run(argv + ["--metric", str(path), "--param", "m=5"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert "--param" in err
+    assert run(argv + ["--metric", str(path)], capsys)[0] == 0
+
+
 def test_metric_file_source(tmp_path, capsys):
     path = tmp_path / "flat.ini"
     path.write_text("[metric]\nname = flat-file\ng 0 0 = -1\ng 1 1 = 1\n"

@@ -6,9 +6,9 @@ import pytest
 from conftest import einstein_suite, interior_points
 from msgrav import catalog, eh
 from msgrav.errors import ConfigError
-from msgrav.fieldspace import (EH_BLOCKS, EHJetPoint, fiber_gradient,
-                               fiber_jacobian, flat_index, prolong,
-                               total_derivatives_vec)
+from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EHJetPoint,
+                               fiber_gradient, fiber_jacobian, flat_index,
+                               prolong, total_derivatives_vec)
 from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import DIM, MULT, PAIR_FULL, PAIRS, pair_index
 from msgrav.tangents import Jet2, einsum, sqrt
@@ -21,9 +21,9 @@ MID = {
 }
 
 
-def point(name, x=None, order=4, **params):
+def point(name, x=None, **params):
     spec = catalog.builtin(name, **params)
-    return catalog.eh_point_at(spec, x or MID[name], order=order)
+    return catalog.eh_point_at(spec, x or MID[name])
 
 
 def test_minkowski_second_order_momenta():
@@ -90,7 +90,7 @@ def test_first_order_momenta_base_space_oracle():
     def l2_at(nu, s):
         y = list(x)
         y[nu] += s
-        return eh.momenta2_closed_fn(catalog.eh_point_at(spec, y, order=3))
+        return eh.momenta2_closed_fn(catalog.eh_point_at(spec, y))
 
     dldv = fiber_gradient(eh.lagrangian_fn, p, ["dg"]).g.reshape(10, DIM)
     want = dldv.copy()
@@ -154,7 +154,7 @@ def _reference_projectability(p, trials, seed):
     dev, control = 0.0, 0.0
     for _ in range(trials):
         q = EHJetPoint(x=p.x, g=p.g, dg=p.dg, d2g=perturbed(p.d2g),
-                       d3g=perturbed(p.d3g), d4g=p.d4g)
+                       d3g=perturbed(p.d3g))
         lag, l2, l1, h = momenta(q)
         dev = max(dev, abs(h - h0), np.abs(l2 - l20).max(),
                   np.abs(l1 - l10).max())
@@ -287,7 +287,7 @@ def test_constraint_derivative_matches_finite_differences():
     spec = catalog.builtin("schwarzschild")
     x = list(MID["schwarzschild"])
     _, dc = eh.constraint_einstein_derivative(
-        catalog.eh_point_at(spec, x, order=4))
+        catalog.eh_point_at(spec, x))
     h = 1e-5
     for tau in (1, 2):
         vals = []
@@ -295,21 +295,36 @@ def test_constraint_derivative_matches_finite_differences():
             y = list(x)
             y[tau] += s
             vals.append(eh.constraint_einstein(
-                catalog.eh_point_at(spec, y, order=3)))
+                catalog.eh_point_at(spec, y)))
         fd = (vals[0] - vals[1]) / (2 * h)
         assert np.allclose(dc[:, tau], fd, rtol=1e-6, atol=1e-8)
 
 
-def test_constraint_derivative_requires_order_four():
-    p = point("schwarzschild", order=3)
-    with pytest.raises(ConfigError):
-        eh.constraint_einstein_derivative(p)
+def test_constraint_derivative_on_an_order_three_point():
+    # the constraints read g, dg and d2g, so their total derivatives reach
+    # d3g and no further: an order-3 point is enough, off shell too
+    spec = catalog.builtin("flrw")
+    x = [0.7, 0.2, -0.1, 0.3]
+    p = catalog.eh_point_at(spec, x)
+    assert not hasattr(p, "d4g")
+    c, dc = eh.constraint_einstein_derivative(p)
+    assert np.array_equal(c, eh.constraint_einstein(p))
+    assert dc.shape == (10, DIM) and np.abs(dc[:, 0]).max() > 1e-3
+    h = 1e-5
+    for tau in range(DIM):
+        vals = []
+        for s in (+h, -h):
+            y = list(x)
+            y[tau] += s
+            vals.append(eh.constraint_einstein(catalog.eh_point_at(spec, y)))
+        fd = (vals[0] - vals[1]) / (2 * h)
+        assert np.allclose(dc[:, tau], fd, rtol=1e-6, atol=1e-8)
 
 
 def test_holonomy_zero_on_prolongations_and_sensitive_to_perturbation():
     spec = catalog.builtin("schwarzschild")
-    series = catalog.metric_jet_at(spec, MID["schwarzschild"], order=4)
-    p = prolong(series, order=4)
+    series = catalog.metric_jet_at(spec, MID["schwarzschild"])
+    p = prolong(series)
     h1, h2 = eh.holonomy_residuals(p, series)
     assert np.abs(h1).max() == 0.0 and np.abs(h2).max() == 0.0
     dg = p.dg.copy()
@@ -333,16 +348,18 @@ def test_cartan_form_term_count():
 def test_field_equation_vanishes_on_vacuum_sections(vacuum_specs):
     for name, spec in vacuum_specs.items():
         for x in interior_points(spec, 2, seed=31):
-            p = catalog.eh_point_at(spec, x, order=4)
+            p = catalog.eh_point_at(spec, x)
             assert eh.verify_field_equation(p, eh.closed_forms(p)) < 1e-8, \
                 name
 
 
 def test_field_equation_covector_reproduces_constraints_off_shell():
     # on a non-vacuum section the metric-slot components are exactly the
-    # negated Einstein constraints; all fiber-derivative slots stay clean
+    # negated Einstein constraints; the fiber-derivative slots, all dg on
+    # the form's (x, g, dg) support, stay clean
     p = point("flrw")
     cov = eh.field_equation_covector(p, eh.closed_forms(p))
+    assert cov.shape == (EH_OFF["d2g"],)
     c = eh.constraint_einstein(p)
     for a in range(10):
         assert cov[flat_index(EH_BLOCKS, ("g", a))] == pytest.approx(
@@ -350,8 +367,6 @@ def test_field_equation_covector_reproduces_constraints_off_shell():
     for a in range(10):
         for mu in range(DIM):
             assert abs(cov[flat_index(EH_BLOCKS, ("dg", a, mu))]) < 1e-12
-        for m in range(10):
-            assert abs(cov[flat_index(EH_BLOCKS, ("d2g", a, m))]) < 1e-12
 
 
 @pytest.mark.parametrize("trials", [1, 2])
@@ -403,10 +418,18 @@ def test_projectability_and_control():
     assert control > 1e-3  # the Lagrangian genuinely reaches order two
 
 
-def test_tangent_lifts_need_order_four():
-    p = point("schwarzschild", order=3)
-    with pytest.raises(ConfigError):
-        eh.verify_field_equation(p, eh.closed_forms(p))
+def test_tangent_lifts_stop_at_the_form_support():
+    # the lifts cover the form's (x, g, dg) columns, which an order-3
+    # point shifts; the d3g block has no shift, so no wider lift exists
+    from msgrav.fieldspace import tangent_lifts
+    p = point("schwarzschild")
+    form = eh.cartan_form_eh(p, eh.closed_forms(p))
+    assert form.dense.shape[-1] == EH_OFF["d2g"]
+    assert tangent_lifts(p, EH_OFF["d2g"]).shape == (DIM, EH_OFF["d2g"])
+    assert eh.verify_field_equation(p, eh.closed_forms(p)) < 1e-8
+    for width in (EH_OFF["d2g"] + 1, 20, EH_DIM_J3):
+        with pytest.raises(ConfigError):
+            tangent_lifts(p, width)
 
 
 def test_batched_cartan_contraction_rows_equal_unbatched():
@@ -414,13 +437,15 @@ def test_batched_cartan_contraction_rows_equal_unbatched():
     from msgrav.fieldspace import tangent_lifts
     spec = catalog.builtin("flrw")
     xs = interior_points(spec, 3, seed=37)
-    pts = [catalog.eh_point_at(spec, x, order=4) for x in xs]
-    stack = catalog.eh_point_at(spec, np.array(xs), order=4)
+    pts = [catalog.eh_point_at(spec, x) for x in xs]
+    stack = catalog.eh_point_at(spec, np.array(xs))
     form = eh.cartan_form_eh(stack, eh.closed_forms(stack))
     assert len(form) == 3 * (1 + 40 + 160)
-    cov = contract_terms(form, tangent_lifts(stack))
-    assert cov.shape == (3, 354)
+    width = EH_OFF["d2g"]
+    cov = contract_terms(form, tangent_lifts(stack, width))
+    assert cov.shape == (3, width)
     for i, p in enumerate(pts):
         one = eh.cartan_form_eh(p, eh.closed_forms(p))
         assert np.array_equal(form.dense[i], one.dense)
-        assert np.array_equal(cov[i], contract_terms(one, tangent_lifts(p)))
+        assert np.array_equal(cov[i], contract_terms(
+            one, tangent_lifts(p, width)))

@@ -28,19 +28,17 @@ def _vectors(rng, n=4):
 
 
 def _factors(form):
-    """Each term's five factors as dense covectors over all `form.dim`
-    coordinates, (T, 5, dim); a form stores only its leading columns."""
-    unit = np.eye(form.dim)
-    dense = np.zeros((len(form.coef), form.dim))
-    dense[:, :form.dense.shape[-1]] = form.dense
-    return np.concatenate([dense[:, None], unit[form.coords]], axis=1)
+    """Each term's five factors as dense covectors over the form's width w,
+    (T, 5, w)."""
+    unit = np.eye(form.dense.shape[-1])
+    return np.concatenate([form.dense[:, None], unit[form.coords]], axis=1)
 
 
 def _laplace_reference(form, vectors):
     """Per term and per output component j, the 5x5 determinant of the
     factor pairings with vectors + [e_j], summed over terms."""
-    dim = form.dim
-    vecs = np.asarray(vectors)
+    dim = form.dense.shape[-1]
+    vecs = np.asarray(vectors)[:, :dim]
     out = np.zeros(dim)
     for coef, facs in zip(form.coef, _factors(form)):
         pair = np.empty((dim, 5, 5))
@@ -117,7 +115,12 @@ def test_vector_count_and_dimension_check():
     with pytest.raises(ConfigError):
         contract_terms(form, [np.zeros(DIMN)] * 3)
     with pytest.raises(ConfigError):
-        contract_terms(form, [np.zeros(DIMN + 1)] * 4)
+        contract_terms(form, [np.zeros(DIMN - 1)] * 4)
+    # wider vectors are read over the form's width only
+    wide = np.eye(DIMN + 2)[1:5]
+    assert np.array_equal(contract_terms(form, wide),
+                          contract_terms(form, wide[:, :DIMN]))
+    assert contract_terms(form, wide).shape == (DIMN,)
 
 
 def test_contract_terms_distributes():
@@ -196,14 +199,39 @@ def test_cartan_contraction_matches_laplace_reference(model, metric, x):
     else:
         spec = catalog.builtin(metric)
     if model == "eh":
-        p = catalog.eh_point_at(spec, x, order=4)
+        p = catalog.eh_point_at(spec, x)
         form = eh.cartan_form_eh(p, eh.closed_forms(p))
     else:
         p = catalog.ep_point_at(spec, x)
         form = ep.cartan_form_ep(p, ep.momenta_ep(p))
-    lifts = tangent_lifts(p)
+    lifts = tangent_lifts(p, form.dense.shape[-1])
     got = contract_terms(form, lifts)
     want = _laplace_reference(form, lifts)
     scale = np.abs(want).max()
     assert scale > 1e-3
     assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("model, width", [("eh", 54), ("ep", 78)])
+def test_contraction_reads_no_lift_column_past_the_form(model, width):
+    # each model's form lives on its dense width, and what the lifts hold
+    # past that width never reaches the covector
+    spec = catalog.builtin("flrw")
+    xs = np.array([(0.7, 0.2, -0.1, 0.3), (1.1, -0.4, 0.5, 0.2)])
+    if model == "eh":
+        p = catalog.eh_point_at(spec, xs)
+        form = eh.cartan_form_eh(p, eh.closed_forms(p))
+    else:
+        p = catalog.ep_point_at(spec, xs)
+        form = ep.cartan_form_ep(p, ep.momenta_ep(p))
+    assert form.dense.shape[-1] == width
+    assert form.coords.min() >= 0 and form.coords.max() < width
+    lifts = tangent_lifts(p, width)
+    assert lifts.shape == (2, 4, width)
+    want = contract_terms(form, lifts)
+    assert want.shape == (2, width) and np.abs(want).max() > 1e-3
+    rng = np.random.default_rng(9)
+    for tail in (np.zeros((2, 4, 300)), rng.normal(size=(2, 4, 300)),
+                 np.full((2, 4, 7), np.nan)):
+        got = contract_terms(form, np.concatenate([lifts, tail], axis=-1))
+        assert np.array_equal(got, want)

@@ -15,15 +15,15 @@ from msgrav.series import JetScalar, multi_indices
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
 
 
-def total_derivative(f, tau, p, **kw):
+def total_derivative(f, tau, p):
     """D_tau f alone: the base derivative plus the jet-coordinate shift
     terms, from a total-derivative pass seeded along tau only."""
-    return total_derivatives(f, p, [tau], **kw)[..., 0]
+    return total_derivatives(f, p, [tau])[..., 0]
 
 
-def schw_point(order=4):
+def schw_point():
     spec = catalog.builtin("schwarzschild")
-    return catalog.eh_point_at(spec, (0.0, 5.0, 1.2, 3.0), order=order)
+    return catalog.eh_point_at(spec, (0.0, 5.0, 1.2, 3.0))
 
 
 def test_dimension_counts():
@@ -50,8 +50,7 @@ EH_ORDER = (("x", 0), ("g", 4), ("dg", 14), ("d2g", 54), ("d3g", 154))
 EP_ORDER = (("x", 0), ("g", 4), ("Gamma", 14), ("dg", 78), ("dGamma", 118))
 # block -> (the block its total-derivative shift is read from, its order)
 SHIFTED_FROM = {"g": ("dg", 0), "dg": ("d2g", 1), "d2g": ("d3g", 2),
-                "d3g": ("d4g", 3), "Gamma": ("dGamma", 0),
-                "dGamma": ("d2Gamma", 1)}
+                "Gamma": ("dGamma", 0)}
 
 
 def _shift(p, name, tau):
@@ -67,42 +66,56 @@ def _shift(p, name, tau):
 
 @pytest.mark.parametrize("model", ["eh", "ep"])
 def test_tangent_lifts_follow_the_layout(model):
+    # the lifts cover each model's Cartan-form support: (x, g, dg) for eh
+    # and (x, g, Gamma) for ep, the blocks before the width
     spec = catalog.builtin("schwarzschild")
     x = (0.0, 5.0, 1.2, 3.0)
     if model == "eh":
-        p, order, dim = catalog.eh_point_at(spec, x, order=4), EH_ORDER, 354
+        p, order, width, dim = catalog.eh_point_at(spec, x), EH_ORDER, 54, 354
     else:
-        p, order, dim = catalog.ep_point_at(spec, x), EP_ORDER, 374
-    lifts = tangent_lifts(p)
-    assert lifts.shape == (DIM, dim)
-    ends = [off for _, off in order[1:]] + [dim]
+        p, order, width, dim = catalog.ep_point_at(spec, x), EP_ORDER, 78, 374
+    lifts = tangent_lifts(p, width)
+    assert lifts.shape == (DIM, width)
+    ends = [off for _, off in order[1:]]
     for (name, off), end in zip(order, ends):
+        if off >= width:
+            break
         for tau in range(DIM):
             assert np.array_equal(lifts[tau, off:end], _shift(p, name, tau))
+    # the top block of a chain has no shift, and a lift ends on a block
+    with pytest.raises(ConfigError, match="no total-derivative shift"):
+        tangent_lifts(p, dim)
+    with pytest.raises(ConfigError, match="block boundary"):
+        tangent_lifts(p, width - 1)
 
 
 def test_point_shape_validation():
     with pytest.raises(ConfigError):
         EHJetPoint(x=np.zeros(4), g=ETA, dg=np.zeros((10, 3)),
                    d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)))
-    # the optional extension blocks are checked through the same tables
-    with pytest.raises(ConfigError):
-        EHJetPoint(x=np.zeros(4), g=ETA, dg=np.zeros((10, 4)),
-                   d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)),
-                   d4g=np.zeros((10, 20)))
+    # the optional d2g block is checked through the same tables
     with pytest.raises(ConfigError):
         EPJetPoint(x=np.zeros(4), g=ETA, Gamma=np.zeros((4, 4, 4)),
                    dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
-                   d2Gamma=np.zeros((4, 4, 4, 4)))
+                   d2g=np.zeros((10, 20)))
+    # the jets stop at order 3: no point carries a higher block
+    with pytest.raises(TypeError):
+        EHJetPoint(x=np.zeros(4), g=ETA, dg=np.zeros((10, 4)),
+                   d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)),
+                   d4g=np.zeros((10, 35)))
+    with pytest.raises(TypeError):
+        EPJetPoint(x=np.zeros(4), g=ETA, Gamma=np.zeros((4, 4, 4)),
+                   dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
+                   d2Gamma=np.zeros((4, 4, 4, 10)))
 
 
 def test_point_freezes_its_blocks_not_the_callers_arrays():
     p = schw_point()
     g, d2g = p.g.copy(), p.d2g.copy()
-    q = EHJetPoint(x=p.x, g=g, dg=p.dg, d2g=d2g, d3g=p.d3g, d4g=p.d4g)
+    q = EHJetPoint(x=p.x, g=g, dg=p.dg, d2g=d2g, d3g=p.d3g)
     assert g.flags.writeable and d2g.flags.writeable
     g[0] = g[0]  # the caller's own array stays usable
-    for name in ("x", "g", "dg", "d2g", "d3g", "d4g"):
+    for name in ("x", "g", "dg", "d2g", "d3g"):
         block = getattr(q, name)
         assert not block.flags.writeable, name
         with pytest.raises(ValueError):
@@ -127,8 +140,8 @@ def test_wrong_signature_rejected():
 def test_prolongation_is_holonomic():
     spec = catalog.builtin("schwarzschild")
     x = (0.0, 5.0, 1.2, 3.0)
-    series = catalog.metric_jet_at(spec, x, order=4)
-    p = prolong(series, order=4)
+    series = catalog.metric_jet_at(spec, x)
+    p = prolong(series)
     # first-order block literally equals the section's first derivatives
     for i in range(10):
         for mu in range(4):
@@ -187,7 +200,7 @@ def test_total_derivative_matches_base_space_differentiation():
     # D_tau f at the jet of a section == d/dx^tau of f along the section
     spec = catalog.builtin("schwarzschild")
     x = (0.0, 5.0, 1.2, 3.0)
-    p = catalog.eh_point_at(spec, x, order=4)
+    p = catalog.eh_point_at(spec, x)
     h = 1e-5
     for tau in (1, 2):
         exact = total_derivative(lagrangian_fn, tau, p)
@@ -195,7 +208,7 @@ def test_total_derivative_matches_base_space_differentiation():
         for s in (+h, -h):
             y = list(x)
             y[tau] += s
-            xs.append(lagrangian_fn(catalog.eh_point_at(spec, y, order=3)))
+            xs.append(lagrangian_fn(catalog.eh_point_at(spec, y)))
         fd = (xs[0] - xs[1]) / (2 * h)
         assert exact == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
@@ -208,13 +221,18 @@ def test_total_derivatives_one_pass_equals_per_direction():
             total_derivative(lagrangian_fn, tau, p), rel=1e-13)
 
 
-def test_total_derivative_of_top_order_needs_extension():
-    p = schw_point(order=3)  # no order-4 block
-    with pytest.raises(ConfigError):
-        total_derivative(lagrangian_fn, 0, p)
-    # restricting the reach of f avoids the requirement
-    assert np.isfinite(
-        total_derivative(lagrangian_fn, 0, p, max_order=2))
+def test_total_derivative_hides_the_top_order_block():
+    # an order-3 point shifts g, dg and d2g, so a function of those has
+    # its total derivatives; the d3g block has no shift, and a function
+    # that reads it fails instead of missing its shift
+    p = schw_point()
+    assert np.isfinite(total_derivative(lagrangian_fn, 0, p))
+
+    def f(pt):
+        return pt.d3g[0][0]
+
+    with pytest.raises(TypeError):
+        total_derivative(f, 0, p)
 
 
 def test_ep_total_derivative_needs_extensions():

@@ -16,7 +16,7 @@ from msgrav.tangents import einsum
 
 def suite_at(name, x, **params):
     spec = catalog.builtin(name, **params)
-    p = catalog.eh_point_at(spec, x, order=3)
+    p = catalog.eh_point_at(spec, x)
     return einstein_suite(p.g, p.dg, p.d2g), p
 
 
@@ -50,7 +50,7 @@ def test_schwarzschild_christoffel_value():
 def test_vacuum_metrics_are_ricci_flat(vacuum_specs):
     for name, spec in vacuum_specs.items():
         for x in interior_points(spec, 5, seed=11):
-            p = catalog.eh_point_at(spec, x, order=3)
+            p = catalog.eh_point_at(spec, x)
             suite = einstein_suite(p.g, p.dg, p.d2g)
             assert np.abs(suite.ricci).max() < 1e-9, name
             assert np.abs(suite.einstein_lower).max() < 1e-9, name
@@ -61,7 +61,7 @@ def test_desitter_scalar_curvature():
     for H in (1.0, 0.7):
         spec = catalog.builtin("desitter", H=H)
         for x in interior_points(spec, 3, seed=5):
-            p = catalog.eh_point_at(spec, x, order=3)
+            p = catalog.eh_point_at(spec, x)
             suite = einstein_suite(p.g, p.dg, p.d2g)
             assert suite.scalar == pytest.approx(12.0 * H * H, rel=1e-12)
 
@@ -76,7 +76,7 @@ def test_einstein_upper_is_raised_lower():
 def test_oracle_pipeline_agreement(all_specs):
     for name, spec in all_specs.items():
         for x in interior_points(spec, 3, seed=3):
-            p = catalog.eh_point_at(spec, x, order=3)
+            p = catalog.eh_point_at(spec, x)
             suite = einstein_suite(p.g, p.dg, p.d2g)
             ginv_o, rho_o, gam_o, ric_o, scal_o, ein_o = \
                 oracle.curvature_oracle(spec, x)
@@ -94,7 +94,7 @@ def test_oracle_pipeline_agreement(all_specs):
 
 def test_contracted_divergence_identity():
     # d_mu(rho G^{mu nu}) + rho Gamma^nu_{mu l} G^{mu l} = 0 along sections;
-    # the divergence is one total-derivative pass on an order-4 point
+    # the divergence is one total-derivative pass on an order-3 point
     def rho_einstein_upper(pt):
         ginv, rho, _, ric, scal = curvature_bundle(pt.g, pt.dg, pt.d2g)
         return rho * (einsum("ma,nb,ab->mn", ginv, ginv, ric)
@@ -103,7 +103,7 @@ def test_contracted_divergence_identity():
     for name in ("flrw", "schwarzschild", "desitter"):
         spec = catalog.builtin(name)
         x = [0.5 * (lo + hi) for lo, hi in spec.domain]
-        p = catalog.eh_point_at(spec, x, order=4)
+        p = catalog.eh_point_at(spec, x)
         d = total_derivatives(rho_einstein_upper, p)  # [mu, nu, tau]
         _, _, gam, _, _ = curvature_bundle(p.g, p.dg, p.d2g)
         div = (np.einsum("mnm->n", d)
@@ -139,8 +139,8 @@ def test_batched_curvature_bundle_rows_equal_unbatched():
     from msgrav.tangents import Tan
     spec = catalog.builtin("schwarzschild")
     xs = interior_points(spec, 5, seed=29)
-    pts = [catalog.eh_point_at(spec, x, order=3) for x in xs]
-    stack = catalog.eh_point_at(spec, np.array(xs), order=3)
+    pts = [catalog.eh_point_at(spec, x) for x in xs]
+    stack = catalog.eh_point_at(spec, np.array(xs))
     seeds = np.eye(100).reshape(10, 10, 100)
     plain = curvature_bundle(stack.g, stack.dg, stack.d2g)
     dual = curvature_bundle(stack.g, stack.dg, Tan(

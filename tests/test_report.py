@@ -19,9 +19,19 @@ def test_config_validation():
         cfg(points=0)
     with pytest.raises(MsgravError):
         cfg(tolerances={"holonomy": -1.0})
+    # a tolerance no residual can exceed would make its family unfailable
+    for tol in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(MsgravError, match="holonomy"):
+            cfg(tolerances={"holonomy": tol})
     # the report format belongs to emit_report, not to the check
     with pytest.raises(TypeError):
         cfg(fmt="csv")
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(MsgravError, match="seed"):
+        cfg(seed=-1)
+    assert cfg(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("model,family", [
@@ -277,9 +287,9 @@ def test_one_series_pass_per_chunk(monkeypatch, tmp_path, model):
     from msgrav import report
     real, calls = catalog.metric_jet_at, []
 
-    def counted(spec, x, order=4):
+    def counted(spec, x):
         calls.append(len(x))
-        return real(spec, x, order=order)
+        return real(spec, x)
 
     monkeypatch.setattr(catalog, "metric_jet_at", counted)
     checks = report._eh_point_checks if model == "eh" else \
@@ -340,7 +350,7 @@ def test_fused_eh_checks_equal_each_public_call(metric, n):
     seeds = list(range(10, 10 + n))
     kept, out = report._eh_point_checks(spec, xs, seeds)
     assert kept == list(range(n))
-    series = catalog.metric_jet_at(spec, np.array(xs), order=4)
+    series = catalog.metric_jet_at(spec, np.array(xs))
     p = catalog.eh_point_at(spec, np.array(xs))
     h1, h2 = eh.holonomy_residuals(p, series)
     closed = eh.closed_forms(p)
