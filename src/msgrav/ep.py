@@ -1,6 +1,6 @@
 """The first-order metric-affine model: Lagrangian, momenta, Hamiltonian,
-Poincare-Cartan 5-form, the five constraint families, the projective gauge
-shift, and projectability checks.
+Poincare-Cartan 5-form, the five constraint families and projectability
+checks.
 
 The connection is an independent field with no symmetry assumed; curvature
 comes from the same Ricci kernel as the metric model, which is what makes
@@ -157,23 +157,7 @@ def constraint_integrability(p: EPJetPoint) -> np.ndarray:
         ..., APAIR_ROWS[0], APAIR_ROWS[1]]
 
 
-# -- gauge and projectability -----------------------------------------------
-
-def projective_shift(p: EPJetPoint, A, dA=None) -> EPJetPoint:
-    """Shift the connection along the projective gauge direction.
-
-    The metric's d2g block rides along unchanged.
-    """
-    A = np.asarray(A, dtype=float)
-    dA = np.zeros((DIM, DIM)) if dA is None else np.asarray(dA, dtype=float)
-    gam = p.Gamma.copy()
-    dgam = p.dGamma.copy()
-    for c in range(DIM):
-        gam[..., c, :, c] += A
-        dgam[..., c, :, c, :] += dA
-    return EPJetPoint(x=p.x, g=p.g, Gamma=gam, dg=p.dg, dGamma=dgam,
-                      d2g=p.d2g)
-
+# -- projectability ---------------------------------------------------------
 
 def projectability_check_ep(p: EPJetPoint, m: EPMomenta, trials: int, seed):
     """Randomize the first-order blocks; momenta and Hamiltonian must hold

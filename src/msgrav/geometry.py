@@ -82,22 +82,29 @@ def curvature_bundle(g10, dg, d2g):
 
 def scalar_density(g10, dg, d2g):
     """rho g^{ab} R_ab of the Levi-Civita connection from the ordered
-    metric 2-jet. With G^c_{ab} = g^{cs} B_sab / 2 and G^c_{ca} =
-    g^{cs} g_{cs,a} / 2, each term of the Ricci polynomial is one einsum
-    ending in a scalar, so no block of a dual pass carries a tensor. The
-    d2g term is k_pq d2g_pq in ordered storage, with k_pq = g^{ab} g^{cs}
-    (E_sap E_bcq - E_csp E_abq) and E_abp = 1 iff PAIR_FULL[a, b] == p
-    (`_EXPAND`), so a d2g seed block meets k in one matmul, unexpanded."""
+    metric 2-jet, in einsums ending in scalars, so no block of a dual pass
+    carries a tensor. The d2g term is k_pq d2g_pq in ordered storage, with
+    k_pq = g^{ab} g^{cs} (E_sap E_bcq - E_csp E_abq) and E_abp = 1 iff
+    PAIR_FULL[a, b] == p (`_EXPAND`), so a d2g seed block meets k in one
+    matmul, unexpanded. The rest is quadratic in D_abc = g_{ab,c} (Landau &
+    Lifshitz, *The Classical Theory of Fields*, 93): with B = `_bracket`,
+    -T1/2 + T2/2 + T3/4 - T4/4 for T1 = g^ab g^ck g^ls D_klc B_sba, T2 =
+    g^ab g^ck g^ls D_klb D_csa, T3 = g^ab g^ck g^sl B_kba D_slc and T4 =
+    g^ab g^ck g^sl B_kbs B_lca. Let V_l = g^ab D_lab, U_l = g^ab D_abl,
+    w = V - U/2; g^ab B_sba = 2 V_s - U_s gives -T1/2 + T3/4 = -g(w, w).
+    T2 = J1 = g^ad g^be g^cf D_abc D_def; of T4's nine products of two
+    D's, the three pairing derivative slots give -J1 and the six pairing a
+    derivative slot with a metric slot 2 J2, J2 = g^ad g^bf g^ce D_abc
+    D_def. So the quadratic part is -g(w, w) + 3 J1/4 - J2/2: fewer and
+    smaller product-rule terms than the bracket's."""
     gm, dgm = g10[..., PAIR_FULL], dg[..., PAIR_FULL, :]
     ginv, rho = metric_inverse_density(gm)
-    b = _bracket(dgm)
     k = (einsum("ab,cs,sap,bcq->pq", ginv, ginv, _EXPAND, _EXPAND)
          - einsum("ab,cs,csp,abq->pq", ginv, ginv, _EXPAND, _EXPAND))
-    r = (einsum("pq,pq->", k, d2g)
-         - 0.5 * einsum("ab,ck,ls,klc,sba->", ginv, ginv, ginv, dgm, b)
-         + 0.5 * einsum("ab,ck,ls,klb,csa->", ginv, ginv, ginv, dgm, dgm)
-         + 0.25 * einsum("ab,ck,sl,kba,slc->", ginv, ginv, ginv, b, dgm)
-         - 0.25 * einsum("ab,ck,sl,kbs,lca->", ginv, ginv, ginv, b, b))
+    w = einsum("ab,lab->l", ginv, dgm) - 0.5 * einsum("ab,abl->l", ginv, dgm)
+    r = (einsum("pq,pq->", k, d2g) - einsum("ls,l,s->", ginv, w, w)
+         + 0.75 * einsum("ad,be,cf,abc,def->", ginv, ginv, ginv, dgm, dgm)
+         - 0.5 * einsum("ad,bf,ce,abc,def->", ginv, ginv, ginv, dgm, dgm))
     return rho * r
 
 

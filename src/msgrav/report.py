@@ -38,6 +38,7 @@ from .version import VERSION
 
 # points per batched pass; see the module docstring
 CHUNK_POINTS = 8
+MAX_POINTS = 10**6  # all are drawn before the first chunk runs
 
 # identity families are relative (residual / (1 + |reference|)); the
 # residual families are absolute vacuum thresholds
@@ -79,6 +80,8 @@ class CheckConfig:
             raise MsgravError(f"unknown model {self.model!r}")
         if self.points < 1:
             raise MsgravError("need at least one sample point")
+        if self.points > MAX_POINTS:
+            raise ConfigError(f"more than {MAX_POINTS} sample points")
         if self.seed < 0:
             raise MsgravError(f"seed {self.seed} is negative")
         for fam, tol in self.tolerances.items():
@@ -220,7 +223,7 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
         except ValueError:
             raise ConfigError(f"MSGR_THREADS must be an integer, got "
                               f"{env!r}") from None
-    if threads is not None and threads > 1:
+    if threads is not None and threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outs = list(pool.map(at_chunk, chunks))
     else:

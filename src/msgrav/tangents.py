@@ -32,10 +32,11 @@ Elementwise products broadcast from the right, so a per-point scalar
 times a tensor is written `einsum(",ab->ab", s, t)`, never `s * t`. A
 single point is the case with no batch axis.
 
-Plan and dispatch: each (subscripts, operand shapes) signature is planned
-once, in a greedy pairwise order chosen on the named axes alone, and each
-`einsum` (subscripts, block pattern) compiles once to a program, the
-subscripts of its value and of every product-rule term. A pair step is
+Plan and dispatch: a signature is planned once per (subscripts, named
+shapes, count of leading axes), greedily on the named axes alone, and a
+new leading shape (chunk size) only fills the plan in. Each `einsum`
+(subscripts, block pattern) compiles once to the subscripts of its value
+and of every product-rule term. A pair step is
 one np.matmul of C-contiguous (batch, M, K) and (batch, K, N) operands,
 the leading axes among the batch axes, so BLAS sums a stacked row exactly
 as the row alone; traces and index sums are single-operand np.einsum
@@ -296,39 +297,39 @@ def _kept(term, keep):
     return "".join(c for c in dict.fromkeys(term) if c in keep)
 
 
-def _prep(term, shape, groups, lead, size):
-    """(einsum summing the letters outside `groups`, broadcast shape, axis
-    permutation, matmul shape; None where not needed) for one operand."""
-    n, letters = len(lead), "".join(groups)
-    own = shape[:len(shape) - len(term)]
+def _prep(term, orig, groups, k, size):
+    """(einsum summing the letters outside `groups`, (orig, broadcast
+    trailing shape) for operand number orig, axis permutation, trailing
+    matmul shape; None where not needed) for one operand."""
+    letters = "".join(groups)
     kept = _kept(term, letters)
-    axes = tuple(range(n)) + tuple(n + kept.index(c) for c in letters)
+    axes = tuple(range(k)) + tuple(k + kept.index(c) for c in letters)
     return (None if kept == term else f"...{term}->...{kept}",
-            None if own == lead else lead + tuple(size[c] for c in kept),
+            None if orig is None else (orig, tuple(size[c] for c in kept)),
             None if letters == kept else axes,
-            lead + tuple(math.prod(size[c] for c in g) for g in groups))
+            tuple(math.prod(size[c] for c in g) for g in groups))
 
 
 @lru_cache(maxsize=4096)
 def _plan(subscripts, shapes):
-    """(steps, final). Each step (i, j, prep_a, prep_b, outer, shape)
-    contracts the pair ranked first by np.einsum_path's greedy key on the
-    named letters alone (a shared letter, most entries removed, fewest
-    products) and appends it; there is no memory limit, so no step takes
-    three or more operands. `final` is None, an axes tuple when only a
-    permutation is left, or an einsum for a sum or trace."""
+    """(steps, final) from the named axes of `shapes` and the count of
+    leading ones. Each step (i, j, prep_a, prep_b, outer, tail) contracts
+    the pair ranked first by np.einsum_path's greedy key on the named
+    letters alone (a shared letter, most entries removed, fewest products)
+    and appends it; with no memory limit, no step takes three operands.
+    `final` is None, axes when only a permutation is left, or an einsum."""
     ins, out = subscripts.replace("...", "").split("->")
-    ops = list(zip(ins.split(","), shapes))
-    size = {c: n for t, s in ops for c, n in zip(t, s[len(s) - len(t):])}
-    leads = {s[:len(s) - len(t)] for t, s in ops}
-    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
+    ops = [(t, k) for k, t in enumerate(ins.split(","))]
+    size = {c: n for (t, _), s in zip(ops, shapes)
+            for c, n in zip(t, s[len(s) - len(t):])}
+    k = max(len(s) - len(t) for (t, _), s in zip(ops, shapes))
 
     def n(letters):
         return math.prod(map(size.__getitem__, letters))
 
     def keep(idx):
-        return set(out).union(*(t for k, (t, _) in enumerate(ops)
-                                if k not in idx))
+        return set(out).union(*(t for j, (t, _) in enumerate(ops)
+                                if j not in idx))
 
     def rank(idx):
         s, t = sets[idx[0]], sets[idx[1]]
@@ -340,30 +341,47 @@ def _plan(subscripts, shapes):
         sets = [set(t) for t, _ in ops]
         idx = min(itertools.combinations(range(len(ops)), 2), key=rank)
         kept = keep(idx)
-        (s, sh), (t, th) = ops[idx[0]], ops[idx[1]]
+        (s, so), (t, to) = ops[idx[0]], ops[idx[1]]
         s1, t1 = _kept(s, kept | set(t)), _kept(t, kept | set(s))
         bat = "".join(c for c in s1 if c in t1 and c in kept)
         con = "".join(c for c in s1 if c in t1 and c not in kept)
         rows = "".join(c for c in s1 if c not in t1)
         cols = "".join(c for c in t1 if c not in s1)
         new = bat + rows + cols
-        shape = lead + tuple(size[c] for c in new)
-        steps.append(idx + (_prep(s, sh, (bat, rows, con), lead, size),
-                            _prep(t, th, (bat, con, cols), lead, size),
-                            not con, shape))
-        ops = [o for k, o in enumerate(ops) if k not in idx] + [(new, shape)]
-    final, k = ops[0][0], len(lead)
+        steps.append(idx + (_prep(s, so, (bat, rows, con), k, size),
+                            _prep(t, to, (bat, con, cols), k, size),
+                            not con, tuple(size[c] for c in new)))
+        ops = [o for j, o in enumerate(ops) if j not in idx] + [(new, None)]
+    final = ops[0][0]
     if final != out and sorted(final) == sorted(out):
         return tuple(steps), tuple(range(k)) + tuple(k + final.index(c)
                                                      for c in out)
     return tuple(steps), None if final == out else f"...{final}->...{out}"
 
 
+@lru_cache(maxsize=4096)
+def _steps(subscripts, shapes):
+    """`_plan` for these full shapes: the leading shape in front of each
+    trailing one, and an operand broadcast where its leading shape is not
+    the result's. A new leading shape runs only this, which plans nothing."""
+    ins = subscripts.replace("...", "").split("->")[0].split(",")
+    leads = [s[:len(s) - len(t)] for t, s in zip(ins, shapes)]
+    steps, final = _plan(subscripts, tuple(
+        (1,) * len(g) + s[len(g):] for g, s in zip(leads, shapes)))
+    lead = leads[0] if len(set(leads)) == 1 else np.broadcast_shapes(*leads)
+
+    def fill(r, w, x, m):
+        return (r, None if w is None or leads[w[0]] == lead else lead + w[1],
+                x, lead + m)
+
+    return tuple((i, j, fill(*pa), fill(*pb), outer, lead + tail)
+                 for i, j, pa, pb, outer, tail in steps), final
+
+
 def _contract(subscripts, ops):
     """np.einsum of `subscripts`, each term prefixed by `...`, by plan."""
-    ops = [o if type(o) is np.ndarray else np.asarray(o, dtype=float)
-           for o in ops]
-    steps, final = _plan(subscripts, tuple(o.shape for o in ops))
+    ops = list(ops)
+    steps, final = _steps(subscripts, tuple([o.shape for o in ops]))
     for i, j, (ra, wa, xa, ma), (rb, wb, xb, mb), outer, shape in steps:
         b, a = ops.pop(j), ops.pop(i)
         a = a if ra is None else np.einsum(ra, a)
@@ -421,7 +439,8 @@ def einsum(subscripts, *ops):
     value, inner, outer, mixed, cross = _program(subscripts, tuple(
         (o.a is not None, o._b is not None, o.m is not None)
         if isinstance(o, _Dual) else None for o in ops))
-    vals = [o.v if isinstance(o, _Dual) else o for o in ops]
+    vals = [o.v if isinstance(o, _Dual) else o if type(o) is np.ndarray
+            else np.asarray(o, dtype=float) for o in ops]
     v = _contract(value, vals)
     if not duals:
         return v

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from msgrav import catalog
+from msgrav.fieldspace import EPJetPoint
 from msgrav.geometry import curvature_bundle
-from msgrav.indexing import PAIR_FULL, PAIR_ROWS
+from msgrav.indexing import DIM, PAIR_FULL, PAIR_ROWS
 
 
 def interior_points(spec, n, seed, margin=0.05):
@@ -55,3 +56,18 @@ def all_specs():
 @pytest.fixture(scope="session")
 def vacuum_specs(all_specs):
     return {k: v for k, v in all_specs.items() if v.vacuum == "yes"}
+
+
+def projective_shift(p, A, dA=None):
+    """p with its connection shifted along the projective gauge direction,
+    Gamma^a_{bc} + delta^a_c A_b; the metric's d2g block rides along
+    unchanged."""
+    A = np.asarray(A, dtype=float)
+    dA = np.zeros((DIM, DIM)) if dA is None else np.asarray(dA, dtype=float)
+    gam = p.Gamma.copy()
+    dgam = p.dGamma.copy()
+    for c in range(DIM):
+        gam[..., c, :, c] += A
+        dgam[..., c, :, c, :] += dA
+    return EPJetPoint(x=p.x, g=p.g, Gamma=gam, dg=p.dg, dGamma=dgam,
+                      d2g=p.d2g)

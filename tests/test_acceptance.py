@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import einstein_suite, interior_points
+from conftest import einstein_suite, interior_points, projective_shift
 from msgrav import catalog, eh, ep, oracle
 from msgrav.fieldspace import (EH_DIM_E, EP_DIM_E, EP_DIM_J1, prolong)
 from msgrav.indexing import pair_index
@@ -144,7 +144,7 @@ def test_acceptance_8_projective_gauge_invariance():
     for name in ("schwarzschild", "kasner", "flrw"):
         spec = catalog.builtin(name)
         for x in interior_points(spec, 10, seed=19):
-            p = ep.projective_shift(catalog.ep_point_at(spec, x), A, dA)
+            p = projective_shift(catalog.ep_point_at(spec, x), A, dA)
             worst = max(worst,
                         np.abs(ep.constraint_premetricity(p)).max(),
                         np.abs(ep.constraint_torsion(p)).max(),

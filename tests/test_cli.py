@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import pytest
@@ -100,6 +101,25 @@ def test_check_negative_seed_exits_two(capsys):
          "--points", "2"], capsys)
     assert code == 2 and out == ""
     assert "seed" in err and "Traceback" not in err
+
+
+def test_check_too_many_points_exits_two_at_once(monkeypatch, capsys):
+    # every point is drawn before the first chunk, so an unbounded count
+    # would run on without output until memory runs out; drawing any
+    # point fails here instead
+    from msgrav import report
+
+    def drawn(spec, n, seed):
+        raise AssertionError(f"{n} points were drawn")
+
+    monkeypatch.setattr(report, "sample_points", drawn)
+    start = time.perf_counter()
+    code, out, err = run(
+        ["check", "--model", "eh", "--metric", "minkowski", "--points",
+         "100000000000000000000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "sample points" in err and "Traceback" not in err
 
 
 def test_check_infinite_tolerance_exits_two(capsys):

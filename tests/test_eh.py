@@ -236,6 +236,33 @@ def test_per_block_gradient_passes_equal_a_joint_pass(name):
     assert np.array_equal(m.L, joint.v)
 
 
+def test_lagrangian_passes_contraction_budget(monkeypatch):
+    # the quadratic part of L in dg is -g(w, w) + 3 J1 / 4 - J2 / 2 (see
+    # geometry.scalar_density): each pass over L makes at most this many
+    # contractions on a 2-point stack
+    from msgrav import tangents
+    from msgrav.fieldspace import fiber_hessian
+    spec = catalog.builtin("schwarzschild")
+    p = catalog.eh_point_at(spec, np.array(interior_points(spec, 2, seed=5)))
+    real, calls = tangents._contract, []
+
+    def counted(subscripts, ops):
+        calls.append(subscripts)
+        return real(subscripts, ops)
+
+    monkeypatch.setattr(tangents, "_contract", counted)
+    passes = {
+        "hessian": (47, lambda: fiber_hessian(eh.lagrangian_fn, p, ["dg"],
+                                              ["g", "dg"])),
+        "dg": (16, lambda: fiber_gradient(eh.lagrangian_fn, p, ["dg"])),
+        "d2g": (9, lambda: fiber_gradient(eh.lagrangian_fn, p, ["d2g"])),
+    }
+    for name, (budget, run) in passes.items():
+        calls.clear()
+        run()
+        assert 0 < len(calls) <= budget, (name, len(calls))
+
+
 def test_hessian_pass_forms_no_unread_outer_block(monkeypatch):
     # L's outer block meets no inner block (rho and the k coefficient of
     # d2g depend on g alone), so the (dg; g, dg) pass must not form k's

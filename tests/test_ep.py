@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import interior_points
+from conftest import interior_points, projective_shift
 from msgrav import catalog, eh, ep
 from msgrav.fieldspace import (EP_BLOCKS, EPJetPoint, flat_index, perturbed,
                                prolong, trial_rngs)
@@ -108,7 +108,7 @@ def test_torsion_constraint_examples():
     c = ep.constraint_torsion(flat_point(Gamma=Gamma))
     assert c[1, APAIRS.index((2, 3))] == pytest.approx(1.0)
     # pure-trace torsion from a projective shift is removed entirely
-    p = ep.projective_shift(flat_point(), A=np.array([1.0, 0, 0, 0]))
+    p = projective_shift(flat_point(), A=np.array([1.0, 0, 0, 0]))
     assert np.abs(ep.constraint_torsion(p)).max() < 1e-14
     assert np.abs(ep.constraint_torsion_deriv(p)).max() < 1e-14
 
@@ -180,11 +180,11 @@ def test_integrability_trivial_cases():
 
 def test_projective_shift_identity_and_torsion_pattern():
     p = example_point()
-    same = ep.projective_shift(p, A=np.zeros(4))
+    same = projective_shift(p, A=np.zeros(4))
     assert np.allclose(same.Gamma, p.Gamma)
     assert np.allclose(same.dGamma, p.dGamma)
     A = np.array([1.0, 0, 0, 0])
-    q = ep.projective_shift(flat_point(), A=A)
+    q = projective_shift(flat_point(), A=A)
     from msgrav.geometry import torsion_full
     T = torsion_full(q.Gamma)
     want = (np.einsum("ag,b->abg", np.eye(4), A)
@@ -199,7 +199,7 @@ def test_projective_shift_invariance_on_levi_civita():
     for name in ("schwarzschild", "flrw"):
         spec = catalog.builtin(name)
         for x in interior_points(spec, 3, seed=53):
-            p = ep.projective_shift(catalog.ep_point_at(spec, x), A, dA)
+            p = projective_shift(catalog.ep_point_at(spec, x), A, dA)
             assert np.abs(ep.constraint_premetricity(p)).max() < 1e-8
             assert np.abs(ep.constraint_torsion(p)).max() < 1e-8
             assert np.abs(ep.constraint_torsion_deriv(p)).max() < 1e-8
@@ -216,7 +216,7 @@ def test_projective_shift_moves_ricci_but_not_lagrangian():
     A = np.array([0.3, -0.1, 0.2, 0.05])
     dA = np.array([[0.1, -0.4, 0.0, 0.2], [0.3, 0.0, 0.1, 0.0],
                    [0.0, 0.2, -0.1, 0.0], [0.5, 0.0, 0.0, 0.3]])
-    q = ep.projective_shift(p, A=A, dA=dA)
+    q = projective_shift(p, A=A, dA=dA)
     assert abs(ep.lagrangian_fn(q) - ep.lagrangian_fn(p)) < 1e-12
     delta = (ricci_from_connection(q.Gamma, q.dGamma)
              - ricci_from_connection(p.Gamma, p.dGamma))

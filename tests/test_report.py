@@ -324,6 +324,33 @@ def test_ep_chunk_runs_each_momenta_pass_once(monkeypatch):
     assert calls == {"hamiltonian_fn": 3, "momenta_closed_fn": 1}
 
 
+def test_a_one_chunk_check_starts_no_pool(monkeypatch):
+    from msgrav import report
+    started = []
+
+    def pool(*args, **kwargs):
+        started.append(kwargs)
+        raise RuntimeError("a thread pool was started")
+
+    monkeypatch.setattr(report, "ThreadPoolExecutor", pool)
+    for n in (1, report.CHUNK_POINTS):
+        r = run_check(cfg(model="ep", points=n, threads=4))
+        assert r.points == n and r.verdict == "pass"
+    assert not started
+    with pytest.raises(RuntimeError, match="pool"):
+        run_check(cfg(model="ep", points=report.CHUNK_POINTS + 1, threads=4))
+    assert started == [{"max_workers": 4}]
+
+
+def test_config_bounds_the_point_count():
+    from msgrav.errors import ConfigError
+    from msgrav.report import MAX_POINTS
+    assert cfg(points=MAX_POINTS).points == MAX_POINTS
+    for n in (MAX_POINTS + 1, 10**20):
+        with pytest.raises(ConfigError, match="sample points"):
+            cfg(points=n)
+
+
 def test_bad_thread_count_in_environment_is_a_config_error(monkeypatch,
                                                            capsys):
     from msgrav import cli

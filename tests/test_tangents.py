@@ -505,16 +505,33 @@ def test_a_final_permutation_is_a_transpose(monkeypatch, lead):
     assert misses() == before and not calls
 
 
+def test_a_new_chunk_size_plans_nothing_again():
+    # a plan reads the named shapes and the count of leading axes, not
+    # the leading sizes: once each model has run one chunk, chunks of
+    # other sizes (stacked trials included) search no order again
+    from msgrav.tangents import _plan
+    spec = catalog.builtin("kasner")
+    for model in ("eh", "ep"):
+        report.run_check(report.CheckConfig(model=model, spec=spec,
+                                            points=2, seed=5))
+    misses = _plan.cache_info().misses
+    for model in ("eh", "ep"):
+        for n in (1, 3, report.CHUNK_POINTS + 3):
+            report.run_check(report.CheckConfig(model=model, spec=spec,
+                                                points=n, seed=n))
+    assert _plan.cache_info().misses == misses
+
+
 def test_plan_and_program_caches_hold_every_chunk_size():
     # every builtin, both models, one chunk of each size: no entry of
-    # either cache is evicted, so no chunk plans or compiles twice
-    from msgrav.tangents import _plan, _program
+    # any cache is evicted, so no chunk plans or compiles twice
+    from msgrav.tangents import _plan, _program, _steps
     for name in catalog.list_builtins():
         spec = catalog.builtin(name)
         for model in ("eh", "ep"):
             for n in (1, 2, 3, 8):
                 report.run_check(report.CheckConfig(
                     model=model, spec=spec, points=n, seed=n, threads=1))
-    for cache in (_plan, _program):
+    for cache in (_plan, _steps, _program):
         info = cache.cache_info()
         assert info.currsize < info.maxsize, (cache.__name__, info)
