@@ -128,7 +128,7 @@ def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
         Gamma[(..., *lmn)] = val[..., 0]
         dGamma[(..., *lmn, slice(None))] = dval
     return EPJetPoint(x=p.x, g=p.g, Gamma=Gamma, dg=p.dg, dGamma=dGamma,
-                      d2g=p.d2g)
+                      d2g=p.d2g, metric_valid=True)
 
 
 def _where(spec: MetricSpec, x) -> str:

@@ -32,8 +32,8 @@ import numpy as np
 
 from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EH_OFF, EHJetPoint, derivatives, fiber_gradient,
-                         fiber_hessian, perturbed, tangent_lifts,
-                         total_derivatives_vec, trial_rngs)
+                         fiber_hessian, tangent_lifts, total_derivatives_vec,
+                         trial_stack)
 from .geometry import (curvature_bundle, metric_inverse_density,
                        scalar_density)
 from .indexing import DERIVS, DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -213,19 +213,13 @@ def projectability_check(p: EHJetPoint, closed: EHClosed, trials: int, seed):
     on a new leading axis, and one momenta_and_hamiltonian pass covers the
     stack. Every row shares `closed`, p's closed forms, which read only
     the (g, dg) the trials keep, and each trial's AD momenta and H_sum are
-    compared with row 0's. `seed` seeds each point's trials: an int, or an
-    array of p's leading shape. Returns (max deviation of H_sum/L2_ad/L1,
-    max deviation of L itself, p's momenta), the first two of p's leading
-    shape; the second is the control showing L is genuinely second order.
+    compared with row 0's. `seed` seeds each point's trials (trial_stack).
+    Returns (max deviation of H_sum/L2_ad/L1, max deviation of L itself,
+    p's momenta), the first two of p's leading shape; the second is the
+    control showing L is genuinely second order.
     """
-    rngs = trial_rngs(seed, p.lead)
-    d2g, d3g = map(np.stack, zip((p.d2g, p.d3g), *[
-        (perturbed(rngs, p.d2g), perturbed(rngs, p.d3g))
-        for _ in range(trials)]))
-    x, g, dg = (np.broadcast_to(a, (1 + trials,) + a.shape)
-                for a in (p.x, p.g, p.dg))
     m = momenta_and_hamiltonian(
-        EHJetPoint(x=x, g=g, dg=dg, d2g=d2g, d3g=d3g), closed)
+        trial_stack(p, ("d2g", "d3g"), trials, seed), closed)
     base = replace(m, L=m.L[0], L2_ad=m.L2_ad[0], L1=m.L1[0],
                    H_sum=m.H_sum[0])
     dev = np.maximum.reduce([

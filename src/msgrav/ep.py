@@ -6,14 +6,14 @@ The connection is an independent field with no symmetry assumed; curvature
 comes from the same Ricci kernel as the metric model, which is what makes
 the torsionless-metric gauge comparison a genuine cross-check. A point's
 checks take four AD passes, and no plain call repeats one, since a dual
-pass's value is bitwise the plain call's: `momenta_ep` (gradient passes
-of L over dGamma, of the closed momenta over g and of the Hamiltonian over
-(g, Gamma)), which each operation that reads them takes as `m`, and
-`constraint_c0` (L over g). Each projectability trial adds an L pass and
-a plain Hamiltonian call at its own point. Fiber functions read a point's
-blocks, as arrays, Tan or Jet2; the closed forms are einsums. Every
-operation takes one point or a stack of points on leading axes; per-point
-results are arrays of the leading shape, 0-d for one point.
+pass's value is bitwise the plain call's: `closed_forms_ep` (the closed
+momenta over g, the Hamiltonian over (g, Gamma)), which each operation
+that reads them takes as `closed`, `momenta_ep` (L over dGamma, for the
+point and its projectability trials stacked) and `constraint_c0` (L over
+g). Fiber functions read a point's blocks, as arrays, Tan or Jet2; the
+closed forms are einsums. Every operation takes one point or a stack of
+points on leading axes; per-point results are arrays of the leading
+shape, 0-d for one point.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import Form, cartan_form, contract_terms
-from .fieldspace import (EP_OFF, EPJetPoint, fiber_gradient, perturbed,
-                         tangent_lifts, trial_rngs)
+from .fieldspace import (EP_OFF, EPJetPoint, fiber_gradient, tangent_lifts,
+                         trial_stack)
 from .geometry import (metric_inverse_density, ricci_from_connection,
                        torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -71,22 +71,31 @@ def hamiltonian_fn(pt):
 # -- momenta and Hamiltonian ------------------------------------------------
 
 @dataclass(frozen=True)
+class EPClosed:
+    """The closed forms at a point's (g, Gamma), each with its lead."""
+
+    Lmom: Tan    # momenta_closed_fn; g: by g
+    H: Tan       # hamiltonian_fn; g: by (g, Gamma)
+
+
+def closed_forms_ep(p: EPJetPoint) -> EPClosed:
+    """The closed momenta's pass over g and H's over (g, Gamma)."""
+    return EPClosed(Lmom=fiber_gradient(momenta_closed_fn, p, ["g"]),
+                    H=fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]))
+
+
+@dataclass(frozen=True)
 class EPMomenta:
-    """The momenta's three passes at a point, with the derivatives the
-    checks read; each has the point's leading shape in front."""
+    """Each field has the point's leading shape in front."""
 
     L: np.ndarray
     Lmom_ad: np.ndarray      # (4, 4, 4, 4): d L / d Gamma^a_{bc,s}
-    Lmom_closed: Tan         # momenta_closed_fn; g: by g
-    H: Tan                   # hamiltonian_fn; g: by (g, Gamma)
 
 
 def momenta_ep(p: EPJetPoint) -> EPMomenta:
-    """The three gradient passes; their values are the plain calls'."""
+    """The AD momenta from one gradient pass of L over dGamma."""
     grad = fiber_gradient(lagrangian_fn, p, ["dGamma"])
-    return EPMomenta(L=grad.v, Lmom_ad=grad.g.reshape(p.lead + (DIM,) * 4),
-                     Lmom_closed=fiber_gradient(momenta_closed_fn, p, ["g"]),
-                     H=fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]))
+    return EPMomenta(L=grad.v, Lmom_ad=grad.g.reshape(p.lead + (DIM,) * 4))
 
 
 # -- constraint families ----------------------------------------------------
@@ -159,33 +168,28 @@ def constraint_integrability(p: EPJetPoint) -> np.ndarray:
 
 # -- projectability ---------------------------------------------------------
 
-def projectability_check_ep(p: EPJetPoint, m: EPMomenta, trials: int, seed):
-    """Randomize the first-order blocks; momenta and Hamiltonian must hold
-    still. `m` is momenta_ep(p). Lmom_closed reads g only, which the
-    trials keep, so it is projectable by construction and not compared.
-    `seed` seeds each point's trials: an int, or an array of p's leading
-    shape. Returns (max deviation, max Lagrangian deviation as control),
-    each of p's leading shape."""
-    rngs = trial_rngs(seed, p.lead)
-    dev = control = np.zeros(p.lead)
-    for _ in range(trials):
-        q = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma,
-                       dg=perturbed(rngs, p.dg),
-                       dGamma=perturbed(rngs, p.dGamma))
-        grad = fiber_gradient(lagrangian_fn, q, ["dGamma"])
-        dev = np.maximum.reduce([
-            dev, np.abs(hamiltonian_fn(q) - m.H.v),
-            np.abs(grad.g.reshape(p.lead + (DIM,) * 4)
-                   - m.Lmom_ad).max(axis=(-4, -3, -2, -1))])
-        control = np.maximum(control, np.abs(grad.v - m.L))
-    return dev, control
+def projectability_check_ep(p: EPJetPoint, closed: EPClosed, trials, seed):
+    """Randomize the first-order blocks; H and the AD momenta must hold
+    still. p rides as row 0 in front of `trials` (at least one) randomized
+    copies on a new leading axis: one momenta_ep pass and one plain H call
+    cover the stack. The trials keep (g, Gamma), so `closed`, p's closed
+    forms, holds every row's closed momenta (projectable by construction,
+    not compared) and H. `seed` seeds each point's trials (trial_stack).
+    Returns (max deviation, max Lagrangian deviation as control, p's
+    momenta), the first two of p's leading shape."""
+    q = trial_stack(p, ("dg", "dGamma"), trials, seed)
+    m = momenta_ep(q)
+    base = EPMomenta(L=m.L[0], Lmom_ad=m.Lmom_ad[0])
+    dev = np.maximum(np.abs(hamiltonian_fn(q)[1:] - closed.H.v), np.abs(
+        m.Lmom_ad[1:] - base.Lmom_ad).max(axis=(-4, -3, -2, -1)))
+    return dev.max(axis=0), np.abs(m.L[1:] - base.L).max(axis=0), base
 
 
 # -- Poincare-Cartan form and field equations -------------------------------
 
-def cartan_form_ep(p: EPJetPoint, m: EPMomenta) -> Form:
+def cartan_form_ep(p: EPJetPoint, closed: EPClosed) -> Form:
     """dH ^ d4x minus one momenta block per connection coordinate, laid
-    out from `m`, the momenta_ep(p) passes.
+    out from `closed`, p's closed forms.
 
     Both dH and the momenta differentials are supported on (g, Gamma),
     which projectability_check_ep verifies independently; for the momenta
@@ -194,16 +198,16 @@ def cartan_form_ep(p: EPJetPoint, m: EPMomenta) -> Form:
     g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
     # the form lives on the (x, g, Gamma) coordinates
     dense = np.zeros(p.lead + (1 + DIM ** 4, dg0))
-    dense[..., 0, g0:] = m.H.g
-    dense[..., 1:, g0:gam0] = m.Lmom_closed.g.reshape(p.lead + (-1, NPAIR))
+    dense[..., 0, g0:] = closed.H.g
+    dense[..., 1:, g0:gam0] = closed.Lmom.g.reshape(p.lead + (-1, NPAIR))
     return cartan_form(dense, gam0)
 
 
-def field_equation_covector_ep(p: EPJetPoint, m: EPMomenta) -> np.ndarray:
+def field_equation_covector_ep(p: EPJetPoint, closed: EPClosed) -> np.ndarray:
     """i(X0)...i(X3) of the 5-form over its (x, g, Gamma) coordinates."""
-    form = cartan_form_ep(p, m)
+    form = cartan_form_ep(p, closed)
     return contract_terms(form, tangent_lifts(p, form.dense.shape[-1]))
 
 
-def verify_field_equation_ep(p: EPJetPoint, m: EPMomenta) -> np.ndarray:
-    return np.abs(field_equation_covector_ep(p, m)).max(axis=-1)
+def verify_field_equation_ep(p: EPJetPoint, closed: EPClosed) -> np.ndarray:
+    return np.abs(field_equation_covector_ep(p, closed)).max(axis=-1)

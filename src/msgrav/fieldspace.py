@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,9 +99,10 @@ def _shape_checks(blocks, extensions):
 class _JetPoint:
     """Validates a point's blocks against its tables and keeps read-only
     views of them, so the caller's arrays stay writeable; the blocks of a
-    stack of points share one leading shape."""
+    stack of points share one leading shape. g must be Lorentzian unless
+    `metric_valid`: g is a checked point's (an ep point made from it)."""
 
-    def __post_init__(self):
+    def __post_init__(self, metric_valid):
         lead = np.shape(self.x)[:-1]
         for name, shape, optional in self._checks:
             arr = getattr(self, name)
@@ -112,7 +114,8 @@ class _JetPoint:
                     f"{name} block has shape {arr.shape}, want {lead + shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        _check_lorentzian(self.g)
+        if not metric_valid:
+            _check_lorentzian(self.g)
 
     @property
     def lead(self) -> tuple:
@@ -137,6 +140,7 @@ class EHJetPoint(_JetPoint):
     dg: np.ndarray
     d2g: np.ndarray
     d3g: np.ndarray
+    metric_valid: InitVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,7 @@ class EPJetPoint(_JetPoint):
     dg: np.ndarray
     dGamma: np.ndarray
     d2g: np.ndarray | None = field(default=None)
+    metric_valid: InitVar[bool] = False
 
 
 # -- prolongation -----------------------------------------------------------
@@ -192,20 +197,27 @@ def prolong(metric_series) -> EHJetPoint:
                       d3g=d3g)
 
 
-def perturbed(rngs, arr):
-    """A random jet block near arr, for projectability trials: each point
-    of arr's leading shape draws its block from its own generator in
-    `rngs`, in the points' order."""
-    n = arr.size // len(rngs)
-    u = np.concatenate([rng.uniform(-0.1, 0.1, size=n) for rng in rngs])
-    return arr + u.reshape(arr.shape) * (1.0 + np.abs(arr))
+def trial_stack(p, blocks, trials, seed):
+    """p as row 0 in front of `trials` copies on a new leading axis, for
+    projectability trials. Each copy moves the named blocks to random
+    values near p's, a + u (1 + |a|) with u uniform in (-0.1, 0.1), each
+    point drawing trial by trial, block by block, from its own generator;
+    `seed` seeds them, an int for one point or an array of p's leading
+    shape. The other blocks are p's own, so every row keeps p's checked g."""
+    rngs = [np.random.default_rng(s)
+            for s in np.broadcast_to(seed, p.lead).ravel().tolist()]
 
+    def perturbed(a):
+        u = np.concatenate([r.uniform(-0.1, 0.1, size=a.size // len(rngs))
+                            for r in rngs])
+        return a + u.reshape(a.shape) * (1.0 + np.abs(a))
 
-def trial_rngs(seed, lead):
-    """One generator per point of the leading shape; `seed` is an int for
-    one point or an array of the leading shape."""
-    return [np.random.default_rng(s)
-            for s in np.broadcast_to(seed, lead).ravel().tolist()]
+    rows = [[getattr(p, b) for b in blocks]] + [
+        [perturbed(getattr(p, b)) for b in blocks] for _ in range(trials)]
+    new = dict(zip(blocks, map(np.stack, zip(*rows))))
+    return type(p)(**{b: new[b] if b in new else np.broadcast_to(
+        a, (1 + trials,) + a.shape) for b, a in vars(p).items()
+        if a is not None}, metric_valid=True)
 
 
 # -- fiber differentiation --------------------------------------------------
@@ -215,28 +227,34 @@ def _view(p, duals):
     return SimpleNamespace(**{**vars(p), **duals})
 
 
-def _identity_seeds(p, blocks):
-    """One seed per ordered coordinate of `blocks`, in flat layout order,
-    shaped leading shape + block shape + (n,). The seeds do not depend on
-    the point, so a stack shares one copy through broadcasting."""
-    shapes = [getattr(p, b).shape[len(p.lead):] for b in blocks]
+@lru_cache(maxsize=None)
+def _seed_blocks(shapes, k):
+    """Identity seeds for blocks of these shapes, each k unit leading axes
+    + block shape + (n,), read-only views of one identity."""
     sizes = [math.prod(s) for s in shapes]
     eye = np.eye(sum(sizes))
-    ends = np.cumsum(sizes)
-    return {b: np.broadcast_to(eye[e - n:e].reshape(s + (-1,)),
-                               p.lead + s + (len(eye),))
-            for b, s, n, e in zip(blocks, shapes, sizes, ends)}
+    eye.flags.writeable = False
+    return tuple(eye[e - n:e].reshape((1,) * k + s + (-1,))
+                 for s, n, e in zip(shapes, sizes, np.cumsum(sizes)))
+
+
+def _identity_seeds(p, blocks):
+    """One seed per ordered coordinate of `blocks`, in flat layout order.
+    The seeds do not depend on the point, so every row of a stack and
+    every pass over the same blocks share one cached copy."""
+    k = len(p.lead)
+    return dict(zip(blocks, _seed_blocks(
+        tuple(getattr(p, b).shape[k:] for b in blocks), k)))
 
 
 def _tangent_pass(f, p, seeds, hidden=()) -> Tan:
     """f at p with the blocks in `seeds` seeded, and those in `hidden`
-    None, always as a Tan."""
+    None, always as a Tan whose gradient has the value's full shape."""
     out = f(_view(p, dict.fromkeys(hidden) | {
         b: Tan(getattr(p, b), s) for b, s in seeds.items()}))
-    if not isinstance(out, Tan):
-        n = next(iter(seeds.values())).shape[-1]
-        out = Tan(out, np.zeros(np.shape(out) + (n,)))
-    return out
+    n = next(iter(seeds.values())).shape[-1]
+    v, g = (out.v, out.g) if isinstance(out, Tan) else (out, 0.0)
+    return Tan(v, np.broadcast_to(g, np.shape(v) + (n,)))
 
 
 def fiber_gradient(f, p, blocks) -> Tan:
@@ -255,8 +273,9 @@ def fiber_hessian(f, p, inner, outer) -> np.ndarray:
     """Mixed second derivatives of a scalar f, (inner coords, outer coords):
     one Jet2 pass, inner blocks seeded in `a` and outer ones in `b`."""
     a, b = _identity_seeds(p, inner), _identity_seeds(p, outer)
-    return f(_view(p, {k: Jet2(getattr(p, k), a.get(k), b.get(k), None)
-                       for k in dict.fromkeys((*inner, *outer))})).m
+    out = f(_view(p, {k: Jet2(getattr(p, k), a.get(k), b.get(k), None)
+                      for k in dict.fromkeys((*inner, *outer))}))
+    return np.broadcast_to(out.m, out.v.shape + out.m.shape[-2:])
 
 
 # -- total derivatives ------------------------------------------------------

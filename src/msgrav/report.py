@@ -176,14 +176,12 @@ def _ep_point_checks(spec, xs, seeds):
     kept, p = _built(xs, lambda x: catalog.ep_point_at(spec, x))
     if not kept:
         return kept, {}
-    out = {}
-    # the momenta's passes serve the trials and the Cartan form
-    m = ep.momenta_ep(p)
-    out["momenta-identity"] = _rel(_amax(m.Lmom_ad - m.Lmom_closed.v),
-                                   _amax(m.Lmom_closed.v))
-    dev, _ = ep.projectability_check_ep(p, m, trials=2,
-                                        seed=np.array(seeds)[kept])
-    out["projectability"] = dev
+    # the closed forms serve the momenta, the trials and the Cartan form
+    closed = ep.closed_forms_ep(p)
+    dev, _, m = ep.projectability_check_ep(p, closed, 2, np.array(seeds)[kept])
+    out = {"momenta-identity": _rel(_amax(m.Lmom_ad - closed.Lmom.v),
+                                    _amax(closed.Lmom.v)),
+           "projectability": dev}
     # the ep point carries the metric jet's g, dg and d2g blocks
     l_eh = eh.lagrangian_eh(p)
     out["eh-equivalence"] = _rel(np.abs(m.L - l_eh), l_eh)
@@ -192,7 +190,7 @@ def _ep_point_checks(spec, xs, seeds):
     out["torsion"] = _amax(ep.constraint_torsion(p))
     out["torsion-derivative"] = _amax(ep.constraint_torsion_deriv(p))
     out["integrability"] = _amax(ep.constraint_integrability(p))
-    out["field-equation"] = ep.verify_field_equation_ep(p, m)
+    out["field-equation"] = ep.verify_field_equation_ep(p, closed)
     return kept, out
 
 

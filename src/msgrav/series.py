@@ -1,17 +1,17 @@
 """Exact truncated multivariate Taylor series in the 4 base coordinates.
 
 A JetScalar holds Taylor coefficients (derivative / m!) of an analytic
-function around a base point, truncated at total degree K (default 4).
-Products are clean convolutions in this normalization; jet-coordinate
-extraction multiplies back by m!.
+function around a base point, truncated at total degree K (the metric
+jets use K = 3, `fieldspace.ORDER`). Products are clean convolutions in
+this normalization; jet-coordinate extraction multiplies back by m!.
 
-Storage is dense over all multi-indices of degree <= K; for K = 4 in 4
-variables that is C(8,4) = 70 coefficients, where dense beats any sparse
+Storage is dense over all multi-indices of degree <= K; for K = 3 in 4
+variables that is C(7,3) = 35 coefficients, where dense beats any sparse
 scheme and multiplication is a fixed precomputed index loop.
 
 A JetScalar may stack series about several base points on leading axes,
 the rule `tangents` uses for sample points: `base` is (..., 4) and
-`coeffs` (..., 70). The check runner builds each chunk of sample points
+`coeffs` (..., 35). The check runner builds each chunk of sample points
 this way, walking every expression tree once per chunk, and each row
 keeps the exact arithmetic of a series built alone (Taylor propagation:
 Griewank, Utke & Walther, Math. Comp. 69, 2000).

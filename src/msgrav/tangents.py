@@ -32,15 +32,21 @@ Elementwise products broadcast from the right, so a per-point scalar
 times a tensor is written `einsum(",ab->ab", s, t)`, never `s * t`. A
 single point is the case with no batch axis.
 
+Block-shape rule: a dual's blocks broadcast against its value shape plus
+their seed axes: a block may keep unit leading axes, as an identity seed
+every row shares does, until it meets a per-row operand. So index leading
+axes only on a pass's results, which `fieldspace` returns full-shaped.
+
 Plan and dispatch: a signature is planned once per (subscripts, named
 shapes, count of leading axes), greedily on the named axes alone, and a
 new leading shape (chunk size) only fills the plan in. Each `einsum`
 (subscripts, block pattern) compiles once to the subscripts of its value
-and of every product-rule term. A pair step is
-one np.matmul of C-contiguous (batch, M, K) and (batch, K, N) operands,
-the leading axes among the batch axes, so BLAS sums a stacked row exactly
-as the row alone; traces and index sums are single-operand np.einsum
-steps, and a permutation left at the end is a transposed view.
+and of every product-rule term. A pair step is one np.matmul of
+C-contiguous (batch, M, K) and (batch, K, N) operands, the leading axes
+among the batch axes, so BLAS sums a stacked row exactly as the row alone
+and broadcasts an operand the rows share, never copied per row; traces
+and index sums are single-operand np.einsum steps, and a permutation left
+at the end is a transposed view.
 
 Finite differences are deliberately absent here; they live only in the
 tests.
@@ -126,21 +132,12 @@ def _total(blocks):
     return total
 
 
-def _widen(d, shape, k):
-    """Broadcast block d to value shape `shape`; constants share storage,
-    which is safe because no operation here writes into a block."""
-    if d is None:
-        return None
-    full = shape + d.shape[d.ndim - k:]
-    return d if d.shape == full else np.broadcast_to(d, full)
-
-
 class _Dual:
-    """Arithmetic shared by Tan and Jet2; blocks a, b, m may be None. The
-    outer block is stored in `_b`, an array, a `_Later` or None, and read
-    through `b`; operations pass it on deferred, as a `_Later`, or as None
-    without building one when every outer block they combine is None (as
-    in every Tan operation)."""
+    """Arithmetic shared by Tan and Jet2, which build results by `_new`;
+    blocks a, b, m may be None. The outer block is stored in `_b`, an
+    array, a `_Later` or None, and read through `b`; operations pass it on
+    deferred, as a `_Later`, or as None without building one when every
+    outer block they combine is None (as in every Tan operation)."""
 
     __slots__ = ("v", "a", "_b", "m")
     # numpy defers binary operators to the dual instead of looping over it
@@ -150,17 +147,6 @@ class _Dual:
     def b(self):
         self._b = _force(self._b)
         return self._b
-
-    def _make(self, v, a, b, m):
-        raise NotImplementedError
-
-    def _new(self, v, a, b, m):
-        """The dual of value v, each block widened to v's shape; b may be
-        a `_Later`, widened when it is forced."""
-        shape = np.shape(v)
-        b = (_Later(lambda d: _widen(d, shape, 1), (b,))
-             if isinstance(b, _Later) else _widen(b, shape, 1))
-        return self._make(v, _widen(a, shape, 1), b, _widen(m, shape, 2))
 
     def _same(self, o):
         if type(o) is not type(self):
@@ -245,7 +231,7 @@ class _Dual:
             return None if d is None else d[idx + (slice(None),) * k]
 
         b = None if self._b is None else _Later(lambda d: at(d, 1), (self._b,))
-        return self._make(self.v[idx], at(self.a, 1), b, at(self.m, 2))
+        return self._new(self.v[idx], at(self.a, 1), b, at(self.m, 2))
 
 
 class Tan(_Dual):
@@ -269,7 +255,7 @@ class Tan(_Dual):
             g[..., i] = 1.0
         return cls(value, g)
 
-    def _make(self, v, a, b, m):
+    def _new(self, v, a, b, m):
         return Tan(v, a)
 
 
@@ -286,7 +272,7 @@ class Jet2(_Dual):
                    else np.asarray(b, dtype=float))
         self.m = None if m is None else np.asarray(m, dtype=float)
 
-    def _make(self, v, a, b, m):
+    def _new(self, v, a, b, m):
         return Jet2(v, a, b, m)
 
 
@@ -297,15 +283,13 @@ def _kept(term, keep):
     return "".join(c for c in dict.fromkeys(term) if c in keep)
 
 
-def _prep(term, orig, groups, k, size):
-    """(einsum summing the letters outside `groups`, (orig, broadcast
-    trailing shape) for operand number orig, axis permutation, trailing
-    matmul shape; None where not needed) for one operand."""
+def _prep(term, groups, k, size):
+    """(einsum summing the letters outside `groups`, axis permutation,
+    trailing matmul shape; None where not needed) for one operand."""
     letters = "".join(groups)
     kept = _kept(term, letters)
     axes = tuple(range(k)) + tuple(k + kept.index(c) for c in letters)
     return (None if kept == term else f"...{term}->...{kept}",
-            None if orig is None else (orig, tuple(size[c] for c in kept)),
             None if letters == kept else axes,
             tuple(math.prod(size[c] for c in g) for g in groups))
 
@@ -319,16 +303,16 @@ def _plan(subscripts, shapes):
     and appends it; with no memory limit, no step takes three operands.
     `final` is None, axes when only a permutation is left, or an einsum."""
     ins, out = subscripts.replace("...", "").split("->")
-    ops = [(t, k) for k, t in enumerate(ins.split(","))]
-    size = {c: n for (t, _), s in zip(ops, shapes)
+    ops = ins.split(",")
+    size = {c: n for t, s in zip(ops, shapes)
             for c, n in zip(t, s[len(s) - len(t):])}
-    k = max(len(s) - len(t) for (t, _), s in zip(ops, shapes))
+    k = max(len(s) - len(t) for t, s in zip(ops, shapes))
 
     def n(letters):
         return math.prod(map(size.__getitem__, letters))
 
     def keep(idx):
-        return set(out).union(*(t for j, (t, _) in enumerate(ops)
+        return set(out).union(*(t for j, t in enumerate(ops)
                                 if j not in idx))
 
     def rank(idx):
@@ -338,21 +322,21 @@ def _plan(subscripts, shapes):
 
     steps = []
     while len(ops) > 1:
-        sets = [set(t) for t, _ in ops]
+        sets = [set(t) for t in ops]
         idx = min(itertools.combinations(range(len(ops)), 2), key=rank)
         kept = keep(idx)
-        (s, so), (t, to) = ops[idx[0]], ops[idx[1]]
+        s, t = ops[idx[0]], ops[idx[1]]
         s1, t1 = _kept(s, kept | set(t)), _kept(t, kept | set(s))
         bat = "".join(c for c in s1 if c in t1 and c in kept)
         con = "".join(c for c in s1 if c in t1 and c not in kept)
         rows = "".join(c for c in s1 if c not in t1)
         cols = "".join(c for c in t1 if c not in s1)
         new = bat + rows + cols
-        steps.append(idx + (_prep(s, so, (bat, rows, con), k, size),
-                            _prep(t, to, (bat, con, cols), k, size),
+        steps.append(idx + (_prep(s, (bat, rows, con), k, size),
+                            _prep(t, (bat, con, cols), k, size),
                             not con, tuple(size[c] for c in new)))
-        ops = [o for j, o in enumerate(ops) if j not in idx] + [(new, None)]
-    final = ops[0][0]
+        ops = [o for j, o in enumerate(ops) if j not in idx] + [new]
+    final = ops[0]
     if final != out and sorted(final) == sorted(out):
         return tuple(steps), tuple(range(k)) + tuple(k + final.index(c)
                                                      for c in out)
@@ -361,33 +345,32 @@ def _plan(subscripts, shapes):
 
 @lru_cache(maxsize=4096)
 def _steps(subscripts, shapes):
-    """`_plan` for these full shapes: the leading shape in front of each
-    trailing one, and an operand broadcast where its leading shape is not
-    the result's. A new leading shape runs only this, which plans nothing."""
+    """`_plan` for these full shapes: (each operand's shape padded with
+    unit leading axes, or None; steps; final). A step keeps its operands'
+    own leading shapes, which np.matmul and `*` broadcast. A new leading
+    shape runs only this, which plans nothing."""
     ins = subscripts.replace("...", "").split("->")[0].split(",")
-    leads = [s[:len(s) - len(t)] for t, s in zip(ins, shapes)]
-    steps, final = _plan(subscripts, tuple(
-        (1,) * len(g) + s[len(g):] for g, s in zip(leads, shapes)))
-    lead = leads[0] if len(set(leads)) == 1 else np.broadcast_shapes(*leads)
-
-    def fill(r, w, x, m):
-        return (r, None if w is None or leads[w[0]] == lead else lead + w[1],
-                x, lead + m)
-
-    return tuple((i, j, fill(*pa), fill(*pb), outer, lead + tail)
-                 for i, j, pa, pb, outer, tail in steps), final
+    k = max(len(s) - len(t) for t, s in zip(ins, shapes))
+    full = [(1,) * (k + len(t) - len(s)) + s for t, s in zip(ins, shapes)]
+    steps, final = _plan(subscripts, tuple((1,) * k + s[k:] for s in full))
+    leads, filled = [s[:k] for s in full], []
+    for i, j, (ra, xa, ma), (rb, xb, mb), outer, tail in steps:
+        lb, la = leads.pop(j), leads.pop(i)
+        leads.append(np.broadcast_shapes(la, lb))
+        filled.append((i, j, (ra, xa, la + ma), (rb, xb, lb + mb), outer,
+                       leads[-1] + tail))
+    return (tuple(None if f == s else f for f, s in zip(full, shapes)),
+            tuple(filled), final)
 
 
 def _contract(subscripts, ops):
     """np.einsum of `subscripts`, each term prefixed by `...`, by plan."""
-    ops = list(ops)
-    steps, final = _steps(subscripts, tuple([o.shape for o in ops]))
-    for i, j, (ra, wa, xa, ma), (rb, wb, xb, mb), outer, shape in steps:
+    pads, steps, final = _steps(subscripts, tuple([o.shape for o in ops]))
+    ops = [o if s is None else o.reshape(s) for o, s in zip(ops, pads)]
+    for i, j, (ra, xa, ma), (rb, xb, mb), outer, shape in steps:
         b, a = ops.pop(j), ops.pop(i)
         a = a if ra is None else np.einsum(ra, a)
-        a = a if wa is None else np.broadcast_to(a, wa)
         b = b if rb is None else np.einsum(rb, b)
-        b = b if wb is None else np.broadcast_to(b, wb)
         a = np.ascontiguousarray(a if xa is None else a.transpose(xa))
         b = np.ascontiguousarray(b if xb is None else b.transpose(xb))
         a, b = a.reshape(ma), b.reshape(mb)

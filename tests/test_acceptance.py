@@ -104,8 +104,8 @@ def test_acceptance_6_projectability():
         p_eh, eh.closed_forms(p_eh), trials=10, seed=3)
     p_ep = catalog.ep_point_at(catalog.builtin("flrw"),
                                (0.3, 0.1, 0.2, -0.4))
-    dev_ep, ctrl_ep = ep.projectability_check_ep(
-        p_ep, ep.momenta_ep(p_ep), trials=10, seed=3)
+    dev_ep, ctrl_ep, _ = ep.projectability_check_ep(
+        p_ep, ep.closed_forms_ep(p_ep), trials=10, seed=3)
     ok = (dev_eh <= 1e-10 and dev_ep <= 1e-10
           and ctrl_eh > 1e-3 and ctrl_ep > 1e-3)
     _verdict(6, f"projectability, dev {max(dev_eh, dev_ep):.2e} "

@@ -190,6 +190,26 @@ def test_projectability_fails_a_lagrangian_not_affine_in_d2g(monkeypatch):
     assert control == pytest.approx(control_ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("component", ["H_sum", "L2_ad", "L1"])
+def test_projectability_reads_each_compared_component(monkeypatch,
+                                                      component):
+    # a shift of one compared component by eps in the trial rows alone
+    # must read as a deviation of eps
+    from dataclasses import replace
+    eps, real = 1e-3, eh.momenta_and_hamiltonian
+
+    def shifted(q, closed):
+        m = real(q, closed)
+        v = getattr(m, component).copy()
+        v[1:] += eps
+        return replace(m, **{component: v})
+
+    monkeypatch.setattr(eh, "momenta_and_hamiltonian", shifted)
+    p = point("schwarzschild")
+    dev, _, _ = eh.projectability_check(p, eh.closed_forms(p), 2, 0)
+    assert dev == pytest.approx(eps, rel=1e-9)
+
+
 @pytest.mark.parametrize("trials", [1, 2, 3])
 def test_stacked_projectability_rows_equal_single_point_calls(trials):
     # the trials of a stack ride one pass over (trials, points) rows; each

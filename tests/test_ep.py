@@ -5,8 +5,8 @@ import pytest
 
 from conftest import interior_points, projective_shift
 from msgrav import catalog, eh, ep
-from msgrav.fieldspace import (EP_BLOCKS, EPJetPoint, flat_index, perturbed,
-                               prolong, trial_rngs)
+from msgrav.fieldspace import (EP_BLOCKS, EPJetPoint, flat_index, prolong,
+                               trial_stack)
 from msgrav.indexing import APAIRS, DIM, PAIRS, pair_index
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
@@ -47,7 +47,7 @@ def test_momenta_closed_form_and_antisymmetry():
     p = flat_point(Gamma=rng.normal(size=(4, 4, 4)),
                    dGamma=rng.normal(size=(4, 4, 4, 4)))
     m = ep.momenta_ep(p)
-    assert np.abs(m.Lmom_ad - m.Lmom_closed.v).max() < 1e-12
+    assert np.abs(m.Lmom_ad - ep.closed_forms_ep(p).Lmom.v).max() < 1e-12
     anti = m.Lmom_ad + np.transpose(m.Lmom_ad, (0, 3, 2, 1))
     assert np.abs(anti).max() < 1e-12
     # flat metric: L_2^{11,2} = g^{11} = 1
@@ -58,9 +58,9 @@ def test_hamiltonian_trivial_and_legendre_cancellation():
     rng = np.random.default_rng(1)
     # Gamma = 0: L is purely linear in dGamma, so H vanishes identically
     p = flat_point(dGamma=rng.normal(size=(4, 4, 4, 4)))
-    assert abs(ep.momenta_ep(p).H.v) < 1e-12
+    assert abs(ep.closed_forms_ep(p).H.v) < 1e-12
     # the example connection: H = -(quadratic part) = -6
-    assert ep.momenta_ep(example_point()).H.v == pytest.approx(-6.0)
+    assert ep.closed_forms_ep(example_point()).H.v == pytest.approx(-6.0)
 
 
 def test_metric_equation_trivial_zero():
@@ -227,33 +227,99 @@ def test_projective_shift_moves_ricci_but_not_lagrangian():
 def test_projectability_and_controls():
     spec = catalog.builtin("schwarzschild")
     p = catalog.ep_point_at(spec, (0.0, 5.0, 1.2, 3.0))
-    m = ep.momenta_ep(p)
-    dev, control = ep.projectability_check_ep(p, m, trials=5, seed=0)
+    closed = ep.closed_forms_ep(p)
+    dev, control, _ = ep.projectability_check_ep(p, closed, trials=5, seed=0)
     assert dev < 1e-10
     assert control > 1e-3
     # H reads (g, Gamma) alone, so randomizing dGamma by itself must leave
     # it still
-    rngs = trial_rngs(0, p.lead)
-    for _ in range(5):
-        q = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma, dg=p.dg,
-                       dGamma=perturbed(rngs, p.dGamma))
-        assert abs(ep.hamiltonian_fn(q) - m.H.v) < 1e-12
+    q = trial_stack(p, ("dGamma",), 5, 0)
+    assert np.abs(ep.hamiltonian_fn(q)[1:] - closed.H.v).max() < 1e-12
+
+
+@pytest.mark.parametrize("component", ["H", "Lmom_ad"])
+def test_projectability_reads_each_compared_component(monkeypatch,
+                                                      component):
+    # a shift of one compared component by eps in the trial rows alone
+    # must read as a deviation of eps
+    from dataclasses import replace
+    eps = 1e-3
+    p = catalog.ep_point_at(catalog.builtin("schwarzschild"),
+                            (0.0, 5.0, 1.2, 3.0))
+    closed = ep.closed_forms_ep(p)
+    if component == "H":
+        # after the closed forms, the plain H call sees the trials alone
+        real_h = ep.hamiltonian_fn
+        monkeypatch.setattr(ep, "hamiltonian_fn", lambda pt: real_h(pt) + eps)
+    else:
+        real = ep.momenta_ep
+
+        def shifted(q):
+            m = real(q)
+            v = m.Lmom_ad.copy()
+            v[1:] += eps
+            return replace(m, Lmom_ad=v)
+
+        monkeypatch.setattr(ep, "momenta_ep", shifted)
+    dev, _, _ = ep.projectability_check_ep(p, closed, 2, 0)
+    assert dev == pytest.approx(eps, rel=1e-9)
+
+
+def _reference_projectability(p, trials, seed):
+    """Each trial a point of its own, with its own L pass and plain H
+    call, compared with p's passes."""
+    closed, m = ep.closed_forms_ep(p), ep.momenta_ep(p)
+    stack = trial_stack(p, ("dg", "dGamma"), trials, seed)
+    dev = control = 0.0
+    for t in range(1, 1 + trials):
+        q = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma, dg=stack.dg[t],
+                       dGamma=stack.dGamma[t])
+        mq = ep.momenta_ep(q)
+        dev = max(dev, abs(ep.hamiltonian_fn(q) - closed.H.v),
+                  np.abs(mq.Lmom_ad - m.Lmom_ad).max())
+        control = max(control, abs(mq.L - m.L))
+    return dev, control, m
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_stacked_projectability_rows_equal_single_point_calls(trials):
+    # the trials of a stack ride one L pass over (trials, points) rows;
+    # each point's deviations are those of the point checked alone, and
+    # of its trials checked one after another
+    spec = catalog.builtin("kasner")
+    xs = np.array(interior_points(spec, 3, seed=53))
+    seeds = np.array([7, 8, 9])
+    stack = catalog.ep_point_at(spec, xs)
+    dev, control, base = ep.projectability_check_ep(
+        stack, ep.closed_forms_ep(stack), trials, seeds)
+    assert dev.shape == control.shape == (3,)
+    for i, (x, s) in enumerate(zip(xs, seeds)):
+        p = catalog.ep_point_at(spec, x)
+        one = ep.projectability_check_ep(p, ep.closed_forms_ep(p), trials,
+                                         int(s))
+        ref = _reference_projectability(p, trials, int(s))
+        for got in (one, ref):
+            assert np.array_equal(got[0], dev[i])
+            assert np.array_equal(got[1], control[i])
+            assert np.array_equal(got[2].L, base.L[i])
+            assert np.array_equal(got[2].Lmom_ad, base.Lmom_ad[i])
 
 
 def test_cartan_form_term_count():
     spec = catalog.builtin("minkowski")
     p = catalog.ep_point_at(spec, (0.0, 0.0, 0.0, 0.0))
-    assert len(ep.cartan_form_ep(p, ep.momenta_ep(p))) == 1 + 256
+    assert len(ep.cartan_form_ep(p, ep.closed_forms_ep(p))) == 1 + 256
 
 
 def test_field_equation_on_and_off_shell(vacuum_specs):
     for name, spec in vacuum_specs.items():
         x = interior_points(spec, 1, seed=59)[0]
         p = catalog.ep_point_at(spec, x)
-        assert ep.verify_field_equation_ep(p, ep.momenta_ep(p)) < 1e-8, name
+        assert ep.verify_field_equation_ep(p, ep.closed_forms_ep(p)) < 1e-8, \
+            name
     spec = catalog.builtin("flrw")
     p = catalog.ep_point_at(spec, (0.0, 0.2, -0.1, 0.3))
-    cov = ep.field_equation_covector_ep(p, ep.momenta_ep(p))
+    cov = ep.field_equation_covector_ep(p, ep.closed_forms_ep(p))
     c0 = ep.constraint_c0(p)
     for a in range(10):
         assert cov[flat_index(EP_BLOCKS, ("g", a))] == pytest.approx(
@@ -264,20 +330,21 @@ def test_batched_momenta_rows_equal_unbatched():
     spec = catalog.builtin("kasner")
     xs = interior_points(spec, 5, seed=61)
     pts = [catalog.ep_point_at(spec, x) for x in xs]
-    stacked = ep.momenta_ep(catalog.ep_point_at(spec, np.array(xs)))
-    assert stacked.L.shape == stacked.H.v.shape == (5,)
+    stack = catalog.ep_point_at(spec, np.array(xs))
+    stacked, closed = ep.momenta_ep(stack), ep.closed_forms_ep(stack)
+    assert stacked.L.shape == closed.H.v.shape == (5,)
     for i, p in enumerate(pts):
-        one = ep.momenta_ep(p)
-        assert np.shape(one.L) == np.shape(one.H.v) == ()
+        one, one_closed = ep.momenta_ep(p), ep.closed_forms_ep(p)
+        assert np.shape(one.L) == np.shape(one_closed.H.v) == ()
         for name in ("L", "Lmom_ad"):
             assert np.array_equal(getattr(stacked, name)[i],
                                   getattr(one, name)), name
         # the passes' values and derivatives alike
-        for name in ("Lmom_closed", "H"):
+        for name in ("Lmom", "H"):
             for part in ("v", "g"):
                 assert np.array_equal(
-                    getattr(getattr(stacked, name), part)[i],
-                    getattr(getattr(one, name), part)), (name, part)
+                    getattr(getattr(closed, name), part)[i],
+                    getattr(getattr(one_closed, name), part)), (name, part)
 
 
 def test_stacked_ep_point_equals_single_points():

@@ -203,7 +203,7 @@ def test_cartan_contraction_matches_laplace_reference(model, metric, x):
         form = eh.cartan_form_eh(p, eh.closed_forms(p))
     else:
         p = catalog.ep_point_at(spec, x)
-        form = ep.cartan_form_ep(p, ep.momenta_ep(p))
+        form = ep.cartan_form_ep(p, ep.closed_forms_ep(p))
     lifts = tangent_lifts(p, form.dense.shape[-1])
     got = contract_terms(form, lifts)
     want = _laplace_reference(form, lifts)
@@ -223,7 +223,7 @@ def test_contraction_reads_no_lift_column_past_the_form(model, width):
         form = eh.cartan_form_eh(p, eh.closed_forms(p))
     else:
         p = catalog.ep_point_at(spec, xs)
-        form = ep.cartan_form_ep(p, ep.momenta_ep(p))
+        form = ep.cartan_form_ep(p, ep.closed_forms_ep(p))
     assert form.dense.shape[-1] == width
     assert form.coords.min() >= 0 and form.coords.max() < width
     lifts = tangent_lifts(p, width)

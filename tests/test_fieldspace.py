@@ -131,10 +131,16 @@ def test_degenerate_metric_rejected():
 
 
 def test_wrong_signature_rejected():
+    # a point built from caller arrays is always checked
     twotime = np.array([-1.0, 0, 0, 0, -1.0, 0, 0, 1.0, 0, 1.0])
-    with pytest.raises(DegenerateMetricError):
-        EPJetPoint(x=np.zeros(4), g=twotime, Gamma=np.zeros((4, 4, 4)),
-                   dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)))
+    riemannian = np.array([1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
+    for g in (twotime, riemannian):
+        with pytest.raises(DegenerateMetricError):
+            EPJetPoint(x=np.zeros(4), g=g, Gamma=np.zeros((4, 4, 4)),
+                       dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)))
+        with pytest.raises(DegenerateMetricError):
+            EHJetPoint(x=np.zeros(4), g=g, dg=np.zeros((10, 4)),
+                       d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)))
 
 
 def test_prolongation_is_holonomic():
@@ -194,6 +200,43 @@ def test_fiber_gradient_batched_equals_single():
     picked = batched[[flat_index(EH_BLOCKS, c) - EH_OFF["g"]
                       for c in coords]]
     assert np.allclose(picked, singles, rtol=1e-12)
+
+
+def test_seed_blocks_are_shared_unit_lead_constants(monkeypatch):
+    # identity seeds are read-only, carry unit leading axes and are one
+    # copy per (block shapes, leading-axis count); the passes they seed
+    # are bit for bit the passes seeded with full-lead broadcast seeds
+    from msgrav import eh, ep, fieldspace
+    spec = catalog.builtin("kasner")
+    xs = np.array([(1.5, 0.2, -0.3, 0.4), (1.2, -0.1, 0.3, 0.2),
+                   (1.8, 0.3, 0.1, -0.2)])
+    peh, pep = catalog.eh_point_at(spec, xs), catalog.ep_point_at(spec, xs)
+    seeds = fieldspace._identity_seeds(pep, ["g", "Gamma"])
+    for name, s in seeds.items():
+        assert s.shape == (1,) + EP_BLOCKS[name] + (74,)
+        assert not s.flags.writeable
+    again = fieldspace._identity_seeds(catalog.ep_point_at(spec, xs[:2]),
+                                       ["g", "Gamma"])
+    assert all(again[b] is seeds[b] for b in seeds)
+    passes = [
+        lambda: fiber_gradient(eh.lagrangian_fn, peh, ["dg"]),
+        lambda: fiber_gradient(eh.lagrangian_fn, peh, ["d2g"]),
+        lambda: fieldspace.fiber_hessian(eh.lagrangian_fn, peh, ["dg"],
+                                         ["g", "dg"]),
+        lambda: fiber_gradient(ep.lagrangian_fn, pep, ["dGamma"]),
+        lambda: fiber_gradient(ep.hamiltonian_fn, pep, ["g", "Gamma"]),
+        lambda: fiber_gradient(ep.momenta_closed_fn, pep, ["g"])]
+    got = [f() for f in passes]
+    real = fieldspace._identity_seeds
+    monkeypatch.setattr(fieldspace, "_identity_seeds", lambda p, blocks: {
+        b: np.broadcast_to(s, p.lead + s.shape[len(p.lead):])
+        for b, s in real(p, blocks).items()})
+    for g, f in zip(got, passes):
+        w = f()
+        for x, y in ((g, w),) if isinstance(g, np.ndarray) else (
+                (g.v, w.v), (g.g, w.g)):
+            assert x.shape[:1] == (3,) and x.shape == y.shape
+            assert np.array_equal(x, y)
 
 
 def test_total_derivative_matches_base_space_differentiation():

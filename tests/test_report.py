@@ -308,8 +308,10 @@ def test_one_series_pass_per_chunk(monkeypatch, tmp_path, model):
 
 
 def test_ep_chunk_runs_each_momenta_pass_once(monkeypatch):
-    # one (g, Gamma) pass of H plus one plain call per trial point, and one
-    # g pass of the closed momenta; their values stand in for plain calls
+    # one dGamma pass of L covers the points and their trials, one
+    # (g, Gamma) pass of H and one g pass of the closed momenta run at the
+    # points, and one plain H call covers the trials; the passes' values
+    # stand in for plain calls
     from msgrav import ep, report
     calls = {"hamiltonian_fn": 0, "momenta_closed_fn": 0}
     for name in calls:
@@ -317,11 +319,77 @@ def test_ep_chunk_runs_each_momenta_pass_once(monkeypatch):
             calls[name] += 1
             return real(pt)
         monkeypatch.setattr(ep, name, counted)
+    real_pass, passes = ep.fiber_gradient, []
+
+    def logged(f, p, blocks):
+        passes.append((tuple(blocks), p.lead))
+        return real_pass(f, p, blocks)
+
+    monkeypatch.setattr(ep, "fiber_gradient", logged)
     spec = catalog.builtin("schwarzschild")
     kept, _ = report._ep_point_checks(spec, sample_points(spec, 8, seed=3),
                                       list(range(8)))
     assert kept == list(range(8))
-    assert calls == {"hamiltonian_fn": 3, "momenta_closed_fn": 1}
+    assert calls == {"hamiltonian_fn": 2, "momenta_closed_fn": 1}
+    assert [p for p in passes if p[0] == ("dGamma",)] == [
+        (("dGamma",), (3, 8))]
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_a_chunk_validates_its_metric_once(monkeypatch, model):
+    # the metric-affine point and the trial stacks keep the prolonged
+    # point's g, so only the prolonged point's metric is checked
+    from msgrav import fieldspace, report
+    real, calls = fieldspace._check_lorentzian, []
+
+    def counted(g):
+        calls.append(g.shape)
+        return real(g)
+
+    monkeypatch.setattr(fieldspace, "_check_lorentzian", counted)
+    spec = catalog.builtin("schwarzschild")
+    checks = getattr(report, f"_{model}_point_checks")
+    kept, _ = checks(spec, sample_points(spec, 8, seed=3), list(range(8)))
+    assert kept == list(range(8)) and calls == [(8, 10)]
+
+
+RELATIVE = {"eh": ("momenta-identity", "hamiltonian-dual-form"),
+            "ep": ("momenta-identity", "eh-equivalence")}
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_relative_families_scale_by_one_plus_the_reference(model):
+    # a relative family reports |delta| / (1 + |ref|), delta and ref
+    # recomputed here point by point from the model functions; the momenta
+    # routes agree exactly, so the Hamiltonian and Lagrangian routes,
+    # which differ at round-off, are what can show a wrong scale
+    import numpy as np
+
+    from msgrav import eh, ep
+    spec = catalog.builtin("schwarzschild")
+    r = run_check(CheckConfig(model=model, spec=spec, points=4, seed=2))
+    want = dict.fromkeys(RELATIVE[model], 0.0)
+    for x in sample_points(spec, 4, seed=2):
+        if model == "eh":
+            p = catalog.eh_point_at(spec, x)
+            m = eh.momenta_and_hamiltonian(p, eh.closed_forms(p))
+            pairs = {"momenta-identity": (m.L2_ad - m.L2_closed,
+                                          m.L2_closed),
+                     "hamiltonian-dual-form": (m.H_sum - m.H_closed,
+                                               m.H_closed)}
+        else:
+            p = catalog.ep_point_at(spec, x)
+            lmom, l_eh = ep.closed_forms_ep(p).Lmom.v, eh.lagrangian_eh(p)
+            m = ep.momenta_ep(p)
+            pairs = {"momenta-identity": (m.Lmom_ad - lmom, lmom),
+                     "eh-equivalence": (m.L - l_eh, l_eh)}
+        for fam, (delta, ref) in pairs.items():
+            want[fam] = max(want[fam], np.abs(delta).max()
+                            / (1.0 + np.abs(ref).max()))
+    got = {f["family"]: f["max_resid"] for f in r.families}
+    assert want[RELATIVE[model][1]] > 0.0
+    for fam, w in want.items():
+        assert got[fam] == pytest.approx(w, rel=1e-12, abs=0.0), fam
 
 
 def test_a_one_chunk_check_starts_no_pool(monkeypatch):

@@ -297,11 +297,13 @@ PLANNED = ["ii->", "snm->smn", "abca->cb", "iim->m", ",ab->ab", "ij,jk->ik",
 SIZES = {"Y": 6, "Z": 5}
 
 
-def planned_operands(rng, subscripts, lead, bare=()):
+def planned_operands(rng, subscripts, lead, bare=(), unit=()):
     """Random operands of a signature with the leading shape `lead`; the
-    operands numbered in `bare` carry no leading axes (constants)."""
+    operands numbered in `bare` carry no leading axes (constants), those
+    in `unit` unit ones (seeds)."""
     terms = subscripts.split("->")[0].split(",")
-    return [rng.normal(size=(() if k in bare else lead)
+    return [rng.normal(size=(() if k in bare else (1,) * len(lead)
+                             if k in unit else lead)
                        + tuple(SIZES.get(c, 4) for c in t))
             for k, t in enumerate(terms)]
 
@@ -317,8 +319,10 @@ def test_planned_contraction_matches_einsum(subscripts, lead):
     from msgrav.tangents import _contract
     rng = np.random.default_rng(len(subscripts) + len(lead))
     bare = {0} if lead and "," in subscripts else set()
+    unit = {subscripts.count(",")} if lead else set()
     for ops in (planned_operands(rng, subscripts, lead),
-                planned_operands(rng, subscripts, lead, bare)):
+                planned_operands(rng, subscripts, lead, bare),
+                planned_operands(rng, subscripts, lead, unit=unit)):
         want = np.einsum(dotted(subscripts), *ops)
         got = _contract(dotted(subscripts), ops)
         # each entry within 1e-14 of the sum of its terms' magnitudes
@@ -329,17 +333,23 @@ def test_planned_contraction_matches_einsum(subscripts, lead):
 
 @pytest.mark.parametrize("subscripts", PLANNED)
 def test_planned_stack_rows_equal_rows_alone(subscripts):
+    # an operand shared by the rows, with no leading axes or unit ones,
+    # meets each row as that row alone would meet it
     from msgrav.tangents import _contract
     rng = np.random.default_rng(7)
-    bare = {0} if "," in subscripts else set()
+    n_ops = subscripts.count(",") + 1
+    modes = [({0}, set()), (set(), {n_ops - 1})] if n_ops > 1 else [
+        (set(), set())]
     for n in (1, 2, 3, 8):
-        ops = planned_operands(rng, subscripts, (n,), bare)
-        stacked = _contract(dotted(subscripts), ops)
-        for i in range(n):
-            row = [o if k in bare else o[i] for k, o in enumerate(ops)]
-            assert np.array_equal(stacked[i],
-                                  _contract(dotted(subscripts), row)), \
-                (subscripts, n, i)
+        for bare, unit in modes:
+            ops = planned_operands(rng, subscripts, (n,), bare, unit)
+            stacked = _contract(dotted(subscripts), ops)
+            for i in range(n):
+                row = [o if k in bare else o[0] if k in unit else o[i]
+                       for k, o in enumerate(ops)]
+                assert np.array_equal(stacked[i],
+                                      _contract(dotted(subscripts), row)), \
+                    (subscripts, n, i, unit)
 
 
 # -- the compiled product rule against its term-by-term reference -----------
