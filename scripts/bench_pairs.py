@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Run msbench on two checkouts in alternating pairs and compare them.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_N.json
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --seed-base S \
+        --out BENCH_N.json [--trace-workload W]
 
-Each pair runs `msbench/run.py --trace 0` once in each checkout, with the
-same workload, seed and run length; the side that runs first alternates
-(the parent first on even pairs). Pair k of a workload uses seed
-`--seed-base + 20 * w + k`, w the workload's position. With
-`--trace-workload W`, one `--trace 1` run of W per side follows the pairs.
+Every workload of BENCHMARK.json runs in ten pairs, each pair running
+`msbench/run.py --trace 0` once in each checkout for the benchmark's run
+length, with the same seed; the side that runs first alternates (the
+parent first on even pairs). Pair k of a workload uses seed
+S + 20 w + k, w the workload's position; take a fresh S for each change,
+so that a claim is read on seeds not used while the change was written.
+With `--trace-workload W`, one `--trace 1` run of W per side, seed S + 99,
+follows the pairs.
 
 The output file holds every run and, per (workload, end-to-end metric),
 each side's median and quartiles (numpy's linear 25th and 75th
@@ -16,8 +20,11 @@ per row is printed with its verdict by the rule of the benchmark guide:
 "gain" when the change wins at least nine tenths of the pairs and its
 median beats the parent's by more than the parent's interquartile range,
 "worse" when its median is worse than the parent's by more than the
-metric's bound in BENCHMARK.json, and "holds" otherwise. A verdict is a
-reading of these runs, not a claim: the claim is written by hand.
+metric's bound in BENCHMARK.json, "unresolved" when the parent's
+interquartile range is wider than that bound times its median (the runs
+spread too widely to tell) unless every change run beats every parent
+run, and "holds" otherwise. A verdict is a reading of these runs, not a
+claim: the claim is written by hand.
 
 Only process-local measurement is used: each run measures itself
 (msbench/run.py); this script only starts the runs and reads their last
@@ -40,16 +47,19 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m for m in SPEC["end_to_end"]}
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+SECONDS = SPEC["run_seconds"]
+PAIRS = 10
 
 
-def run_bench(tree, workload, seed, seconds, trace):
+def run_bench(tree, workload, seed, trace):
     """The last JSON line of one msbench run in `tree` (and, when traced,
     its layers line)."""
     cmd = [sys.executable, "msbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
+           "--seed", str(seed), "--seconds", str(SECONDS),
            "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                         check=True, timeout=10 * seconds + 300).stdout
+                         check=True, timeout=10 * SECONDS + 300).stdout
     lines = [json.loads(x) for x in out.splitlines() if x.startswith("{")]
     layers = next((x["layers"] for x in lines if "layers" in x), None)
     return lines[-1], layers
@@ -87,10 +97,14 @@ def compare(runs, workload, name):
     wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
     pm, cm = float(np.median(par)), float(np.median(chg))
     iqr = float(np.subtract(*np.percentile(par, [75, 25])))
+    bound = METRICS[name]["bound"] * abs(pm)
     if wins >= math.ceil(0.9 * len(pairs)) and sign * (cm - pm) > iqr:
         verdict = "gain"
-    elif sign * (pm - cm) > METRICS[name]["bound"] * abs(pm):
+    elif sign * (pm - cm) > bound:
         verdict = "worse"
+    elif iqr > bound and not all(sign * (c - p) > 0 for c in chg
+                                 for p in par):
+        verdict = "unresolved"
     else:
         verdict = "holds"
     return {"parent_median": round(pm, 6), "parent_quartiles": quartiles(par),
@@ -104,13 +118,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
+    ap.add_argument("--seed-base", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    ap.add_argument("--seed-base", type=int, default=1800)
-    ap.add_argument("--workloads", default=",".join(
-        w["name"] for w in SPEC["workloads"]))
-    ap.add_argument("--trace-workload")
+    ap.add_argument("--trace-workload", choices=WORKLOADS)
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -118,15 +128,13 @@ def main(argv=None) -> int:
             ap.error(f"{tree} is not a checkout with msbench/run.py")
 
     runs, traces = [], []
-    workloads = args.workloads.split(",")
-    for w, workload in enumerate(workloads):
-        for k in range(args.pairs):
+    for w, workload in enumerate(WORKLOADS):
+        for k in range(PAIRS):
             seed = args.seed_base + 20 * w + k
             order = ["parent", "change"] if k % 2 == 0 else [
                 "change", "parent"]
             for side in order:
-                last, _ = run_bench(trees[side], workload, seed,
-                                    args.seconds, 0)
+                last, _ = run_bench(trees[side], workload, seed, 0)
                 runs.append({
                     "workload": workload, "pair": k, "side": side,
                     "seed": seed, "first": side == order[0],
@@ -140,13 +148,13 @@ def main(argv=None) -> int:
     if args.trace_workload:
         for side, tree in trees.items():
             last, layers = run_bench(tree, args.trace_workload,
-                                     args.seed_base + 99, args.seconds, 1)
+                                     args.seed_base + 99, 1)
             traces.append({"workload": args.trace_workload, "side": side,
                            "seed": args.seed_base + 99,
                            "correct": last["correct"], "layers": layers})
 
     summary = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         mine = [r for r in runs if r["workload"] == workload]
         summary[workload] = {
             "failed": {s: sum(r["failed"] for r in mine if r["side"] == s)
@@ -163,8 +171,8 @@ def main(argv=None) -> int:
                   f"{row['verdict']}")
     args.out.write_text(json.dumps({
         "what": (f"msbench end-to-end runs (python3 msbench/run.py "
-                 f"--workload W --seed S --seconds {args.seconds:g} --trace "
-                 f"0), {args.pairs} pairs per workload, the checkout "
+                 f"--workload W --seed S --seconds {SECONDS:g} --trace "
+                 f"0), {PAIRS} pairs per workload, the checkout "
                  f"{trees['parent'].name!r} (parent) against "
                  f"{trees['change'].name!r} (change), each run from its own "
                  f"copy of the tree; pair k of the w-th "

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .exprparse import VARIABLES, evaluate, free_names, parse_expression
-from .fieldspace import ORDER, EHJetPoint, EPJetPoint, derivatives, prolong
+from .fieldspace import (_DERIVED, ORDER, EHJetPoint, EPJetPoint, derivatives,
+                         prolong)
 from .geometry import christoffel, metric_inverse_density
 from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
 from .series import JetScalar
@@ -128,7 +129,7 @@ def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
         Gamma[(..., *lmn)] = val[..., 0]
         dGamma[(..., *lmn, slice(None))] = dval
     return EPJetPoint(x=p.x, g=p.g, Gamma=Gamma, dg=p.dg, dGamma=dGamma,
-                      d2g=p.d2g, metric_valid=True)
+                      d2g=p.d2g, _derived=_DERIVED)
 
 
 def _where(spec: MetricSpec, x) -> str:

@@ -67,6 +67,7 @@ EP_OFF, EP_DIM_J1 = _offsets(EP_BLOCKS)
 # the bundle coordinates are the blocks before the first derivatives
 EH_DIM_E = EH_OFF["dg"]
 EP_DIM_E = EP_OFF["dg"]
+_DERIVED = object()  # passed only by ep_point_at and trial_stack
 
 
 def flat_index(blocks, cid) -> int:
@@ -100,9 +101,9 @@ class _JetPoint:
     """Validates a point's blocks against its tables and keeps read-only
     views of them, so the caller's arrays stay writeable; the blocks of a
     stack of points share one leading shape. g must be Lorentzian unless
-    `metric_valid`: g is a checked point's (an ep point made from it)."""
+    `_derived` is the module's private token (g kept from a checked point)."""
 
-    def __post_init__(self, metric_valid):
+    def __post_init__(self, _derived):
         lead = np.shape(self.x)[:-1]
         for name, shape, optional in self._checks:
             arr = getattr(self, name)
@@ -114,7 +115,7 @@ class _JetPoint:
                     f"{name} block has shape {arr.shape}, want {lead + shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not metric_valid:
+        if _derived is not _DERIVED:
             _check_lorentzian(self.g)
 
     @property
@@ -140,7 +141,7 @@ class EHJetPoint(_JetPoint):
     dg: np.ndarray
     d2g: np.ndarray
     d3g: np.ndarray
-    metric_valid: InitVar[bool] = False
+    _derived: InitVar[object] = None
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ class EPJetPoint(_JetPoint):
     dg: np.ndarray
     dGamma: np.ndarray
     d2g: np.ndarray | None = field(default=None)
-    metric_valid: InitVar[bool] = False
+    _derived: InitVar[object] = None
 
 
 # -- prolongation -----------------------------------------------------------
@@ -217,7 +218,7 @@ def trial_stack(p, blocks, trials, seed):
     new = dict(zip(blocks, map(np.stack, zip(*rows))))
     return type(p)(**{b: new[b] if b in new else np.broadcast_to(
         a, (1 + trials,) + a.shape) for b, a in vars(p).items()
-        if a is not None}, metric_valid=True)
+        if a is not None}, _derived=_DERIVED)
 
 
 # -- fiber differentiation --------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,16 +133,19 @@ def test_degenerate_metric_rejected():
 
 
 def test_wrong_signature_rejected():
-    # a point built from caller arrays is always checked
+    # a point built from caller arrays is always checked; only the
+    # module's private token skips the check, not any value a caller passes
     twotime = np.array([-1.0, 0, 0, 0, -1.0, 0, 0, 1.0, 0, 1.0])
     riemannian = np.array([1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
-    for g in (twotime, riemannian):
+    for g, derived in itertools.product((twotime, riemannian), (None, True)):
         with pytest.raises(DegenerateMetricError):
             EPJetPoint(x=np.zeros(4), g=g, Gamma=np.zeros((4, 4, 4)),
-                       dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)))
+                       dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
+                       _derived=derived)
         with pytest.raises(DegenerateMetricError):
             EHJetPoint(x=np.zeros(4), g=g, dg=np.zeros((10, 4)),
-                       d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)))
+                       d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)),
+                       _derived=derived)
 
 
 def test_prolongation_is_holonomic():
