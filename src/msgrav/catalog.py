@@ -67,10 +67,10 @@ _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError,
                  FloatingPointError)
 
 
-def _evaluate(tree, env):
+def _evaluate(tree, env, memo=None):
     """Evaluate an expression; float domain failures become DomainError."""
     try:
-        return evaluate(tree, env)
+        return evaluate(tree, env, memo)
     except _FLOAT_ERRORS as e:
         raise DomainError(f"cannot evaluate an expression at this point: "
                           f"{e}") from None
@@ -78,13 +78,13 @@ def _evaluate(tree, env):
 
 def _series_at(spec: MetricSpec, trees, x, order: int) -> list:
     """The series of each expression tree about the points x (..., 4), one
-    pass over each tree for the whole stack."""
+    pass over each tree for the whole stack and one per repeated subtree."""
     env = {f"x{i}": JetScalar.variable(i, x, order=order)
            for i in range(DIM)}
     env.update(spec.params)
-    out = []
+    out, memo = [], {}
     for tree in trees:
-        v = _evaluate(tree, env)
+        v = _evaluate(tree, env, memo)
         out.append(v if isinstance(v, JetScalar)
                    else JetScalar.constant(v, x, order=order))
     return out

@@ -32,36 +32,28 @@ def _load_spec(source: str, params: dict) -> catalog.MetricSpec:
     return catalog.builtin(source, **params)
 
 
-def _parse_params(items):
+def _assignments(items, key_name, numeric=False):
+    """KEY=VALUE items as a dict. A value is a float where it parses as
+    one; otherwise it is kept as a string, or rejected when `numeric`."""
     out = {}
     for item in items or []:
         key, sep, val = item.partition("=")
         if not sep:
-            raise ConfigError(f"expected name=value, got {item!r}")
+            raise ConfigError(f"expected {key_name}=value, got {item!r}")
         try:
             out[key.strip()] = float(val)
         except ValueError:
+            if numeric:
+                raise ConfigError(f"tolerance {item!r} is not a number")
             out[key.strip()] = val.strip()
     return out
 
 
-def _parse_tols(items):
-    out = {}
-    for item in items or []:
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise ConfigError(f"expected family=value, got {item!r}")
-        try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            raise ConfigError(f"tolerance {item!r} is not a number")
-    return out
-
-
 def _cmd_check(args) -> int:
-    spec = _load_spec(args.metric, _parse_params(args.param))
+    spec = _load_spec(args.metric, _assignments(args.param, "name"))
     cfg = CheckConfig(model=args.model, spec=spec, points=args.points,
-                      seed=args.seed, tolerances=_parse_tols(args.tol))
+                      seed=args.seed,
+                      tolerances=_assignments(args.tol, "family", True))
     report = run_check(cfg)
     text = emit_report(report, fmt=args.format, path=args.out)
     if args.out is None:
@@ -85,7 +77,7 @@ def _cmd_jets(args) -> int:
         raise ConfigError(f"bad point {args.at!r}")
     if len(x) != DIM:
         raise ConfigError("the point needs exactly 4 coordinates")
-    spec = _load_spec(args.metric, _parse_params(args.param))
+    spec = _load_spec(args.metric, _assignments(args.param, "name"))
     p = catalog.eh_point_at(spec, x)
     print(f"metric {spec.name!r} at x = {x}")
     for i, (a, b) in enumerate(PAIRS):

@@ -31,15 +31,23 @@ from types import SimpleNamespace
 import numpy as np
 
 from .exterior import Form, cartan_form, contract_terms
-from .fieldspace import (EH_OFF, EHJetPoint, derivatives, fiber_gradient,
-                         fiber_hessian, tangent_lifts, total_derivatives_vec,
-                         trial_stack)
+from .fieldspace import (EH_OFF, EHJetPoint, _identity_seeds, derivatives,
+                         fiber_gradient, fiber_hessian, tangent_lifts,
+                         total_derivatives_vec, trial_stack)
 from .geometry import (curvature_bundle, metric_inverse_density,
                        scalar_density)
 from .indexing import DERIVS, DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import Jet2, Tan, einsum
 
 NPAIR = len(PAIRS)
+
+# rho g^{xy} g^{zw} K2_ij,xyzw is the closed momentum L^{i,j}, with
+# K2 = (n(i)/2) (P_ixz (P_jyw + P_jwy) - 2 P_ixy P_jzw) and P_ixz = 1 iff
+# PAIRS[i] == (x, z)
+_P = np.eye(DIM)[PAIR_ROWS[0], :, None] * np.eye(DIM)[PAIR_ROWS[1], None, :]
+_MOMENTA2 = (np.einsum("i,ixz,jyw->ijxyzw", MULT / 2, _P,
+                       _P + _P.swapaxes(1, 2))
+             - np.einsum("i,ixy,jzw->ijxyzw", MULT, _P, _P))
 
 
 # -- fiber functions --------------------------------------------------------
@@ -51,15 +59,11 @@ def lagrangian_fn(pt):
 
 def momenta2_closed_fn(pt):
     """Closed-form second-order momenta over (ordered pair, ordered pair):
-    (n(ab)/2) rho (g^{am} g^{bn} + g^{an} g^{bm} - 2 g^{ab} g^{mn}), each
-    product formed elementwise over the ordered pairs."""
+    (n(ab)/2) rho (g^{am} g^{bn} + g^{an} g^{bm} - 2 g^{ab} g^{mn}), one
+    contraction of rho g^{xy} g^{zw} with `_MOMENTA2`."""
     ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
-    a, b = PAIR_ROWS
-    gab = ginv[..., a, b]
-    full = (ginv[..., a[:, None], a] * ginv[..., b[:, None], b]
-            + ginv[..., a[:, None], b] * ginv[..., b[:, None], a]
-            - 2.0 * (gab[..., :, None] * gab[..., None, :]))
-    return einsum(",am->am", 0.5 * rho, full) * MULT[:, None]
+    return einsum("xy,zw,ijxyzw->ij", einsum(",xy->xy", rho, ginv), ginv,
+                  _MOMENTA2)
 
 
 def hamiltonian_closed_fn(pt):
@@ -104,10 +108,9 @@ def closed_forms(p: EHJetPoint) -> EHClosed:
     """One Jet2 pass of the closed momenta, g seeded inner and its shift
     dg along each x^n outer, and one gradient pass of the closed
     Hamiltonian over (g, dg); their values are the plain calls' bitwise."""
-    seeds = np.broadcast_to(np.eye(NPAIR), p.g.shape + (NPAIR,))
+    seed = _identity_seeds(p, ["g"])["g"]
     return EHClosed(
-        L2=momenta2_closed_fn(SimpleNamespace(g=Jet2(p.g, seeds, p.dg,
-                                                      None))),
+        L2=momenta2_closed_fn(SimpleNamespace(g=Jet2(p.g, seed, p.dg, None))),
         H=fiber_gradient(hamiltonian_closed_fn, p, ["g", "dg"]))
 
 

@@ -32,40 +32,41 @@ from .tangents import Tan, einsum
 
 NPAIR = len(PAIRS)
 
+# rho g^{xy} K_abcs,xy is the closed momentum of Gamma^a_{bc,s}:
+# K = d_cx (d_by d_sa - d_sy d_ba)
+_MOMENTA = (np.einsum("cx,by,sa->abcsxy", *[np.eye(DIM)] * 3)
+            - np.einsum("cx,sy,ba->abcsxy", *[np.eye(DIM)] * 3))
+
 
 # -- fiber functions --------------------------------------------------------
 
-def _lagrangian(pt, ginv, rho):
-    return rho * einsum("ab,ab->", ginv,
-                        ricci_from_connection(pt.Gamma, pt.dGamma))
-
-
 def lagrangian_fn(pt):
     """rho g^{ab} R_ab(Gamma, dGamma); never reads dg."""
-    return _lagrangian(pt, *metric_inverse_density(pt.g[..., PAIR_FULL]))
+    ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
+    return rho * einsum("ab,ab->", ginv,
+                        ricci_from_connection(pt.Gamma, pt.dGamma))
 
 
 def momenta_closed_fn(pt):
     """Closed-form momenta rho (g^{cb} d^s_a - g^{cs} d^b_a), (4, 4, 4, 4)
     in the (a, b, c, s) layout of the derivative coordinates
-    Gamma^a_{bc,s}."""
+    Gamma^a_{bc,s}: one contraction of rho g^{xy} with `_MOMENTA`."""
     ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
-    delta = np.eye(DIM)
-    return einsum(",abcs->abcs", rho, einsum("cb,sa->abcs", ginv, delta)
-                  - einsum("cs,ba->abcs", ginv, delta))
+    return einsum("xy,abcsxy->abcs", einsum(",xy->xy", rho, ginv), _MOMENTA)
 
 
 def hamiltonian_fn(pt):
     """Legendre combination Lmom . dGamma - L, with the closed momenta
     contracted as the two traces rho (g^{cb} dGamma^a_{bca} -
-    g^{cs} dGamma^a_{acs}), so the rank-4 momenta never form. Linearity
-    of L in dGamma kills all dGamma terms, so the result depends on
-    (g, Gamma) alone."""
+    g^{cs} dGamma^a_{acs}), so the rank-4 momenta never form, and H is
+    rho g^{ab} (traces_ab - R_ab). Linearity of L in dGamma kills all
+    dGamma terms, so the result depends on (g, Gamma) alone."""
     ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
     # the traces over a come first, so each row reduces alike whatever the
     # leading shape
     traces = (einsum("abca->cb", pt.dGamma) - einsum("aacs->cs", pt.dGamma))
-    return rho * einsum("cb,cb->", ginv, traces) - _lagrangian(pt, ginv, rho)
+    return rho * einsum("ab,ab->", ginv, traces - ricci_from_connection(
+        pt.Gamma, pt.dGamma))
 
 
 # -- momenta and Hamiltonian ------------------------------------------------

@@ -250,13 +250,22 @@ def _apply(func, x):
     return getattr(x, func)()
 
 
-def evaluate(node, env: dict):
+def evaluate(node, env: dict, memo: dict | None = None):
     """Evaluate over floats, numpy arrays (elementwise) or series; env maps
     names to values of those kinds. Floats go through `math`. Arrays raise
     where floats would: a function or power out of its domain or range
     raises FloatingPointError, a division by zero ZeroDivisionError; a sum,
     product or quotient that overflows gives inf or NaN, as a float's
-    does, and numpy's error state says whether it warns."""
+    does, and numpy's error state says whether it warns. With `memo`, a
+    dict kept over one env, each repeated subtree is evaluated once."""
+    if memo is None:
+        return _evaluate_node(node, env, None)
+    if node not in memo:
+        memo[node] = _evaluate_node(node, env, memo)
+    return memo[node]
+
+
+def _evaluate_node(node, env, memo):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Name):
@@ -264,10 +273,10 @@ def evaluate(node, env: dict):
             raise ExprSyntaxError(f"unknown identifier {node.ident!r}")
         return env[node.ident]
     if isinstance(node, Neg):
-        return -evaluate(node.arg, env)
+        return -evaluate(node.arg, env, memo)
     if isinstance(node, BinOp):
-        lhs = evaluate(node.left, env)
-        rhs = evaluate(node.right, env)
+        lhs = evaluate(node.left, env, memo)
+        rhs = evaluate(node.right, env, memo)
         if node.op == "+":
             return lhs + rhs
         if node.op == "-":
@@ -281,12 +290,11 @@ def evaluate(node, env: dict):
             raise ZeroDivisionError("division by zero")
         return lhs / rhs
     if isinstance(node, Pow):
-        base = evaluate(node.base, env)
+        base = evaluate(node.base, env, memo)
         if isinstance(base, (int, float)):
             return float(base) ** node.exponent
         if isinstance(base, np.ndarray):
             with np.errstate(**_RAISE):
                 return base ** node.exponent
         return base.powi(node.exponent)
-    return _apply(node.func, evaluate(node.arg, env))
-
+    return _apply(node.func, evaluate(node.arg, env, memo))

@@ -10,12 +10,14 @@ below w, and a contraction reads its tangent vectors over those w columns
 only and returns a covector of width w. Leading axes of `dense` run over
 stacked points, which share the coefficients and the coordinate
 differentials. Contraction with four tangent vectors Laplace-expands each
-term's 5x4 pairing matrix along the missing fifth column; all points and
-terms go through one batched pass per minor.
+term's 5x4 pairing matrix along the missing fifth column; each of the
+five cofactors is in turn Laplace-expanded along columns (0, 1) over 2x2
+minors that all five share, formed once for all points and terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +29,6 @@ from .indexing import DIM
 # i(d/dx^mu) d4x = VOL_SIGN[mu] * the wedge of dx^VOL_SLOTS[mu] in order
 VOL_SLOTS = np.array([[j for j in range(DIM) if j != mu] for mu in range(DIM)])
 VOL_SIGN = (-1.0) ** np.arange(DIM)
-
-# rows of the 5x4 pairing matrix left in each minor, and the cofactor signs
-_MINORS = np.array([[r for r in range(5) if r != f] for f in range(5)])
-_COF_SIGN = (-1.0) ** np.arange(5)
 
 
 @dataclass(frozen=True)
@@ -79,20 +77,21 @@ def cartan_form(dense: np.ndarray, first: int) -> Form:
                         np.column_stack([first + k // DIM, VOL_SLOTS[mu]])]))
 
 
-def _det4(m):
-    # explicit expansion over the two leading axes: far cheaper than linalg
-    # dispatch at this size, and elementwise over any trailing batch axes
-    (a, b, c, d), (e, f, g, h), (i, j, k, l), (p, q, r, s) = m
-    kl_rs = k * s - l * r
-    jl_qs = j * s - l * q
-    jk_qr = j * r - k * q
-    il_ps = i * s - l * p
-    ik_pr = i * r - k * p
-    ij_pq = i * q - j * p
-    return (a * (f * kl_rs - g * jl_qs + h * jk_qr)
-            - b * (e * kl_rs - g * il_ps + h * ik_pr)
-            + c * (e * jl_qs - f * il_ps + h * ij_pq)
-            - d * (e * jk_qr - f * ik_pr + g * ij_pq))
+def _cofactors(m):
+    """(-1)^f det of the 4x4 minor without row f of the 5x4 matrices m
+    (5, 4, ...), elementwise over trailing axes, for each row f: Laplace
+    expansions along columns (0, 1) that share the 2x2 minors of all row
+    pairs on columns (0, 1) and on (2, 3)."""
+    pairs = list(itertools.combinations(range(5), 2))
+    lo = {(i, j): m[i, 0] * m[j, 1] - m[j, 0] * m[i, 1] for i, j in pairs}
+    hi = {(i, j): m[i, 2] * m[j, 3] - m[j, 2] * m[i, 3] for i, j in pairs}
+    # the rows left by deleting row f, for f = 4, 3, ..., 0
+    cof = np.stack([
+        lo[a, b] * hi[c, d] - lo[a, c] * hi[b, d] + lo[a, d] * hi[b, c]
+        + lo[b, c] * hi[a, d] - lo[b, d] * hi[a, c] + lo[c, d] * hi[a, b]
+        for a, b, c, d in itertools.combinations(range(5), 4)][::-1])
+    cof[1::2] *= -1.0
+    return cof
 
 
 def contract_terms(form: Form, vectors) -> np.ndarray:
@@ -113,10 +112,9 @@ def contract_terms(form: Form, vectors) -> np.ndarray:
         np.moveaxis(form.dense @ np.swapaxes(x[..., :width], -1, -2),
                     -1, 0)[None],
         np.moveaxis(x[..., form.coords], (-1, -3), (0, 1))])
-    # one minor at a time: gathering all five at once would hold five
-    # copies of the pairing matrices
-    det = np.stack([_det4(pairing[rows]) for rows in _MINORS])
-    cof = form.coef * _COF_SIGN.reshape((5,) + (1,) * (det.ndim - 1)) * det
+    # the 2x2 minors hold 20 numbers per term and point, as the pairing
+    # matrices do: under 1 MiB for a chunk of 8 points
+    cof = form.coef * _cofactors(pairing)
     # the coordinate factors scatter by bincount, one run per point
     points = math.prod(lead)
     idx = form.coords.ravel() + width * np.arange(points)[:, None]

@@ -35,15 +35,10 @@ MAX_ORDER = 6
 @lru_cache(maxsize=None)
 def multi_indices(order: int) -> tuple[tuple[int, ...], ...]:
     """All 4-variable multi-indices of degree <= order, sorted by (degree, lex)."""
-    out = []
-    for deg in range(order + 1):
-        for c in itertools.combinations_with_replacement(range(NVARS), deg):
-            m = [0] * NVARS
-            for v in c:
-                m[v] += 1
-            out.append(tuple(m))
-    out.sort(key=lambda m: (sum(m), m))
-    return tuple(out)
+    return tuple(sorted(
+        (tuple(c.count(v) for v in range(NVARS)) for deg in range(order + 1)
+         for c in itertools.combinations_with_replacement(range(NVARS), deg)),
+        key=lambda m: (sum(m), m)))
 
 
 @lru_cache(maxsize=None)
@@ -65,10 +60,7 @@ def _mul_table(order: int):
 
 
 def _factorial_weight(m: tuple[int, ...]) -> float:
-    w = 1
-    for e in m:
-        w *= math.factorial(e)
-    return float(w)
+    return float(math.prod(map(math.factorial, m)))
 
 
 @lru_cache(maxsize=None)

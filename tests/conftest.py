@@ -20,6 +20,17 @@ def interior_points(spec, n, seed, margin=0.05):
     return out
 
 
+def random_jet(seed, n=3):
+    """n random points of an ordered metric 2-jet, (g, dg, d2g) shaped
+    (n, 10), (n, 10, 4) and (n, 10, 10): g a symmetric perturbation of the
+    Minkowski metric, dg and d2g of order one, with no symmetry assumed
+    beyond the ordered storage."""
+    rng = np.random.default_rng(seed)
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])[PAIR_ROWS]
+    return (eta + rng.uniform(-0.3, 0.3, (n, 10)),
+            rng.normal(size=(n, 10, DIM)), rng.normal(size=(n, 10, 10)))
+
+
 @dataclass(frozen=True)
 class CurvatureSuite:
     """Curvature data of a metric 2-jet with its Levi-Civita connection."""

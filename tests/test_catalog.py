@@ -358,3 +358,32 @@ def test_order_three_jets_equal_order_four_jets(name):
     assert np.array_equal(q.Gamma, gamma)
     assert np.array_equal(q.dGamma, dgamma)
     assert np.array_equal(q.d2g, p.d2g)
+
+
+def test_series_share_repeated_subexpressions_bit_for_bit(all_specs,
+                                                         monkeypatch):
+    # one memo per stacked pass: each builtin's series equal the trees
+    # walked alone, bit for bit, with fewer series operations where
+    # subexpressions repeat (schwarzschild's 1 - 2m/x1 and x1^2)
+    ops = []
+    for name in ("__mul__", "reciprocal", "powi", "sin"):
+        def counted(*args, real=getattr(JetScalar, name)):
+            ops.append(1)
+            return real(*args)
+        monkeypatch.setattr(JetScalar, name, counted)
+    for name, spec in all_specs.items():
+        x = np.array(interior_points(spec, 3, seed=89))
+        env = {f"x{i}": JetScalar.variable(i, x, order=3)
+               for i in range(DIM)} | spec.params
+        ops.clear()
+        alone = [evaluate(tree, env) for tree in spec.components]
+        n_alone = len(ops)
+        ops.clear()
+        shared = catalog._series_at(spec, spec.components, x, 3)
+        assert len(ops) <= n_alone, name
+        if name == "schwarzschild":
+            assert len(ops) < n_alone
+        for s, a in zip(shared, alone):
+            want = (a.coeffs if isinstance(a, JetScalar)
+                    else JetScalar.constant(a, x, order=3).coeffs)
+            assert s.coeffs.tobytes() == want.tobytes(), name

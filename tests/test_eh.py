@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import einstein_suite, interior_points
+from conftest import einstein_suite, interior_points, random_jet
 from msgrav import catalog, eh
 from msgrav.errors import ConfigError
 from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EHJetPoint,
@@ -257,7 +257,8 @@ def test_per_block_gradient_passes_equal_a_joint_pass(name):
 
 
 def test_lagrangian_passes_contraction_budget(monkeypatch):
-    # the quadratic part of L in dg is -g(w, w) + 3 J1 / 4 - J2 / 2 (see
+    # the quadratic part of L in dg is -g(w, w) plus one merged J1, J2
+    # invariant, and the d2g term one contraction with a constant (see
     # geometry.scalar_density): each pass over L makes at most this many
     # contractions on a 2-point stack
     from msgrav import tangents
@@ -272,10 +273,10 @@ def test_lagrangian_passes_contraction_budget(monkeypatch):
 
     monkeypatch.setattr(tangents, "_contract", counted)
     passes = {
-        "hessian": (47, lambda: fiber_hessian(eh.lagrangian_fn, p, ["dg"],
+        "hessian": (35, lambda: fiber_hessian(eh.lagrangian_fn, p, ["dg"],
                                               ["g", "dg"])),
-        "dg": (16, lambda: fiber_gradient(eh.lagrangian_fn, p, ["dg"])),
-        "d2g": (9, lambda: fiber_gradient(eh.lagrangian_fn, p, ["d2g"])),
+        "dg": (13, lambda: fiber_gradient(eh.lagrangian_fn, p, ["dg"])),
+        "d2g": (7, lambda: fiber_gradient(eh.lagrangian_fn, p, ["d2g"])),
     }
     for name, (budget, run) in passes.items():
         calls.clear()
@@ -496,3 +497,21 @@ def test_batched_cartan_contraction_rows_equal_unbatched():
         assert np.array_equal(form.dense[i], one.dense)
         assert np.array_equal(cov[i], contract_terms(
             one, tangent_lifts(p, width)))
+
+
+
+def test_closed_momenta2_are_the_per_entry_formula():
+    # the one contraction with eh._MOMENTA2 against (n(ab)/2) rho
+    # (g^{am} g^{bn} + g^{an} g^{bm} - 2 g^{ab} g^{mn}) entry by entry, on
+    # random symmetric metrics
+    g, _, _ = random_jet(73)
+    got = eh.momenta2_closed_fn(SimpleNamespace(g=g))
+    ginv, rho = metric_inverse_density(g[:, PAIR_FULL])
+    want = np.empty((3, 10, 10))
+    for i, (a, b) in enumerate(PAIRS):
+        for j, (m, n) in enumerate(PAIRS):
+            want[:, i, j] = MULT[i] / 2 * rho * (
+                ginv[:, a, m] * ginv[:, b, n] + ginv[:, a, n] * ginv[:, b, m]
+                - 2 * ginv[:, a, b] * ginv[:, m, n])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

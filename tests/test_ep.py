@@ -1,13 +1,16 @@
+import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import interior_points, projective_shift
+from conftest import interior_points, projective_shift, random_jet
 from msgrav import catalog, eh, ep
 from msgrav.fieldspace import (EP_BLOCKS, EPJetPoint, flat_index, prolong,
                                trial_stack)
-from msgrav.indexing import APAIRS, DIM, PAIRS, pair_index
+from msgrav.geometry import metric_inverse_density
+from msgrav.indexing import APAIRS, DIM, PAIR_FULL, PAIRS, pair_index
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
 
@@ -361,3 +364,17 @@ def test_stacked_ep_point_equals_single_points():
         for name in ("x", "g", "dg", "d2g", "Gamma", "dGamma"):
             assert np.array_equal(getattr(stack, name)[i],
                                   getattr(p, name)), name
+
+
+def test_closed_momenta_are_the_per_entry_formula():
+    # the one contraction with ep._MOMENTA against rho (g^{cb} d^s_a -
+    # g^{cs} d^b_a) entry by entry, on random symmetric metrics; each
+    # entry is a single product, so the two agree exactly
+    g, _, _ = random_jet(79)
+    got = ep.momenta_closed_fn(SimpleNamespace(g=g))
+    ginv, rho = metric_inverse_density(g[:, PAIR_FULL])
+    want = np.zeros((3,) + (DIM,) * 4)
+    for a, b, c, s in itertools.product(range(DIM), repeat=4):
+        want[:, a, b, c, s] = rho * ((ginv[:, c, b] if s == a else 0.0)
+                                     - (ginv[:, c, s] if b == a else 0.0))
+    assert np.array_equal(got, want)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from msgrav import catalog, eh, ep
 from msgrav.errors import ConfigError
-from msgrav.exterior import (VOL_SIGN, VOL_SLOTS, Form, cartan_form,
-                             contract_terms)
+from msgrav.exterior import (VOL_SIGN, VOL_SLOTS, Form, _cofactors,
+                             cartan_form, contract_terms)
 from msgrav.fieldspace import tangent_lifts
 
 DIMN = 8
@@ -235,3 +235,15 @@ def test_contraction_reads_no_lift_column_past_the_form(model, width):
                  np.full((2, 4, 7), np.nan)):
         got = contract_terms(form, np.concatenate([lifts, tail], axis=-1))
         assert np.array_equal(got, want)
+
+
+def test_cofactors_are_the_signed_minor_determinants():
+    # the shared 2x2 minors against np.linalg.det of each 4x4 minor of
+    # random 5x4 matrices, stacked on trailing axes
+    m = np.random.default_rng(83).normal(size=(5, 4, 3, 7))
+    got = _cofactors(m)
+    assert got.shape == (5, 3, 7)
+    for f in range(5):
+        minor = np.moveaxis(np.delete(m, f, axis=0), (0, 1), (-2, -1))
+        want = (-1) ** f * np.linalg.det(minor)
+        assert np.abs(got[f] - want).max() <= 1e-13 * np.abs(want).max()

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import einstein_suite, interior_points
+from conftest import einstein_suite, interior_points, random_jet
 from msgrav import catalog, oracle
 from msgrav.eh import lagrangian_fn
 from msgrav.ep import _apairs_of
@@ -202,3 +204,52 @@ def test_scalar_density_gradient_matches_curvature_bundle(all_specs):
                 np.abs(want.g).max()), name
             assert np.abs(got.v - want.v).max() <= 1e-12 * (
                 1 + np.abs(want.v).max()), name
+
+
+def test_curvature_bundle_d2g_term_is_the_four_permuted_copies():
+    # with dg = 0 the connection vanishes and the Ricci tensor is its d2g
+    # term alone, g^{rs} H_rsab,pq d2g_pq, against (g_{sa,br} + g_{sb,ar}
+    # - g_{ab,sr} - g_{rs,ab}) g^{rs} / 2 entry by entry
+    g, _, d2g = random_jet(61)
+    _, _, gam, ric, _ = curvature_bundle(g, np.zeros((3, 10, 4)), d2g)
+    ginv = np.linalg.inv(g[:, PAIR_FULL])
+    f = PAIR_FULL
+    want = np.zeros((3, 4, 4))
+    for n, a, b, r, s in itertools.product(range(3), *[range(DIM)] * 4):
+        want[n, a, b] += 0.5 * ginv[n, r, s] * (
+            d2g[n, f[s, a], f[b, r]] + d2g[n, f[s, b], f[a, r]]
+            - d2g[n, f[a, b], f[s, r]] - d2g[n, f[r, s], f[a, b]])
+    assert not np.any(gam)
+    assert np.abs(ric - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_scalar_density_d2g_term_is_the_pre_merge_coefficient():
+    # with dg = 0 only the d2g term is left: k_pq d2g_pq with
+    # k_pq = g^{ab} g^{cs} (E_sap E_bcq - E_csp E_abq), entry by entry
+    g, _, d2g = random_jet(67)
+    got = scalar_density(g, np.zeros((3, 10, 4)), d2g)
+    ginv, rho = metric_inverse_density(g[:, PAIR_FULL])
+    f = PAIR_FULL
+    want = np.zeros(3)
+    for n, a, b, c, s in itertools.product(range(3), *[range(DIM)] * 4):
+        want[n] += ginv[n, a, b] * ginv[n, c, s] * (
+            d2g[n, f[s, a], f[b, c]] - d2g[n, f[c, s], f[a, b]])
+    want *= rho
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_scalar_density_quadratic_part_is_the_pre_merge_invariants():
+    # with d2g = 0 only the dg-quadratic part is left: -g(w, w) + 3 J1/4
+    # - J2/2 with w = V - U/2 and J2 = g^ad g^bf g^ce D_abc D_def, before
+    # the merged w and the e <-> f relabelling that joins J1 and J2
+    g, dg, _ = random_jet(71)
+    got = scalar_density(g, dg, np.zeros((3, 10, 10)))
+    ginv, rho = metric_inverse_density(g[:, PAIR_FULL])
+    d = dg[:, PAIR_FULL, :]
+    w = (np.einsum("nab,nlab->nl", ginv, d)
+         - 0.5 * np.einsum("nab,nabl->nl", ginv, d))
+    j1 = np.einsum("nad,nbe,ncf,nabc,ndef->n", ginv, ginv, ginv, d, d)
+    j2 = np.einsum("nad,nbf,nce,nabc,ndef->n", ginv, ginv, ginv, d, d)
+    want = rho * (-np.einsum("nls,nl,ns->n", ginv, w, w)
+                  + 0.75 * j1 - 0.5 * j2)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))

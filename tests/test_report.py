@@ -335,6 +335,30 @@ def test_ep_chunk_runs_each_momenta_pass_once(monkeypatch):
         (("dGamma",), (3, 8))]
 
 
+@pytest.mark.parametrize("model, points, budget",
+                         [("eh", 2, 150), ("ep", 8, 69)])
+def test_chunk_contraction_budget(monkeypatch, model, points, budget):
+    # fixed index structure is built once at import, so each closed form
+    # and each Lagrangian invariant is one contraction and the Cartan
+    # contraction shares its 2x2 minors: a chunk makes at most this many
+    # planned contractions
+    from msgrav import report, tangents
+    real, calls = tangents._contract, []
+
+    def counted(subscripts, ops):
+        calls.append(subscripts)
+        return real(subscripts, ops)
+
+    monkeypatch.setattr(tangents, "_contract", counted)
+    spec = catalog.builtin("schwarzschild")
+    checks = (report._eh_point_checks if model == "eh"
+              else report._ep_point_checks)
+    kept, _ = checks(spec, sample_points(spec, points, seed=3),
+                     list(range(points)))
+    assert kept == list(range(points))
+    assert 0 < len(calls) <= budget, len(calls)
+
+
 @pytest.mark.parametrize("model", ["eh", "ep"])
 def test_a_chunk_validates_its_metric_once(monkeypatch, model):
     # the metric-affine point and the trial stacks keep the prolonged
