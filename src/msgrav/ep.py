@@ -5,15 +5,14 @@ checks.
 The connection is an independent field with no symmetry assumed; curvature
 comes from the same Ricci kernel as the metric model, which is what makes
 the torsionless-metric gauge comparison a genuine cross-check. A point's
-checks take four AD passes, and no plain call repeats one, since a dual
-pass's value is bitwise the plain call's: `closed_forms_ep` (the closed
-momenta over g, the Hamiltonian over (g, Gamma)), which each operation
-that reads them takes as `closed`, `momenta_ep` (L over dGamma, for the
-point and its projectability trials stacked) and `constraint_c0` (L over
-g). Fiber functions read a point's blocks, as arrays, Tan or Jet2; the
-closed forms are einsums. Every operation takes one point or a stack of
-points on leading axes; per-point results are arrays of the leading
-shape, 0-d for one point.
+checks take two AD passes of `legendre_fn` (L, H and rho g^-1), and no
+plain call repeats one, since a dual pass's value is bitwise the plain
+call's: `closed_forms_ep` over (g, Gamma) at the points feeds H, the
+closed momenta and the metric equation to each operation that takes it as
+`closed`; `momenta_ep` over dGamma, for the point and its projectability
+trials stacked, feeds the AD momenta, L and the trials' H. Every operation
+takes one point or a stack of points on leading axes; per-point results
+are arrays of the leading shape, 0-d for one point.
 """
 
 from __future__ import annotations
@@ -36,53 +35,48 @@ NPAIR = len(PAIRS)
 # K = d_cx (d_by d_sa - d_sy d_ba)
 _MOMENTA = (np.einsum("cx,by,sa->abcsxy", *[np.eye(DIM)] * 3)
             - np.einsum("cx,sy,ba->abcsxy", *[np.eye(DIM)] * 3))
+# the momenta rows (a, b, c, s) that can be nonzero: s = a or b = a, not
+# both, where K's two terms cancel; the other 160 vanish for every metric
+_LIVE = np.flatnonzero(_MOMENTA.reshape(DIM ** 4, -1).any(axis=1))
 
 
 # -- fiber functions --------------------------------------------------------
 
-def lagrangian_fn(pt):
-    """rho g^{ab} R_ab(Gamma, dGamma); never reads dg."""
+def legendre_fn(pt):
+    """(L, H, rho g^{xy}) from one g^-1, one rho and one Ricci tensor:
+    L = rho g^{ab} R_ab(Gamma, dGamma), which never reads dg, and the
+    Legendre combination H = Lmom . dGamma - L with the closed momenta
+    contracted as the traces rho (g^{cb} dGamma^a_{bca} - g^{cs}
+    dGamma^a_{acs}), so H = rho g^{ab} (traces_ab - R_ab) and the rank-4
+    momenta never form. L is linear in dGamma, so H depends on (g, Gamma)
+    alone."""
     ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
-    return rho * einsum("ab,ab->", ginv,
-                        ricci_from_connection(pt.Gamma, pt.dGamma))
-
-
-def momenta_closed_fn(pt):
-    """Closed-form momenta rho (g^{cb} d^s_a - g^{cs} d^b_a), (4, 4, 4, 4)
-    in the (a, b, c, s) layout of the derivative coordinates
-    Gamma^a_{bc,s}: one contraction of rho g^{xy} with `_MOMENTA`."""
-    ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
-    return einsum("xy,abcsxy->abcs", einsum(",xy->xy", rho, ginv), _MOMENTA)
-
-
-def hamiltonian_fn(pt):
-    """Legendre combination Lmom . dGamma - L, with the closed momenta
-    contracted as the two traces rho (g^{cb} dGamma^a_{bca} -
-    g^{cs} dGamma^a_{acs}), so the rank-4 momenta never form, and H is
-    rho g^{ab} (traces_ab - R_ab). Linearity of L in dGamma kills all
-    dGamma terms, so the result depends on (g, Gamma) alone."""
-    ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
+    ricci = ricci_from_connection(pt.Gamma, pt.dGamma)
     # the traces over a come first, so each row reduces alike whatever the
     # leading shape
     traces = (einsum("abca->cb", pt.dGamma) - einsum("aacs->cs", pt.dGamma))
-    return rho * einsum("ab,ab->", ginv, traces - ricci_from_connection(
-        pt.Gamma, pt.dGamma))
+    return (rho * einsum("ab,ab->", ginv, ricci),
+            rho * einsum("ab,ab->", ginv, traces - ricci),
+            einsum(",xy->xy", rho, ginv))
 
-
-# -- momenta and Hamiltonian ------------------------------------------------
 
 @dataclass(frozen=True)
 class EPClosed:
-    """The closed forms at a point's (g, Gamma), each with its lead."""
+    """The (g, Gamma) pass: the closed forms and L, each with its lead."""
 
-    Lmom: Tan    # momenta_closed_fn; g: by g
-    H: Tan       # hamiltonian_fn; g: by (g, Gamma)
+    Lmom: Tan    # closed momenta, (4, 4, 4, 4); g: by g
+    H: Tan       # g: by (g, Gamma)
+    L: Tan       # g: by (g, Gamma)
 
 
 def closed_forms_ep(p: EPJetPoint) -> EPClosed:
-    """The closed momenta's pass over g and H's over (g, Gamma)."""
-    return EPClosed(Lmom=fiber_gradient(momenta_closed_fn, p, ["g"]),
-                    H=fiber_gradient(hamiltonian_fn, p, ["g", "Gamma"]))
+    """One pass of `legendre_fn` over (g, Gamma). The closed momenta are
+    `_MOMENTA` contracted with rho g^-1 and the g columns of its gradient,
+    all that is nonzero, since rho g^-1 reads g alone."""
+    L, H, rg = fiber_gradient(legendre_fn, p, ["g", "Gamma"])
+    return EPClosed(Lmom=einsum("xy,abcsxy->abcs",
+                                Tan(rg.v, rg.g[..., :NPAIR]), _MOMENTA),
+                    H=H, L=L)
 
 
 @dataclass(frozen=True)
@@ -90,23 +84,23 @@ class EPMomenta:
     """Each field has the point's leading shape in front."""
 
     L: np.ndarray
+    H: np.ndarray
     Lmom_ad: np.ndarray      # (4, 4, 4, 4): d L / d Gamma^a_{bc,s}
 
 
 def momenta_ep(p: EPJetPoint) -> EPMomenta:
-    """The AD momenta from one gradient pass of L over dGamma."""
-    grad = fiber_gradient(lagrangian_fn, p, ["dGamma"])
-    return EPMomenta(L=grad.v, Lmom_ad=grad.g.reshape(p.lead + (DIM,) * 4))
+    """L, H and the AD momenta from one pass of L over dGamma."""
+    L, H, _ = fiber_gradient(legendre_fn, p, ["dGamma"])
+    return EPMomenta(L=L.v, H=H.v, Lmom_ad=L.g.reshape(p.lead + (DIM,) * 4))
 
 
 # -- constraint families ----------------------------------------------------
 
-def constraint_c0(p: EPJetPoint) -> np.ndarray:
-    """The metric equation -dL/dg at fixed (Gamma, dGamma), over ordered
-    metric pairs: dH/dg minus the variation of Lmom . dGamma, which is
-    what the Legendre form H = Lmom . dGamma - L leaves. One tangent pass
-    over the 10 metric seeds."""
-    return -fiber_gradient(lagrangian_fn, p, ["g"]).g
+def constraint_c0(closed: EPClosed) -> np.ndarray:
+    """The metric equation -dL/dg at fixed (Gamma, dGamma) over ordered
+    metric pairs, dH/dg minus the variation of Lmom . dGamma: the g
+    columns of L's gradient in `closed`, the (g, Gamma) pass."""
+    return -closed.L.g[..., :NPAIR]
 
 
 def trace_removal(T: np.ndarray) -> np.ndarray:
@@ -158,8 +152,8 @@ def constraint_integrability(p: EPJetPoint) -> np.ndarray:
             - np.einsum("...lmln->...mn", p.dGamma))
     # f[r, s, mu, nu] = g_{r g} (Gamma^g_{nu l} Gamma^l_{mu s}
     #                            + dGamma^g_{mu s, nu})
-    f = (np.einsum("...rg,...gnl,...lms->...rsmn", gm, p.Gamma, p.Gamma)
-         + np.einsum("...rg,...gmsn->...rsmn", gm, p.dGamma))
+    f = (einsum("rg,gnl,lms->rsmn", gm, p.Gamma, p.Gamma)
+         + einsum("rg,gmsn->rsmn", gm, p.dGamma))
     f = 0.5 * (f - np.swapaxes(f, -1, -2))
     full = (f + np.swapaxes(f, -4, -3) + (1.0 / 3.0) * gm[..., None, None]
             * (dttr - np.swapaxes(dttr, -1, -2))[..., None, None, :, :])
@@ -172,16 +166,16 @@ def constraint_integrability(p: EPJetPoint) -> np.ndarray:
 def projectability_check_ep(p: EPJetPoint, closed: EPClosed, trials, seed):
     """Randomize the first-order blocks; H and the AD momenta must hold
     still. p rides as row 0 in front of `trials` (at least one) randomized
-    copies on a new leading axis: one momenta_ep pass and one plain H call
-    cover the stack. The trials keep (g, Gamma), so `closed`, p's closed
-    forms, holds every row's closed momenta (projectable by construction,
-    not compared) and H. `seed` seeds each point's trials (trial_stack).
-    Returns (max deviation, max Lagrangian deviation as control, p's
-    momenta), the first two of p's leading shape."""
+    copies on a new leading axis: one momenta_ep pass covers the stack and
+    gives every row's H. The trials keep (g, Gamma), so `closed`, p's
+    closed forms, holds every row's closed momenta (projectable by
+    construction, not compared) and H. `seed` seeds each point's trials
+    (trial_stack). Returns (max deviation, max Lagrangian deviation as
+    control, p's momenta), the first two of p's leading shape."""
     q = trial_stack(p, ("dg", "dGamma"), trials, seed)
     m = momenta_ep(q)
-    base = EPMomenta(L=m.L[0], Lmom_ad=m.Lmom_ad[0])
-    dev = np.maximum(np.abs(hamiltonian_fn(q)[1:] - closed.H.v), np.abs(
+    base = EPMomenta(L=m.L[0], H=m.H[0], Lmom_ad=m.Lmom_ad[0])
+    dev = np.maximum(np.abs(m.H[1:] - closed.H.v), np.abs(
         m.Lmom_ad[1:] - base.Lmom_ad).max(axis=(-4, -3, -2, -1)))
     return dev.max(axis=0), np.abs(m.L[1:] - base.L).max(axis=0), base
 
@@ -189,8 +183,8 @@ def projectability_check_ep(p: EPJetPoint, closed: EPClosed, trials, seed):
 # -- Poincare-Cartan form and field equations -------------------------------
 
 def cartan_form_ep(p: EPJetPoint, closed: EPClosed) -> Form:
-    """dH ^ d4x minus one momenta block per connection coordinate, laid
-    out from `closed`, p's closed forms.
+    """dH ^ d4x minus one momenta block per connection coordinate that
+    `_LIVE` keeps, laid out from `closed`, p's closed forms.
 
     Both dH and the momenta differentials are supported on (g, Gamma),
     which projectability_check_ep verifies independently; for the momenta
@@ -198,10 +192,11 @@ def cartan_form_ep(p: EPJetPoint, closed: EPClosed) -> Form:
     """
     g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
     # the form lives on the (x, g, Gamma) coordinates
-    dense = np.zeros(p.lead + (1 + DIM ** 4, dg0))
+    dense = np.zeros(p.lead + (1 + len(_LIVE), dg0))
     dense[..., 0, g0:] = closed.H.g
-    dense[..., 1:, g0:gam0] = closed.Lmom.g.reshape(p.lead + (-1, NPAIR))
-    return cartan_form(dense, gam0)
+    dense[..., 1:, g0:gam0] = closed.Lmom.g.reshape(
+        p.lead + (-1, NPAIR))[..., _LIVE, :]
+    return cartan_form(dense, gam0, _LIVE)
 
 
 def field_equation_covector_ep(p: EPJetPoint, closed: EPClosed) -> np.ndarray:

@@ -201,21 +201,20 @@ def prolong(metric_series) -> EHJetPoint:
 def trial_stack(p, blocks, trials, seed):
     """p as row 0 in front of `trials` copies on a new leading axis, for
     projectability trials. Each copy moves the named blocks to random
-    values near p's, a + u (1 + |a|) with u uniform in (-0.1, 0.1), each
-    point drawing trial by trial, block by block, from its own generator;
-    `seed` seeds them, an int for one point or an array of p's leading
-    shape. The other blocks are p's own, so every row keeps p's checked g."""
-    rngs = [np.random.default_rng(s)
-            for s in np.broadcast_to(seed, p.lead).ravel().tolist()]
-
-    def perturbed(a):
-        u = np.concatenate([r.uniform(-0.1, 0.1, size=a.size // len(rngs))
-                            for r in rngs])
-        return a + u.reshape(a.shape) * (1.0 + np.abs(a))
-
-    rows = [[getattr(p, b) for b in blocks]] + [
-        [perturbed(getattr(p, b)) for b in blocks] for _ in range(trials)]
-    new = dict(zip(blocks, map(np.stack, zip(*rows))))
+    values near p's, a + u (1 + |a|) with u uniform in (-0.1, 0.1): each
+    point draws all its numbers at once from its own generator and reads
+    them trial by trial, block by block; `seed` seeds them, an int for one
+    point or an array of p's leading shape. The other blocks are p's own,
+    so every row keeps p's checked g."""
+    k, arrs = len(p.lead), [getattr(p, b) for b in blocks]
+    cuts = np.cumsum([math.prod(a.shape[k:]) for a in arrs])
+    draws = [np.random.default_rng(s).uniform(-0.1, 0.1, trials * cuts[-1])
+             for s in np.broadcast_to(seed, p.lead).ravel().tolist()]
+    # (points, trials x blocks) -> (trials, *lead, blocks)
+    u = np.moveaxis(np.reshape(draws, p.lead + (trials, -1)), k, 0)
+    new = {b: np.concatenate([a[None], a + d.reshape((trials,) + a.shape)
+                              * (1.0 + np.abs(a))])
+           for b, a, d in zip(blocks, arrs, np.split(u, cuts[:-1], axis=-1))}
     return type(p)(**{b: new[b] if b in new else np.broadcast_to(
         a, (1 + trials,) + a.shape) for b, a in vars(p).items()
         if a is not None}, _derived=_DERIVED)
@@ -248,18 +247,23 @@ def _identity_seeds(p, blocks):
         tuple(getattr(p, b).shape[k:] for b in blocks), k)))
 
 
-def _tangent_pass(f, p, seeds, hidden=()) -> Tan:
+def _tangent_pass(f, p, seeds, hidden=()):
     """f at p with the blocks in `seeds` seeded, and those in `hidden`
-    None, always as a Tan whose gradient has the value's full shape."""
+    None, always as a Tan whose gradient has the value's full shape; a
+    tuple of such Tans when f returns a tuple."""
     out = f(_view(p, dict.fromkeys(hidden) | {
         b: Tan(getattr(p, b), s) for b, s in seeds.items()}))
     n = next(iter(seeds.values())).shape[-1]
-    v, g = (out.v, out.g) if isinstance(out, Tan) else (out, 0.0)
-    return Tan(v, np.broadcast_to(g, np.shape(v) + (n,)))
+    outs = [o if isinstance(o, Tan) else Tan(o, 0.0)
+            for o in (out if isinstance(out, tuple) else (out,))]
+    tans = tuple(Tan(o.v, np.broadcast_to(o.g, o.v.shape + (n,)))
+                 for o in outs)
+    return tans if isinstance(out, tuple) else tans[0]
 
 
-def fiber_gradient(f, p, blocks) -> Tan:
-    """Evaluate f with every coordinate of the named blocks seeded at once."""
+def fiber_gradient(f, p, blocks):
+    """Evaluate f with every coordinate of the named blocks seeded at once:
+    a Tan, or a tuple of Tans when f returns a tuple of values."""
     return _tangent_pass(f, p, _identity_seeds(p, blocks))
 
 

@@ -185,7 +185,7 @@ def _ep_point_checks(spec, xs, seeds):
     # the ep point carries the metric jet's g, dg and d2g blocks
     l_eh = eh.lagrangian_eh(p)
     out["eh-equivalence"] = _rel(np.abs(m.L - l_eh), l_eh)
-    out["metric-equation"] = _amax(ep.constraint_c0(p))
+    out["metric-equation"] = _amax(ep.constraint_c0(closed))
     out["pre-metricity"] = _amax(ep.constraint_premetricity(p))
     out["torsion"] = _amax(ep.constraint_torsion(p))
     out["torsion-derivative"] = _amax(ep.constraint_torsion_deriv(p))

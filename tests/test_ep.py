@@ -31,16 +31,16 @@ def example_point():
 
 
 def test_lagrangian_trivial_and_example():
-    assert ep.lagrangian_fn(flat_point()) == 0.0
+    assert ep.legendre_fn(flat_point())[0] == 0.0
     # only the quadratic cross term survives for this connection
-    assert ep.lagrangian_fn(example_point()) == pytest.approx(6.0)
+    assert ep.legendre_fn(example_point())[0] == pytest.approx(6.0)
 
 
 def test_lagrangian_matches_metric_model_on_levi_civita(all_specs):
     for name, spec in all_specs.items():
         for x in interior_points(spec, 4, seed=41):
             pe = catalog.ep_point_at(spec, x)
-            le = ep.lagrangian_fn(pe)
+            le = ep.legendre_fn(pe)[0]
             lh = eh.lagrangian_eh(prolong(catalog.metric_jet_at(spec, x)))
             assert abs(le - lh) <= 1e-10 * (1.0 + abs(lh)), name
 
@@ -67,13 +67,15 @@ def test_hamiltonian_trivial_and_legendre_cancellation():
 
 
 def test_metric_equation_trivial_zero():
-    assert np.abs(ep.constraint_c0(flat_point())).max() == 0.0
+    p = flat_point()
+    assert np.abs(ep.constraint_c0(ep.closed_forms_ep(p))).max() == 0.0
 
 
 def test_metric_equation_matches_metric_model_constraints():
     spec = catalog.builtin("flrw")
     for x in interior_points(spec, 3, seed=43):
-        c0 = ep.constraint_c0(catalog.ep_point_at(spec, x))
+        p = catalog.ep_point_at(spec, x)
+        c0 = ep.constraint_c0(ep.closed_forms_ep(p))
         lab = eh.constraint_einstein(
             prolong(catalog.metric_jet_at(spec, x)))
         assert np.allclose(c0, -lab, rtol=1e-8, atol=1e-10)
@@ -97,7 +99,8 @@ def test_all_constraints_vanish_on_levi_civita_sections(vacuum_specs):
     for name, spec in vacuum_specs.items():
         for x in interior_points(spec, 4, seed=47):
             p = catalog.ep_point_at(spec, x)
-            assert np.abs(ep.constraint_c0(p)).max() < 1e-8, name
+            assert np.abs(ep.constraint_c0(
+                ep.closed_forms_ep(p))).max() < 1e-8, name
             assert np.abs(ep.constraint_premetricity(p)).max() < 1e-10
             assert np.abs(ep.constraint_torsion(p)).max() < 1e-12
             assert np.abs(ep.constraint_torsion_deriv(p)).max() < 1e-12
@@ -220,7 +223,7 @@ def test_projective_shift_moves_ricci_but_not_lagrangian():
     dA = np.array([[0.1, -0.4, 0.0, 0.2], [0.3, 0.0, 0.1, 0.0],
                    [0.0, 0.2, -0.1, 0.0], [0.5, 0.0, 0.0, 0.3]])
     q = projective_shift(p, A=A, dA=dA)
-    assert abs(ep.lagrangian_fn(q) - ep.lagrangian_fn(p)) < 1e-12
+    assert abs(ep.legendre_fn(q)[0] - ep.legendre_fn(p)[0]) < 1e-12
     delta = (ricci_from_connection(q.Gamma, q.dGamma)
              - ricci_from_connection(p.Gamma, p.dGamma))
     assert np.allclose(delta, dA.T - dA, atol=1e-12)
@@ -237,7 +240,7 @@ def test_projectability_and_controls():
     # H reads (g, Gamma) alone, so randomizing dGamma by itself must leave
     # it still
     q = trial_stack(p, ("dGamma",), 5, 0)
-    assert np.abs(ep.hamiltonian_fn(q)[1:] - closed.H.v).max() < 1e-12
+    assert np.abs(ep.legendre_fn(q)[1][1:] - closed.H.v).max() < 1e-12
 
 
 @pytest.mark.parametrize("component", ["H", "Lmom_ad"])
@@ -250,20 +253,16 @@ def test_projectability_reads_each_compared_component(monkeypatch,
     p = catalog.ep_point_at(catalog.builtin("schwarzschild"),
                             (0.0, 5.0, 1.2, 3.0))
     closed = ep.closed_forms_ep(p)
-    if component == "H":
-        # after the closed forms, the plain H call sees the trials alone
-        real_h = ep.hamiltonian_fn
-        monkeypatch.setattr(ep, "hamiltonian_fn", lambda pt: real_h(pt) + eps)
-    else:
-        real = ep.momenta_ep
+    # the trials' H and AD momenta both come from the one dGamma pass
+    real = ep.momenta_ep
 
-        def shifted(q):
-            m = real(q)
-            v = m.Lmom_ad.copy()
-            v[1:] += eps
-            return replace(m, Lmom_ad=v)
+    def shifted(q):
+        m = real(q)
+        v = getattr(m, component).copy()
+        v[1:] += eps
+        return replace(m, **{component: v})
 
-        monkeypatch.setattr(ep, "momenta_ep", shifted)
+    monkeypatch.setattr(ep, "momenta_ep", shifted)
     dev, _, _ = ep.projectability_check_ep(p, closed, 2, 0)
     assert dev == pytest.approx(eps, rel=1e-9)
 
@@ -278,7 +277,7 @@ def _reference_projectability(p, trials, seed):
         q = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma, dg=stack.dg[t],
                        dGamma=stack.dGamma[t])
         mq = ep.momenta_ep(q)
-        dev = max(dev, abs(ep.hamiltonian_fn(q) - closed.H.v),
+        dev = max(dev, abs(ep.legendre_fn(q)[1] - closed.H.v),
                   np.abs(mq.Lmom_ad - m.Lmom_ad).max())
         control = max(control, abs(mq.L - m.L))
     return dev, control, m
@@ -311,7 +310,7 @@ def test_stacked_projectability_rows_equal_single_point_calls(trials):
 def test_cartan_form_term_count():
     spec = catalog.builtin("minkowski")
     p = catalog.ep_point_at(spec, (0.0, 0.0, 0.0, 0.0))
-    assert len(ep.cartan_form_ep(p, ep.closed_forms_ep(p))) == 1 + 256
+    assert len(ep.cartan_form_ep(p, ep.closed_forms_ep(p))) == 1 + 96
 
 
 def test_field_equation_on_and_off_shell(vacuum_specs):
@@ -322,8 +321,9 @@ def test_field_equation_on_and_off_shell(vacuum_specs):
             name
     spec = catalog.builtin("flrw")
     p = catalog.ep_point_at(spec, (0.0, 0.2, -0.1, 0.3))
-    cov = ep.field_equation_covector_ep(p, ep.closed_forms_ep(p))
-    c0 = ep.constraint_c0(p)
+    closed = ep.closed_forms_ep(p)
+    cov = ep.field_equation_covector_ep(p, closed)
+    c0 = ep.constraint_c0(closed)
     for a in range(10):
         assert cov[flat_index(EP_BLOCKS, ("g", a))] == pytest.approx(
             c0[a], abs=1e-10)
@@ -371,10 +371,49 @@ def test_closed_momenta_are_the_per_entry_formula():
     # g^{cs} d^b_a) entry by entry, on random symmetric metrics; each
     # entry is a single product, so the two agree exactly
     g, _, _ = random_jet(79)
-    got = ep.momenta_closed_fn(SimpleNamespace(g=g))
+    rng = np.random.default_rng(79)
+    p = EPJetPoint(x=np.zeros((3, DIM)), g=g,
+                   Gamma=rng.normal(size=(3,) + (DIM,) * 3),
+                   dg=rng.normal(size=(3, 10, DIM)),
+                   dGamma=rng.normal(size=(3,) + (DIM,) * 4))
+    got = ep.closed_forms_ep(p).Lmom.v
     ginv, rho = metric_inverse_density(g[:, PAIR_FULL])
     want = np.zeros((3,) + (DIM,) * 4)
     for a, b, c, s in itertools.product(range(DIM), repeat=4):
         want[:, a, b, c, s] = rho * ((ginv[:, c, b] if s == a else 0.0)
                                      - (ginv[:, c, s] if b == a else 0.0))
     assert np.array_equal(got, want)
+
+
+def test_cartan_form_keeps_the_momenta_rows_that_can_be_nonzero():
+    # the form's momenta rows are exactly the (a, b, c, s) where _MOMENTA
+    # is nonzero, and its covector is bit for bit that of the full
+    # 1 + 256-term form at off-shell points
+    from msgrav.exterior import cartan_form, contract_terms
+    from msgrav.fieldspace import EP_OFF, tangent_lifts
+    live = [k for k, abcs in enumerate(itertools.product(range(DIM),
+                                                         repeat=4))
+            if np.any(ep._MOMENTA[abcs])]
+    a, b, _, s = np.unravel_index(live, (DIM,) * 4)
+    assert len(live) == 96 and np.all((s == a) != (b == a))
+    g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
+    torsion = catalog.load_metric_file(str(
+        Path(__file__).resolve().parents[1] / "msbench" / "inputs"
+        / "torsion.metric"))
+    for spec in (catalog.builtin("flrw"), catalog.builtin("desitter"),
+                 torsion):
+        p = catalog.ep_point_at(spec, np.array(interior_points(spec, 8,
+                                                               seed=83)))
+        closed = ep.closed_forms_ep(p)
+        form = ep.cartan_form_ep(p, closed)
+        # row k pairs coordinate gam0 + k // 4 with i(d/dx^(k % 4)) d4x
+        mu = [({0, 1, 2, 3} - set(c)).pop() for c in form.coords[1:, 1:]]
+        assert list(4 * (form.coords[1:, 0] - gam0) + mu) == live
+        full = np.zeros(p.lead + (1 + DIM ** 4, dg0))
+        full[..., 0, g0:] = closed.H.g
+        full[..., 1:, g0:gam0] = closed.Lmom.g.reshape(p.lead + (-1, 10))
+        want = contract_terms(cartan_form(full, gam0, range(DIM ** 4)),
+                              tangent_lifts(p, dg0))
+        got = ep.field_equation_covector_ep(p, closed)
+        assert np.abs(want).max(axis=-1).min() > 1e-3, spec.name
+        assert np.array_equal(got, want), spec.name

@@ -10,7 +10,7 @@ from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_E, EH_DIM_J3, EH_OFF,
                                EP_BLOCKS, EP_DIM_E, EP_DIM_J1, EHJetPoint,
                                EPJetPoint, derivatives, fiber_gradient,
                                flat_index, prolong, tangent_lifts,
-                               total_derivatives)
+                               total_derivatives, trial_stack)
 from msgrav.indexing import DERIVS, DIM, PAIRS
 from msgrav.series import JetScalar, multi_indices
 
@@ -228,20 +228,60 @@ def test_seed_blocks_are_shared_unit_lead_constants(monkeypatch):
         lambda: fiber_gradient(eh.lagrangian_fn, peh, ["d2g"]),
         lambda: fieldspace.fiber_hessian(eh.lagrangian_fn, peh, ["dg"],
                                          ["g", "dg"]),
-        lambda: fiber_gradient(ep.lagrangian_fn, pep, ["dGamma"]),
-        lambda: fiber_gradient(ep.hamiltonian_fn, pep, ["g", "Gamma"]),
-        lambda: fiber_gradient(ep.momenta_closed_fn, pep, ["g"])]
+        lambda: fiber_gradient(ep.legendre_fn, pep, ["dGamma"]),
+        lambda: fiber_gradient(ep.legendre_fn, pep, ["g", "Gamma"])]
     got = [f() for f in passes]
     real = fieldspace._identity_seeds
     monkeypatch.setattr(fieldspace, "_identity_seeds", lambda p, blocks: {
         b: np.broadcast_to(s, p.lead + s.shape[len(p.lead):])
         for b, s in real(p, blocks).items()})
+    def parts(out):
+        if isinstance(out, np.ndarray):
+            return [out]
+        if isinstance(out, tuple):
+            return [x for o in out for x in parts(o)]
+        return [out.v, out.g]
+
     for g, f in zip(got, passes):
-        w = f()
-        for x, y in ((g, w),) if isinstance(g, np.ndarray) else (
-                (g.v, w.v), (g.g, w.g)):
+        for x, y in zip(parts(g), parts(f()), strict=True):
             assert x.shape[:1] == (3,) and x.shape == y.shape
             assert np.array_equal(x, y)
+
+
+def _trial_rows_per_block(p, blocks, trials, seed):
+    """The trial blocks drawn trial by trial, block by block, one call per
+    point and block: the reference for trial_stack's single draw."""
+    rngs = [np.random.default_rng(s)
+            for s in np.broadcast_to(seed, p.lead).ravel().tolist()]
+
+    def perturbed(a):
+        u = np.concatenate([r.uniform(-0.1, 0.1, size=a.size // len(rngs))
+                            for r in rngs])
+        return a + u.reshape(a.shape) * (1.0 + np.abs(a))
+
+    rows = [[getattr(p, b) for b in blocks]] + [
+        [perturbed(getattr(p, b)) for b in blocks] for _ in range(trials)]
+    return dict(zip(blocks, map(np.stack, zip(*rows))))
+
+
+@pytest.mark.parametrize("model, blocks", [("eh", ("d2g", "d3g")),
+                                           ("ep", ("dg", "dGamma"))])
+def test_trial_stack_rows_equal_the_per_block_draws(model, blocks):
+    # one draw per point, read trial by trial and block by block, gives the
+    # numbers of one draw per (trial, block) and point, in the same order
+    spec = catalog.builtin("kasner")
+    xs = np.array([(1.5, 0.2, -0.3, 0.4), (1.2, -0.1, 0.3, 0.2),
+                   (1.8, 0.3, 0.1, -0.2)])
+    at = catalog.eh_point_at if model == "eh" else catalog.ep_point_at
+    for trials in (1, 3):
+        for p, seed in ((at(spec, xs), np.array([7, 8, 9])),
+                        (at(spec, xs[0]), 11)):
+            got = trial_stack(p, blocks, trials, seed)
+            want = _trial_rows_per_block(p, blocks, trials, seed)
+            for b in blocks:
+                assert np.array_equal(getattr(got, b), want[b])
+            assert np.array_equal(got.g[1:], np.broadcast_to(
+                p.g, got.g[1:].shape))
 
 
 def test_total_derivative_matches_base_space_differentiation():

@@ -308,17 +308,17 @@ def test_one_series_pass_per_chunk(monkeypatch, tmp_path, model):
 
 
 def test_ep_chunk_runs_each_momenta_pass_once(monkeypatch):
-    # one dGamma pass of L covers the points and their trials, one
-    # (g, Gamma) pass of H and one g pass of the closed momenta run at the
-    # points, and one plain H call covers the trials; the passes' values
-    # stand in for plain calls
+    # one (g, Gamma) pass runs at the points and one dGamma pass covers the
+    # points and their trials, each evaluating legendre_fn once; the
+    # passes' values stand in for plain calls, so no plain call is made
     from msgrav import ep, report
-    calls = {"hamiltonian_fn": 0, "momenta_closed_fn": 0}
-    for name in calls:
-        def counted(pt, real=getattr(ep, name), name=name):
-            calls[name] += 1
-            return real(pt)
-        monkeypatch.setattr(ep, name, counted)
+    real_fn, calls = ep.legendre_fn, []
+
+    def counted(pt):
+        calls.append(pt)
+        return real_fn(pt)
+
+    monkeypatch.setattr(ep, "legendre_fn", counted)
     real_pass, passes = ep.fiber_gradient, []
 
     def logged(f, p, blocks):
@@ -330,13 +330,12 @@ def test_ep_chunk_runs_each_momenta_pass_once(monkeypatch):
     kept, _ = report._ep_point_checks(spec, sample_points(spec, 8, seed=3),
                                       list(range(8)))
     assert kept == list(range(8))
-    assert calls == {"hamiltonian_fn": 2, "momenta_closed_fn": 1}
-    assert [p for p in passes if p[0] == ("dGamma",)] == [
-        (("dGamma",), (3, 8))]
+    assert passes == [(("g", "Gamma"), (8,)), (("dGamma",), (3, 8))]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("model, points, budget",
-                         [("eh", 2, 150), ("ep", 8, 69)])
+                         [("eh", 2, 150), ("ep", 8, 60)])
 def test_chunk_contraction_budget(monkeypatch, model, points, budget):
     # fixed index structure is built once at import, so each closed form
     # and each Lagrangian invariant is one contraction and the Cartan
