@@ -194,7 +194,7 @@ def cartan_form_eh(p: EHJetPoint, closed: EHClosed) -> Form:
     dense[..., 1:1 + n1, g0:] = dl1
     dense[..., 1 + n1:, :].reshape(p.lead + (NPAIR, DIM, DIM, -1))[
         ..., g0:dg0] = closed.L2.a[..., PAIR_FULL, :]
-    return cartan_form(dense, g0, np.arange(dense.shape[-2] - 1))
+    return cartan_form(dense, g0)
 
 
 def field_equation_covector(p: EHJetPoint, closed: EHClosed) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .exterior import Form, cartan_form, contract_terms
 from .fieldspace import (EP_OFF, EPJetPoint, fiber_gradient, tangent_lifts,
                          trial_stack)
-from .geometry import (metric_inverse_density, ricci_from_connection,
+from .geometry import (connection_traces, metric_inverse_density, ricci,
                        torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import Tan, einsum
@@ -35,9 +35,6 @@ NPAIR = len(PAIRS)
 # K = d_cx (d_by d_sa - d_sy d_ba)
 _MOMENTA = (np.einsum("cx,by,sa->abcsxy", *[np.eye(DIM)] * 3)
             - np.einsum("cx,sy,ba->abcsxy", *[np.eye(DIM)] * 3))
-# the momenta rows (a, b, c, s) that can be nonzero: s = a or b = a, not
-# both, where K's two terms cancel; the other 160 vanish for every metric
-_LIVE = np.flatnonzero(_MOMENTA.reshape(DIM ** 4, -1).any(axis=1))
 
 
 # -- fiber functions --------------------------------------------------------
@@ -49,14 +46,13 @@ def legendre_fn(pt):
     contracted as the traces rho (g^{cb} dGamma^a_{bca} - g^{cs}
     dGamma^a_{acs}), so H = rho g^{ab} (traces_ab - R_ab) and the rank-4
     momenta never form. L is linear in dGamma, so H depends on (g, Gamma)
-    alone."""
+    alone. The traces are the Ricci tensor's derivative terms, formed once
+    for both."""
     ginv, rho = metric_inverse_density(pt.g[..., PAIR_FULL])
-    ricci = ricci_from_connection(pt.Gamma, pt.dGamma)
-    # the traces over a come first, so each row reduces alike whatever the
-    # leading shape
-    traces = (einsum("abca->cb", pt.dGamma) - einsum("aacs->cs", pt.dGamma))
-    return (rho * einsum("ab,ab->", ginv, ricci),
-            rho * einsum("ab,ab->", ginv, traces - ricci),
+    traces = connection_traces(pt.dGamma)
+    ric = ricci(pt.Gamma, traces)
+    return (rho * einsum("ab,ab->", ginv, ric),
+            rho * einsum("ab,ab->", ginv, traces - ric),
             einsum(",xy->xy", rho, ginv))
 
 
@@ -183,8 +179,8 @@ def projectability_check_ep(p: EPJetPoint, closed: EPClosed, trials, seed):
 # -- Poincare-Cartan form and field equations -------------------------------
 
 def cartan_form_ep(p: EPJetPoint, closed: EPClosed) -> Form:
-    """dH ^ d4x minus one momenta block per connection coordinate that
-    `_LIVE` keeps, laid out from `closed`, p's closed forms.
+    """dH ^ d4x minus one momenta block per connection coordinate, laid
+    out from `closed`, p's closed forms.
 
     Both dH and the momenta differentials are supported on (g, Gamma),
     which projectability_check_ep verifies independently; for the momenta
@@ -192,11 +188,10 @@ def cartan_form_ep(p: EPJetPoint, closed: EPClosed) -> Form:
     """
     g0, gam0, dg0 = EP_OFF["g"], EP_OFF["Gamma"], EP_OFF["dg"]
     # the form lives on the (x, g, Gamma) coordinates
-    dense = np.zeros(p.lead + (1 + len(_LIVE), dg0))
+    dense = np.zeros(p.lead + (1 + DIM ** 4, dg0))
     dense[..., 0, g0:] = closed.H.g
-    dense[..., 1:, g0:gam0] = closed.Lmom.g.reshape(
-        p.lead + (-1, NPAIR))[..., _LIVE, :]
-    return cartan_form(dense, gam0, _LIVE)
+    dense[..., 1:, g0:gam0] = closed.Lmom.g.reshape(p.lead + (-1, NPAIR))
+    return cartan_form(dense, gam0)
 
 
 def field_equation_covector_ep(p: EPJetPoint, closed: EPClosed) -> np.ndarray:

@@ -61,16 +61,15 @@ class Form:
         return len(self.coef) * math.prod(self.dense.shape[:-2])
 
 
-def cartan_form(dense: np.ndarray, first: int, rows) -> Form:
-    """dense[0] ^ d4x - sum_j dense[1 + j] ^ dy_k ^ i(d/dx^mu_k) d4x.
+def cartan_form(dense: np.ndarray, first: int) -> Form:
+    """dense[0] ^ d4x - sum_k dense[k + 1] ^ dy_k ^ i(d/dx^mu_k) d4x.
 
-    Row 0 is dH; row 1 + j is the differential of the momentum conjugate
+    Row 0 is dH; row k + 1 is the differential of the momentum conjugate
     to the derivative coordinate y_k = first + k // 4 in direction
-    mu_k = k % 4, k = rows[j]: both models lay out their momenta so, and
-    give the rows k they keep. Rows index the second-to-last axis of
-    `dense`.
+    mu_k = k % 4, which is how both models lay out their momenta. Rows
+    index the second-to-last axis of `dense`.
     """
-    k = np.asarray(rows)
+    k = np.arange(dense.shape[-2] - 1)
     mu = k % DIM
     return Form(
         np.concatenate([[1.0], -VOL_SIGN[mu]]), dense,

@@ -59,11 +59,11 @@ def ricci(gam, dterms):
             - einsum("cbs,sca->ab", gam, gam))
 
 
-def ricci_from_connection(Gamma, dGamma):
-    """Ricci of an arbitrary connection; Gamma (4,4,4), dGamma (4,4,4,4)
-    with the derivative direction last."""
-    return ricci(Gamma, einsum("cbac->ab", dGamma)
-                 - einsum("ccab->ab", dGamma))
+def connection_traces(dGamma):
+    """G^c_{ba,c} - G^c_{ca,b} from dGamma (4,4,4,4), derivative direction
+    last: the derivative terms of an arbitrary connection's Ricci tensor,
+    ricci(Gamma, connection_traces(dGamma))."""
+    return einsum("cbac->ab", dGamma) - einsum("ccab->ab", dGamma)
 
 
 def curvature_bundle(g10, dg, d2g):
