@@ -6,7 +6,8 @@ import pytest
 
 from conftest import interior_points, projective_shift, random_jet
 from msgrav import catalog, eh, ep
-from msgrav.fieldspace import (EP_BLOCKS, EPJetPoint, flat_index, prolong,
+from msgrav.fieldspace import (EP_BLOCKS, EPJetPoint, fiber_gradient,
+                               flat_index, prolong, tangent_lifts,
                                trial_stack)
 from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import APAIRS, DIM, PAIR_FULL, PAIRS, pair_index
@@ -326,6 +327,30 @@ def test_field_equation_on_and_off_shell(vacuum_specs):
     for a in range(10):
         assert cov[flat_index(EP_BLOCKS, ("g", a))] == pytest.approx(
             c0[a], abs=1e-10)
+
+
+def test_field_equation_covector_is_the_euler_lagrange_form():
+    # at random jet points, off shell and off Levi-Civita, the covector is
+    # -dL/dg on g, D_s Lmom^{bcs}_a - dL/dGamma^a_{bc} on Gamma (Lmom reads
+    # g alone, so D_s Lmom is its g gradient along dg), and minus the
+    # fiber part paired with each lift on x; every term of the form counts
+    g, dg, _ = random_jet(89, 4)
+    rng = np.random.default_rng(89)
+    p = EPJetPoint(x=np.zeros((4, DIM)), g=g,
+                   Gamma=rng.normal(size=(4,) + (DIM,) * 3), dg=dg,
+                   dGamma=rng.normal(size=(4,) + (DIM,) * 4))
+    closed = ep.closed_forms_ep(p)
+    cov = ep.field_equation_covector_ep(p, closed)
+    L = fiber_gradient(ep.legendre_fn, p, ["g", "Gamma"])[0]
+    n = len(PAIRS)
+    dlmom = np.einsum("...abcsp,...ps->...abc", closed.Lmom.g, p.dg)
+    want = np.concatenate([-L.g[..., :n],
+                           dlmom.reshape(4, -1) - L.g[..., n:]], axis=-1)
+    lifts = tangent_lifts(p, cov.shape[-1])
+    want = np.concatenate([-np.einsum("...mk,...k->...m", lifts[..., DIM:],
+                                      want), want], axis=-1)
+    assert np.abs(want[..., DIM + n:]).max(axis=-1).min() > 1e-3
+    assert np.allclose(cov, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_batched_momenta_rows_equal_unbatched():
