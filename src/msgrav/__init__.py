@@ -14,8 +14,8 @@ from .errors import (ConfigError, DegenerateMetricError, DomainError,
                      ExprSyntaxError, MsgravError, SingularPointError)
 from .series import JetScalar
 from .tangents import Jet2, Tan
-from .fieldspace import (EH_DIM_E, EH_DIM_J3, EP_DIM_E, EP_DIM_J1,
-                         EHJetPoint, EPJetPoint, prolong, total_derivatives)
+from .fieldspace import (EH_DIM_J3, EP_DIM_J1, EHJetPoint, EPJetPoint,
+                         prolong, total_derivatives)
 from .catalog import (MetricSpec, builtin, ep_point_at, eh_point_at,
                       list_builtins, load_metric_file, metric_jet_at)
 from .report import CheckConfig, ConstraintReport, emit_report, run_check
@@ -27,7 +27,7 @@ __all__ = [
     "JetScalar", "Tan", "Jet2",
     "EHJetPoint", "EPJetPoint", "prolong",
     "total_derivatives",
-    "EH_DIM_E", "EH_DIM_J3", "EP_DIM_E", "EP_DIM_J1",
+    "EH_DIM_J3", "EP_DIM_J1",
     "MetricSpec", "builtin", "list_builtins", "load_metric_file",
     "metric_jet_at", "eh_point_at", "ep_point_at",
     "CheckConfig", "ConstraintReport", "run_check", "emit_report",

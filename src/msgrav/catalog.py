@@ -1,13 +1,13 @@
 """Built-in exact spacetimes and the metric definition file loader.
 
 Every metric — built in or user supplied — is ten component expressions in
-the coordinates x0..x3 plus parameters; evaluation on series coordinates
-truncated at the jet order `fieldspace.ORDER` produces the jets that feed
-the two models. The points may be
-a stack (..., 4): each expression tree is then walked once for the whole
-stack, on stacked series, and a row's jets are bit-identical to those of
-the point built alone. Connections for the metric-affine model default to
-Levi-Civita and can be overridden componentwise from a file.
+the coordinates x0..x3 plus parameters, compiled once into one program.
+Run on series coordinates truncated at the order a model reads (3,
+`fieldspace.ORDER`, for eh; 2 for ep), it produces the jets that feed the
+two models, for a stack of points (..., 4) at once; a row's jets are
+bit-identical to those of the point built alone. Connections for the
+metric-affine model default to Levi-Civita and can be overridden
+componentwise from a file.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exprparse import VARIABLES, evaluate, free_names, parse_expression
+from .exprparse import (VARIABLES, compile_program, free_names,
+                        parse_expression, run_program)
+from . import fieldspace
 from .fieldspace import (_DERIVED, ORDER, EHJetPoint, EPJetPoint, derivatives,
                          prolong)
 from .geometry import christoffel, metric_inverse_density
@@ -37,6 +39,8 @@ class MetricSpec:
     domain: tuple = (((-1.0, 1.0),) * DIM)
     vacuum: str = "unknown"    # yes | no | unknown
     connection: dict = field(default_factory=dict)  # (l,m,n) -> syntax tree
+    program: tuple = field(init=False, repr=False, compare=False)
+    connection_program: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.components) != len(PAIRS):
@@ -55,6 +59,9 @@ class MetricSpec:
                 raise ConfigError(
                     f"unknown identifier {sorted(unknown)[0]!r} in metric "
                     f"{self.name!r}")
+        object.__setattr__(self, "program", compile_program(self.components))
+        object.__setattr__(self, "connection_program",
+                           compile_program(self.connection.values()))
 
     def contains(self, x):
         """Whether each point of x (..., 4) lies in the sample box."""
@@ -67,69 +74,63 @@ _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError,
                  FloatingPointError)
 
 
-def _evaluate(tree, env, memo=None):
-    """Evaluate an expression; float domain failures become DomainError."""
+def _series_at(spec: MetricSpec, program, x, order: int) -> list:
+    """The series of each tree of a compiled program about the points
+    x (..., 4), from one run for the whole stack; float domain failures
+    become DomainError."""
+    env = {f"x{i}": JetScalar.variable(i, x, order=order)
+           for i in range(DIM)} | spec.params
     try:
-        return evaluate(tree, env, memo)
+        vals = run_program(program, env)
     except _FLOAT_ERRORS as e:
         raise DomainError(f"cannot evaluate an expression at this point: "
                           f"{e}") from None
+    return [v if isinstance(v, JetScalar)
+            else JetScalar.constant(v, x, order=order) for v in vals]
 
 
-def _series_at(spec: MetricSpec, trees, x, order: int) -> list:
-    """The series of each expression tree about the points x (..., 4), one
-    pass over each tree for the whole stack and one per repeated subtree."""
-    env = {f"x{i}": JetScalar.variable(i, x, order=order)
-           for i in range(DIM)}
-    env.update(spec.params)
-    out, memo = [], {}
-    for tree in trees:
-        v = _evaluate(tree, env, memo)
-        out.append(v if isinstance(v, JetScalar)
-                   else JetScalar.constant(v, x, order=order))
-    return out
-
-
-def metric_jet_at(spec: MetricSpec, x):
-    """The ten component series centered at the points x (..., 4), at the
-    jet order, ready for prolongation. Raises DomainError if any point is
-    outside the box or any series cannot be evaluated there."""
+def metric_jet_at(spec: MetricSpec, x, order: int = ORDER):
+    """The ten component series at the points x (..., 4), to the order the
+    caller reads (eh the jet order, ep 2). Raises DomainError if any point
+    is outside the box or any series cannot be evaluated there."""
     x = np.asarray(x, dtype=float)
     inside = spec.contains(x)
     if not np.all(inside):
         raise DomainError(f"point {tuple(x[~inside][0].tolist())} outside "
                           f"the sample box of {spec.name!r}")
-    return _series_at(spec, spec.components, x, ORDER)
+    return _series_at(spec, spec.program, x, order)
 
 
 def eh_point_at(spec: MetricSpec, x) -> EHJetPoint:
-    return prolong(metric_jet_at(spec, x))
+    return prolong(metric_jet_at(spec, x, ORDER))
 
 
 def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     """First-order metric-affine point over the points x (..., 4): the
-    metric jet with its Levi-Civita connection (or file overrides), and
-    the metric's second derivatives for the second-order Lagrangian.
+    metric's order-2 jet, checked before its Levi-Civita connection (or
+    file overrides) is formed; d2g serves the second-order Lagrangian.
 
-    The Levi-Civita Gamma and its x-derivatives come from one Tan pass of
-    the connection kernel on the prolonged jet, with g and dg seeded by
-    their shifts along each x^n, so the gradient is dGamma. Overridden
-    components keep their series route, evaluated at order 1.
+    Gamma and its x-derivatives come from one Tan pass of the connection
+    kernel, with g and dg seeded by their shifts along each x^n, so the
+    gradient is dGamma. Overridden components keep their series route,
+    evaluated at order 1.
     """
-    p = prolong(metric_jet_at(spec, x))
-    g = Tan(p.g, p.dg)
-    dg = Tan(p.dg, p.d2g[..., PAIR_FULL])
-    ginv, _ = metric_inverse_density(g[..., PAIR_FULL])
-    gam = christoffel(ginv, dg[..., PAIR_FULL, :])
+    series = metric_jet_at(spec, x, 2)
+    g, dg, d2g = (derivatives(series, c) for c in DERIVS[:3])
+    g = g[..., 0]
+    fieldspace._check_lorentzian(g)
+    ginv, _ = metric_inverse_density(Tan(g, dg)[..., PAIR_FULL])
+    gam = christoffel(ginv, Tan(dg, d2g[..., PAIR_FULL])[..., PAIR_FULL, :])
     Gamma, dGamma = gam.v.copy(), gam.g.copy()
+    x = series[0].base
     if spec.connection:
-        series = _series_at(spec, spec.connection.values(), p.x, 1)
-        val, dval = (derivatives(series, d) for d in DERIVS[:2])
+        conn = _series_at(spec, spec.connection_program, x, 1)
+        val, dval = (derivatives(conn, d) for d in DERIVS[:2])
         lmn = tuple(np.array(list(spec.connection)).T)
         Gamma[(..., *lmn)] = val[..., 0]
         dGamma[(..., *lmn, slice(None))] = dval
-    return EPJetPoint(x=p.x, g=p.g, Gamma=Gamma, dg=p.dg, dGamma=dGamma,
-                      d2g=p.d2g, _derived=_DERIVED)
+    return EPJetPoint(x=np.array(x), g=g, Gamma=Gamma, dg=dg, dGamma=dGamma,
+                      d2g=d2g, _derived=_DERIVED)
 
 
 def _where(spec: MetricSpec, x) -> str:
@@ -139,17 +140,16 @@ def _where(spec: MetricSpec, x) -> str:
 def _check_grid(spec: MetricSpec, x):
     """Raise DomainError for the first point of the stack x (n, 4), in
     order, whose metric cannot be evaluated or is not finite, of finite
-    determinant and Lorentzian (checked in that order). Each component
-    tree is walked once for the whole stack, raising where a float
+    determinant and Lorentzian (checked in that order). The spec's
+    program runs once for the whole stack, raising where a float
     evaluation would; if that raises, each point is checked alone, as a
     stack of one, so the error names the point that fails first."""
-    env = {f"x{i}": x[:, i] for i in range(DIM)}
-    env.update(spec.params)
+    env = {f"x{i}": x[:, i] for i in range(DIM)} | spec.params
     try:
         # arithmetic overflows silently, as with floats; the finite check
         # below rejects what it leaves
         with np.errstate(over="ignore", invalid="ignore"):
-            comps = [evaluate(c, env) for c in spec.components]
+            comps = run_program(spec.program, env)
     except _FLOAT_ERRORS as e:
         if len(x) == 1:
             raise DomainError(f"{_where(spec, x[0])} cannot be evaluated: "

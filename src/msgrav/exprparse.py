@@ -13,8 +13,9 @@ exp, sqrt, ln. Exponents are restricted to integers so evaluation stays
 total on truncated-series inputs; fractional powers are written via
 exp/ln.
 
-A tree evaluates over floats (through `math`), numpy arrays (elementwise,
-through numpy's ufuncs, so one walk serves a whole stack of points) or
+Trees compile to one straight-line program of their distinct subtrees,
+which runs over floats (through `math`), numpy arrays (elementwise,
+through numpy's ufuncs, so one run serves a whole stack of points) or
 truncated series; parameters stay floats in every case.
 """
 
@@ -145,24 +146,17 @@ class _Parser:
         return node
 
     def _sum(self):
-        node = self._product()
-        while True:
-            if self._eat_punct("+"):
-                node = BinOp("+", node, self._product())
-            elif self._eat_punct("-"):
-                node = BinOp("-", node, self._product())
-            else:
-                return node
+        return self._chain("+-", self._product)
 
     def _product(self):
-        node = self._unary()
-        while True:
-            if self._eat_punct("*"):
-                node = BinOp("*", node, self._unary())
-            elif self._eat_punct("/"):
-                node = BinOp("/", node, self._unary())
-            else:
-                return node
+        return self._chain("*/", self._unary)
+
+    def _chain(self, ops, operand):
+        node = operand()
+        while (tok := self._peek()) and tok[0] == "punct" and tok[1] in ops:
+            self.pos += 1
+            node = BinOp(tok[1], node, operand())
+        return node
 
     def _unary(self):
         if self._eat_punct("-"):
@@ -182,8 +176,7 @@ class _Parser:
         if tok[1] != int(tok[1]):
             raise ExprSyntaxError("exponent must be an integer", offset=tok[2])
         self.pos += 1
-        exp = int(tok[1])
-        return Pow(base, -exp if neg else exp)
+        return Pow(base, int(-tok[1] if neg else tok[1]))
 
     def _atom(self):
         tok = self._peek()
@@ -221,18 +214,14 @@ def parse_expression(text: str):
 
 # -- evaluation and printing ------------------------------------------------
 
+_FIELDS = {Num: ("value", ()), Name: ("ident", ()), Neg: (None, ("arg",)),
+           BinOp: ("op", ("left", "right")), Pow: ("exponent", ("base",)),
+           Call: ("func", ("arg",))}
+
+
 def free_names(node) -> set:
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, Name):
-        return {node.ident}
-    if isinstance(node, Neg):
-        return free_names(node.arg)
-    if isinstance(node, BinOp):
-        return free_names(node.left) | free_names(node.right)
-    if isinstance(node, Pow):
-        return free_names(node.base)
-    return free_names(node.arg)
+    return {n.ident for n, _ in compile_program((node,))[0]
+            if isinstance(n, Name)}
 
 
 # an array function or power raises FloatingPointError exactly where the
@@ -241,31 +230,46 @@ def free_names(node) -> set:
 _RAISE = {"divide": "raise", "over": "raise", "invalid": "raise"}
 
 
-def _apply(func, x):
-    if isinstance(x, (int, float)):
-        return getattr(math, "log" if func == "ln" else func)(x)
-    if isinstance(x, np.ndarray):
-        with np.errstate(**_RAISE):
-            return getattr(np, "log" if func == "ln" else func)(x)
-    return getattr(x, func)()
+def compile_program(trees) -> tuple:
+    """(steps, outputs): the distinct subtrees of a sequence of trees in
+    evaluation order, each a (node, operand slots) step whose operands are
+    earlier steps, and the slot of each tree."""
+    slots, steps = {}, []
+
+    def visit(node):
+        own, ops = _FIELDS[type(node)]
+        args = tuple([visit(getattr(node, f)) for f in ops])
+        key = (type(node), own and getattr(node, own), args)  # equal subtrees
+        if key not in slots:
+            slots[key] = len(steps)
+            steps.append((node, args))
+        return slots[key]
+
+    outputs = tuple(visit(t) for t in trees)
+    return tuple(steps), outputs
 
 
-def evaluate(node, env: dict, memo: dict | None = None):
-    """Evaluate over floats, numpy arrays (elementwise) or series; env maps
+def run_program(program, env: dict) -> list:
+    """The value of each tree of a compiled program, each step computed
+    once, over floats, numpy arrays (elementwise) or series; env maps
     names to values of those kinds. Floats go through `math`. Arrays raise
     where floats would: a function or power out of its domain or range
     raises FloatingPointError, a division by zero ZeroDivisionError; a sum,
     product or quotient that overflows gives inf or NaN, as a float's
-    does, and numpy's error state says whether it warns. With `memo`, a
-    dict kept over one env, each repeated subtree is evaluated once."""
-    if memo is None:
-        return _evaluate_node(node, env, None)
-    if node not in memo:
-        memo[node] = _evaluate_node(node, env, memo)
-    return memo[node]
+    does, and numpy's error state says whether it warns."""
+    steps, outputs = program
+    vals = []
+    for node, args in steps:
+        vals.append(_step(node, args, vals, env))
+    return [vals[i] for i in outputs]
 
 
-def _evaluate_node(node, env, memo):
+def evaluate(node, env: dict):
+    """One tree's value: `run_program` of its one-tree program."""
+    return run_program(compile_program((node,)), env)[0]
+
+
+def _step(node, args, vals, env):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Name):
@@ -273,10 +277,9 @@ def _evaluate_node(node, env, memo):
             raise ExprSyntaxError(f"unknown identifier {node.ident!r}")
         return env[node.ident]
     if isinstance(node, Neg):
-        return -evaluate(node.arg, env, memo)
+        return -vals[args[0]]
     if isinstance(node, BinOp):
-        lhs = evaluate(node.left, env, memo)
-        rhs = evaluate(node.right, env, memo)
+        lhs, rhs = vals[args[0]], vals[args[1]]
         if node.op == "+":
             return lhs + rhs
         if node.op == "-":
@@ -290,11 +293,17 @@ def _evaluate_node(node, env, memo):
             raise ZeroDivisionError("division by zero")
         return lhs / rhs
     if isinstance(node, Pow):
-        base = evaluate(node.base, env, memo)
+        base = vals[args[0]]
         if isinstance(base, (int, float)):
             return float(base) ** node.exponent
         if isinstance(base, np.ndarray):
             with np.errstate(**_RAISE):
                 return base ** node.exponent
         return base.powi(node.exponent)
-    return _apply(node.func, evaluate(node.arg, env, memo))
+    x, func = vals[args[0]], "log" if node.func == "ln" else node.func
+    if isinstance(x, (int, float)):
+        return getattr(math, func)(x)
+    if isinstance(x, np.ndarray):
+        with np.errstate(**_RAISE):
+            return getattr(np, func)(x)
+    return getattr(x, node.func)()

@@ -5,9 +5,9 @@ The block tables `EH_BLOCKS` and `EP_BLOCKS` are the one source of each
 jet space's coordinate layout: its blocks in flat order, with the shape
 of each block's ordered storage. The offsets and dimensions, the shape
 checks of the point classes, `flat_index` and the tangent lifts are all
-read off them. The metric chain fixes the jet order `ORDER`, 3, at which
-the series a metric jet is prolonged from are truncated. `EP_EXTENSIONS`
-names the metric block a metric-affine point may carry besides.
+read off them. The metric chain fixes the jet order `ORDER`, 3, of the
+series an eh point is prolonged from; an ep point reads the metric up to
+d2g, from order-2 series. `EP_EXTENSIONS` names that block.
 
 A point may carry leading batch axes, one per stacked sample point: every
 block then has the same leading shape in front of its table shape. A
@@ -52,7 +52,7 @@ EP_EXTENSIONS = {"d2g": EH_BLOCKS["d2g"]}
 # total-derivative shift is read off the next block of its chain.
 _CHAINS = (("g", "dg", "d2g", "d3g"), ("Gamma", "dGamma"))
 _NEXT = {b: (c[k + 1], k) for c in _CHAINS for k, b in enumerate(c[:-1])}
-# the order of the metric jets: the top of the metric chain
+# the order of the eh metric jets: the top of the metric chain
 ORDER = len(_CHAINS[0]) - 1
 
 
@@ -64,9 +64,6 @@ def _offsets(blocks):
 
 EH_OFF, EH_DIM_J3 = _offsets(EH_BLOCKS)
 EP_OFF, EP_DIM_J1 = _offsets(EP_BLOCKS)
-# the bundle coordinates are the blocks before the first derivatives
-EH_DIM_E = EH_OFF["dg"]
-EP_DIM_E = EP_OFF["dg"]
 _DERIVED = object()  # passed only by ep_point_at and trial_stack
 
 
@@ -101,7 +98,7 @@ class _JetPoint:
     """Validates a point's blocks against its tables and keeps read-only
     views of them, so the caller's arrays stay writeable; the blocks of a
     stack of points share one leading shape. g must be Lorentzian unless
-    `_derived` is the module's private token (g kept from a checked point)."""
+    `_derived` is the module's private token (g already checked)."""
 
     def __post_init__(self, _derived):
         lead = np.shape(self.x)[:-1]
@@ -174,7 +171,10 @@ def derivatives(series, combos) -> np.ndarray:
     orders = {s.order for s in series}
     if len(orders) != 1:
         raise ConfigError("series have mixed truncation orders")
-    pos, weights = derivative_table(orders.pop(), tuple(combos))
+    order = orders.pop()
+    if max(map(len, combos), default=0) > order:
+        raise ConfigError(f"a derivative above the series order {order}")
+    pos, weights = derivative_table(order, tuple(combos))
     return np.stack([s.coeffs for s in series], axis=-2)[..., pos] * weights
 
 
@@ -189,9 +189,6 @@ def prolong(metric_series) -> EHJetPoint:
         raise ConfigError("need the 10 ordered metric component series")
     if any(not np.array_equal(s.base, s0.base) for s in metric_series):
         raise ConfigError("metric series have mixed base points")
-    # mixed truncation orders are rejected by `derivatives`
-    if min(s.order for s in metric_series) < ORDER:
-        raise ConfigError("metric series truncated below prolongation order")
     g, dg, d2g, d3g = [derivatives(metric_series, c)
                        for c in DERIVS[:ORDER + 1]]
     return EHJetPoint(x=np.array(s0.base), g=g[..., 0], dg=dg, d2g=d2g,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import catalog, eh, ep
 from .errors import ConfigError, DomainError, MsgravError
-from .fieldspace import prolong
+from .fieldspace import ORDER, prolong
 from .version import VERSION
 
 # points per batched pass; see the module docstring
@@ -140,7 +140,7 @@ def _built(xs, build):
 
 
 def _eh_point(spec, xs):
-    series = catalog.metric_jet_at(spec, xs)
+    series = catalog.metric_jet_at(spec, xs, ORDER)
     p = prolong(series)
     h1, h2 = eh.holonomy_residuals(p, series)
     return p, np.maximum(_amax(h1), _amax(h2))

@@ -1,8 +1,8 @@
 """Exact truncated multivariate Taylor series in the 4 base coordinates.
 
 A JetScalar holds Taylor coefficients (derivative / m!) of an analytic
-function around a base point, truncated at total degree K (the metric
-jets use K = 3, `fieldspace.ORDER`). Products are clean convolutions in
+function around a base point, truncated at total degree K (eh's metric
+jets use 3, `fieldspace.ORDER`, and ep's 2). Products are convolutions in
 this normalization; jet-coordinate extraction multiplies back by m!.
 
 Storage is dense over all multi-indices of degree <= K; for K = 3 in 4
@@ -75,7 +75,13 @@ def derivative_table(order: int, combos: tuple):
 def _rowwise(fn, a):
     """fn applied to each entry of a, with the math module's errors and
     rounding, so a row's value does not depend on its stack."""
-    return np.vectorize(fn, otypes=[float])(a)
+    return np.array([fn(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _product(a, b, order):
+    """The truncated product of two coefficient arrays."""
+    ii, jj, starts = _mul_table(order)
+    return np.add.reduceat(a[..., ii] * b[..., jj], starts, axis=-1)
 
 
 class JetScalar:
@@ -100,9 +106,13 @@ class JetScalar:
                 or c.shape != base.shape[:-1] + (len(multi_indices(order)),)):
             raise ConfigError("coefficient array shape does not match the "
                               "order and the base points")
+        self._fill(order, base, c)
+
+    def _fill(self, order, base, coeffs) -> "JetScalar":
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("JetScalar is immutable")
@@ -136,7 +146,6 @@ class JetScalar:
 
     def derivative(self, m):
         """The m-th partial derivative at the base points: coeff * m!."""
-        m = tuple(m)
         return self.coeff(m) * _factorial_weight(m)
 
     def value(self):
@@ -145,15 +154,15 @@ class JetScalar:
     # -- arithmetic ---------------------------------------------------------
 
     def _series(self, coeffs) -> "JetScalar":
-        return JetScalar(self.order, self.base, coeffs)
+        # an operation's result is shaped right by construction: unchecked
+        return object.__new__(JetScalar)._fill(self.order, self.base, coeffs)
 
     def _check(self, other: "JetScalar") -> "JetScalar":
         if other.order != self.order or not (
                 other.base is self.base
                 or np.array_equal(other.base, self.base)):
-            raise ConfigError(
-                "mixed truncation orders or base points in series arithmetic"
-            )
+            raise ConfigError("mixed truncation orders or base points in "
+                              "series arithmetic")
         return other
 
     def _shifted(self, value) -> "JetScalar":
@@ -182,11 +191,9 @@ class JetScalar:
 
     def __mul__(self, other):
         if not isinstance(other, JetScalar):
-            return self._series(self.coeffs * np.expand_dims(other, -1))
-        ii, jj, starts = _mul_table(self.order)
-        return self._series(np.add.reduceat(
-            self.coeffs[..., ii] * self._check(other).coeffs[..., jj],
-            starts, axis=-1))
+            return self._series(self.coeffs * np.asarray(other)[..., None])
+        return self._series(_product(self.coeffs, self._check(other).coeffs,
+                                     self.order))
 
     __rmul__ = __mul__
 
@@ -206,20 +213,20 @@ class JetScalar:
             raise SingularPointError("division by a series with zero constant term")
         # 1/(c0 (1+v)) with v nilpotent: geometric series.
         return self._apply_univariate(
-            [(-1.0) ** n / c0 for n in range(self.order + 1)], scale=1.0 / c0
-        )
+            [(-1.0) ** n / c0 for n in range(self.order + 1)], 1.0 / c0)
 
     def _apply_univariate(self, taylor, scale=1.0) -> "JetScalar":
         """sum_n taylor[n] * (scale * (self - const))^n, Horner-free powers;
         each taylor[n] and scale is a scalar or one per row."""
-        c = self.coeffs.copy()
-        c[..., 0] = 0.0
-        u = self._series(c) * scale
-        out, p = JetScalar.constant(taylor[0], self.base, self.order), None
+        u = self.coeffs.copy()
+        u[..., 0] = 0.0
+        u = u * np.asarray(scale)[..., None]
+        out, p = np.zeros_like(u), None
+        out[..., 0] = taylor[0]
         for n in range(1, self.order + 1):
-            p = u if p is None else p * u
-            out = out + p * taylor[n]
-        return out
+            p = u if p is None else _product(p, u, self.order)
+            out = out + p * np.asarray(taylor[n])[..., None]
+        return self._series(out)
 
     # -- analytic functions -------------------------------------------------
 
@@ -239,20 +246,18 @@ class JetScalar:
         for n in range(self.order + 1):
             coefs.append(r * b)
             b *= (0.5 - n) / (n + 1)
-        return self._apply_univariate(coefs, scale=1.0 / c0)
+        return self._apply_univariate(coefs, 1.0 / c0)
 
     def exp(self) -> "JetScalar":
         e0 = _rowwise(math.exp, self.coeffs[..., 0])
         return self._apply_univariate(
-            [e0 / math.factorial(n) for n in range(self.order + 1)]
-        )
+            [e0 / math.factorial(n) for n in range(self.order + 1)])
 
     def ln(self) -> "JetScalar":
         c0 = self._positive_c0("ln")
         coefs = [_rowwise(math.log, c0)] + [
-            (-1.0) ** (n + 1) / n for n in range(1, self.order + 1)
-        ]
-        return self._apply_univariate(coefs, scale=1.0 / c0)
+            (-1.0) ** (n + 1) / n for n in range(1, self.order + 1)]
+        return self._apply_univariate(coefs, 1.0 / c0)
 
     def _trig(self, phase) -> "JetScalar":
         """sin (phase 0) or cos (phase 1) through the cycle of derivatives."""
@@ -261,8 +266,7 @@ class JetScalar:
         cyc = [s0, c0, -s0, -c0]
         return self._apply_univariate(
             [cyc[(n + phase) % 4] / math.factorial(n)
-             for n in range(self.order + 1)]
-        )
+             for n in range(self.order + 1)])
 
     def sin(self) -> "JetScalar":
         return self._trig(0)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import einstein_suite, interior_points, projective_shift
 from msgrav import catalog, eh, ep, oracle
-from msgrav.fieldspace import (EH_DIM_E, EP_DIM_E, EP_DIM_J1, prolong)
+from msgrav.fieldspace import EH_OFF, EP_DIM_J1, EP_OFF, prolong
 from msgrav.indexing import pair_index
 from msgrav.report import CheckConfig, report_json, run_check
 
@@ -43,7 +43,8 @@ def momenta_samples():
 
 
 def test_acceptance_1_dimension_counts():
-    ok = (EH_DIM_E == 14 and EP_DIM_E == 78 and EP_DIM_J1 == 374)
+    # the bundle coordinates are the blocks before the first derivatives
+    ok = (EH_OFF["dg"] == 14 and EP_OFF["dg"] == 78 and EP_DIM_J1 == 374)
     _verdict(1, "bundle dimensions 14 / 78 / 374", ok)
 
 

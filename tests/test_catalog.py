@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import interior_points
 from msgrav import catalog
 from msgrav.errors import ConfigError, DomainError, SingularPointError
-from msgrav.exprparse import evaluate, parse_expression
+from msgrav.exprparse import evaluate, parse_expression, run_program
 from msgrav.fieldspace import derivatives
 from msgrav.geometry import christoffel, metric_inverse_density
 from msgrav.indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
@@ -204,9 +204,11 @@ def _validate_per_point(spec):
     for x in itertools.product(*axes):
         env = {f"x{i}": float(x[i]) for i in range(DIM)}
         env.update(spec.params)
-        m = np.array([catalog._evaluate(c, env) for c in spec.components],
-                     dtype=float)[PAIR_FULL]
         where = f"metric {spec.name!r} at grid point {tuple(map(float, x))}"
+        try:
+            m = np.array(run_program(spec.program, env), dtype=float)[PAIR_FULL]
+        except catalog._FLOAT_ERRORS as e:
+            raise DomainError(f"{where} cannot be evaluated: {e}") from None
         if not np.isfinite(m).all():
             raise DomainError(f"{where} is not finite")
         with np.errstate(over="ignore"):
@@ -304,16 +306,22 @@ def test_stacked_grid_check_matches_per_point_reference(name):
 
 
 def test_grid_check_walks_each_component_once(monkeypatch):
+    # one run of the spec's program over the whole grid, and the program
+    # holds each distinct subtree of the ten components once
     calls = []
-    real = catalog.evaluate
-    monkeypatch.setattr(catalog, "evaluate",
-                        lambda tree, env: calls.append(tree) or
-                        real(tree, env))
-    catalog.builtin("schwarzschild")
-    assert len(calls) == len(PAIRS)
-    calls.clear()
-    catalog.load_metric_file(str(INPUTS / "bumpy.metric"))
-    assert len(calls) == len(PAIRS)
+    real = catalog.run_program
+    monkeypatch.setattr(catalog, "run_program",
+                        lambda program, env: calls.append(
+                            (program, len(env["x0"]))) or real(program, env))
+    for build in (lambda: catalog.builtin("schwarzschild"),
+                  lambda: catalog.load_metric_file(str(INPUTS /
+                                                       "bumpy.metric"))):
+        spec = build()
+        assert calls == [(spec.program, 3 ** DIM)]
+        steps, outputs = spec.program
+        assert len(outputs) == len(PAIRS)
+        assert len({node for node, _ in steps}) == len(steps)
+        calls.clear()
 
 
 def _series(spec, trees, xs, order):
@@ -362,9 +370,9 @@ def test_order_three_jets_equal_order_four_jets(name):
 
 def test_series_share_repeated_subexpressions_bit_for_bit(all_specs,
                                                          monkeypatch):
-    # one memo per stacked pass: each builtin's series equal the trees
-    # walked alone, bit for bit, with fewer series operations where
-    # subexpressions repeat (schwarzschild's 1 - 2m/x1 and x1^2)
+    # one program run per stacked pass: each builtin's series equal the
+    # trees evaluated alone, bit for bit, with fewer series operations
+    # where subexpressions repeat (schwarzschild's 1 - 2m/x1 and x1^2)
     ops = []
     for name in ("__mul__", "reciprocal", "powi", "sin"):
         def counted(*args, real=getattr(JetScalar, name)):
@@ -379,7 +387,7 @@ def test_series_share_repeated_subexpressions_bit_for_bit(all_specs,
         alone = [evaluate(tree, env) for tree in spec.components]
         n_alone = len(ops)
         ops.clear()
-        shared = catalog._series_at(spec, spec.components, x, 3)
+        shared = catalog._series_at(spec, spec.program, x, 3)
         assert len(ops) <= n_alone, name
         if name == "schwarzschild":
             assert len(ops) < n_alone
@@ -387,3 +395,25 @@ def test_series_share_repeated_subexpressions_bit_for_bit(all_specs,
             want = (a.coeffs if isinstance(a, JetScalar)
                     else JetScalar.constant(a, x, order=3).coeffs)
             assert s.coeffs.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("name", catalog.list_builtins()
+                         + ["bumpy.metric", "torsion.metric"])
+def test_order_two_jets_are_the_low_degrees_of_order_three(name):
+    # ep reads the metric to d2g from order-2 series: their coefficients
+    # are byte for byte the degree <= 2 ones of the order-3 series, so the
+    # ep point's metric blocks are the eh point's
+    if name.endswith(".metric"):
+        spec = catalog.load_metric_file(str(INPUTS / name))
+    else:
+        spec = catalog.builtin(name)
+    for n in (1, 3, 8):
+        xs = np.array(interior_points(spec, n, seed=97 + n))
+        s2 = catalog.metric_jet_at(spec, xs, 2)
+        s3 = catalog.metric_jet_at(spec, xs, 3)
+        for a, b in zip(s2, s3):
+            assert a.coeffs.tobytes() == b.coeffs[..., :15].tobytes(), name
+        q, p = catalog.ep_point_at(spec, xs), catalog.eh_point_at(spec, xs)
+        for block in ("g", "dg", "d2g"):
+            want = getattr(p, block)
+            assert getattr(q, block).tobytes() == want.tobytes(), (name, n)

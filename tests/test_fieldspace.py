@@ -6,8 +6,8 @@ import pytest
 from msgrav import catalog
 from msgrav.errors import ConfigError, DegenerateMetricError
 from msgrav.eh import lagrangian_fn
-from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_E, EH_DIM_J3, EH_OFF,
-                               EP_BLOCKS, EP_DIM_E, EP_DIM_J1, EHJetPoint,
+from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EP_BLOCKS,
+                               EP_DIM_J1, EP_OFF, EHJetPoint,
                                EPJetPoint, derivatives, fiber_gradient,
                                flat_index, prolong, tangent_lifts,
                                total_derivatives, trial_stack)
@@ -29,9 +29,10 @@ def schw_point():
 
 
 def test_dimension_counts():
-    assert EH_DIM_E == 14
+    # the bundle coordinates are the blocks before the first derivatives
+    assert EH_OFF["dg"] == 14
     assert EH_DIM_J3 == 354
-    assert EP_DIM_E == 78
+    assert EP_OFF["dg"] == 78
     assert EP_DIM_J1 == 374
 
 
@@ -163,6 +164,18 @@ def test_prolongation_is_holonomic():
     g11 = series[4]
     m = [0, 1, 1, 0]
     assert p.d2g[4, PAIRS.index((1, 2))] == g11.derivative(m)
+
+
+def test_derivatives_above_the_series_order_are_config_errors():
+    # an order-2 series has no third derivatives: asking for them, directly
+    # or by prolonging to the order-3 jet, is a usage error
+    spec = catalog.builtin("schwarzschild")
+    series = catalog.metric_jet_at(spec, (0.0, 5.0, 1.2, 3.0), 2)
+    assert derivatives(series, DERIVS[2]).shape == (10, 10)
+    with pytest.raises(ConfigError, match="above the series order 2"):
+        derivatives(series, DERIVS[3])
+    with pytest.raises(ConfigError, match="above the series order 2"):
+        prolong(series)
 
 
 def test_derivatives_gather_equals_per_entry_derivative():

@@ -282,14 +282,16 @@ def test_nonfinite_residual_fails_and_serializes_as_null(monkeypatch):
 
 @pytest.mark.parametrize("model", ["eh", "ep"])
 def test_one_series_pass_per_chunk(monkeypatch, tmp_path, model):
-    # a chunk is built as one stack; a singular point costs a retry of
-    # each point alone and one more stack of the survivors
+    # a chunk is built as one stack, at the order its model reads; a
+    # singular point costs a retry of each point alone and one more stack
+    # of the survivors
     from msgrav import report
-    real, calls = catalog.metric_jet_at, []
+    real, calls, orders = catalog.metric_jet_at, [], set()
 
-    def counted(spec, x):
+    def counted(spec, x, order):
         calls.append(len(x))
-        return real(spec, x)
+        orders.add(order)
+        return real(spec, x, order)
 
     monkeypatch.setattr(catalog, "metric_jet_at", counted)
     checks = report._eh_point_checks if model == "eh" else \
@@ -298,6 +300,7 @@ def test_one_series_pass_per_chunk(monkeypatch, tmp_path, model):
     xs = sample_points(spec, 8, seed=3)
     kept, _ = checks(spec, xs, list(range(8)))
     assert kept == list(range(8)) and calls == [8]
+    assert orders == {3 if model == "eh" else 2}
     calls.clear()
     wall = _spec(tmp_path, LOG_WALL)
     xs = sample_points(wall, 8, seed=1)

@@ -272,3 +272,108 @@ def test_scalar_operands_act_per_row():
     assert "[[0.3, 1.0, 0.0, 0.0], [0.7, -2.0, 0.0, 0.0]]" in repr(s)
     with pytest.raises(SingularPointError):
         s / 0.0
+
+
+# -- the elementary functions against public compositions --------------------
+
+def _ref_univariate(s, taylor, scale=1.0):
+    """sum_n taylor[n] (scale (s - s0))^n spelled with public series
+    operations, term by term: the reference for the raw-array path."""
+    c = s.coeffs.copy()
+    c[..., 0] = 0.0
+    u = JetScalar(s.order, s.base, c) * scale
+    out, p = JetScalar.constant(taylor[0], s.base, s.order), None
+    for n in range(1, s.order + 1):
+        p = u if p is None else p * u
+        out = out + p * taylor[n]
+    return out
+
+
+def _ref_rowwise(fn, a):
+    return np.array([fn(v) for v in a])
+
+
+def _ref_sqrt(s):
+    c0 = s.coeffs[:, 0]
+    coefs, b = [], 1.0
+    for n in range(s.order + 1):
+        coefs.append(np.sqrt(c0) * b)
+        b *= (0.5 - n) / (n + 1)
+    return _ref_univariate(s, coefs, 1.0 / c0)
+
+
+def _ref_trig(s, phase):
+    s0, c0 = (_ref_rowwise(f, s.coeffs[:, 0]) for f in (math.sin, math.cos))
+    cyc = [s0, c0, -s0, -c0]
+    return _ref_univariate(s, [cyc[(n + phase) % 4] / math.factorial(n)
+                               for n in range(s.order + 1)])
+
+
+def _ref_reciprocal(s):
+    c0 = s.coeffs[:, 0]
+    return _ref_univariate(s, [(-1.0) ** n / c0 for n in range(s.order + 1)],
+                           1.0 / c0)
+
+
+def _ref_powi(s, n):
+    if n == 0:
+        return JetScalar.constant(1.0, s.base, s.order)
+    if n < 0:
+        return _ref_powi(_ref_reciprocal(s), -n)
+    out, sq = None, s
+    while n:
+        if n & 1:
+            out = sq if out is None else sq * out
+        n >>= 1
+        if n:
+            sq = sq * sq
+    return out
+
+
+_REFERENCES = {
+    "reciprocal": (JetScalar.reciprocal, _ref_reciprocal),
+    "sqrt": (JetScalar.sqrt, _ref_sqrt),
+    "exp": (JetScalar.exp, lambda s: _ref_univariate(s, [
+        _ref_rowwise(math.exp, s.coeffs[:, 0]) / math.factorial(n)
+        for n in range(s.order + 1)])),
+    "ln": (JetScalar.ln, lambda s: _ref_univariate(s, [
+        _ref_rowwise(math.log, s.coeffs[:, 0])] + [
+        (-1.0) ** (n + 1) / n for n in range(1, s.order + 1)],
+        1.0 / s.coeffs[:, 0])),
+    "sin": (JetScalar.sin, lambda s: _ref_trig(s, 0)),
+    "cos": (JetScalar.cos, lambda s: _ref_trig(s, 1)),
+    **{f"powi{n}": (lambda s, n=n: s.powi(n), lambda s, n=n: _ref_powi(s, n))
+       for n in (-3, -1, 0, 1, 2, 3, 5)},
+}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name", list(_REFERENCES))
+def test_elementary_functions_equal_public_compositions(order, name):
+    # each function sums its series on raw coefficient arrays; on a stack
+    # it must equal, byte for byte, the same sum spelled with the public
+    # operations, keep the order and the base, and build a JetScalar
+    rng = np.random.default_rng(order)
+    base = rng.normal(size=(5, 4))
+    coeffs = rng.normal(size=(5, len(multi_indices(order))))
+    coeffs[:, 0] = rng.uniform(0.5, 2.0, size=5)
+    s = JetScalar(order, base, coeffs)
+    fn, ref = _REFERENCES[name]
+    got, want = fn(s), ref(s)
+    assert type(got) is JetScalar and got.order == order
+    assert got.base is s.base
+    assert got.coeffs.shape == s.coeffs.shape
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_exp_overflow_in_one_row_raises_as_that_row_alone(order):
+    xs = np.array([[0.5, 0, 0, 0], [800.0, 0, 0, 0], [-1.0, 0, 0, 0]])
+    with pytest.raises(OverflowError) as stacked:
+        JetScalar.variable(0, xs, order=order).exp()
+    with pytest.raises(OverflowError) as alone:
+        JetScalar.variable(0, xs[1], order=order).exp()
+    assert str(stacked.value) == str(alone.value)
+    for k in (0, 2):
+        one = JetScalar.variable(0, xs[k], order=order).exp()
+        assert one.value() == math.exp(xs[k, 0])
