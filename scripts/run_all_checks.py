@@ -2,8 +2,16 @@
 """Run both models' full check suites over every builtin metric.
 
 Prints one summary row per (model, metric) pair, then whether every
-verdict is as expected, and on its last line the total wall time of all
-the checks. Exits nonzero on an unexpected verdict.
+family passed or failed as its kind expects, and on its last line the
+total wall time of all the checks. The rule, per family of a report:
+
+- an identity must pass on every metric;
+- a vacuum family must pass when the metric's vacuum flag is "yes" and
+  fail when it is "no"; on "unknown" nothing is expected;
+- a levi-civita family must pass when the metric overrides no connection
+  component; under an override nothing is expected.
+
+Exits nonzero when a family breaks the rule.
 
     PYTHONPATH=src python3 scripts/run_all_checks.py --points 20
 """
@@ -13,7 +21,17 @@ import sys
 import time
 
 from msgrav import catalog
-from msgrav.report import CheckConfig, run_check
+from msgrav.report import FAMILIES, CheckConfig, run_check
+
+
+def expected_pass(kind, spec):
+    """Whether a family of this kind must pass on spec (True), must fail
+    (False), or may do either (None)."""
+    if kind == "identity":
+        return True
+    if kind == "vacuum":
+        return {"yes": True, "no": False}.get(spec.vacuum)
+    return None if spec.connection else True  # levi-civita
 
 
 def main(argv=None) -> int:
@@ -22,9 +40,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    rows = []
+    rows, unexpected = [], []
     start = time.perf_counter()
     for model in ("eh", "ep"):
+        kinds = {fam: kind for fam, kind, _ in FAMILIES[model]}
         for name in catalog.list_builtins():
             spec = catalog.builtin(name)
             t0 = time.perf_counter()
@@ -33,6 +52,12 @@ def main(argv=None) -> int:
             dt = time.perf_counter() - t0
             worst = max(f["max_resid"] for f in report.families)
             bad = [f["family"] for f in report.families if not f["pass"]]
+            for f in report.families:
+                kind = kinds[f["family"]]
+                want = expected_pass(kind, spec)
+                if want is not None and f["pass"] != want:
+                    unexpected.append(f"{model} {name} {f['family']} ({kind}) "
+                                      + ("passed" if f["pass"] else "failed"))
             rows.append((model, name, report.verdict, worst, dt,
                          ", ".join(bad) or "-"))
     total = time.perf_counter() - start
@@ -43,16 +68,12 @@ def main(argv=None) -> int:
         print(f"{model:5s} {name:16s} {verdict:7s} "
               f"{worst:10.2e} {dt:5.1f}s  {bad}")
 
-    # flrw and desitter carry stress-energy, so their vacuum families are
-    # expected to fail; everything else must pass
-    expected_fail = {"flrw", "desitter"}
-    unexpected = [(m, n) for m, n, v, *_ in rows
-                  if (v != "pass") != (n in expected_fail)]
     if unexpected:
-        print("unexpected verdicts:", unexpected)
+        print("unexpected family outcomes:")
+        for line in unexpected:
+            print("  " + line)
     else:
-        print("all verdicts as expected "
-              "(vacuum metrics pass, sourced metrics fail)")
+        print("every family passed or failed as its kind expects")
     print(f"total wall time {total:.2f}s for {len(rows)} checks of "
           f"{args.points} points")
     return 1 if unexpected else 0

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exprparse import (VARIABLES, compile_program, free_names,
-                        parse_expression, run_program)
+from .exprparse import (VARIABLES, Name, compile_program, parse_expression,
+                        run_program)
 from . import fieldspace
 from .fieldspace import (_DERIVED, ORDER, EHJetPoint, EPJetPoint, derivatives,
                          prolong)
@@ -52,16 +52,15 @@ class MetricSpec:
                 raise ConfigError(f"empty domain interval {lo}..{hi}")
         if self.vacuum not in ("yes", "no", "unknown"):
             raise ConfigError(f"bad vacuum flag {self.vacuum!r}")
-        known = set(VARIABLES) | set(self.params)
-        for c in tuple(self.components) + tuple(self.connection.values()):
-            unknown = free_names(c) - known
-            if unknown:
-                raise ConfigError(
-                    f"unknown identifier {sorted(unknown)[0]!r} in metric "
-                    f"{self.name!r}")
         object.__setattr__(self, "program", compile_program(self.components))
         object.__setattr__(self, "connection_program",
                            compile_program(self.connection.values()))
+        steps = self.program[0] + self.connection_program[0]
+        unknown = sorted({n.ident for n, _ in steps if isinstance(n, Name)}
+                         - set(VARIABLES) - set(self.params))
+        if unknown:
+            raise ConfigError(f"unknown identifier {unknown[0]!r} in metric "
+                              f"{self.name!r}")
 
     def contains(self, x):
         """Whether each point of x (..., 4) lies in the sample box."""

@@ -219,11 +219,6 @@ _FIELDS = {Num: ("value", ()), Name: ("ident", ()), Neg: (None, ("arg",)),
            Call: ("func", ("arg",))}
 
 
-def free_names(node) -> set:
-    return {n.ident for n, _ in compile_program((node,))[0]
-            if isinstance(n, Name)}
-
-
 # an array function or power raises FloatingPointError exactly where the
 # float one raises: numpy flags a NaN from a non-NaN argument (invalid), an
 # infinity from a finite one (divide, overflow) and nothing else

@@ -11,20 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exprparse import evaluate
-from .indexing import DIM, PAIRS
+from .exprparse import run_program
+from .indexing import DIM, PAIR_FULL
 
 STEP = 1e-4
 
 
 def metric_at(spec, x) -> np.ndarray:
     """The metric as a plain 4x4 matrix at a point, no series involved."""
-    env = {f"x{i}": float(x[i]) for i in range(DIM)}
-    env.update(spec.params)
-    m = np.zeros((DIM, DIM))
-    for i, (a, b) in enumerate(PAIRS):
-        m[a, b] = m[b, a] = evaluate(spec.components[i], env)
-    return m
+    env = {f"x{i}": float(x[i]) for i in range(DIM)} | spec.params
+    return np.array(run_program(spec.program, env), dtype=float)[PAIR_FULL]
 
 
 def _richardson(f, x, mu, h):

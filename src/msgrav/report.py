@@ -28,6 +28,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,29 +41,47 @@ from .version import VERSION
 CHUNK_POINTS = 8
 MAX_POINTS = 10**6  # all are drawn before the first chunk runs
 
-# identity families are relative (residual / (1 + |reference|)); the
-# residual families are absolute vacuum thresholds
-DEFAULT_TOLERANCES = {
-    "eh": {
-        "holonomy": 1e-10,
-        "momenta-identity": 1e-10,
-        "hamiltonian-dual-form": 1e-10,
-        "projectability": 1e-10,
-        "einstein-constraint": 1e-8,
-        "einstein-constraint-derivative": 1e-8,
-        "field-equation": 1e-8,
-    },
-    "ep": {
-        "momenta-identity": 1e-10,
-        "projectability": 1e-10,
-        "eh-equivalence": 1e-10,
-        "metric-equation": 1e-8,
-        "pre-metricity": 1e-8,
-        "torsion": 1e-8,
-        "torsion-derivative": 1e-8,
-        "integrability": 1e-8,
-        "field-equation": 1e-8,
-    },
+# A family's kind says where it must hold: an identity on every section, a
+# vacuum family on vacuum solutions only, a levi-civita family wherever the
+# connection is Levi-Civita. Its default tolerance is its kind's: relative
+# for identities (residual / (1 + |reference|)), absolute for the others.
+KIND_TOLERANCES = {"identity": 1e-10, "vacuum": 1e-8, "levi-civita": 1e-8}
+
+# Each model's families in report order: (family, kind, residual), where
+# residual maps a chunk's shared passes to an array with one row per point,
+# and the family's residual at a point is the max |.| over its row.
+FAMILIES = {
+    "eh": (
+        ("holonomy", "identity", lambda s: s.holonomy),
+        ("momenta-identity", "identity",
+         lambda s: _rel(_amax(s.m.L2_ad - s.m.L2_closed),
+                        _amax(s.m.L2_closed))),
+        ("hamiltonian-dual-form", "identity",
+         lambda s: _rel(np.abs(s.m.H_sum - s.m.H_closed), s.m.H_closed)),
+        ("projectability", "identity", lambda s: s.dev),
+        ("einstein-constraint", "vacuum", lambda s: s.c),
+        ("einstein-constraint-derivative", "vacuum", lambda s: s.dc),
+        ("field-equation", "vacuum",
+         lambda s: eh.verify_field_equation(s.p, s.closed)),
+    ),
+    "ep": (
+        ("momenta-identity", "identity",
+         lambda s: _rel(_amax(s.m.Lmom_ad - s.closed.Lmom.v),
+                        _amax(s.closed.Lmom.v))),
+        ("projectability", "identity", lambda s: s.dev),
+        ("eh-equivalence", "identity",
+         lambda s: _rel(np.abs(s.m.L - s.l_eh), s.l_eh)),
+        ("metric-equation", "vacuum", lambda s: ep.constraint_c0(s.closed)),
+        ("pre-metricity", "levi-civita",
+         lambda s: ep.constraint_premetricity(s.p)),
+        ("torsion", "levi-civita", lambda s: ep.constraint_torsion(s.p)),
+        ("torsion-derivative", "levi-civita",
+         lambda s: ep.constraint_torsion_deriv(s.p)),
+        ("integrability", "levi-civita",
+         lambda s: ep.constraint_integrability(s.p)),
+        ("field-equation", "vacuum",
+         lambda s: ep.verify_field_equation_ep(s.p, s.closed)),
+    ),
 }
 
 
@@ -76,25 +95,21 @@ class CheckConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if self.model not in ("eh", "ep"):
-            raise MsgravError(f"unknown model {self.model!r}")
+        if self.model not in FAMILIES:
+            raise ConfigError(f"unknown model {self.model!r}")
         if self.points < 1:
-            raise MsgravError("need at least one sample point")
+            raise ConfigError("need at least one sample point")
         if self.points > MAX_POINTS:
             raise ConfigError(f"more than {MAX_POINTS} sample points")
         if self.seed < 0:
-            raise MsgravError(f"seed {self.seed} is negative")
+            raise ConfigError(f"seed {self.seed} is negative")
         for fam, tol in self.tolerances.items():
-            if fam not in DEFAULT_TOLERANCES[self.model]:
-                raise MsgravError(f"model {self.model!r} has no check "
+            if fam not in {name for name, _, _ in FAMILIES[self.model]}:
+                raise ConfigError(f"model {self.model!r} has no check "
                                   f"family {fam!r}")
             if not 0 < tol < math.inf:
-                raise MsgravError(f"tolerance for {fam!r} must be positive "
+                raise ConfigError(f"tolerance for {fam!r} must be positive "
                                   f"and finite")
-
-    def tolerance(self, family: str) -> float:
-        return float(self.tolerances.get(
-            family, DEFAULT_TOLERANCES[self.model][family]))
 
 
 @dataclass(frozen=True)
@@ -157,17 +172,8 @@ def _eh_point_checks(spec, xs, seeds):
     closed = eh.closed_forms(p)
     dev, _, m = eh.projectability_check(p, closed, 2, np.array(seeds)[kept])
     c, dc = eh.constraint_einstein_derivative(p)
-    return kept, {
-        "holonomy": holonomy,
-        "momenta-identity": _rel(_amax(m.L2_ad - m.L2_closed),
-                                 _amax(m.L2_closed)),
-        "hamiltonian-dual-form": _rel(np.abs(m.H_sum - m.H_closed),
-                                      m.H_closed),
-        "projectability": dev,
-        "einstein-constraint": _amax(c),
-        "einstein-constraint-derivative": _amax(dc),
-        "field-equation": eh.verify_field_equation(p, closed),
-    }
+    return kept, _residuals("eh", SimpleNamespace(
+        p=p, holonomy=holonomy, closed=closed, dev=dev, m=m, c=c, dc=dc))
 
 
 def _ep_point_checks(spec, xs, seeds):
@@ -179,19 +185,13 @@ def _ep_point_checks(spec, xs, seeds):
     # the closed forms serve the momenta, the trials and the Cartan form
     closed = ep.closed_forms_ep(p)
     dev, _, m = ep.projectability_check_ep(p, closed, 2, np.array(seeds)[kept])
-    out = {"momenta-identity": _rel(_amax(m.Lmom_ad - closed.Lmom.v),
-                                    _amax(closed.Lmom.v)),
-           "projectability": dev}
     # the ep point carries the metric jet's g, dg and d2g blocks
-    l_eh = eh.lagrangian_eh(p)
-    out["eh-equivalence"] = _rel(np.abs(m.L - l_eh), l_eh)
-    out["metric-equation"] = _amax(ep.constraint_c0(closed))
-    out["pre-metricity"] = _amax(ep.constraint_premetricity(p))
-    out["torsion"] = _amax(ep.constraint_torsion(p))
-    out["torsion-derivative"] = _amax(ep.constraint_torsion_deriv(p))
-    out["integrability"] = _amax(ep.constraint_integrability(p))
-    out["field-equation"] = ep.verify_field_equation_ep(p, closed)
-    return kept, out
+    return kept, _residuals("ep", SimpleNamespace(
+        p=p, closed=closed, dev=dev, m=m, l_eh=eh.lagrangian_eh(p)))
+
+
+def _residuals(model, passes):
+    return {fam: _amax(r(passes)) for fam, _, r in FAMILIES[model]}
 
 
 def sample_points(spec, n, seed):
@@ -238,9 +238,8 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
             f"{skipped} of {len(points)} sample points were singular")
 
     families = []
-    names = list(next(r for r in results if r is not None))
-    for fam in names:
-        tol = cfg.tolerance(fam)
+    for fam, kind, _ in FAMILIES[cfg.model]:
+        tol = cfg.tolerances.get(fam, KIND_TOLERANCES[kind])
         vals = [(float(r[fam]), x) for r, x in zip(results, points)
                 if r is not None]
         # a non-finite residual is worse than any number, so it is the worst

@@ -138,13 +138,19 @@ def test_malformed_files(tmp_path):
         catalog.load_metric_file(str(tmp_path / "missing.ini"))
 
 
-def test_unknown_identifier_in_component():
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("where", ["component", "connection"])
+def test_unknown_identifier_in_component(where):
+    # the check reads the Name steps of both compiled programs
+    comps = ["-1", "0", "0", "0", "1", "0", "0", "1", "0", "1"]
+    conn = {}
+    if where == "component":
+        comps[4] = "1+q"
+    else:
+        conn[(1, 0, 2)] = parse_expression("0.1*q")
+    with pytest.raises(ConfigError, match="unknown identifier 'q'"):
         catalog.MetricSpec(
-            name="oops",
-            components=tuple(parse_expression(c) for c in
-                             ["-1", "0", "0", "0", "1+q", "0", "0", "1",
-                              "0", "1"]))
+            name="oops", components=tuple(parse_expression(c) for c in comps),
+            connection=conn)
 
 
 def test_ep_point_extensions_present(all_specs):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from msgrav.errors import ExprSyntaxError
 from msgrav.exprparse import (FUNCTIONS, BinOp, Call, Name, Neg, Num, Pow,
-                              evaluate, free_names, parse_expression)
+                              evaluate, parse_expression)
 from msgrav.series import JetScalar
 
 
@@ -112,11 +112,6 @@ def test_unknown_function_and_identifier():
         parse_expression("foo(2)")
     with pytest.raises(ExprSyntaxError):
         ev("x9 + 1")
-
-
-def test_free_names():
-    assert free_names(parse_expression("m*x1 + sin(k*x0)")) == {
-        "m", "x1", "k", "x0"}
 
 
 def test_series_and_float_evaluation_agree():

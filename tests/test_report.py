@@ -3,7 +3,7 @@ import json
 import pytest
 
 from msgrav import catalog
-from msgrav.errors import MsgravError
+from msgrav.errors import ConfigError, MsgravError
 from msgrav.report import (CheckConfig, emit_report, report_csv, report_json,
                            run_check, sample_points)
 
@@ -13,15 +13,15 @@ def cfg(model="eh", metric="minkowski", **kw):
 
 
 def test_config_validation():
-    with pytest.raises(MsgravError):
+    with pytest.raises(ConfigError):
         cfg(model="xx")
-    with pytest.raises(MsgravError):
+    with pytest.raises(ConfigError):
         cfg(points=0)
-    with pytest.raises(MsgravError):
+    with pytest.raises(ConfigError):
         cfg(tolerances={"holonomy": -1.0})
     # a tolerance no residual can exceed would make its family unfailable
     for tol in (float("inf"), float("nan"), 0.0):
-        with pytest.raises(MsgravError, match="holonomy"):
+        with pytest.raises(ConfigError, match="holonomy"):
             cfg(tolerances={"holonomy": tol})
     # the report format belongs to emit_report, not to the check
     with pytest.raises(TypeError):
@@ -29,7 +29,7 @@ def test_config_validation():
 
 
 def test_config_rejects_a_negative_seed():
-    with pytest.raises(MsgravError, match="seed"):
+    with pytest.raises(ConfigError, match="seed"):
         cfg(seed=-1)
     assert cfg(seed=0).seed == 0
 
@@ -38,19 +38,21 @@ def test_config_rejects_a_negative_seed():
     ("eh", "einstien-constraint"), ("eh", "torsion"),
     ("ep", "holonomy")])
 def test_config_rejects_a_family_the_model_lacks(model, family):
-    with pytest.raises(MsgravError, match=family):
+    with pytest.raises(ConfigError, match=family):
         cfg(model=model, tolerances={family: 1.0})
 
 
 @pytest.mark.parametrize("model", ["eh", "ep"])
 def test_default_tolerances_name_the_chunk_families(model):
-    # every family a chunk reports has a default, and every default names
-    # a family the chunk reports
+    # a chunk reports the families of its model's table, in table order,
+    # and each family's kind has a default tolerance
     from msgrav import report
     spec = catalog.builtin("schwarzschild")
     checks = getattr(report, f"_{model}_point_checks")
     _, out = checks(spec, sample_points(spec, 2, seed=1), [0, 1])
-    assert set(out) == set(report.DEFAULT_TOLERANCES[model])
+    assert list(out) == [fam for fam, _, _ in report.FAMILIES[model]]
+    assert all(kind in report.KIND_TOLERANCES
+               for _, kind, _ in report.FAMILIES[model])
 
 
 def test_sampling_is_seeded_and_inside_the_box():
