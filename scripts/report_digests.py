@@ -2,10 +2,11 @@
 """Print a digest of each report over a fixed set of check runs.
 
 One line per report, `model metric seed sha256`, where the digest is taken
-over the report's JSON text. The runs cover the 7 builtin metrics and the
-two metric files `msbench/inputs/bumpy.metric` and `torsion.metric` (read
-only), both models, seeds 0 and 1, 10 points each. Two trees produce
-byte-identical reports exactly when their outputs are equal:
+over the report's JSON text. The runs cover the metrics that
+`run_all_checks.py` sweeps (the 7 builtins, then the two metric files
+`msbench/inputs/bumpy.metric` and `torsion.metric`, read only), both
+models, seeds 0 and 1, 10 points each. Two trees produce byte-identical
+reports exactly when their outputs are equal:
 
     PYTHONPATH=src python3 scripts/report_digests.py > after.txt
     diff before.txt after.txt
@@ -13,20 +14,15 @@ byte-identical reports exactly when their outputs are equal:
 
 import hashlib
 import sys
-from pathlib import Path
 
-from msgrav import catalog
 from msgrav.report import CheckConfig, report_json, run_check
-
-INPUTS = Path(__file__).resolve().parent.parent / "msbench" / "inputs"
-FILES = ("bumpy.metric", "torsion.metric")
+from run_all_checks import specs
 
 
 def main() -> int:
-    specs = [catalog.builtin(name) for name in catalog.list_builtins()]
-    specs += [catalog.load_metric_file(str(INPUTS / f)) for f in FILES]
+    swept = specs()
     for model in ("eh", "ep"):
-        for spec in specs:
+        for spec in swept:
             for seed in (0, 1):
                 cfg = CheckConfig(model=model, spec=spec, points=10,
                                   seed=seed)

@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Run both models' full check suites over every builtin metric.
+"""Run both models' full check suites over every builtin metric and the
+two metric files `msbench/inputs/bumpy.metric` and `torsion.metric`
+(read only), which override a connection component.
 
 Prints one summary row per (model, metric) pair, then whether every
 family passed or failed as its kind expects, and on its last line the
@@ -19,9 +21,19 @@ Exits nonzero when a family breaks the rule.
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from msgrav import catalog
 from msgrav.report import FAMILIES, CheckConfig, run_check
+
+INPUTS = Path(__file__).resolve().parent.parent / "msbench" / "inputs"
+FILES = ("bumpy.metric", "torsion.metric")
+
+
+def specs():
+    """The swept metrics: every builtin, then each file of FILES."""
+    return ([catalog.builtin(name) for name in catalog.list_builtins()]
+            + [catalog.load_metric_file(str(INPUTS / f)) for f in FILES])
 
 
 def expected_pass(kind, spec):
@@ -42,10 +54,11 @@ def main(argv=None) -> int:
 
     rows, unexpected = [], []
     start = time.perf_counter()
+    swept = specs()
     for model in ("eh", "ep"):
         kinds = {fam: kind for fam, kind, _ in FAMILIES[model]}
-        for name in catalog.list_builtins():
-            spec = catalog.builtin(name)
+        for spec in swept:
+            name = spec.name
             t0 = time.perf_counter()
             report = run_check(CheckConfig(
                 model=model, spec=spec, points=args.points, seed=args.seed))
@@ -62,10 +75,11 @@ def main(argv=None) -> int:
                          ", ".join(bad) or "-"))
     total = time.perf_counter() - start
 
-    print(f"{'model':5s} {'metric':16s} {'verdict':7s} "
+    width = max(len(row[1]) for row in rows)
+    print(f"{'model':5s} {'metric':{width}s} {'verdict':7s} "
           f"{'max resid':>10s} {'time':>6s}  failing families")
     for model, name, verdict, worst, dt, bad in rows:
-        print(f"{model:5s} {name:16s} {verdict:7s} "
+        print(f"{model:5s} {name:{width}s} {verdict:7s} "
               f"{worst:10.2e} {dt:5.1f}s  {bad}")
 
     if unexpected:

@@ -138,15 +138,15 @@ def _where(spec: MetricSpec, x) -> str:
 
 def _check_grid(spec: MetricSpec, x):
     """Raise DomainError for the first point of the stack x (n, 4), in
-    order, whose metric cannot be evaluated or is not finite, of finite
-    determinant and Lorentzian (checked in that order). The spec's
+    order, whose metric cannot be evaluated or is not a Lorentzian metric
+    (`fieldspace.lorentzian_defects`, which names the reason). The spec's
     program runs once for the whole stack, raising where a float
     evaluation would; if that raises, each point is checked alone, as a
     stack of one, so the error names the point that fails first."""
     env = {f"x{i}": x[:, i] for i in range(DIM)} | spec.params
     try:
-        # arithmetic overflows silently, as with floats; the finite check
-        # below rejects what it leaves
+        # arithmetic overflows silently, as with floats; the Lorentzian
+        # check below rejects what it leaves
         with np.errstate(over="ignore", invalid="ignore"):
             comps = run_program(spec.program, env)
     except _FLOAT_ERRORS as e:
@@ -156,22 +156,12 @@ def _check_grid(spec: MetricSpec, x):
         for k in range(len(x)):
             _check_grid(spec, x[k:k + 1])
         return
-    m = np.stack([np.broadcast_to(c, len(x)) for c in comps],
-                 axis=-1)[:, PAIR_FULL]
-    finite = np.isfinite(m).all(axis=(1, 2))
-    eye = np.eye(DIM)
-    # a zero or huge determinant is judged below, not warned about
-    with np.errstate(all="ignore"):
-        det = np.linalg.det(np.where(finite[:, None, None], m, eye))
-    ok = finite & np.isfinite(det)
-    ev = np.linalg.eigvalsh(np.where(ok[:, None, None], m, eye))
-    bad = ~ok | (np.abs(det) < 1e-14) | (ev[:, 0] >= 0) | (ev[:, 1] <= 0)
-    if bad.any():
-        k = np.argmax(bad)
-        why = ("is not finite" if not finite[k] else
-               "has a determinant beyond float range" if not ok[k] else
-               "is not Lorentzian")
-        raise DomainError(f"{_where(spec, x[k])} {why}")
+    code = fieldspace.lorentzian_defects(np.stack(
+        [np.broadcast_to(c, len(x)) for c in comps], axis=-1)[:, PAIR_FULL])
+    if code.any():
+        k = np.argmax(code > 0)
+        raise DomainError(
+            f"{_where(spec, x[k])} {fieldspace.DEFECTS[code[k]]}")
 
 
 def _validate(spec: MetricSpec) -> MetricSpec:

@@ -1,6 +1,6 @@
 """The second-order metric model: Lagrangian, momenta, Hamiltonian,
-Poincare-Cartan 5-form, constraints, holonomy residuals, field-equation
-contraction, and projectability checks.
+Poincare-Cartan 5-form (contracted by `fieldspace.field_equation_covector`),
+constraints, holonomy residuals and projectability checks.
 
 Momenta are computed twice on purpose: by differentiating the Lagrangian
 and from the closed forms; the two routes referee the ordered-index
@@ -30,10 +30,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .exterior import Form, cartan_form, contract_terms
+from .exterior import Form, cartan_form
 from .fieldspace import (EH_OFF, EHJetPoint, _identity_seeds, derivatives,
-                         fiber_gradient, fiber_hessian, tangent_lifts,
-                         total_derivatives_vec, trial_stack)
+                         fiber_gradient, fiber_hessian, total_derivatives_vec,
+                         trial_stack)
 from .geometry import (curvature_bundle, metric_inverse_density,
                        scalar_density)
 from .indexing import DERIVS, DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -167,7 +167,7 @@ def holonomy_residuals(p: EHJetPoint, metric_series):
             p.d2g - derivatives(metric_series, DERIVS[2]))
 
 
-# -- Poincare-Cartan form and field equations -------------------------------
+# -- Poincare-Cartan form ---------------------------------------------------
 
 def cartan_form_eh(p: EHJetPoint, closed: EHClosed) -> Form:
     """The 5-form dH ^ d4x minus the two momenta blocks: the 40 first-order
@@ -195,17 +195,6 @@ def cartan_form_eh(p: EHJetPoint, closed: EHClosed) -> Form:
     dense[..., 1 + n1:, :].reshape(p.lead + (NPAIR, DIM, DIM, -1))[
         ..., g0:dg0] = closed.L2.a[..., PAIR_FULL, :]
     return cartan_form(dense, g0)
-
-
-def field_equation_covector(p: EHJetPoint, closed: EHClosed) -> np.ndarray:
-    """i(X0)...i(X3) of the 5-form, X_tau the section's tangent lifts, over
-    the form's (x, g, dg) coordinates."""
-    form = cartan_form_eh(p, closed)
-    return contract_terms(form, tangent_lifts(p, form.dense.shape[-1]))
-
-
-def verify_field_equation(p: EHJetPoint, closed: EHClosed) -> np.ndarray:
-    return np.abs(field_equation_covector(p, closed)).max(axis=-1)
 
 
 # -- projectability ---------------------------------------------------------

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import Form, cartan_form, contract_terms
-from .fieldspace import (EP_OFF, EPJetPoint, fiber_gradient, tangent_lifts,
-                         trial_stack)
+from .exterior import Form, cartan_form
+from .fieldspace import EP_OFF, EPJetPoint, fiber_gradient, trial_stack
 from .geometry import (connection_traces, metric_inverse_density, ricci,
                        torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -176,7 +175,7 @@ def projectability_check_ep(p: EPJetPoint, closed: EPClosed, trials, seed):
     return dev.max(axis=0), np.abs(m.L[1:] - base.L).max(axis=0), base
 
 
-# -- Poincare-Cartan form and field equations -------------------------------
+# -- Poincare-Cartan form ---------------------------------------------------
 
 def cartan_form_ep(p: EPJetPoint, closed: EPClosed) -> Form:
     """dH ^ d4x minus one momenta block per connection coordinate, laid
@@ -192,13 +191,3 @@ def cartan_form_ep(p: EPJetPoint, closed: EPClosed) -> Form:
     dense[..., 0, g0:] = closed.H.g
     dense[..., 1:, g0:gam0] = closed.Lmom.g.reshape(p.lead + (-1, NPAIR))
     return cartan_form(dense, gam0)
-
-
-def field_equation_covector_ep(p: EPJetPoint, closed: EPClosed) -> np.ndarray:
-    """i(X0)...i(X3) of the 5-form over its (x, g, Gamma) coordinates."""
-    form = cartan_form_ep(p, closed)
-    return contract_terms(form, tangent_lifts(p, form.dense.shape[-1]))
-
-
-def verify_field_equation_ep(p: EPJetPoint, closed: EPClosed) -> np.ndarray:
-    return np.abs(field_equation_covector_ep(p, closed)).max(axis=-1)

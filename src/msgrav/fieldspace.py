@@ -32,7 +32,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMetricError
+from .errors import ConfigError, DegenerateMetricError, DomainError
+from .exterior import contract_terms
 from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, TRIPLES, UP
 from .series import derivative_table
 from .tangents import Jet2, Tan
@@ -78,14 +79,33 @@ def flat_index(blocks, cid) -> int:
         raise ConfigError(f"no flat slot for coordinate {cid}") from None
 
 
+# why a 4x4 matrix is not a Lorentzian metric, by code; 0 when it is one
+DEFECTS = (None, "is not finite", "has a determinant beyond float range",
+           "is not Lorentzian")
+
+
+def lorentzian_defects(m) -> np.ndarray:
+    """Per matrix of the stack m (..., 4, 4), the code in DEFECTS of the
+    first test it fails: finite entries, a finite determinant, then |det|
+    not below the degeneracy bound and signature (-,+,+,+). A later test reads
+    the identity in place of a matrix that an earlier one rejected."""
+    eye = np.eye(DIM)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    # a zero or huge determinant is judged here, not warned about
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(np.where(finite[..., None, None], m, eye))
+    ok = finite & np.isfinite(det)
+    ev = np.linalg.eigvalsh(np.where(ok[..., None, None], m, eye))
+    lorentzian = (np.abs(det) >= 1e-14) & (ev[..., 0] < 0) & (ev[..., 1] > 0)
+    # the identity is not Lorentzian, so no rejected matrix reads 0
+    return np.where(lorentzian, 0, 1 + finite + ok)
+
+
 def _check_lorentzian(g10):
-    m = g10[..., PAIR_FULL]
-    det = np.linalg.det(m)
-    if np.any(np.abs(det) < 1e-14):
-        raise DegenerateMetricError(f"metric determinant {det} is degenerate")
-    ev = np.linalg.eigvalsh(m)
-    if not np.all((ev[..., 0] < 0) & (ev[..., 1] > 0)):
-        raise DegenerateMetricError(f"metric signature is not (-,+,+,+): {ev}")
+    """Raise DegenerateMetricError for the first defect of the stack g10."""
+    code = lorentzian_defects(g10[..., PAIR_FULL])
+    if code.any():
+        raise DegenerateMetricError(f"metric {DEFECTS[code[code > 0][0]]}")
 
 
 def _shape_checks(blocks, extensions):
@@ -97,8 +117,9 @@ def _shape_checks(blocks, extensions):
 class _JetPoint:
     """Validates a point's blocks against its tables and keeps read-only
     views of them, so the caller's arrays stay writeable; the blocks of a
-    stack of points share one leading shape. g must be Lorentzian unless
-    `_derived` is the module's private token (g already checked)."""
+    stack of points share one leading shape and must be finite (else
+    DomainError). g must be Lorentzian unless `_derived` is the module's
+    private token (g already checked)."""
 
     def __post_init__(self, _derived):
         lead = np.shape(self.x)[:-1]
@@ -110,6 +131,8 @@ class _JetPoint:
             if arr.shape != lead + shape:
                 raise ConfigError(
                     f"{name} block has shape {arr.shape}, want {lead + shape}")
+            if not np.isfinite(arr).all():
+                raise DomainError(f"{name} block is not finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if _derived is not _DERIVED:
@@ -329,3 +352,9 @@ def tangent_lifts(p, width) -> np.ndarray:
     return np.swapaxes(np.concatenate(
         [seeds[b].reshape(p.lead + (-1, DIM)) for b in blocks], axis=-2),
         -1, -2)
+
+
+def field_equation_covector(form, p) -> np.ndarray:
+    """i(X0)...i(X3) of a model's Cartan 5-form at p, X_tau the section's
+    tangent lifts, over the form's dense coordinates."""
+    return contract_terms(form, tangent_lifts(p, form.dense.shape[-1]))

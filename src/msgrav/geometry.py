@@ -35,13 +35,11 @@ _RICCI_D2 = 0.5 * (np.einsum("sap,brq->rsabpq", _EXPAND, _EXPAND)
 # -- kernels: arrays, Tan or Jet2 -------------------------------------------
 
 def metric_inverse_density(gm):
-    """(g^{ab}, rho = sqrt(|det g|)) of a full 4x4 metric."""
+    """(g^{ab}, rho = sqrt(|det g|)) of a full 4x4 Lorentzian metric."""
     try:
         ginv, det = inv(gm)
     except np.linalg.LinAlgError:
         raise DegenerateMetricError("metric is singular") from None
-    if np.any(np.abs(getattr(det, "v", det)) < 1e-14):
-        raise DegenerateMetricError("metric is degenerate at this point")
     return ginv, sqrt(abs(det))
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import catalog, eh, ep
 from .errors import ConfigError, DomainError, MsgravError
-from .fieldspace import ORDER, prolong
+from .fieldspace import ORDER, field_equation_covector, prolong
 from .version import VERSION
 
 # points per batched pass; see the module docstring
@@ -61,8 +61,8 @@ FAMILIES = {
         ("projectability", "identity", lambda s: s.dev),
         ("einstein-constraint", "vacuum", lambda s: s.c),
         ("einstein-constraint-derivative", "vacuum", lambda s: s.dc),
-        ("field-equation", "vacuum",
-         lambda s: eh.verify_field_equation(s.p, s.closed)),
+        ("field-equation", "vacuum", lambda s: field_equation_covector(
+            eh.cartan_form_eh(s.p, s.closed), s.p)),
     ),
     "ep": (
         ("momenta-identity", "identity",
@@ -79,8 +79,8 @@ FAMILIES = {
          lambda s: ep.constraint_torsion_deriv(s.p)),
         ("integrability", "levi-civita",
          lambda s: ep.constraint_integrability(s.p)),
-        ("field-equation", "vacuum",
-         lambda s: ep.verify_field_equation_ep(s.p, s.closed)),
+        ("field-equation", "vacuum", lambda s: field_equation_covector(
+            ep.cartan_form_ep(s.p, s.closed), s.p)),
     ),
 }
 
@@ -198,8 +198,7 @@ def sample_points(spec, n, seed):
     rng = np.random.default_rng(seed)
     lo = np.array([a for a, _ in spec.domain])
     hi = np.array([b for _, b in spec.domain])
-    return [tuple(lo + rng.uniform(size=len(lo)) * (hi - lo))
-            for _ in range(n)]
+    return lo + rng.uniform(size=(n, len(lo))) * (hi - lo)
 
 
 def run_check(cfg: CheckConfig) -> ConstraintReport:
@@ -210,7 +209,7 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
 
     def at_chunk(chunk):
         # point i's projectability trials are seeded by cfg.seed + i
-        return checks(cfg.spec, [points[i] for i in chunk],
+        return checks(cfg.spec, points[chunk.start:chunk.stop],
                       [cfg.seed + i for i in chunk])
 
     threads = cfg.threads

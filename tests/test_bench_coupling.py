@@ -23,8 +23,11 @@ def _load_trace(monkeypatch):
 
 
 def test_benchmark_names_resolve_in_msgrav(monkeypatch):
+    import dataclasses
+
     from msgrav import report
     from msgrav.series import JetScalar
+    from msgrav.tangents import Jet2, Tan
     trace = _load_trace(monkeypatch)
     missing = [f"{layer}.{name}" for layer, names in trace.TRACED.items()
                for name in names
@@ -34,6 +37,14 @@ def test_benchmark_names_resolve_in_msgrav(monkeypatch):
     assert [op for op in trace.SERIES_OPS
             if op not in JetScalar.__dict__] == []
     assert hasattr(report, "ThreadPoolExecutor")
+    # outside TRACED: the counting pass patches each class's own __init__,
+    # the pool span reads CheckConfig.threads, and msbench's own tests
+    # build a Tan seed and an order-less JetScalar constant
+    assert "__init__" in Tan.__dict__ and "__init__" in Jet2.__dict__
+    assert callable(Tan.seed)
+    assert "threads" in {f.name for f in dataclasses.fields(
+        report.CheckConfig)}
+    assert (JetScalar.constant(1.0, (0, 0, 0, 0)) * 3.0).value() == 3.0
 
 
 @pytest.mark.parametrize("model", ["eh", "ep"])

@@ -196,19 +196,31 @@ def test_jets_malformed_point(capsys):
     assert code == 2
 
 
+# finite on a metric's 3^4 check grid, beyond float range between its points
+OVERFLOW = "(x1-1)*(x1+1)*x1*1e308*10"
+
+
 @pytest.mark.parametrize("extra", [
     "g 1 1 = 1 + ln(x1)\n",
     "g 1 1 = 1 + 0.1/x1\n[domain]\nx1 = 0..1\n",
+    f"g 1 1 = 1 + {OVERFLOW}\n",
+    # a finite metric whose second derivatives are beyond float range
+    "g 1 1 = 2 + sin(1e200*x1)\n",
+    # a connection beyond float range, which only ep reads
+    f"g 1 1 = 1\n[connection]\nGamma 1 0 0 = {OVERFLOW}\n",
 ])
 def test_numeric_failure_in_metric_file_exits_three(tmp_path, capsys, extra):
     path = tmp_path / "bad.ini"
     path.write_text("[metric]\ng 0 0 = -1\ng 2 2 = 1\ng 3 3 = 1\n" + extra,
                     encoding="utf-8")
-    code, _, err = run(
-        ["check", "--model", "eh", "--metric", str(path), "--points", "1"],
-        capsys)
-    assert code == 3
-    assert "domain error" in err
+    for model in ("eh", "ep"):
+        code, _, err = run(["check", "--model", model, "--metric", str(path),
+                            "--points", "4"], capsys)
+        if model == "eh" and "[connection]" in extra:
+            assert code == 0, err
+        else:
+            assert code == 3, (model, err)
+            assert "domain error" in err
 
 
 def test_huge_metric_values_are_a_domain_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""`scripts/run_all_checks.py` judges every family of every builtin report
+"""`scripts/run_all_checks.py` judges every family of every builtin report,
+and of the two connection-overriding metric files under `msbench/inputs`,
 by its kind and the metric's vacuum flag, so a family whose residual or
 kind is wrong fails the sweep."""
 
