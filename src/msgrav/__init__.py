@@ -5,7 +5,7 @@ The package evaluates Lagrangians, momenta, Hamiltonians, Poincare-Cartan
 forms, and constraint families at jets of exact spacetimes, certifying
 every identity with independent computation routes: closed forms against
 array-valued forward-mode differentiation of the Lagrangians through
-einsum curvature kernels, series arithmetic against finite differences.
+einsum curvature kernels; the tests add a finite-difference oracle.
 """
 
 from .version import VERSION as __version__

@@ -76,11 +76,13 @@ _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError,
 def _series_at(spec: MetricSpec, program, x, order: int) -> list:
     """The series of each tree of a compiled program about the points
     x (..., 4), from one run for the whole stack; float domain failures
-    become DomainError."""
+    become DomainError. Series arithmetic overflows silently, as in
+    `_check_grid`; the point's finiteness checks reject what it leaves."""
     env = {f"x{i}": JetScalar.variable(i, x, order=order)
            for i in range(DIM)} | spec.params
     try:
-        vals = run_program(program, env)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = run_program(program, env)
     except _FLOAT_ERRORS as e:
         raise DomainError(f"cannot evaluate an expression at this point: "
                           f"{e}") from None
@@ -118,6 +120,9 @@ def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     g, dg, d2g = (derivatives(series, c) for c in DERIVS[:3])
     g = g[..., 0]
     fieldspace._check_lorentzian(g)
+    for name, block in (("dg", dg), ("d2g", d2g)):
+        if not np.isfinite(block).all():
+            raise DomainError(f"{name} block is not finite")
     ginv, _ = metric_inverse_density(Tan(g, dg)[..., PAIR_FULL])
     gam = christoffel(ginv, Tan(dg, d2g[..., PAIR_FULL])[..., PAIR_FULL, :])
     Gamma, dGamma = gam.v.copy(), gam.g.copy()

@@ -25,7 +25,7 @@ per-point results are arrays of the leading shape, 0-d for one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,11 +90,6 @@ def constraint_einstein(pt):
 
 # -- public operations ------------------------------------------------------
 
-def lagrangian_eh(p) -> np.ndarray:
-    """L on any point that carries the g, dg and d2g blocks."""
-    return np.asarray(lagrangian_fn(p))
-
-
 @dataclass(frozen=True)
 class EHClosed:
     """The closed forms at a point's (g, dg) with the derivatives the
@@ -116,23 +111,22 @@ def closed_forms(p: EHJetPoint) -> EHClosed:
 
 @dataclass(frozen=True)
 class EHMomenta:
-    """Each field has the point's leading shape in front."""
+    """Each field has the point's leading shape in front; L2_ad and H_sum
+    are compared with the `closed_forms` values L2.v and H.v."""
 
     L: np.ndarray
     L2_ad: np.ndarray       # (10, 10): (1/n(mn)) dL/d g_{ab,mn}
-    L2_closed: np.ndarray   # (10, 10): closed form
     L1: np.ndarray          # (10, 4)
     H_sum: np.ndarray
-    H_closed: np.ndarray
 
 
 def momenta_and_hamiltonian(p: EHJetPoint, closed: EHClosed) -> EHMomenta:
     """The AD momenta at p from two gradient passes of L, one per seeded
     block, dg and d2g, so neither block carries the other's zero columns;
-    L is the dg pass's value. They are completed by the closed forms of
-    p's (g, dg), which a stack that shares them broadcasts. L1 is
-    dL/d g_{ab,m} - sum_n D_n L^{ab,mn}: the closed second-order momenta
-    depend on g alone, so D_n reaches only g."""
+    L is the dg pass's value. L1 is dL/d g_{ab,m} - sum_n D_n L^{ab,mn},
+    with D_n L^{ab,mn} from the closed forms of p's (g, dg), which a stack
+    that shares them broadcasts: the closed second-order momenta depend on
+    g alone, so D_n reaches only g."""
     by_dg = fiber_gradient(lagrangian_fn, p, ["dg"])
     dldv = by_dg.g.reshape(p.lead + (NPAIR, DIM))
     l2_ad = fiber_gradient(lagrangian_fn, p, ["d2g"]).g.reshape(
@@ -144,8 +138,7 @@ def momenta_and_hamiltonian(p: EHJetPoint, closed: EHClosed) -> EHMomenta:
     # ordered storage is a multiplicity weight per column.
     h_sum = (np.sum(l2_ad * p.d2g * MULT, axis=(-2, -1))
              + np.sum(l1 * p.dg, axis=(-2, -1)) - lag)
-    return EHMomenta(L=lag, L2_ad=l2_ad, L2_closed=closed.L2.v, L1=l1,
-                     H_sum=h_sum, H_closed=closed.H.v)
+    return EHMomenta(L=lag, L2_ad=l2_ad, L1=l1, H_sum=h_sum)
 
 
 def constraint_einstein_derivative(p: EHJetPoint):
@@ -212,8 +205,7 @@ def projectability_check(p: EHJetPoint, closed: EHClosed, trials: int, seed):
     """
     m = momenta_and_hamiltonian(
         trial_stack(p, ("d2g", "d3g"), trials, seed), closed)
-    base = replace(m, L=m.L[0], L2_ad=m.L2_ad[0], L1=m.L1[0],
-                   H_sum=m.H_sum[0])
+    base = EHMomenta(L=m.L[0], L2_ad=m.L2_ad[0], L1=m.L1[0], H_sum=m.H_sum[0])
     dev = np.maximum.reduce([
         np.abs(m.H_sum[1:] - base.H_sum),
         np.abs(m.L2_ad[1:] - base.L2_ad).max(axis=(-2, -1)),

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -43,8 +42,9 @@ MAX_POINTS = 10**6  # all are drawn before the first chunk runs
 
 # A family's kind says where it must hold: an identity on every section, a
 # vacuum family on vacuum solutions only, a levi-civita family wherever the
-# connection is Levi-Civita. Its default tolerance is its kind's: relative
-# for identities (residual / (1 + |reference|)), absolute for the others.
+# connection is Levi-Civita. Its default tolerance is its kind's. Residuals
+# are absolute deviations, except the identities' other than holonomy and
+# projectability, which are relative: residual / (1 + |reference|).
 KIND_TOLERANCES = {"identity": 1e-10, "vacuum": 1e-8, "levi-civita": 1e-8}
 
 # Each model's families in report order: (family, kind, residual), where
@@ -54,10 +54,10 @@ FAMILIES = {
     "eh": (
         ("holonomy", "identity", lambda s: s.holonomy),
         ("momenta-identity", "identity",
-         lambda s: _rel(_amax(s.m.L2_ad - s.m.L2_closed),
-                        _amax(s.m.L2_closed))),
+         lambda s: _rel(_amax(s.m.L2_ad - s.closed.L2.v),
+                        _amax(s.closed.L2.v))),
         ("hamiltonian-dual-form", "identity",
-         lambda s: _rel(np.abs(s.m.H_sum - s.m.H_closed), s.m.H_closed)),
+         lambda s: _rel(np.abs(s.m.H_sum - s.closed.H.v), s.closed.H.v)),
         ("projectability", "identity", lambda s: s.dev),
         ("einstein-constraint", "vacuum", lambda s: s.c),
         ("einstein-constraint-derivative", "vacuum", lambda s: s.dc),
@@ -187,7 +187,7 @@ def _ep_point_checks(spec, xs, seeds):
     dev, _, m = ep.projectability_check_ep(p, closed, 2, np.array(seeds)[kept])
     # the ep point carries the metric jet's g, dg and d2g blocks
     return kept, _residuals("ep", SimpleNamespace(
-        p=p, closed=closed, dev=dev, m=m, l_eh=eh.lagrangian_eh(p)))
+        p=p, closed=closed, dev=dev, m=m, l_eh=eh.lagrangian_fn(p)))
 
 
 def _residuals(model, passes):
@@ -212,16 +212,8 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
         return checks(cfg.spec, points[chunk.start:chunk.stop],
                       [cfg.seed + i for i in chunk])
 
-    threads = cfg.threads
-    if threads is None:
-        env = os.environ.get("MSGR_THREADS", "0")
-        try:
-            threads = int(env) or None
-        except ValueError:
-            raise ConfigError(f"MSGR_THREADS must be an integer, got "
-                              f"{env!r}") from None
-    if threads is not None and threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if cfg.threads is not None and cfg.threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             outs = list(pool.map(at_chunk, chunks))
     else:
         outs = [at_chunk(c) for c in chunks]
@@ -231,10 +223,16 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
         for row, k in enumerate(kept):
             results[chunk[k]] = {fam: float(v[row]) for fam, v in out.items()}
 
-    skipped = sum(1 for r in results if r is None)
-    if skipped > 0.2 * len(points):
-        raise DomainError(
-            f"{skipped} of {len(points)} sample points were singular")
+    skipped = [i for i, r in enumerate(results) if r is None]
+    if len(skipped) > 0.2 * len(points):
+        x = points[skipped[0]]
+        build = _eh_point if cfg.model == "eh" else catalog.ep_point_at
+        try:  # a point is skipped exactly when building it alone fails
+            build(cfg.spec, x[None])
+        except DomainError as e:
+            raise DomainError(
+                f"{len(skipped)} of {len(points)} sample points were "
+                f"singular; the first, {tuple(x.tolist())}: {e}") from None
 
     families = []
     for fam, kind, _ in FAMILIES[cfg.model]:
@@ -258,7 +256,7 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
     verdict = "pass" if all(f["pass"] for f in families) else "fail"
     return ConstraintReport(model=cfg.model, metric=cfg.spec.name,
                             seed=cfg.seed, points=len(points),
-                            skipped=skipped, families=tuple(families),
+                            skipped=len(skipped), families=tuple(families),
                             verdict=verdict)
 
 

@@ -4,15 +4,16 @@ Everything here is deliberately different from the production route:
 derivatives come from central finite differences with one Richardson
 extrapolation, the inverse metric from numpy's solver, and the tensor
 contractions from einsum over textbook formulas. Agreement is a genuine
-two-pipeline check, so nothing from the geometry module is imported.
+two-pipeline check, so nothing from msgrav's geometry module is imported.
+The tests import it as `oracle`; no product path reads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exprparse import run_program
-from .indexing import DIM, PAIR_FULL
+from msgrav.exprparse import run_program
+from msgrav.indexing import DIM, PAIR_FULL
 
 STEP = 1e-4
 

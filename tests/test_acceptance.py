@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import einstein_suite, interior_points, projective_shift
-from msgrav import catalog, eh, ep, oracle
+import oracle
+from msgrav import catalog, eh, ep
 from msgrav.fieldspace import (EH_OFF, EP_DIM_J1, EP_OFF,
                                field_equation_covector, prolong)
 from msgrav.indexing import pair_index
@@ -31,14 +32,16 @@ def _verdict(num, label, ok):
 
 @pytest.fixture(scope="module")
 def momenta_samples():
-    """Momenta at 30 random points per metric, shared by criteria 2-3."""
+    """(AD momenta, closed forms) at 30 random points per metric, shared by
+    criteria 2-3."""
     out = {}
     for name in ALL_METRICS:
         spec = catalog.builtin(name)
         rows = []
         for x in interior_points(spec, 30, seed=7):
             p = catalog.eh_point_at(spec, x)
-            rows.append(eh.momenta_and_hamiltonian(p, eh.closed_forms(p)))
+            closed = eh.closed_forms(p)
+            rows.append((eh.momenta_and_hamiltonian(p, closed), closed))
         out[name] = rows
     return out
 
@@ -52,9 +55,9 @@ def test_acceptance_1_dimension_counts():
 def test_acceptance_2_momenta_identity(momenta_samples):
     worst = 0.0
     for rows in momenta_samples.values():
-        for m in rows:
-            scale = 1.0 + np.abs(m.L2_closed).max()
-            worst = max(worst, np.abs(m.L2_ad - m.L2_closed).max() / scale)
+        for m, closed in rows:
+            scale = 1.0 + np.abs(closed.L2.v).max()
+            worst = max(worst, np.abs(m.L2_ad - closed.L2.v).max() / scale)
     _verdict(2, f"second-order momenta identity, rel {worst:.2e}",
              worst <= 1e-10)
 
@@ -62,9 +65,9 @@ def test_acceptance_2_momenta_identity(momenta_samples):
 def test_acceptance_3_hamiltonian_dual_form(momenta_samples):
     worst = 0.0
     for rows in momenta_samples.values():
-        for m in rows:
-            worst = max(worst, abs(m.H_sum - m.H_closed)
-                        / (1.0 + abs(m.H_closed)))
+        for m, closed in rows:
+            worst = max(worst, abs(m.H_sum - closed.H.v)
+                        / (1.0 + abs(closed.H.v)))
     _verdict(3, f"Hamiltonian dual-form identity, rel {worst:.2e}",
              worst <= 1e-10)
 
@@ -132,7 +135,7 @@ def test_acceptance_7_first_order_model_constraints():
         spec = catalog.builtin(name)
         for x in interior_points(spec, 20, seed=17):
             le = ep.legendre_fn(catalog.ep_point_at(spec, x))[0]
-            lh = eh.lagrangian_eh(prolong(catalog.metric_jet_at(spec, x)))
+            lh = eh.lagrangian_fn(prolong(catalog.metric_jet_at(spec, x)))
             equiv = max(equiv, abs(le - lh) / (1.0 + abs(lh)))
     ok = worst <= 1e-8 and equiv <= 1e-10
     _verdict(7, f"metric-affine constraints {worst:.2e}, "

@@ -200,27 +200,38 @@ def test_jets_malformed_point(capsys):
 OVERFLOW = "(x1-1)*(x1+1)*x1*1e308*10"
 
 
-@pytest.mark.parametrize("extra", [
-    "g 1 1 = 1 + ln(x1)\n",
-    "g 1 1 = 1 + 0.1/x1\n[domain]\nx1 = 0..1\n",
-    f"g 1 1 = 1 + {OVERFLOW}\n",
+# metric file lines after g00, g22 and g33, each with the reason its
+# check's stderr names
+NUMERIC_FAILURES = {
+    "g 1 1 = 1 + ln(x1)\n": "cannot be evaluated",
+    "g 1 1 = 1 + 0.1/x1\n[domain]\nx1 = 0..1\n": "cannot be evaluated",
+    # the sample points are skipped, and the error says why the first was
+    f"g 1 1 = 1 + {OVERFLOW}\n": "is not finite",
     # a finite metric whose second derivatives are beyond float range
-    "g 1 1 = 2 + sin(1e200*x1)\n",
+    "g 1 1 = 2 + sin(1e200*x1)\n": "d2g block is not finite",
     # a connection beyond float range, which only ep reads
-    f"g 1 1 = 1\n[connection]\nGamma 1 0 0 = {OVERFLOW}\n",
-])
+    f"g 1 1 = 1\n[connection]\nGamma 1 0 0 = {OVERFLOW}\n":
+        "Gamma block is not finite",
+}
+
+
+@pytest.mark.parametrize("extra", list(NUMERIC_FAILURES))
 def test_numeric_failure_in_metric_file_exits_three(tmp_path, capsys, extra):
     path = tmp_path / "bad.ini"
     path.write_text("[metric]\ng 0 0 = -1\ng 2 2 = 1\ng 3 3 = 1\n" + extra,
                     encoding="utf-8")
     for model in ("eh", "ep"):
-        code, _, err = run(["check", "--model", model, "--metric", str(path),
-                            "--points", "4"], capsys)
+        # the failure is reported, not preceded by numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(["check", "--model", model, "--metric",
+                                str(path), "--points", "4"], capsys)
         if model == "eh" and "[connection]" in extra:
             assert code == 0, err
         else:
             assert code == 3, (model, err)
-            assert "domain error" in err
+            assert "domain error" in err, (model, err)
+            assert NUMERIC_FAILURES[extra] in err, (model, err)
 
 
 def test_huge_metric_values_are_a_domain_error(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_lagrangian_matches_metric_model_on_levi_civita(all_specs):
         for x in interior_points(spec, 4, seed=41):
             pe = catalog.ep_point_at(spec, x)
             le = ep.legendre_fn(pe)[0]
-            lh = eh.lagrangian_eh(prolong(catalog.metric_jet_at(spec, x)))
+            lh = eh.lagrangian_fn(prolong(catalog.metric_jet_at(spec, x)))
             assert abs(le - lh) <= 1e-10 * (1.0 + abs(lh)), name
 
 

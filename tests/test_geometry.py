@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import einstein_suite, interior_points, random_jet
-from msgrav import catalog, oracle
+import oracle
+from msgrav import catalog
 from msgrav.eh import lagrangian_fn
 from msgrav.ep import _apairs_of
 from msgrav.errors import DegenerateMetricError

@@ -403,14 +403,15 @@ def test_relative_families_scale_by_one_plus_the_reference(model):
     for x in sample_points(spec, 4, seed=2):
         if model == "eh":
             p = catalog.eh_point_at(spec, x)
-            m = eh.momenta_and_hamiltonian(p, eh.closed_forms(p))
-            pairs = {"momenta-identity": (m.L2_ad - m.L2_closed,
-                                          m.L2_closed),
-                     "hamiltonian-dual-form": (m.H_sum - m.H_closed,
-                                               m.H_closed)}
+            closed = eh.closed_forms(p)
+            m = eh.momenta_and_hamiltonian(p, closed)
+            pairs = {"momenta-identity": (m.L2_ad - closed.L2.v,
+                                          closed.L2.v),
+                     "hamiltonian-dual-form": (m.H_sum - closed.H.v,
+                                               closed.H.v)}
         else:
             p = catalog.ep_point_at(spec, x)
-            lmom, l_eh = ep.closed_forms_ep(p).Lmom.v, eh.lagrangian_eh(p)
+            lmom, l_eh = ep.closed_forms_ep(p).Lmom.v, eh.lagrangian_fn(p)
             m = ep.momenta_ep(p)
             pairs = {"momenta-identity": (m.Lmom_ad - lmom, lmom),
                      "eh-equivalence": (m.L - l_eh, l_eh)}
@@ -450,15 +451,27 @@ def test_config_bounds_the_point_count():
             cfg(points=n)
 
 
-def test_bad_thread_count_in_environment_is_a_config_error(monkeypatch,
-                                                           capsys):
+def test_the_environment_does_not_configure_a_check(monkeypatch, tmp_path):
+    # a worker count comes from CheckConfig alone: the variable an earlier
+    # release read changes neither the exit code nor a byte of the report,
+    # here of two chunks, which a pool of 4 would run
     from msgrav import cli
-    monkeypatch.setenv("MSGR_THREADS", "abc")
-    code = cli.main(["check", "--model", "ep", "--metric", "minkowski",
-                     "--points", "1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "MSGR_THREADS" in err and "Traceback" not in err
+
+    def report(model, env):
+        if env is None:
+            monkeypatch.delenv("MSGR_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MSGR_THREADS", env)
+        out = tmp_path / f"{model}-{env}.json"
+        code = cli.main(["check", "--model", model, "--metric", "kasner",
+                         "--points", "9", "--out", str(out)])
+        assert code == 0, (model, env)
+        return out.read_bytes()
+
+    for model in ("eh", "ep"):
+        want = report(model, None)
+        assert report(model, "abc") == want
+        assert report(model, "4") == want
 
 
 @pytest.mark.parametrize("n", [2, 8])
@@ -485,10 +498,10 @@ def test_fused_eh_checks_equal_each_public_call(metric, n):
     amax, rel = report._amax, report._rel
     want = {
         "holonomy": np.maximum(amax(h1), amax(h2)),
-        "momenta-identity": rel(amax(m.L2_ad - m.L2_closed),
-                                amax(m.L2_closed)),
-        "hamiltonian-dual-form": rel(np.abs(m.H_sum - m.H_closed),
-                                     m.H_closed),
+        "momenta-identity": rel(amax(m.L2_ad - closed.L2.v),
+                                amax(closed.L2.v)),
+        "hamiltonian-dual-form": rel(np.abs(m.H_sum - closed.H.v),
+                                     closed.H.v),
         "projectability": eh.projectability_check(p, closed, 2,
                                                   np.array(seeds))[0],
         "einstein-constraint": amax(eh.constraint_einstein(p)),
