@@ -110,11 +110,8 @@ def unmatched():
 
 def first_failure(output: str) -> str:
     """The first FAILED or ERROR test of pytest's short summary."""
-    for line in output.splitlines():
-        if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" - ", 1)[0]
-    tail = " / ".join(output.strip().splitlines()[-2:])
-    return f"(no test named; pytest output ends: {tail})"
+    return next((line.split(" - ", 1)[0] for line in output.splitlines()
+                 if line.startswith(("FAILED ", "ERROR "))), "(none named)")
 
 
 def run_mutant(m: Mutant) -> tuple:
