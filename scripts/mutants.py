@@ -90,6 +90,38 @@ MUTANTS = (
            "        m.Lmom_ad[1:] - base.Lmom_ad).max(axis=(-4, -3, -2, -1)))",
            "dev = np.abs(m.H[1:] - closed.H.v)",
            "ep projectability_check_ep without its momenta deviation"),
+    Mutant("mul-drops-a-cross-term", "src/msgrav/tangents.py",
+           "_outer(self.a, o.b), _outer(o.a, self.b))))",
+           "_outer(self.a, o.b))))",
+           "a dual product's mixed block without the other factor's inner "
+           "block times this one's outer block"),
+    Mutant("chain-drops-second-derivative", "src/msgrav/tangents.py",
+           "None if ab is None else _scale(ab, f2(), 2)",
+           "None",
+           "the chain rule's mixed block without its f'' a b term"),
+    Mutant("einsum-drops-cross-terms", "src/msgrav/tangents.py",
+           "(_contract(s, _swap(_swap(vals, i, ops[i].a), j, ops[j].b))\n"
+           "         for i, j, s in cross)",
+           "()",
+           "einsum's mixed block without its inner-outer cross terms"),
+    Mutant("add-keeps-own-outer-block", "src/msgrav/tangents.py",
+           "_total((self.b, o.b))",
+           "self.b",
+           "a dual sum's outer block without the other term's"),
+    Mutant("einstein-constraint-times-zero", "src/msgrav/report.py",
+           '("einstein-constraint", "vacuum", lambda s: s.c)',
+           '("einstein-constraint", "vacuum", lambda s: 0 * s.c)',
+           "the eh einstein-constraint family times 0"),
+    Mutant("metric-equation-as-identity", "src/msgrav/report.py",
+           '("metric-equation", "vacuum",',
+           '("metric-equation", "identity",',
+           "ep metric-equation labelled an identity, which must pass on a "
+           "non-vacuum metric"),
+    Mutant("pre-metricity-as-vacuum", "src/msgrav/report.py",
+           '("pre-metricity", "levi-civita",',
+           '("pre-metricity", "vacuum",',
+           "ep pre-metricity labelled vacuum, which must fail on a "
+           "non-vacuum Levi-Civita metric"),
 )
 
 # mutants that no test can kill yet, with the reason

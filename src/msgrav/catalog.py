@@ -119,10 +119,11 @@ def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     series = metric_jet_at(spec, x, 2)
     g, dg, d2g = (derivatives(series, c) for c in DERIVS[:3])
     g = g[..., 0]
-    fieldspace._check_lorentzian(g)
-    for name, block in (("dg", dg), ("d2g", d2g)):
+    # finiteness first, as `fieldspace._JetPoint` checks eh's blocks
+    for name, block in (("g", g), ("dg", dg), ("d2g", d2g)):
         if not np.isfinite(block).all():
             raise DomainError(f"{name} block is not finite")
+    fieldspace._check_lorentzian(g)
     ginv, _ = metric_inverse_density(Tan(g, dg)[..., PAIR_FULL])
     gam = christoffel(ginv, Tan(dg, d2g[..., PAIR_FULL])[..., PAIR_FULL, :])
     Gamma, dGamma = gam.v.copy(), gam.g.copy()

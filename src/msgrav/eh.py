@@ -13,14 +13,14 @@ dg and one over d2g, each seeding only its own block, for the point and
 its trials stacked together), `constraint_einstein_derivative` (the
 Einstein constraints along the total derivatives, which reach the
 second-order coordinates of an order-3 point) and `cartan_form_eh`
-(the mixed Jet2 pass of L over (dg; g, dg), which forms only the outer
-blocks that meet an inner one). The closed forms read (g, dg) only; each
-operation that reads them takes them as `closed`, the `closed_forms` of
-its point. The closed-form Hamiltonian sums over full index ranges, the
-sum form over ordered ones. Fiber functions read a point's ordered blocks,
-as arrays, Tan or Jet2, and expand them through `indexing.PAIR_FULL`.
-Every operation takes one point or a stack of points on leading axes;
-per-point results are arrays of the leading shape, 0-d for one point.
+(the mixed Jet2 pass of L over (dg; g, dg)). The closed forms read
+(g, dg) only; each operation that reads them takes them as `closed`, the
+`closed_forms` of its point. The closed-form Hamiltonian sums over full
+index ranges, the sum form over ordered ones. Fiber functions read a
+point's ordered blocks, as arrays, Tan or Jet2, and expand them through
+`indexing.PAIR_FULL`. Every operation takes one point or a stack of
+points on leading axes; per-point results are arrays of the leading
+shape, 0-d for one point.
 """
 
 from __future__ import annotations

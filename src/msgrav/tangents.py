@@ -9,11 +9,7 @@ hyper-dual number (Fike & Alonso, AIAA 2011): `a` trails the value with
 the n1 inner seeds, `b` with the n2 outer seeds and
 `m[..., i, j] = d^2 / (d inner_i d outer_j)`. A Jet2 block that is
 identically zero may be None, so directions that are never seeded cost
-nothing. The outer block forms on first read: every operation stores `b`
-as a thunk that `.b` forces once and keeps, and a mixed term a (x) b
-forces b only where a is not None, so an outer block that meets no inner
-block, nor the caller, is never computed. Whether a block is None is
-known without forcing it. Scalars are the shape-() case.
+nothing. Scalars are the shape-() case.
 
 Arithmetic is elementwise, with numpy broadcasting over the value axes.
 Tensor algebra goes through three entry points that take plain arrays,
@@ -68,50 +64,11 @@ def _scale(d, c, k):
     return d * np.asarray(c, dtype=float)[(...,) + (None,) * k]
 
 
-class _Later:
-    """An outer block formed on its first call and kept: f of `deps`,
-    blocks that are arrays, None or `_Later`s, forced first. The pending
-    chain is walked with an explicit stack, so a long chain of operations
-    does not recurse; what the computation held is released once the
-    block exists."""
-
-    __slots__ = ("f", "deps", "d")
-
-    def __init__(self, f, deps=()):
-        self.f, self.deps = f, deps
-
-    def __call__(self):
-        stack = [self]
-        while stack:
-            top = stack[-1]
-            if top.f is None:
-                stack.pop()
-                continue
-            todo = [d for d in top.deps
-                    if isinstance(d, _Later) and d.f is not None]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            top.d = top.f(*map(_force, top.deps))
-            top.f = top.deps = None
-        return self.d
-
-
-def _force(d):
-    """Block d, an array, a `_Later` or None, as an array or None; a
-    `_Later` already formed is read without walking its chain."""
-    if isinstance(d, _Later):
-        return d.d if d.f is None else d()
-    return d
-
-
 def _outer(a, b):
-    """The mixed term of inner block a and outer block b; b is forced only
-    when a is not None."""
+    """The mixed term of inner block a and outer block b."""
     if a is None or b is None:
         return None
-    return a[..., :, None] * _force(b)[..., None, :]
+    return a[..., :, None] * b[..., None, :]
 
 
 def _total(blocks):
@@ -134,19 +91,12 @@ def _total(blocks):
 
 class _Dual:
     """Arithmetic shared by Tan and Jet2, which build results by `_new`;
-    blocks a, b, m may be None. The outer block is stored in `_b`, an
-    array, a `_Later` or None, and read through `b`; operations pass it on
-    deferred, as a `_Later`, or as None without building one when every
-    outer block they combine is None (as in every Tan operation)."""
+    blocks a, b, m are arrays or None (a Tan's b and m are always None),
+    and every operation forms all of its result's blocks at once."""
 
-    __slots__ = ("v", "a", "_b", "m")
+    __slots__ = ("v", "a", "b", "m")
     # numpy defers binary operators to the dual instead of looping over it
     __array_ufunc__ = None
-
-    @property
-    def b(self):
-        self._b = _force(self._b)
-        return self._b
 
     def _same(self, o):
         if type(o) is not type(self):
@@ -156,12 +106,10 @@ class _Dual:
 
     def __add__(self, o):
         if not isinstance(o, _Dual):
-            return self._new(self.v + o, self.a, self._b, self.m)
+            return self._new(self.v + o, self.a, self.b, self.m)
         o = self._same(o)
-        b = (None if self._b is None and o._b is None else
-             _Later(lambda x, y: _total((x, y)), (self._b, o._b)))
-        return self._new(self.v + o.v, _total((self.a, o.a)), b,
-                         _total((self.m, o.m)))
+        return self._new(self.v + o.v, _total((self.a, o.a)),
+                         _total((self.b, o.b)), _total((self.m, o.m)))
 
     __radd__ = __add__
 
@@ -177,35 +125,30 @@ class _Dual:
     def __mul__(self, o):
         if not isinstance(o, _Dual):
             c = np.asarray(o, dtype=float)
-            b = (None if self._b is None else
-                 _Later(lambda d: _scale(d, c, 1), (self._b,)))
-            return self._new(self.v * c, _scale(self.a, c, 1), b,
-                             _scale(self.m, c, 2))
+            return self._new(self.v * c, _scale(self.a, c, 1),
+                             _scale(self.b, c, 1), _scale(self.m, c, 2))
         o = self._same(o)
         sv, ov = self.v, o.v
-        b = (None if self._b is None and o._b is None else
-             _Later(lambda x, y: _total((_scale(x, ov, 1),
-                                         _scale(y, sv, 1))),
-                    (self._b, o._b)))
         return self._new(
             sv * ov,
-            _total((_scale(self.a, ov, 1), _scale(o.a, sv, 1))), b,
+            _total((_scale(self.a, ov, 1), _scale(o.a, sv, 1))),
+            _total((_scale(self.b, ov, 1), _scale(o.b, sv, 1))),
             _total((_scale(self.m, ov, 2), _scale(o.m, sv, 2),
-                    _outer(self.a, o._b), _outer(o.a, self._b))))
+                    _outer(self.a, o.b), _outer(o.a, self.b))))
 
     __rmul__ = __mul__
 
     def _chain(self, f0, f1, f2):
-        """f(self) from the value f0 and the derivatives f1, f2 of f."""
-        b = (None if self._b is None else
-             _Later(lambda d: _scale(d, f1, 1), (self._b,)))
-        return self._new(f0, _scale(self.a, f1, 1), b,
+        """f(self) from the value f0 and the derivative f1 of f; f2()
+        gives its second derivative, formed only for a mixed term."""
+        ab = _outer(self.a, self.b)
+        return self._new(f0, _scale(self.a, f1, 1), _scale(self.b, f1, 1),
                          _total((_scale(self.m, f1, 2),
-                                 _scale(_outer(self.a, self._b), f2, 2))))
+                                 None if ab is None else _scale(ab, f2(), 2))))
 
     def reciprocal(self):
         r = 1.0 / self.v
-        return self._chain(r, -r * r, 2.0 * r * r * r)
+        return self._chain(r, -r * r, lambda: 2.0 * r * r * r)
 
     def __truediv__(self, o):
         if isinstance(o, _Dual):
@@ -217,7 +160,14 @@ class _Dual:
 
     def sqrt(self):
         s = np.sqrt(self.v)
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.v))
+
+        def f2():
+            # s v overflows only where the exact factor is below 1.4e-309,
+            # and the quotient then reads -0.0
+            with np.errstate(over="ignore"):
+                return -0.25 / (s * self.v)
+
+        return self._chain(s, 0.5 / s, f2)
 
     def __abs__(self):
         return self * np.where(self.v < 0, -1.0, 1.0)
@@ -230,8 +180,8 @@ class _Dual:
         def at(d, k):
             return None if d is None else d[idx + (slice(None),) * k]
 
-        b = None if self._b is None else _Later(lambda d: at(d, 1), (self._b,))
-        return self._new(self.v[idx], at(self.a, 1), b, at(self.m, 2))
+        return self._new(self.v[idx], at(self.a, 1), at(self.b, 1),
+                         at(self.m, 2))
 
 
 class Tan(_Dual):
@@ -242,7 +192,7 @@ class Tan(_Dual):
     def __init__(self, v, g):
         self.v = np.asarray(v, dtype=float)
         self.a = np.asarray(g, dtype=float)
-        self._b = self.m = None
+        self.b = self.m = None
 
     @property
     def g(self):
@@ -260,16 +210,15 @@ class Tan(_Dual):
 
 
 class Jet2(_Dual):
-    """Second-order dual: value, inner block a, outer block b, mixed m.
-    The outer block may be a `_Later`, which `b` forces on first read."""
+    """Second-order dual: value, inner block a, outer block b, mixed m;
+    each block is an array or None."""
 
     __slots__ = ()
 
     def __init__(self, v, a, b, m):
         self.v = np.asarray(v, dtype=float)
         self.a = None if a is None else np.asarray(a, dtype=float)
-        self._b = (b if b is None or isinstance(b, _Later)
-                   else np.asarray(b, dtype=float))
+        self.b = None if b is None else np.asarray(b, dtype=float)
         self.m = None if m is None else np.asarray(m, dtype=float)
 
     def _new(self, v, a, b, m):
@@ -420,7 +369,7 @@ def einsum(subscripts, *ops):
     """
     duals = [o for o in ops if isinstance(o, _Dual)]
     value, inner, outer, mixed, cross = _program(subscripts, tuple(
-        (o.a is not None, o._b is not None, o.m is not None)
+        (o.a is not None, o.b is not None, o.m is not None)
         if isinstance(o, _Dual) else None for o in ops))
     vals = [o.v if isinstance(o, _Dual) else o if type(o) is np.ndarray
             else np.asarray(o, dtype=float) for o in ops]
@@ -432,11 +381,7 @@ def einsum(subscripts, *ops):
     a = _total(_contract(s, _swap(vals, i, ops[i].a)) for i, s in inner)
     if isinstance(duals[0], Tan):
         return duals[0]._new(v, a, None, None)
-    # the outer block holds the operands' outer blocks, not the operands
-    b = None if not outer else _Later(
-        lambda *bs: _total(_contract(s, _swap(vals, i, d))
-                           for (i, s), d in zip(outer, bs)),
-        tuple(ops[i]._b for i, _ in outer))
+    b = _total(_contract(s, _swap(vals, i, ops[i].b)) for i, s in outer)
     m = _total(itertools.chain(
         (_contract(s, _swap(vals, i, ops[i].m)) for i, s in mixed),
         (_contract(s, _swap(_swap(vals, i, ops[i].a), j, ops[j].b))

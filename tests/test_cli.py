@@ -206,7 +206,7 @@ NUMERIC_FAILURES = {
     "g 1 1 = 1 + ln(x1)\n": "cannot be evaluated",
     "g 1 1 = 1 + 0.1/x1\n[domain]\nx1 = 0..1\n": "cannot be evaluated",
     # the sample points are skipped, and the error says why the first was
-    f"g 1 1 = 1 + {OVERFLOW}\n": "is not finite",
+    f"g 1 1 = 1 + {OVERFLOW}\n": "g block is not finite",
     # a finite metric whose second derivatives are beyond float range
     "g 1 1 = 2 + sin(1e200*x1)\n": "d2g block is not finite",
     # a connection beyond float range, which only ep reads
@@ -247,6 +247,21 @@ def test_huge_metric_values_are_a_domain_error(tmp_path, capsys):
                             "--points", "1"], capsys)
     assert code == 3
     assert "domain error" in err
+
+
+@pytest.mark.parametrize("g22", ["1e299", "1 + 0.1*1e300"])
+def test_huge_determinant_runs_without_warnings(tmp_path, capsys, g22):
+    # |det g| beyond 3e205: the second-order factor of sqrt(|det g|) would
+    # overflow if it were formed where no mixed term reads it
+    path = tmp_path / "huge.ini"
+    path.write_text(f"[metric]\ng 0 0 = -1\ng 1 1 = 1\ng 2 2 = {g22}\n"
+                    "g 3 3 = 1\n", encoding="utf-8")
+    for model in ("eh", "ep"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(["check", "--model", model, "--metric",
+                                str(path), "--points", "4"], capsys)
+        assert code in (0, 1), (model, err)
 
 
 def test_infinite_exponent_in_metric_file_exits_two(tmp_path, capsys):

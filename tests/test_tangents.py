@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msgrav import catalog, report, tangents
-from msgrav.tangents import (Jet2, Tan, _Dual, _Later, _total, einsum, inv,
-                             sqrt)
+from msgrav.tangents import Jet2, Tan, _Dual, _total, einsum, inv, sqrt
 
 
 def rational(x, y):
@@ -210,34 +209,17 @@ def test_batched_einsum_jet2_cross_terms_rows_equal_unbatched():
         assert _same_dual(stacked, i, single)
 
 
-def test_outer_block_forms_on_first_read(monkeypatch):
-    import msgrav.tangents as tangents
-    real, calls = tangents._contract, []
-
-    def counted(subscripts, ops):
-        calls.append(subscripts)
-        return real(subscripts, ops)
-
-    monkeypatch.setattr(tangents, "_contract", counted)
+def test_outer_block_is_the_tan_gradient_over_outer_seeds():
+    # the outer block of a Jet2 pass is bit for bit the gradient of a Tan
+    # pass over the outer seeds alone
     v, a, w, b = map(np.stack, zip(*_cross_rows(15)))
     out = _cross_terms(v, a, w, b)
-    # the second factor's outer block meets the first's inner block; the
-    # first factor's outer block meets nothing until it is read
-    assert "...ij,...jkZ,...ki->...Z" not in calls
-    assert "...ijZ,...ij->...Z" in calls
-    calls.clear()
-    first = out.b
-    assert calls == ["...ij,...jkZ,...ki->...Z"]
-    calls.clear()
-    assert out.b is first and not calls
-    # bit for bit the block an eager pass over the outer seeds forms
-    monkeypatch.setattr(tangents, "_contract", real)
     y = Tan(w, b)
-    eager = einsum("ij,jk,ki->", v, y, v) * einsum("ij,ij->", y, y)
-    assert np.array_equal(first, eager.g)
+    tan = einsum("ij,jk,ki->", v, y, v) * einsum("ij,ij->", y, y)
+    assert np.array_equal(out.b, tan.g)
 
 
-def test_long_chain_of_deferred_outer_blocks_does_not_recurse():
+def test_long_chain_of_outer_blocks_does_not_recurse():
     x, y = Jet2(np.ones(3), None, np.ones((3, 2)), None), Tan(np.ones(3),
                                                              np.ones((3, 2)))
     for _ in range(5000):
@@ -384,22 +366,16 @@ def reference_einsum(subscripts, *ops):
 
     if isinstance(first, Tan):
         return first._new(v, block("a", "Y"), None, None)
-    outer = {i: ops[i]._b for i in duals if ops[i]._b is not None}
-    b = None if not outer else _Later(
-        lambda *bs: _total(term({i: (d, "Z")}, "Z")
-                           for i, d in zip(outer, bs)),
-        tuple(outer.values()))
+    a, b = block("a", "Y"), block("b", "Z")
     cross = (term({i: (ops[i].a, "Y"), j: (ops[j].b, "Z")}, "YZ")
              for i in duals for j in duals
-             if i != j and ops[i].a is not None and ops[j]._b is not None)
-    return first._new(v, block("a", "Y"), b,
+             if i != j and ops[i].a is not None and ops[j].b is not None)
+    return first._new(v, a, b,
                       _total(itertools.chain([block("m", "YZ")], cross)))
 
 
-# a Jet2 kind names its blocks present; "B" is an outer block deferred
-# behind a logged contraction, formed when first read
-JET_KINDS = ["", "a", "b", "m", "ab", "am", "bm", "abm", "B", "aB", "Bm",
-             "aBm"]
+# a Jet2 kind names its blocks present
+JET_KINDS = ["", "a", "b", "m", "ab", "am", "bm", "abm"]
 KINDS = ["plain", "tan"] + JET_KINDS
 PRODUCT = ["ii->", "snm->smn", "ij,jk->ik", "ij,ji->", ",ab->ab",
            "abc,cd->dba", "ij,jk,kl->il", "ij,jk,ki->"]
@@ -414,11 +390,8 @@ def product_operand(rng, kind, term, lead):
     full = lead + shape
     if kind == "tan":
         return Tan(rng.normal(size=full), rng.normal(size=full + (3,)))
-    a, b, m = (rng.normal(size=full + seeds) if c in kind.lower() else None
+    a, b, m = (rng.normal(size=full + seeds) if c in kind else None
                for c, seeds in (("a", (3,)), ("b", (2,)), ("m", (3, 2))))
-    if "B" in kind:
-        same = f"...{term}Z->...{term}Z"
-        b = _Later(lambda d: tangents._contract(same, [d]), (b,))
     return Jet2(rng.normal(size=full), a, b, m)
 
 
@@ -459,15 +432,13 @@ def test_einsum_programs_match_term_by_term_reference(monkeypatch,
             ops = [product_operand(rng, kind, t, lead)
                    for kind, t in zip(kinds, terms)]
             if repeat:
-                # one operand twice: its deferred outer block forms once
+                # one operand twice
                 ops[2] = ops[0]
             log.clear()
             out = f(subscripts, *ops)
-            calls = list(log)
-            log.clear()
             blocks = [out.v, out.a, out.m, out.b] if isinstance(
                 out, _Dual) else [np.asarray(out)]
-            runs.append((calls, list(log), [_bits(x) for x in blocks]))
+            runs.append((list(log), [_bits(x) for x in blocks]))
         assert runs[1] == runs[0], (subscripts, lead, kinds)
 
 
