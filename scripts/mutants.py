@@ -122,6 +122,50 @@ MUTANTS = (
            '("pre-metricity", "vacuum",',
            "ep pre-metricity labelled vacuum, which must fail on a "
            "non-vacuum Levi-Civita metric"),
+    Mutant("new-never-returns-tan", "src/msgrav/tangents.py",
+           "if a is not None and b is None and m is None:",
+           "if False:",
+           "every result a Jet2, so a gradient pass returns Jet2s, which "
+           "fieldspace._tangent_pass cannot take as its Tans"),
+    Mutant("ricci-d2-drops-a-term", "src/msgrav/geometry.py",
+           '- np.einsum("abp,srq->rsabpq", _EXPAND, _EXPAND)\n'
+           '                   - np.einsum("rsp,abq->rsabpq", _EXPAND, '
+           "_EXPAND))",
+           '- np.einsum("abp,srq->rsabpq", _EXPAND, _EXPAND))',
+           "the d2g part of the Ricci tensor without its g_{rs,ab} term"),
+    Mutant("scalar-density-untransposed", "src/msgrav/geometry.py",
+           '0.5 * einsum("dfe->def", dgm)',
+           "0.5 * dgm",
+           "scalar_density's D_dfe read as D_def"),
+    Mutant("w-drops-transpose", "src/msgrav/geometry.py",
+           '0.5 * einsum("abl->lab", dgm)',
+           "0.5 * dgm",
+           "scalar_density's w without its transpose of dg"),
+    Mutant("momenta2-mult-over-2.01", "src/msgrav/eh.py",
+           "MULT / 2,",
+           "MULT / 2.01,",
+           "eh._MOMENTA2's first term with MULT / 2.01"),
+    Mutant("ep-momenta-second-term-times-1.01", "src/msgrav/ep.py",
+           '- np.einsum("cx,sy,ba->abcsxy"',
+           '- 1.01 * np.einsum("cx,sy,ba->abcsxy"',
+           "ep._MOMENTA's second term times 1.01"),
+    Mutant("cofactors-flips-a-sign", "src/msgrav/exterior.py",
+           "+ lo[b, c] * hi[a, d]",
+           "- lo[b, c] * hi[a, d]",
+           "one sign of exterior._cofactors' Laplace expansion flipped"),
+    Mutant("ep-point-at-order-1", "src/msgrav/catalog.py",
+           "series = metric_jet_at(spec, x, 2)",
+           "series = metric_jet_at(spec, x, 1)",
+           "the ep point's metric jet at order 1, so d2g is missing"),
+    Mutant("program-repeats-subtrees", "src/msgrav/exprparse.py",
+           "if key not in slots:",
+           "if True:",
+           "a compiled program evaluates a repeated subtree again: pure "
+           "waste with the same values, so only a call-count test kills it"),
+    Mutant("univariate-drops-top-order", "src/msgrav/series.py",
+           "in range(1, self.order + 1):",
+           "in range(1, self.order):",
+           "a series function without its highest-order Taylor term"),
 )
 
 # mutants that no test can kill yet, with the reason

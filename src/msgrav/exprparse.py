@@ -5,13 +5,13 @@ Grammar (standard precedence, whitespace insignificant):
     sum     := product (("+" | "-") product)*
     product := unary (("*" | "/") unary)*
     unary   := "-" unary | power
-    power   := atom ("^" integer)?        # right-assoc, integer exponent only
+    power   := atom ("^" "-"? integer)?  # one integer-literal exponent
     atom    := number | name | name "(" sum ")" | "(" sum ")"
 
 Names are the coordinates x0..x3, parameters, or the functions sin, cos,
 exp, sqrt, ln. Exponents are restricted to integers so evaluation stays
 total on truncated-series inputs; fractional powers are written via
-exp/ln.
+exp/ln. A power takes one exponent: `2^3^2` is rejected; chain `(a^b)^c`.
 
 Trees compile to one straight-line program of their distinct subtrees,
 which runs over floats (through `math`), numpy arrays (elementwise,

@@ -1,15 +1,15 @@
 """Array-valued forward-mode differentiation for fiber and total derivatives.
 
-A `Tan` holds a value of any tensor shape and its derivatives along n seed
-directions on one trailing axis, `g.shape == v.shape + (n,)`: one evaluation
-yields every seeded partial (vector forward mode; Griewank & Walther,
-*Evaluating Derivatives*, SIAM 2008). A `Jet2` holds two independent seed
-sets and the mixed second-derivative block between them, a vector
-hyper-dual number (Fike & Alonso, AIAA 2011): `a` trails the value with
-the n1 inner seeds, `b` with the n2 outer seeds and
-`m[..., i, j] = d^2 / (d inner_i d outer_j)`. A Jet2 block that is
-identically zero may be None, so directions that are never seeded cost
-nothing. Scalars are the shape-() case.
+`Jet2` is the one dual class, a vector hyper-dual number (Fike & Alonso,
+AIAA 2011): a value of any tensor shape, an inner block `a` and an outer
+block `b` that trail it with the n1 inner and n2 outer seeds, and the mixed
+block `m[..., i, j] = d^2 / (d inner_i d outer_j)`. A block that is
+identically zero may be None, so directions never seeded cost nothing. A
+`Tan` is the Jet2 with no outer or mixed block, its gradient `g` the inner
+block: one evaluation yields every seeded partial (vector forward mode;
+Griewank & Walther, *Evaluating Derivatives*, SIAM 2008). `Jet2._new`
+returns a Tan exactly for such a result, so a Tan and a Jet2 of one pass
+combine. Scalars are the shape-() case.
 
 Arithmetic is elementwise, with numpy broadcasting over the value axes.
 Tensor algebra goes through three entry points that take plain arrays,
@@ -89,25 +89,31 @@ def _total(blocks):
     return total
 
 
-class _Dual:
-    """Arithmetic shared by Tan and Jet2, which build results by `_new`;
-    blocks a, b, m are arrays or None (a Tan's b and m are always None),
-    and every operation forms all of its result's blocks at once."""
+class Jet2:
+    """The one dual: value v, inner block a, outer block b and mixed
+    block m, each block an array or None. Every operation forms all of its
+    result's blocks at once, and `_new` picks the result's class."""
 
     __slots__ = ("v", "a", "b", "m")
     # numpy defers binary operators to the dual instead of looping over it
     __array_ufunc__ = None
 
-    def _same(self, o):
-        if type(o) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} with "
-                            f"{type(o).__name__}")
-        return o
+    def __init__(self, v, a, b, m):
+        self.v = np.asarray(v, dtype=float)
+        self.a = None if a is None else np.asarray(a, dtype=float)
+        self.b = None if b is None else np.asarray(b, dtype=float)
+        self.m = None if m is None else np.asarray(m, dtype=float)
+
+    @staticmethod
+    def _new(v, a, b, m):
+        """A Tan exactly when a result has an inner block and no other."""
+        if a is not None and b is None and m is None:
+            return Tan(v, a)
+        return Jet2(v, a, b, m)
 
     def __add__(self, o):
-        if not isinstance(o, _Dual):
+        if not isinstance(o, Jet2):
             return self._new(self.v + o, self.a, self.b, self.m)
-        o = self._same(o)
         return self._new(self.v + o.v, _total((self.a, o.a)),
                          _total((self.b, o.b)), _total((self.m, o.m)))
 
@@ -123,11 +129,10 @@ class _Dual:
         return (-self) + o
 
     def __mul__(self, o):
-        if not isinstance(o, _Dual):
+        if not isinstance(o, Jet2):
             c = np.asarray(o, dtype=float)
             return self._new(self.v * c, _scale(self.a, c, 1),
                              _scale(self.b, c, 1), _scale(self.m, c, 2))
-        o = self._same(o)
         sv, ov = self.v, o.v
         return self._new(
             sv * ov,
@@ -151,8 +156,8 @@ class _Dual:
         return self._chain(r, -r * r, lambda: 2.0 * r * r * r)
 
     def __truediv__(self, o):
-        if isinstance(o, _Dual):
-            return self * self._same(o).reciprocal()
+        if isinstance(o, Jet2):
+            return self * o.reciprocal()
         return self * (1.0 / np.asarray(o, dtype=float))
 
     def __rtruediv__(self, o):
@@ -184,8 +189,9 @@ class _Dual:
                          at(self.m, 2))
 
 
-class Tan(_Dual):
-    """First-order dual: value v and gradient g over n seed directions."""
+class Tan(Jet2):
+    """The Jet2 with no outer or mixed block: value v and gradient g over
+    n seed directions."""
 
     __slots__ = ()
 
@@ -204,25 +210,6 @@ class Tan(_Dual):
         if i is not None:
             g[..., i] = 1.0
         return cls(value, g)
-
-    def _new(self, v, a, b, m):
-        return Tan(v, a)
-
-
-class Jet2(_Dual):
-    """Second-order dual: value, inner block a, outer block b, mixed m;
-    each block is an array or None."""
-
-    __slots__ = ()
-
-    def __init__(self, v, a, b, m):
-        self.v = np.asarray(v, dtype=float)
-        self.a = None if a is None else np.asarray(a, dtype=float)
-        self.b = None if b is None else np.asarray(b, dtype=float)
-        self.m = None if m is None else np.asarray(m, dtype=float)
-
-    def _new(self, v, a, b, m):
-        return Jet2(v, a, b, m)
 
 
 # -- entry points over plain arrays, Tan and Jet2 ---------------------------
@@ -367,26 +354,21 @@ def einsum(subscripts, *ops):
     the trailing value axes only: leading batch axes broadcast through
     `...`. The seed axes of the result trail its value axes.
     """
-    duals = [o for o in ops if isinstance(o, _Dual)]
-    value, inner, outer, mixed, cross = _program(subscripts, tuple(
-        (o.a is not None, o.b is not None, o.m is not None)
-        if isinstance(o, _Dual) else None for o in ops))
-    vals = [o.v if isinstance(o, _Dual) else o if type(o) is np.ndarray
+    pattern = tuple((o.a is not None, o.b is not None, o.m is not None)
+                    if isinstance(o, Jet2) else None for o in ops)
+    value, inner, outer, mixed, cross = _program(subscripts, pattern)
+    vals = [o.v if isinstance(o, Jet2) else o if type(o) is np.ndarray
             else np.asarray(o, dtype=float) for o in ops]
     v = _contract(value, vals)
-    if not duals:
+    if not any(pattern):
         return v
-    for o in duals[1:]:
-        duals[0]._same(o)
     a = _total(_contract(s, _swap(vals, i, ops[i].a)) for i, s in inner)
-    if isinstance(duals[0], Tan):
-        return duals[0]._new(v, a, None, None)
     b = _total(_contract(s, _swap(vals, i, ops[i].b)) for i, s in outer)
     m = _total(itertools.chain(
         (_contract(s, _swap(vals, i, ops[i].m)) for i, s in mixed),
         (_contract(s, _swap(_swap(vals, i, ops[i].a), j, ops[j].b))
          for i, j, s in cross)))
-    return duals[0]._new(v, a, b, m)
+    return Jet2._new(v, a, b, m)
 
 
 def inv(m):
@@ -399,7 +381,7 @@ def inv(m):
     results for forward and reverse mode AD", 2008)."""
     m0 = getattr(m, "v", m)
     n, det = np.linalg.inv(m0), np.linalg.det(m0)
-    if not isinstance(m, _Dual):
+    if not isinstance(m, Jet2):
         return n, det
 
     def c(subscripts, *ops):
@@ -418,11 +400,11 @@ def inv(m):
     dm = _total((None if cross is None else
                  _outer(ta, tb) - c("...ijY,...jiZ->...YZ", ea, eb),
                  c("...ij,...jiYZ->...YZ", n, m.m)))
-    return (m._new(n, _scale(pa, -1.0, 1), _scale(pb, -1.0, 1), nm),
-            m._new(det, _scale(ta, det, 1), _scale(tb, det, 1),
-                   _scale(dm, det, 2)))
+    return (Jet2._new(n, _scale(pa, -1.0, 1), _scale(pb, -1.0, 1), nm),
+            Jet2._new(det, _scale(ta, det, 1), _scale(tb, det, 1),
+                      _scale(dm, det, 2)))
 
 
 def sqrt(x):
     """Elementwise square root of an array or dual."""
-    return x.sqrt() if isinstance(x, _Dual) else np.sqrt(x)
+    return x.sqrt() if isinstance(x, Jet2) else np.sqrt(x)

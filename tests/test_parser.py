@@ -89,6 +89,14 @@ def test_non_integer_exponent_rejected():
         parse_expression("x1^x2")
 
 
+def test_power_takes_one_exponent():
+    # no right-associative chain: a second "^" is trailing input
+    with pytest.raises(ExprSyntaxError, match="trailing input") as e:
+        parse_expression("2^3^2")
+    assert e.value.offset == 3
+    assert ev("(2^3)^2") == 64.0
+
+
 def test_infinite_exponent_rejected():
     # 1e999 reads as inf, which has no integer value
     with pytest.raises(ExprSyntaxError) as e:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msgrav import catalog, report, tangents
-from msgrav.tangents import Jet2, Tan, _Dual, _total, einsum, inv, sqrt
+from msgrav.tangents import Jet2, Tan, _total, einsum, inv, sqrt
 
 
 def rational(x, y):
@@ -345,12 +345,10 @@ def reference_einsum(subscripts, *ops):
     out = "..." + out
     vals = [getattr(o, "v", o) for o in ops]
     v = tangents._contract(",".join(ins) + "->" + out, vals)
-    duals = [i for i, o in enumerate(ops) if isinstance(o, _Dual)]
+    duals = [i for i, o in enumerate(ops) if isinstance(o, Jet2)]
     if not duals:
         return v
     first = ops[duals[0]]
-    for i in duals[1:]:
-        first._same(ops[i])
 
     def term(blocks, seeds):
         # blocks: operand index -> (derivative block, its seed letters)
@@ -437,9 +435,58 @@ def test_einsum_programs_match_term_by_term_reference(monkeypatch,
             log.clear()
             out = f(subscripts, *ops)
             blocks = [out.v, out.a, out.m, out.b] if isinstance(
-                out, _Dual) else [np.asarray(out)]
+                out, Jet2) else [np.asarray(out)]
             runs.append((list(log), [_bits(x) for x in blocks]))
         assert runs[1] == runs[0], (subscripts, lead, kinds)
+
+
+# -- one dual class: a Tan is the Jet2 with no outer or mixed block ---------
+
+def _one_class_operands(seed):
+    rng = np.random.default_rng(seed)
+    v = M0 + 0.05 * rng.normal(size=(4, 4))
+    return (v, rng.normal(size=(4, 4, 3)), rng.normal(size=(4, 4, 2)),
+            rng.normal(size=(4, 4, 3, 2)))
+
+
+def test_result_class_follows_its_blocks():
+    v, a, b, m = _one_class_operands(21)
+    t, u = Tan(v, a), Tan(v.T, a)
+    for out in (t + u, t + 1.0, t - u, 1.0 - t, t * u, t * 2.0,
+                sqrt(abs(t)), abs(t), t[..., 0], t[0, 1],
+                einsum("ij,jk->ik", t, u), einsum("ij,jk->ik", t, P),
+                *inv(t)):
+        assert type(out) is Tan
+    # a Jet2 whose result has an inner block and no other is a Tan, with
+    # the inner block the Tan pass gives, bit for bit
+    j = Jet2(v, a, None, None)
+    for got, want in ((j * 2.0, t * 2.0),
+                      (einsum("ij,jk->ik", j, P), einsum("ij,jk->ik", t, P)),
+                      (einsum("ij,jk,kl->il", P, j, DA),
+                       einsum("ij,jk,kl->il", P, t, DA))):
+        assert type(got) is Tan
+        assert _bits(got.v) == _bits(want.v)
+        assert _bits(got.a) == _bits(want.a)
+    # an outer or mixed block keeps the Jet2, as does a dual with no block
+    for out in (Jet2(v, None, b, None) * 2.0, Jet2(v, a, b, None) + 1.0,
+                Jet2(v, a, None, m)[..., 0], t * Jet2(v, None, b, None),
+                einsum("ij,jk->ik", t, Jet2(v, None, b, None)),
+                inv(Jet2(v, a, b, m))[0], Jet2(v, None, None, None) * 2.0):
+        assert type(out) is Jet2
+
+
+def test_tan_and_jet2_of_one_pass_combine():
+    # a Tan combines with a Jet2 exactly as the Jet2 of its blocks does
+    v, a, b, m = _one_class_operands(22)
+    t, s = Tan(v.T, a), Tan(1.7, a[0, 0])
+    t2, s2 = (Jet2(d.v, d.a, None, None) for d in (t, s))
+    for j in (Jet2(v, a, b, m), Jet2(v, None, b, None)):
+        for got, want in ((t * j, t2 * j), (j + t, j + t2),
+                          (einsum(",ab->ab", s, j),
+                           einsum(",ab->ab", s2, j))):
+            assert type(got) is Jet2
+            assert ([_bits(x) for x in (got.v, got.a, got.b, got.m)]
+                    == [_bits(x) for x in (want.v, want.a, want.b, want.m)])
 
 
 # the last pair leaves the output letters permuted, or one operand is
