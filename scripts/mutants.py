@@ -166,6 +166,22 @@ MUTANTS = (
            "in range(1, self.order + 1):",
            "in range(1, self.order):",
            "a series function without its highest-order Taylor term"),
+    Mutant("finite-mean-check-off", "src/msgrav/report.py",
+           "if not math.isfinite(mean):",
+           "if False:",
+           "a non-finite residual reaches the report, which json then "
+           "cannot write"),
+    Mutant("chunk-errstate-dropped", "src/msgrav/report.py",
+           'with np.errstate(over="ignore", invalid="ignore", '
+           'divide="ignore"):',
+           "if True:",
+           "the checks run under numpy's default error state, so a run "
+           "that ends in a number or a DomainError warns first"),
+    Mutant("nesting-unbounded", "src/msgrav/exprparse.py",
+           "if self.depth == MAX_NESTING:",
+           "if False:",
+           "the parser's nesting bound never reached, so deep text "
+           "recurses past Python's limit"),
 )
 
 # mutants that no test can kill yet, with the reason

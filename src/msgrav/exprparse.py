@@ -12,6 +12,8 @@ Names are the coordinates x0..x3, parameters, or the functions sin, cos,
 exp, sqrt, ln. Exponents are restricted to integers so evaluation stays
 total on truncated-series inputs; fractional powers are written via
 exp/ln. A power takes one exponent: `2^3^2` is rejected; chain `(a^b)^c`.
+Parentheses, calls and unary minuses nest at most MAX_NESTING (100) levels
+deep, or the text is an ExprSyntaxError; a sum may be of any length.
 
 Trees compile to one straight-line program of their distinct subtrees,
 which runs over floats (through `math`), numpy arrays (elementwise,
@@ -30,6 +32,9 @@ from .errors import ExprSyntaxError
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "ln")
 VARIABLES = ("x0", "x1", "x2", "x3")
+# parenthesis, call and unary-minus levels: the parser recurses on each,
+# and this keeps it well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 # -- syntax tree ------------------------------------------------------------
@@ -123,6 +128,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -138,6 +144,16 @@ class _Parser:
             self.pos += 1
             return True
         return False
+
+    def _nested(self, offset, parse):
+        """parse() one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than "
+                                  f"{MAX_NESTING} levels", offset=offset)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self._sum()
@@ -159,8 +175,9 @@ class _Parser:
         return node
 
     def _unary(self):
+        tok = self._peek()
         if self._eat_punct("-"):
-            return Neg(self._unary())
+            return Neg(self._nested(tok[2], self._unary))
         return self._power()
 
     def _power(self):
@@ -194,14 +211,14 @@ class _Parser:
                 if val not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {val!r}",
                                           offset=off)
-                arg = self._sum()
+                arg = self._nested(off, self._sum)
                 if not self._eat_punct(")"):
                     self._fail("expected ')'")
                 return Call(val, arg)
             return Name(val)
         if kind == "punct" and val == "(":
             self.pos += 1
-            node = self._sum()
+            node = self._nested(off, self._sum)
             if not self._eat_punct(")"):
                 self._fail("expected ')'")
             return node
@@ -229,19 +246,26 @@ def compile_program(trees) -> tuple:
     """(steps, outputs): the distinct subtrees of a sequence of trees in
     evaluation order, each a (node, operand slots) step whose operands are
     earlier steps, and the slot of each tree."""
-    slots, steps = {}, []
-
-    def visit(node):
+    slots, steps, done = {}, [], []
+    # a stack, not recursion, as a long sum is a deep left spine: (node,
+    # False) schedules the operands, left first; (node, True) takes their slots
+    todo = [(t, False) for t in reversed(tuple(trees))]
+    while todo:
+        node, ready = todo.pop()
         own, ops = _FIELDS[type(node)]
-        args = tuple([visit(getattr(node, f)) for f in ops])
+        if not ready:
+            todo.append((node, True))
+            todo.extend((getattr(node, f), False) for f in reversed(ops))
+            continue
+        cut = len(done) - len(ops)
+        args = tuple(done[cut:])
+        del done[cut:]
         key = (type(node), own and getattr(node, own), args)  # equal subtrees
         if key not in slots:
             slots[key] = len(steps)
             steps.append((node, args))
-        return slots[key]
-
-    outputs = tuple(visit(t) for t in trees)
-    return tuple(steps), outputs
+        done.append(slots[key])
+    return tuple(steps), tuple(done)
 
 
 def run_program(program, env: dict) -> list:

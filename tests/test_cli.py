@@ -284,3 +284,71 @@ def test_infinite_literal_in_metric_file_exits_two(tmp_path, capsys):
                               str(path), "--points", "1"], capsys)
         assert code == 2 and not out
         assert "not finite" in err
+
+
+def _check_file(tmp_path, capsys, model, g11, name=None, points=4,
+                tail=""):
+    """Run a check of a flat metric file with g11 as its g 1 1 and tail
+    after its components, warnings as errors: (exit code, stdout,
+    stderr)."""
+    path = tmp_path / "m.ini"
+    head = f"[metric]\nname = {name}\n" if name else "[metric]\n"
+    path.write_text(head + f"g 0 0 = -1\ng 1 1 = {g11}\ng 2 2 = 1\n"
+                    "g 3 3 = 1\n" + tail, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run(["check", "--model", model, "--metric", str(path),
+                    "--points", str(points)], capsys)
+
+
+def test_nonfinite_residual_exits_three_quietly(tmp_path, capsys):
+    # item 15's fuzz find: eh's field-equation residual is NaN at a
+    # sample point, so eh exits 3 naming the family; ep's residuals are
+    # all finite (up to about 9e279), so it reports them and exits 1
+    g11 = "1 + 0.1*((cos(1e-300))^3*1e300*x0^40)"
+    code, out, err = _check_file(tmp_path, capsys, "eh", g11)
+    assert code == 3 and out == ""
+    assert "field-equation residual is not finite at (" in err
+    code, out, err = _check_file(tmp_path, capsys, "ep", g11)
+    assert code == 1 and err == ""
+    assert "null" not in out
+    assert json.loads(out)["verdict"] == "fail"
+
+
+def test_overflowing_mean_residual_exits_three(tmp_path, capsys):
+    # a fuzz find: this connection gives finite ep pre-metricity residuals
+    # whose mean overflows; eh does not read a connection
+    tail = "[connection]\nGamma 1 0 0 = 1e308\n"
+    code, out, err = _check_file(tmp_path, capsys, "ep", "1", tail=tail)
+    assert code == 3 and out == ""
+    assert "pre-metricity residuals are finite, but their mean overflows" \
+        in err
+    assert _check_file(tmp_path, capsys, "eh", "1", tail=tail)[0] == 0
+
+
+def test_control_characters_in_metric_name_give_valid_json(tmp_path,
+                                                           capsys):
+    code, out, _ = _check_file(tmp_path, capsys, "eh", "1", "a\tb\x01c",
+                               points=2)
+    assert code == 0
+    assert json.loads(out)["metric"] == "a\tb\x01c"
+
+
+@pytest.mark.parametrize("depth", [
+    "(" * 200 + "x1" + ")" * 200,
+    "-" * 1000 + "x1",
+    "sin(" * 150 + "x1" + ")" * 150], ids=["parentheses", "minuses", "calls"])
+def test_deeply_nested_expression_exits_two(tmp_path, capsys, depth):
+    code, out, err = _check_file(tmp_path, capsys, "eh", f"1 + 0.1*{depth}")
+    assert code == 2 and out == ""
+    assert "nested deeper than 100 levels" in err
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_long_sum_runs(tmp_path, capsys, model):
+    # a generated metric may be a long flat sum; its tree is a left spine
+    # 3000 deep, and it compiles and runs like a short one
+    g11 = "1 + 1e-5*(" + "+".join(["x1"] * 3000) + ")"
+    code, out, err = _check_file(tmp_path, capsys, model, g11)
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "pass"

@@ -1,0 +1,88 @@
+"""Hostile metric files through the command line: whatever a file holds, a
+check exits 0 to 3 with no traceback and no numpy warning, and a report
+that is written holds only finite numbers.
+
+Each seeded file adds 0.1 times a random expression tree to one or two
+diagonal components of the flat metric, over the default box [-1, 1]^4.
+The trees reach overflow, cancellation, singular functions and huge
+powers; about 3 in 10 files also override a connection component.
+"""
+
+import json
+import math
+import random
+import warnings
+
+import pytest
+
+from msgrav import cli
+
+FILES = 300
+BINARY = "+-*/"
+FUNCTIONS = ("sin", "cos", "exp", "sqrt", "ln")
+POWERS = (2, 3, -1, -2, 40)
+LEAVES = ("x0", "x1", "x2", "x3", "1e300", "1e-300", "0", "k")
+PARAMS = (0.5, 1e308, -3.0)
+
+
+def tree(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(LEAVES)
+    pick = rng.random()
+    if pick < 0.45:
+        return (f"({tree(rng, depth - 1)} {rng.choice(BINARY)} "
+                f"{tree(rng, depth - 1)})")
+    if pick < 0.75:
+        return f"{rng.choice(FUNCTIONS)}({tree(rng, depth - 1)})"
+    return f"({tree(rng, depth - 1)})^{rng.choice(POWERS)}"
+
+
+def metric_file(seed: int) -> str:
+    """The metric file of one seed."""
+    rng = random.Random(seed)
+    diag = ["-1", "1", "1", "1"]
+    for mu in rng.sample(range(4), rng.choice((1, 2))):
+        diag[mu] += f" + 0.1*{tree(rng, 4)}"
+    lines = ["[metric]", *(f"g {mu} {mu} = {d}" for mu, d in enumerate(diag)),
+             "[params]", f"k = {rng.choice(PARAMS)!r}"]
+    if rng.random() < 0.3:
+        lines += ["[connection]", f"Gamma 1 0 0 = {tree(rng, 3)}"]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_finite(value, where):
+    if isinstance(value, dict):
+        for v in value.values():
+            _assert_finite(v, where)
+    elif isinstance(value, list):
+        for v in value:
+            _assert_finite(v, where)
+    else:
+        assert value is not None, where
+        if isinstance(value, float):
+            assert math.isfinite(value), where
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_random_metric_files_exit_cleanly(tmp_path, capsys, model):
+    path = tmp_path / "fuzz.ini"
+    for seed in range(FILES):
+        path.write_text(metric_file(seed), encoding="utf-8")
+        where = (model, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["check", "--model", model, "--metric",
+                             str(path), "--points", "4"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), where
+        assert "Traceback" not in err, where
+        if code in (0, 1):
+            report = json.loads(out, parse_constant=_no_constant)
+            _assert_finite(report, where)
+            assert (code == 0) == (report["verdict"] == "pass"), where
+        else:
+            assert out == "" and err, where

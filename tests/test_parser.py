@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from msgrav.errors import ExprSyntaxError
 from msgrav.exprparse import (FUNCTIONS, BinOp, Call, Name, Neg, Num, Pow,
-                              evaluate, parse_expression)
+                              compile_program, evaluate, parse_expression)
 from msgrav.series import JetScalar
 
 
@@ -113,6 +113,42 @@ def test_infinite_literal_rejected():
         with pytest.raises(ExprSyntaxError, match="not finite") as e:
             parse_expression(text)
         assert e.value.offset == offset
+
+
+def test_nesting_is_bounded():
+    # parentheses, calls and unary minuses are one level each; past
+    # MAX_NESTING levels the text is a syntax error at the token that
+    # opens the next level, not a RecursionError
+    from msgrav.exprparse import MAX_NESTING
+    assert ev("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, x1=2.0) == 2.0
+    assert ev("-" * MAX_NESTING + "x1", x1=2.0) == 2.0
+    for text, offset in (("(" * 200 + "1" + ")" * 200, MAX_NESTING),
+                         ("-" * 1000 + "1", MAX_NESTING),
+                         ("sin(" * 150 + "1" + ")" * 150, 4 * MAX_NESTING),
+                         ("-(" * 60 + "1" + ")" * 60, MAX_NESTING)):
+        with pytest.raises(ExprSyntaxError, match="nested deeper") as e:
+            parse_expression(text)
+        assert e.value.offset == offset
+
+
+def test_long_sum_compiles_and_runs():
+    # a sum is a left spine as deep as it is long, and compiles at any
+    # length: x1 once, then one step per partial sum
+    text = "+".join(["x1"] * 3000)
+    steps, outputs = compile_program((parse_expression(text),))
+    assert len(steps) == 3000 and outputs == (2999,)
+    assert ev(text, x1=0.5) == 1500.0
+
+
+def test_program_steps_are_in_post_order_left_first():
+    tree = parse_expression("x1*x2 + sin(x1*x2) - x3")
+    steps, outputs = compile_program((tree, parse_expression("x3")))
+    shown = [getattr(node, "ident", getattr(node, "op", None)) or
+             getattr(node, "func", None) for node, _ in steps]
+    assert shown == ["x1", "x2", "*", "sin", "+", "x3", "-"]
+    assert [args for _, args in steps] == [
+        (), (), (0, 1), (2,), (2, 3), (), (4, 5)]
+    assert outputs == (6, 5)
 
 
 def test_unknown_function_and_identifier():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from msgrav import catalog
-from msgrav.errors import ConfigError, MsgravError
+from msgrav.errors import ConfigError, DomainError, MsgravError
 from msgrav.report import (CheckConfig, emit_report, report_csv, report_json,
                            run_check, sample_points)
 
@@ -261,7 +261,9 @@ def test_emit_report_writes_file(tmp_path):
         emit_report(r, fmt="xml")
 
 
-def test_nonfinite_residual_fails_and_serializes_as_null(monkeypatch):
+def _ep_checks_setting(monkeypatch, family, rows):
+    """Patch ep's chunk checks to set `family`'s residual at the given
+    rows (row -> value) of each chunk; the built points, in order."""
     from msgrav import report
 
     real = report._ep_point_checks
@@ -270,19 +272,77 @@ def test_nonfinite_residual_fails_and_serializes_as_null(monkeypatch):
     def checks(spec, xs, seeds):
         kept, out = real(spec, xs, seeds)
         seen.extend(xs[k] for k in kept)
-        # a NaN in the second row of the chunk
-        out["torsion"][1] = float("nan")
+        for row, value in rows.items():
+            out[family][row] = value
         return kept, out
 
     monkeypatch.setattr(report, "_ep_point_checks", checks)
-    r = run_check(cfg(model="ep", points=3, threads=1))
-    fam = {f["family"]: f for f in r.families}["torsion"]
-    assert r.verdict == "fail" and fam["pass"] is False
-    assert fam["worst_point"] == [float(v) for v in seen[1]]
-    obj = json.loads(report_json(r))
-    parsed = {f["family"]: f for f in obj["families"]}["torsion"]
-    assert parsed["max_resid"] is None and parsed["mean_resid"] is None
-    assert parsed["pass"] is False
+    return seen
+
+
+def test_nonfinite_residual_is_a_domain_error(monkeypatch):
+    # a NaN or inf residual never reaches a report: the run fails, naming
+    # the family and the first point, in sample order, where it is not
+    # finite
+    for bad in (float("nan"), float("inf")):
+        with monkeypatch.context() as m:
+            seen = _ep_checks_setting(m, "torsion", {1: bad, 2: bad})
+            with pytest.raises(DomainError, match="torsion residual is not "
+                                                  "finite") as e:
+                run_check(cfg(model="ep", points=3, threads=1))
+        assert str(tuple(float(v) for v in seen[1])) in str(e.value)
+
+
+def test_overflowing_mean_residual_is_a_domain_error(monkeypatch):
+    # each residual is finite, but their mean is not
+    _ep_checks_setting(monkeypatch, "torsion", {0: 1e308, 1: 1e308})
+    with pytest.raises(DomainError, match="torsion residuals are finite, "
+                                          "but their mean overflows"):
+        run_check(cfg(model="ep", points=2, threads=1))
+
+
+def test_report_numbers_are_finite_and_in_repr_form():
+    # json writes the report: floats in their repr, no null, no NaN
+    r = run_check(cfg(metric="flrw", points=3))
+    text = report_json(r)
+    fam = r.families[0]
+    assert (f'"max_resid": {fam["max_resid"]!r}, '
+            f'"mean_resid": {fam["mean_resid"]!r}') in text
+    assert "null" not in text and "NaN" not in text
+    rows = report_csv(r).splitlines()[1:]
+    assert rows[0].split(",")[2:5] == [repr(fam[k]) for k in
+                                       ("max_resid", "mean_resid", "tol")]
+
+
+def test_control_characters_in_a_name_round_trip():
+    import dataclasses
+
+    name = 'a\tb\x01c "quoted" \\ \u00e9'
+    r = dataclasses.replace(run_check(cfg(points=2)), metric=name)
+    assert json.loads(report_json(r))["metric"] == name
+
+
+def test_a_passing_run_warns_on_no_worker(monkeypatch):
+    # numbers decide, not warnings: an overflow that no residual reads
+    # leaves the report passing, and numpy warns of it neither in a serial
+    # run nor on a worker thread, whose error state is its own
+    import warnings
+
+    import numpy as np
+
+    from msgrav import eh
+    real = eh.closed_forms
+
+    def closed_forms(p):
+        np.full(2, 1e308) * 10  # read by no residual
+        return real(p)
+
+    monkeypatch.setattr(eh, "closed_forms", closed_forms)
+    for threads in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = run_check(cfg(points=16, threads=threads))
+        assert r.verdict == "pass", threads
 
 
 @pytest.mark.parametrize("model", ["eh", "ep"])
