@@ -12,8 +12,15 @@ text does not occur exactly once in its file. It stays outside tier-1
 because a full run takes minutes:
 
     python3 scripts/mutants.py
+
+With `--all NAME`, it runs the whole of tier-1 on the one mutant NAME,
+without stopping at the first failure, and lists every test that kills
+it, so one can see whether only a call-count or timing test does:
+
+    python3 scripts/mutants.py --all x0-x3-weight-times-1.5
 """
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -26,7 +33,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 
 # tier-1 without its check of this list, which fails on any mutated copy
-TIER1 = ["-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+TIER1 = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 
 
@@ -58,7 +65,8 @@ MUTANTS = (
            "np.array([_factorial_weight(m) for m in ms])",
            "np.array([_factorial_weight(m) * (1.5 if m[0] and m[3] else 1)"
            " for m in ms])",
-           "the mixed x0-x3 weight of derivative_table times 1.5"),
+           "the mixed x0-x3 weight of derivative_table times 1.5; the "
+           "sympy referee's exact jets kill it end to end too"),
     Mutant("eh-cartan-l2a-times-1.01", "src/msgrav/eh.py",
            "g0:dg0] = closed.L2.a[..., PAIR_FULL, :]",
            "g0:dg0] = closed.L2.a[..., PAIR_FULL, :] * 1.01",
@@ -182,6 +190,17 @@ MUTANTS = (
            "if False:",
            "the parser's nesting bound never reached, so deep text "
            "recurses past Python's limit"),
+    Mutant("math-each-array-via-numpy", "src/msgrav/exprparse.py",
+           "return np.array([fn(v, *args) for v in x.ravel().tolist()]\n"
+           "                        ).reshape(x.shape)",
+           "return getattr(np, fn.__name__)(x, *args)",
+           "an array's functions and powers through numpy's ufuncs, which "
+           "round and fail otherwise than the float's `math` calls"),
+    Mutant("math-pow-as-float-power", "src/msgrav/exprparse.py",
+           "return math_each(math.pow, x, node.exponent)",
+           "return math_each(lambda b, n: b ** n, x, node.exponent)",
+           "a power through `**`, whose overflow reads as Python's errno "
+           "tuple and whose 0^-1 is a ZeroDivisionError"),
 )
 
 # mutants that no test can kill yet, with the reason
@@ -200,14 +219,15 @@ def unmatched():
     return [(name, n) for name, n in counts if n != 1]
 
 
-def first_failure(output: str) -> str:
-    """The first FAILED or ERROR test of pytest's short summary."""
-    return next((line.split(" - ", 1)[0] for line in output.splitlines()
-                 if line.startswith(("FAILED ", "ERROR "))), "(none named)")
+def failures(output: str) -> list:
+    """The FAILED and ERROR tests of pytest's short summary, in order."""
+    return [line.split(" - ", 1)[0] for line in output.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))]
 
 
-def run_mutant(m: Mutant) -> tuple:
-    """(killed, first failing test) of tier-1 on a mutated copy."""
+def run_mutant(m: Mutant, first_only: bool = True) -> tuple:
+    """(killed, failing tests) of tier-1 on a mutated copy; with
+    first_only, tier-1 stops at its first failure."""
     with tempfile.TemporaryDirectory(prefix="msgrav-mutant-") as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
@@ -218,27 +238,50 @@ def run_mutant(m: Mutant) -> tuple:
                         encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
-                              capture_output=True, text=True)
+        done = subprocess.run(
+            [sys.executable, *TIER1, *(["-x"] if first_only else [])],
+            cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode not in (0, 1):
         raise SystemExit(f"{m.name}: pytest exited {done.returncode}:\n"
                          f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
-    return done.returncode == 1, first_failure(done.stdout)
+    return done.returncode == 1, failures(done.stdout)
+
+
+def killed_by(name: str) -> int:
+    """List every tier-1 test that fails on the mutant `name`; 1 if it
+    survives outside KNOWN_SURVIVORS, 2 if there is no such mutant."""
+    m = next((m for m in MUTANTS if m.name == name), None)
+    if m is None:
+        print(f"no mutant named {name!r}", file=sys.stderr)
+        return 2
+    killed, tests = run_mutant(m, first_only=False)
+    for test in tests:
+        print(test)
+    print(f"{name}: killed by {len(tests)} tests" if killed else
+          f"{name}: SURVIVED")
+    return 0 if killed or name in KNOWN_SURVIVORS else 1
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--all", metavar="NAME",
+                        help="list every test that kills one mutant")
+    args = parser.parse_args()
     bad = unmatched()
     if bad:
         for name, n in bad:
             print(f"{name}: old text occurs {n} times, want 1",
                   file=sys.stderr)
         return 2
+    if args.all:
+        return killed_by(args.all)
     t0 = time.perf_counter()
     unexpected = []
     for m in MUTANTS:
-        killed, test = run_mutant(m)
+        killed, tests = run_mutant(m)
         if killed:
-            print(f"KILLED    {m.name}: {test}")
+            print(f"KILLED    {m.name}: "
+                  f"{tests[0] if tests else '(none named)'}")
         elif m.name in KNOWN_SURVIVORS:
             print(f"SURVIVED  {m.name} (known: {KNOWN_SURVIVORS[m.name]})")
         else:

@@ -68,26 +68,29 @@ class MetricSpec:
         return np.all((lo <= x) & (x <= hi), axis=-1)
 
 
-# what a float or numpy evaluation raises outside an expression's domain
-_FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError,
-                 FloatingPointError)
+# what a `math` call or a float division raises
+_FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _run(program, env) -> list:
+    """run_program with a float failure as DomainError("cannot be
+    evaluated: ..."). Array and series arithmetic overflows silently, as a
+    float's does; the checks on its values reject what it leaves."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_program(program, env)
+    except _FLOAT_ERRORS as e:
+        raise DomainError(f"cannot be evaluated: {e}") from None
 
 
 def _series_at(spec: MetricSpec, program, x, order: int) -> list:
     """The series of each tree of a compiled program about the points
-    x (..., 4), from one run for the whole stack; float domain failures
-    become DomainError. Series arithmetic overflows silently, as in
-    `_check_grid`; the point's finiteness checks reject what it leaves."""
+    x (..., 4), from one run for the whole stack."""
     env = {f"x{i}": JetScalar.variable(i, x, order=order)
            for i in range(DIM)} | spec.params
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = run_program(program, env)
-    except _FLOAT_ERRORS as e:
-        raise DomainError(f"cannot evaluate an expression at this point: "
-                          f"{e}") from None
     return [v if isinstance(v, JetScalar)
-            else JetScalar.constant(v, x, order=order) for v in vals]
+            else JetScalar.constant(v, x, order=order)
+            for v in _run(program, env)]
 
 
 def metric_jet_at(spec: MetricSpec, x, order: int = ORDER):
@@ -146,19 +149,15 @@ def _check_grid(spec: MetricSpec, x):
     """Raise DomainError for the first point of the stack x (n, 4), in
     order, whose metric cannot be evaluated or is not a Lorentzian metric
     (`fieldspace.lorentzian_defects`, which names the reason). The spec's
-    program runs once for the whole stack, raising where a float
-    evaluation would; if that raises, each point is checked alone, as a
-    stack of one, so the error names the point that fails first."""
+    program runs once for the whole stack, each entry as a float; if that
+    raises, each point is checked alone, as a stack of one, so the error
+    names the point that fails first."""
     env = {f"x{i}": x[:, i] for i in range(DIM)} | spec.params
     try:
-        # arithmetic overflows silently, as with floats; the Lorentzian
-        # check below rejects what it leaves
-        with np.errstate(over="ignore", invalid="ignore"):
-            comps = run_program(spec.program, env)
-    except _FLOAT_ERRORS as e:
+        comps = _run(spec.program, env)
+    except DomainError as e:
         if len(x) == 1:
-            raise DomainError(f"{_where(spec, x[0])} cannot be evaluated: "
-                              f"{e}") from None
+            raise DomainError(f"{_where(spec, x[0])} {e}") from None
         for k in range(len(x)):
             _check_grid(spec, x[k:k + 1])
         return

@@ -16,9 +16,11 @@ Parentheses, calls and unary minuses nest at most MAX_NESTING (100) levels
 deep, or the text is an ExprSyntaxError; a sum may be of any length.
 
 Trees compile to one straight-line program of their distinct subtrees,
-which runs over floats (through `math`), numpy arrays (elementwise,
-through numpy's ufuncs, so one run serves a whole stack of points) or
-truncated series; parameters stay floats in every case.
+which runs over floats, numpy arrays (elementwise, so one run serves a
+whole stack of points) or truncated series; parameters stay floats in
+every case. One rule decides how a float evaluation rounds and fails:
+each function and power of a float, or of each entry of an array, is one
+`math` call (`math_each`), and `+ - * /` round as IEEE floats do.
 """
 
 from __future__ import annotations
@@ -236,10 +238,14 @@ _FIELDS = {Num: ("value", ()), Name: ("ident", ()), Neg: (None, ("arg",)),
            Call: ("func", ("arg",))}
 
 
-# an array function or power raises FloatingPointError exactly where the
-# float one raises: numpy flags a NaN from a non-NaN argument (invalid), an
-# infinity from a finite one (divide, overflow) and nothing else
-_RAISE = {"divide": "raise", "over": "raise", "invalid": "raise"}
+def math_each(fn, x, *args):
+    """fn(x, *args) for a float x, or for each entry of an array x: one
+    `math` call on a Python float each, so an entry rounds and raises as
+    that float does, whatever array it rides in."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v, *args) for v in x.ravel().tolist()]
+                        ).reshape(x.shape)
+    return fn(x, *args)
 
 
 def compile_program(trees) -> tuple:
@@ -271,11 +277,11 @@ def compile_program(trees) -> tuple:
 def run_program(program, env: dict) -> list:
     """The value of each tree of a compiled program, each step computed
     once, over floats, numpy arrays (elementwise) or series; env maps
-    names to values of those kinds. Floats go through `math`. Arrays raise
-    where floats would: a function or power out of its domain or range
-    raises FloatingPointError, a division by zero ZeroDivisionError; a sum,
+    names to values of those kinds. A function or power of floats is a
+    `math_each` call, which raises ValueError or OverflowError out of its
+    domain or range; a division by zero raises ZeroDivisionError; a sum,
     product or quotient that overflows gives inf or NaN, as a float's
-    does, and numpy's error state says whether it warns."""
+    does, and numpy's error state says whether an array's warns."""
     steps, outputs = program
     vals = []
     for node, args in steps:
@@ -305,24 +311,17 @@ def _step(node, args, vals, env):
             return lhs - rhs
         if node.op == "*":
             return lhs * rhs
-        # numpy flags x / 0 only for finite nonzero x; a float division by
-        # zero raises whatever x is, and so does an array division
+        # a float division by zero raises whatever the dividend is, and
+        # so does an array division with a zero divisor entry
         if ((isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray))
                 and np.any(np.equal(rhs, 0.0))):
-            raise ZeroDivisionError("division by zero")
+            raise ZeroDivisionError("float division by zero")
         return lhs / rhs
+    x = vals[args[0]]
+    if not isinstance(x, (int, float, np.ndarray)):  # a series
+        return (x.powi(node.exponent) if isinstance(node, Pow)
+                else getattr(x, node.func)())
     if isinstance(node, Pow):
-        base = vals[args[0]]
-        if isinstance(base, (int, float)):
-            return float(base) ** node.exponent
-        if isinstance(base, np.ndarray):
-            with np.errstate(**_RAISE):
-                return base ** node.exponent
-        return base.powi(node.exponent)
-    x, func = vals[args[0]], "log" if node.func == "ln" else node.func
-    if isinstance(x, (int, float)):
-        return getattr(math, func)(x)
-    if isinstance(x, np.ndarray):
-        with np.errstate(**_RAISE):
-            return getattr(np, func)(x)
-    return getattr(x, node.func)()
+        return math_each(math.pow, x, node.exponent)
+    return math_each(getattr(math, "log" if node.func == "ln"
+                             else node.func), x)

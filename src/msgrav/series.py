@@ -14,7 +14,9 @@ the rule `tangents` uses for sample points: `base` is (..., 4) and
 `coeffs` (..., 35). The check runner builds each chunk of sample points
 this way, walking every expression tree once per chunk, and each row
 keeps the exact arithmetic of a series built alone (Taylor propagation:
-Griewank, Utke & Walther, Math. Comp. 69, 2000).
+Griewank, Utke & Walther, Math. Comp. 69, 2000). The function of each
+row's constant term is `exprparse.math_each`'s `math` call, so it rounds
+and fails as the float evaluation of the same text does.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, SingularPointError
+from .exprparse import math_each
 
 NVARS = 4
 DEFAULT_ORDER = 4
@@ -70,12 +73,6 @@ def derivative_table(order: int, combos: tuple):
     ms = [tuple(c.count(v) for v in range(NVARS)) for c in combos]
     return (np.array([_index_map(order)[m] for m in ms], dtype=np.intp),
             np.array([_factorial_weight(m) for m in ms]))
-
-
-def _rowwise(fn, a):
-    """fn applied to each entry of a, with the math module's errors and
-    rounding, so a row's value does not depend on its stack."""
-    return np.array([fn(v) for v in a.ravel().tolist()]).reshape(a.shape)
 
 
 def _product(a, b, order):
@@ -249,20 +246,20 @@ class JetScalar:
         return self._apply_univariate(coefs, 1.0 / c0)
 
     def exp(self) -> "JetScalar":
-        e0 = _rowwise(math.exp, self.coeffs[..., 0])
+        e0 = math_each(math.exp, self.coeffs[..., 0])
         return self._apply_univariate(
             [e0 / math.factorial(n) for n in range(self.order + 1)])
 
     def ln(self) -> "JetScalar":
         c0 = self._positive_c0("ln")
-        coefs = [_rowwise(math.log, c0)] + [
+        coefs = [math_each(math.log, c0)] + [
             (-1.0) ** (n + 1) / n for n in range(1, self.order + 1)]
         return self._apply_univariate(coefs, 1.0 / c0)
 
     def _trig(self, phase) -> "JetScalar":
         """sin (phase 0) or cos (phase 1) through the cycle of derivatives."""
-        s0 = _rowwise(math.sin, self.coeffs[..., 0])
-        c0 = _rowwise(math.cos, self.coeffs[..., 0])
+        s0 = math_each(math.sin, self.coeffs[..., 0])
+        c0 = math_each(math.cos, self.coeffs[..., 0])
         cyc = [s0, c0, -s0, -c0]
         return self._apply_univariate(
             [cyc[(n + phase) % 4] / math.factorial(n)

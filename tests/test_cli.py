@@ -315,6 +315,18 @@ def test_nonfinite_residual_exits_three_quietly(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_overflowing_float_power_names_the_math_error(tmp_path, capsys,
+                                                      model):
+    # fuzz seed 14: a constant power beyond float range is one `math.pow`
+    # call, whose reason is "math range error", not Python's errno tuple
+    g11 = "1 + 0.1*(exp(((1e300)^3)^-1) * (cos(cos(x0)) + 1e-300))"
+    code, out, err = _check_file(tmp_path, capsys, model, g11)
+    assert code == 3 and out == ""
+    assert "cannot be evaluated: math range error" in err
+    assert "(34," not in err
+
+
 def test_overflowing_mean_residual_exits_three(tmp_path, capsys):
     # a fuzz find: this connection gives finite ep pre-metricity residuals
     # whose mean overflows; eh does not read a connection

@@ -5,7 +5,11 @@ that is written holds only finite numbers.
 Each seeded file adds 0.1 times a random expression tree to one or two
 diagonal components of the flat metric, over the default box [-1, 1]^4.
 The trees reach overflow, cancellation, singular functions and huge
-powers; about 3 in 10 files also override a connection component.
+powers; about 3 in 10 files also override a connection component. A
+wider corpus perturbs one or two off-diagonal components (in half its
+files one diagonal component too), always overrides a random
+`Gamma l m n`, and in about half its files moves one box axis to start
+at 0, 1e-300 or 0.999 and end at 1, 2 or 1e300.
 """
 
 import json
@@ -16,13 +20,17 @@ import warnings
 import pytest
 
 from msgrav import cli
+from msgrav.indexing import PAIRS
 
 FILES = 300
+WIDE_FILES = 150
 BINARY = "+-*/"
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "ln")
 POWERS = (2, 3, -1, -2, 40)
 LEAVES = ("x0", "x1", "x2", "x3", "1e300", "1e-300", "0", "k")
 PARAMS = (0.5, 1e308, -3.0)
+LOWS = (0.0, 1e-300, 0.999)
+HIGHS = (1.0, 2.0, 1e300)
 
 
 def tree(rng: random.Random, depth: int) -> str:
@@ -50,6 +58,26 @@ def metric_file(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def wide_metric_file(seed: int) -> str:
+    """The metric file of one seed of the wider corpus."""
+    rng = random.Random(seed)
+    comps = {(a, b): ("-1" if a == b == 0 else "1" if a == b else "0")
+             for a, b in PAIRS}
+    diag = [(a, b) for a, b in PAIRS if a == b]
+    off = [(a, b) for a, b in PAIRS if a != b]
+    for pair in (rng.sample(diag, rng.choice((0, 1)))
+                 + rng.sample(off, rng.choice((1, 2)))):
+        comps[pair] += f" + 0.1*{tree(rng, 4)}"
+    l, m, n = (rng.randrange(4) for _ in range(3))
+    lines = ["[metric]", *(f"g {a} {b} = {c}" for (a, b), c in comps.items()),
+             "[params]", f"k = {rng.choice(PARAMS)!r}",
+             "[connection]", f"Gamma {l} {m} {n} = {tree(rng, 3)}"]
+    if rng.random() < 0.5:
+        lines += ["[domain]", f"x{rng.randrange(4)} = "
+                  f"{rng.choice(LOWS)!r}..{rng.choice(HIGHS)!r}"]
+    return "\n".join(lines) + "\n"
+
+
 def _assert_finite(value, where):
     if isinstance(value, dict):
         for v in value.values():
@@ -67,11 +95,11 @@ def _no_constant(name):
     raise AssertionError(f"report holds {name}")
 
 
-@pytest.mark.parametrize("model", ["eh", "ep"])
-def test_random_metric_files_exit_cleanly(tmp_path, capsys, model):
+def _exit_cleanly(tmp_path, capsys, model, files):
+    """Check each seed's file of the generator `files` through the CLI."""
     path = tmp_path / "fuzz.ini"
-    for seed in range(FILES):
-        path.write_text(metric_file(seed), encoding="utf-8")
+    for seed, text in enumerate(files):
+        path.write_text(text, encoding="utf-8")
         where = (model, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -86,3 +114,14 @@ def test_random_metric_files_exit_cleanly(tmp_path, capsys, model):
             assert (code == 0) == (report["verdict"] == "pass"), where
         else:
             assert out == "" and err, where
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_random_metric_files_exit_cleanly(tmp_path, capsys, model):
+    _exit_cleanly(tmp_path, capsys, model, map(metric_file, range(FILES)))
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_wide_random_metric_files_exit_cleanly(tmp_path, capsys, model):
+    _exit_cleanly(tmp_path, capsys, model,
+                  map(wide_metric_file, range(WIDE_FILES)))

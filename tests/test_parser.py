@@ -205,7 +205,7 @@ def test_evaluation_deterministic(tree):
         assert a == b
 
 
-_RAISES = (ZeroDivisionError, OverflowError, ValueError, FloatingPointError)
+_RAISES = (ZeroDivisionError, OverflowError, ValueError)
 # rows hold zeros, negatives and a large value, so some rows raise alone
 _ROWS = np.array([[0.7, 1.3, -0.4, 2.2], [0.0, -1.0, 0.5, 300.0],
                   [-2.0, 0.0, 1e-3, -0.5]])
@@ -225,8 +225,8 @@ def _float_rows(tree, params):
 @given(trees(3, FUNCTIONS))
 @settings(max_examples=200, deadline=None)
 def test_array_evaluation_matches_floats_row_by_row(tree):
-    # one walk over a stack of rows gives each row's float value, and
-    # raises exactly when some row raises alone
+    # one walk over a stack of rows gives each row's float value, bit for
+    # bit, and raises exactly when some row raises alone
     params = {"m": 1.5, "k": 0.3}
     want = _float_rows(tree, params)
     env = dict(params, **{f"x{i}": _ROWS[:, i] for i in range(4)})
@@ -239,4 +239,4 @@ def test_array_evaluation_matches_floats_row_by_row(tree):
             got = None
     assert (got is None) == (want is None)
     if got is not None:
-        np.testing.assert_allclose(got, want, rtol=1e-9)
+        assert np.array_equal(got, want, equal_nan=True)
