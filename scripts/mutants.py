@@ -180,9 +180,8 @@ MUTANTS = (
            "a non-finite residual reaches the report, which json then "
            "cannot write"),
     Mutant("chunk-errstate-dropped", "src/msgrav/report.py",
-           'with np.errstate(over="ignore", invalid="ignore", '
-           'divide="ignore"):',
-           "if True:",
+           "with catalog.quiet():\n            # point i's",
+           "if True:\n            # point i's",
            "the checks run under numpy's default error state, so a run "
            "that ends in a number or a DomainError warns first"),
     Mutant("nesting-unbounded", "src/msgrav/exprparse.py",
@@ -201,6 +200,35 @@ MUTANTS = (
            "return math_each(lambda b, n: b ** n, x, node.exponent)",
            "a power through `**`, whose overflow reads as Python's errno "
            "tuple and whose 0^-1 is a ZeroDivisionError"),
+    Mutant("powi-skips-float-power", "src/msgrav/series.py",
+           "        math_each(math.pow, self.coeffs[..., 0], n)\n",
+           "",
+           "a series power without the float power of its constant terms, "
+           "so 0^-1 reads as a division by zero and an overflow is silent"),
+    Mutant("sqrt-zero-root-unchecked", "src/msgrav/series.py",
+           "if np.any(r == 0.0):",
+           "if False:",
+           "a series sqrt of a zero constant term divides by the root "
+           "instead of raising"),
+    Mutant("loader-index-any-digit", "src/msgrav/catalog.py",
+           r'"metric": (r"g\s+([0-3])\s+([0-3])"',
+           r'"metric": (r"g\s+(-?\d)\s+(-?\d)"',
+           "the loader reads any digit as a metric index, so `g -1 -2` "
+           "sets g23"),
+    Mutant("box-width-unchecked", "src/msgrav/catalog.py",
+           "if not (lo < hi and math.isfinite(float(hi) - float(lo))):",
+           "if not lo < hi:",
+           "a sample box beyond float range loads"),
+    Mutant("error-path-errstate-dropped", "src/msgrav/report.py",
+           "with catalog.quiet():\n                build(",
+           "if True:\n                build(",
+           "the first skipped point is rebuilt under numpy's default error "
+           "state, so its overflow warns before exit 3"),
+    Mutant("ep-momenta-entry-times-1.01", "src/msgrav/ep.py",
+           '_MOMENTA = (np.einsum(',
+           "_MOMENTA = (1 + 0.01 * (np.arange(DIM ** 6) == 257).reshape("
+           "(DIM,) * 6)) * (np.einsum(",
+           "ep._MOMENTA's entry [0, 1, 0, 0, 0, 1] times 1.01"),
 )
 
 # mutants that no test can kill yet, with the reason

@@ -11,7 +11,7 @@ einsum curvature kernels; the tests add a finite-difference oracle.
 from .version import VERSION as __version__
 
 from .errors import (ConfigError, DegenerateMetricError, DomainError,
-                     ExprSyntaxError, MsgravError, SingularPointError)
+                     ExprSyntaxError, MsgravError)
 from .series import JetScalar
 from .tangents import Jet2, Tan
 from .fieldspace import (EH_DIM_J3, EP_DIM_J1, EHJetPoint, EPJetPoint,
@@ -23,7 +23,7 @@ from .report import CheckConfig, ConstraintReport, emit_report, run_check
 __all__ = [
     "__version__",
     "MsgravError", "ConfigError", "ExprSyntaxError", "DomainError",
-    "SingularPointError", "DegenerateMetricError",
+    "DegenerateMetricError",
     "JetScalar", "Tan", "Jet2",
     "EHJetPoint", "EPJetPoint", "prolong",
     "total_derivatives",

@@ -13,13 +13,15 @@ componentwise from a file.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exprparse import (VARIABLES, Name, compile_program, parse_expression,
-                        run_program)
+from .exprparse import (VARIABLES, Name, Num, compile_program,
+                        parse_expression, run_program)
 from . import fieldspace
 from .fieldspace import (_DERIVED, ORDER, EHJetPoint, EPJetPoint, derivatives,
                          prolong)
@@ -47,9 +49,13 @@ class MetricSpec:
             raise ConfigError("a metric needs its 10 ordered components")
         if len(self.domain) != DIM:
             raise ConfigError("the sample box needs 4 intervals")
-        for lo, hi in self.domain:
-            if not lo < hi:
-                raise ConfigError(f"empty domain interval {lo}..{hi}")
+        for lo, hi in self.domain:  # nonempty, with finite ends and width
+            if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+                raise ConfigError(f"domain interval {lo}..{hi} is empty or "
+                                  f"not finite")
+        if not all(len(k) == 3 and all(type(v) is int and 0 <= v < DIM
+                                       for v in k) for k in self.connection):
+            raise ConfigError("a connection key needs 3 indices in 0..3")
         if self.vacuum not in ("yes", "no", "unknown"):
             raise ConfigError(f"bad vacuum flag {self.vacuum!r}")
         object.__setattr__(self, "program", compile_program(self.components))
@@ -72,12 +78,18 @@ class MetricSpec:
 _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
+def quiet():
+    """numpy's error state wherever points are evaluated, built and checked:
+    numbers decide, not warnings. It is per thread."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _run(program, env) -> list:
     """run_program with a float failure as DomainError("cannot be
     evaluated: ..."). Array and series arithmetic overflows silently, as a
     float's does; the checks on its values reject what it leaves."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with quiet():
             return run_program(program, env)
     except _FLOAT_ERRORS as e:
         raise DomainError(f"cannot be evaluated: {e}") from None
@@ -255,85 +267,74 @@ def builtin(name: str, **params) -> MetricSpec:
 
 # -- metric definition files ------------------------------------------------
 
+# each section's indexed key, whose indices are the digits 0..3, and its form
+_KEYS = {"metric": (r"g\s+([0-3])\s+([0-3])", "g a b = expr"),
+         "connection": (r"Gamma\s+([0-3])\s+([0-3])\s+([0-3])",
+                        "Gamma l m n = expr"),
+         "domain": (r"x([0-3])", "xN = lo..hi")}
+
+
+def _indices(section, key) -> tuple:
+    """The indices of a section's indexed key: `g 0 1`, `Gamma 1 0 0`, `x1`."""
+    pattern, form = _KEYS[section]
+    m = re.fullmatch(pattern, key)
+    if m is None:
+        raise ConfigError(f"expected `{form}` with indices 0..3, got {key!r}")
+    return tuple(map(int, m.groups()))
+
+
+def _read_line(section, line, meta, comps, conn, params, domain):
+    """Read one `key = value` line of a section into the loader's tables."""
+    if section is None or "=" not in line:
+        raise ConfigError("expected `key = value`")
+    key, _, val = (t.strip() for t in line.partition("="))
+    if section == "params":
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"parameter {key!r} is not a number")
+    elif section == "metric" and key in meta:
+        meta[key] = val
+    elif section == "domain":
+        lo, _, hi = val.partition("..")
+        try:
+            domain[_indices(section, key)[0]] = (float(lo), float(hi))
+        except ValueError:
+            raise ConfigError(f"expected `lo..hi`, got {val!r}")
+    else:
+        index, tree = _indices(section, key), parse_expression(val)
+        if section == "metric":
+            comps[pair_index(*index)] = tree
+        else:
+            conn[index] = tree
+
+
 def load_metric_file(path: str) -> MetricSpec:
     """INI-like format: [metric] with `g a b = expr` lines and `name = ..`,
     [params], [domain] with `xN = lo..hi`, optional [connection] with
-    `Gamma l m n = expr`. UTF-8; `#` starts a comment."""
+    `Gamma l m n = expr`; indices are 0..3. UTF-8; `#` starts a comment.
+    An error in the file names its line."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read metric file {path!r}: {e}")
 
-    name = "user-metric"
-    comps = {i: "0" for i in range(len(PAIRS))}
-    params, domain, conn, vacuum = {}, {}, {}, "unknown"
+    meta = {"name": "user-metric", "vacuum": "unknown"}
+    comps, conn, params, domain = [Num(0.0)] * len(PAIRS), {}, {}, {}
     section = None
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in ("metric", "params", "domain", "connection"):
-                raise ConfigError(f"line {lineno}: unknown section "
-                                  f"[{section}]")
-            continue
-        if section is None or "=" not in line:
-            raise ConfigError(f"line {lineno}: expected `key = value`")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if section == "metric":
-            if key == "name":
-                name = val
-            elif key == "vacuum":
-                vacuum = val
-            else:
-                parts = key.split()
-                if len(parts) != 3 or parts[0] != "g":
-                    raise ConfigError(f"line {lineno}: expected `g a b = "
-                                      f"expr`, got {key!r}")
-                try:
-                    a, b = int(parts[1]), int(parts[2])
-                    comps[pair_index(a, b)] = val
-                except (ValueError, IndexError):
-                    raise ConfigError(f"line {lineno}: bad metric indices "
-                                      f"{key!r}")
-        elif section == "params":
-            try:
-                params[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: parameter {key!r} is "
-                                  f"not a number")
-        elif section == "domain":
-            if not (len(key) == 2 and key[0] == "x" and key[1].isdigit()):
-                raise ConfigError(f"line {lineno}: expected `xN = lo..hi`")
-            lo, sep, hi = val.partition("..")
-            if not sep:
-                raise ConfigError(f"line {lineno}: expected `lo..hi`")
-            try:
-                domain[int(key[1])] = (float(lo), float(hi))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad interval {val!r}")
-        else:  # connection
-            parts = key.split()
-            if len(parts) != 4 or parts[0] != "Gamma":
-                raise ConfigError(f"line {lineno}: expected `Gamma l m n = "
-                                  f"expr`")
-            try:
-                l, m, n = (int(v) for v in parts[1:])
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad connection indices")
-            if not all(0 <= v < DIM for v in (l, m, n)):
-                raise ConfigError(f"line {lineno}: connection indices out "
-                                  f"of range")
-            conn[(l, m, n)] = val
+        try:
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip().lower()
+                if section not in ("metric", "params", "domain", "connection"):
+                    raise ConfigError(f"unknown section [{section}]")
+            elif line:
+                _read_line(section, line, meta, comps, conn, params, domain)
+        except ConfigError as e:
+            raise ConfigError(f"line {lineno}: {e}") from None
 
     box = tuple(domain.get(i, (-1.0, 1.0)) for i in range(DIM))
-    spec = MetricSpec(
-        name=name,
-        components=tuple(parse_expression(comps[i])
-                         for i in range(len(PAIRS))),
-        params=params, domain=box, vacuum=vacuum,
-        connection={k: parse_expression(v) for k, v in conn.items()})
-    return _validate(spec)
+    return _validate(MetricSpec(components=tuple(comps), params=params,
+                                domain=box, connection=conn, **meta))

@@ -78,7 +78,8 @@ def _cmd_jets(args) -> int:
     if len(x) != DIM:
         raise ConfigError("the point needs exactly 4 coordinates")
     spec = _load_spec(args.metric, _assignments(args.param, "name"))
-    p = catalog.eh_point_at(spec, x)
+    with catalog.quiet():
+        p = catalog.eh_point_at(spec, x)
     print(f"metric {spec.name!r} at x = {x}")
     for i, (a, b) in enumerate(PAIRS):
         print(f"g[{a}{b}] = {p.g[i]:.12g}")

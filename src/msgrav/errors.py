@@ -26,9 +26,5 @@ class DomainError(MsgravError):
     """Numeric domain failure at a sample point."""
 
 
-class SingularPointError(DomainError):
-    """Division by a series with zero constant term, log/sqrt out of domain."""
-
-
 class DegenerateMetricError(DomainError):
     """Metric determinant vanishes or signature is not (-,+,+,+)."""

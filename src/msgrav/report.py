@@ -214,8 +214,7 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
               for i in range(0, len(points), CHUNK_POINTS)]
 
     def at_chunk(chunk):
-        # numbers decide, not warnings; numpy's error state is per thread
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with catalog.quiet():
             # point i's projectability trials are seeded by cfg.seed + i
             return checks(cfg.spec, points[chunk.start:chunk.stop],
                           [cfg.seed + i for i in chunk])
@@ -236,7 +235,8 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
         x = points[skipped[0]]
         build = _eh_point if cfg.model == "eh" else catalog.ep_point_at
         try:  # a point is skipped exactly when building it alone fails
-            build(cfg.spec, x[None])
+            with catalog.quiet():
+                build(cfg.spec, x[None])
         except DomainError as e:
             raise DomainError(
                 f"{len(skipped)} of {len(points)} sample points were "

@@ -16,7 +16,9 @@ this way, walking every expression tree once per chunk, and each row
 keeps the exact arithmetic of a series built alone (Taylor propagation:
 Griewank, Utke & Walther, Math. Comp. 69, 2000). The function of each
 row's constant term is `exprparse.math_each`'s `math` call, so it rounds
-and fails as the float evaluation of the same text does.
+and fails as the float evaluation of the same text does; a division by a
+zero constant term raises "float division by zero", and so does sqrt of
+one, the one failure a float does not share.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, SingularPointError
+from .errors import ConfigError
 from .exprparse import math_each
 
 NVARS = 4
@@ -88,8 +90,8 @@ class JetScalar:
     series about several base points, as in `tangents`, and a single
     series has none. Every operation treats each row alone, in the same
     arithmetic order as a single series, so a row's coefficients are
-    bit-identical whatever stack it rides in. An elementary function
-    raises SingularPointError if any row is outside its domain.
+    bit-identical whatever stack it rides in. An operation raises what
+    the float evaluation raises if it fails at any row's constant term.
     """
 
     __slots__ = ("order", "base", "coeffs")
@@ -198,7 +200,7 @@ class JetScalar:
         if isinstance(other, JetScalar):
             return self * other.reciprocal()
         if np.any(np.asarray(other) == 0.0):
-            raise SingularPointError("division of a series by zero")
+            raise ZeroDivisionError("float division by zero")
         return self * (1.0 / other)
 
     def __rtruediv__(self, other):
@@ -207,7 +209,7 @@ class JetScalar:
     def reciprocal(self) -> "JetScalar":
         c0 = self.coeffs[..., 0]
         if np.any(c0 == 0.0):
-            raise SingularPointError("division by a series with zero constant term")
+            raise ZeroDivisionError("float division by zero")
         # 1/(c0 (1+v)) with v nilpotent: geometric series.
         return self._apply_univariate(
             [(-1.0) ** n / c0 for n in range(self.order + 1)], 1.0 / c0)
@@ -227,17 +229,11 @@ class JetScalar:
 
     # -- analytic functions -------------------------------------------------
 
-    def _positive_c0(self, name):
-        c0 = self.coeffs[..., 0]
-        if np.any(c0 <= 0.0):
-            raise SingularPointError(
-                f"series {name} needs a positive constant term, got "
-                f"{np.min(c0)}")
-        return c0
-
     def sqrt(self) -> "JetScalar":
-        c0 = self._positive_c0("sqrt")
-        r = np.sqrt(c0)
+        c0 = self.coeffs[..., 0]
+        r = math_each(math.sqrt, c0)
+        if np.any(r == 0.0):  # the derivatives divide by the root
+            raise ZeroDivisionError("float division by zero")
         # binomial series (1+v)^(1/2), v = (self - c0)/c0
         coefs, b = [], 1.0
         for n in range(self.order + 1):
@@ -251,7 +247,7 @@ class JetScalar:
             [e0 / math.factorial(n) for n in range(self.order + 1)])
 
     def ln(self) -> "JetScalar":
-        c0 = self._positive_c0("ln")
+        c0 = self.coeffs[..., 0]
         coefs = [math_each(math.log, c0)] + [
             (-1.0) ** (n + 1) / n for n in range(1, self.order + 1)]
         return self._apply_univariate(coefs, 1.0 / c0)
@@ -272,12 +268,12 @@ class JetScalar:
         return self._trig(1)
 
     def powi(self, n: int) -> "JetScalar":
-        """Integer power by repeated squaring: O(log |n|) products."""
+        """Integer power by repeated squaring: O(log |n|) products, after
+        the constant terms' `math.pow`, so a row fails as a float's does."""
+        math_each(math.pow, self.coeffs[..., 0], n)
         if n == 0:
             return JetScalar.constant(1.0, self.base, self.order)
-        if n < 0:
-            return self.reciprocal().powi(-n)
-        out, sq = None, self
+        out, sq, n = None, (self.reciprocal() if n < 0 else self), abs(n)
         while n:
             if n & 1:
                 out = sq if out is None else sq * out

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import interior_points
 from test_fuzz_cli import PARAMS, tree
 from msgrav import catalog
-from msgrav.errors import ConfigError, DomainError, SingularPointError
+from msgrav.errors import ConfigError, DomainError
 from msgrav.exprparse import evaluate, parse_expression, run_program
 from msgrav.fieldspace import derivatives
 from msgrav.geometry import christoffel, metric_inverse_density
@@ -88,7 +89,8 @@ def test_singular_expression_point():
     spec = catalog.MetricSpec(
         name="singular", components=tuple(map(parse_expression, comps)),
         domain=((-1, 1), (-1, 1), (-1, 1), (-1, 1)))
-    with pytest.raises(SingularPointError):
+    with pytest.raises(DomainError,
+                       match="cannot be evaluated: float division by zero"):
         catalog.metric_jet_at(spec, (0.0, 0.0, 0.0, 0.0))
 
 
@@ -138,6 +140,54 @@ def test_malformed_files(tmp_path):
             catalog.load_metric_file(str(path))
     with pytest.raises(ConfigError):
         catalog.load_metric_file(str(tmp_path / "missing.ini"))
+
+
+@pytest.mark.parametrize("text, reason", [
+    # an index is one digit 0..3 in every indexed key
+    ("[metric]\ng -1 -2 = 0.1\n",
+     "line 2: expected `g a b = expr` with indices 0..3, got 'g -1 -2'"),
+    ("[metric]\ng 0 4 = 1\n", "line 2: expected `g a b = expr`"),
+    ("[metric]\ng 01 1 = 1\n", "line 2: expected `g a b = expr`"),
+    ("[connection]\nGamma 1 0 -1 = 1\n",
+     "line 2: expected `Gamma l m n = expr` with indices 0..3"),
+    ("[domain]\nx7 = 5..6\n",
+     "line 2: expected `xN = lo..hi` with indices 0..3, got 'x7'"),
+    ("[domain]\nx-1 = 0..1\n", "line 2: expected `xN = lo..hi`"),
+    # an expression is parsed on its own line
+    ("[metric]\ng 0 0 = -1\ng 1 1 = 1 +\n",
+     "line 3: unexpected end of expression (at offset 3)"),
+    ("[metric]\ng 0 0 = -1\n\n[connection]\nGamma 1 0 0 = sin(x1\n",
+     "line 5: expected ')' (at offset 6)"),
+    ("[domain]\nx1 = 0..1..2\n", "line 2: expected `lo..hi`, got '0..1..2'"),
+], ids=["g-negative", "g-4", "g-two-digits", "gamma-negative", "x7", "x-1",
+        "metric-syntax", "connection-syntax", "interval"])
+def test_file_errors_name_their_line(tmp_path, text, reason):
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as e:
+        catalog.load_metric_file(str(path))
+    assert str(e.value).startswith(reason)
+
+
+@pytest.mark.parametrize("interval", [(-1e308, 1e308), (-math.inf, math.inf),
+                                      (0.0, math.inf), (math.nan, 1.0),
+                                      (1.0, 1.0)])
+def test_sample_box_must_be_finite_and_not_empty(interval):
+    # a box end or width beyond float range would reach np.linspace and the
+    # sampler as inf
+    flat = ["-1", "1", "1", "1"]
+    with pytest.raises(ConfigError, match="is empty or not finite"):
+        _unchecked(flat, domain=[(-1.0, 1.0), interval] + [(-1.0, 1.0)] * 2)
+    _unchecked(flat, domain=[(-1.0, 1.0), (0.0, 1e308)] + [(-1.0, 1.0)] * 2)
+
+
+@pytest.mark.parametrize("key", [(9, 0, 0), (-1, 0, 0), (1, 0), (1, 0, 0, 0),
+                                 (1.0, 0, 0)])
+def test_connection_keys_are_three_indices_in_range(key):
+    flat = _unchecked(["-1", "1", "1", "1"]).components
+    with pytest.raises(ConfigError, match="3 indices in 0..3"):
+        catalog.MetricSpec(name="conn", components=flat,
+                           connection={key: parse_expression("0")})
 
 
 @pytest.mark.parametrize("where", ["component", "connection"])
@@ -338,6 +388,38 @@ def test_stacked_grid_check_matches_per_point_reference_on_fuzz_specs():
             warnings.simplefilter("error")
             got = _outcome(catalog._validate, spec)
         assert got == _outcome(_validate_per_point, spec), seed
+
+
+def test_series_fail_where_floats_fail_on_fuzz_specs(monkeypatch):
+    # a function, power or division of a series raises at a row's constant
+    # term what the float evaluation raises there, so at every grid point
+    # of every fuzz spec the float evaluation (`catalog._run` on floats)
+    # and the series, at the orders eh and ep read, have one outcome and
+    # message. The one exception: sqrt of a zero constant term, whose
+    # derivatives divide by the root, fails where a float need not (at
+    # 600 of the 24,300 points)
+    zero_roots = []
+    sqrt = JetScalar.sqrt
+    monkeypatch.setattr(JetScalar, "sqrt", lambda s: zero_roots.append(
+        np.any(s.value() == 0.0)) or sqrt(s))
+    excepted = 0
+    for seed in range(300):
+        spec = _fuzz_spec(seed)
+        axes = [np.linspace(lo, hi, 3) for (lo, hi) in spec.domain]
+        for x in itertools.product(*axes):
+            env = {f"x{i}": float(x[i]) for i in range(DIM)} | spec.params
+            want = _outcome(lambda s: catalog._run(s.program, env), spec)
+            for order in (2, 3):
+                zero_roots.clear()
+                got = _outcome(lambda s: catalog.metric_jet_at(
+                    s, np.array(x), order), spec)
+                if got != want:
+                    where = (seed, x, order, want, got)
+                    assert got[1] == ("cannot be evaluated: float division "
+                                      "by zero"), where
+                    assert zero_roots and zero_roots[-1], where
+                    excepted += 1
+    assert excepted
 
 
 def test_grid_check_walks_each_component_once(monkeypatch):

@@ -234,6 +234,23 @@ def test_numeric_failure_in_metric_file_exits_three(tmp_path, capsys, extra):
             assert NUMERIC_FAILURES[extra] in err, (model, err)
 
 
+def test_skipped_points_error_is_quiet(tmp_path, capsys):
+    # every point's d2g (-2k) overflows; the first skipped point is rebuilt
+    # to name its reason, and `jets` builds its point, under the numpy
+    # error state of the chunks, so no warning precedes exit 3
+    path = tmp_path / "k.ini"
+    path.write_text("[metric]\ng 0 0 = -1 - k*x1^2\ng 1 1 = 1\ng 2 2 = 1\n"
+                    "g 3 3 = 1\n[params]\nk = 1e308\n", encoding="utf-8")
+    for argv in (["check", "--model", "eh", "--points", "4"],
+                 ["check", "--model", "ep", "--points", "4"],
+                 ["jets", "--at", "0,0.5,0,0"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(argv + ["--metric", str(path)], capsys)
+        assert code == 3 and out == "", argv
+        assert "d2g block is not finite" in err, argv
+
+
 def test_huge_metric_values_are_a_domain_error(tmp_path, capsys):
     # finite components whose determinant overflows: rejected quietly
     path = tmp_path / "huge.ini"

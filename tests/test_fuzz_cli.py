@@ -9,7 +9,8 @@ powers; about 3 in 10 files also override a connection component. A
 wider corpus perturbs one or two off-diagonal components (in half its
 files one diagonal component too), always overrides a random
 `Gamma l m n`, and in about half its files moves one box axis to start
-at 0, 1e-300 or 0.999 and end at 1, 2 or 1e300.
+at 0, 1e-300 or 0.999 and end at 1, 2 or 1e300. A corpus of malformed
+keys and boxes must each exit 2.
 """
 
 import json
@@ -56,6 +57,28 @@ def metric_file(seed: int) -> str:
     if rng.random() < 0.3:
         lines += ["[connection]", f"Gamma 1 0 0 = {tree(rng, 3)}"]
     return "\n".join(lines) + "\n"
+
+
+# indices outside 0..3, and sample box intervals beyond float range
+BAD_INDICES = (-1, 4, 9)
+BAD_BOXES = ("-1e308..1e308", "-1.7e308..1e308", "-inf..inf", "0..inf",
+             "-inf..0", "nan..1", "0..nan")
+FLAT = "[metric]\ng 0 0 = -1\ng 1 1 = 1\ng 2 2 = 1\ng 3 3 = 1\n"
+
+
+def malformed_files():
+    """Flat metric files with one bad line: each bad index in each place
+    of `g a b`, `Gamma l m n` and `xN`, and each bad box interval."""
+    for i in BAD_INDICES:
+        yield FLAT + f"g {i} 1 = 0.1\n"
+        yield FLAT + f"g 1 {i} = 0.1\n"
+        for pos in range(3):
+            lmn = ["1", "0", "0"]
+            lmn[pos] = str(i)
+            yield FLAT + f"[connection]\nGamma {' '.join(lmn)} = 0.1\n"
+        yield FLAT + f"[domain]\nx{i} = 0..1\n"
+    for box in BAD_BOXES:
+        yield FLAT + f"[domain]\nx1 = {box}\n"
 
 
 def wide_metric_file(seed: int) -> str:
@@ -125,3 +148,17 @@ def test_random_metric_files_exit_cleanly(tmp_path, capsys, model):
 def test_wide_random_metric_files_exit_cleanly(tmp_path, capsys, model):
     _exit_cleanly(tmp_path, capsys, model,
                   map(wide_metric_file, range(WIDE_FILES)))
+
+
+@pytest.mark.parametrize("model", ["eh", "ep"])
+def test_malformed_keys_and_boxes_exit_two(tmp_path, capsys, model):
+    path = tmp_path / "bad.ini"
+    for text in malformed_files():
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["check", "--model", model, "--metric",
+                             str(path), "--points", "4"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", (model, text)
+        assert err.startswith("error: ") and "Traceback" not in err, text

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import interior_points
 from msgrav import catalog
-from msgrav.errors import SingularPointError
 from msgrav.exprparse import evaluate
 from msgrav.series import JetScalar, multi_indices
 
@@ -71,7 +70,7 @@ def test_reciprocal_inverts():
 
 def test_division_by_zero_constant_term_raises():
     x = var(0)  # value 0 at base
-    with pytest.raises(SingularPointError):
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
         1.0 / x
 
 
@@ -84,9 +83,10 @@ def test_sqrt_squares_back():
 
 
 def test_sqrt_of_nonpositive_raises():
-    with pytest.raises(SingularPointError):
+    # a zero constant term: the derivatives would divide by its root
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
         var(0).sqrt()
-    with pytest.raises(SingularPointError):
+    with pytest.raises(ValueError, match="math domain error"):
         const(-2.0).sqrt()
 
 
@@ -153,6 +153,26 @@ def test_powi_matches_repeated_multiplication():
     assert big.coeff((0, 1, 0, 0)) == pytest.approx(1e9)
     assert big.coeff((0, 4, 0, 0)) == pytest.approx(math.comb(10 ** 9, 4),
                                                      rel=1e-6)
+
+
+def test_powi_fails_as_the_float_power_does():
+    # the constant terms' math.pow runs first: 0 to a negative power is its
+    # domain error, a power beyond float range its range error, and a
+    # stack fails if one row does
+    xs = np.array([[0.0, 0.5, 0, 0], [0.0, 0.0, 0, 0]])
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="math domain error"):
+            JetScalar.variable(1, xs).powi(n)
+    with pytest.raises(OverflowError, match="math range error"):
+        const(1e200).powi(2)
+    with pytest.raises(OverflowError, match="math range error"):
+        const(1e-200).powi(-2)
+    one = JetScalar.variable(1, xs[0])
+    assert np.array_equal(JetScalar.variable(1, xs[:1]).powi(-2).coeffs[0],
+                          one.powi(-2).coeffs)
+    # 0 to the powers 0 and 2 is a float's 1 and 0
+    assert var(0).powi(0).value() == 1.0
+    assert np.array_equal(var(0).powi(2).coeffs, (var(0) * var(0)).coeffs)
 
 
 def test_finite_difference_oracle_on_composite():
@@ -226,9 +246,11 @@ def test_stacked_rows_equal_single_point_series(spec):
 @pytest.mark.parametrize("op", [lambda s: 1.0 / s, JetScalar.sqrt,
                                 JetScalar.ln])
 def test_one_singular_row_fails_the_stack(op):
-    # the constant term x1 is 0 in row 1 only
+    # the constant term x1 is 0 in row 1 only: ln(0) is a float's "math
+    # domain error", and 1/0 and sqrt's 1/sqrt(0) are divisions by zero
     xs = np.array([[0.0, 0.5, 0, 0], [0.0, 0.0, 0, 0], [0.0, 2.0, 0, 0]])
-    with pytest.raises(SingularPointError):
+    with pytest.raises(ValueError if op is JetScalar.ln
+                       else ZeroDivisionError):
         op(JetScalar.variable(1, xs))
     for k in (0, 2):
         one = op(JetScalar.variable(1, xs[k]))
@@ -270,7 +292,7 @@ def test_scalar_operands_act_per_row():
                       (2.0 - s, const(2.0, base=xs) - s)):
         assert np.array_equal(got.coeffs, want.coeffs)
     assert "[[0.3, 1.0, 0.0, 0.0], [0.7, -2.0, 0.0, 0.0]]" in repr(s)
-    with pytest.raises(SingularPointError):
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
         s / 0.0
 
 
