@@ -49,15 +49,12 @@ class MetricSpec:
             raise ConfigError("a metric needs its 10 ordered components")
         if len(self.domain) != DIM:
             raise ConfigError("the sample box needs 4 intervals")
-        for lo, hi in self.domain:  # nonempty, with finite ends and width
-            if not (lo < hi and math.isfinite(float(hi) - float(lo))):
-                raise ConfigError(f"domain interval {lo}..{hi} is empty or "
-                                  f"not finite")
+        for lo, hi in self.domain:
+            _interval(lo, hi)
         if not all(len(k) == 3 and all(type(v) is int and 0 <= v < DIM
                                        for v in k) for k in self.connection):
             raise ConfigError("a connection key needs 3 indices in 0..3")
-        if self.vacuum not in ("yes", "no", "unknown"):
-            raise ConfigError(f"bad vacuum flag {self.vacuum!r}")
+        _vacuum_flag(self.vacuum)
         object.__setattr__(self, "program", compile_program(self.components))
         object.__setattr__(self, "connection_program",
                            compile_program(self.connection.values()))
@@ -72,6 +69,20 @@ class MetricSpec:
         """Whether each point of x (..., 4) lies in the sample box."""
         lo, hi = np.array(self.domain).T
         return np.all((lo <= x) & (x <= hi), axis=-1)
+
+
+def _interval(lo, hi) -> tuple:
+    """(lo, hi), a sample box interval: nonempty, with finite ends and
+    width."""
+    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+        raise ConfigError(f"domain interval {lo}..{hi} is empty or not finite")
+    return lo, hi
+
+
+def _vacuum_flag(flag: str) -> str:
+    if flag not in ("yes", "no", "unknown"):
+        raise ConfigError(f"bad vacuum flag {flag!r}")
+    return flag
 
 
 # what a `math` call or a float division raises
@@ -294,13 +305,14 @@ def _read_line(section, line, meta, comps, conn, params, domain):
         except ValueError:
             raise ConfigError(f"parameter {key!r} is not a number")
     elif section == "metric" and key in meta:
-        meta[key] = val
+        meta[key] = _vacuum_flag(val) if key == "vacuum" else val
     elif section == "domain":
         lo, _, hi = val.partition("..")
         try:
-            domain[_indices(section, key)[0]] = (float(lo), float(hi))
+            lo, hi = float(lo), float(hi)
         except ValueError:
             raise ConfigError(f"expected `lo..hi`, got {val!r}")
+        domain[_indices(section, key)[0]] = _interval(lo, hi)
     else:
         index, tree = _indices(section, key), parse_expression(val)
         if section == "metric":

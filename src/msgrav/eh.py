@@ -1,6 +1,9 @@
 """The second-order metric model: Lagrangian, momenta, Hamiltonian,
-Poincare-Cartan 5-form (contracted by `fieldspace.field_equation_covector`),
-constraints, holonomy residuals and projectability checks.
+Poincare-Cartan 5-form, constraints and projectability checks. The form's
+contraction with the section's tangent lifts
+(`fieldspace.field_equation_covector`) is the field equation; its dg slots
+are the first holonomy condition, which the field equation holds as an
+output: they vanish at the section's own lifts.
 
 Momenta are computed twice on purpose: by differentiating the Lagrangian
 and from the closed forms; the two routes referee the ordered-index
@@ -31,12 +34,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .exterior import Form, cartan_form
-from .fieldspace import (EH_OFF, EHJetPoint, _identity_seeds, derivatives,
-                         fiber_gradient, fiber_hessian, total_derivatives_vec,
-                         trial_stack)
+from .fieldspace import (EH_OFF, EHJetPoint, _identity_seeds, fiber_gradient,
+                         fiber_hessian, total_derivatives_vec, trial_stack)
 from .geometry import (curvature_bundle, metric_inverse_density,
                        scalar_density)
-from .indexing import DERIVS, DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
+from .indexing import DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
 from .tangents import Jet2, Tan, einsum
 
 NPAIR = len(PAIRS)
@@ -147,17 +149,6 @@ def constraint_einstein_derivative(p: EHJetPoint):
     constraint_einstein(p)."""
     d = total_derivatives_vec(constraint_einstein, p)
     return d.v, d.g
-
-
-def holonomy_residuals(p: EHJetPoint, metric_series):
-    """Residuals of the two holonomy equations against a section.
-
-    The second equation's symmetrization, normalized per distinct ordering
-    of the derivative pair, is the section's second derivative itself, so
-    prolongations are exact zeros.
-    """
-    return (p.dg - derivatives(metric_series, DERIVS[1]),
-            p.d2g - derivatives(metric_series, DERIVS[2]))
 
 
 # -- Poincare-Cartan form ---------------------------------------------------

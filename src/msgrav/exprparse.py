@@ -289,11 +289,6 @@ def run_program(program, env: dict) -> list:
     return [vals[i] for i in outputs]
 
 
-def evaluate(node, env: dict):
-    """One tree's value: `run_program` of its one-tree program."""
-    return run_program(compile_program((node,)), env)[0]
-
-
 def _step(node, args, vals, env):
     if isinstance(node, Num):
         return node.value

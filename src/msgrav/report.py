@@ -39,7 +39,7 @@ import numpy as np
 
 from . import catalog, eh, ep
 from .errors import ConfigError, DomainError, MsgravError
-from .fieldspace import ORDER, field_equation_covector, prolong
+from .fieldspace import EH_OFF, field_equation_covector
 from .version import VERSION
 
 # points per batched pass; see the module docstring
@@ -49,8 +49,9 @@ MAX_POINTS = 10**6  # all are drawn before the first chunk runs
 # A family's kind says where it must hold: an identity on every section, a
 # vacuum family on vacuum solutions only, a levi-civita family wherever the
 # connection is Levi-Civita. Its default tolerance is its kind's. Residuals
-# are absolute deviations, except the identities' other than holonomy and
-# projectability, which are relative: residual / (1 + |reference|).
+# are absolute deviations, except the identities' other than
+# projectability, which are relative: residual / (1 + |reference|); eh's
+# holonomy reads the field equation's dg slots relative to its covector.
 KIND_TOLERANCES = {"identity": 1e-10, "vacuum": 1e-8, "levi-civita": 1e-8}
 
 # Each model's families in report order: (family, kind, residual), where
@@ -58,7 +59,8 @@ KIND_TOLERANCES = {"identity": 1e-10, "vacuum": 1e-8, "levi-civita": 1e-8}
 # and the family's residual at a point is the max |.| over its row.
 FAMILIES = {
     "eh": (
-        ("holonomy", "identity", lambda s: s.holonomy),
+        ("holonomy", "identity",
+         lambda s: _rel(_amax(s.cov[..., EH_OFF["dg"]:]), _amax(s.cov))),
         ("momenta-identity", "identity",
          lambda s: _rel(_amax(s.m.L2_ad - s.closed.L2.v),
                         _amax(s.closed.L2.v))),
@@ -67,8 +69,7 @@ FAMILIES = {
         ("projectability", "identity", lambda s: s.dev),
         ("einstein-constraint", "vacuum", lambda s: s.c),
         ("einstein-constraint-derivative", "vacuum", lambda s: s.dc),
-        ("field-equation", "vacuum", lambda s: field_equation_covector(
-            eh.cartan_form_eh(s.p, s.closed), s.p)),
+        ("field-equation", "vacuum", lambda s: s.cov),
     ),
     "ep": (
         ("momenta-identity", "identity",
@@ -85,8 +86,7 @@ FAMILIES = {
          lambda s: ep.constraint_torsion_deriv(s.p)),
         ("integrability", "levi-civita",
          lambda s: ep.constraint_integrability(s.p)),
-        ("field-equation", "vacuum", lambda s: field_equation_covector(
-            ep.cartan_form_ep(s.p, s.closed), s.p)),
+        ("field-equation", "vacuum", lambda s: s.cov),
     ),
 }
 
@@ -160,26 +160,19 @@ def _built(xs, build):
     return kept, build(xs[kept]) if kept else None
 
 
-def _eh_point(spec, xs):
-    series = catalog.metric_jet_at(spec, xs, ORDER)
-    p = prolong(series)
-    h1, h2 = eh.holonomy_residuals(p, series)
-    return p, np.maximum(_amax(h1), _amax(h2))
-
-
 def _eh_point_checks(spec, xs, seeds):
     """The eh checks on one chunk of points: (positions in xs of the
     points that were built, {family: residual per built point})."""
-    kept, built = _built(xs, lambda x: _eh_point(spec, x))
+    kept, p = _built(xs, lambda x: catalog.eh_point_at(spec, x))
     if not kept:
         return kept, {}
-    p, holonomy = built
     # the closed forms serve the momenta, the trials and the Cartan form
     closed = eh.closed_forms(p)
     dev, _, m = eh.projectability_check(p, closed, 2, np.array(seeds)[kept])
     c, dc = eh.constraint_einstein_derivative(p)
+    cov = field_equation_covector(eh.cartan_form_eh(p, closed), p)
     return kept, _residuals("eh", SimpleNamespace(
-        p=p, holonomy=holonomy, closed=closed, dev=dev, m=m, c=c, dc=dc))
+        closed=closed, dev=dev, m=m, c=c, dc=dc, cov=cov))
 
 
 def _ep_point_checks(spec, xs, seeds):
@@ -191,9 +184,10 @@ def _ep_point_checks(spec, xs, seeds):
     # the closed forms serve the momenta, the trials and the Cartan form
     closed = ep.closed_forms_ep(p)
     dev, _, m = ep.projectability_check_ep(p, closed, 2, np.array(seeds)[kept])
+    cov = field_equation_covector(ep.cartan_form_ep(p, closed), p)
     # the ep point carries the metric jet's g, dg and d2g blocks
     return kept, _residuals("ep", SimpleNamespace(
-        p=p, closed=closed, dev=dev, m=m, l_eh=eh.lagrangian_fn(p)))
+        p=p, closed=closed, dev=dev, m=m, l_eh=eh.lagrangian_fn(p), cov=cov))
 
 
 def _residuals(model, passes):
@@ -233,7 +227,8 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
     skipped = [i for i, r in enumerate(results) if r is None]
     if len(skipped) > 0.2 * len(points):
         x = points[skipped[0]]
-        build = _eh_point if cfg.model == "eh" else catalog.ep_point_at
+        build = (catalog.eh_point_at if cfg.model == "eh"
+                 else catalog.ep_point_at)
         try:  # a point is skipped exactly when building it alone fails
             with catalog.quiet():
                 build(cfg.spec, x[None])

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from msgrav import catalog
+from msgrav.exprparse import compile_program, run_program
 from msgrav.fieldspace import EPJetPoint
 from msgrav.geometry import curvature_bundle
 from msgrav.indexing import DIM, PAIR_FULL, PAIR_ROWS
+
+
+def evaluate(tree, env):
+    """One syntax tree's value: `run_program` of its one-tree program."""
+    return run_program(compile_program((tree,)), env)[0]
 
 
 def interior_points(spec, n, seed, margin=0.05):

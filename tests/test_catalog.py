@@ -9,11 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import interior_points
+from conftest import evaluate, interior_points
 from test_fuzz_cli import PARAMS, tree
 from msgrav import catalog
 from msgrav.errors import ConfigError, DomainError
-from msgrav.exprparse import evaluate, parse_expression, run_program
+from msgrav.exprparse import parse_expression, run_program
 from msgrav.fieldspace import derivatives
 from msgrav.geometry import christoffel, metric_inverse_density
 from msgrav.indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index

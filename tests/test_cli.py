@@ -292,6 +292,23 @@ def test_infinite_exponent_in_metric_file_exits_two(tmp_path, capsys):
     assert "exponent" in err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[domain]\nx1 = -inf..inf\n",
+     "line 7: domain interval -inf..inf is empty or not finite"),
+    ("[metric]\nvacuum = maybe\n", "line 7: bad vacuum flag 'maybe'"),
+], ids=["box", "vacuum-flag"])
+def test_bad_box_or_vacuum_flag_names_its_line(tmp_path, capsys, text,
+                                               reason):
+    path = tmp_path / "bad.ini"
+    path.write_text("[metric]\ng 0 0 = -1\ng 1 1 = 1\ng 2 2 = 1\n"
+                    "g 3 3 = 1\n" + text, encoding="utf-8")
+    for model in ("eh", "ep"):
+        code, out, err = run(["check", "--model", model, "--metric",
+                              str(path), "--points", "1"], capsys)
+        assert code == 2 and out == "", (model, err)
+        assert reason in err, (model, err)
+
+
 def test_infinite_literal_in_metric_file_exits_two(tmp_path, capsys):
     path = tmp_path / "inf.ini"
     path.write_text("[metric]\ng 0 0 = -1\ng 1 1 = 1 + 1/1e999\n"
@@ -319,13 +336,14 @@ def _check_file(tmp_path, capsys, model, g11, name=None, points=4,
 
 
 def test_nonfinite_residual_exits_three_quietly(tmp_path, capsys):
-    # item 15's fuzz find: eh's field-equation residual is NaN at a
-    # sample point, so eh exits 3 naming the family; ep's residuals are
-    # all finite (up to about 9e279), so it reports them and exits 1
+    # a fuzz find: eh's field-equation covector is NaN at a sample point,
+    # so eh exits 3 naming holonomy, the first family in report order that
+    # reads it; ep's residuals are all finite (up to about 9e279), so it
+    # reports them and exits 1
     g11 = "1 + 0.1*((cos(1e-300))^3*1e300*x0^40)"
     code, out, err = _check_file(tmp_path, capsys, "eh", g11)
     assert code == 3 and out == ""
-    assert "field-equation residual is not finite at (" in err
+    assert "holonomy residual is not finite at (" in err
     code, out, err = _check_file(tmp_path, capsys, "ep", g11)
     assert code == 1 and err == ""
     assert "null" not in out

@@ -6,10 +6,11 @@ import pytest
 from conftest import einstein_suite, interior_points, random_jet
 from msgrav import catalog, eh
 from msgrav.errors import ConfigError
+from msgrav.exterior import Form, contract_terms
 from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EHJetPoint,
                                fiber_gradient, fiber_jacobian,
                                field_equation_covector, flat_index,
-                               prolong, total_derivatives_vec)
+                               tangent_lifts, total_derivatives_vec)
 from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import DIM, MULT, PAIR_FULL, PAIRS, pair_index
 from msgrav.tangents import Jet2, einsum, sqrt
@@ -357,22 +358,83 @@ def test_constraint_derivative_on_an_order_three_point():
         assert np.allclose(dc[:, tau], fd, rtol=1e-6, atol=1e-8)
 
 
-def test_holonomy_zero_on_prolongations_and_sensitive_to_perturbation():
-    spec = catalog.builtin("schwarzschild")
-    series = catalog.metric_jet_at(spec, MID["schwarzschild"])
-    p = prolong(series)
-    h1, h2 = eh.holonomy_residuals(p, series)
-    assert np.abs(h1).max() == 0.0 and np.abs(h2).max() == 0.0
+def holonomy_slots(form, lifts):
+    """The dg slots of the form contracted with the four lifts."""
+    return contract_terms(form, lifts)[..., EH_OFF["dg"]:EH_OFF["d2g"]]
+
+
+def test_holonomy_slots_vanish_at_the_section_and_move_with_its_dg():
+    # the field equation's dg slots are the first holonomy condition: they
+    # vanish where the lifts' g-velocities are the point's dg coordinates,
+    # and a perturbed dg at the point, under the section's lifts, moves
+    # them; the report's holonomy row reads them relative to the covector
+    from msgrav import report
+    row = {fam: r for fam, _, r in report.FAMILIES["eh"]}["holonomy"]
+    p = point("schwarzschild")
+    lifts = tangent_lifts(p, EH_OFF["d2g"])
+    form = eh.cartan_form_eh(p, eh.closed_forms(p))
+    assert np.abs(holonomy_slots(form, lifts)).max() < 1e-13
     dg = p.dg.copy()
     dg[4, 1] += 1e-3
     q = EHJetPoint(x=p.x, g=p.g, dg=dg, d2g=p.d2g, d3g=p.d3g)
-    h1, _ = eh.holonomy_residuals(q, series)
-    assert h1[4, 1] == pytest.approx(1e-3)
-    d2g = p.d2g.copy()
-    d2g[0, pair_index(1, 2)] += 2e-3
-    q = EHJetPoint(x=p.x, g=p.g, dg=p.dg, d2g=d2g, d3g=p.d3g)
-    _, h2 = eh.holonomy_residuals(q, series)
-    assert h2[0, pair_index(1, 2)] == pytest.approx(2e-3)
+    cov = contract_terms(eh.cartan_form_eh(q, eh.closed_forms(q)), lifts)
+    moved = np.abs(cov[EH_OFF["dg"]:]).max()
+    assert moved > 1e-5
+    assert row(SimpleNamespace(cov=cov[None])) == pytest.approx(
+        moved / (1.0 + np.abs(cov).max()), rel=1e-15)
+
+
+def velocity_map(p, form):
+    """(b, A) with the form's dg slots, contracted with p's lifts whose
+    40 g-velocities v are freed, equal to b + A v; v[tau * 10 + a] is
+    lift tau's velocity along g_a, and each lead of p is one system."""
+    g0, n = EH_OFF["g"], len(PAIRS) * DIM
+    lifts = np.repeat(tangent_lifts(p, EH_OFF["d2g"])[None], 1 + n, axis=0)
+    lifts[..., g0:g0 + len(PAIRS)] = 0.0
+    tau, a = np.divmod(np.arange(n), len(PAIRS))
+    lifts[1 + np.arange(n), ..., tau, g0 + a] = 1.0
+    slots = holonomy_slots(Form(form.coef, np.broadcast_to(
+        form.dense, (1 + n,) + form.dense.shape), form.coords), lifts)
+    return slots[0], np.moveaxis(slots[1:] - slots[0], 0, -1)
+
+
+@pytest.mark.parametrize("name", ["schwarzschild", "kasner", "flrw",
+                                  "desitter", "generic"])
+def test_holonomy_is_the_unique_solution_of_the_dg_slots(tmp_path,
+                                                         monkeypatch, name):
+    # the dg slots are affine in the lifts' 40 g-velocities with rank 40,
+    # so they vanish only at the section's own dg, on sourced sections
+    # too; the report's holonomy row reads them at the lifts it is given
+    from test_generic_sections import generic_section
+
+    from msgrav import fieldspace, report
+    spec = (generic_section(tmp_path, 3, 0.1) if name == "generic"
+            else catalog.builtin(name))
+    xs = np.array(interior_points(spec, 2, seed=83))
+    p = catalog.eh_point_at(spec, xs)
+    b, a = velocity_map(p, eh.cartan_form_eh(p, eh.closed_forms(p)))
+    assert np.all(np.linalg.matrix_rank(a) == len(PAIRS) * DIM)
+    v = np.linalg.solve(a, -b[..., None])[..., 0]
+    dg = p.dg.swapaxes(-1, -2).reshape(2, -1)
+    assert np.abs(v - dg).max() <= 1e-12 * np.abs(dg).max()
+    # lifts moved off the section by delta read b + A (dg + delta)
+    delta = 1e-3 * np.random.default_rng(5).normal(size=dg.shape)
+    real = fieldspace.tangent_lifts
+
+    def moved(q, width):
+        lifts = real(q, width)
+        lifts[..., EH_OFF["g"]:EH_OFF["dg"]] += delta.reshape(
+            lifts.shape[:-1] + (len(PAIRS),))
+        return lifts
+
+    monkeypatch.setattr(fieldspace, "tangent_lifts", moved)
+    kept, out = report._eh_point_checks(spec, xs, [0, 1])
+    cov = field_equation_covector(eh.cartan_form_eh(p, eh.closed_forms(p)),
+                                  p)
+    want = (np.abs(b + np.einsum("...ij,...j->...i", a, dg + delta))
+            .max(axis=-1) / (1.0 + np.abs(cov).max(axis=-1)))
+    assert kept == [0, 1] and np.all(want > 1e-5)
+    assert out["holonomy"] == pytest.approx(want, rel=1e-8)
 
 
 def test_cartan_form_term_count():
@@ -461,7 +523,6 @@ def test_projectability_and_control():
 def test_tangent_lifts_stop_at_the_form_support():
     # the lifts cover the form's (x, g, dg) columns, which an order-3
     # point shifts; the d3g block has no shift, so no wider lift exists
-    from msgrav.fieldspace import tangent_lifts
     p = point("schwarzschild")
     form = eh.cartan_form_eh(p, eh.closed_forms(p))
     assert form.dense.shape[-1] == EH_OFF["d2g"]
@@ -473,8 +534,6 @@ def test_tangent_lifts_stop_at_the_form_support():
 
 
 def test_batched_cartan_contraction_rows_equal_unbatched():
-    from msgrav.exterior import contract_terms
-    from msgrav.fieldspace import tangent_lifts
     spec = catalog.builtin("flrw")
     xs = interior_points(spec, 3, seed=37)
     pts = [catalog.eh_point_at(spec, x) for x in xs]

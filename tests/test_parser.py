@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate
 from msgrav.errors import ExprSyntaxError
 from msgrav.exprparse import (FUNCTIONS, BinOp, Call, Name, Neg, Num, Pow,
-                              compile_program, evaluate, parse_expression)
+                              compile_program, parse_expression)
 from msgrav.series import JetScalar
 
 

@@ -541,25 +541,25 @@ def test_the_environment_does_not_configure_a_check(monkeypatch, tmp_path):
                                     "flrw"])
 def test_fused_eh_checks_equal_each_public_call(metric, n):
     # the chunk shares its closed forms, takes the point's momenta from the
-    # trials' pass and the constraints from their derivative pass; each
-    # family must be bit for bit what its own public call gives
+    # trials' pass, the constraints from their derivative pass and the
+    # holonomy and field-equation rows from one covector; each family must
+    # be bit for bit what its own public calls give
     import numpy as np
 
     from msgrav import eh, report
-    from msgrav.fieldspace import field_equation_covector
+    from msgrav.fieldspace import EH_OFF, field_equation_covector
     spec = catalog.builtin(metric)
     xs = sample_points(spec, n, seed=3)
     seeds = list(range(10, 10 + n))
     kept, out = report._eh_point_checks(spec, xs, seeds)
     assert kept == list(range(n))
-    series = catalog.metric_jet_at(spec, np.array(xs))
     p = catalog.eh_point_at(spec, np.array(xs))
-    h1, h2 = eh.holonomy_residuals(p, series)
     closed = eh.closed_forms(p)
     m = eh.momenta_and_hamiltonian(p, closed)
+    cov = field_equation_covector(eh.cartan_form_eh(p, closed), p)
     amax, rel = report._amax, report._rel
     want = {
-        "holonomy": np.maximum(amax(h1), amax(h2)),
+        "holonomy": rel(amax(cov[:, EH_OFF["dg"]:]), amax(cov)),
         "momenta-identity": rel(amax(m.L2_ad - closed.L2.v),
                                 amax(closed.L2.v)),
         "hamiltonian-dual-form": rel(np.abs(m.H_sum - closed.H.v),
@@ -569,8 +569,7 @@ def test_fused_eh_checks_equal_each_public_call(metric, n):
         "einstein-constraint": amax(eh.constraint_einstein(p)),
         "einstein-constraint-derivative": amax(
             eh.constraint_einstein_derivative(p)[1]),
-        "field-equation": amax(field_equation_covector(
-            eh.cartan_form_eh(p, closed), p)),
+        "field-equation": amax(cov),
     }
     assert list(out) == list(want)
     for fam, v in want.items():
@@ -595,3 +594,23 @@ def test_eh_chunk_of_eight_peaks_under_five_mib():
         tracemalloc.stop()
     assert kept == list(range(8))
     assert peak <= 5 * 2**20, peak / 2**20
+
+
+def test_holonomy_fails_a_lagrangian_with_a_dg_dg_term(monkeypatch):
+    # L + 0.1 dg.dg no longer matches the closed parts of the Cartan form,
+    # so the field equation's dg slots stop vanishing at the section's
+    # lifts: the holonomy row fails wherever the metric has a nonzero dg
+    from msgrav import eh
+    from msgrav.tangents import einsum
+    lagrangian = eh.lagrangian_fn
+    monkeypatch.setattr(eh, "lagrangian_fn", lambda pt: lagrangian(pt)
+                        + 0.1 * einsum("am,am->", pt.dg, pt.dg))
+    for name in catalog.list_builtins():
+        r = run_check(CheckConfig(model="eh", spec=catalog.builtin(name),
+                                  points=2, seed=0))
+        holonomy = next(f for f in r.families if f["family"] == "holonomy")
+        if name == "minkowski":
+            assert holonomy["max_resid"] == 0.0
+        else:
+            assert not holonomy["pass"], name
+            assert holonomy["max_resid"] > 1e-3, name

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interior_points
+from conftest import evaluate, interior_points
 from msgrav import catalog
-from msgrav.exprparse import evaluate
 from msgrav.series import JetScalar, multi_indices
 
 
