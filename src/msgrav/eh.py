@@ -35,7 +35,8 @@ import numpy as np
 
 from .exterior import Form, cartan_form
 from .fieldspace import (EH_OFF, EHJetPoint, _identity_seeds, fiber_gradient,
-                         fiber_hessian, total_derivatives_vec, trial_stack)
+                         fiber_hessian, total_derivatives_vec,
+                         trial_deviation, trial_stack)
 from .geometry import (curvature_bundle, metric_inverse_density,
                        scalar_density)
 from .indexing import DIM, MULT, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -120,6 +121,7 @@ class EHMomenta:
     L2_ad: np.ndarray       # (10, 10): (1/n(mn)) dL/d g_{ab,mn}
     L1: np.ndarray          # (10, 4)
     H_sum: np.ndarray
+    H_mag: np.ndarray       # the sum of |terms| of H_sum, its rounding scale
 
 
 def momenta_and_hamiltonian(p: EHJetPoint, closed: EHClosed) -> EHMomenta:
@@ -138,9 +140,11 @@ def momenta_and_hamiltonian(p: EHJetPoint, closed: EHClosed) -> EHMomenta:
     lag = by_dg.v
     # The second-order sum runs over full derivative-index ranges, which in
     # ordered storage is a multiplicity weight per column.
-    h_sum = (np.sum(l2_ad * p.d2g * MULT, axis=(-2, -1))
-             + np.sum(l1 * p.dg, axis=(-2, -1)) - lag)
-    return EHMomenta(L=lag, L2_ad=l2_ad, L1=l1, H_sum=h_sum)
+    t2, t1 = l2_ad * p.d2g * MULT, l1 * p.dg
+    h_sum = np.sum(t2, axis=(-2, -1)) + np.sum(t1, axis=(-2, -1)) - lag
+    h_mag = (np.sum(np.abs(t2), axis=(-2, -1))
+             + np.sum(np.abs(t1), axis=(-2, -1)) + np.abs(lag))
+    return EHMomenta(L=lag, L2_ad=l2_ad, L1=l1, H_sum=h_sum, H_mag=h_mag)
 
 
 def constraint_einstein_derivative(p: EHJetPoint):
@@ -189,16 +193,20 @@ def projectability_check(p: EHJetPoint, closed: EHClosed, trials: int, seed):
     on a new leading axis, and one momenta_and_hamiltonian pass covers the
     stack. Every row shares `closed`, p's closed forms, which read only
     the (g, dg) the trials keep, and each trial's AD momenta and H_sum are
-    compared with row 0's. `seed` seeds each point's trials (trial_stack).
-    Returns (max deviation of H_sum/L2_ad/L1, max deviation of L itself,
-    p's momenta), the first two of p's leading shape; the second is the
-    control showing L is genuinely second order.
+    compared with row 0's: H_sum relative to 1 + the two rows' larger
+    H_mag, as its terms cancel, and the momenta to 1 + max |row 0|.
+    `seed` seeds each point's trials (trial_stack). Returns (max
+    deviation of H_sum/L2_ad/L1, max deviation of L itself, p's momenta),
+    the first two of p's leading shape; the second is the control showing
+    L is genuinely second order.
     """
     m = momenta_and_hamiltonian(
         trial_stack(p, ("d2g", "d3g"), trials, seed), closed)
-    base = EHMomenta(L=m.L[0], L2_ad=m.L2_ad[0], L1=m.L1[0], H_sum=m.H_sum[0])
+    base = EHMomenta(L=m.L[0], L2_ad=m.L2_ad[0], L1=m.L1[0], H_sum=m.H_sum[0],
+                     H_mag=m.H_mag[0])
     dev = np.maximum.reduce([
-        np.abs(m.H_sum[1:] - base.H_sum),
-        np.abs(m.L2_ad[1:] - base.L2_ad).max(axis=(-2, -1)),
-        np.abs(m.L1[1:] - base.L1).max(axis=(-2, -1))])
+        np.abs(m.H_sum[1:] - base.H_sum)
+        / (1.0 + np.maximum(m.H_mag[1:], base.H_mag)),
+        trial_deviation(m.L2_ad[1:], base.L2_ad, (-2, -1)),
+        trial_deviation(m.L1[1:], base.L1, (-2, -1))])
     return dev.max(axis=0), np.abs(m.L[1:] - base.L).max(axis=0), base

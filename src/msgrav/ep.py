@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import Form, cartan_form
-from .fieldspace import EP_OFF, EPJetPoint, fiber_gradient, trial_stack
+from .fieldspace import (EP_OFF, EPJetPoint, fiber_gradient,
+                         trial_deviation, trial_stack)
 from .geometry import (connection_traces, metric_inverse_density, ricci,
                        torsion_full)
 from .indexing import APAIR_ROWS, DIM, PAIR_FULL, PAIR_ROWS, PAIRS
@@ -164,14 +165,20 @@ def projectability_check_ep(p: EPJetPoint, closed: EPClosed, trials, seed):
     copies on a new leading axis: one momenta_ep pass covers the stack and
     gives every row's H. The trials keep (g, Gamma), so `closed`, p's
     closed forms, holds every row's closed momenta (projectable by
-    construction, not compared) and H. `seed` seeds each point's trials
-    (trial_stack). Returns (max deviation, max Lagrangian deviation as
-    control, p's momenta), the first two of p's leading shape."""
+    construction, not compared) and H. A trial's H deviation is relative
+    to 1 + the trial's sum |Lmom_ad dGamma| + |L|, the terms of the
+    Legendre combination H, and the momenta to 1 + max |row 0|. `seed`
+    seeds each point's trials (trial_stack). Returns (max deviation, max
+    Lagrangian deviation as control, p's momenta), the first two of p's
+    leading shape."""
     q = trial_stack(p, ("dg", "dGamma"), trials, seed)
     m = momenta_ep(q)
     base = EPMomenta(L=m.L[0], H=m.H[0], Lmom_ad=m.Lmom_ad[0])
-    dev = np.maximum(np.abs(m.H[1:] - closed.H.v), np.abs(
-        m.Lmom_ad[1:] - base.Lmom_ad).max(axis=(-4, -3, -2, -1)))
+    axes = (-4, -3, -2, -1)
+    h_mag = (np.sum(np.abs(m.Lmom_ad[1:] * q.dGamma[1:]), axis=axes)
+             + np.abs(m.L[1:]))
+    dev = np.maximum(np.abs(m.H[1:] - closed.H.v) / (1.0 + h_mag),
+                     trial_deviation(m.Lmom_ad[1:], base.Lmom_ad, axes))
     return dev.max(axis=0), np.abs(m.L[1:] - base.L).max(axis=0), base
 
 

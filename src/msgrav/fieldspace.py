@@ -4,10 +4,10 @@ metric-affine bundle, plus fiber differentiation and total derivatives.
 The block tables `EH_BLOCKS` and `EP_BLOCKS` are the one source of each
 jet space's coordinate layout: its blocks in flat order, with the shape
 of each block's ordered storage. The offsets and dimensions, the shape
-checks of the point classes, `flat_index` and the tangent lifts are all
-read off them. The metric chain fixes the jet order `ORDER`, 3, of the
-series an eh point is prolonged from; an ep point reads the metric up to
-d2g, from order-2 series. `EP_EXTENSIONS` names that block.
+checks of the point classes and the tangent lifts are all read off them.
+The metric chain fixes the jet order `ORDER`, 3, of the series an eh
+point is prolonged from; an ep point reads the metric up to d2g, from
+order-2 series, and carries that block, which `EP_EXTENSIONS` names.
 
 A point may carry leading batch axes, one per stacked sample point: every
 block then has the same leading shape in front of its table shape. A
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -68,17 +68,6 @@ EP_OFF, EP_DIM_J1 = _offsets(EP_BLOCKS)
 _DERIVED = object()  # passed only by ep_point_at and trial_stack
 
 
-def flat_index(blocks, cid) -> int:
-    """Position of a coordinate id (block, *index) in the flat layout of
-    the block table `blocks`."""
-    block, idx = cid[0], cid[1:]
-    try:
-        return _offsets(blocks)[0][block] + int(
-            np.ravel_multi_index(idx, blocks[block]))
-    except (KeyError, ValueError):
-        raise ConfigError(f"no flat slot for coordinate {cid}") from None
-
-
 # why a 4x4 matrix is not a Lorentzian metric, by code; 0 when it is one
 DEFECTS = (None, "is not finite", "has a determinant beyond float range",
            "is not Lorentzian")
@@ -86,16 +75,21 @@ DEFECTS = (None, "is not finite", "has a determinant beyond float range",
 
 def lorentzian_defects(m) -> np.ndarray:
     """Per matrix of the stack m (..., 4, 4), the code in DEFECTS of the
-    first test it fails: finite entries, a finite determinant, then |det|
-    not below the degeneracy bound and signature (-,+,+,+). A later test reads
-    the identity in place of a matrix that an earlier one rejected."""
+    first test it fails: finite entries, a finite determinant, then the
+    degeneracy bound and signature (-,+,+,+). A later test reads the
+    identity in place of a matrix that an earlier one rejected."""
     eye = np.eye(DIM)
     finite = np.isfinite(m).all(axis=(-2, -1))
     # a zero or huge determinant is judged here, not warned about
     with np.errstate(all="ignore"):
         det = np.linalg.det(np.where(finite[..., None, None], m, eye))
     ok = finite & np.isfinite(det)
-    ev = np.linalg.eigvalsh(np.where(ok[..., None, None], m, eye))
+    m = np.where(ok[..., None, None], m, eye)
+    # the bound reads det with each row scaled to max |entry| 1, at most 16
+    # (Hadamard) whatever the rows' scales; a zero row stays zero
+    rows = np.abs(m).max(axis=-1, keepdims=True)
+    det = np.linalg.det(m / np.where(rows > 0, rows, 1.0))
+    ev = np.linalg.eigvalsh(m)
     lorentzian = (np.abs(det) >= 1e-14) & (ev[..., 0] < 0) & (ev[..., 1] > 0)
     # the identity is not Lorentzian, so no rejected matrix reads 0
     return np.where(lorentzian, 0, 1 + finite + ok)
@@ -108,12 +102,6 @@ def _check_lorentzian(g10):
         raise DegenerateMetricError(f"metric {DEFECTS[code[code > 0][0]]}")
 
 
-def _shape_checks(blocks, extensions):
-    """(name, shape, optional) of every block a point may carry."""
-    return (tuple((n, s, False) for n, s in blocks.items())
-            + tuple((n, s, True) for n, s in extensions.items()))
-
-
 class _JetPoint:
     """Validates a point's blocks against its tables and keeps read-only
     views of them, so the caller's arrays stay writeable; the blocks of a
@@ -123,11 +111,8 @@ class _JetPoint:
 
     def __post_init__(self, _derived):
         lead = np.shape(self.x)[:-1]
-        for name, shape, optional in self._checks:
-            arr = getattr(self, name)
-            if optional and arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float).view()
+        for name, shape in self._checks.items():
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             if arr.shape != lead + shape:
                 raise ConfigError(
                     f"{name} block has shape {arr.shape}, want {lead + shape}")
@@ -154,7 +139,7 @@ class EHJetPoint(_JetPoint):
     """
 
     blocks = EH_BLOCKS
-    _checks = _shape_checks(EH_BLOCKS, {})
+    _checks = EH_BLOCKS
 
     x: np.ndarray
     g: np.ndarray
@@ -169,19 +154,19 @@ class EPJetPoint(_JetPoint):
     """A point of the first-order metric-affine jet space.
 
     The connection carries no symmetry: all 64 components are independent.
-    The optional d2g block carries the metric's second derivatives, which
-    the second-order Lagrangian reads.
+    The d2g block carries the metric's second derivatives, which the
+    second-order Lagrangian and the total derivatives of dg read.
     """
 
     blocks = EP_BLOCKS
-    _checks = _shape_checks(EP_BLOCKS, EP_EXTENSIONS)
+    _checks = EP_BLOCKS | EP_EXTENSIONS
 
     x: np.ndarray
     g: np.ndarray
     Gamma: np.ndarray
     dg: np.ndarray
     dGamma: np.ndarray
-    d2g: np.ndarray | None = field(default=None)
+    d2g: np.ndarray
     _derived: InitVar[object] = None
 
 
@@ -236,8 +221,14 @@ def trial_stack(p, blocks, trials, seed):
                               * (1.0 + np.abs(a))])
            for b, a, d in zip(blocks, arrs, np.split(u, cuts[:-1], axis=-1))}
     return type(p)(**{b: new[b] if b in new else np.broadcast_to(
-        a, (1 + trials,) + a.shape) for b, a in vars(p).items()
-        if a is not None}, _derived=_DERIVED)
+        a, (1 + trials,) + a.shape) for b, a in vars(p).items()},
+        _derived=_DERIVED)
+
+
+def trial_deviation(rows, base, axes):
+    """Max |rows - base| over `axes`, relative to 1 + max |base| over them."""
+    return (np.abs(rows - base).max(axis=axes)
+            / (1.0 + np.abs(base).max(axis=axes)))
 
 
 # -- fiber differentiation --------------------------------------------------
@@ -305,39 +296,36 @@ def fiber_hessian(f, p, inner, outer) -> np.ndarray:
 
 # -- total derivatives ------------------------------------------------------
 
-def _shift_seeds(p, taus, blocks):
-    """Total-derivative coordinate shifts of x and the named jet blocks,
-    shaped block + (n,). The shift of a jet block along x^tau is the next
-    block of its chain with tau added to its ordered derivative tuple
-    (`indexing.UP`)."""
-    t = list(taus)
-    seeds = {"x": np.broadcast_to(np.eye(DIM)[:, t], p.lead + (DIM, len(t)))}
+def _shift_seeds(p, blocks):
+    """Total-derivative coordinate shifts of x and the named jet blocks
+    along the four directions, shaped block + (4,). The shift of a jet
+    block along x^tau is the next block of its chain with tau added to its
+    ordered derivative tuple (`indexing.UP`)."""
+    seeds = {"x": np.broadcast_to(np.eye(DIM), p.lead + (DIM, DIM))}
     for name in blocks:
-        if name not in _NEXT or getattr(p, _NEXT[name][0]) is None:
+        if name not in _NEXT:
             raise ConfigError(f"the point carries no total-derivative shift "
                               f"of its {name} block")
         nxt, k = _NEXT[name]
-        seeds[name] = getattr(p, nxt)[..., UP[k][:, t]].reshape(
-            p.lead + p.blocks[name] + (len(t),))
+        seeds[name] = getattr(p, nxt)[..., UP[k]].reshape(
+            p.lead + p.blocks[name] + (DIM,))
     return seeds
 
 
-def total_derivatives_vec(f, p, taus=range(DIM)) -> Tan:
-    """f and all requested total derivatives of f from one tangent pass,
-    as a Tan: the value is f's plain value, the gradient the derivatives
-    on one seed axis trailing f's value axes.
-
-    Every block below the top of its chain is shifted, so a metric-affine
-    point must carry its d2g block. The blocks left unshifted (eh d3g; ep
-    dGamma and d2g) are None in f's view, so f cannot read them.
+def total_derivatives_vec(f, p) -> Tan:
+    """f and its four total derivatives from one tangent pass, as a Tan:
+    the value is f's plain value, the gradient the derivatives on one seed
+    axis trailing f's value axes. Every block below the top of its chain
+    is shifted; the top blocks (eh d3g; ep dGamma and d2g) are None in
+    f's view, so f cannot read them.
     """
-    seeds = _shift_seeds(p, taus, [b for b in p.blocks if b in _NEXT])
+    seeds = _shift_seeds(p, [b for b in p.blocks if b in _NEXT])
     return _tangent_pass(f, p, seeds, [b for b in vars(p) if b not in seeds])
 
 
-def total_derivatives(f, p, taus=range(DIM)):
+def total_derivatives(f, p):
     """The total derivatives alone: total_derivatives_vec's gradient."""
-    return total_derivatives_vec(f, p, taus).g
+    return total_derivatives_vec(f, p).g
 
 
 def tangent_lifts(p, width) -> np.ndarray:
@@ -348,7 +336,7 @@ def tangent_lifts(p, width) -> np.ndarray:
     blocks = [b for b in p.blocks if off[b] < width]
     if sum(math.prod(p.blocks[b]) for b in blocks) != width:
         raise ConfigError(f"{width} columns do not end on a block boundary")
-    seeds = _shift_seeds(p, range(DIM), blocks[1:])  # x leads every table
+    seeds = _shift_seeds(p, blocks[1:])  # x leads every table
     return np.swapaxes(np.concatenate(
         [seeds[b].reshape(p.lead + (-1, DIM)) for b in blocks], axis=-2),
         -1, -2)

@@ -48,10 +48,11 @@ MAX_POINTS = 10**6  # all are drawn before the first chunk runs
 
 # A family's kind says where it must hold: an identity on every section, a
 # vacuum family on vacuum solutions only, a levi-civita family wherever the
-# connection is Levi-Civita. Its default tolerance is its kind's. Residuals
-# are absolute deviations, except the identities' other than
-# projectability, which are relative: residual / (1 + |reference|); eh's
-# holonomy reads the field equation's dg slots relative to its covector.
+# connection is Levi-Civita. Its default tolerance is its kind's. Every
+# identity residual is relative, most as residual / (1 + |reference|); eh's
+# holonomy reads the field equation's dg slots relative to its covector,
+# and projectability each deviation relative to its terms' magnitudes (see
+# eh.projectability_check). The other kinds' residuals are absolute.
 KIND_TOLERANCES = {"identity": 1e-10, "vacuum": 1e-8, "levi-civita": 1e-8}
 
 # Each model's families in report order: (family, kind, residual), where

@@ -143,36 +143,16 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def _chain(self, f0, f1, f2):
-        """f(self) from the value f0 and the derivative f1 of f; f2()
-        gives its second derivative, formed only for a mixed term."""
-        ab = _outer(self.a, self.b)
-        return self._new(f0, _scale(self.a, f1, 1), _scale(self.b, f1, 1),
-                         _total((_scale(self.m, f1, 2),
-                                 None if ab is None else _scale(ab, f2(), 2))))
-
-    def reciprocal(self):
-        r = 1.0 / self.v
-        return self._chain(r, -r * r, lambda: 2.0 * r * r * r)
-
-    def __truediv__(self, o):
-        if isinstance(o, Jet2):
-            return self * o.reciprocal()
-        return self * (1.0 / np.asarray(o, dtype=float))
-
-    def __rtruediv__(self, o):
-        return self.reciprocal() * o
-
     def sqrt(self):
-        s = np.sqrt(self.v)
-
-        def f2():
+        s, ab = np.sqrt(self.v), _outer(self.a, self.b)
+        if ab is not None:  # the f'' a b term, formed only where mixed
             # s v overflows only where the exact factor is below 1.4e-309,
             # and the quotient then reads -0.0
             with np.errstate(over="ignore"):
-                return -0.25 / (s * self.v)
-
-        return self._chain(s, 0.5 / s, f2)
+                ab = _scale(ab, -0.25 / (s * self.v), 2)
+        d = 0.5 / s
+        return self._new(s, _scale(self.a, d, 1), _scale(self.b, d, 1),
+                         _total((_scale(self.m, d, 2), ab)))
 
     def __abs__(self):
         return self * np.where(self.v < 0, -1.0, 1.0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import evaluate, interior_points
 from test_fuzz_cli import PARAMS, tree
-from msgrav import catalog
+from msgrav import catalog, fieldspace
 from msgrav.errors import ConfigError, DomainError
 from msgrav.exprparse import parse_expression, run_program
 from msgrav.fieldspace import derivatives
@@ -100,6 +100,18 @@ def test_non_lorentzian_metric_fails_validation(tmp_path):
                     "g 3 3 = 1\n", encoding="utf-8")
     with pytest.raises(DomainError):
         catalog.load_metric_file(str(path))
+
+
+def test_small_schwarzschild_mass_builds_both_models():
+    # at m = 1e-4 the box's inner edge x1 = 3m has |det g| near 7e-15, but
+    # the metric is as far from degenerate as at m = 1: the degeneracy
+    # bound reads det g with each row scaled to max |entry| 1
+    spec = catalog.builtin("schwarzschild", m=1e-4)
+    x = (0.0, spec.domain[1][0], 1.2, 0.5)
+    for p in (catalog.eh_point_at(spec, x), catalog.ep_point_at(spec, x)):
+        det = np.linalg.det(p.g[PAIR_FULL])
+        assert -1e-14 < det < 0
+        assert fieldspace.lorentzian_defects(p.g[PAIR_FULL]) == 0
 
 
 def test_metric_file_roundtrip(tmp_path):
@@ -274,7 +286,10 @@ def _validate_per_point(spec):
         if not np.isfinite(det):
             raise DomainError(f"{where} has a determinant beyond float range")
         ev = np.linalg.eigvalsh(m)
-        if abs(det) < 1e-14 or ev[0] >= 0 or ev[1] <= 0:
+        # the degeneracy bound reads det with each row scaled to max 1
+        rows = np.abs(m).max(axis=1)
+        if ((rows == 0).any() or abs(np.linalg.det(m / rows[:, None])) < 1e-14
+                or ev[0] >= 0 or ev[1] <= 0):
             raise DomainError(f"{where} is not Lorentzian")
     return spec
 

@@ -266,10 +266,12 @@ def test_huge_metric_values_are_a_domain_error(tmp_path, capsys):
     assert "domain error" in err
 
 
-@pytest.mark.parametrize("g22", ["1e299", "1 + 0.1*1e300"])
+@pytest.mark.parametrize("g22", ["1e12", "1e299", "1 + 0.1*1e300"])
 def test_huge_determinant_runs_without_warnings(tmp_path, capsys, g22):
     # |det g| beyond 3e205: the second-order factor of sqrt(|det g|) would
-    # overflow if it were formed where no mixed term reads it
+    # overflow if it were formed where no mixed term reads it; and the
+    # metric is flat, so every family passes, projectability too, whose
+    # residuals are relative to the magnitudes of the terms they cancel
     path = tmp_path / "huge.ini"
     path.write_text(f"[metric]\ng 0 0 = -1\ng 1 1 = 1\ng 2 2 = {g22}\n"
                     "g 3 3 = 1\n", encoding="utf-8")
@@ -278,7 +280,7 @@ def test_huge_determinant_runs_without_warnings(tmp_path, capsys, g22):
             warnings.simplefilter("error", RuntimeWarning)
             code, _, err = run(["check", "--model", model, "--metric",
                                 str(path), "--points", "4"], capsys)
-        assert code in (0, 1), (model, err)
+        assert code == 0, (model, err)
 
 
 def test_infinite_exponent_in_metric_file_exits_two(tmp_path, capsys):

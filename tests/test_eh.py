@@ -9,8 +9,8 @@ from msgrav.errors import ConfigError
 from msgrav.exterior import Form, contract_terms
 from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EHJetPoint,
                                fiber_gradient, fiber_jacobian,
-                               field_equation_covector, flat_index,
-                               tangent_lifts, total_derivatives_vec)
+                               field_equation_covector, tangent_lifts,
+                               total_derivatives_vec)
 from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import DIM, MULT, PAIR_FULL, PAIRS, pair_index
 from msgrav.tangents import Jet2, einsum, sqrt
@@ -139,7 +139,8 @@ def test_fused_pass_matches_single_block_passes(name):
 
 def _reference_projectability(p, trials, seed):
     """Every trial recomputed in full from single-block passes and the
-    closed forms at the trial point."""
+    closed forms at the trial point; H relative to 1 + the larger sum of
+    its terms' magnitudes, the momenta to 1 + max |p's momenta|."""
     def momenta(q):
         l2 = fiber_gradient(eh.lagrangian_fn, q, ["d2g"]).g.reshape(10, 10)
         l2 = l2 / MULT
@@ -147,22 +148,23 @@ def _reference_projectability(p, trials, seed):
         dldv = fiber_gradient(eh.lagrangian_fn, q, ["dg"]).g.reshape(10, DIM)
         l1 = dldv - _total_derivative_term(jac, q.dg)
         lag = eh.lagrangian_fn(q)
-        h = np.sum(l2 * q.d2g * MULT) + np.sum(l1 * q.dg) - lag
-        return lag, l2, l1, h
+        terms = [*(l2 * q.d2g * MULT).ravel(), *(l1 * q.dg).ravel(), -lag]
+        return lag, l2, l1, (sum(terms), sum(map(abs, terms)))
 
     def perturbed(arr):
         return arr + rng.uniform(-0.1, 0.1, size=arr.shape) * (
             1.0 + np.abs(arr))
 
     rng = np.random.default_rng(seed)
-    lag0, l20, l10, h0 = momenta(p)
+    lag0, l20, l10, (h0, mag0) = momenta(p)
     dev, control = 0.0, 0.0
     for _ in range(trials):
         q = EHJetPoint(x=p.x, g=p.g, dg=p.dg, d2g=perturbed(p.d2g),
                        d3g=perturbed(p.d3g))
-        lag, l2, l1, h = momenta(q)
-        dev = max(dev, abs(h - h0), np.abs(l2 - l20).max(),
-                  np.abs(l1 - l10).max())
+        lag, l2, l1, (h, mag) = momenta(q)
+        dev = max(dev, abs(h - h0) / (1.0 + max(mag, mag0)),
+                  np.abs(l2 - l20).max() / (1.0 + np.abs(l20).max()),
+                  np.abs(l1 - l10).max() / (1.0 + np.abs(l10).max()))
         control = max(control, abs(lag - lag0))
     return dev, control
 
@@ -199,12 +201,15 @@ def test_projectability_fails_a_lagrangian_not_affine_in_d2g(monkeypatch):
 def test_projectability_reads_each_compared_component(monkeypatch,
                                                       component):
     # a shift of one compared component by eps in the trial rows alone
-    # must read as a deviation of eps
+    # must read as a deviation of eps relative to its scale: 1 + the
+    # larger H_mag of row 0 and the trial for H_sum, 1 + max |row 0| for
+    # the momenta
     from dataclasses import replace
-    eps, real = 1e-3, eh.momenta_and_hamiltonian
+    eps, real, seen = 1e-3, eh.momenta_and_hamiltonian, []
 
     def shifted(q, closed):
         m = real(q, closed)
+        seen.append(m)
         v = getattr(m, component).copy()
         v[1:] += eps
         return replace(m, **{component: v})
@@ -212,7 +217,13 @@ def test_projectability_reads_each_compared_component(monkeypatch,
     monkeypatch.setattr(eh, "momenta_and_hamiltonian", shifted)
     p = point("schwarzschild")
     dev, _, _ = eh.projectability_check(p, eh.closed_forms(p), 2, 0)
-    assert dev == pytest.approx(eps, rel=1e-9)
+    m, = seen
+    if component == "H_sum":
+        scale = np.maximum(m.H_mag[1:], m.H_mag[0]).min()
+    else:
+        scale = np.abs(getattr(m, component)[0]).max()
+    assert scale > 1.0
+    assert dev == pytest.approx(eps / (1.0 + scale), rel=1e-9)
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3])
@@ -464,11 +475,12 @@ def test_field_equation_covector_reproduces_constraints_off_shell():
     assert cov.shape == (EH_OFF["d2g"],)
     c = eh.constraint_einstein(p)
     for a in range(10):
-        assert cov[flat_index(EH_BLOCKS, ("g", a))] == pytest.approx(
+        assert cov[EH_OFF["g"] + a] == pytest.approx(
             -c[a], abs=1e-12)
     for a in range(10):
         for mu in range(DIM):
-            assert abs(cov[flat_index(EH_BLOCKS, ("dg", a, mu))]) < 1e-12
+            assert abs(cov[EH_OFF["dg"] + np.ravel_multi_index(
+                (a, mu), EH_BLOCKS["dg"])]) < 1e-12
 
 
 @pytest.mark.parametrize("trials", [1, 2])

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import interior_points, projective_shift, random_jet
 from msgrav import catalog, eh, ep
-from msgrav.fieldspace import (EP_BLOCKS, EPJetPoint, fiber_gradient,
-                               field_equation_covector, flat_index, prolong,
+from msgrav.fieldspace import (EP_OFF, EPJetPoint, fiber_gradient,
+                               field_equation_covector, prolong,
                                tangent_lifts, trial_stack)
 from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import APAIRS, DIM, PAIR_FULL, PAIRS, pair_index
@@ -20,7 +20,8 @@ def flat_point(Gamma=None, dGamma=None, g=None, dg=None):
         x=np.zeros(4), g=ETA if g is None else g,
         Gamma=np.zeros((4, 4, 4)) if Gamma is None else Gamma,
         dg=np.zeros((10, 4)) if dg is None else dg,
-        dGamma=np.zeros((4, 4, 4, 4)) if dGamma is None else dGamma)
+        dGamma=np.zeros((4, 4, 4, 4)) if dGamma is None else dGamma,
+        d2g=np.zeros((10, 10)))
 
 
 def example_point():
@@ -247,38 +248,51 @@ def test_projectability_and_controls():
 def test_projectability_reads_each_compared_component(monkeypatch,
                                                       component):
     # a shift of one compared component by eps in the trial rows alone
-    # must read as a deviation of eps
+    # must read as a deviation of eps relative to its scale: 1 + the
+    # trial's sum |Lmom_ad dGamma| + |L| for H, 1 + max |row 0| for the
+    # momenta
     from dataclasses import replace
     eps = 1e-3
     p = catalog.ep_point_at(catalog.builtin("schwarzschild"),
                             (0.0, 5.0, 1.2, 3.0))
     closed = ep.closed_forms_ep(p)
     # the trials' H and AD momenta both come from the one dGamma pass
-    real = ep.momenta_ep
+    real, seen = ep.momenta_ep, []
 
     def shifted(q):
         m = real(q)
+        seen.append((q, m))
         v = getattr(m, component).copy()
         v[1:] += eps
         return replace(m, **{component: v})
 
     monkeypatch.setattr(ep, "momenta_ep", shifted)
     dev, _, _ = ep.projectability_check_ep(p, closed, 2, 0)
-    assert dev == pytest.approx(eps, rel=1e-9)
+    (q, m), = seen
+    if component == "H":
+        scale = (np.abs(m.Lmom_ad * q.dGamma).sum(axis=(1, 2, 3, 4))
+                 + np.abs(m.L))[1:].min()
+    else:
+        scale = np.abs(m.Lmom_ad[0]).max()
+    assert scale > 0.1
+    assert dev == pytest.approx(eps / (1.0 + scale), rel=1e-9)
 
 
 def _reference_projectability(p, trials, seed):
     """Each trial a point of its own, with its own L pass and plain H
-    call, compared with p's passes."""
+    call, compared with p's passes: H relative to 1 + the trial's
+    sum |Lmom_ad dGamma| + |L|, the momenta to 1 + max |p's momenta|."""
     closed, m = ep.closed_forms_ep(p), ep.momenta_ep(p)
     stack = trial_stack(p, ("dg", "dGamma"), trials, seed)
     dev = control = 0.0
     for t in range(1, 1 + trials):
         q = EPJetPoint(x=p.x, g=p.g, Gamma=p.Gamma, dg=stack.dg[t],
-                       dGamma=stack.dGamma[t])
+                       dGamma=stack.dGamma[t], d2g=p.d2g)
         mq = ep.momenta_ep(q)
-        dev = max(dev, abs(ep.legendre_fn(q)[1] - closed.H.v),
-                  np.abs(mq.Lmom_ad - m.Lmom_ad).max())
+        mag = np.abs(mq.Lmom_ad * q.dGamma).sum() + abs(mq.L)
+        dev = max(dev, abs(ep.legendre_fn(q)[1] - closed.H.v) / (1.0 + mag),
+                  np.abs(mq.Lmom_ad - m.Lmom_ad).max()
+                  / (1.0 + np.abs(m.Lmom_ad).max()))
         control = max(control, abs(mq.L - m.L))
     return dev, control, m
 
@@ -328,7 +342,7 @@ def test_field_equation_on_and_off_shell(vacuum_specs):
     cov = covector(p, closed)
     c0 = ep.constraint_c0(closed)
     for a in range(10):
-        assert cov[flat_index(EP_BLOCKS, ("g", a))] == pytest.approx(
+        assert cov[EP_OFF["g"] + a] == pytest.approx(
             c0[a], abs=1e-10)
 
 
@@ -341,7 +355,8 @@ def test_field_equation_covector_is_the_euler_lagrange_form():
     rng = np.random.default_rng(89)
     p = EPJetPoint(x=np.zeros((4, DIM)), g=g,
                    Gamma=rng.normal(size=(4,) + (DIM,) * 3), dg=dg,
-                   dGamma=rng.normal(size=(4,) + (DIM,) * 4))
+                   dGamma=rng.normal(size=(4,) + (DIM,) * 4),
+                   d2g=np.zeros((4, 10, 10)))
     closed = ep.closed_forms_ep(p)
     cov = covector(p, closed)
     L = fiber_gradient(ep.legendre_fn, p, ["g", "Gamma"])[0]
@@ -402,7 +417,8 @@ def test_closed_momenta_are_the_per_entry_formula():
     p = EPJetPoint(x=np.zeros((3, DIM)), g=g,
                    Gamma=rng.normal(size=(3,) + (DIM,) * 3),
                    dg=rng.normal(size=(3, 10, DIM)),
-                   dGamma=rng.normal(size=(3,) + (DIM,) * 4))
+                   dGamma=rng.normal(size=(3,) + (DIM,) * 4),
+                   d2g=np.zeros((3, 10, 10)))
     got = ep.closed_forms_ep(p).Lmom.v
     ginv, rho = metric_inverse_density(g[:, PAIR_FULL])
     want = np.zeros((3,) + (DIM,) * 4)

@@ -9,8 +9,8 @@ from msgrav.eh import lagrangian_fn
 from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EP_BLOCKS,
                                EP_DIM_J1, EP_OFF, EHJetPoint,
                                EPJetPoint, derivatives, fiber_gradient,
-                               flat_index, prolong, tangent_lifts,
-                               total_derivatives, trial_stack)
+                               prolong, tangent_lifts, total_derivatives,
+                               trial_stack)
 from msgrav.indexing import DERIVS, DIM, PAIRS
 from msgrav.series import JetScalar, multi_indices
 
@@ -19,8 +19,8 @@ ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
 
 def total_derivative(f, tau, p):
     """D_tau f alone: the base derivative plus the jet-coordinate shift
-    terms, from a total-derivative pass seeded along tau only."""
-    return total_derivatives(f, p, [tau])[..., 0]
+    terms, read off the pass over all four directions."""
+    return total_derivatives(f, p)[..., tau]
 
 
 def schw_point():
@@ -37,14 +37,12 @@ def test_dimension_counts():
 
 
 def test_flat_layout_is_a_bijection():
-    for blocks, dim in ((EH_BLOCKS, EH_DIM_J3), (EP_BLOCKS, EP_DIM_J1)):
-        idx = [flat_index(blocks, (name, *i))
+    # a coordinate (block, *index) sits at OFF[block] + its ravelled index
+    for blocks, off, dim in ((EH_BLOCKS, EH_OFF, EH_DIM_J3),
+                             (EP_BLOCKS, EP_OFF, EP_DIM_J1)):
+        idx = [off[name] + np.ravel_multi_index(i, shape)
                for name, shape in blocks.items() for i in np.ndindex(shape)]
         assert sorted(idx) == list(range(dim))
-    with pytest.raises(ConfigError):
-        flat_index(EH_BLOCKS, ("Gamma", 0, 0, 0))
-    with pytest.raises(ConfigError):
-        flat_index(EP_BLOCKS, ("dg", 10, 0))
 
 
 # The coordinate order of each jet space, (block, flat offset), written
@@ -96,7 +94,7 @@ def test_point_shape_validation():
     with pytest.raises(ConfigError):
         EHJetPoint(x=np.zeros(4), g=ETA, dg=np.zeros((10, 3)),
                    d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)))
-    # the optional d2g block is checked through the same tables
+    # the d2g block is checked through the same tables
     with pytest.raises(ConfigError):
         EPJetPoint(x=np.zeros(4), g=ETA, Gamma=np.zeros((4, 4, 4)),
                    dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
@@ -109,7 +107,11 @@ def test_point_shape_validation():
     with pytest.raises(TypeError):
         EPJetPoint(x=np.zeros(4), g=ETA, Gamma=np.zeros((4, 4, 4)),
                    dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
-                   d2Gamma=np.zeros((4, 4, 4, 10)))
+                   d2g=np.zeros((10, 10)), d2Gamma=np.zeros((4, 4, 4, 10)))
+    # and every ep point carries its d2g block
+    with pytest.raises(TypeError):
+        EPJetPoint(x=np.zeros(4), g=ETA, Gamma=np.zeros((4, 4, 4)),
+                   dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)))
 
 
 def test_point_freezes_its_blocks_not_the_callers_arrays():
@@ -142,7 +144,7 @@ def test_wrong_signature_rejected():
         with pytest.raises(DegenerateMetricError):
             EPJetPoint(x=np.zeros(4), g=g, Gamma=np.zeros((4, 4, 4)),
                        dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
-                       _derived=derived)
+                       d2g=np.zeros((10, 10)), _derived=derived)
         with pytest.raises(DegenerateMetricError):
             EHJetPoint(x=np.zeros(4), g=g, dg=np.zeros((10, 4)),
                        d2g=np.zeros((10, 10)), d3g=np.zeros((10, 20)),
@@ -215,8 +217,8 @@ def test_fiber_gradient_batched_equals_single():
     # each coordinate's partial from a pass over its block alone
     singles = [fiber_gradient(lagrangian_fn, p, [c[0]]).g[
         np.ravel_multi_index(c[1:], EH_BLOCKS[c[0]])] for c in coords]
-    picked = batched[[flat_index(EH_BLOCKS, c) - EH_OFF["g"]
-                      for c in coords]]
+    picked = batched[[EH_OFF[c[0]] - EH_OFF["g"] + np.ravel_multi_index(
+        c[1:], EH_BLOCKS[c[0]]) for c in coords]]
     assert np.allclose(picked, singles, rtol=1e-12)
 
 
@@ -315,11 +317,16 @@ def test_total_derivative_matches_base_space_differentiation():
 
 
 def test_total_derivatives_one_pass_equals_per_direction():
+    # the shift-seeded pass against the chain rule per direction: the
+    # fiber gradient over every shifted block dotted with tangent lift tau
     p = schw_point()
     allg = total_derivatives(lagrangian_fn, p)
+    width = EH_OFF["d3g"]
+    grad = fiber_gradient(lagrangian_fn, p, ["x", "g", "dg", "d2g"]).g
+    lifts = tangent_lifts(p, width)
     for tau in range(4):
-        assert allg[tau] == pytest.approx(
-            total_derivative(lagrangian_fn, tau, p), rel=1e-13)
+        assert allg[tau] == pytest.approx(lifts[tau] @ grad, rel=1e-12,
+                                          abs=1e-12)
 
 
 def test_total_derivative_hides_the_top_order_block():
@@ -337,11 +344,18 @@ def test_total_derivative_hides_the_top_order_block():
 
 
 def test_ep_total_derivative_needs_extensions():
+    # the shift of an ep point's dg is read from its d2g extension, and
+    # neither top block (dGamma, d2g) is visible to a total derivative
+    d2g = np.arange(100.0).reshape(10, 10)
     p = EPJetPoint(x=np.zeros(4), g=ETA, Gamma=np.zeros((4, 4, 4)),
-                   dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)))
+                   dg=np.zeros((10, 4)), dGamma=np.zeros((4, 4, 4, 4)),
+                   d2g=d2g)
 
     def f(pt):
-        return pt.dg[0][0]
+        return pt.dg[..., 3, 1]
 
-    with pytest.raises(ConfigError):
-        total_derivative(f, 0, p)
+    # PAIRS[3] = (0, 3); D_2 g_{03,1} = g_{03,12}, the d2g column of (1, 2)
+    assert total_derivative(f, 2, p) == d2g[3, PAIRS.index((1, 2))]
+    for top in ("dGamma", "d2g"):
+        with pytest.raises(TypeError):
+            total_derivative(lambda pt: getattr(pt, top)[0][0], 0, p)

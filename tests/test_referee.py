@@ -138,7 +138,8 @@ def test_ep_momenta_match_the_exact_derivative_of_the_lagrangian(metric):
                                                 for v in g10]),
                    Gamma=rng.normal(size=(DIM,) * 3),
                    dg=rng.normal(size=(len(PAIRS), DIM)),
-                   dGamma=rng.normal(size=(DIM,) * 4))
+                   dGamma=rng.normal(size=(DIM,) * 4),
+                   d2g=np.zeros((len(PAIRS),) * 2))
     for route in (ep.closed_forms_ep(p).Lmom.v, ep.momenta_ep(p).Lmom_ad):
         dev = _deviation(route, ref)
         assert dev <= BOUND, (metric, dev)
