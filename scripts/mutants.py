@@ -283,12 +283,6 @@ MUTANTS = (
            "a sample box beyond float range loads",
            "tests/test_catalog.py::"
            "test_sample_box_must_be_finite_and_not_empty[interval0]"),
-    Mutant("error-path-errstate-dropped", "src/msgrav/report.py",
-           "with catalog.quiet():\n                build(",
-           "if True:\n                build(",
-           "the first skipped point is rebuilt under numpy's default error "
-           "state, so its overflow warns before exit 3",
-           "tests/test_cli.py::test_skipped_points_error_is_quiet"),
     Mutant("ep-momenta-entry-times-1.01", "src/msgrav/ep.py",
            '_MOMENTA = (np.einsum(',
            "_MOMENTA = (1 + 0.01 * (np.arange(DIM ** 6) == 257).reshape("
@@ -328,6 +322,42 @@ MUTANTS = (
            "mass reads as not Lorentzian",
            "tests/test_catalog.py::"
            "test_small_schwarzschild_mass_builds_both_models"),
+    Mutant("built-alone-with-its-successor", "src/msgrav/catalog.py",
+           "build(xs[k:k + 1])",
+           "build(xs[k:k + 2])",
+           "catalog.built_alone judging each point in a stack with the next "
+           "one, so the point before a failing one is skipped too",
+           "tests/test_catalog.py::"
+           "test_stacked_grid_check_matches_per_point_reference[reciprocal]"),
+    Mutant("prolong-ep-drops-override-derivatives", "src/msgrav/fieldspace.py",
+           "dGamma[(..., *lmn, slice(None))] = dval",
+           "dGamma[(..., *lmn, slice(None))] = 0.0",
+           "fieldspace.prolong_ep laying a connection override's values but "
+           "not its derivatives over the Levi-Civita ones",
+           "tests/test_catalog.py::test_connection_override_reaches_ep_point"),
+    Mutant("eh-hamiltonian-quarter-1.01", "src/msgrav/eh.py",
+           "h = (0.25 * (einsum(",
+           "h = (0.2525 * (einsum(",
+           "the closed eh Hamiltonian's 1/4 weight times 1.01",
+           "tests/test_acceptance.py::"
+           "test_acceptance_3_hamiltonian_dual_form"),
+    Mutant("trace-removal-over-2.9", "src/msgrav/ep.py",
+           'tr = np.einsum("...mmg->...g", T) / 3.0',
+           'tr = np.einsum("...mmg->...g", T) / 2.9',
+           "ep.trace_removal dividing the trace by 2.9 for 3",
+           "tests/test_acceptance.py::"
+           "test_acceptance_8_projective_gauge_invariance"),
+    Mutant("integrability-trace-weight-1/2.9", "src/msgrav/ep.py",
+           "(1.0 / 3.0) * gm[..., None, None]",
+           "(1.0 / 2.9) * gm[..., None, None]",
+           "the integrability constraint's trace weight 1/2.9 for 1/3",
+           "tests/test_ep.py::test_constraint_ladder_matches_index_loops"),
+    Mutant("einstein-derivative-times-1.01", "src/msgrav/eh.py",
+           "return d.v, d.g",
+           "return d.v, 1.01 * d.g",
+           "the total derivatives of the Einstein constraints times 1.01",
+           "tests/test_eh.py::"
+           "test_constraint_derivative_on_an_order_three_point"),
 )
 
 # mutants that no test can kill yet, with the reason

@@ -2,12 +2,11 @@
 
 Every metric — built in or user supplied — is ten component expressions in
 the coordinates x0..x3 plus parameters, compiled once into one program.
-Run on series coordinates truncated at the order a model reads (3,
-`fieldspace.ORDER`, for eh; 2 for ep), it produces the jets that feed the
-two models, for a stack of points (..., 4) at once; a row's jets are
-bit-identical to those of the point built alone. Connections for the
-metric-affine model default to Levi-Civita and can be overridden
-componentwise from a file.
+Run on series coordinates truncated at the order a model reads (3 for eh,
+2 for ep), it gives the series `fieldspace` prolongs to the model's point,
+for a stack of points (..., 4) at once; a row is bit-identical to the point
+built alone. A file's `[connection]` overrides are order-1 series. A point
+fails exactly when it fails built alone (`built_alone`).
 """
 
 from __future__ import annotations
@@ -23,12 +22,9 @@ from .errors import ConfigError, DomainError
 from .exprparse import (VARIABLES, Name, Num, compile_program,
                         parse_expression, run_program)
 from . import fieldspace
-from .fieldspace import (_DERIVED, ORDER, EHJetPoint, EPJetPoint, derivatives,
-                         prolong)
-from .geometry import christoffel, metric_inverse_density
-from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
+from .fieldspace import ORDER, EHJetPoint, EPJetPoint, prolong, prolong_ep
+from .indexing import DIM, PAIR_FULL, PAIRS, pair_index
 from .series import JetScalar
-from .tangents import Tan
 
 
 @dataclass(frozen=True)
@@ -134,70 +130,51 @@ def eh_point_at(spec: MetricSpec, x) -> EHJetPoint:
 
 def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     """First-order metric-affine point over the points x (..., 4): the
-    metric's order-2 jet, checked before its Levi-Civita connection (or
-    file overrides) is formed; d2g serves the second-order Lagrangian.
-
-    Gamma and its x-derivatives come from one Tan pass of the connection
-    kernel, with g and dg seeded by their shifts along each x^n, so the
-    gradient is dGamma. Overridden components keep their series route,
-    evaluated at order 1.
-    """
+    metric series at order 2 and the `[connection]` overrides' series at
+    order 1, prolonged by `fieldspace.prolong_ep`."""
     series = metric_jet_at(spec, x, 2)
-    g, dg, d2g = (derivatives(series, c) for c in DERIVS[:3])
-    g = g[..., 0]
-    # finiteness first, as `fieldspace._JetPoint` checks eh's blocks
-    for name, block in (("g", g), ("dg", dg), ("d2g", d2g)):
-        if not np.isfinite(block).all():
-            raise DomainError(f"{name} block is not finite")
-    fieldspace._check_lorentzian(g)
-    ginv, _ = metric_inverse_density(Tan(g, dg)[..., PAIR_FULL])
-    gam = christoffel(ginv, Tan(dg, d2g[..., PAIR_FULL])[..., PAIR_FULL, :])
-    Gamma, dGamma = gam.v.copy(), gam.g.copy()
-    x = series[0].base
-    if spec.connection:
-        conn = _series_at(spec, spec.connection_program, x, 1)
-        val, dval = (derivatives(conn, d) for d in DERIVS[:2])
-        lmn = tuple(np.array(list(spec.connection)).T)
-        Gamma[(..., *lmn)] = val[..., 0]
-        dGamma[(..., *lmn, slice(None))] = dval
-    return EPJetPoint(x=np.array(x), g=g, Gamma=Gamma, dg=dg, dGamma=dGamma,
-                      d2g=d2g, _derived=_DERIVED)
+    conn = (_series_at(spec, spec.connection_program, series[0].base, 1)
+            if spec.connection else ())
+    return prolong_ep(series, dict(zip(spec.connection, conn)))
 
 
-def _where(spec: MetricSpec, x) -> str:
-    return f"metric {spec.name!r} at grid point {tuple(x.tolist())}"
-
-
-def _check_grid(spec: MetricSpec, x):
-    """Raise DomainError for the first point of the stack x (n, 4), in
-    order, whose metric cannot be evaluated or is not a Lorentzian metric
-    (`fieldspace.lorentzian_defects`, which names the reason). The spec's
-    program runs once for the whole stack, each entry as a float; if that
-    raises, each point is checked alone, as a stack of one, so the error
-    names the point that fails first."""
-    env = {f"x{i}": x[:, i] for i in range(DIM)} | spec.params
+def built_alone(build, xs):
+    """(positions in xs of the points that build, their build as one stack
+    or None, {position: DomainError} of the others): a point fails exactly
+    when it fails built alone. xs is built as one stack; only if that
+    raises is each point built alone, then the survivors as one stack."""
+    xs = np.array(xs, dtype=float)
     try:
-        comps = _run(spec.program, env)
-    except DomainError as e:
-        if len(x) == 1:
-            raise DomainError(f"{_where(spec, x[0])} {e}") from None
-        for k in range(len(x)):
-            _check_grid(spec, x[k:k + 1])
-        return
-    code = fieldspace.lorentzian_defects(np.stack(
-        [np.broadcast_to(c, len(x)) for c in comps], axis=-1)[:, PAIR_FULL])
-    if code.any():
-        k = np.argmax(code > 0)
-        raise DomainError(
-            f"{_where(spec, x[k])} {fieldspace.DEFECTS[code[k]]}")
+        return list(range(len(xs))), build(xs), {}
+    except DomainError:
+        pass
+    errors = {}
+    for k in range(len(xs)):
+        try:
+            build(xs[k:k + 1])
+        except DomainError as e:
+            errors[k] = e
+    kept = [k for k in range(len(xs)) if k not in errors]
+    return kept, build(xs[kept]) if kept else None, errors
 
 
 def _validate(spec: MetricSpec) -> MetricSpec:
-    """Spot-check nondegenerate Lorentzian signature on a 3^4 grid, in one
-    stacked pass over its 81 points; a rejection names the first failing
-    grid point in `itertools.product` order."""
+    """Spot-check nondegenerate Lorentzian signature on a 3^4 grid, its
+    floats in one stacked pass; a rejection names the first grid point that
+    cannot be evaluated alone (`built_alone`) or is not Lorentzian."""
     axes = [np.linspace(lo, hi, 3) for (lo, hi) in spec.domain]
-    _check_grid(spec, np.array(list(itertools.product(*axes))))
+    grid = np.array(list(itertools.product(*axes)))
+    kept, comps, errors = built_alone(lambda x: _run(spec.program, {
+        f"x{i}": x[:, i] for i in range(DIM)} | spec.params), grid)
+    if kept:
+        code = fieldspace.lorentzian_defects(np.stack(
+            [np.broadcast_to(c, len(kept)) for c in comps], axis=-1)[
+                :, PAIR_FULL])
+        errors |= {k: fieldspace.DEFECTS[c] for k, c in zip(kept, code) if c}
+    if errors:
+        k = min(errors)
+        raise DomainError(f"metric {spec.name!r} at grid point "
+                          f"{tuple(grid[k].tolist())} {errors[k]}")
     return spec
 
 

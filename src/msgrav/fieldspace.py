@@ -5,9 +5,10 @@ The block tables `EH_BLOCKS` and `EP_BLOCKS` are the one source of each
 jet space's coordinate layout: its blocks in flat order, with the shape
 of each block's ordered storage. The offsets and dimensions, the shape
 checks of the point classes and the tangent lifts are all read off them.
-The metric chain fixes the jet order `ORDER`, 3, of the series an eh
-point is prolonged from; an ep point reads the metric up to d2g, from
-order-2 series, and carries that block, which `EP_EXTENSIONS` names.
+Each model's point prolongs a section: `prolong` lifts metric series of
+the jet order `ORDER`, 3, to an eh point, and `prolong_ep` lifts order-2
+ones to an ep point, which carries d2g (`EP_EXTENSIONS`) and whose Gamma
+is Levi-Civita, with its total derivatives, unless overridden.
 
 A point may carry leading batch axes, one per stacked sample point: every
 block then has the same leading shape in front of its table shape. A
@@ -34,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, DomainError
 from .exterior import contract_terms
+from .geometry import christoffel, metric_inverse_density
 from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, TRIPLES, UP
 from .series import derivative_table
 from .tangents import Jet2, Tan
@@ -65,7 +67,7 @@ def _offsets(blocks):
 
 EH_OFF, EH_DIM_J3 = _offsets(EH_BLOCKS)
 EP_OFF, EP_DIM_J1 = _offsets(EP_BLOCKS)
-_DERIVED = object()  # passed only by ep_point_at and trial_stack
+_DERIVED = object()  # passed only by prolong_ep and trial_stack
 
 
 # why a 4x4 matrix is not a Lorentzian metric, by code; 0 when it is one
@@ -203,6 +205,36 @@ def prolong(metric_series) -> EHJetPoint:
                       d3g=d3g)
 
 
+def _levi_civita(v):
+    ginv, _ = metric_inverse_density(v.g[..., PAIR_FULL])
+    return christoffel(ginv, v.dg[..., PAIR_FULL, :])
+
+
+def prolong_ep(metric_series, connection) -> EPJetPoint:
+    """Lift 10 order-2 metric component series, and the order-1 series
+    {(l, m, n): series} of `connection`, to a first-order metric-affine
+    point. The metric 2-jet's blocks must be finite and its g Lorentzian.
+    Gamma and dGamma are the Levi-Civita connection and its total
+    derivatives over the 2-jet, except where `connection` names them."""
+    g, dg, d2g = (derivatives(metric_series, c) for c in DERIVS[:3])
+    g, x = g[..., 0], np.array(metric_series[0].base)
+    for name, block in (("g", g), ("dg", dg), ("d2g", d2g)):
+        if not np.isfinite(block).all():
+            raise DomainError(f"{name} block is not finite")
+    _check_lorentzian(g)
+    gam = total_derivatives_vec(_levi_civita,
+                                SimpleNamespace(x=x, g=g, dg=dg, d2g=d2g))
+    Gamma, dGamma = gam.v.copy(), gam.g.copy()
+    if connection:
+        val, dval = (derivatives(list(connection.values()), d)
+                     for d in DERIVS[:2])
+        lmn = tuple(np.array(list(connection)).T)
+        Gamma[(..., *lmn)] = val[..., 0]
+        dGamma[(..., *lmn, slice(None))] = dval
+    return EPJetPoint(x=x, g=g, Gamma=Gamma, dg=dg, dGamma=dGamma, d2g=d2g,
+                      _derived=_DERIVED)
+
+
 def trial_stack(p, blocks, trials, seed):
     """p as row 0 in front of `trials` copies on a new leading axis, for
     projectability trials. Each copy moves the named blocks to random
@@ -301,25 +333,26 @@ def _shift_seeds(p, blocks):
     along the four directions, shaped block + (4,). The shift of a jet
     block along x^tau is the next block of its chain with tau added to its
     ordered derivative tuple (`indexing.UP`)."""
-    seeds = {"x": np.broadcast_to(np.eye(DIM), p.lead + (DIM, DIM))}
+    seeds = {"x": np.broadcast_to(np.eye(DIM), p.x.shape[:-1] + (DIM, DIM))}
     for name in blocks:
         if name not in _NEXT:
             raise ConfigError(f"the point carries no total-derivative shift "
                               f"of its {name} block")
         nxt, k = _NEXT[name]
         seeds[name] = getattr(p, nxt)[..., UP[k]].reshape(
-            p.lead + p.blocks[name] + (DIM,))
+            getattr(p, name).shape + (DIM,))
     return seeds
 
 
 def total_derivatives_vec(f, p) -> Tan:
     """f and its four total derivatives from one tangent pass, as a Tan:
     the value is f's plain value, the gradient the derivatives on one seed
-    axis trailing f's value axes. Every block below the top of its chain
-    is shifted; the top blocks (eh d3g; ep dGamma and d2g) are None in
-    f's view, so f cannot read them.
+    axis trailing f's value axes. p is a namespace of blocks with x; each
+    block whose next block p carries is shifted, and the others (eh d3g;
+    ep dGamma and d2g) are None in f's view, so f cannot read them.
     """
-    seeds = _shift_seeds(p, [b for b in p.blocks if b in _NEXT])
+    seeds = _shift_seeds(p, [b for b in vars(p)
+                             if b in _NEXT and hasattr(p, _NEXT[b][0])])
     return _tangent_pass(f, p, seeds, [b for b in vars(p) if b not in seeds])
 
 

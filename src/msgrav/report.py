@@ -5,14 +5,14 @@ list on them, and aggregates per-family statistics. The points go through
 the checks in chunks of up to CHUNK_POINTS, and each chunk is built as one
 stack: its series are evaluated once on stacked base points and prolonged
 on a leading axis (the leading-axis rule of `tangents`), and every check
-runs once on the stack. If the stack raises DomainError, each point is
-built alone and the survivors are built again as one stack, so a point is
-skipped exactly when it fails alone. A batched pass costs far less per
-point than a loop over points, because Python overhead, not arithmetic,
-dominates a single point. The chunk limit bounds memory: the transients of
-a pass grow by about 0.3 MiB per point for the second-order model and 0.25
-MiB for the first-order one (tracemalloc peaks), so an eh chunk of 8,
-which already amortizes most of the overhead, holds about 2.5 MiB.
+runs once on the stack. A point is skipped exactly when it fails built
+alone (`catalog.built_alone`), and a chunk returns each skipped point's
+reason. A batched pass costs far less per point than a loop over points,
+because Python overhead, not arithmetic, dominates a single point. The
+chunk limit bounds memory: the transients of a pass grow by about 0.3 MiB
+per point for the second-order model and 0.25 MiB for the first-order one
+(tracemalloc peaks), so an eh chunk of 8, which already amortizes most of
+the overhead, holds about 2.5 MiB.
 
 Sampling is seeded, each point's projectability trials draw from a
 generator seeded by the point's index, and the reduce is ordered, so a
@@ -140,55 +140,38 @@ def _amax(a):
     return np.abs(a).reshape(len(a), -1).max(axis=1)
 
 
-def _built(xs, build):
-    """(positions in xs of the points that were built, their build as one
-    stack, or None). The chunk is built as one stack; if that raises
-    DomainError, each point is built alone, as a stack of one, and the
-    points that build are built again as one stack. So a point is skipped
-    exactly when building it alone raises DomainError."""
-    xs = np.array(xs, dtype=float)
-    try:
-        return list(range(len(xs))), build(xs)
-    except DomainError:
-        pass
-    kept = []
-    for k in range(len(xs)):
-        try:
-            build(xs[k:k + 1])
-        except DomainError:
-            continue
-        kept.append(k)
-    return kept, build(xs[kept]) if kept else None
-
-
 def _eh_point_checks(spec, xs, seeds):
     """The eh checks on one chunk of points: (positions in xs of the
-    points that were built, {family: residual per built point})."""
-    kept, p = _built(xs, lambda x: catalog.eh_point_at(spec, x))
+    points that build, ({family: residual per built point},
+    {position: DomainError} of the others)), by `catalog.built_alone`."""
+    kept, p, errors = catalog.built_alone(
+        lambda x: catalog.eh_point_at(spec, x), xs)
     if not kept:
-        return kept, {}
+        return kept, ({}, errors)
     # the closed forms serve the momenta, the trials and the Cartan form
     closed = eh.closed_forms(p)
     dev, _, m = eh.projectability_check(p, closed, 2, np.array(seeds)[kept])
     c, dc = eh.constraint_einstein_derivative(p)
     cov = field_equation_covector(eh.cartan_form_eh(p, closed), p)
-    return kept, _residuals("eh", SimpleNamespace(
-        closed=closed, dev=dev, m=m, c=c, dc=dc, cov=cov))
+    return kept, (_residuals("eh", SimpleNamespace(
+        closed=closed, dev=dev, m=m, c=c, dc=dc, cov=cov)), errors)
 
 
 def _ep_point_checks(spec, xs, seeds):
     """The ep checks on one chunk of points, returned as by
     `_eh_point_checks`."""
-    kept, p = _built(xs, lambda x: catalog.ep_point_at(spec, x))
+    kept, p, errors = catalog.built_alone(
+        lambda x: catalog.ep_point_at(spec, x), xs)
     if not kept:
-        return kept, {}
+        return kept, ({}, errors)
     # the closed forms serve the momenta, the trials and the Cartan form
     closed = ep.closed_forms_ep(p)
     dev, _, m = ep.projectability_check_ep(p, closed, 2, np.array(seeds)[kept])
     cov = field_equation_covector(ep.cartan_form_ep(p, closed), p)
     # the ep point carries the metric jet's g, dg and d2g blocks
-    return kept, _residuals("ep", SimpleNamespace(
-        p=p, closed=closed, dev=dev, m=m, l_eh=eh.lagrangian_fn(p), cov=cov))
+    return kept, (_residuals("ep", SimpleNamespace(
+        p=p, closed=closed, dev=dev, m=m, l_eh=eh.lagrangian_fn(p), cov=cov)),
+        errors)
 
 
 def _residuals(model, passes):
@@ -220,23 +203,18 @@ def run_check(cfg: CheckConfig) -> ConstraintReport:
     else:
         outs = [at_chunk(c) for c in chunks]
     # one dict of residuals per point, None where the point was skipped
-    results = [None] * len(points)
-    for chunk, (kept, out) in zip(chunks, outs):
+    results, errors = [None] * len(points), {}
+    for chunk, (kept, (out, errs)) in zip(chunks, outs):
         for row, k in enumerate(kept):
             results[chunk[k]] = {fam: float(v[row]) for fam, v in out.items()}
+        errors.update((chunk[k], e) for k, e in errs.items())
 
     skipped = [i for i, r in enumerate(results) if r is None]
     if len(skipped) > 0.2 * len(points):
-        x = points[skipped[0]]
-        build = (catalog.eh_point_at if cfg.model == "eh"
-                 else catalog.ep_point_at)
-        try:  # a point is skipped exactly when building it alone fails
-            with catalog.quiet():
-                build(cfg.spec, x[None])
-        except DomainError as e:
-            raise DomainError(
-                f"{len(skipped)} of {len(points)} sample points were "
-                f"singular; the first, {tuple(x.tolist())}: {e}") from None
+        raise DomainError(
+            f"{len(skipped)} of {len(points)} sample points were singular; "
+            f"the first, {tuple(points[skipped[0]].tolist())}: "
+            f"{errors[skipped[0]]}")
 
     families = []
     for fam, kind, _ in FAMILIES[cfg.model]:

@@ -439,7 +439,7 @@ def test_holonomy_is_the_unique_solution_of_the_dg_slots(tmp_path,
         return lifts
 
     monkeypatch.setattr(fieldspace, "tangent_lifts", moved)
-    kept, out = report._eh_point_checks(spec, xs, [0, 1])
+    kept, (out, _) = report._eh_point_checks(spec, xs, [0, 1])
     cov = field_equation_covector(eh.cartan_form_eh(p, eh.closed_forms(p)),
                                   p)
     want = (np.abs(b + np.einsum("...ij,...j->...i", a, dg + delta))

@@ -11,6 +11,7 @@ from msgrav.fieldspace import (EP_OFF, EPJetPoint, fiber_gradient,
                                tangent_lifts, trial_stack)
 from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import APAIRS, DIM, PAIR_FULL, PAIRS, pair_index
+from msgrav.report import CheckConfig, run_check
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
 
@@ -427,3 +428,26 @@ def test_closed_momenta_are_the_per_entry_formula():
                                      - (ginv[:, c, s] if b == a else 0.0))
     assert np.array_equal(got, want)
 
+
+@pytest.mark.parametrize("name, failing", [
+    ("projective-orbit", set()),
+    ("wrong-slot", {"metric-equation", "pre-metricity", "integrability",
+                    "field-equation"})],
+    ids=["projective-orbit", "wrong-slot"])
+def test_connection_override_files(name, failing):
+    # Minkowski with 16 connection components built from one covector xi:
+    # in the projective slot, Gamma^a_{bc} = delta^a_c xi_b, the section is
+    # on flat space's projective orbit and passes every family; in the
+    # wrong slot, Gamma^a_{bc} = delta^a_b xi_c, it keeps zero torsion but
+    # fails the field equations and the metricity ladder by order 1.
+    # eh-equivalence is left out on the wrong slot, where it reads 0.67:
+    # it is kinded an identity but holds only on Levi-Civita sections (the
+    # FOUND line on it in CHANGES.md); its kind belongs with ROADMAP item 10
+    spec = catalog.load_metric_file(
+        str(Path(__file__).resolve().parent / "inputs" / f"{name}.metric"))
+    families = {f["family"]: f for f in run_check(
+        CheckConfig(model="ep", spec=spec, points=20)).families}
+    if failing:
+        del families["eh-equivalence"]
+    assert {fam for fam, f in families.items() if not f["pass"]} == failing
+    assert all(families[fam]["max_resid"] > 1 for fam in failing)

@@ -49,7 +49,7 @@ def test_default_tolerances_name_the_chunk_families(model):
     from msgrav import report
     spec = catalog.builtin("schwarzschild")
     checks = getattr(report, f"_{model}_point_checks")
-    _, out = checks(spec, sample_points(spec, 2, seed=1), [0, 1])
+    _, (out, _) = checks(spec, sample_points(spec, 2, seed=1), [0, 1])
     assert list(out) == [fam for fam, _, _ in report.FAMILIES[model]]
     assert all(kind in report.KIND_TOLERANCES
                for _, kind, _ in report.FAMILIES[model])
@@ -270,11 +270,11 @@ def _ep_checks_setting(monkeypatch, family, rows):
     seen = []
 
     def checks(spec, xs, seeds):
-        kept, out = real(spec, xs, seeds)
+        kept, (out, errors) = real(spec, xs, seeds)
         seen.extend(xs[k] for k in kept)
         for row, value in rows.items():
             out[family][row] = value
-        return kept, out
+        return kept, (out, errors)
 
     monkeypatch.setattr(report, "_ep_point_checks", checks)
     return seen
@@ -369,7 +369,7 @@ def test_one_series_pass_per_chunk(monkeypatch, tmp_path, model):
     calls.clear()
     wall = _spec(tmp_path, LOG_WALL)
     xs = sample_points(wall, 8, seed=1)
-    kept, out = checks(wall, xs, list(range(8)))
+    kept, (out, _) = checks(wall, xs, list(range(8)))
     assert kept == [0, 2, 3, 5, 6, 7]
     assert calls == [8] + [1] * 8 + [6]
     assert all(len(v) == 6 for v in out.values())
@@ -551,7 +551,7 @@ def test_fused_eh_checks_equal_each_public_call(metric, n):
     spec = catalog.builtin(metric)
     xs = sample_points(spec, n, seed=3)
     seeds = list(range(10, 10 + n))
-    kept, out = report._eh_point_checks(spec, xs, seeds)
+    kept, (out, _) = report._eh_point_checks(spec, xs, seeds)
     assert kept == list(range(n))
     p = catalog.eh_point_at(spec, np.array(xs))
     closed = eh.closed_forms(p)
