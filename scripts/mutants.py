@@ -76,8 +76,7 @@ MUTANTS = (
            " for m in ms])",
            "the mixed x0-x3 weight of derivative_table times 1.5; the "
            "sympy referee's exact jets kill it end to end too",
-           "tests/test_fieldspace.py::"
-           "test_derivatives_gather_equals_per_entry_derivative"),
+           "tests/test_fieldspace.py::test_prolongation_is_holonomic"),
     Mutant("eh-cartan-l2a-times-1.01", "src/msgrav/eh.py",
            "g0:dg0] = closed.L2.a[..., PAIR_FULL, :]",
            "g0:dg0] = closed.L2.a[..., PAIR_FULL, :] * 1.01",
@@ -206,8 +205,8 @@ MUTANTS = (
            "one sign of exterior._cofactors' Laplace expansion flipped",
            "tests/test_acceptance.py::test_acceptance_4_vacuum_certification"),
     Mutant("ep-point-at-order-1", "src/msgrav/catalog.py",
-           "series = metric_jet_at(spec, x, 2)",
-           "series = metric_jet_at(spec, x, 1)",
+           "jets = metric_jet_at(spec, x, 2)",
+           "jets = metric_jet_at(spec, x, 1)",
            "the ep point's metric jet at order 1, so d2g is missing",
            "tests/test_acceptance.py::test_acceptance_6_projectability"),
     Mutant("program-repeats-subtrees", "src/msgrav/exprparse.py",
@@ -330,11 +329,31 @@ MUTANTS = (
            "tests/test_catalog.py::"
            "test_stacked_grid_check_matches_per_point_reference[reciprocal]"),
     Mutant("prolong-ep-drops-override-derivatives", "src/msgrav/fieldspace.py",
-           "dGamma[(..., *lmn, slice(None))] = dval",
-           "dGamma[(..., *lmn, slice(None))] = 0.0",
+           "Gamma[(..., *lmn)], dGamma[(..., *lmn, slice(None))] = "
+           "connection_jets",
+           "Gamma[(..., *lmn)], dGamma[(..., *lmn, slice(None))] = "
+           "connection_jets[0], 0.0",
            "fieldspace.prolong_ep laying a connection override's values but "
            "not its derivatives over the Levi-Civita ones",
            "tests/test_catalog.py::test_connection_override_reaches_ep_point"),
+    Mutant("jets-gather-drops-weights", "src/msgrav/catalog.py",
+           "blocks = [coeffs[..., pos] * weights for pos, weights in",
+           "blocks = [coeffs[..., pos] + 0 * weights for pos, weights in",
+           "catalog._jets_at gathering Taylor coefficients without their "
+           "m! weights, so a repeated derivative index reads half its "
+           "partial",
+           "tests/test_acceptance.py::test_acceptance_4_vacuum_certification"),
+    Mutant("loader-keeps-repeated-keys", "src/msgrav/catalog.py",
+           "if (section, key) in lines:",
+           "if False:",
+           "the loader keeping the last of a repeated key",
+           "tests/test_catalog.py::"
+           "test_file_errors_name_their_line[g-twice]"),
+    Mutant("ep-cartan-dh-row-g-only", "src/msgrav/ep.py",
+           "dense[..., 0, g0:] = closed.H.g",
+           "dense[..., 0, g0:gam0] = closed.H.g[..., :gam0 - g0]",
+           "the ep Cartan form's dH row without its Gamma columns",
+           "tests/test_cli.py::test_long_sum_runs[ep]"),
     Mutant("eh-hamiltonian-quarter-1.01", "src/msgrav/eh.py",
            "h = (0.25 * (einsum(",
            "h = (0.2525 * (einsum(",

@@ -3,10 +3,11 @@
 Every metric — built in or user supplied — is ten component expressions in
 the coordinates x0..x3 plus parameters, compiled once into one program.
 Run on series coordinates truncated at the order a model reads (3 for eh,
-2 for ep), it gives the series `fieldspace` prolongs to the model's point,
-for a stack of points (..., 4) at once; a row is bit-identical to the point
-built alone. A file's `[connection]` overrides are order-1 series. A point
-fails exactly when it fails built alone (`built_alone`).
+2 for ep, 1 for `[connection]` overrides), it gives Taylor series for a
+stack of points (..., 4) at once, each row bit-identical to the point
+built alone. This module is their one reader: `fieldspace` gets their
+partial derivatives as arrays (`metric_jet_at`). A point fails exactly
+when it fails built alone (`built_alone`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .exprparse import (VARIABLES, Name, Num, compile_program,
                         parse_expression, run_program)
 from . import fieldspace
 from .fieldspace import ORDER, EHJetPoint, EPJetPoint, prolong, prolong_ep
-from .indexing import DIM, PAIR_FULL, PAIRS, pair_index
-from .series import JetScalar
+from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
+from .series import JetScalar, derivative_table
 
 
 @dataclass(frozen=True)
@@ -102,40 +103,45 @@ def _run(program, env) -> list:
         raise DomainError(f"cannot be evaluated: {e}") from None
 
 
-def _series_at(spec: MetricSpec, program, x, order: int) -> list:
-    """The series of each tree of a compiled program about the points
-    x (..., 4), from one run for the whole stack."""
+def _jets_at(spec: MetricSpec, program, x, order: int) -> list:
+    """The partials of each tree of a compiled program at the points
+    x (..., 4) to `order`, m! times the coefficients of one series run:
+    block k holds the k-th partials over `DERIVS[k]`, shaped x's leading
+    shape + (trees, len(DERIVS[k])), and block 0 drops its last axis."""
     env = {f"x{i}": JetScalar.variable(i, x, order=order)
            for i in range(DIM)} | spec.params
-    return [v if isinstance(v, JetScalar)
-            else JetScalar.constant(v, x, order=order)
-            for v in _run(program, env)]
+    coeffs = np.stack([(v if isinstance(v, JetScalar) else
+                        JetScalar.constant(v, x, order=order)).coeffs
+                       for v in _run(program, env)], axis=-2)
+    blocks = [coeffs[..., pos] * weights for pos, weights in
+              (derivative_table(order, c) for c in DERIVS[:order + 1])]
+    return [blocks[0][..., 0]] + blocks[1:]
 
 
-def metric_jet_at(spec: MetricSpec, x, order: int = ORDER):
-    """The ten component series at the points x (..., 4), to the order the
-    caller reads (eh the jet order, ep 2). Raises DomainError if any point
-    is outside the box or any series cannot be evaluated there."""
+def metric_jet_at(spec: MetricSpec, x, order: int = ORDER) -> list:
+    """The metric's blocks g, dg, ... (`_jets_at`) at the points x (..., 4)
+    to the order the caller reads, eh the jet order and ep 2. Raises
+    DomainError if a point is outside the box or cannot be evaluated."""
     x = np.asarray(x, dtype=float)
     inside = spec.contains(x)
     if not np.all(inside):
         raise DomainError(f"point {tuple(x[~inside][0].tolist())} outside "
                           f"the sample box of {spec.name!r}")
-    return _series_at(spec, spec.program, x, order)
+    return _jets_at(spec, spec.program, x, order)
 
 
 def eh_point_at(spec: MetricSpec, x) -> EHJetPoint:
-    return prolong(metric_jet_at(spec, x, ORDER))
+    return prolong(x, metric_jet_at(spec, x, ORDER))
 
 
 def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     """First-order metric-affine point over the points x (..., 4): the
-    metric series at order 2 and the `[connection]` overrides' series at
-    order 1, prolonged by `fieldspace.prolong_ep`."""
-    series = metric_jet_at(spec, x, 2)
-    conn = (_series_at(spec, spec.connection_program, series[0].base, 1)
-            if spec.connection else ())
-    return prolong_ep(series, dict(zip(spec.connection, conn)))
+    metric's blocks to order 2 and the `[connection]` overrides' to order
+    1, prolonged by `fieldspace.prolong_ep`."""
+    jets = metric_jet_at(spec, x, 2)
+    conn = (_jets_at(spec, spec.connection_program, x, 1)
+            if spec.connection else None)
+    return prolong_ep(x, jets, tuple(spec.connection), conn)
 
 
 def built_alone(build, xs):
@@ -271,37 +277,36 @@ def _indices(section, key) -> tuple:
     return tuple(map(int, m.groups()))
 
 
-def _read_line(section, line, meta, comps, conn, params, domain):
-    """Read one `key = value` line of a section into the loader's tables."""
+def _read_line(section, line) -> tuple:
+    """(key, value) of one `key = value` line of a section, an indexed key
+    read as its indices (a metric pair as its index in PAIRS)."""
     if section is None or "=" not in line:
         raise ConfigError("expected `key = value`")
     key, _, val = (t.strip() for t in line.partition("="))
     if section == "params":
         try:
-            params[key] = float(val)
+            return key, float(val)
         except ValueError:
             raise ConfigError(f"parameter {key!r} is not a number")
-    elif section == "metric" and key in meta:
-        meta[key] = _vacuum_flag(val) if key == "vacuum" else val
-    elif section == "domain":
+    if section == "metric" and key in ("name", "vacuum"):
+        return key, _vacuum_flag(val) if key == "vacuum" else val
+    if section == "domain":
         lo, _, hi = val.partition("..")
         try:
             lo, hi = float(lo), float(hi)
         except ValueError:
             raise ConfigError(f"expected `lo..hi`, got {val!r}")
-        domain[_indices(section, key)[0]] = _interval(lo, hi)
-    else:
-        index, tree = _indices(section, key), parse_expression(val)
-        if section == "metric":
-            comps[pair_index(*index)] = tree
-        else:
-            conn[index] = tree
+        return _indices(section, key)[0], _interval(lo, hi)
+    index = _indices(section, key)
+    return (pair_index(*index) if section == "metric" else index,
+            parse_expression(val))
 
 
 def load_metric_file(path: str) -> MetricSpec:
     """INI-like format: [metric] with `g a b = expr` lines and `name = ..`,
     [params], [domain] with `xN = lo..hi`, optional [connection] with
     `Gamma l m n = expr`; indices are 0..3. UTF-8; `#` starts a comment.
+    A key is set once in its section (`g a b` and `g b a` are one key).
     An error in the file names its line."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -309,21 +314,29 @@ def load_metric_file(path: str) -> MetricSpec:
     except OSError as e:
         raise ConfigError(f"cannot read metric file {path!r}: {e}")
 
-    meta = {"name": "user-metric", "vacuum": "unknown"}
-    comps, conn, params, domain = [Num(0.0)] * len(PAIRS), {}, {}, {}
-    section = None
+    tables = {s: {} for s in ("metric", "params", "domain", "connection")}
+    section, lines = None, {}  # (section, key) -> the line that set it
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         try:
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip().lower()
-                if section not in ("metric", "params", "domain", "connection"):
+                if section not in tables:
                     raise ConfigError(f"unknown section [{section}]")
             elif line:
-                _read_line(section, line, meta, comps, conn, params, domain)
+                key, value = _read_line(section, line)
+                if (section, key) in lines:
+                    raise ConfigError(
+                        f"{line.partition('=')[0].strip()!r} repeats the "
+                        f"key of line {lines[section, key]}")
+                tables[section][key], lines[section, key] = value, lineno
         except ConfigError as e:
             raise ConfigError(f"line {lineno}: {e}") from None
 
-    box = tuple(domain.get(i, (-1.0, 1.0)) for i in range(DIM))
-    return _validate(MetricSpec(components=tuple(comps), params=params,
-                                domain=box, connection=conn, **meta))
+    metric, domain = tables["metric"], tables["domain"]
+    return _validate(MetricSpec(
+        name=metric.get("name", "user-metric"),
+        vacuum=metric.get("vacuum", "unknown"),
+        components=tuple(metric.get(i, Num(0.0)) for i in range(len(PAIRS))),
+        params=tables["params"], connection=tables["connection"],
+        domain=tuple(domain.get(i, (-1.0, 1.0)) for i in range(DIM))))

@@ -5,14 +5,15 @@ The block tables `EH_BLOCKS` and `EP_BLOCKS` are the one source of each
 jet space's coordinate layout: its blocks in flat order, with the shape
 of each block's ordered storage. The offsets and dimensions, the shape
 checks of the point classes and the tangent lifts are all read off them.
-Each model's point prolongs a section: `prolong` lifts metric series of
-the jet order `ORDER`, 3, to an eh point, and `prolong_ep` lifts order-2
-ones to an ep point, which carries d2g (`EP_EXTENSIONS`) and whose Gamma
-is Levi-Civita, with its total derivatives, unless overridden.
+Each model's point prolongs a section from the arrays of its partial
+derivatives: `prolong` takes the metric's to the jet order `ORDER`, 3, as
+an eh point, and `prolong_ep` lifts those to order 2 to an ep point, which
+carries d2g (`EP_EXTENSIONS`) and whose Gamma is Levi-Civita, with its
+total derivatives, unless overridden.
 
 A point may carry leading batch axes, one per stacked sample point: every
 block then has the same leading shape in front of its table shape. A
-stack of points comes from prolonging a stack of series.
+stack of points comes from prolonging the blocks of a stack of points.
 
 Fiber functions are plain callables on a namespace of a point's blocks in
 their ordered storage. Differentiation seeds whole blocks at once: a
@@ -36,8 +37,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateMetricError, DomainError
 from .exterior import contract_terms
 from .geometry import christoffel, metric_inverse_density
-from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, TRIPLES, UP
-from .series import derivative_table
+from .indexing import DIM, PAIR_FULL, PAIRS, TRIPLES, UP
 from .tangents import Jet2, Tan
 
 # Order-3 metric jets: x(4), g(10), dg(10x4), d2g(10x10), d3g(10x20),
@@ -174,35 +174,11 @@ class EPJetPoint(_JetPoint):
 
 # -- prolongation -----------------------------------------------------------
 
-def derivatives(series, combos) -> np.ndarray:
-    """Partial derivatives of each series at its base points, one column
-    per index tuple of `combos`: m! times the Taylor coefficients, shaped
-    the series' leading shape + (len(series), len(combos))."""
-    orders = {s.order for s in series}
-    if len(orders) != 1:
-        raise ConfigError("series have mixed truncation orders")
-    order = orders.pop()
-    if max(map(len, combos), default=0) > order:
-        raise ConfigError(f"a derivative above the series order {order}")
-    pos, weights = derivative_table(order, tuple(combos))
-    return np.stack([s.coeffs for s in series], axis=-2)[..., pos] * weights
-
-
-def prolong(metric_series) -> EHJetPoint:
-    """Lift 10 metric component series to a holonomic order-3 point.
-
-    Jet coordinates are m! times the Taylor coefficients, so the holonomy
-    relations hold by construction. Stacked series give a stacked point.
-    """
-    s0 = metric_series[0]
-    if len(metric_series) != len(PAIRS):
-        raise ConfigError("need the 10 ordered metric component series")
-    if any(not np.array_equal(s.base, s0.base) for s in metric_series):
-        raise ConfigError("metric series have mixed base points")
-    g, dg, d2g, d3g = [derivatives(metric_series, c)
-                       for c in DERIVS[:ORDER + 1]]
-    return EHJetPoint(x=np.array(s0.base), g=g[..., 0], dg=dg, d2g=d2g,
-                      d3g=d3g)
+def prolong(x, jets) -> EHJetPoint:
+    """The order-3 point over the points x (..., 4) of a section's jet
+    blocks g, dg, d2g and d3g, as `catalog.metric_jet_at` gives them."""
+    g, dg, d2g, d3g = jets
+    return EHJetPoint(x=np.array(x, dtype=float), g=g, dg=dg, d2g=d2g, d3g=d3g)
 
 
 def _levi_civita(v):
@@ -210,14 +186,13 @@ def _levi_civita(v):
     return christoffel(ginv, v.dg[..., PAIR_FULL, :])
 
 
-def prolong_ep(metric_series, connection) -> EPJetPoint:
-    """Lift 10 order-2 metric component series, and the order-1 series
-    {(l, m, n): series} of `connection`, to a first-order metric-affine
-    point. The metric 2-jet's blocks must be finite and its g Lorentzian.
-    Gamma and dGamma are the Levi-Civita connection and its total
-    derivatives over the 2-jet, except where `connection` names them."""
-    g, dg, d2g = (derivatives(metric_series, c) for c in DERIVS[:3])
-    g, x = g[..., 0], np.array(metric_series[0].base)
+def prolong_ep(x, jets, keys, connection_jets) -> EPJetPoint:
+    """The first-order metric-affine point over the points x (..., 4) of a
+    metric 2-jet, blocks g, dg and d2g as `catalog.metric_jet_at` gives
+    them (finite, g Lorentzian). Gamma and dGamma are the Levi-Civita
+    connection and its total derivatives over the 2-jet, except at the
+    components `keys` (l, m, n), set by their 1-jet `connection_jets`."""
+    x, (g, dg, d2g) = np.array(x, dtype=float), jets
     for name, block in (("g", g), ("dg", dg), ("d2g", d2g)):
         if not np.isfinite(block).all():
             raise DomainError(f"{name} block is not finite")
@@ -225,12 +200,9 @@ def prolong_ep(metric_series, connection) -> EPJetPoint:
     gam = total_derivatives_vec(_levi_civita,
                                 SimpleNamespace(x=x, g=g, dg=dg, d2g=d2g))
     Gamma, dGamma = gam.v.copy(), gam.g.copy()
-    if connection:
-        val, dval = (derivatives(list(connection.values()), d)
-                     for d in DERIVS[:2])
-        lmn = tuple(np.array(list(connection)).T)
-        Gamma[(..., *lmn)] = val[..., 0]
-        dGamma[(..., *lmn, slice(None))] = dval
+    if keys:
+        lmn = tuple(np.array(keys).T)
+        Gamma[(..., *lmn)], dGamma[(..., *lmn, slice(None))] = connection_jets
     return EPJetPoint(x=x, g=g, Gamma=Gamma, dg=dg, dGamma=dGamma, d2g=d2g,
                       _derived=_DERIVED)
 

@@ -7,12 +7,34 @@ from msgrav import catalog
 from msgrav.exprparse import compile_program, run_program
 from msgrav.fieldspace import EPJetPoint
 from msgrav.geometry import curvature_bundle
-from msgrav.indexing import DIM, PAIR_FULL, PAIR_ROWS
+from msgrav.indexing import DERIVS, DIM, PAIR_FULL, PAIR_ROWS
+from msgrav.series import JetScalar
 
 
 def evaluate(tree, env):
     """One syntax tree's value: `run_program` of its one-tree program."""
     return run_program(compile_program((tree,)), env)[0]
+
+
+def series_blocks(values, xs, order, top=None):
+    """The jet blocks of per-tree series about the points xs, a float
+    value standing for a constant series: block k, for k up to `top`
+    (default the order), read entry by entry with `JetScalar.derivative`
+    and shaped as `catalog.metric_jet_at` gives it."""
+    series = [v if isinstance(v, JetScalar)
+              else JetScalar.constant(v, xs, order=order) for v in values]
+    blocks = [np.stack([np.stack(
+        [s.derivative([c.count(mu) for mu in range(DIM)]) for c in combos],
+        axis=-1) for s in series], axis=-2)
+        for combos in DERIVS[:(order if top is None else top) + 1]]
+    return [blocks[0][..., 0]] + blocks[1:]
+
+
+def tree_blocks(spec, trees, xs, order, top=None):
+    """`series_blocks` of each tree's series, evaluated alone."""
+    env = {f"x{i}": JetScalar.variable(i, xs, order=order)
+           for i in range(DIM)} | spec.params
+    return series_blocks([evaluate(t, env) for t in trees], xs, order, top)
 
 
 def interior_points(spec, n, seed, margin=0.05):

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate, interior_points
+from conftest import evaluate, interior_points, series_blocks, tree_blocks
 from test_fuzz_cli import PARAMS, tree
 from msgrav import catalog, fieldspace
 from msgrav.errors import ConfigError, DomainError
 from msgrav.exprparse import parse_expression, run_program
-from msgrav.fieldspace import derivatives
 from msgrav.geometry import christoffel, metric_inverse_density
-from msgrav.indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
+from msgrav.indexing import DIM, PAIR_FULL, PAIRS, pair_index
 from msgrav.series import JetScalar
 from msgrav.tangents import Jet2
 
@@ -57,21 +56,21 @@ def test_unknown_builtin_and_bad_params():
 
 def test_minkowski_series_are_constant():
     spec = catalog.builtin("minkowski")
-    series = catalog.metric_jet_at(spec, (0.1, -0.2, 0.3, 0.0))
-    assert series[0].value() == -1.0
-    assert np.all(derivatives(series, DERIVS[1]) == 0.0)
+    g, dg, *_ = catalog.metric_jet_at(spec, (0.1, -0.2, 0.3, 0.0))
+    assert g[0] == -1.0
+    assert np.all(dg == 0.0)
 
 
 def test_schwarzschild_example_value():
     spec = catalog.builtin("schwarzschild", m=1.0)
-    series = catalog.metric_jet_at(spec, (0.0, 3.0, 1.0, 1.0))
-    assert series[pair_index(1, 1)].value() == pytest.approx(3.0)
+    g = catalog.metric_jet_at(spec, (0.0, 3.0, 1.0, 1.0))[0]
+    assert g[pair_index(1, 1)] == pytest.approx(3.0)
 
 
 def test_kasner_example_value():
     spec = catalog.builtin("kasner")
-    series = catalog.metric_jet_at(spec, (2.0, 0.0, 0.0, 0.0))
-    assert series[pair_index(1, 1)].value() == pytest.approx(
+    g = catalog.metric_jet_at(spec, (2.0, 0.0, 0.0, 0.0))[0]
+    assert g[pair_index(1, 1)] == pytest.approx(
         2.0 ** (4.0 / 3.0), rel=1e-12)
     assert spec.vacuum == "yes"
     assert catalog.builtin("kasner", p1=0.5, p2=0.5, p3=0.5).vacuum == "no"
@@ -122,9 +121,9 @@ def test_metric_file_roundtrip(tmp_path):
     assert spec.params == {"k": 0.5}
     assert spec.domain[1] == (-0.8, 0.8)
     assert spec.domain[0] == (-1.0, 1.0)  # defaulted
-    series = catalog.metric_jet_at(spec, (0.0, 0.5, 0.0, 0.0))
-    assert series[pair_index(0, 0)].value() == pytest.approx(-1.125)
-    assert series[pair_index(2, 2)].value() == pytest.approx(1.25)
+    g = catalog.metric_jet_at(spec, (0.0, 0.5, 0.0, 0.0))[0]
+    assert g[pair_index(0, 0)] == pytest.approx(-1.125)
+    assert g[pair_index(2, 2)] == pytest.approx(1.25)
 
 
 def test_connection_override_reaches_ep_point(tmp_path):
@@ -171,8 +170,22 @@ def test_malformed_files(tmp_path):
     ("[metric]\ng 0 0 = -1\n\n[connection]\nGamma 1 0 0 = sin(x1\n",
      "line 5: expected ')' (at offset 6)"),
     ("[domain]\nx1 = 0..1..2\n", "line 2: expected `lo..hi`, got '0..1..2'"),
+    # a key is set once in its section, whatever its spelling or its place
+    ("[metric]\ng 1 1 = 1\ng 0 0 = -1\ng 1 1 = 2\n",
+     "line 4: 'g 1 1' repeats the key of line 2"),
+    ("[metric]\ng 0 1 = 0.2\ng 1 0 = 0.1\n",
+     "line 3: 'g 1 0' repeats the key of line 2"),
+    ("[metric]\nname = a\n[params]\nk = 1\n[metric]\nname = b\n",
+     "line 6: 'name' repeats the key of line 2"),
+    ("[params]\nk = 1\nk = 2\n", "line 3: 'k' repeats the key of line 2"),
+    ("[domain]\nx1 = 0..1\nx1  =  2..3\n",
+     "line 3: 'x1' repeats the key of line 2"),
+    ("[connection]\nGamma 1 0 2 = 1\nGamma 1 0 2 = x1\n",
+     "line 3: 'Gamma 1 0 2' repeats the key of line 2"),
 ], ids=["g-negative", "g-4", "g-two-digits", "gamma-negative", "x7", "x-1",
-        "metric-syntax", "connection-syntax", "interval"])
+        "metric-syntax", "connection-syntax", "interval", "g-twice",
+        "g-transposed", "name-twice", "param-twice", "x1-twice",
+        "gamma-twice"])
 def test_file_errors_name_their_line(tmp_path, text, reason):
     path = tmp_path / "bad.ini"
     path.write_text(text, encoding="utf-8")
@@ -474,16 +487,6 @@ def test_grid_check_walks_each_component_once(monkeypatch):
         calls.clear()
 
 
-def _series(spec, trees, xs, order):
-    """Each tree's series about the points xs at a truncation order."""
-    env = {f"x{i}": JetScalar.variable(i, xs, order=order)
-           for i in range(DIM)}
-    env.update(spec.params)
-    vals = [evaluate(t, env) for t in trees]
-    return [v if isinstance(v, JetScalar)
-            else JetScalar.constant(v, xs, order=order) for v in vals]
-
-
 @pytest.mark.parametrize("name", catalog.list_builtins()
                          + ["bumpy.metric", "torsion.metric"])
 def test_order_three_jets_equal_order_four_jets(name):
@@ -496,23 +499,21 @@ def test_order_three_jets_equal_order_four_jets(name):
     else:
         spec = catalog.builtin(name)
     xs = np.array(interior_points(spec, 4, seed=83))
-    s4 = _series(spec, spec.components, xs, 4)
-    g, dg, d2g, d3g = (derivatives(s4, d) for d in DERIVS)
+    g, dg, d2g, d3g = tree_blocks(spec, spec.components, xs, 4, top=3)
     p = catalog.eh_point_at(spec, xs)
-    for block, want in zip((p.g, p.dg, p.d2g, p.d3g), (g[..., 0], dg, d2g,
-                                                       d3g)):
+    for block, want in zip((p.g, p.dg, p.d2g, p.d3g), (g, dg, d2g, d3g)):
         assert np.array_equal(block, want)
     q = catalog.ep_point_at(spec, xs)
     d2 = d2g[..., PAIR_FULL]
-    ginv, _ = metric_inverse_density(Jet2(g[..., 0], dg, dg, d2)[
+    ginv, _ = metric_inverse_density(Jet2(g, dg, dg, d2)[
         ..., PAIR_FULL])
     gam = christoffel(ginv, Jet2(dg, d2, d2, None)[..., PAIR_FULL, :])
     gamma, dgamma = gam.v.copy(), gam.a.copy()
     if spec.connection:
-        s2 = _series(spec, spec.connection.values(), xs, 2)
+        val, dval = tree_blocks(spec, spec.connection.values(), xs, 2, top=1)
         lmn = tuple(np.array(list(spec.connection)).T)
-        gamma[(..., *lmn)] = derivatives(s2, DERIVS[0])[..., 0]
-        dgamma[(..., *lmn, slice(None))] = derivatives(s2, DERIVS[1])
+        gamma[(..., *lmn)] = val
+        dgamma[(..., *lmn, slice(None))] = dval
     assert np.array_equal(q.Gamma, gamma)
     assert np.array_equal(q.dGamma, dgamma)
     assert np.array_equal(q.d2g, p.d2g)
@@ -520,9 +521,10 @@ def test_order_three_jets_equal_order_four_jets(name):
 
 def test_series_share_repeated_subexpressions_bit_for_bit(all_specs,
                                                          monkeypatch):
-    # one program run per stacked pass: each builtin's series equal the
-    # trees evaluated alone, bit for bit, with fewer series operations
-    # where subexpressions repeat (schwarzschild's 1 - 2m/x1 and x1^2)
+    # one program run per stacked pass: each builtin's jet blocks equal
+    # those of the trees evaluated alone, bit for bit, with fewer series
+    # operations where subexpressions repeat (schwarzschild's 1 - 2m/x1
+    # and x1^2)
     ops = []
     for name in ("__mul__", "reciprocal", "powi", "sin"):
         def counted(*args, real=getattr(JetScalar, name)):
@@ -537,22 +539,20 @@ def test_series_share_repeated_subexpressions_bit_for_bit(all_specs,
         alone = [evaluate(tree, env) for tree in spec.components]
         n_alone = len(ops)
         ops.clear()
-        shared = catalog._series_at(spec, spec.program, x, 3)
+        shared = catalog._jets_at(spec, spec.program, x, 3)
         assert len(ops) <= n_alone, name
         if name == "schwarzschild":
             assert len(ops) < n_alone
-        for s, a in zip(shared, alone):
-            want = (a.coeffs if isinstance(a, JetScalar)
-                    else JetScalar.constant(a, x, order=3).coeffs)
-            assert s.coeffs.tobytes() == want.tobytes(), name
+        for s, a in zip(shared, series_blocks(alone, x, 3)):
+            assert s.tobytes() == a.tobytes(), name
 
 
 @pytest.mark.parametrize("name", catalog.list_builtins()
                          + ["bumpy.metric", "torsion.metric"])
 def test_order_two_jets_are_the_low_degrees_of_order_three(name):
-    # ep reads the metric to d2g from order-2 series: their coefficients
-    # are byte for byte the degree <= 2 ones of the order-3 series, so the
-    # ep point's metric blocks are the eh point's
+    # ep reads the metric to d2g from order-2 series: its blocks are byte
+    # for byte the order-3 series' blocks g, dg and d2g, so the ep point's
+    # metric blocks are the eh point's
     if name.endswith(".metric"):
         spec = catalog.load_metric_file(str(INPUTS / name))
     else:
@@ -561,8 +561,9 @@ def test_order_two_jets_are_the_low_degrees_of_order_three(name):
         xs = np.array(interior_points(spec, n, seed=97 + n))
         s2 = catalog.metric_jet_at(spec, xs, 2)
         s3 = catalog.metric_jet_at(spec, xs, 3)
+        assert len(s2) == 3
         for a, b in zip(s2, s3):
-            assert a.coeffs.tobytes() == b.coeffs[..., :15].tobytes(), name
+            assert a.tobytes() == b.tobytes(), name
         q, p = catalog.ep_point_at(spec, xs), catalog.eh_point_at(spec, xs)
         for block in ("g", "dg", "d2g"):
             want = getattr(p, block)

@@ -1,19 +1,22 @@
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import interior_points, projective_shift, random_jet
+from test_generic_sections import SEEDS, generic_section
 from msgrav import catalog, eh, ep
 from msgrav.fieldspace import (EP_OFF, EPJetPoint, fiber_gradient,
-                               field_equation_covector, prolong,
+                               fiber_hessian, field_equation_covector,
                                tangent_lifts, trial_stack)
 from msgrav.geometry import metric_inverse_density
 from msgrav.indexing import APAIRS, DIM, PAIR_FULL, PAIRS, pair_index
-from msgrav.report import CheckConfig, run_check
+from msgrav.report import KIND_TOLERANCES, CheckConfig, run_check
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
+REPO = Path(__file__).resolve().parents[1]
 
 
 def flat_point(Gamma=None, dGamma=None, g=None, dg=None):
@@ -43,7 +46,7 @@ def test_lagrangian_matches_metric_model_on_levi_civita(all_specs):
         for x in interior_points(spec, 4, seed=41):
             pe = catalog.ep_point_at(spec, x)
             le = ep.legendre_fn(pe)[0]
-            lh = eh.lagrangian_fn(prolong(catalog.metric_jet_at(spec, x)))
+            lh = eh.lagrangian_fn(catalog.eh_point_at(spec, x))
             assert abs(le - lh) <= 1e-10 * (1.0 + abs(lh)), name
 
 
@@ -78,8 +81,7 @@ def test_metric_equation_matches_metric_model_constraints():
     for x in interior_points(spec, 3, seed=43):
         p = catalog.ep_point_at(spec, x)
         c0 = ep.constraint_c0(ep.closed_forms_ep(p))
-        lab = eh.constraint_einstein(
-            prolong(catalog.metric_jet_at(spec, x)))
+        lab = eh.constraint_einstein(catalog.eh_point_at(spec, x))
         assert np.allclose(c0, -lab, rtol=1e-8, atol=1e-10)
 
 
@@ -396,9 +398,8 @@ def test_batched_momenta_rows_equal_unbatched():
 def test_stacked_ep_point_equals_single_points():
     # the series, the Levi-Civita pass and the connection overrides on a
     # stack, row by row bit-identical to points built alone
-    spec = catalog.load_metric_file(str(
-        Path(__file__).resolve().parents[1] / "msbench" / "inputs"
-        / "bumpy.metric"))
+    spec = catalog.load_metric_file(
+        str(REPO / "msbench" / "inputs" / "bumpy.metric"))
     assert spec.connection
     xs = interior_points(spec, 4, seed=67)
     pts = [catalog.ep_point_at(spec, x) for x in xs]
@@ -444,10 +445,92 @@ def test_connection_override_files(name, failing):
     # it is kinded an identity but holds only on Levi-Civita sections (the
     # FOUND line on it in CHANGES.md); its kind belongs with ROADMAP item 10
     spec = catalog.load_metric_file(
-        str(Path(__file__).resolve().parent / "inputs" / f"{name}.metric"))
+        str(REPO / "tests" / "inputs" / f"{name}.metric"))
     families = {f["family"]: f for f in run_check(
         CheckConfig(model="ep", spec=spec, points=20)).families}
     if failing:
         del families["eh-equivalence"]
     assert {fam for fam, f in families.items() if not f["pass"]} == failing
     assert all(families[fam]["max_resid"] > 1 for fam in failing)
+
+
+def _connection_system(p, closed):
+    """(dH/dGamma, J, c) of the system in the 40 g-velocities F of an ep
+    point's four lifts, (g, Gamma) held: the covector's 64 Gamma slots are
+    c(F) = dH/dGamma + J F, J (64, 40) the closed momenta's g-Jacobian
+    with F over (metric pair, direction), and c = c(dg), the section's
+    own velocities."""
+    h = closed.H.g[..., len(PAIRS):]
+    J = np.moveaxis(closed.Lmom.g, -1, -2).reshape(p.lead + (DIM ** 3, -1))
+    return h, J, h + np.einsum("...ij,...j->...i", J,
+                               p.dg.reshape(p.lead + (-1,)))
+
+
+def _rank(m):
+    """The rank of each matrix of a stack, relative to its largest
+    singular value."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return (s > 1e-10 * s[..., :1]).sum(axis=-1)
+
+
+def test_connection_equation_decides_torsion_and_premetricity(tmp_path):
+    # the system is solvable exactly where trace-free torsion vanishes, and
+    # the section's own dg solves it exactly where pre-metricity holds
+    # (ROADMAP item 18): each residual, relative to 1 + max |dH/dGamma|,
+    # is rounding where its family passes and of order one where it fails
+    specs = {name: catalog.builtin(name) for name in catalog.list_builtins()}
+    for path in [REPO / "msbench" / "inputs" / f"{name}.metric"
+                 for name in ("bumpy", "torsion")] + [
+            REPO / "tests" / "inputs" / f"{name}.metric"
+            for name in ("projective-orbit", "wrong-slot")]:
+        specs[path.stem] = catalog.load_metric_file(str(path))
+    for seed, eps in itertools.product(SEEDS, (0.1, 1e-6)):
+        specs[f"generic-{seed}-{eps}"] = generic_section(tmp_path, seed, eps)
+    tol = KIND_TOLERANCES["levi-civita"]
+    fails = {ep.constraint_torsion: set(), ep.constraint_premetricity: set()}
+    for name, spec in specs.items():
+        p = catalog.ep_point_at(spec, np.array(interior_points(spec, 4, 3)))
+        closed = ep.closed_forms_ep(p)
+        h, J, c = _connection_system(p, closed)
+        cov = covector(p, closed)[..., EP_OFF["Gamma"]:]
+        assert np.abs(cov - c).max() <= 1e-13 * (1 + np.abs(cov).max()), name
+        assert (_rank(J) == J.shape[-1]).all(), name
+        u = np.linalg.svd(J)[0][..., J.shape[-1]:]  # J's cokernel
+        scale = 1.0 + np.abs(h).max(axis=-1)
+        compat = np.abs(np.einsum("...ik,...jk,...j->...i", u, u, h)
+                        ).max(axis=-1) / scale  # the least-squares residual
+        own = np.abs(c).max(axis=-1) / scale
+        for resid, family in ((compat, ep.constraint_torsion),
+                              (own, ep.constraint_premetricity)):
+            passes = np.abs(family(p)).reshape(p.lead + (-1,)).max(-1) <= tol
+            assert np.where(passes, resid <= 1e-13, resid >= 1e-2).all(), (
+                name, family.__name__, resid)
+            if not passes.all():
+                fails[family].add(name)
+    assert fails == {ep.constraint_torsion: {"torsion"},
+                     ep.constraint_premetricity: {"torsion", "wrong-slot"}}
+
+
+def test_connection_compatibility_map_is_trace_free_torsion():
+    # dH/dGamma is the Gamma-Hessian of H times Gamma, H being quadratic in
+    # Gamma; on J's 24-dimensional cokernel that Hessian has rank 20 and
+    # the row space of trace-free torsion: stacked with the torsion map it
+    # keeps rank 20. The cokernel's other 4 directions are the projective
+    # invariance of L
+    unit = SimpleNamespace(Gamma=np.eye(DIM ** 3).reshape((-1,) + (DIM,) * 3))
+    torsion_map = ep.constraint_torsion(unit).reshape(DIM ** 3, -1).T
+    assert _rank(torsion_map) == 20
+    for name in ("schwarzschild", "kasner", "desitter", "flrw"):
+        spec = catalog.builtin(name)
+        p = catalog.ep_point_at(spec, np.array(interior_points(spec, 4, 5)))
+        _, J, _ = _connection_system(p, ep.closed_forms_ep(p))
+        u = np.linalg.svd(J)[0][..., J.shape[-1]:]
+        assert u.shape[-1] == 24
+        hess = fiber_hessian(lambda v: ep.legendre_fn(v)[1], p, ["Gamma"],
+                             ["Gamma"])
+        proj = np.einsum("...ik,...ij->...kj", u, hess)
+        proj /= np.abs(proj).max(axis=(-2, -1), keepdims=True)
+        stacked = np.concatenate(
+            [proj, np.broadcast_to(torsion_map, proj.shape)], axis=-2)
+        assert (_rank(proj) == 20).all() and (_rank(stacked) == 20).all(), \
+            name

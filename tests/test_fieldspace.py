@@ -3,16 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import interior_points, tree_blocks
+from test_generic_sections import generic_section
 from msgrav import catalog
 from msgrav.errors import ConfigError, DegenerateMetricError
 from msgrav.eh import lagrangian_fn
 from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EP_BLOCKS,
-                               EP_DIM_J1, EP_OFF, EHJetPoint,
-                               EPJetPoint, derivatives, fiber_gradient,
-                               prolong, tangent_lifts, total_derivatives,
-                               trial_stack)
+                               EP_DIM_J1, EP_OFF, ORDER, EHJetPoint,
+                               EPJetPoint, fiber_gradient, tangent_lifts,
+                               total_derivatives, trial_stack)
 from msgrav.indexing import DERIVS, DIM, PAIRS
-from msgrav.series import JetScalar, multi_indices
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
 
@@ -151,50 +151,27 @@ def test_wrong_signature_rejected():
                        _derived=derived)
 
 
-def test_prolongation_is_holonomic():
-    spec = catalog.builtin("schwarzschild")
-    x = (0.0, 5.0, 1.2, 3.0)
-    series = catalog.metric_jet_at(spec, x)
-    p = prolong(series)
-    # first-order block literally equals the section's first derivatives
-    for i in range(10):
-        for mu in range(4):
-            m = [0, 0, 0, 0]
-            m[mu] = 1
-            assert p.dg[i, mu] == series[i].derivative(m)
-    # symmetric second-order storage agrees across index orderings
-    g11 = series[4]
-    m = [0, 1, 1, 0]
-    assert p.d2g[4, PAIRS.index((1, 2))] == g11.derivative(m)
-
-
-def test_derivatives_above_the_series_order_are_config_errors():
-    # an order-2 series has no third derivatives: asking for them, directly
-    # or by prolonging to the order-3 jet, is a usage error
-    spec = catalog.builtin("schwarzschild")
-    series = catalog.metric_jet_at(spec, (0.0, 5.0, 1.2, 3.0), 2)
-    assert derivatives(series, DERIVS[2]).shape == (10, 10)
-    with pytest.raises(ConfigError, match="above the series order 2"):
-        derivatives(series, DERIVS[3])
-    with pytest.raises(ConfigError, match="above the series order 2"):
-        prolong(series)
-
-
-def test_derivatives_gather_equals_per_entry_derivative():
-    rng = np.random.default_rng(3)
-    for order in (2, 3, 4):
-        series = [JetScalar(order, (0.1, 0.2, 0.3, 0.4),
-                            rng.normal(size=len(multi_indices(order))))
-                  for _ in range(10)]
-        for combos in DERIVS[:order + 1]:
-            want = np.array([[s.derivative([c.count(mu) for mu in range(DIM)])
-                              for c in combos] for s in series])
-            got = derivatives(series, combos)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-    mixed = [JetScalar.constant(1.0, (0, 0, 0, 0), order=k) for k in (3, 4)]
-    with pytest.raises(ConfigError):
-        derivatives(mixed, PAIRS)
+def test_prolongation_is_holonomic(tmp_path):
+    # each jet block entry is the section's partial derivative, m! times a
+    # Taylor coefficient: it equals `JetScalar.derivative` of the
+    # component's own series, at the orders ep and eh read, so symmetric
+    # storage agrees across index orderings; the generic sections fill the
+    # mixed partials, x0-x3 ones among them, and the eh point holds the
+    # blocks as they are
+    specs = (catalog.builtin("schwarzschild"),
+             generic_section(tmp_path, 0, 0.1),
+             generic_section(tmp_path, 1, 0.1))
+    for spec, order in itertools.product(specs, (2, ORDER)):
+        xs = np.array(interior_points(spec, 2, seed=7))
+        blocks = catalog.metric_jet_at(spec, xs, order)
+        want = tree_blocks(spec, spec.components, xs, order)
+        assert len(blocks) == order + 1
+        for block, entries in zip(blocks, want):
+            assert np.array_equal(block, entries)
+        if order == ORDER:
+            p = catalog.eh_point_at(spec, xs)
+            for name, block in zip(("g", "dg", "d2g", "d3g"), blocks):
+                assert np.array_equal(getattr(p, name), block), name
 
 
 def test_fiber_gradient_matches_rebuilt_points():
