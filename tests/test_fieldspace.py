@@ -13,6 +13,7 @@ from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EP_BLOCKS,
                                EPJetPoint, fiber_gradient, tangent_lifts,
                                total_derivatives, trial_stack)
 from msgrav.indexing import DERIVS, DIM, PAIRS
+from msgrav.series import JetScalar, derivative_table, multi_indices
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
 
@@ -172,6 +173,28 @@ def test_prolongation_is_holonomic(tmp_path):
             p = catalog.eh_point_at(spec, xs)
             for name, block in zip(("g", "dg", "d2g", "d3g"), blocks):
                 assert np.array_equal(getattr(p, name), block), name
+
+
+def test_derivatives_gather_equals_per_entry_derivative():
+    # the gather `catalog._jets_at` makes of a stack of series, coefficients
+    # at `derivative_table`'s positions times its weights, equals
+    # `JetScalar.derivative` of each series entry by entry, at every order
+    # the catalog reads and beyond, with the stack's leading axis kept
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-1, 1, (5, DIM))
+    for order in (2, 3, 4):
+        series = [JetScalar(order, base,
+                            rng.normal(size=(5, len(multi_indices(order)))))
+                  for _ in range(10)]
+        coeffs = np.stack([s.coeffs for s in series], axis=-2)
+        for combos in DERIVS[:order + 1]:
+            want = np.stack([np.stack([s.derivative(
+                [c.count(mu) for mu in range(DIM)]) for c in combos],
+                axis=-1) for s in series], axis=-2)
+            pos, weights = derivative_table(order, combos)
+            got = coeffs[..., pos] * weights
+            assert got.shape == want.shape == (5, 10, len(combos))
+            assert np.array_equal(got, want)
 
 
 def test_fiber_gradient_matches_rebuilt_points():
