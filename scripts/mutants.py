@@ -20,7 +20,7 @@ With `--all NAME`, it runs the whole of tier-1 on the one mutant NAME,
 without stopping at the first failure, and lists every test that kills
 it, so one can see whether only a call-count or timing test does:
 
-    python3 scripts/mutants.py --all x0-x3-weight-times-1.5
+    python3 scripts/mutants.py --all x0-x3-partials-times-1.5
 """
 
 import argparse
@@ -70,13 +70,14 @@ MUTANTS = (
            "ep constraint_c0 times 0",
            "tests/test_ep.py::"
            "test_metric_equation_matches_metric_model_constraints"),
-    Mutant("x0-x3-weight-times-1.5", "src/msgrav/series.py",
-           "np.array([_factorial_weight(m) for m in ms])",
-           "np.array([_factorial_weight(m) * (1.5 if m[0] and m[3] else 1)"
-           " for m in ms])",
-           "the mixed x0-x3 weight of derivative_table times 1.5; the "
-           "sympy referee's exact jets kill it end to end too",
-           "tests/test_fieldspace.py::test_prolongation_is_holonomic"),
+    Mutant("x0-x3-partials-times-1.5", "src/msgrav/exprparse.py",
+           "jets.append([{c: diff(low[c[:-1]], c[-1]) for c in",
+           "jets.append([{c: op(\"*\", emit(Num(1.5 if 0 in c and 3 in c "
+           "else 1.0)), diff(low[c[:-1]], c[-1])) for c in",
+           "the jet program's mixed x0-x3 partials times 1.5; the sympy "
+           "referee's exact jets kill it end to end too",
+           "tests/test_catalog.py::"
+           "test_jets_match_the_series_and_stack_row_by_row"),
     Mutant("eh-cartan-l2a-times-1.01", "src/msgrav/eh.py",
            "g0:dg0] = closed.L2.a[..., PAIR_FULL, :]",
            "g0:dg0] = closed.L2.a[..., PAIR_FULL, :] * 1.01",
@@ -212,14 +213,15 @@ MUTANTS = (
     Mutant("program-repeats-subtrees", "src/msgrav/exprparse.py",
            "if key not in slots:",
            "if True:",
-           "a compiled program evaluates a repeated subtree again: pure "
+           "a compiled or jet program evaluates a repeated step again: pure "
            "waste with the same values, so only a call-count test kills it",
            "tests/test_catalog.py::test_grid_check_walks_each_component_once"),
     Mutant("univariate-drops-top-order", "src/msgrav/series.py",
            "in range(1, self.order + 1):",
            "in range(1, self.order):",
            "a series function without its highest-order Taylor term",
-           "tests/test_acceptance.py::test_acceptance_4_vacuum_certification"),
+           "tests/test_catalog.py::"
+           "test_jets_match_the_series_and_stack_row_by_row"),
     Mutant("finite-mean-check-off", "src/msgrav/report.py",
            "if not math.isfinite(mean):",
            "if False:",
@@ -254,21 +256,19 @@ MUTANTS = (
            "a power through `**`, whose overflow reads as Python's errno "
            "tuple and whose 0^-1 is a ZeroDivisionError",
            "tests/test_catalog.py::"
-           "test_series_fail_where_floats_fail_on_fuzz_specs"),
+           "test_jets_fail_where_floats_fail_on_fuzz_specs"),
     Mutant("powi-skips-float-power", "src/msgrav/series.py",
            "        math_each(math.pow, self.coeffs[..., 0], n)\n",
            "",
            "a series power without the float power of its constant terms, "
            "so 0^-1 reads as a division by zero and an overflow is silent",
-           "tests/test_catalog.py::"
-           "test_series_fail_where_floats_fail_on_fuzz_specs"),
+           "tests/test_series.py::test_powi_fails_as_the_float_power_does"),
     Mutant("sqrt-zero-root-unchecked", "src/msgrav/series.py",
            "if np.any(r == 0.0):",
            "if False:",
            "a series sqrt of a zero constant term divides by the root "
            "instead of raising",
-           "tests/test_catalog.py::"
-           "test_series_fail_where_floats_fail_on_fuzz_specs"),
+           "tests/test_series.py::test_sqrt_of_nonpositive_raises"),
     Mutant("loader-index-any-digit", "src/msgrav/catalog.py",
            r'"metric": (r"g\s+([0-3])\s+([0-3])"',
            r'"metric": (r"g\s+(-?\d)\s+(-?\d)"',
@@ -336,13 +336,13 @@ MUTANTS = (
            "fieldspace.prolong_ep laying a connection override's values but "
            "not its derivatives over the Levi-Civita ones",
            "tests/test_catalog.py::test_connection_override_reaches_ep_point"),
-    Mutant("jets-gather-drops-weights", "src/msgrav/catalog.py",
-           "blocks = [coeffs[..., pos] * weights for pos, weights in",
-           "blocks = [coeffs[..., pos] + 0 * weights for pos, weights in",
-           "catalog._jets_at gathering Taylor coefficients without their "
-           "m! weights, so a repeated derivative index reads half its "
-           "partial",
-           "tests/test_acceptance.py::test_acceptance_4_vacuum_certification"),
+    Mutant("jets-gather-misses-the-zero-column", "src/msgrav/catalog.py",
+           "[[col.get(s, len(col)) for s in r] for r in b]",
+           "[[col.get(s, len(col) - 1) for s in r] for r in b]",
+           "catalog._jets_at gathering an identically-zero partial from "
+           "the last computed partial instead of the zero column",
+           "tests/test_acceptance.py::"
+           "test_acceptance_4_vacuum_certification"),
     Mutant("loader-keeps-repeated-keys", "src/msgrav/catalog.py",
            "if (section, key) in lines:",
            "if False:",
@@ -377,6 +377,83 @@ MUTANTS = (
            "the total derivatives of the Einstein constraints times 1.01",
            "tests/test_eh.py::"
            "test_constraint_derivative_on_an_order_three_point"),
+    Mutant("jet-quotient-rule-sign", "src/msgrav/exprparse.py",
+           'return op("-", op("/", da, b), op("/", op("*", t, db), b))',
+           'return op("+", op("/", da, b), op("/", op("*", t, db), b))',
+           "the jet program's quotient rule adding (a/b) db/b",
+           "tests/test_acceptance.py::"
+           "test_acceptance_4_vacuum_certification"),
+    Mutant("jet-product-rule-repeats-da", "src/msgrav/exprparse.py",
+           'return op("+", op("*", da, b), op("*", a, db))',
+           'return op("+", op("*", da, b), op("*", a, da))',
+           "the jet program's product rule with a da for a db",
+           "tests/test_acceptance.py::"
+           "test_acceptance_4_vacuum_certification"),
+    Mutant("jet-sqrt-rule-over-3", "src/msgrav/exprparse.py",
+           '"sqrt": lambda: op("/", da, op("*", emit(Num(2.0)), t)),',
+           '"sqrt": lambda: op("/", da, op("*", emit(Num(3.0)), t)),',
+           "the jet program's sqrt rule dividing by 3 sqrt(a)",
+           "tests/test_referee.py::"
+           "test_each_jet_rule_matches_the_exact_derivatives[sqrt]"),
+    Mutant("jet-ln-rule-over-ln", "src/msgrav/exprparse.py",
+           '"ln": lambda: op("/", da, a),',
+           '"ln": lambda: op("/", da, t),',
+           "the jet program's ln rule dividing by ln a for a",
+           "tests/test_acceptance.py::"
+           "test_acceptance_4_vacuum_certification"),
+    Mutant("jet-power-rule-n-plus-1", "src/msgrav/exprparse.py",
+           'op("*", emit(Num(float(n))), a if n == 2',
+           'op("*", emit(Num(float(n + 1))), a if n == 2',
+           "the jet program's power rule with n + 1 a^(n-1)",
+           "tests/test_acceptance.py::"
+           "test_acceptance_4_vacuum_certification"),
+    Mutant("jet-sin-rule-reads-sin", "src/msgrav/exprparse.py",
+           '"sin": lambda: op("*", emit(Call("cos", None), a), da),',
+           '"sin": lambda: op("*", emit(Call("sin", None), a), da),',
+           "the jet program's sin rule with sin a for cos a",
+           "tests/test_acceptance.py::"
+           "test_acceptance_4_vacuum_certification"),
+    Mutant("jet-cos-rule-drops-sign", "src/msgrav/exprparse.py",
+           '"cos": lambda: emit(Neg(None), op(\n'
+           '                    "*", emit(Call("sin", None), a), da))}',
+           '"cos": lambda: op(\n'
+           '                    "*", emit(Call("sin", None), a), da)}',
+           "the jet program's cos rule without its minus sign",
+           "tests/test_acceptance.py::"
+           "test_acceptance_4_vacuum_certification"),
+    Mutant("jet-exp-rule-reads-the-argument", "src/msgrav/exprparse.py",
+           '"exp": lambda: op("*", t, da),',
+           '"exp": lambda: op("*", a, da),',
+           "the jet program's exp rule with a for exp a",
+           "tests/test_acceptance.py::"
+           "test_acceptance_4_vacuum_certification"),
+    Mutant("jet-partials-along-the-first-index", "src/msgrav/exprparse.py",
+           "jets.append([{c: diff(low[c[:-1]], c[-1]) for c in",
+           "jets.append([{c: diff(low[c[1:]], c[0]) for c in",
+           "a mixed partial differentiating the one over its tuple's last "
+           "k - 1 indices along its first: equal values, other rounding",
+           "tests/test_parser.py::"
+           "test_each_partial_differentiates_the_one_below_along_its_last_"
+           "index"),
+    Mutant("integrability-gamma-gamma-swapped", "src/msgrav/ep.py",
+           'einsum("rg,gnl,lms->rsmn", gm, p.Gamma, p.Gamma)',
+           'einsum("rg,gml,lns->rsmn", gm, p.Gamma, p.Gamma)',
+           "the integrability constraint's Gamma Gamma term with its "
+           "directions swapped",
+           "tests/test_acceptance.py::"
+           "test_acceptance_7_first_order_model_constraints"),
+    Mutant("torsion-derivative-keeps-the-trace", "src/msgrav/ep.py",
+           "_apairs_of(trace_removal(torsion_full(dgam))), -3, -1)",
+           "_apairs_of(torsion_full(dgam)), -3, -1)",
+           "the torsion derivative without its trace removal",
+           "tests/test_acceptance.py::"
+           "test_acceptance_8_projective_gauge_invariance"),
+    Mutant("einstein-trace-weight-0.49", "src/msgrav/eh.py",
+           'einsum(",ab->ab", 0.5 * scal, ginv)',
+           'einsum(",ab->ab", 0.49 * scal, ginv)',
+           "the Einstein constraints with R g^ab / 2 times 0.98, which "
+           "breaks the contracted Bianchi identity",
+           "tests/test_acceptance.py::test_acceptance_5_nonvacuum_control"),
 )
 
 # mutants that no test can kill yet, with the reason

@@ -3,8 +3,9 @@
 
 One line per report, `model metric seed sha256`, where the digest is taken
 over the report's JSON text. The runs cover the metrics that
-`run_all_checks.py` sweeps (the 7 builtins, then the two metric files
-`msbench/inputs/bumpy.metric` and `torsion.metric`, read only), both
+`run_all_checks.py` sweeps (the 7 builtins, then the metric files
+`msbench/inputs/bumpy.metric` and `torsion.metric`, read only, and
+`tests/inputs/projective-orbit.metric` and `wrong-slot.metric`), both
 models, seeds 0 and 1, 10 points each. Two trees produce byte-identical
 reports exactly when their outputs are equal:
 

@@ -12,7 +12,6 @@ from .version import VERSION as __version__
 
 from .errors import (ConfigError, DegenerateMetricError, DomainError,
                      ExprSyntaxError, MsgravError)
-from .series import JetScalar
 from .tangents import Jet2, Tan
 from .fieldspace import (EH_DIM_J3, EP_DIM_J1, EHJetPoint, EPJetPoint,
                          prolong, total_derivatives)
@@ -24,7 +23,7 @@ __all__ = [
     "__version__",
     "MsgravError", "ConfigError", "ExprSyntaxError", "DomainError",
     "DegenerateMetricError",
-    "JetScalar", "Tan", "Jet2",
+    "Tan", "Jet2",
     "EHJetPoint", "EPJetPoint", "prolong",
     "total_derivatives",
     "EH_DIM_J3", "EP_DIM_J1",

@@ -2,12 +2,11 @@
 
 Every metric — built in or user supplied — is ten component expressions in
 the coordinates x0..x3 plus parameters, compiled once into one program.
-Run on series coordinates truncated at the order a model reads (3 for eh,
-2 for ep, 1 for `[connection]` overrides), it gives Taylor series for a
-stack of points (..., 4) at once, each row bit-identical to the point
-built alone. This module is their one reader: `fieldspace` gets their
-partial derivatives as arrays (`metric_jet_at`). A point fails exactly
-when it fails built alone (`built_alone`).
+Its jet program (`exprparse.jet_program`), to the order a model reads (3
+for eh, 2 for ep, 1 for `[connection]` overrides), gives their partials at
+a stack of points (..., 4) in one float run, each row bit-identical to the
+point alone, and `fieldspace` gets them as arrays (`metric_jet_at`). A
+point fails exactly when it fails built alone (`built_alone`).
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exprparse import (VARIABLES, Name, Num, compile_program,
-                        parse_expression, run_program)
+from .exprparse import (VARIABLES, Name, Num, compile_program, jet_program,
+                        parse_expression, run_program, step_key)
 from . import fieldspace
 from .fieldspace import ORDER, EHJetPoint, EPJetPoint, prolong, prolong_ep
-from .indexing import DERIVS, DIM, PAIR_FULL, PAIRS, pair_index
-from .series import JetScalar, derivative_table
+from .indexing import DIM, PAIR_FULL, PAIRS, pair_index
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,9 @@ class MetricSpec:
     connection: dict = field(default_factory=dict)  # (l,m,n) -> syntax tree
     program: tuple = field(init=False, repr=False, compare=False)
     connection_program: tuple = field(init=False, repr=False, compare=False)
+    # (connection, order) -> its compiled jet program (`_jets_at`)
+    jets: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         if len(self.components) != len(PAIRS):
@@ -94,8 +95,8 @@ def quiet():
 
 def _run(program, env) -> list:
     """run_program with a float failure as DomainError("cannot be
-    evaluated: ..."). Array and series arithmetic overflows silently, as a
-    float's does; the checks on its values reject what it leaves."""
+    evaluated: ..."). Array arithmetic overflows silently, as a float's
+    does; the checks on its values reject what it leaves."""
     try:
         with quiet():
             return run_program(program, env)
@@ -103,18 +104,32 @@ def _run(program, env) -> list:
         raise DomainError(f"cannot be evaluated: {e}") from None
 
 
-def _jets_at(spec: MetricSpec, program, x, order: int) -> list:
-    """The partials of each tree of a compiled program at the points
-    x (..., 4) to `order`, m! times the coefficients of one series run:
-    block k holds the k-th partials over `DERIVS[k]`, shaped x's leading
-    shape + (trees, len(DERIVS[k])), and block 0 drops its last axis."""
-    env = {f"x{i}": JetScalar.variable(i, x, order=order)
-           for i in range(DIM)} | spec.params
-    coeffs = np.stack([(v if isinstance(v, JetScalar) else
-                        JetScalar.constant(v, x, order=order)).coeffs
-                       for v in _run(program, env)], axis=-2)
-    blocks = [coeffs[..., pos] * weights for pos, weights in
-              (derivative_table(order, c) for c in DERIVS[:order + 1])]
+_JETS = {}  # (flat steps, outputs, order) -> (jet program, index tables)
+
+
+def _jets_at(spec: MetricSpec, x, order: int, connection=False) -> list:
+    """The partials of the spec's components (or `[connection]` overrides)
+    at the points x (..., 4) to `order`, from one run of their jet program,
+    compiled once per process: block k, shaped x's leading shape + (trees,
+    len(DERIVS[k])), gathers the k-th partials over `DERIVS[k]` from its
+    outputs (the nonzero partials) and a zero column; block 0 has no k axis."""
+    if (connection, order) not in spec.jets:
+        program = spec.connection_program if connection else spec.program
+        key = (tuple(step_key(*s) for s in program[0]), program[1], order)
+        if key not in _JETS:
+            steps, jets = jet_program(program, order)
+            col = {s: j for j, s in enumerate(sorted(
+                {s for b in jets for r in b for s in r} - {None}))}
+            _JETS[key] = (steps, list(col)), [np.array(
+                [[col.get(s, len(col)) for s in r] for r in b]) for b in jets]
+        spec.jets[connection, order] = _JETS[key]
+    program, tables = spec.jets[connection, order]
+    flat = np.asarray(x, dtype=float).reshape(-1, DIM)
+    vals = _run(program, dict(zip(VARIABLES, flat.T)) | spec.params)
+    cols = np.zeros((len(flat), len(vals) + 1))
+    for j, v in enumerate(vals):
+        cols[:, j] = v
+    blocks = [cols[:, t].reshape(np.shape(x)[:-1] + t.shape) for t in tables]
     return [blocks[0][..., 0]] + blocks[1:]
 
 
@@ -127,7 +142,7 @@ def metric_jet_at(spec: MetricSpec, x, order: int = ORDER) -> list:
     if not np.all(inside):
         raise DomainError(f"point {tuple(x[~inside][0].tolist())} outside "
                           f"the sample box of {spec.name!r}")
-    return _jets_at(spec, spec.program, x, order)
+    return _jets_at(spec, x, order)
 
 
 def eh_point_at(spec: MetricSpec, x) -> EHJetPoint:
@@ -139,8 +154,7 @@ def ep_point_at(spec: MetricSpec, x) -> EPJetPoint:
     metric's blocks to order 2 and the `[connection]` overrides' to order
     1, prolonged by `fieldspace.prolong_ep`."""
     jets = metric_jet_at(spec, x, 2)
-    conn = (_jets_at(spec, spec.connection_program, x, 1)
-            if spec.connection else None)
+    conn = _jets_at(spec, x, 1, connection=True) if spec.connection else None
     return prolong_ep(x, jets, tuple(spec.connection), conn)
 
 

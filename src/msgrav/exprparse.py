@@ -18,15 +18,18 @@ deep, or the text is an ExprSyntaxError; a sum may be of any length.
 Trees compile to one straight-line program of their distinct subtrees,
 which runs over floats, numpy arrays (elementwise, so one run serves a
 whole stack of points) or truncated series; parameters stay floats in
-every case. One rule decides how a float evaluation rounds and fails:
-each function and power of a float, or of each entry of an array, is one
-`math` call (`math_each`), and `+ - * /` round as IEEE floats do.
+every case; `jet_program` appends the steps of their partial derivatives
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13). One rule decides
+how a float evaluation rounds and fails: each function and power of a
+float, or of each entry of an array, is one `math` call (`math_each`),
+and `+ - * /` round as IEEE floats do; a derivative is more such steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -248,6 +251,22 @@ def math_each(fn, x, *args):
     return fn(x, *args)
 
 
+def step_key(node, args) -> tuple:
+    """A step's flat key (type, own field, operand slots)."""
+    own = _FIELDS[type(node)][0]
+    return type(node), own and getattr(node, own), args
+
+
+def _emit(slots, steps, node, args) -> int:
+    """The slot of the step (node, args), appended to steps unless slots
+    holds its key: steps with equal keys compute equal values once."""
+    key = step_key(node, args)
+    if key not in slots:
+        slots[key] = len(steps)
+        steps.append((node, args))
+    return slots[key]
+
+
 def compile_program(trees) -> tuple:
     """(steps, outputs): the distinct subtrees of a sequence of trees in
     evaluation order, each a (node, operand slots) step whose operands are
@@ -266,12 +285,79 @@ def compile_program(trees) -> tuple:
         cut = len(done) - len(ops)
         args = tuple(done[cut:])
         del done[cut:]
-        key = (type(node), own and getattr(node, own), args)  # equal subtrees
-        if key not in slots:
-            slots[key] = len(steps)
-            steps.append((node, args))
-        done.append(slots[key])
+        done.append(_emit(slots, steps, node, args))
     return tuple(steps), tuple(done)
+
+
+def jet_program(program, order: int) -> tuple:
+    """(steps, jets): a compiled program with its derivative steps appended,
+    jets[k][t] the slots of tree t's k-th partials over `indexing.DERIVS[k]`
+    (None if identically 0), each the derivative of the one over its first
+    k - 1 indices along its last. A (step, direction) gets one slot; new
+    steps are hash-consed (`_emit`), with a 0 or 1 operand folded."""
+    steps, outputs = list(program[0]), program[1]
+    slots, memo = {step_key(*s): k for k, s in enumerate(steps)}, {}
+
+    def emit(node, *args):
+        return _emit(slots, steps, node, args)
+
+    def op(sym, a, b):
+        if a is None or b is None:  # a 0 operand
+            return (None if sym in "*/" or a is b else a if b is None
+                    else b if sym == "+" else emit(Neg(None), b))
+        if sym in "*/" and steps[b][0] == Num(1.0):
+            return a
+        if sym == "*" and steps[a][0] == Num(1.0):
+            return b
+        return emit(BinOp(sym, None, None), a, b)
+
+    def rule(t, i):  # the derivative of step t along x_i, its operands' known
+        node, args = steps[t]
+        da = [memo[a, i] for a in args]
+        if isinstance(node, Name):
+            return emit(Num(1.0)) if node.ident == VARIABLES[i] else None
+        if isinstance(node, BinOp):
+            (a, b), (da, db) = args, da
+            if node.op == "*":
+                return op("+", op("*", da, b), op("*", a, db))
+            if node.op == "/":  # da/b - (a/b) db/b
+                return op("-", op("/", da, b), op("/", op("*", t, db), b))
+            return op(node.op, da, db)
+        if isinstance(node, Num) or da[0] is None:
+            return None
+        (a,), (da,) = args, da
+        if isinstance(node, Neg):
+            return emit(Neg(None), da)
+        if isinstance(node, Pow):  # n a^(n-1) da
+            n = node.exponent
+            if n in (0, 1):  # d a^0 = 0, d a^1 = da
+                return (None, da)[n]
+            return op("*", op("*", emit(Num(float(n))), a if n == 2
+                              else emit(Pow(None, n - 1), a)), da)
+        return {"sqrt": lambda: op("/", da, op("*", emit(Num(2.0)), t)),
+                "ln": lambda: op("/", da, a),
+                "exp": lambda: op("*", t, da),
+                "sin": lambda: op("*", emit(Call("cos", None), a), da),
+                "cos": lambda: emit(Neg(None), op(
+                    "*", emit(Call("sin", None), a), da))}[node.func]()
+
+    def diff(s, i):
+        todo = [] if s is None else [s]  # no recursion: sums are deep
+        while todo:
+            t = todo[-1]
+            todo.extend(a for a in steps[t][1] if (a, i) not in memo)
+            if todo[-1] == t:
+                memo[t, i] = memo[t, i] if (t, i) in memo else rule(t, i)
+                todo.pop()
+        return memo.get((s, i))
+
+    jets = [[{(): t} for t in outputs]]  # per order and tree: tuple -> slot
+    for k in range(1, order + 1):
+        jets.append([{c: diff(low[c[:-1]], c[-1]) for c in
+                      combinations_with_replacement(range(len(VARIABLES)), k)}
+                     for low in jets[-1]])
+    return tuple(steps), tuple(tuple(tuple(p.values()) for p in block)
+                               for block in jets)
 
 
 def run_program(program, env: dict) -> list:

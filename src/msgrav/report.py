@@ -77,7 +77,7 @@ FAMILIES = {
          lambda s: _rel(_amax(s.m.Lmom_ad - s.closed.Lmom.v),
                         _amax(s.closed.Lmom.v))),
         ("projectability", "identity", lambda s: s.dev),
-        ("eh-equivalence", "identity",
+        ("eh-equivalence", "levi-civita",
          lambda s: _rel(np.abs(s.m.L - s.l_eh), s.l_eh)),
         ("metric-equation", "vacuum", lambda s: ep.constraint_c0(s.closed)),
         ("pre-metricity", "levi-civita",

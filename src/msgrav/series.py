@@ -1,24 +1,14 @@
 """Exact truncated multivariate Taylor series in the 4 base coordinates.
 
-A JetScalar holds Taylor coefficients (derivative / m!) of an analytic
-function around a base point, truncated at total degree K (eh's metric
-jets use 3, `fieldspace.ORDER`, and ep's 2). Products are convolutions in
-this normalization; jet-coordinate extraction multiplies back by m!.
-
-Storage is dense over all multi-indices of degree <= K; for K = 3 in 4
-variables that is C(7,3) = 35 coefficients, where dense beats any sparse
-scheme and multiplication is a fixed precomputed index loop.
-
-A JetScalar may stack series about several base points on leading axes,
-the rule `tangents` uses for sample points: `base` is (..., 4) and
-`coeffs` (..., 35). The check runner builds each chunk of sample points
-this way, walking every expression tree once per chunk, and each row
-keeps the exact arithmetic of a series built alone (Taylor propagation:
-Griewank, Utke & Walther, Math. Comp. 69, 2000). The function of each
-row's constant term is `exprparse.math_each`'s `math` call, so it rounds
-and fails as the float evaluation of the same text does; a division by a
-zero constant term raises "float division by zero", and so does sqrt of
-one, the one failure a float does not share.
+A JetScalar holds Taylor coefficients (derivative / m!) of a function
+about base points (..., 4), truncated at total degree K, dense over the
+multi-indices of degree <= K; products are convolutions, and each row
+keeps the arithmetic of a series built alone (Griewank, Utke & Walther,
+Math. Comp. 69, 2000). A function of a row's constant term is
+`exprparse.math_each`'s `math` call; a division by a zero constant term,
+or sqrt of one, raises "float division by zero". No product path reads
+series (`catalog` runs `exprparse.jet_program`): the tests keep them as a
+second route to the jets, and the benchmark harness counts their ops.
 """
 
 from __future__ import annotations
@@ -66,15 +56,6 @@ def _mul_table(order: int):
 
 def _factorial_weight(m: tuple[int, ...]) -> float:
     return float(math.prod(map(math.factorial, m)))
-
-
-@lru_cache(maxsize=None)
-def derivative_table(order: int, combos: tuple):
-    """(positions, weights): coeffs[positions] * weights are the partials
-    at the base point named by the index tuples of `combos`."""
-    ms = [tuple(c.count(v) for v in range(NVARS)) for c in combos]
-    return (np.array([_index_map(order)[m] for m in ms], dtype=np.intp),
-            np.array([_factorial_weight(m) for m in ms]))
 
 
 def _product(a, b, order):

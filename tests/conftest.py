@@ -1,4 +1,6 @@
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,40 @@ def tree_blocks(spec, trees, xs, order, top=None):
     env = {f"x{i}": JetScalar.variable(i, xs, order=order)
            for i in range(DIM)} | spec.params
     return series_blocks([evaluate(t, env) for t in trees], xs, order, top)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def sections(tmp_path_factory):
+    """{name: spec} of the 7 builtins, the metric files
+    `msbench/inputs/bumpy.metric` and `torsion.metric`, the connection
+    override files `tests/inputs/projective-orbit.metric` and
+    `wrong-slot.metric`, and the 40 generic sections (`generic-SEED-EPS`,
+    eps 0.1 and 1e-6)."""
+    from test_generic_sections import SEEDS, generic_section
+    tmp_path = tmp_path_factory.mktemp("sections")
+    specs = {name: catalog.builtin(name) for name in catalog.list_builtins()}
+    for path in [REPO / "msbench" / "inputs" / f"{name}.metric"
+                 for name in ("bumpy", "torsion")] + [
+            REPO / "tests" / "inputs" / f"{name}.metric"
+            for name in ("projective-orbit", "wrong-slot")]:
+        specs[path.stem] = catalog.load_metric_file(str(path))
+    for seed, eps in itertools.product(SEEDS, (0.1, 1e-6)):
+        specs[f"generic-{seed}-{eps}"] = generic_section(tmp_path, seed, eps)
+    return specs
+
+
+def jets_alone(spec, trees, xs, order):
+    """The jet blocks of each tree by its own jet program, shaped as
+    `catalog.metric_jet_at` gives them: each tree is run as the ten
+    components of a spec of its own, without connection overrides."""
+    per = [catalog.metric_jet_at(replace(spec, components=(t,) * len(
+        spec.components), connection={}), xs, order) for t in trees]
+    return [np.concatenate([b[..., :1, :] if k else b[..., :1] for b in
+                            blocks], axis=-2 if k else -1)
+            for k, blocks in enumerate(zip(*per))]
 
 
 def interior_points(spec, n, seed, margin=0.05):

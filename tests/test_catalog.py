@@ -9,14 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate, interior_points, series_blocks, tree_blocks
+from conftest import interior_points, jets_alone, tree_blocks
 from test_fuzz_cli import PARAMS, tree
 from msgrav import catalog, fieldspace
 from msgrav.errors import ConfigError, DomainError
-from msgrav.exprparse import parse_expression, run_program
+from msgrav.exprparse import (compile_program, jet_program,
+                              parse_expression, run_program)
 from msgrav.geometry import christoffel, metric_inverse_density
 from msgrav.indexing import DIM, PAIR_FULL, PAIRS, pair_index
-from msgrav.series import JetScalar
 from msgrav.tangents import Jet2
 
 INPUTS = Path(__file__).resolve().parents[1] / "msbench" / "inputs"
@@ -418,30 +418,26 @@ def test_stacked_grid_check_matches_per_point_reference_on_fuzz_specs():
         assert got == _outcome(_validate_per_point, spec), seed
 
 
-def test_series_fail_where_floats_fail_on_fuzz_specs(monkeypatch):
-    # a function, power or division of a series raises at a row's constant
-    # term what the float evaluation raises there, so at every grid point
-    # of every fuzz spec the float evaluation (`catalog._run` on floats)
-    # and the series, at the orders eh and ep read, have one outcome and
-    # message. The one exception: sqrt of a zero constant term, whose
-    # derivatives divide by the root, fails where a float need not (at
-    # 600 of the 24,300 points, at both orders). Each outcome is that of
-    # the point built alone (`catalog.built_alone`): the float evaluation
-    # runs on the stack of the 81 grid points, and the series on the stack
-    # of the points where it passes and on the stack of those where it
-    # fails, so only a stack that raises is evaluated point by point
-    zero_roots = []
-    sqrt = JetScalar.sqrt
-    monkeypatch.setattr(JetScalar, "sqrt", lambda s: zero_roots.append(
-        np.any(s.value() == 0.0)) or sqrt(s))
-
+def test_jets_fail_where_floats_fail_on_fuzz_specs():
+    # the jet program runs the spec's value steps first, then each
+    # derivative as one more float step, so at every grid point of every
+    # fuzz spec the float evaluation (`catalog._run` on floats) and the
+    # jets, at the orders eh and ep read, have one outcome and message,
+    # but in two classes where the float succeeds and a derivative fails:
+    # sqrt of a zero root, whose derivative divides by the root ("float
+    # division by zero"), and a derivative's power beyond float range
+    # ("math range error"). Each outcome is that of the point built alone
+    # (`catalog.built_alone`): the float evaluation runs on the stack of
+    # the 81 grid points, and the jets on the stack of the points where it
+    # passes and on the stack of those where it fails, so only a stack
+    # that raises is evaluated point by point
     def outcomes(build, xs, at):
         """{k: the outcome of building xs[k] alone} for each k in at."""
         errors = catalog.built_alone(build, xs[at])[2] if at else {}
         return {k: (type(errors[i]), str(errors[i])) if i in errors
                 else (None, "") for i, k in enumerate(at)}
 
-    excepted = 0
+    excepted = {"float division by zero": 0, "math range error": 0}
     for seed in range(300):
         spec = _fuzz_spec(seed)
         axes = [np.linspace(lo, hi, 3) for (lo, hi) in spec.domain]
@@ -452,20 +448,24 @@ def test_series_fail_where_floats_fail_on_fuzz_specs(monkeypatch):
         passed = [k for k in want if want[k][0] is None]
         failed = [k for k in want if want[k][0] is not None]
         for order in (2, 3):
-            def series(x):
+            def jets(x):
                 return catalog.metric_jet_at(spec, x, order)
-            got = outcomes(series, grid, passed) | outcomes(series, grid,
-                                                            failed)
+            got = outcomes(jets, grid, passed) | outcomes(jets, grid, failed)
             for k in (i for i in want if got[i] != want[i]):
                 where = (seed, tuple(grid[k]), order, want[k], got[k])
-                assert got[k][1] == ("cannot be evaluated: float division "
-                                     "by zero"), where
-                zero_roots.clear()
-                with pytest.raises(DomainError):
-                    series(grid[k:k + 1])
-                assert zero_roots and zero_roots[-1], where
-                excepted += 1
-    assert excepted == 2 * 600
+                assert want[k][0] is None and got[k][0] is DomainError, where
+                reason = got[k][1].removeprefix("cannot be evaluated: ")
+                assert reason in excepted, where
+                if reason == "float division by zero":  # a zero root
+                    env = {f"x{i}": float(grid[k, i]) for i in range(DIM)}
+                    steps = spec.program[0]
+                    vals = run_program((steps, range(len(steps))),
+                                       env | spec.params)
+                    assert any(v == 0.0 for v, (node, _) in zip(vals, steps)
+                               if getattr(node, "func", "") == "sqrt"), where
+                excepted[reason] += 1
+    assert excepted == {"float division by zero": 792,
+                        "math range error": 174}
 
 
 def test_grid_check_walks_each_component_once(monkeypatch):
@@ -490,16 +490,18 @@ def test_grid_check_walks_each_component_once(monkeypatch):
 @pytest.mark.parametrize("name", catalog.list_builtins()
                          + ["bumpy.metric", "torsion.metric"])
 def test_order_three_jets_equal_order_four_jets(name):
-    # truncating the series at the jet order changes no coefficient the
-    # jets read: each block equals the one an order-4 series gives, and
+    # a jet program of a higher order appends steps and changes none: the
+    # eh point's blocks are the low blocks of the order-4 jet program, and
     # the connection the inner block of a Jet2 pass on them gives (its
-    # overrides from order-2 series), bit for bit
+    # overrides the low blocks of an order-2 jet program), bit for bit
     if name.endswith(".metric"):
         spec = catalog.load_metric_file(str(INPUTS / name))
     else:
         spec = catalog.builtin(name)
     xs = np.array(interior_points(spec, 4, seed=83))
-    g, dg, d2g, d3g = tree_blocks(spec, spec.components, xs, 4, top=3)
+    four = catalog._jets_at(spec, xs, 4)
+    assert [b.shape[-1] for b in four[1:]] == [4, 10, 20, 35]
+    g, dg, d2g, d3g = four[:4]
     p = catalog.eh_point_at(spec, xs)
     for block, want in zip((p.g, p.dg, p.d2g, p.d3g), (g, dg, d2g, d3g)):
         assert np.array_equal(block, want)
@@ -510,7 +512,7 @@ def test_order_three_jets_equal_order_four_jets(name):
     gam = christoffel(ginv, Jet2(dg, d2, d2, None)[..., PAIR_FULL, :])
     gamma, dgamma = gam.v.copy(), gam.a.copy()
     if spec.connection:
-        val, dval = tree_blocks(spec, spec.connection.values(), xs, 2, top=1)
+        val, dval = catalog._jets_at(spec, xs, 2, connection=True)[:2]
         lmn = tuple(np.array(list(spec.connection)).T)
         gamma[(..., *lmn)] = val
         dgamma[(..., *lmn, slice(None))] = dval
@@ -519,32 +521,46 @@ def test_order_three_jets_equal_order_four_jets(name):
     assert np.array_equal(q.d2g, p.d2g)
 
 
-def test_series_share_repeated_subexpressions_bit_for_bit(all_specs,
-                                                         monkeypatch):
-    # one program run per stacked pass: each builtin's jet blocks equal
-    # those of the trees evaluated alone, bit for bit, with fewer series
-    # operations where subexpressions repeat (schwarzschild's 1 - 2m/x1
-    # and x1^2)
-    ops = []
-    for name in ("__mul__", "reciprocal", "powi", "sin"):
-        def counted(*args, real=getattr(JetScalar, name)):
-            ops.append(1)
-            return real(*args)
-        monkeypatch.setattr(JetScalar, name, counted)
+def test_jet_steps_share_repeated_subexpressions_bit_for_bit(all_specs):
+    # one jet program per stacked pass: each builtin's jet blocks equal
+    # those of its trees' own jet programs, bit for bit, in no more steps
+    # than theirs, and in fewer where subexpressions repeat
+    # (schwarzschild's 1 - 2m/x1 and x1^2)
+    def steps(program):
+        return len(jet_program(program, 3)[0])
+
     for name, spec in all_specs.items():
         x = np.array(interior_points(spec, 3, seed=89))
-        env = {f"x{i}": JetScalar.variable(i, x, order=3)
-               for i in range(DIM)} | spec.params
-        ops.clear()
-        alone = [evaluate(tree, env) for tree in spec.components]
-        n_alone = len(ops)
-        ops.clear()
-        shared = catalog._jets_at(spec, spec.program, x, 3)
-        assert len(ops) <= n_alone, name
+        alone = sum(steps(compile_program((t,))) for t in spec.components)
+        assert steps(spec.program) <= alone, name
         if name == "schwarzschild":
-            assert len(ops) < n_alone
-        for s, a in zip(shared, series_blocks(alone, x, 3)):
+            assert steps(spec.program) < alone
+        shared = catalog.metric_jet_at(spec, x, 3)
+        for s, a in zip(shared, jets_alone(spec, spec.components, x, 3)):
             assert s.tobytes() == a.tobytes(), name
+
+
+def test_jets_match_the_series_and_stack_row_by_row(sections):
+    # the jet program and the truncated series are two routes to the same
+    # partials: at orders 1 to 3, for the components and the connection
+    # overrides, they agree within 1e-15 relative to 1 + max |series|; and
+    # each row of a stack of points is bit for bit the point run alone,
+    # with or without a leading axis
+    for name, spec in sections.items():
+        xs = np.array(interior_points(spec, 3, seed=107))
+        for order, connection in itertools.product(
+                (1, 2, 3), (False, True) if spec.connection else (False,)):
+            trees = (spec.connection.values() if connection
+                     else spec.components)
+            jets = catalog._jets_at(spec, xs, order, connection)
+            for got, ref in zip(jets, tree_blocks(spec, trees, xs, order)):
+                assert np.abs(got - ref).max() <= 1e-15 * (
+                    1 + np.abs(ref).max()), (name, order, connection)
+            for k in range(len(xs)):
+                for x in (xs[k:k + 1], xs[k]):
+                    alone = catalog._jets_at(spec, x, order, connection)
+                    for a, b in zip(alone, jets):
+                        assert a.tobytes() == b[k].tobytes(), (name, k)
 
 
 @pytest.mark.parametrize("name", catalog.list_builtins()

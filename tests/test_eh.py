@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,8 @@ from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EHJetPoint,
                                field_equation_covector, tangent_lifts,
                                total_derivatives_vec)
 from msgrav.geometry import metric_inverse_density
-from msgrav.indexing import DIM, MULT, PAIR_FULL, PAIRS, pair_index
+from msgrav.indexing import (DIM, MULT, PAIR_FULL, PAIRS, TRIPLES, UP,
+                             pair_index)
 from msgrav.tangents import Jet2, einsum, sqrt
 
 MID = {
@@ -578,3 +580,28 @@ def test_closed_momenta2_are_the_per_entry_formula():
                 - 2 * ginv[:, a, b] * ginv[:, m, n])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_constraint_derivative_rank_is_36_by_the_bianchi_identity(sections):
+    # the 40 einstein-constraint-derivative conditions D_tau E_i reach d3g
+    # through E's d2g-Jacobian scattered by UP[2] (d3g over (pair, triple)
+    # takes d2g's (pair, pair) with one direction added): that 40 x 200
+    # map has rank 36, and its left kernel is spanned by the 4 constant
+    # rows sum_a D_a E_(ab) / n(ab), one per b, the contracted Bianchi
+    # identity at top order (ROADMAP item 20)
+    bianchi = np.zeros((DIM, len(PAIRS), DIM))
+    for a, b in itertools.product(range(DIM), repeat=2):
+        bianchi[b, pair_index(a, b), a] = 1.0 / MULT[pair_index(a, b)]
+    bianchi = bianchi.reshape(DIM, -1)
+    for name, spec in sections.items():
+        p = catalog.eh_point_at(spec, np.array(interior_points(spec, 2, 17)))
+        _, jac = fiber_jacobian(eh.constraint_einstein, p, ["d2g"])
+        jac = jac.reshape(p.lead + (len(PAIRS),) * 3)  # E_i by d2g_jk
+        d3 = np.zeros(p.lead + (len(PAIRS), DIM, len(PAIRS), len(TRIPLES)))
+        for k, tau in itertools.product(range(len(PAIRS)), range(DIM)):
+            d3[..., :, tau, :, UP[2][k, tau]] += jac[..., k]
+        d3 = d3.reshape(p.lead + (len(PAIRS) * DIM, -1))
+        s = np.linalg.svd(d3, compute_uv=False)
+        assert (s[..., 35] >= 1e-3 * s[..., 0]).all(), name
+        assert (s[..., 36] <= 1e-14 * s[..., 0]).all(), name
+        assert np.abs(bianchi @ d3).max() <= 1e-14 * np.abs(d3).max(), name

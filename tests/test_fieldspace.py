@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import interior_points, tree_blocks
+from conftest import interior_points, jets_alone, tree_blocks
 from test_generic_sections import generic_section
 from msgrav import catalog
 from msgrav.errors import ConfigError, DegenerateMetricError
@@ -13,7 +13,6 @@ from msgrav.fieldspace import (EH_BLOCKS, EH_DIM_J3, EH_OFF, EP_BLOCKS,
                                EPJetPoint, fiber_gradient, tangent_lifts,
                                total_derivatives, trial_stack)
 from msgrav.indexing import DERIVS, DIM, PAIRS
-from msgrav.series import JetScalar, derivative_table, multi_indices
 
 ETA = np.array([-1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0, 1.0])
 
@@ -153,48 +152,30 @@ def test_wrong_signature_rejected():
 
 
 def test_prolongation_is_holonomic(tmp_path):
-    # each jet block entry is the section's partial derivative, m! times a
-    # Taylor coefficient: it equals `JetScalar.derivative` of the
-    # component's own series, at the orders ep and eh read, so symmetric
-    # storage agrees across index orderings; the generic sections fill the
-    # mixed partials, x0-x3 ones among them, and the eh point holds the
-    # blocks as they are
+    # each jet block entry is the section's partial derivative: it equals,
+    # bit for bit, the jet program of the component alone, and
+    # `JetScalar.derivative` of the component's own series, m! times a
+    # Taylor coefficient, within 1e-15 relative, at the orders ep and eh
+    # read, so symmetric storage agrees across index orderings; the
+    # generic sections fill the mixed partials, x0-x3 ones among them, and
+    # the eh point holds the blocks as they are
     specs = (catalog.builtin("schwarzschild"),
              generic_section(tmp_path, 0, 0.1),
              generic_section(tmp_path, 1, 0.1))
     for spec, order in itertools.product(specs, (2, ORDER)):
         xs = np.array(interior_points(spec, 2, seed=7))
         blocks = catalog.metric_jet_at(spec, xs, order)
-        want = tree_blocks(spec, spec.components, xs, order)
+        alone = jets_alone(spec, spec.components, xs, order)
+        series = tree_blocks(spec, spec.components, xs, order)
         assert len(blocks) == order + 1
-        for block, entries in zip(blocks, want):
+        for block, entries, ref in zip(blocks, alone, series):
             assert np.array_equal(block, entries)
+            assert (np.abs(block - ref).max()
+                    <= 1e-15 * (1 + np.abs(ref).max()))
         if order == ORDER:
             p = catalog.eh_point_at(spec, xs)
             for name, block in zip(("g", "dg", "d2g", "d3g"), blocks):
                 assert np.array_equal(getattr(p, name), block), name
-
-
-def test_derivatives_gather_equals_per_entry_derivative():
-    # the gather `catalog._jets_at` makes of a stack of series, coefficients
-    # at `derivative_table`'s positions times its weights, equals
-    # `JetScalar.derivative` of each series entry by entry, at every order
-    # the catalog reads and beyond, with the stack's leading axis kept
-    rng = np.random.default_rng(3)
-    base = rng.uniform(-1, 1, (5, DIM))
-    for order in (2, 3, 4):
-        series = [JetScalar(order, base,
-                            rng.normal(size=(5, len(multi_indices(order)))))
-                  for _ in range(10)]
-        coeffs = np.stack([s.coeffs for s in series], axis=-2)
-        for combos in DERIVS[:order + 1]:
-            want = np.stack([np.stack([s.derivative(
-                [c.count(mu) for mu in range(DIM)]) for c in combos],
-                axis=-1) for s in series], axis=-2)
-            pos, weights = derivative_table(order, combos)
-            got = coeffs[..., pos] * weights
-            assert got.shape == want.shape == (5, 10, len(combos))
-            assert np.array_equal(got, want)
 
 
 def test_fiber_gradient_matches_rebuilt_points():

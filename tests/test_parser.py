@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import evaluate
 from msgrav.errors import ExprSyntaxError
+from msgrav.indexing import DERIVS
 from msgrav.exprparse import (FUNCTIONS, BinOp, Call, Name, Neg, Num, Pow,
-                              compile_program, parse_expression)
+                              compile_program, jet_program, parse_expression,
+                              run_program)
 from msgrav.series import JetScalar
 
 
@@ -139,6 +142,61 @@ def test_long_sum_compiles_and_runs():
     steps, outputs = compile_program((parse_expression(text),))
     assert len(steps) == 3000 and outputs == (2999,)
     assert ev(text, x1=0.5) == 1500.0
+
+
+# hostile texts for the differentiator, with a bound on the seconds their
+# order-3 jet program takes to compile and run: differentiating syntax
+# trees instead of steps took 145 s on the 33-deep nest
+HOSTILE = {
+    "99-nested-sin": ("sin(" * 99 + "x1" + ")" * 99, 1.0),
+    "33-deep-sin-exp-cos": ("".join(("sin(", "exp(", "cos(")[i % 3]
+                                    for i in range(33))
+                            + "x1*x2" + ")" * 33, 1.0),
+    "3000-term-sum": ("+".join(f"x{i % 4}*x{(i + 1) % 4}*x{(i + 2) % 4}"
+                               for i in range(3000)), 6.0),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_texts_differentiate_in_bounded_time(name):
+    # the differentiator walks the program with a stack, so a 3000-deep
+    # spine is no recursion, and hash-consing keeps a deep nest's
+    # derivatives linear in its depth
+    text, seconds = HOSTILE[name]
+    xs = np.array([[0.3, 0.4, -0.2, 0.1], [0.5, -0.3, 0.6, 0.2]])
+    t0 = time.perf_counter()
+    steps, jets = jet_program(compile_program((parse_expression(text),)), 3)
+    slots = [s for block in jets for s in block[0] if s is not None]
+    vals = run_program((steps, slots),
+                       {f"x{i}": xs[:, i] for i in range(4)})
+    assert time.perf_counter() - t0 < seconds
+    assert all(np.isfinite(v).all() for v in vals)
+    if name == "3000-term-sum":  # 750 times each of 4 distinct products
+        third = [vals[slots.index(s)] for s in jets[3][0] if s is not None]
+        assert third == [750.0] * 4
+
+
+def test_each_partial_differentiates_the_one_below_along_its_last_index():
+    # the k-th partial over a tuple is the derivative, along the tuple's
+    # last index, of the partial over its first k - 1 indices: bit for bit
+    # the order-1 jet program of a program whose outputs are those
+    trees = tuple(map(parse_expression, (
+        "sin(x0*x1 + x3)*exp(0.3*x2*x0)/(2 + x1*x3)",
+        "ln(3 + x0*x3)^3 - sqrt(2 + x1*x2)*cos(x3 - x0)")))
+    xs = np.array([[0.3, 0.4, -0.2, 0.1], [0.5, -0.3, 0.6, 0.2]])
+    steps, jets = jet_program(compile_program(trees), 3)
+    for k in (1, 2, 3):
+        low = [s for tree in jets[k - 1] for s in tree if s is not None]
+        once, firsts = jet_program((steps, low), 1)
+        vals = run_program((once, range(len(once))),
+                           {f"x{i}": xs[:, i] for i in range(4)})
+        for tree, below in zip(jets[k], jets[k - 1]):
+            for c, s in zip(DERIVS[k], tree):
+                s0 = below[DERIVS[k - 1].index(c[:-1])]
+                want = None if s0 is None else firsts[1][low.index(s0)][c[-1]]
+                assert (s is None) == (want is None), c
+                if s is not None:
+                    assert np.array_equal(vals[s], vals[want]), c
 
 
 def test_program_steps_are_in_post_order_left_first():

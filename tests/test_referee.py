@@ -1,14 +1,15 @@
 """An exact referee: sympy differentiates each metric component's own
-syntax tree, sharing nothing with the truncated series, derivative tables
-and prolongation that build the jets in `catalog`, and the first-order
-Lagrangian's own formula, sharing nothing with `ep`'s momenta.
+syntax tree, sharing nothing with the jet program and prolongation that
+build the jets in `catalog`, and the first-order Lagrangian's own
+formula, sharing nothing with `ep`'s momenta.
 
 Each component tree is rendered to sympy (`^` is `**`, `ln` is `log`,
 numbers and parameters are the exact rationals of their floats),
 differentiated to order 3, each order from the one below, and lambdified
 once per spec. At 4 interior points, eh's g, dg, d2g and d3g and ep's g,
 dg and d2g must match it within 1e-13 relative to 1 + max|ref| of each
-block. At two rational non-diagonal metrics, both routes of ep's momenta
+block, and so must each differentiation rule of the jet program on a text
+of its own. At two rational non-diagonal metrics, both routes of ep's momenta
 must match the exact derivative of L by dGamma within the same bound.
 """
 
@@ -21,7 +22,7 @@ import sympy
 
 from conftest import interior_points
 from msgrav import catalog, ep
-from msgrav.exprparse import Call, Name, Neg, Num, Pow
+from msgrav.exprparse import Call, Name, Neg, Num, Pow, parse_expression
 from msgrav.fieldspace import EPJetPoint
 from msgrav.indexing import DERIVS, DIM, PAIRS
 from test_generic_sections import generic_section
@@ -99,6 +100,32 @@ def test_jets_match_the_exact_derivatives_of_the_metric_text(name,
         for block, want in zip(names, ref):
             dev = _deviation(getattr(point, block), want)
             assert dev <= BOUND, (name, type(point).__name__, block, dev)
+
+
+# one text per rule of `exprparse.jet_program`, each with mixed partials
+RULE_TEXTS = {
+    "quotient": "x1/(2 + x2*x3)",
+    "sqrt": "sqrt(3 + x1*x2 - x0)",
+    "ln": "ln(3 + x1 - x0*x3)",
+    "power": "(2 + x1*x3)^3 + (2 + x2 - x0)^-2",
+    "sin": "sin(x0*x1 + x3)",
+    "cos": "cos(x2*x3 - x1)",
+    "exp": "exp(0.3*x1*x0 + x2)",
+}
+
+
+@pytest.mark.parametrize("rule", RULE_TEXTS)
+def test_each_jet_rule_matches_the_exact_derivatives(rule):
+    # the jet program's partials of one text to order 3, run as the ten
+    # components of a spec, against sympy's
+    spec = catalog.MetricSpec(name=rule, components=(parse_expression(
+        RULE_TEXTS[rule]),) * len(PAIRS))
+    xs = np.array(interior_points(spec, 4, seed=103))
+    ref = [np.stack(b) for b in zip(*map(referee_jets(spec), xs))]
+    for k, (got, want) in enumerate(zip(catalog.metric_jet_at(spec, xs, 3),
+                                        ref)):
+        dev = _deviation(got, want)
+        assert dev <= BOUND, (rule, k, dev)
 
 
 # two Lorentzian metrics with every entry of g and g^-1 nonzero, over

@@ -1,7 +1,7 @@
 """`scripts/run_all_checks.py` judges every family of every builtin report,
-and of the two connection-overriding metric files under `msbench/inputs`,
-by its kind and the metric's vacuum flag, so a family whose residual or
-kind is wrong fails the sweep."""
+and of the connection-overriding metric files under `msbench/inputs` and
+`tests/inputs`, by its kind and the metric's vacuum flag, so a family
+whose residual or kind is wrong fails the sweep."""
 
 import importlib.util
 from pathlib import Path
