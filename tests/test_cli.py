@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 from msgrav import catalog, cli
 from msgrav.errors import DomainError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(argv, capsys):
@@ -33,6 +39,22 @@ def test_check_failing_metric_exits_one(capsys):
     assert obj["verdict"] == "fail"
     fams = {f["family"]: f["pass"] for f in obj["families"]}
     assert fams["einstein-constraint"] is False
+
+
+def test_check_never_imports_the_series():
+    # the jets come from the jet program, so a check of either model, in
+    # a fresh interpreter, leaves `msgrav.series` unimported
+    script = ("import contextlib, io, sys\n"
+              "from msgrav import cli\n"
+              "for model in ('eh', 'ep'):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        cli.main(['check', '--model', model, '--metric',\n"
+              "                  'schwarzschild', '--points', '2'])\n"
+              "print('msgrav.series' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], text=True,
+                          capture_output=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.stdout == "False\n"
 
 
 def test_check_tolerance_override(capsys):
